@@ -12,21 +12,23 @@ import argparse
 
 import numpy as np
 
-from medsens import (ConfoundingKind, EffectType, demo_params, effect_with_ci,
-                     fit_constrained, replicate_seeds, simulate, true_effects,
-                     unconstrained_context)
-from medsens.sensitivity import _context_from
+from medsens import (ConfoundingKind, EffectType, constrained_context,
+                     demo_params, effect_with_ci, fit_constrained,
+                     fit_unconstrained, replicate_seeds, simulate,
+                     true_effects, unconstrained_context)
 
 
 def one_replicate(params, n, rho, seed, effect_type):
     ds = simulate(params, n, seed)
     truth = true_effects(params, ds)[effect_type]
 
-    base = unconstrained_context(ds, params.spec)
-    naive = effect_with_ci(effect_type, "marginal", base)
+    fits = fit_unconstrained(ds, params.spec)
+    naive = effect_with_ci(effect_type, "marginal",
+                           unconstrained_context(ds, params.spec, fits))
 
     fit = fit_constrained(ConfoundingKind.MEDIATOR_OUTCOME, rho, ds, params.spec)
-    ctx = _context_from(ConfoundingKind.MEDIATOR_OUTCOME, fit, base, ds, params.spec)
+    ctx = constrained_context(ConfoundingKind.MEDIATOR_OUTCOME, fit, fits, ds,
+                              params.spec)
     adjusted = effect_with_ci(effect_type, "marginal", ctx)
     return {
         "truth": truth,

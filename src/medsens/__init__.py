@@ -6,10 +6,8 @@ unmeasured confounding via fixed correlations between the latent error
 terms of the exposure, mediator and outcome equations.
 """
 
-from .biprobit import (ConfoundingKind, ConstrainedFit, LikelihoodTerms,
-                       constrained_grad, constrained_loglik, fit_constrained,
-                       likelihood_terms, loglik_exposure_mediator,
-                       loglik_exposure_outcome, loglik_mediator_outcome)
+from .biprobit import (ConfoundingKind, ConstrainedFit, constrained_grad,
+                       constrained_loglik, fit_constrained)
 from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         ModelSpec, build_exposure_design,
                         build_mediator_design, build_outcome_design,
@@ -31,9 +29,10 @@ from .numkernel import (EvaluationError, binorm_cdf, bvn_cdf, clamp_rho,
 from .probit import (ProbitFit, UnconstrainedFits, fit_probit,
                      fit_unconstrained, probit_loglik)
 from .sensitivity import (IntervalResult, RhoGrid, ScanPoint, SensitivityScan,
-                          SignClass, SignRanges, identification_set,
-                          refine_boundary, run_scan, sign_ranges,
-                          uncertainty_interval, unconstrained_context)
+                          SignClass, SignRanges, constrained_context,
+                          identification_set, refine_boundary, run_scan,
+                          sign_ranges, uncertainty_interval,
+                          unconstrained_context)
 from .simgen import (CovariateSpec, LatentDraws, TrueParams, demo_params,
                      replicate_seeds, simulate, simulate_latent, true_effects)
 
@@ -58,9 +57,7 @@ __all__ = [
     "ProbitFit", "fit_probit", "probit_loglik", "UnconstrainedFits",
     "fit_unconstrained",
     # constrained likelihoods
-    "ConfoundingKind", "LikelihoodTerms", "likelihood_terms",
-    "loglik_exposure_mediator", "loglik_mediator_outcome",
-    "loglik_exposure_outcome", "constrained_loglik", "constrained_grad",
+    "ConfoundingKind", "constrained_loglik", "constrained_grad",
     "ConstrainedFit", "fit_constrained",
     # effects
     "EffectType", "conditional_effect", "nde_conditional", "nie_conditional",
@@ -74,7 +71,7 @@ __all__ = [
     "simulate_latent", "true_effects", "replicate_seeds", "demo_params",
     # sensitivity
     "RhoGrid", "ScanPoint", "SensitivityScan", "run_scan",
-    "unconstrained_context", "IntervalResult", "identification_set",
-    "uncertainty_interval", "SignClass", "SignRanges", "sign_ranges",
-    "refine_boundary",
+    "unconstrained_context", "constrained_context", "IntervalResult",
+    "identification_set", "uncertainty_interval", "SignClass", "SignRanges",
+    "sign_ranges", "refine_boundary",
 ]

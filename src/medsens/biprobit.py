@@ -12,8 +12,12 @@ with w1_i = (2m_i-1) times the mediator linear predictor and w2_i =
 bivariate-probit cell probability of the observed pair, so at rho = 0
 each likelihood splits into the two univariate probit likelihoods.
 
-Gradients use d/da ln Phi2(a, b; r) = phi(a) Phi((b - r a)/sqrt(1-r^2))
-/ Phi2(a, b; r), evaluated in log space with the package-wide floor.
+With u_a, u_b the signed linear predictors and r the signed row
+correlation, ln Phi2(u_a, u_b; r) has g_a = phi(u_a) Phi((u_b - r u_a)/
+sqrt(1-r^2)) / Phi2, d2/du_a2 = -u_a g_a - r phi2/Phi2 - g_a^2 and
+d2/du_a du_b = phi2/Phi2 - g_a g_b (Greene, Econometric Analysis), every
+ratio taken in log space over the package-wide floor. ln Phi2 is concave,
+so at fixed rho the probit module's Newton ascent maximizes the likelihood.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from .datamodel import (Dataset, ModelSpec, build_exposure_design,
@@ -30,13 +33,13 @@ from .datamodel import (Dataset, ModelSpec, build_exposure_design,
                         validate_for_fit)
 from .errors import SeparationError
 from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
-from .probit import fit_probit
+from .probit import _newton_ascent, fit_probit
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _SEPARATION_BOUND = 30.0
-
-MAX_ITER = 200
-SCORE_TOL = 1e-6
+# exponent cap keeping pathological floored-probability corners finite;
+# it never binds at plausible parameter values
+_LOG_RATIO_CAP = 600.0
 
 
 class ConfoundingKind(enum.Enum):
@@ -45,22 +48,6 @@ class ConfoundingKind(enum.Enum):
     EXPOSURE_MEDIATOR = "zm"
     MEDIATOR_OUTCOME = "my"
     EXPOSURE_OUTCOME = "zy"
-
-
-@dataclass(frozen=True)
-class LikelihoodTerms:
-    """Per-observation signed pieces entering one constrained likelihood.
-
-    w1 is the signed mediator-side predictor (2m-1) * (mediator lp), w2
-    the signed outcome-side predictor (2y-1) * (outcome lp); rho_star is
-    the per-observation signed correlation of the leading Phi2 argument.
-    Fields not used by a given kind are None.
-    """
-
-    kind: ConfoundingKind
-    w1: np.ndarray | None
-    w2: np.ndarray | None
-    rho_star: np.ndarray
 
 
 def _check_len(name: str, coef, ncol: int) -> np.ndarray:
@@ -77,26 +64,6 @@ def _check_rho_interior(rho: float) -> float:
         raise ValueError(
             f"likelihood evaluation needs |rho| <= {RHO_INTERIOR}, got {rho!r}")
     return rho
-
-
-def likelihood_terms(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec,
-                     rho: float, alpha=None, beta=None,
-                     theta=None) -> LikelihoodTerms:
-    """Signed per-observation likelihood pieces for one confounding kind."""
-    rho = _check_rho_interior(rho)
-    s_m = 2.0 * ds.m - 1.0
-    s_y = 2.0 * ds.y - 1.0
-    w1 = w2 = None
-    if kind in (ConfoundingKind.EXPOSURE_MEDIATOR, ConfoundingKind.MEDIATOR_OUTCOME):
-        design = build_mediator_design(ds, spec)
-        beta = _check_len("beta", beta, design.shape[1])
-        w1 = s_m * (design @ beta)
-    if kind in (ConfoundingKind.MEDIATOR_OUTCOME, ConfoundingKind.EXPOSURE_OUTCOME):
-        design = build_outcome_design(ds, spec)
-        theta = _check_len("theta", theta, design.shape[1])
-        w2 = s_y * (design @ theta)
-    rho_star = (s_m if kind is ConfoundingKind.EXPOSURE_MEDIATOR else s_y) * rho
-    return LikelihoodTerms(kind=kind, w1=w1, w2=w2, rho_star=rho_star)
 
 
 def _pair_designs(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
@@ -118,82 +85,64 @@ def _pair_designs(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
     raise ValueError(f"unknown confounding kind {kind!r}")
 
 
-def _pair_loglik(coef_a, design_a, resp_a, coef_b, design_b, resp_b, rho):
-    s_a = 2.0 * np.asarray(resp_a, dtype=float) - 1.0
-    s_b = 2.0 * np.asarray(resp_b, dtype=float) - 1.0
-    u_a = s_a * (design_a @ coef_a)
-    u_b = s_b * (design_b @ coef_b)
-    return float(safe_log(bvn_cdf(u_b, u_a, s_a * s_b * rho)).sum())
+def _signed_pair(pair_a, pair_b):
+    """Sign-flipped designs (s_a X_a, s_b X_b) and row signs s_a s_b from
+    the two (design, response) pairs."""
+    (da, ra), (db, rb) = pair_a, pair_b
+    s_a = 2.0 * np.asarray(ra, dtype=float) - 1.0
+    s_b = 2.0 * np.asarray(rb, dtype=float) - 1.0
+    return da * s_a[:, None], db * s_b[:, None], s_a * s_b
 
 
-def _pair_grad(coef_a, design_a, resp_a, coef_b, design_b, resp_b, rho):
-    s_a = 2.0 * np.asarray(resp_a, dtype=float) - 1.0
-    s_b = 2.0 * np.asarray(resp_b, dtype=float) - 1.0
-    u_a = s_a * (design_a @ coef_a)
-    u_b = s_b * (design_b @ coef_b)
-    r = s_a * s_b * rho
+def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
+    """Log-likelihood, score and Hessian of sum_i ln Phi2(u_a, u_b; r_i)
+    from one Phi2 evaluation; r holds the signed row correlations."""
+    u_a = signed_a @ coef_a
+    u_b = signed_b @ coef_b
     logp = safe_log(bvn_cdf(u_b, u_a, r))
-    denom = np.sqrt(1.0 - r * r)
+    one_minus_r2 = 1.0 - r * r
+    denom = np.sqrt(one_minus_r2)
     log_w_a = (-0.5 * u_a * u_a - _LOG_SQRT_2PI
                + log_ndtr((u_b - r * u_a) / denom) - logp)
     log_w_b = (-0.5 * u_b * u_b - _LOG_SQRT_2PI
                + log_ndtr((u_a - r * u_b) / denom) - logp)
-    # the exponent cap keeps pathological floored-probability corners
-    # finite; it never binds at plausible parameter values
-    w_a = np.exp(np.minimum(log_w_a, 600.0))
-    w_b = np.exp(np.minimum(log_w_b, 600.0))
-    grad_a = design_a.T @ (w_a * s_a)
-    grad_b = design_b.T @ (w_b * s_b)
-    return grad_a, grad_b
+    log_d = (-(u_a * u_a - 2.0 * r * u_a * u_b + u_b * u_b)
+             / (2.0 * one_minus_r2) - 2.0 * _LOG_SQRT_2PI
+             - 0.5 * np.log(one_minus_r2) - logp)
+    w_a = np.exp(np.minimum(log_w_a, _LOG_RATIO_CAP))
+    w_b = np.exp(np.minimum(log_w_b, _LOG_RATIO_CAP))
+    d = np.exp(np.minimum(log_d, _LOG_RATIO_CAP))      # phi2 / Phi2
+    h_aa = -u_a * w_a - r * d - w_a * w_a
+    h_bb = -u_b * w_b - r * d - w_b * w_b
+    h_ab = d - w_a * w_b
+    score = np.concatenate([signed_a.T @ w_a, signed_b.T @ w_b])
+    cross = signed_a.T @ (signed_b * h_ab[:, None])
+    hessian = np.block([
+        [signed_a.T @ (signed_a * h_aa[:, None]), cross],
+        [cross.T, signed_b.T @ (signed_b * h_bb[:, None])]])
+    return float(logp.sum()), score, hessian
 
 
-def loglik_exposure_mediator(alpha, beta, rho, ds: Dataset,
-                             spec: ModelSpec) -> float:
-    """Joint log-likelihood of (z, m) with corr(exposure, mediator errors) = rho."""
+def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     rho = _check_rho_interior(rho)
-    (da, ra), (db, rb) = _pair_designs(ConfoundingKind.EXPOSURE_MEDIATOR, ds, spec)
-    alpha = _check_len("alpha", alpha, da.shape[1])
-    beta = _check_len("beta", beta, db.shape[1])
-    return _pair_loglik(alpha, da, ra, beta, db, rb, rho)
-
-
-def loglik_mediator_outcome(beta, theta, rho, ds: Dataset,
-                            spec: ModelSpec) -> float:
-    """Joint log-likelihood of (m, y) with corr(mediator, outcome errors) = rho."""
-    rho = _check_rho_interior(rho)
-    (da, ra), (db, rb) = _pair_designs(ConfoundingKind.MEDIATOR_OUTCOME, ds, spec)
-    beta = _check_len("beta", beta, da.shape[1])
-    theta = _check_len("theta", theta, db.shape[1])
-    return _pair_loglik(beta, da, ra, theta, db, rb, rho)
-
-
-def loglik_exposure_outcome(alpha, theta, rho, ds: Dataset,
-                            spec: ModelSpec) -> float:
-    """Joint log-likelihood of (z, y) with corr(exposure, outcome errors) = rho."""
-    rho = _check_rho_interior(rho)
-    (da, ra), (db, rb) = _pair_designs(ConfoundingKind.EXPOSURE_OUTCOME, ds, spec)
-    alpha = _check_len("alpha", alpha, da.shape[1])
-    theta = _check_len("theta", theta, db.shape[1])
-    return _pair_loglik(alpha, da, ra, theta, db, rb, rho)
+    signed_a, signed_b, signs = _signed_pair(*_pair_designs(kind, ds, spec))
+    coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])
+    coef_b = _check_len("coef_b", coef_b, signed_b.shape[1])
+    return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs * rho)
 
 
 def constrained_loglik(kind: ConfoundingKind, coef_a, coef_b, rho,
                        ds: Dataset, spec: ModelSpec) -> float:
-    """Dispatch to the kind's likelihood with (first, second) coefficients."""
-    fn = {ConfoundingKind.EXPOSURE_MEDIATOR: loglik_exposure_mediator,
-          ConfoundingKind.MEDIATOR_OUTCOME: loglik_mediator_outcome,
-          ConfoundingKind.EXPOSURE_OUTCOME: loglik_exposure_outcome}[kind]
-    return fn(coef_a, coef_b, rho, ds, spec)
+    """The kind's joint log-likelihood at (first, second) coefficients:
+    (alpha, beta) for zm, (beta, theta) for my, (alpha, theta) for zy."""
+    return _pair_at(kind, coef_a, coef_b, rho, ds, spec)[0]
 
 
 def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
                      ds: Dataset, spec: ModelSpec):
     """Analytic gradient of constrained_loglik wrt (coef_a, coef_b)."""
-    rho = _check_rho_interior(rho)
-    (da, ra), (db, rb) = _pair_designs(kind, ds, spec)
-    coef_a = _check_len("coef_a", coef_a, da.shape[1])
-    coef_b = _check_len("coef_b", coef_b, db.shape[1])
-    return _pair_grad(coef_a, da, ra, coef_b, db, rb, rho)
+    score = _pair_at(kind, coef_a, coef_b, rho, ds, spec)[1]
+    return score[:len(coef_a)], score[len(coef_a):]
 
 
 @dataclass(frozen=True)
@@ -214,23 +163,9 @@ class ConstrainedFit:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _fd_hessian(grad_fn, x, rel_step=1e-5):
-    """Central finite differences of an analytic gradient."""
-    k = x.size
-    hess = np.empty((k, k))
-    for j in range(k):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        hess[:, j] = (grad_fn(xp) - grad_fn(xm)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
 def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
-                    spec: ModelSpec, start: np.ndarray | None = None,
-                    max_iter: int = MAX_ITER) -> ConstrainedFit:
+                    spec: ModelSpec,
+                    start: np.ndarray | None = None) -> ConstrainedFit:
     """Maximize the kind's constrained likelihood at a fixed rho.
 
     rho outside the +-0.999 interior band is clamped with a recorded
@@ -258,63 +193,11 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
                 f"start has length {x0.shape}, expected {ka + kb} "
                 f"({ka} + {kb} coefficients)")
 
-    def negloglik_and_grad(x):
-        ga, gb = _pair_grad(x[:ka], da, ra, x[ka:], db, rb, rho_used)
-        f = _pair_loglik(x[:ka], da, ra, x[ka:], db, rb, rho_used)
-        return -f, -np.concatenate([ga, gb])
-
-    def neggrad(x):
-        ga, gb = _pair_grad(x[:ka], da, ra, x[ka:], db, rb, rho_used)
-        return -np.concatenate([ga, gb])
-
-    res = minimize(negloglik_and_grad, x0, jac=True, method="BFGS",
-                   options={"gtol": 1e-7, "maxiter": max_iter})
-    x = res.x
-    iterations = int(res.nit)
-    score_norm = float(np.abs(res.jac).max())
-
-    # Newton polish with a finite-difference Hessian of the analytic
-    # gradient whenever BFGS stops short of the score tolerance
-    if score_norm >= SCORE_TOL:
-        f_cur, g_cur = negloglik_and_grad(x)
-        for _ in range(25):
-            if np.abs(g_cur).max() < 0.1 * SCORE_TOL:
-                break
-            hess = _fd_hessian(neggrad, x)
-            try:
-                step = np.linalg.solve(hess, -g_cur)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            moved = False
-            for _ in range(30):
-                cand = x + scale * step
-                f_new, g_new = negloglik_and_grad(cand)
-                # require progress in f or in the score; a heavily
-                # backtracked step can hit f_new == f_cur exactly and
-                # must not count as movement
-                if np.isfinite(f_new) and f_new <= f_cur and (
-                        f_new < f_cur
-                        or np.abs(g_new).max() < np.abs(g_cur).max()):
-                    x, f_cur, g_cur = cand, f_new, g_new
-                    moved = True
-                    break
-                scale *= 0.5
-            if not moved:
-                # at the loglik's float-noise floor strict descent can
-                # reject a contracting Newton step; fall back to the score
-                # itself, which is what convergence is measured by
-                cand = x + step
-                f_new, g_new = negloglik_and_grad(cand)
-                if np.isfinite(f_new) \
-                        and np.abs(g_new).max() < 0.5 * np.abs(g_cur).max() \
-                        and f_new <= f_cur + 1e-9 * (1.0 + abs(f_cur)):
-                    x, f_cur, g_cur = cand, f_new, g_new
-                    moved = True
-            iterations += 1
-            if not moved:
-                break
-        score_norm = float(np.abs(g_cur).max())
+    signed_a, signed_b, signs = _signed_pair((da, ra), (db, rb))
+    r = signs * rho_used
+    opt = _newton_ascent(
+        lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, r), x0)
+    x = opt.x
 
     if np.abs(da @ x[:ka]).max() > _SEPARATION_BOUND or \
             np.abs(db @ x[ka:]).max() > _SEPARATION_BOUND:
@@ -322,10 +205,8 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
             "constrained fit drove a linear predictor beyond +-30; "
             "one margin is (quasi-)separated")
 
-    loglik = _pair_loglik(x[:ka], da, ra, x[ka:], db, rb, rho_used)
-    converged = bool(score_norm < SCORE_TOL and np.isfinite(loglik))
-
-    info = _fd_hessian(neggrad, x)
+    converged = bool(opt.converged and np.isfinite(opt.loglik))
+    info = -opt.hessian
     try:
         cov_full = np.linalg.inv(info)
         cov_full = 0.5 * (cov_full + cov_full.T)
@@ -340,6 +221,7 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
         kind=kind, rho=rho_used,
         coefficients_a=x[:ka], coefficients_b=x[ka:],
         covariance_a=cov_full[:ka, :ka], covariance_b=cov_full[ka:, ka:],
-        covariance_full=cov_full, loglik=loglik, iterations=iterations,
-        converged=converged, score_norm=score_norm,
+        covariance_full=cov_full, loglik=opt.loglik,
+        iterations=opt.iterations, converged=converged,
+        score_norm=float(np.abs(opt.score).max()),
         warnings=tuple(warnings))

@@ -28,7 +28,6 @@ Config schema (keys not listed here are rejected):
       outcome_zmx: true
     alpha: 0.05
     out: medsens_out            # relative to the working directory
-    parallel: false
     seed: 20260814              # simulate only
     effects:
       types: [nde, nie, te, nde*, nie*]
@@ -52,7 +51,8 @@ Config schema (keys not listed here are rejected):
       theta: [...]
       confounding: {kind: my, rho: 0.3}     # optional
 
-The MEDSENS_THREADS environment variable caps scan parallelism.
+Model flags must be YAML booleans and seed and scenario.n integers; a
+value of another type is rejected, never coerced.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _KINDS = {k.value: k for k in ConfoundingKind}
 _MEAN_TOKENS = ("mean", "mean-sd", "mean+sd", "mean+-sd", "mean±sd")
 
 _TOP_KEYS = {"data", "delimiter", "columns", "model", "alpha", "out",
-             "parallel", "seed", "effects", "scans", "scenario"}
+             "seed", "effects", "scans", "scenario"}
 
 
 def _fmt(v) -> str:
@@ -120,6 +120,12 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {unknown}")
+
+
+def _config_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_effect(name) -> EffectType:
@@ -158,7 +164,6 @@ class _Config:
     raw: dict
     out_dir: Path
     alpha: float
-    parallel: bool
     seed: int
 
 
@@ -186,17 +191,11 @@ def _load_config(path_str: str, args) -> _Config:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    parallel_flag = getattr(args, "parallel", None)
-    if parallel_flag is None:
-        parallel = bool(raw.get("parallel", False))
-    else:
-        parallel = parallel_flag == "on"
-
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = raw.get("seed", 0)
+        seed = _config_int(raw.get("seed", 0), "seed")
     return _Config(base_dir=path.parent, raw=raw, out_dir=Path(out),
-                   alpha=alpha, parallel=parallel, seed=int(seed))
+                   alpha=alpha, seed=seed)
 
 
 def _parse_spec(raw: dict) -> ModelSpec:
@@ -205,7 +204,11 @@ def _parse_spec(raw: dict) -> ModelSpec:
         raise ConfigError("model must be a mapping of term flags")
     flags = {f.name for f in ModelSpec.__dataclass_fields__.values()}
     _reject_unknown(model, flags, "model")
-    return ModelSpec(**{k: bool(v) for k, v in model.items()})
+    for key, value in model.items():
+        if not isinstance(value, bool):
+            raise ConfigError(
+                f"model.{key} must be true or false, got {value!r}")
+    return ModelSpec(**model)
 
 
 def _parse_roles(raw: dict) -> ColumnRoles:
@@ -502,7 +505,7 @@ def cmd_sens(args) -> int:
         try:
             scan = run_scan(req["kind"], req["effect"], req["scope"],
                             req["grid"], ds, spec, alpha=cfg.alpha,
-                            profile=req["profile"], parallel=cfg.parallel)
+                            profile=req["profile"])
         except ScanError as exc:
             print(f"error: scan {tag}: {exc}", file=sys.stderr)
             failure_rows.extend([tag, rho] for rho in getattr(exc, "failures", []))
@@ -578,7 +581,7 @@ def _parse_scenario(cfg: _Config) -> tuple[TrueParams, int]:
                           "confounding"}, "scenario")
     if "n" not in raw:
         raise ConfigError("scenario.n is required")
-    n = int(raw["n"])
+    n = _config_int(raw["n"], "scenario.n")
     covs = []
     for entry in raw.get("covariates", []) or []:
         if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
@@ -671,8 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every scan's confounding kind")
     p_sens.add_argument("--profile", action="append", metavar="NAME=VALUE,...",
                         help="extra covariate profile (see effects)")
-    p_sens.add_argument("--parallel", choices=["on", "off"],
-                        help="run the two half-chains concurrently")
     p_sens.set_defaults(func=cmd_sens)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

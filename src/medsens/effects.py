@@ -94,14 +94,6 @@ def _unpack_theta(theta, spec: ModelSpec, p: int):
     return t0, t1, t2, t3, t4, t5, t6, t7
 
 
-def _profile_x(profile, p: int) -> np.ndarray:
-    values = profile.values if isinstance(profile, CovariateProfile) else profile
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if x.shape != (p,):
-        raise ValueError(f"profile has {x.shape} values, expected {p}")
-    return x
-
-
 @dataclass(frozen=True)
 class _Pieces:
     """The six probit means and their linear predictors, per row."""

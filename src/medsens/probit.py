@@ -3,6 +3,7 @@
 The log-likelihood sum_i ln Phi(s_i * x_i'b) with s_i = 2r_i - 1 is
 globally concave, so undamped Newton from a zero start converges in a
 handful of iterations; a step-halving guard keeps early steps honest.
+The same Newton ascent maximizes the constrained bivariate fits.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0.
 """
@@ -10,6 +11,7 @@ stays accurate far into the tail where pdf/cdf would be 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -28,6 +30,69 @@ _SEPARATION_BOUND = 30.0
 MAX_ITER = 100
 SCORE_TOL = 1e-6
 LOGLIK_RTOL = 1e-10
+# a step losing at most this much loglik (relative to 1 + |loglik|) is
+# still taken if it halves the score: at the loglik's float-noise floor
+# strict ascent can reject a contracting Newton step
+_NOISE_RTOL = 1e-9
+
+
+class _Optimum(NamedTuple):
+    """Where the Newton ascent stopped, with the quantities evaluated there."""
+
+    x: np.ndarray
+    loglik: float
+    score: np.ndarray
+    hessian: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
+    """Maximize a concave log-likelihood by step-halving Newton.
+
+    loglik_score_hessian maps x to (loglik, score, Hessian). Convergence
+    requires a score below SCORE_TOL in the infinity norm and a relative
+    log-likelihood change below LOGLIK_RTOL. on_improve(x) runs after
+    every step that strictly increased the log-likelihood, so callers can
+    raise on divergence (separation).
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, h = loglik_score_hessian(x)
+    iterations = 0
+    converged = False
+    for iterations in range(1, MAX_ITER + 1):
+        try:
+            step = np.linalg.solve(-h, g)
+        except np.linalg.LinAlgError:
+            raise RankError("observed information became singular") from None
+        g_norm = np.abs(g).max()
+        floor = f - _NOISE_RTOL * (1.0 + abs(f))
+        scale = 1.0
+        accepted = False
+        for _ in range(40):
+            cand = x + scale * step
+            f_new, g_new, h_new = loglik_score_hessian(cand)
+            if np.isfinite(f_new) and (
+                    f_new >= f or (f_new >= floor
+                                   and np.abs(g_new).max() <= 0.5 * g_norm)):
+                accepted = True
+                break
+            scale *= 0.5
+        if not accepted:
+            # the log-likelihood cannot be improved along the Newton
+            # direction at double precision; stop where we are
+            converged = bool(g_norm < SCORE_TOL)
+            break
+        improved = f_new > f
+        rel_change = abs(f_new - f) / (abs(f) + 1.0)
+        x, f, g, h = cand, f_new, g_new, h_new
+        if improved and on_improve is not None:
+            on_improve(x)
+        if np.abs(g).max() < SCORE_TOL and rel_change < LOGLIK_RTOL:
+            converged = True
+            break
+    return _Optimum(x=x, loglik=float(f), score=g, hessian=h,
+                    iterations=iterations, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -68,25 +133,20 @@ def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
     return float(log_ndtr(s * (design @ coefficients)).sum())
 
 
-def _score_info(coefficients, design, s):
-    """Score vector and observed information of the probit log-likelihood."""
+def _loglik_score_hessian(coefficients, design, s):
+    """Log-likelihood, score and Hessian of the probit log-likelihood."""
     q = s * (design @ coefficients)
-    logphi = -0.5 * q * q - _LOG_SQRT_2PI
-    ratio = np.exp(logphi - log_ndtr(q))          # pdf/cdf, tail-stable
+    log_cdf = log_ndtr(q)
+    ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
     score = design.T @ (s * ratio)
     weight = ratio * (ratio + q)                  # positive for all q
-    info = design.T @ (design * weight[:, None])
-    return score, info, float(log_ndtr(q).sum())
+    hessian = -(design.T @ (design * weight[:, None]))
+    return float(log_cdf.sum()), score, hessian
 
 
-def fit_probit(design: np.ndarray, response: np.ndarray,
-               max_iter: int = MAX_ITER, score_tol: float = SCORE_TOL,
-               loglik_rtol: float = LOGLIK_RTOL) -> ProbitFit:
-    """Fit a probit model; raises on rank deficiency and separation.
-
-    Convergence requires both a small score (infinity norm below
-    score_tol) and a relative log-likelihood change below loglik_rtol.
-    """
+def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
+    """Fit a probit model by Newton from zero; raises on rank deficiency
+    and separation."""
     design, response = _check_design(design, response)
     n, k = design.shape
     if n <= k:
@@ -98,48 +158,21 @@ def fit_probit(design: np.ndarray, response: np.ndarray,
             f"response is constant (all {int(response[0])}); "
             "the probit likelihood has no interior maximum")
 
-    s = 2.0 * response - 1.0
-    coef = np.zeros(k)
-    score, info, loglik = _score_info(coef, design, s)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise RankError("observed information became singular") from None
-        # step halving: never accept a likelihood decrease
-        scale = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = coef + scale * step
-            cand_score, cand_info, cand_loglik = _score_info(cand, design, s)
-            if np.isfinite(cand_loglik) and cand_loglik >= loglik:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            # likelihood cannot be improved along the Newton direction at
-            # double precision; stop where we are
-            converged = np.abs(score).max() < score_tol
-            break
-        improved = cand_loglik > loglik
-        rel_change = abs(cand_loglik - loglik) / (abs(loglik) + 1.0)
-        coef, score, info = cand, cand_score, cand_info
-        loglik = cand_loglik
-        if improved and np.abs(design @ coef).max() > _SEPARATION_BOUND:
+    def check_separation(coef):
+        if np.abs(design @ coef).max() > _SEPARATION_BOUND:
             raise SeparationError(
                 "fitted linear predictor exceeded +-30 while the likelihood "
                 "was still improving; the data are (quasi-)separated")
-        if np.abs(score).max() < score_tol and rel_change < loglik_rtol:
-            converged = True
-            break
 
-    covariance = np.linalg.inv(info)
+    s = 2.0 * response - 1.0
+    opt = _newton_ascent(lambda c: _loglik_score_hessian(c, design, s),
+                         np.zeros(k), on_improve=check_separation)
+    covariance = np.linalg.inv(-opt.hessian)
     covariance = 0.5 * (covariance + covariance.T)
-    return ProbitFit(coefficients=coef, covariance=covariance, loglik=loglik,
-                     iterations=iterations, converged=converged,
-                     score_norm=float(np.abs(score).max()))
+    return ProbitFit(coefficients=opt.x, covariance=covariance,
+                     loglik=opt.loglik, iterations=opt.iterations,
+                     converged=opt.converged,
+                     score_norm=float(np.abs(opt.score).max()))
 
 
 @dataclass(frozen=True)

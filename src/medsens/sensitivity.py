@@ -18,17 +18,13 @@ value), and sign ranges classifying each rho against the sign of the
 rho-nearest-zero estimate.
 
 Fits are chained outward from the grid point nearest zero, warm-started
-from the neighboring optimum; the optional parallel mode runs the two
-outward half-chains concurrently (capped by the MEDSENS_THREADS
-environment variable) and produces identical results by construction.
+from the neighboring optimum.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +42,9 @@ DEFAULT_GRID_STEP = 0.01
 
 # grid values are rounded here to absorb floating accumulation drift
 _GRID_DECIMALS = 12
+# largest grid RhoGrid.regular builds (a step of 2e-4 across [-1, 1]);
+# every point is a constrained refit
+MAX_GRID_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,10 @@ class RhoGrid:
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step!r}")
         count = int(math.floor((upper - lower) / step + 1e-9)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid [{lower}, {upper}] with step {step!r} has {count} "
+                f"points; at most {MAX_GRID_POINTS} are allowed")
         raw = [lower + i * step for i in range(count)]
         raw.append(upper)
         if lower <= 0.0 <= upper:
@@ -139,9 +142,11 @@ def unconstrained_context(ds: Dataset, spec: ModelSpec,
         beta_source="mediator probit fit", theta_source="outcome probit fit")
 
 
-def _context_from(kind: ConfoundingKind, fit: ConstrainedFit,
-                  base: UnconstrainedFits, ds: Dataset,
-                  spec: ModelSpec) -> FitContext:
+def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
+                        base: UnconstrainedFits, ds: Dataset,
+                        spec: ModelSpec) -> FitContext:
+    """FitContext at the fit's rho: the constrained fit supplies the
+    coefficient blocks its kind affects, the probit fits the rest."""
     tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
     if kind is ConfoundingKind.EXPOSURE_MEDIATOR:
         return FitContext(
@@ -172,7 +177,7 @@ def _fit_point(kind, rho, ds, spec, start, base, effect_type, scope, alpha,
                profile) -> ScanPoint:
     try:
         fit = fit_constrained(kind, rho, ds, spec, start=start)
-        ctx = _context_from(kind, fit, base, ds, spec)
+        ctx = constrained_context(kind, fit, base, ds, spec)
         est = effect_with_ci(effect_type, scope, ctx, alpha=alpha, profile=profile)
     except MedsensError:
         return ScanPoint(rho=rho, estimate=None, converged=False)
@@ -194,18 +199,9 @@ def _run_chain(rhos, kind, ds, spec, start0, base, effect_type, scope, alpha,
     return out
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("MEDSENS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 2
-
-
 def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
              grid: RhoGrid, ds: Dataset, spec: ModelSpec,
-             alpha: float = 0.05, profile=None,
-             parallel: bool = False) -> SensitivityScan:
+             alpha: float = 0.05, profile=None) -> SensitivityScan:
     """Refit at every grid value and re-estimate one effect.
 
     Raises ScanError when more than half the grid points fail; partial
@@ -234,18 +230,9 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
                            scope, alpha, profile)
     start0 = anchor_pt.coefficients  # None if the anchor fit failed
 
-    chain_up = points[anchor_idx + 1:]
-    chain_down = points[:anchor_idx][::-1]
-    use_parallel = bool(parallel and _thread_cap() >= 2 and chain_up and chain_down)
     args = (kind, ds, spec, start0, base, effect_type, scope, alpha, profile)
-    if use_parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_up = pool.submit(_run_chain, chain_up, *args)
-            fut_down = pool.submit(_run_chain, chain_down, *args)
-            up, down = fut_up.result(), fut_down.result()
-    else:
-        up = _run_chain(chain_up, *args)
-        down = _run_chain(chain_down, *args)
+    up = _run_chain(points[anchor_idx + 1:], *args)
+    down = _run_chain(points[:anchor_idx][::-1], *args)
 
     merged = sorted([*down, anchor_pt, *up], key=lambda pt: pt.rho)
     n_failed = sum(1 for pt in merged if not pt.converged)

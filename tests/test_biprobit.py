@@ -9,8 +9,6 @@ from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
                      build_mediator_design, build_outcome_design,
                      constrained_grad, constrained_loglik, demo_params,
                      finite_diff_grad, fit_constrained, fit_probit,
-                     likelihood_terms, loglik_exposure_mediator,
-                     loglik_exposure_outcome, loglik_mediator_outcome,
                      probit_loglik, simulate)
 from conftest import confounded_params, make_dataset
 
@@ -32,29 +30,29 @@ class TestSingleRowClosedForms:
     def test_exposure_mediator(self):
         # P(z=1, m=0) at rho=0.5 is Phi2(0,0;-0.5) = 1/4 - asin(.5)/2pi = 1/6
         ds = one_row(z=1, m=0, y=0)
-        ll = loglik_exposure_mediator(np.zeros(1), np.zeros(2), 0.5, ds,
-                                      ModelSpec())
+        ll = constrained_loglik(EM, np.zeros(1), np.zeros(2), 0.5, ds,
+                                ModelSpec())
         assert ll == pytest.approx(math.log(1.0 / 6.0), abs=1e-14)
 
     def test_mediator_outcome(self):
         # P(m=1, y=1) at rho=0.5 is Phi2(0,0;0.5) = 1/4 + 1/12 = 1/3
         ds = one_row(z=0, m=1, y=1)
-        ll = loglik_mediator_outcome(np.zeros(2), np.zeros(4), 0.5, ds,
-                                     ModelSpec())
+        ll = constrained_loglik(MY, np.zeros(2), np.zeros(4), 0.5, ds,
+                                ModelSpec())
         assert ll == pytest.approx(math.log(1.0 / 3.0), abs=1e-14)
 
     def test_exposure_outcome(self):
         # P(z=1, y=0) at rho=0.3 is Phi2(0,0;-0.3)
         ds = one_row(z=1, m=0, y=0)
         expect = 0.25 - math.asin(0.3) / (2.0 * math.pi)
-        ll = loglik_exposure_outcome(np.zeros(1), np.zeros(4), 0.3, ds,
-                                     ModelSpec())
+        ll = constrained_loglik(ZY, np.zeros(1), np.zeros(4), 0.3, ds,
+                                ModelSpec())
         assert ll == pytest.approx(math.log(expect), abs=1e-14)
 
     def test_zero_rho_single_row_is_product(self):
         ds = one_row(z=1, m=1, y=0)
-        ll = loglik_exposure_mediator(np.zeros(1), np.zeros(2), 0.0, ds,
-                                      ModelSpec())
+        ll = constrained_loglik(EM, np.zeros(1), np.zeros(2), 0.0, ds,
+                                ModelSpec())
         assert ll == pytest.approx(math.log(0.25), abs=1e-14)
 
 
@@ -106,21 +104,26 @@ def test_analytic_gradient_matches_finite_differences(kind, rho, scale,
     assert np.max(np.abs(analytic - fd) / scale) < 1e-6
 
 
-def test_likelihood_terms_sign_structure(spec):
-    ds = make_dataset([1, 0], [1, 0], [0, 1])
-    beta = np.array([0.3, -0.2])
-    theta = np.array([0.1, 0.5, -0.4, 0.2])
-    terms = likelihood_terms(MY, ds, spec, rho=0.6, beta=beta, theta=theta)
-    dm = build_mediator_design(ds, spec)
-    dy = build_outcome_design(ds, spec)
-    s_m = 2.0 * ds.m - 1.0
-    s_y = 2.0 * ds.y - 1.0
-    assert np.allclose(terms.w1, s_m * (dm @ beta))
-    assert np.allclose(terms.w2, s_y * (dy @ theta))
-    assert np.allclose(terms.rho_star, s_y * 0.6)
-    em_terms = likelihood_terms(EM, ds, spec, rho=0.6, beta=beta)
-    assert em_terms.w2 is None
-    assert np.allclose(em_terms.rho_star, s_m * 0.6)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rho", [-0.9, -0.4, 0.0, 0.25, 0.85])
+def test_information_matches_finite_difference_hessian(kind, rho,
+                                                       demo_confounded, spec):
+    # the fit's covariance is the inverse analytic Hessian; differencing
+    # the analytic score gives an independent Hessian at the optimum
+    fit = fit_constrained(kind, rho, demo_confounded, spec)
+    assert fit.converged
+    ka = fit.coefficients_a.size
+    x = np.concatenate([fit.coefficients_a, fit.coefficients_b])
+
+    def score(v, i):
+        ga, gb = constrained_grad(kind, v[:ka], v[ka:], rho, demo_confounded,
+                                  spec)
+        return np.concatenate([ga, gb])[i]
+
+    jac = np.array([finite_diff_grad(lambda v: score(v, i), x, step=1e-6)
+                    for i in range(x.size)])
+    info = np.linalg.inv(fit.covariance_full)
+    assert np.max(np.abs(info + jac) / np.maximum(np.abs(info), 1.0)) < 1e-6
 
 
 def test_rho_outside_interior_band_rejected(demo_clean, spec):

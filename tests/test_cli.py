@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -256,17 +257,6 @@ class TestSens:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_parallel_matches_sequential(self, workdir, tmp_path):
-        cfg = analysis_config(
-            workdir, "sens3",
-            scans=[{"kind": "my", "effect": "nie", "scope": "marginal",
-                    "grid": self.GRID}])
-        assert main(["sens", str(cfg), "--out", str(tmp_path / "seq")]) == 0
-        assert main(["sens", str(cfg), "--out", str(tmp_path / "par"),
-                     "--parallel", "on"]) == 0
-        assert (tmp_path / "seq" / "scan_my_nie_marginal.csv").read_bytes() == \
-            (tmp_path / "par" / "scan_my_nie_marginal.csv").read_bytes()
-
     def test_kind_and_grid_flags(self, workdir, tmp_path):
         cfg = analysis_config(workdir, "sens4")
         code = main(["sens", str(cfg), "--out", str(tmp_path / "o"),
@@ -341,3 +331,62 @@ class TestConfigErrors:
                                         "outcome": "y"}})
         assert main(["fit", str(cfg)]) == 1
         assert "data" in capsys.readouterr().err
+
+    def test_quoted_boolean_model_flag_rejected(self, workdir, tmp_path,
+                                                capsys):
+        cfg = analysis_config(workdir, "bad5",
+                              model={**SCENARIO["model"], "mediator_x": "false"})
+        assert main(["fit", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "model.mediator_x" in capsys.readouterr().err
+
+    def test_fractional_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sim.yaml",
+                           {**SCENARIO, "seed": 1.5, "out": str(tmp_path / "o")})
+        assert main(["simulate", str(cfg)]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_fractional_scenario_size_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, "scenario": {**SCENARIO["scenario"], "n": 1.5},
+            "out": str(tmp_path / "o")})
+        assert main(["simulate", str(cfg)]) == 1
+        assert "scenario.n" in capsys.readouterr().err
+
+
+def readme_output_headers() -> list[tuple[str, str, list[str]]]:
+    """(command, file glob, columns) for each CSV row of README's outputs
+    table."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | files | columns |") + 2
+    rows, command = [], None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cmd, files, columns = (c.strip() for c in line.strip("|").split("|"))
+        command = cmd.strip("`") or command
+        name = files.strip("`")
+        if name.endswith(".csv") and command != "simulate":
+            pattern = re.sub(r"(<[^>]*>|\[[^]]*\])+", "*", name)
+            rows.append((command, pattern, columns.split(" (")[0].split(", ")))
+    return rows
+
+
+def test_readme_output_headers_match_writers(workdir, tmp_path):
+    cfg = analysis_config(
+        workdir, "readme",
+        effects={"types": ["nie"], "scopes": ["marginal", "conditional"],
+                 "profiles": [{"name": "typ",
+                               "values": {"xcont": "mean", "xbin": 0}}]},
+        scans=[{"kind": "my", "effect": "nie", "scope": "conditional",
+                "profile": "typ", "grid": "0.0:0.1:0.1"}])
+    for command in ("fit", "effects", "sens"):
+        assert main([command, str(cfg), "--out", str(tmp_path / command)]) == 0
+    rows = readme_output_headers()
+    assert {command for command, _, _ in rows} == {"fit", "effects", "sens"}
+    for command, pattern, columns in rows:
+        paths = sorted((tmp_path / command).glob(pattern))
+        assert paths, f"{command} wrote no file matching {pattern}"
+        for path in paths:
+            header = path.read_text(encoding="utf-8").splitlines()[0]
+            assert header.split(",") == columns, path.name

@@ -5,12 +5,12 @@ import pytest
 
 from medsens import (ConfoundingKind, EffectEstimate, EffectType, RhoGrid,
                      ScanError, ScanPoint, SensitivityScan, SignClass,
-                     effect_with_ci, fit_constrained, fit_unconstrained,
-                     identification_set, norm_quantile, refine_boundary,
-                     run_scan, sign_ranges, uncertainty_interval,
-                     unconstrained_context)
+                     constrained_context, effect_with_ci, fit_constrained,
+                     fit_unconstrained, identification_set, norm_quantile,
+                     refine_boundary, run_scan, sign_ranges, simulate,
+                     uncertainty_interval, unconstrained_context)
 from medsens import sensitivity as sens_mod
-from medsens.sensitivity import _context_from
+from conftest import confounded_params
 
 MY = ConfoundingKind.MEDIATOR_OUTCOME
 ZY = ConfoundingKind.EXPOSURE_OUTCOME
@@ -50,6 +50,10 @@ class TestRhoGrid:
             RhoGrid.regular(-0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             RhoGrid.regular(-2.0, 0.5, 0.1)
+
+    def test_point_count_capped_before_building(self):
+        with pytest.raises(ValueError, match="at most"):
+            RhoGrid.regular(-0.95, 0.95, 1e-9)
 
     def test_single_point_grid(self):
         grid = RhoGrid.regular(0.3, 0.3, 0.1)
@@ -171,7 +175,7 @@ class TestRunScan:
         base = fit_unconstrained(demo_confounded, spec)
         for pt in scan.points:
             fit = fit_constrained(kind, pt.rho, demo_confounded, spec)
-            ctx = _context_from(kind, fit, base, demo_confounded, spec)
+            ctx = constrained_context(kind, fit, base, demo_confounded, spec)
             manual = effect_with_ci(NIE, "marginal", ctx)
             assert pt.estimate.estimate == pytest.approx(manual.estimate,
                                                          abs=1e-7)
@@ -183,24 +187,12 @@ class TestRunScan:
         assert tuple(pt.rho for pt in scan.points) == grid.points
         assert scan.failures == ()
 
-    def test_parallel_equals_sequential(self, demo_confounded, spec):
-        grid = RhoGrid.regular(-0.3, 0.3, 0.1)
-        seq = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec,
-                       parallel=False)
-        par = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec,
-                       parallel=True)
-        for a, b in zip(seq.points, par.points):
-            assert a.rho == b.rho
-            assert a.estimate.estimate == b.estimate.estimate
-            assert a.estimate.std_error == b.estimate.std_error
-        assert seq.warnings == par.warnings
-
-    def test_thread_cap_forces_sequential(self, demo_confounded, spec,
-                                          monkeypatch):
-        monkeypatch.setenv("MEDSENS_THREADS", "1")
-        grid = RhoGrid.regular(-0.2, 0.2, 0.1)
-        scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec,
-                        parallel=True)
+    def test_wide_grid_converges_everywhere(self):
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        grid = RhoGrid.regular(-0.95, 0.95, 0.1)
+        scan = run_scan(MY, NIE, "marginal", grid, ds, params.spec)
+        assert len(scan.points) == 21
         assert scan.failures == ()
 
     def test_scope_validation(self, demo_confounded, spec):
@@ -230,10 +222,10 @@ class TestFailureHandling:
     def _failing_fit(self, bad):
         real = fit_constrained
 
-        def stub(kind, rho, ds, spec, start=None, max_iter=200):
+        def stub(kind, rho, ds, spec, start=None):
             if bad(rho):
                 raise ScanError(f"synthetic failure at {rho}")
-            return real(kind, rho, ds, spec, start=start, max_iter=max_iter)
+            return real(kind, rho, ds, spec, start=start)
 
         return stub
 
