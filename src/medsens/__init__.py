@@ -17,10 +17,7 @@ from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         write_csv)
 from .effects import (EffectEstimate, EffectType, FitContext, GradientVector,
                       conditional_effect, delta_se, effect_marginal,
-                      effect_with_ci, grad_conditional, grad_effect_marginal,
-                      grad_nde_conditional, grad_nie_conditional,
-                      nde_conditional, nde_total_conditional, nie_conditional,
-                      nie_pure_conditional, total_effect_conditional)
+                      effect_with_ci, grad_conditional, grad_effect_marginal)
 from .errors import (ConfigError, DataError, MedsensError, NotConvergedError,
                      NumericalError, RankError, ScanError, SeparationError)
 from .numkernel import (EvaluationError, binorm_cdf, bvn_cdf, clamp_rho,
@@ -60,12 +57,9 @@ __all__ = [
     "ConfoundingKind", "constrained_loglik", "constrained_grad",
     "ConstrainedFit", "fit_constrained",
     # effects
-    "EffectType", "conditional_effect", "nde_conditional", "nie_conditional",
-    "nde_total_conditional", "nie_pure_conditional",
-    "total_effect_conditional", "effect_marginal", "GradientVector",
-    "grad_conditional", "grad_nde_conditional", "grad_nie_conditional",
-    "grad_effect_marginal", "delta_se", "EffectEstimate", "FitContext",
-    "effect_with_ci",
+    "EffectType", "conditional_effect", "effect_marginal", "GradientVector",
+    "grad_conditional", "grad_effect_marginal", "delta_se", "EffectEstimate",
+    "FitContext", "effect_with_ci",
     # simulation
     "CovariateSpec", "TrueParams", "LatentDraws", "simulate",
     "simulate_latent", "true_effects", "replicate_seeds", "demo_params",

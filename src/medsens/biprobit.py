@@ -50,6 +50,15 @@ class ConfoundingKind(enum.Enum):
     EXPOSURE_OUTCOME = "zy"
 
 
+# the (first, second) models each kind pairs, by their UnconstrainedFits
+# field names; coefficient arguments, starts and results follow this order
+PAIR_MODELS = {
+    ConfoundingKind.EXPOSURE_MEDIATOR: ("exposure", "mediator"),
+    ConfoundingKind.MEDIATOR_OUTCOME: ("mediator", "outcome"),
+    ConfoundingKind.EXPOSURE_OUTCOME: ("exposure", "outcome"),
+}
+
+
 def _check_len(name: str, coef, ncol: int) -> np.ndarray:
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (ncol,):
@@ -73,16 +82,13 @@ def _pair_designs(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
     the likelihood; the two Phi2 arguments commute, so only the sign
     bookkeeping matters.
     """
-    dz = build_exposure_design(ds, spec)
-    dm = build_mediator_design(ds, spec)
-    dy = build_outcome_design(ds, spec)
-    if kind is ConfoundingKind.EXPOSURE_MEDIATOR:
-        return (dz, ds.z), (dm, ds.m)
-    if kind is ConfoundingKind.MEDIATOR_OUTCOME:
-        return (dm, ds.m), (dy, ds.y)
-    if kind is ConfoundingKind.EXPOSURE_OUTCOME:
-        return (dz, ds.z), (dy, ds.y)
-    raise ValueError(f"unknown confounding kind {kind!r}")
+    if kind not in PAIR_MODELS:
+        raise ValueError(f"unknown confounding kind {kind!r}")
+    models = {"exposure": (build_exposure_design, ds.z),
+              "mediator": (build_mediator_design, ds.m),
+              "outcome": (build_outcome_design, ds.y)}
+    return tuple((build(ds, spec), response)
+                 for build, response in map(models.get, PAIR_MODELS[kind]))
 
 
 def _signed_pair(pair_a, pair_b):
@@ -170,9 +176,10 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     rho outside the +-0.999 interior band is clamped with a recorded
     warning. The start defaults to the two univariate probit fits; scans
-    pass the previous grid point's optimum instead. Covariances come from
-    the inverse observed information of the joint fit, read out as the
-    two diagonal blocks (the full matrix is also kept).
+    pass their own probit fits at the anchor point and the previous grid
+    point's optimum after it. Covariances come from the inverse observed
+    information of the joint fit, read out as the two diagonal blocks
+    (the full matrix is also kept).
     """
     validate_for_fit(ds, spec)
     warnings: list[str] = []

@@ -51,8 +51,11 @@ Config schema (keys not listed here are rejected):
       theta: [...]
       confounding: {kind: my, rho: 0.3}     # optional
 
-Model flags must be YAML booleans and seed and scenario.n integers; a
-value of another type is rejected, never coerced.
+Model flags must be YAML booleans, seed and scenario.n integers, and
+alpha, the grid bounds and step, scenario.confounding.rho, the numeric
+fields of scenario covariates and the entries of the scenario coefficient
+vectors numbers (a quoted "0.05" is a string); a value of another type is
+rejected, never coerced.
 """
 
 from __future__ import annotations
@@ -128,6 +131,12 @@ def _config_int(value, key: str) -> int:
     return value
 
 
+def _config_float(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_effect(name) -> EffectType:
     key = str(name).strip().lower()
     if key not in _EFFECT_ALIASES:
@@ -186,8 +195,7 @@ def _load_config(path_str: str, args) -> _Config:
     out = getattr(args, "out", None) or raw.get("out", "medsens_out")
     alpha = getattr(args, "alpha", None)
     if alpha is None:
-        alpha = raw.get("alpha", 0.05)
-    alpha = float(alpha)
+        alpha = _config_float(raw.get("alpha", 0.05), "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
 
@@ -462,9 +470,12 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
                 lo, hi, step = _parse_grid_string(gspec)
             elif isinstance(gspec, dict):
                 _reject_unknown(gspec, {"lower", "upper", "step"}, "grid")
-                lo = float(gspec.get("lower", DEFAULT_GRID_LOWER))
-                hi = float(gspec.get("upper", DEFAULT_GRID_UPPER))
-                step = float(gspec.get("step", DEFAULT_GRID_STEP))
+                lo = _config_float(gspec.get("lower", DEFAULT_GRID_LOWER),
+                                   "grid.lower")
+                hi = _config_float(gspec.get("upper", DEFAULT_GRID_UPPER),
+                                   "grid.upper")
+                step = _config_float(gspec.get("step", DEFAULT_GRID_STEP),
+                                     "grid.step")
             else:
                 raise ConfigError("scan grid must be a mapping or LO:HI:STEP string")
         try:
@@ -589,8 +600,10 @@ def _parse_scenario(cfg: _Config) -> tuple[TrueParams, int]:
                 "each scenario covariate needs at least name and dist")
         _reject_unknown(entry, {"name", "dist", "value", "low", "high", "mean"},
                         "scenario covariate")
-        covs.append(CovariateSpec(**{k: (str(v) if k in ("name", "dist") else float(v))
-                                     for k, v in entry.items()}))
+        covs.append(CovariateSpec(**{
+            k: (str(v) if k in ("name", "dist")
+                else _config_float(v, f"scenario covariate {entry['name']!r} {k}"))
+            for k, v in entry.items()}))
     spec = _parse_spec(cfg.raw)
     conf = None
     if raw.get("confounding") is not None:
@@ -598,16 +611,16 @@ def _parse_scenario(cfg: _Config) -> tuple[TrueParams, int]:
         if not isinstance(centry, dict) or "kind" not in centry or "rho" not in centry:
             raise ConfigError("scenario.confounding needs kind and rho")
         _reject_unknown(centry, {"kind", "rho"}, "confounding")
-        conf = (_parse_kind(centry["kind"]), float(centry["rho"]))
+        conf = (_parse_kind(centry["kind"]),
+                _config_float(centry["rho"], "scenario.confounding.rho"))
+    coefs = {}
     for key in ("alpha", "beta", "theta"):
-        if key not in raw:
+        if not isinstance(raw.get(key), list):
             raise ConfigError(f"scenario.{key} coefficient vector is required")
-    params = TrueParams(
-        spec=spec, covariates=tuple(covs),
-        alpha=np.asarray(raw["alpha"], dtype=float),
-        beta=np.asarray(raw["beta"], dtype=float),
-        theta=np.asarray(raw["theta"], dtype=float),
-        confounding=conf)
+        coefs[key] = np.array([_config_float(v, f"scenario.{key}")
+                               for v in raw[key]])
+    params = TrueParams(spec=spec, covariates=tuple(covs), confounding=conf,
+                        **coefs)
     return params, n
 
 

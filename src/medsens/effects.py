@@ -1,20 +1,26 @@
 """Natural direct and indirect effects on the probability scale.
 
-All five estimands are built from six probit means evaluated at a
-covariate row x:
+Every estimand is a contrast of two counterfactual means. With the
+probit means pm_z' = P(M = 1 | z', x) and q_zm = P(Y = 1 | z, m, x) at a
+covariate row x,
 
-    pm0 = Phi(b0 + b2'x)                 P(M = 1 | z = 0, x)
-    pm1 = Phi(b0 + b1 + (b2 + b3)'x)     P(M = 1 | z = 1, x)
-    q_zm = Phi(outcome lp at (z, m, x))  P(Y = 1 | z, m, x)
+    mu(z, z') = E[Y(z, M(z')) | x] = q_z0 + (q_z1 - q_z0) pm_z'
 
-    NDE  = (q10 - q00)(1 - pm0) + (q11 - q01) pm0
-    NIE  = (q11 - q10)(pm1 - pm0)
-    NDE* = (q10 - q00)(1 - pm1) + (q11 - q01) pm1
-    NIE* = (q01 - q00)(pm1 - pm0)
-    TE   = q11 pm1 + q10 (1 - pm1) - q01 pm0 - q00 (1 - pm0)
+and the table _CONTRASTS holds the two (z, z') arguments of each effect:
+
+    NDE  = mu(1, 0) - mu(0, 0)        NIE  = mu(1, 1) - mu(1, 0)
+    NDE* = mu(1, 1) - mu(0, 1)        NIE* = mu(0, 1) - mu(0, 0)
+    TE   = mu(1, 1) - mu(0, 0)
 
 so NDE + NIE = NDE* + NIE* = TE holds to rounding by construction.
 Marginal versions average the conditional value over the sample rows.
+
+The coefficient layouts belong to datamodel's design builders alone. At a
+fixed (z, m) cell a design row is linear in (1, x), so the builders
+evaluated at the basis rows x = 0, e_1..e_p give a (p + 1) x k map M with
+design(x) = [1, x] @ M. A cell's linear predictor is then c0 + X c with
+(c0, c) = M coef, and the gradient of a row mean with per-row weights w
+is [sum w, X'w] @ M / n; no n x k design is built.
 
 Standard errors use the delta method with a block-diagonal covariance:
 the gradient is split into its mediator-coefficient and
@@ -30,9 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .datamodel import CovariateProfile, Dataset, ModelSpec
+from .datamodel import (CovariateProfile, Dataset, ModelSpec, mediator_design,
+                        outcome_design)
 from .errors import NotConvergedError, NumericalError
 from .numkernel import SQRT_2PI, norm_quantile
+
 
 def _npdf(v):
     return np.exp(-0.5 * v * v) / SQRT_2PI
@@ -46,142 +54,14 @@ class EffectType(enum.Enum):
     NIE_PURE = "nie_pure"
 
 
-def _unpack_beta(beta, spec: ModelSpec, p: int):
-    """Packed mediator coefficients -> (b0, b1, b2, b3) with zeros for
-    disabled blocks."""
-    beta = np.asarray(beta, dtype=float)
-    k = 2 + p * spec.mediator_x + p * spec.mediator_zx
-    if beta.shape != (k,):
-        raise ValueError(
-            f"beta has length {beta.shape}, expected {k} for p = {p} "
-            "under this model spec")
-    b0, b1 = beta[0], beta[1]
-    i = 2
-    if spec.mediator_x:
-        b2 = beta[i:i + p]
-        i += p
-    else:
-        b2 = np.zeros(p)
-    b3 = beta[i:i + p] if spec.mediator_zx else np.zeros(p)
-    return b0, b1, b2, b3
-
-
-def _unpack_theta(theta, spec: ModelSpec, p: int):
-    """Packed outcome coefficients -> (t0..t3, t4..t7) with zeros for
-    disabled blocks."""
-    theta = np.asarray(theta, dtype=float)
-    k = 3 + spec.outcome_zm + p * (spec.outcome_x + spec.outcome_zx
-                                   + spec.outcome_mx + spec.outcome_zmx)
-    if theta.shape != (k,):
-        raise ValueError(
-            f"theta has length {theta.shape}, expected {k} for p = {p} "
-            "under this model spec")
-    t0, t1, t2 = theta[0], theta[1], theta[2]
-    i = 3
-    if spec.outcome_zm:
-        t3 = theta[i]
-        i += 1
-    else:
-        t3 = 0.0
-    blocks = []
-    for flag in (spec.outcome_x, spec.outcome_zx, spec.outcome_mx, spec.outcome_zmx):
-        if flag:
-            blocks.append(theta[i:i + p])
-            i += p
-        else:
-            blocks.append(np.zeros(p))
-    t4, t5, t6, t7 = blocks
-    return t0, t1, t2, t3, t4, t5, t6, t7
-
-
-@dataclass(frozen=True)
-class _Pieces:
-    """The six probit means and their linear predictors, per row."""
-
-    lp_m0: np.ndarray
-    lp_m1: np.ndarray
-    pm0: np.ndarray
-    pm1: np.ndarray
-    a00: np.ndarray
-    a10: np.ndarray
-    a01: np.ndarray
-    a11: np.ndarray
-    q00: np.ndarray
-    q10: np.ndarray
-    q01: np.ndarray
-    q11: np.ndarray
-
-
-def _pieces(theta, beta, rows: np.ndarray, spec: ModelSpec) -> _Pieces:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    p = rows.shape[1]
-    b0, b1, b2, b3 = _unpack_beta(beta, spec, p)
-    t0, t1, t2, t3, t4, t5, t6, t7 = _unpack_theta(theta, spec, p)
-    lp_m0 = b0 + rows @ b2
-    lp_m1 = b0 + b1 + rows @ (b2 + b3)
-    a00 = t0 + rows @ t4
-    a10 = t0 + t1 + rows @ (t4 + t5)
-    a01 = t0 + t2 + rows @ (t4 + t6)
-    a11 = t0 + t1 + t2 + t3 + rows @ (t4 + t5 + t6 + t7)
-    return _Pieces(lp_m0=lp_m0, lp_m1=lp_m1,
-                   pm0=ndtr(lp_m0), pm1=ndtr(lp_m1),
-                   a00=a00, a10=a10, a01=a01, a11=a11,
-                   q00=ndtr(a00), q10=ndtr(a10), q01=ndtr(a01), q11=ndtr(a11))
-
-
-def _effect_rows(effect_type: EffectType, pc: _Pieces) -> np.ndarray:
-    if effect_type is EffectType.NDE:
-        return (pc.q10 - pc.q00) * (1.0 - pc.pm0) + (pc.q11 - pc.q01) * pc.pm0
-    if effect_type is EffectType.NIE:
-        return (pc.q11 - pc.q10) * (pc.pm1 - pc.pm0)
-    if effect_type is EffectType.NDE_TOTAL:
-        return (pc.q10 - pc.q00) * (1.0 - pc.pm1) + (pc.q11 - pc.q01) * pc.pm1
-    if effect_type is EffectType.NIE_PURE:
-        return (pc.q01 - pc.q00) * (pc.pm1 - pc.pm0)
-    if effect_type is EffectType.TE:
-        return (pc.q11 * pc.pm1 + pc.q10 * (1.0 - pc.pm1)
-                - pc.q01 * pc.pm0 - pc.q00 * (1.0 - pc.pm0))
-    raise ValueError(f"unknown effect type {effect_type!r}")
-
-
-def conditional_effect(effect_type: EffectType, theta, beta, profile,
-                       spec: ModelSpec) -> float:
-    """One effect evaluated at a single covariate row."""
-    values = profile.values if isinstance(profile, CovariateProfile) else np.atleast_1d(profile)
-    x = np.asarray(values, dtype=float).reshape(1, -1)
-    return float(_effect_rows(effect_type, _pieces(theta, beta, x, spec))[0])
-
-
-def nde_conditional(theta, beta, profile, spec: ModelSpec) -> float:
-    """Natural direct effect at a covariate row (mediator held at its
-    untreated distribution)."""
-    return conditional_effect(EffectType.NDE, theta, beta, profile, spec)
-
-
-def nie_conditional(theta, beta, profile, spec: ModelSpec) -> float:
-    """Natural indirect effect at a covariate row (exposure held at 1)."""
-    return conditional_effect(EffectType.NIE, theta, beta, profile, spec)
-
-
-def nde_total_conditional(theta, beta, profile, spec: ModelSpec) -> float:
-    """Direct effect with the mediator held at its treated distribution."""
-    return conditional_effect(EffectType.NDE_TOTAL, theta, beta, profile, spec)
-
-
-def nie_pure_conditional(theta, beta, profile, spec: ModelSpec) -> float:
-    """Indirect effect with the exposure held at 0."""
-    return conditional_effect(EffectType.NIE_PURE, theta, beta, profile, spec)
-
-
-def total_effect_conditional(theta, beta, profile, spec: ModelSpec) -> float:
-    """Total exposure effect on the outcome probability at a covariate row."""
-    return conditional_effect(EffectType.TE, theta, beta, profile, spec)
-
-
-def effect_marginal(effect_type: EffectType, theta, beta, ds: Dataset,
-                    spec: ModelSpec) -> float:
-    """Sample-average of the conditional effect over the dataset rows."""
-    return float(_effect_rows(effect_type, _pieces(theta, beta, ds.x, spec)).mean())
+# (z, z') arguments of the two counterfactual means each effect contrasts
+_CONTRASTS = {
+    EffectType.NDE: ((1, 0), (0, 0)),
+    EffectType.NIE: ((1, 1), (1, 0)),
+    EffectType.NDE_TOTAL: ((1, 1), (0, 1)),
+    EffectType.NIE_PURE: ((0, 1), (0, 0)),
+    EffectType.TE: ((1, 1), (0, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -192,121 +72,99 @@ class GradientVector:
     wrt_theta: np.ndarray
 
 
-def _grad_rows(effect_type: EffectType, theta, beta, rows, spec: ModelSpec):
-    """Per-row structural gradient components.
-
-    Returns ((db0, db1, db2, db3), (dt0..dt7)) where scalar components
-    have shape (r,) and x-block components shape (r, p).
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    pc = _pieces(theta, beta, rows, spec)
-    f_m0, f_m1 = _npdf(pc.lp_m0), _npdf(pc.lp_m1)
-    f00, f10, f01, f11 = _npdf(pc.a00), _npdf(pc.a10), _npdf(pc.a01), _npdf(pc.a11)
-    zero = np.zeros_like(pc.pm0)
-
-    if effect_type is EffectType.TE:
-        nde = _grad_rows(EffectType.NDE, theta, beta, rows, spec)
-        nie = _grad_rows(EffectType.NIE, theta, beta, rows, spec)
-        return tuple(tuple(a + b for a, b in zip(ga, gb))
-                     for ga, gb in zip(nde, nie))
-
-    if effect_type in (EffectType.NDE, EffectType.NDE_TOTAL):
-        bracket_a = pc.q10 - pc.q00
-        bracket_b = pc.q11 - pc.q01
-        if effect_type is EffectType.NDE:
-            weight, f_w = pc.pm0, f_m0
-        else:
-            weight, f_w = pc.pm1, f_m1
-        db0 = (bracket_b - bracket_a) * f_w
-        db1 = zero if effect_type is EffectType.NDE else db0
-        dt0 = (f10 - f00) * (1.0 - weight) + (f11 - f01) * weight
-        dt1 = f10 * (1.0 - weight) + f11 * weight
-        dt2 = (f11 - f01) * weight
-        dt3 = f11 * weight
-    elif effect_type is EffectType.NIE:
-        gap = pc.pm1 - pc.pm0
-        factor = pc.q11 - pc.q10
-        db0 = factor * (f_m1 - f_m0)
-        db1 = factor * f_m1
-        dt0 = (f11 - f10) * gap
-        dt1 = dt0
-        dt2 = f11 * gap
-        dt3 = dt2
-    elif effect_type is EffectType.NIE_PURE:
-        gap = pc.pm1 - pc.pm0
-        factor = pc.q01 - pc.q00
-        db0 = factor * (f_m1 - f_m0)
-        db1 = factor * f_m1
-        dt0 = (f01 - f00) * gap
-        dt1 = zero
-        dt2 = f01 * gap
-        dt3 = zero
-    else:
-        raise ValueError(f"unknown effect type {effect_type!r}")
-
-    # x blocks: the mediator lp multiplies x for both b2 and b3 when the
-    # corresponding z indicator is on, so each block is a scalar row
-    # weight times x
-    if effect_type is EffectType.NDE:
-        db2, db3 = db0[:, None] * rows, zero[:, None] * rows
-    elif effect_type is EffectType.NDE_TOTAL:
-        db2, db3 = db0[:, None] * rows, db0[:, None] * rows
-    else:  # NIE and NIE_PURE share the mediator-gap structure
-        db2 = db0[:, None] * rows
-        db3 = db1[:, None] * rows
-    dt4 = dt0[:, None] * rows
-    dt5 = dt1[:, None] * rows
-    dt6 = dt2[:, None] * rows
-    dt7 = dt3[:, None] * rows
-    return (db0, db1, db2, db3), (dt0, dt1, dt2, dt3, dt4, dt5, dt6, dt7)
+def _layout(rows: np.ndarray) -> np.ndarray:
+    """Design rows at x = 0, e_1..e_p -> the map M with design(x) = [1, x] @ M."""
+    return np.vstack([rows[:1], rows[1:] - rows[:1]])
 
 
-def _pack_grad(bparts, tparts, spec: ModelSpec) -> GradientVector:
-    db0, db1, db2, db3 = bparts
-    dt0, dt1, dt2, dt3, dt4, dt5, dt6, dt7 = tparts
-    bvec = [np.atleast_1d(db0), np.atleast_1d(db1)]
-    if spec.mediator_x:
-        bvec.append(np.atleast_1d(db2))
-    if spec.mediator_zx:
-        bvec.append(np.atleast_1d(db3))
-    tvec = [np.atleast_1d(dt0), np.atleast_1d(dt1), np.atleast_1d(dt2)]
-    if spec.outcome_zm:
-        tvec.append(np.atleast_1d(dt3))
-    for flag, blk in ((spec.outcome_x, dt4), (spec.outcome_zx, dt5),
-                      (spec.outcome_mx, dt6), (spec.outcome_zmx, dt7)):
-        if flag:
-            tvec.append(np.atleast_1d(blk))
-    return GradientVector(wrt_beta=np.concatenate(bvec),
-                          wrt_theta=np.concatenate(tvec))
+def _check_len(name: str, coef, layout: np.ndarray) -> np.ndarray:
+    coef = np.asarray(coef, dtype=float)
+    k = layout.shape[1]
+    if coef.shape != (k,):
+        raise ValueError(
+            f"{name} has length {coef.shape}, expected {k} for "
+            f"p = {layout.shape[0] - 1} under this model spec")
+    return coef
+
+
+def _probit_cells(layouts: dict, coef: np.ndarray, x: np.ndarray) -> dict:
+    """Probit mean and density per row at every cell of one model."""
+    out = {}
+    for key, layout in layouts.items():
+        c = layout @ coef
+        lp = c[0] + x @ c[1:]
+        out[key] = (ndtr(lp), _npdf(lp))
+    return out
+
+
+def _mean_grad(layouts: dict, weights: dict, x: np.ndarray) -> np.ndarray:
+    """Gradient of the row mean of an effect whose derivative with respect
+    to the linear predictor of each cell is weights[cell]."""
+    return sum(np.concatenate([[w.sum()], x.T @ w]) @ layouts[key]
+               for key, w in weights.items()) / x.shape[0]
+
+
+def effect_rows(effect_type: EffectType, theta, beta, x,
+                spec: ModelSpec) -> tuple[np.ndarray, GradientVector]:
+    """One effect at every covariate row of x, plus the gradient of its
+    row mean with respect to the packed (beta, theta)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p = x.shape[1]
+    basis = np.vstack([np.zeros((1, p)), np.eye(p)])
+
+    def at(v):
+        return np.full(p + 1, float(v))
+
+    med = {zp: _layout(mediator_design(at(zp), basis, spec)) for zp in (0, 1)}
+    out = {(z, m): _layout(outcome_design(at(z), at(m), basis, spec))
+           for z in (0, 1) for m in (0, 1)}
+    pm = _probit_cells(med, _check_len("beta", beta, med[0]), x)
+    q = _probit_cells(out, _check_len("theta", theta, out[0, 0]), x)
+
+    # mu(z, z') = q_z0 + (q_z1 - q_z0) pm_z'; w_* accumulate the effect's
+    # derivative with respect to each cell's linear predictor
+    means, w_pm, w_q = [], {}, {}
+    for sign, (z, zp) in zip((1.0, -1.0), _CONTRASTS[effect_type]):
+        (q0, f0), (q1, f1), (pmz, fm) = q[z, 0], q[z, 1], pm[zp]
+        means.append(q0 + (q1 - q0) * pmz)
+        w_q[z, 0] = w_q.get((z, 0), 0.0) + sign * (1.0 - pmz) * f0
+        w_q[z, 1] = w_q.get((z, 1), 0.0) + sign * pmz * f1
+        w_pm[zp] = w_pm.get(zp, 0.0) + sign * (q1 - q0) * fm
+    grad = GradientVector(wrt_beta=_mean_grad(med, w_pm, x),
+                          wrt_theta=_mean_grad(out, w_q, x))
+    return means[0] - means[1], grad
+
+
+def _profile_row(profile) -> np.ndarray:
+    values = profile.values if isinstance(profile, CovariateProfile) else np.atleast_1d(profile)
+    return np.asarray(values, dtype=float).reshape(1, -1)
+
+
+def conditional_effect(effect_type: EffectType, theta, beta, profile,
+                       spec: ModelSpec) -> float:
+    """One effect evaluated at a single covariate row."""
+    values, _ = effect_rows(effect_type, theta, beta, _profile_row(profile), spec)
+    return float(values[0])
+
+
+def effect_marginal(effect_type: EffectType, theta, beta, ds: Dataset,
+                    spec: ModelSpec) -> float:
+    """Sample-average of the conditional effect over the dataset rows."""
+    values, _ = effect_rows(effect_type, theta, beta, ds.x, spec)
+    return float(values.mean())
 
 
 def grad_conditional(effect_type: EffectType, theta, beta, profile,
                      spec: ModelSpec) -> GradientVector:
     """Analytic gradient of a conditional effect in packed layout."""
-    values = profile.values if isinstance(profile, CovariateProfile) else np.atleast_1d(profile)
-    x = np.asarray(values, dtype=float).reshape(1, -1)
-    bparts, tparts = _grad_rows(effect_type, theta, beta, x, spec)
-    bparts = tuple(c[0] for c in bparts)
-    tparts = tuple(c[0] for c in tparts)
-    return _pack_grad(bparts, tparts, spec)
-
-
-def grad_nde_conditional(theta, beta, profile, spec: ModelSpec) -> GradientVector:
-    return grad_conditional(EffectType.NDE, theta, beta, profile, spec)
-
-
-def grad_nie_conditional(theta, beta, profile, spec: ModelSpec) -> GradientVector:
-    return grad_conditional(EffectType.NIE, theta, beta, profile, spec)
+    return effect_rows(effect_type, theta, beta, _profile_row(profile), spec)[1]
 
 
 def grad_effect_marginal(effect_type: EffectType, theta, beta, ds: Dataset,
                          spec: ModelSpec) -> GradientVector:
     """Gradient of the marginal effect: the row-average of the
     conditional gradients."""
-    bparts, tparts = _grad_rows(effect_type, theta, beta, ds.x, spec)
-    bparts = tuple(c.mean(axis=0) for c in bparts)
-    tparts = tuple(c.mean(axis=0) for c in tparts)
-    return _pack_grad(bparts, tparts, spec)
+    return effect_rows(effect_type, theta, beta, ds.x, spec)[1]
 
 
 def delta_se(grad: GradientVector, sigma_beta: np.ndarray,
@@ -387,15 +245,15 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     if scope == "conditional":
         if profile is None:
             raise ValueError("conditional scope requires a covariate profile")
-        est = conditional_effect(effect_type, ctx.theta, ctx.beta, profile, ctx.spec)
-        grad = grad_conditional(effect_type, ctx.theta, ctx.beta, profile, ctx.spec)
+        x = _profile_row(profile)
     elif scope == "marginal":
         if ctx.dataset is None:
             raise ValueError("marginal scope requires a dataset on the fit context")
-        est = effect_marginal(effect_type, ctx.theta, ctx.beta, ctx.dataset, ctx.spec)
-        grad = grad_effect_marginal(effect_type, ctx.theta, ctx.beta, ctx.dataset, ctx.spec)
+        x = ctx.dataset.x
     else:
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
+    values, grad = effect_rows(effect_type, ctx.theta, ctx.beta, x, ctx.spec)
+    est = float(values.mean())
     se = delta_se(grad, ctx.sigma_beta, ctx.sigma_theta)
     zq = norm_quantile(1.0 - alpha / 2.0)
     prof = profile if isinstance(profile, CovariateProfile) else None

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biprobit import ConfoundingKind, ConstrainedFit, fit_constrained
-from .datamodel import CovariateProfile, Dataset, ModelSpec, validate_for_fit
+from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
+                       fit_constrained)
+from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import EffectEstimate, EffectType, FitContext, effect_with_ci
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR
@@ -211,7 +212,6 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
         raise ValueError("conditional scope requires a covariate profile")
     if scope not in ("conditional", "marginal"):
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
-    validate_for_fit(ds, spec)
     warnings: list[str] = []
     if grid.clamped:
         warnings.append("grid values beyond |rho| = 0.999 were clamped onto it")
@@ -226,8 +226,11 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
     anchor_idx = int(np.argmin(np.abs(points)))
     anchor = points[anchor_idx]
 
-    anchor_pt = _fit_point(kind, anchor, ds, spec, None, base, effect_type,
-                           scope, alpha, profile)
+    # the anchor starts from the probit fits just made, not from refits
+    anchor_start = np.concatenate([getattr(base, name).coefficients
+                                   for name in PAIR_MODELS[kind]])
+    anchor_pt = _fit_point(kind, anchor, ds, spec, anchor_start, base,
+                           effect_type, scope, alpha, profile)
     start0 = anchor_pt.coefficients  # None if the anchor fit failed
 
     args = (kind, ds, spec, start0, base, effect_type, scope, alpha, profile)

@@ -27,8 +27,9 @@ from scipy.special import ndtri
 
 from .biprobit import ConfoundingKind
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
-                        mediator_design, outcome_design)
-from .effects import EffectType, _effect_rows, _pieces
+                        exposure_terms, mediator_design, mediator_terms,
+                        outcome_design, outcome_terms)
+from .effects import EffectType, effect_rows
 from .errors import ConfigError
 
 _DISTS = ("constant", "uniform", "normal", "bernoulli")
@@ -73,19 +74,15 @@ class TrueParams:
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
         p = len(self.covariates)
-        spec = self.spec
-        expected = {
-            "alpha": 1 + p * spec.exposure_x,
-            "beta": 2 + p * (spec.mediator_x + spec.mediator_zx),
-            "theta": 3 + spec.outcome_zm + p * (spec.outcome_x + spec.outcome_zx
-                                                + spec.outcome_mx + spec.outcome_zmx),
-        }
-        for name in ("alpha", "beta", "theta"):
+        names = self.covariate_names
+        for name, terms in (("alpha", exposure_terms), ("beta", mediator_terms),
+                            ("theta", outcome_terms)):
+            expected = len(terms(self.spec, names))
             vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (expected[name],):
+            if vec.shape != (expected,):
                 raise ConfigError(
                     f"{name} has length {vec.shape}, layout expects "
-                    f"{expected[name]} for p = {p}")
+                    f"{expected} for p = {p}")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         if self.confounding is not None:
@@ -175,13 +172,12 @@ def true_effects(params: TrueParams, at) -> dict[EffectType, float]:
     if isinstance(at, Dataset):
         rows = at.x
     elif isinstance(at, CovariateProfile):
-        rows = at.values.reshape(1, -1)
+        rows = at.values
     else:
-        rows = np.atleast_1d(np.asarray(at, dtype=float))
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
-    pc = _pieces(params.theta, params.beta, rows, params.spec)
-    return {et: float(_effect_rows(et, pc).mean()) for et in EffectType}
+        rows = at
+    return {et: float(effect_rows(et, params.theta, params.beta, rows,
+                                  params.spec)[0].mean())
+            for et in EffectType}
 
 
 def replicate_seeds(base_seed: int, count: int) -> list[int]:

@@ -13,14 +13,13 @@ import yaml
 
 from conftest import confounded_params, reduced_spec
 from medsens import (ConfoundingKind, Dataset, EffectType, ModelSpec,
-                     RhoGrid, binorm_cdf, constrained_grad,
-                     constrained_loglik, demo_params, effect_marginal,
-                     effect_with_ci, finite_diff_grad, fit_constrained,
-                     fit_unconstrained, identification_set,
-                     nde_conditional, nde_total_conditional, nie_conditional,
-                     nie_pure_conditional, refine_boundary, replicate_seeds,
-                     run_scan, sign_ranges, simulate, total_effect_conditional,
-                     true_effects, uncertainty_interval, unconstrained_context)
+                     RhoGrid, binorm_cdf, conditional_effect,
+                     constrained_grad, constrained_loglik, demo_params,
+                     effect_marginal, effect_with_ci, finite_diff_grad,
+                     fit_constrained, fit_unconstrained, identification_set,
+                     refine_boundary, replicate_seeds, run_scan, sign_ranges,
+                     simulate, true_effects, uncertainty_interval,
+                     unconstrained_context)
 from medsens.cli import main as cli_main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -134,11 +133,11 @@ def test_effect_decompositions_are_exact(capsys):
         theta = rng.normal(size=4 + 4 * p)
         beta = rng.normal(size=2 + 2 * p)
         x = rng.normal(size=p)
-        te = total_effect_conditional(theta, beta, x, spec)
-        d1 = nde_conditional(theta, beta, x, spec) \
-            + nie_conditional(theta, beta, x, spec) - te
-        d2 = nde_total_conditional(theta, beta, x, spec) \
-            + nie_pure_conditional(theta, beta, x, spec) - te
+        te = conditional_effect(EffectType.TE, theta, beta, x, spec)
+        d1 = conditional_effect(EffectType.NDE, theta, beta, x, spec) \
+            + conditional_effect(EffectType.NIE, theta, beta, x, spec) - te
+        d2 = conditional_effect(EffectType.NDE_TOTAL, theta, beta, x, spec) \
+            + conditional_effect(EffectType.NIE_PURE, theta, beta, x, spec) - te
         worst = max(worst, abs(d1), abs(d2))
     ok = worst <= 1e-12
     assert report(capsys, "decomposition_identity", ok,

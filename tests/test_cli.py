@@ -352,6 +352,49 @@ class TestConfigErrors:
         assert main(["simulate", str(cfg)]) == 1
         assert "scenario.n" in capsys.readouterr().err
 
+    def test_quoted_alpha_rejected(self, workdir, tmp_path, capsys):
+        cfg = analysis_config(workdir, "bad6", alpha="0.05")
+        assert main(["effects", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("lower", "-0.1"), ("upper", "0.1"),
+                                           ("step", True)])
+    def test_non_numeric_grid_value_rejected(self, workdir, tmp_path, capsys,
+                                             key, value):
+        grid = {"lower": -0.1, "upper": 0.1, "step": 0.1, key: value}
+        cfg = analysis_config(workdir, "bad7", scans=[
+            {"kind": "my", "effect": "nie", "scope": "marginal", "grid": grid}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"grid.{key}" in capsys.readouterr().err
+
+    def test_quoted_confounding_rho_rejected(self, tmp_path, capsys):
+        scenario = {**SCENARIO["scenario"],
+                    "confounding": {"kind": "my", "rho": "0.3"}}
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, "scenario": scenario, "out": str(tmp_path / "o")})
+        assert main(["simulate", str(cfg)]) == 1
+        assert "scenario.confounding.rho" in capsys.readouterr().err
+
+    def test_quoted_covariate_parameter_rejected(self, tmp_path, capsys):
+        scenario = {**SCENARIO["scenario"], "covariates": [
+            {"name": "xcont", "dist": "normal"},
+            {"name": "xbin", "dist": "bernoulli", "mean": "0.2"}]}
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, "scenario": scenario, "out": str(tmp_path / "o")})
+        assert main(["simulate", str(cfg)]) == 1
+        assert "'xbin' mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("alpha", [-0.5, "0.08", 0.15]),
+                                           ("beta", [-1.36, 0.35, 0.18, True]),
+                                           ("theta", 0.5)])
+    def test_non_numeric_coefficient_vector_rejected(self, tmp_path, capsys,
+                                                     key, value):
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, "scenario": {**SCENARIO["scenario"], key: value},
+            "out": str(tmp_path / "o")})
+        assert main(["simulate", str(cfg)]) == 1
+        assert f"scenario.{key}" in capsys.readouterr().err
+
 
 def readme_output_headers() -> list[tuple[str, str, list[str]]]:
     """(command, file glob, columns) for each CSV row of README's outputs

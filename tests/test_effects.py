@@ -9,8 +9,7 @@ from medsens import (EffectType, FitContext, GradientVector, ModelSpec,
                      NotConvergedError, NumericalError, conditional_effect,
                      delta_se, demo_params, effect_marginal, effect_with_ci,
                      finite_diff_grad, grad_conditional, grad_effect_marginal,
-                     nde_conditional, nie_conditional, norm_quantile, simulate,
-                     total_effect_conditional)
+                     norm_quantile, simulate)
 from conftest import make_dataset
 
 FULL = ModelSpec()
@@ -39,20 +38,20 @@ def test_reference_point_values(effect_type, expected):
 def test_no_exposure_effect_on_mediator_kills_mediation():
     beta = BETA_REF.copy()
     beta[1] = 0.0  # z coefficient; z:x already zero
-    assert nie_conditional(THETA_REF, beta, X_REF, FULL) == 0.0
+    assert conditional_effect(EffectType.NIE, THETA_REF, beta, X_REF, FULL) == 0.0
 
 
 def test_no_mediator_effect_on_outcome_kills_mediation():
     theta = THETA_REF.copy()
     theta[2] = 0.0  # m coefficient; z:m, m:x, z:m:x already zero
-    assert nie_conditional(theta, BETA_REF, X_REF, FULL) == 0.0
+    assert conditional_effect(EffectType.NIE, theta, BETA_REF, X_REF, FULL) == 0.0
 
 
 def test_no_direct_pathway_makes_nde_zero():
     theta = THETA_REF.copy()
     theta[1] = theta[3] = 0.0  # z and z:m coefficients
-    assert nde_conditional(theta, BETA_REF, X_REF, FULL) == pytest.approx(0.0,
-                                                                          abs=1e-16)
+    assert conditional_effect(EffectType.NDE, theta, BETA_REF, X_REF,
+                              FULL) == pytest.approx(0.0, abs=1e-16)
 
 
 def coef_strategy(k, scale=2.0):
@@ -146,11 +145,43 @@ class TestGradients:
         assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0,
                                                           np.abs(analytic).max())
 
+    @pytest.mark.parametrize("effect_type", list(EffectType))
+    def test_full_spec_marginal_gradient_matches_finite_differences(
+            self, effect_type):
+        rng = np.random.default_rng(7 + list(EffectType).index(effect_type))
+        p, n = 3, 400
+        ds = make_dataset(np.zeros(n), np.zeros(n), np.zeros(n),
+                          rng.normal(size=(n, p)), ("a", "b", "c"))
+        kb, kt = 2 + 2 * p, 4 + 4 * p
+        beta = rng.normal(scale=0.5, size=kb)
+        theta = rng.normal(scale=0.5, size=kt)
+        grad = grad_effect_marginal(effect_type, theta, beta, ds, FULL)
+        f = lambda v: effect_marginal(effect_type, v[kb:], v[:kb], ds, FULL)
+        fd = finite_diff_grad(f, np.concatenate([beta, theta]), step=1e-6)
+        analytic = np.concatenate([grad.wrt_beta, grad.wrt_theta])
+        assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0,
+                                                          np.abs(analytic).max())
+
     def test_reduced_spec_gradient_lengths(self, spec):
         grad = grad_conditional(EffectType.TE, np.zeros(6), np.zeros(4),
                                 np.zeros(2), spec)
         assert grad.wrt_beta.shape == (4,)
         assert grad.wrt_theta.shape == (6,)
+
+
+@pytest.mark.parametrize("scope", ["conditional", "marginal"])
+@pytest.mark.parametrize("name", ["beta", "theta"])
+def test_wrong_coefficient_length_names_the_vector(name, scope, demo_clean,
+                                                   spec):
+    params = demo_params()
+    coefs = {"beta": params.beta, "theta": params.theta}
+    coefs[name] = np.append(coefs[name], 0.1)
+    ctx = FitContext(beta=coefs["beta"], theta=coefs["theta"],
+                     sigma_beta=np.eye(coefs["beta"].size),
+                     sigma_theta=np.eye(coefs["theta"].size), spec=spec,
+                     dataset=demo_clean)
+    with pytest.raises(ValueError, match=f"^{name} has length"):
+        effect_with_ci(EffectType.NIE, scope, ctx, profile=np.zeros(2))
 
 
 class TestDeltaSe:
@@ -234,7 +265,7 @@ def test_zero_covariate_effects_run():
                      outcome_zmx=False)
     theta = np.array([-0.5, 0.4, 0.8, -0.2])
     beta = np.array([-0.6, 0.5])
-    val = total_effect_conditional(theta, beta, np.empty(0), spec)
+    val = conditional_effect(EffectType.TE, theta, beta, np.empty(0), spec)
     nde = conditional_effect(EffectType.NDE, theta, beta, np.empty(0), spec)
     nie = conditional_effect(EffectType.NIE, theta, beta, np.empty(0), spec)
     assert val == pytest.approx(nde + nie, abs=1e-14)

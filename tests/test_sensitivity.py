@@ -9,6 +9,8 @@ from medsens import (ConfoundingKind, EffectEstimate, EffectType, RhoGrid,
                      fit_unconstrained, identification_set, norm_quantile,
                      refine_boundary, run_scan, sign_ranges, simulate,
                      uncertainty_interval, unconstrained_context)
+from medsens import biprobit as biprobit_mod
+from medsens import probit as probit_mod
 from medsens import sensitivity as sens_mod
 from conftest import confounded_params
 
@@ -180,6 +182,24 @@ class TestRunScan:
             assert pt.estimate.estimate == pytest.approx(manual.estimate,
                                                          abs=1e-7)
             assert pt.estimate.rho_context == (kind.value, pt.rho)
+
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_anchor_starts_from_the_scan_probit_fits(self, kind,
+                                                     demo_confounded, spec,
+                                                     monkeypatch):
+        real = probit_mod.fit_probit
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(probit_mod, "fit_probit", counting)
+        monkeypatch.setattr(biprobit_mod, "fit_probit", counting)
+        scan = run_scan(kind, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
+                        demo_confounded, spec)
+        assert scan.failures == ()
+        assert len(calls) == 3
 
     def test_grid_order_and_convergence(self, demo_confounded, spec):
         grid = RhoGrid.regular(-0.4, 0.4, 0.1)
