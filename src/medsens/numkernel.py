@@ -11,6 +11,12 @@ Absolute accuracy is around 5e-16, comfortably inside the 1e-12 target
 for |rho| <= 0.999, and the |rho| = 1 limits are exact:
     binorm_cdf(a, b, 1)  = Phi(min(a, b))
     binorm_cdf(a, b, -1) = max(0, Phi(a) + Phi(b) - 1)
+
+The quadrature depends on rho only through arcsin(rho) and the node sines
+sin(arcsin(rho) (1 -+ x) / 2). When every row of a bvn_cdf call has the
+same |rho| < 0.925 (a likelihood pass at a fixed rho, where the rows carry
++-rho), those are computed once and the row signs applied by exact sign
+flips; arcsin and sin are odd, so the result is bitwise the row-by-row one.
 """
 
 from __future__ import annotations
@@ -110,25 +116,76 @@ _GL_W20 = np.array(
      0.1527533871307258])
 
 
+def _gl_band(upper, x, w):
+    """(upper |rho| limit, 1 -+ x, weights) as node-major columns."""
+    return (upper, np.concatenate([1.0 - x, 1.0 + x])[:, None],
+            np.concatenate([w, w])[:, None])
+
+
+_GL_BANDS = (_gl_band(0.3, _GL_X6, _GL_W6), _gl_band(0.75, _GL_X12, _GL_W12),
+             _gl_band(0.925, _GL_X20, _GL_W20))
+
+
+def _node_sum(t):
+    """Sum over the node axis (axis 0, fewer than 16 nodes): in order below
+    8 nodes, else eight-way pairwise then in order. This is the order of
+    numpy's pairwise sum along a contiguous last axis, so node-major terms
+    add up bitwise as row-major ones summed with .sum(axis=1) would."""
+    if len(t) < 8:
+        acc, rest = t[0], t[1:]
+    else:
+        acc = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        rest = t[8:]
+    for row in rest:
+        acc = acc + row
+    return acc
+
+
+def _gl_upper(h, k, hk, asr, sn, w):
+    """P(X > h, Y > k) by the moderate-band Gauss-Legendre sum.
+
+    sn holds the node sines sin(asr (1 -+ x) / 2), node-major: per row
+    (2 nodes, n), or for a shared |rho| the unsigned (2 nodes, 1) column
+    with the row signs carried by hk and the closing factor asr.
+    """
+    hs = 0.5 * (h * h + k * k)
+    # w exp((sn hk - hs) / (1 - sn^2)) in one buffer: at (2 nodes, n)
+    # fresh temporaries cost more than the arithmetic
+    terms = sn * hk
+    terms -= hs
+    terms /= 1.0 - sn * sn
+    np.exp(terms, out=terms)
+    terms *= w
+    half = len(w) // 2
+    acc = _node_sum(terms[:half]) + _node_sum(terms[half:])
+    return acc * asr / (4.0 * np.pi) + ndtr(-h) * ndtr(-k)
+
+
+def _bvn_upper_shared(h, k, r, absr):
+    """P(X > h, Y > k) when every row has |r| = absr < 0.925.
+
+    arcsin and sin are odd and sign flips are exact, so carrying the row
+    sign s on hk and asr gives bitwise the per-row values of
+    _bvn_upper_moderate while arcsin and the node sines are computed once.
+    """
+    nodes, w = next((x, w) for upper, x, w in _GL_BANDS if absr < upper)
+    s = np.copysign(1.0, r)
+    asr = np.arcsin(np.array([absr]))
+    return _gl_upper(h, k, s * (h * k), s * asr, np.sin(nodes * asr * 0.5), w)
+
+
 def _bvn_upper_moderate(h, k, r, out):
-    """P(X > h, Y > k) for |r| < 0.925, written into out."""
+    """P(X > h, Y > k) for |r| < 0.925, row by row, written into out."""
     absr = np.abs(r)
-    bands = [(absr < 0.3, _GL_X6, _GL_W6),
-             ((absr >= 0.3) & (absr < 0.75), _GL_X12, _GL_W12),
-             (absr >= 0.75, _GL_X20, _GL_W20)]
-    for mask, x, w in bands:
+    lower = 0.0
+    for upper, nodes, w in _GL_BANDS:
+        mask = (absr >= lower) & (absr < upper)
+        lower = upper
         if not mask.any():
             continue
-        hh, kk, rr = h[mask], k[mask], r[mask]
-        hk = hh * kk
-        hs = 0.5 * (hh * hh + kk * kk)
-        asr = np.arcsin(rr)
-        sn_lo = np.sin(asr[:, None] * (1.0 - x) * 0.5)
-        sn_hi = np.sin(asr[:, None] * (1.0 + x) * 0.5)
-        acc = np.zeros_like(hh)
-        for sn in (sn_lo, sn_hi):
-            acc += (w * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))).sum(axis=1)
-        out[mask] = acc * asr / (4.0 * np.pi) + ndtr(-hh) * ndtr(-kk)
+        hh, kk = h[mask], k[mask]
+        asr = np.arcsin(r[mask])
+        out[mask] = _gl_upper(hh, kk, hh * kk, asr, np.sin(nodes * asr * 0.5), w)
 
 
 def _bvn_upper_extreme(h, k, r, out):
@@ -184,6 +241,10 @@ def bvn_cdf(a, b, rho):
 
     Arguments broadcast against each other; no input validation happens
     here, so callers on the hot path must pass finite a, b and |rho| <= 1.
+    If all rows share one |rho| < 0.925 (checked in one pass), the band is
+    picked once and arcsin and the node sines are evaluated once for the
+    call, with a result bitwise equal to the row-by-row evaluation used for
+    mixed |rho| and for |rho| >= 0.925.
     """
     a, b, rho = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -194,18 +255,22 @@ def bvn_cdf(a, b, rho):
     # canonical argument order makes the a <-> b symmetry hold bitwise
     h, k = np.minimum(h, k), np.maximum(h, k)
     r = rho.ravel()
-    out = np.empty_like(h)
-    moderate = np.abs(r) < 0.925
+    absr = np.abs(r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        if moderate.any():
-            sub = np.empty(int(moderate.sum()))
-            _bvn_upper_moderate(h[moderate], k[moderate], r[moderate], sub)
-            out[moderate] = sub
-        extreme = ~moderate
-        if extreme.any():
-            sub = np.empty(int(extreme.sum()))
-            _bvn_upper_extreme(h[extreme], k[extreme], r[extreme], sub)
-            out[extreme] = sub
+        if absr.size and absr[0] < 0.925 and (absr == absr[0]).all():
+            out = _bvn_upper_shared(h, k, r, absr[0])
+        else:
+            out = np.empty_like(h)
+            moderate = absr < 0.925
+            if moderate.any():
+                sub = np.empty(int(moderate.sum()))
+                _bvn_upper_moderate(h[moderate], k[moderate], r[moderate], sub)
+                out[moderate] = sub
+            extreme = ~moderate
+            if extreme.any():
+                sub = np.empty(int(extreme.sum()))
+                _bvn_upper_extreme(h[extreme], k[extreme], r[extreme], sub)
+                out[extreme] = sub
     out = np.clip(out, 0.0, 1.0)
     return out.reshape(shape)
 

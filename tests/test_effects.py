@@ -118,7 +118,7 @@ class TestGradients:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_conditional_gradient_matches_finite_differences(self, effect_type,
                                                              p):
-        rng = np.random.default_rng(10 * p + hash(effect_type.value) % 10)
+        rng = np.random.default_rng(10 * p + list(EffectType).index(effect_type))
         kb, kt = 2 + 2 * p, 4 + 4 * p
         beta = rng.normal(scale=0.7, size=kb)
         theta = rng.normal(scale=0.7, size=kt)
@@ -134,7 +134,7 @@ class TestGradients:
     @pytest.mark.parametrize("effect_type", list(EffectType))
     def test_marginal_gradient_matches_finite_differences(self, effect_type,
                                                           demo_clean, spec):
-        rng = np.random.default_rng(hash(effect_type.value) % 100)
+        rng = np.random.default_rng(list(EffectType).index(effect_type))
         beta = rng.normal(scale=0.5, size=4)
         theta = rng.normal(scale=0.5, size=6)
         grad = grad_effect_marginal(effect_type, theta, beta, demo_clean, spec)

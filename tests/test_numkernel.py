@@ -79,16 +79,51 @@ def test_bvn_origin_arcsine_identity():
         assert binorm_cdf(0.0, 0.0, rho) == pytest.approx(expect, abs=1e-15)
 
 
-def test_bvn_against_frozen_quadrature_oracle():
+def load_oracle():
     with open(ORACLE, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 11 * 11 * 9
-    a = np.array([float(r["a"]) for r in rows])
-    b = np.array([float(r["b"]) for r in rows])
-    rho = np.array([float(r["rho"]) for r in rows])
-    oracle = np.array([float(r["phi2"]) for r in rows])
+    return tuple(np.array([float(r[key]) for r in rows])
+                 for key in ("a", "b", "rho", "phi2"))
+
+
+def test_bvn_against_frozen_quadrature_oracle():
+    # mixed |rho| across rows: the row-by-row evaluation
+    a, b, rho, oracle = load_oracle()
     err = np.abs(bvn_cdf(a, b, rho) - oracle)
     assert err.max() <= 1e-10
+
+
+def test_bvn_oracle_one_abs_rho_at_a_time():
+    # every row of a call shares |rho|: the shared evaluation. The file's
+    # +-0.475 pair differs in the last bit, so it makes two groups.
+    a, b, rho, oracle = load_oracle()
+    groups = np.unique(np.abs(rho))
+    mixed_signs = 0
+    for absr in groups:
+        rows = np.abs(rho) == absr
+        mixed_signs += len(set(np.signbit(rho[rows]))) == 2
+        err = np.abs(bvn_cdf(a[rows], b[rows], rho[rows]) - oracle[rows])
+        assert err.max() <= 1e-10, absr
+    assert mixed_signs >= 3
+
+
+@pytest.mark.parametrize("absr", [0.0, 0.05, 0.2999, 0.3, 0.5, 0.7499, 0.75,
+                                  0.9, 0.9249])
+def test_bvn_shared_abs_rho_is_bitwise_the_row_by_row_value(absr):
+    rng = np.random.default_rng(int(absr * 10_000))
+    n = 2000
+    a = rng.normal(scale=2.0, size=n)
+    b = rng.normal(scale=2.0, size=n)
+    r = rng.choice([-1.0, 1.0], size=n) * absr
+    if absr == 0.0:
+        assert set(np.signbit(r)) == {False, True}   # +0.0 and -0.0 rows
+    shared = bvn_cdf(a, b, r)
+    # one appended row at another |rho| forces the row-by-row evaluation
+    other = 0.95 if absr < 0.5 else 0.1
+    per_row = bvn_cdf(np.append(a, 0.3), np.append(b, -0.4),
+                      np.append(r, other))[:n]
+    assert np.array_equal(shared, per_row)
 
 
 def test_bvn_mpmath_spot_checks():

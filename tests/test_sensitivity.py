@@ -215,6 +215,35 @@ class TestRunScan:
         assert len(scan.points) == 21
         assert scan.failures == ()
 
+    def test_wide_grid_phi2_passes(self, monkeypatch):
+        # one Phi2 evaluation per likelihood pass, at most 15 per fit
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        # each log gets one entry per call of its function: the number of
+        # Phi2 calls made inside it, so len(bvn_calls) counts Phi2 calls
+        bvn_calls, per_pass, per_fit = [], [], []
+
+        def counted(module, name, log):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                before = len(bvn_calls)
+                out = real(*args, **kwargs)
+                log.append(len(bvn_calls) - before)
+                return out
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(biprobit_mod, "bvn_cdf", bvn_calls)
+        counted(biprobit_mod, "_pair_pass", per_pass)
+        counted(sens_mod, "fit_constrained", per_fit)
+        grid = RhoGrid.regular(-0.95, 0.95, 0.1)
+        scan = run_scan(MY, NIE, "marginal", grid, ds, params.spec)
+        assert scan.failures == ()
+        assert len(per_fit) == 21
+        assert per_pass and set(per_pass) == {1}
+        assert max(per_fit) <= 15
+        assert sum(per_fit) == len(bvn_calls) == len(per_pass)
+
     def test_scope_validation(self, demo_confounded, spec):
         grid = RhoGrid.regular(0.0, 0.1, 0.1)
         with pytest.raises(ValueError, match="profile"):
