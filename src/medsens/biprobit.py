@@ -23,6 +23,7 @@ so at fixed rho the probit module's Newton ascent maximizes the likelihood.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,25 @@ def _signed_pair(pair_a, pair_b):
     s_a = 2.0 * np.asarray(ra, dtype=float) - 1.0
     s_b = 2.0 * np.asarray(rb, dtype=float) - 1.0
     return da * s_a[:, None], db * s_b[:, None], s_a * s_b
+
+
+@functools.lru_cache(maxsize=1)
+def _fit_pair(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
+    """Validated (design, response) pairs of the kind's two models with
+    their signed pair: what every fit_constrained on (kind, ds, spec)
+    shares, whatever its rho and start.
+
+    Single entry, so a rho scan sets up once. Dataset hashes by identity
+    and is immutable, ModelSpec is frozen, so the entry is a function of
+    its key; a failed validation raises and caches nothing. The arrays
+    are read-only because every caller gets the same ones.
+    """
+    validate_for_fit(ds, spec)
+    pairs = _pair_designs(kind, ds, spec)
+    signed = _signed_pair(*pairs)
+    for arr in (pairs[0][0], pairs[1][0], *signed):
+        arr.setflags(write=False)
+    return pairs, signed
 
 
 def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
@@ -176,19 +196,21 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     rho outside the +-0.999 interior band is clamped with a recorded
     warning. The start defaults to the two univariate probit fits; scans
-    pass their own probit fits at the anchor point and the previous grid
-    point's optimum after it. Covariances come from the inverse observed
-    information of the joint fit, read out as the two diagonal blocks
-    (the full matrix is also kept).
+    pass their own probit fits at the anchor point and starts predicted
+    from the neighboring optima after it; a non-finite start raises
+    ValueError. Validation and the pair's designs are set up once per
+    (kind, ds, spec) and reused by later calls on the same data.
+    Covariances come from the inverse observed information of the joint
+    fit, read out as the two diagonal blocks (the full matrix is also
+    kept).
     """
-    validate_for_fit(ds, spec)
+    ((da, ra), (db, rb)), (signed_a, signed_b, signs) = _fit_pair(kind, ds, spec)
     warnings: list[str] = []
     rho_used, clamped = clamp_rho(rho)
     if clamped:
         warnings.append(
             f"rho = {rho!r} clamped to {rho_used!r} for likelihood evaluation")
 
-    (da, ra), (db, rb) = _pair_designs(kind, ds, spec)
     ka, kb = da.shape[1], db.shape[1]
     if start is None:
         x0 = np.concatenate([fit_probit(da, ra).coefficients,
@@ -199,8 +221,11 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
             raise ValueError(
                 f"start has length {x0.shape}, expected {ka + kb} "
                 f"({ka} + {kb} coefficients)")
+        if not np.isfinite(x0).all():
+            raise ValueError(
+                f"start must be finite, got non-finite entries at "
+                f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
 
-    signed_a, signed_b, signs = _signed_pair((da, ra), (db, rb))
     r = signs * rho_used
     opt = _newton_ascent(
         lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, r), x0)

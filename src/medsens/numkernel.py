@@ -13,10 +13,12 @@ for |rho| <= 0.999, and the |rho| = 1 limits are exact:
     binorm_cdf(a, b, -1) = max(0, Phi(a) + Phi(b) - 1)
 
 The quadrature depends on rho only through arcsin(rho) and the node sines
-sin(arcsin(rho) (1 -+ x) / 2). When every row of a bvn_cdf call has the
-same |rho| < 0.925 (a likelihood pass at a fixed rho, where the rows carry
-+-rho), those are computed once and the row signs applied by exact sign
-flips; arcsin and sin are odd, so the result is bitwise the row-by-row one.
+sin(arcsin(rho) (1 -+ x) / 2) below 0.925, and only through |rho| in the
+expansion's per-node quantities above it. When every row of a bvn_cdf call
+has the same |rho| < 1 (a likelihood pass at a fixed rho, where the rows
+carry +-rho), those are computed once and the row signs applied by exact
+sign flips; arcsin and sin are odd, so the result is bitwise the
+row-by-row one.
 """
 
 from __future__ import annotations
@@ -188,52 +190,108 @@ def _bvn_upper_moderate(h, k, r, out):
         out[mask] = _gl_upper(hh, kk, hh * kk, asr, np.sin(nodes * asr * 0.5), w)
 
 
-def _bvn_upper_extreme(h, k, r, out):
-    """P(X > h, Y > k) for 0.925 <= |r| <= 1, written into out.
+# the 20-point band's 1 -+ x and weights, also the nodes of the
+# |rho| >= 0.925 expansion
+_EXT_NODES, _EXT_W = _GL_BANDS[-1][1:]
+# rows per (20 nodes, rows) block of the expansion sum: keeps its
+# temporaries cache-sized
+_EXT_BLOCK = 1024
 
-    The |r| = 1 boundary needs no special casing: the expansion block is
-    skipped there and the closing marginal terms are already the exact
-    perfectly-correlated probabilities.
+
+def _ext_nodes(ah):
+    """Per-node quantities of the expansion: xs, sqrt(1 - xs), 1 - rs,
+    2 (1 + rs) and ah w, as (20, 1) columns for a scalar ah, else
+    (20, rows)."""
+    xs = (_EXT_NODES * ah) ** 2
+    rs = np.sqrt(1.0 - xs)
+    return xs, rs, 1.0 - rs, 2.0 * (1.0 + rs), _EXT_W * ah
+
+
+def _add_ext_terms(acc, bs, hk, c, d, xs, rs, one_minus_rs, two_one_plus_rs,
+                   ahw):
+    """acc += the node sums of ah w exp(-(bs/xs + hk)/2) (ep - sp), the
+    1 - x nodes first, masked to 0 where the exponent is <= -100."""
+    t = bs / xs
+    t += hk
+    t *= -0.5
+    skip = ~(t > -100.0)
+    np.maximum(t, -101.0, out=t)    # changes only entries skip drops
+    np.exp(t, out=t)
+    t *= ahw
+    ep = -hk * one_minus_rs
+    ep /= two_one_plus_rs
+    np.exp(ep, out=ep)
+    ep /= rs
+    sp = d * xs
+    sp += 1.0
+    sp *= c * xs
+    sp += 1.0
+    ep -= sp
+    t *= ep
+    np.copyto(t, 0.0, where=skip)
+    half = len(t) // 2
+    acc += _node_sum(t[:half])
+    acc += _node_sum(t[half:])
+
+
+def _ext_expansion(h, k, hk, absr):
+    """P(X > h, Y > k) at correlation |r| less its |r| = 1 limit
+    P(X > max(h, k)), by Genz's asymptotic expansion for
+    0.925 <= |r| < 1; k already carries the row sign and absr is the
+    rows' |r| or one shared value."""
+    ass = (1.0 - absr) * (1.0 + absr)
+    a = np.sqrt(ass)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr = -0.5 * (bs / ass + hk)
+    keep = asr > -100.0
+    # exp is slow where it underflows to subnormals; the clamp changes
+    # only entries the mask drops
+    np.maximum(asr, -101.0, out=asr)
+    acc = np.where(
+        keep,
+        a * np.exp(asr)
+        * (1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0 + c * d * ass * ass / 5.0),
+        0.0)
+    b = np.sqrt(bs)
+    tail = np.exp(-0.5 * hk) * SQRT_2PI * ndtr(-b / a) * b \
+        * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+    acc -= np.where(-hk < 100.0, tail, 0.0)
+    ah = 0.5 * a
+    shared = _ext_nodes(ah) if np.ndim(ah) == 0 else None
+    for lo in range(0, len(h), _EXT_BLOCK):
+        rows = slice(lo, lo + _EXT_BLOCK)
+        nodes = shared if shared is not None else _ext_nodes(ah[rows])
+        _add_ext_terms(acc[rows], bs[rows], hk[rows], c[rows], d[rows], *nodes)
+    return -acc / (2.0 * np.pi)
+
+
+def _bvn_upper_extreme(h, k, r, absr):
+    """P(X > h, Y > k) for 0.925 <= |r| <= 1.
+
+    absr holds each row's |r|, or is the one |r| < 1 all rows share, and
+    then the per-node quantities are computed once as (20, 1) columns.
+    (1 - |r|)(1 + |r|) is (1 - r)(1 + r) up to the order of its factors,
+    so both give bitwise the same values. The |r| = 1 boundary needs no
+    special casing: the expansion block is skipped there and the closing
+    marginal terms are already the exact perfectly-correlated
+    probabilities.
     """
-    x, w = _GL_X20, _GL_W20
     neg = r < 0.0
     k = np.where(neg, -k, k)
     hk = h * k
-    bvn = np.zeros_like(h)
-    interior = np.abs(r) < 1.0
-    if interior.any():
-        hh, kk = h[interior], k[interior]
-        hkk, rr = hk[interior], r[interior]
-        ass = (1.0 - rr) * (1.0 + rr)
-        a = np.sqrt(ass)
-        bs = (hh - kk) ** 2
-        c = (4.0 - hkk) / 8.0
-        d = (12.0 - hkk) / 16.0
-        asr = -0.5 * (bs / ass + hkk)
-        acc = np.where(
-            asr > -100.0,
-            a * np.exp(asr)
-            * (1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0 + c * d * ass * ass / 5.0),
-            0.0)
-        b = np.sqrt(bs)
-        tail = np.exp(-0.5 * hkk) * SQRT_2PI * ndtr(-b / a) * b \
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-        acc -= np.where(-hkk < 100.0, tail, 0.0)
-        ah = 0.5 * a
-        for sgn in (-1.0, 1.0):
-            xs = (ah[:, None] * (sgn * x + 1.0)) ** 2
-            rs = np.sqrt(1.0 - xs)
-            asr2 = -0.5 * (bs[:, None] / xs + hkk[:, None])
-            sp = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
-            ep = np.exp(-hkk[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-            term = np.where(asr2 > -100.0, ah[:, None] * w * np.exp(asr2) * (ep - sp), 0.0)
-            acc += term.sum(axis=1)
-        bvn[interior] = -acc / (2.0 * np.pi)
-    pos = ~neg
-    res = np.empty_like(bvn)
-    res[pos] = bvn[pos] + ndtr(-np.maximum(h, k))[pos]
-    res[neg] = -bvn[neg] + np.where(k > h, ndtr(k) - ndtr(h), 0.0)[neg]
-    out[...] = np.clip(res, 0.0, 1.0)
+    if np.ndim(absr):
+        bvn = np.zeros_like(h)
+        interior = absr < 1.0
+        if interior.any():
+            bvn[interior] = _ext_expansion(h[interior], k[interior],
+                                           hk[interior], absr[interior])
+    else:
+        bvn = _ext_expansion(h, k, hk, absr)
+    res = np.where(neg, -bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0),
+                   bvn + ndtr(-np.maximum(h, k)))
+    return np.clip(res, 0.0, 1.0)
 
 
 def bvn_cdf(a, b, rho):
@@ -241,10 +299,11 @@ def bvn_cdf(a, b, rho):
 
     Arguments broadcast against each other; no input validation happens
     here, so callers on the hot path must pass finite a, b and |rho| <= 1.
-    If all rows share one |rho| < 0.925 (checked in one pass), the band is
-    picked once and arcsin and the node sines are evaluated once for the
-    call, with a result bitwise equal to the row-by-row evaluation used for
-    mixed |rho| and for |rho| >= 0.925.
+    If all rows share one |rho| < 1 (checked in one pass), the band is
+    picked once and its rho-dependent node quantities (arcsin and the node
+    sines below 0.925, the expansion's per-node terms above) are evaluated
+    once for the call, with a result bitwise equal to the row-by-row
+    evaluation used for mixed |rho| and for rows with |rho| = 1.
     """
     a, b, rho = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -257,8 +316,9 @@ def bvn_cdf(a, b, rho):
     r = rho.ravel()
     absr = np.abs(r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        if absr.size and absr[0] < 0.925 and (absr == absr[0]).all():
-            out = _bvn_upper_shared(h, k, r, absr[0])
+        if absr.size and absr[0] < 1.0 and (absr == absr[0]).all():
+            shared = _bvn_upper_shared if absr[0] < 0.925 else _bvn_upper_extreme
+            out = shared(h, k, r, absr[0])
         else:
             out = np.empty_like(h)
             moderate = absr < 0.925
@@ -268,9 +328,8 @@ def bvn_cdf(a, b, rho):
                 out[moderate] = sub
             extreme = ~moderate
             if extreme.any():
-                sub = np.empty(int(extreme.sum()))
-                _bvn_upper_extreme(h[extreme], k[extreme], r[extreme], sub)
-                out[extreme] = sub
+                out[extreme] = _bvn_upper_extreme(h[extreme], k[extreme],
+                                                  r[extreme], absr[extreme])
     out = np.clip(out, 0.0, 1.0)
     return out.reshape(shape)
 

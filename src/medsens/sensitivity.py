@@ -17,8 +17,12 @@ intervals, so its coverage is at least the nominal level at every grid
 value), and sign ranges classifying each rho against the sign of the
 rho-nearest-zero estimate.
 
-Fits are chained outward from the grid point nearest zero, warm-started
-from the neighboring optimum.
+Fits are chained outward from the grid point nearest zero. Once a chain
+has two converged optima (the anchor counts as one), each fit starts from
+their secant extrapolation to the next rho, x_k + (x_k - x_{k-1})
+(rho_{k+1} - rho_k) / (rho_k - rho_{k-1}), a predictor-corrector
+continuation with Newton as the corrector; after a failed point the next
+fit starts from the last optimum itself.
 """
 
 from __future__ import annotations
@@ -187,16 +191,26 @@ def _fit_point(kind, rho, ds, spec, start, base, effect_type, scope, alpha,
                      coefficients=coefs)
 
 
-def _run_chain(rhos, kind, ds, spec, start0, base, effect_type, scope, alpha,
+def _run_chain(rhos, kind, ds, spec, anchor, base, effect_type, scope, alpha,
                profile) -> list[ScanPoint]:
     out = []
-    start = start0
+    last = anchor.coefficients  # None if the anchor fit failed
+    # converged points to extrapolate from: the last two, or only the
+    # last one after a failed point
+    known = [anchor] if anchor.converged else []
     for rho in rhos:
+        start = last
+        if len(known) == 2:
+            (rho0, x0), (rho1, x1) = ((pt.rho, pt.coefficients) for pt in known)
+            start = x1 + (x1 - x0) * ((rho - rho1) / (rho1 - rho0))
         pt = _fit_point(kind, rho, ds, spec, start, base, effect_type, scope,
                         alpha, profile)
         out.append(pt)
         if pt.converged and pt.coefficients is not None:
-            start = pt.coefficients
+            last = pt.coefficients
+            known = [*known[-1:], pt]
+        else:
+            known = known[-1:]
     return out
 
 
@@ -231,9 +245,8 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
                                    for name in PAIR_MODELS[kind]])
     anchor_pt = _fit_point(kind, anchor, ds, spec, anchor_start, base,
                            effect_type, scope, alpha, profile)
-    start0 = anchor_pt.coefficients  # None if the anchor fit failed
 
-    args = (kind, ds, spec, start0, base, effect_type, scope, alpha, profile)
+    args = (kind, ds, spec, anchor_pt, base, effect_type, scope, alpha, profile)
     up = _run_chain(points[anchor_idx + 1:], *args)
     down = _run_chain(points[:anchor_idx][::-1], *args)
 
@@ -366,8 +379,9 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     coarse midpoint is still returned).
     """
     resolution = float(resolution)
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(
+            f"resolution must be positive and finite, got {resolution!r}")
     pts = _require_converged(scan)
     ref_sign, _ = _reference_sign(scan)
     boundaries: list[float] = []

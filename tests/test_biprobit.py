@@ -200,6 +200,21 @@ class TestFitConstrained:
         warm = fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
         assert np.abs(warm.coefficients_b - cold.coefficients_b).max() < 1e-7
 
+    def test_all_nan_start_rejected(self, demo_confounded, spec):
+        cold = fit_constrained(MY, 0.25, demo_confounded, spec)
+        k = cold.coefficients_a.size + cold.coefficients_b.size
+        with pytest.raises(ValueError, match="start"):
+            fit_constrained(MY, 0.25, demo_confounded, spec,
+                            start=np.full(k, np.nan))
+
+    def test_start_with_one_inf_entry_rejected(self, demo_confounded, spec):
+        cold = fit_constrained(MY, 0.25, demo_confounded, spec)
+        start = np.concatenate([cold.coefficients_a, cold.coefficients_b])
+        start[1] = np.inf
+        # not a SeparationError: the data are not separated
+        with pytest.raises(ValueError, match="start"):
+            fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
+
 
 def _designs_for(kind, ds, spec):
     dz = build_exposure_design(ds, spec)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from medsens import (EvaluationError, MedsensError, binorm_cdf, bvn_cdf,
                      clamp_rho, finite_diff_grad, log_bvn_cdf, norm_cdf,
@@ -109,7 +110,7 @@ def test_bvn_oracle_one_abs_rho_at_a_time():
 
 
 @pytest.mark.parametrize("absr", [0.0, 0.05, 0.2999, 0.3, 0.5, 0.7499, 0.75,
-                                  0.9, 0.9249])
+                                  0.9, 0.9249, 0.925, 0.95, 0.99, 0.999])
 def test_bvn_shared_abs_rho_is_bitwise_the_row_by_row_value(absr):
     rng = np.random.default_rng(int(absr * 10_000))
     n = 2000
@@ -124,6 +125,77 @@ def test_bvn_shared_abs_rho_is_bitwise_the_row_by_row_value(absr):
     per_row = bvn_cdf(np.append(a, 0.3), np.append(b, -0.4),
                       np.append(r, other))[:n]
     assert np.array_equal(shared, per_row)
+
+
+# Gauss-Legendre 20-point nodes (positive half) and weights
+GL_X20 = np.array(
+    [0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+     0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+     0.5108670019508271, 0.3737060887154195, 0.2277858511416451,
+     0.07652652113349734])
+GL_W20 = np.array(
+    [0.01761400713915212, 0.04060142980038694, 0.06267204833410907,
+     0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+     0.1316886384491766, 0.1420961093183820, 0.1491729864726037,
+     0.1527533871307258])
+
+
+def extreme_band_reference(a, b, r):
+    """P(X <= a, Y <= b) for 0.925 <= |r| <= 1 by Genz's expansion, row
+    major: (rows, 10 nodes) arrays per node sign, summed with .sum(axis=1)."""
+    h = np.minimum(-a, -b)
+    k = np.maximum(-a, -b)
+    neg = r < 0.0
+    k = np.where(neg, -k, k)
+    hk = h * k
+    bvn = np.zeros_like(h)
+    inner = np.abs(r) < 1.0
+    hh, kk, hkk, rr = h[inner], k[inner], hk[inner], r[inner]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                     under="ignore"):
+        ass = (1.0 - rr) * (1.0 + rr)
+        a_ = np.sqrt(ass)
+        bs = (hh - kk) ** 2
+        c = (4.0 - hkk) / 8.0
+        d = (12.0 - hkk) / 16.0
+        asr = -0.5 * (bs / ass + hkk)
+        acc = np.where(
+            asr > -100.0,
+            a_ * np.exp(asr) * (1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0
+                                + c * d * ass * ass / 5.0),
+            0.0)
+        b_ = np.sqrt(bs)
+        tail = np.exp(-0.5 * hkk) * math.sqrt(2.0 * math.pi) * ndtr(-b_ / a_) \
+            * b_ * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        acc -= np.where(-hkk < 100.0, tail, 0.0)
+        ah = 0.5 * a_
+        for sgn in (-1.0, 1.0):
+            xs = (ah[:, None] * (sgn * GL_X20 + 1.0)) ** 2
+            rs = np.sqrt(1.0 - xs)
+            asr2 = -0.5 * (bs[:, None] / xs + hkk[:, None])
+            sp = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
+            ep = np.exp(-hkk[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+            term = np.where(asr2 > -100.0,
+                            ah[:, None] * GL_W20 * np.exp(asr2) * (ep - sp), 0.0)
+            acc += term.sum(axis=1)
+    bvn[inner] = -acc / (2.0 * np.pi)
+    res = np.where(neg, -bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0),
+                   bvn + ndtr(-np.maximum(h, k)))
+    return np.clip(res, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("absr", [0.925, 0.95, 0.99, 0.999, 1.0])
+@pytest.mark.parametrize("scale", [0.5, 2.0, 6.0])
+def test_bvn_extreme_band_is_bitwise_the_row_major_formula(absr, scale):
+    rng = np.random.default_rng(int(absr * 10_000 + scale))
+    n = 2500                       # more than two row blocks
+    a = rng.normal(scale=scale, size=n)
+    b = rng.normal(scale=scale, size=n)
+    r = rng.choice([-1.0, 1.0], size=n) * absr
+    assert np.array_equal(bvn_cdf(a, b, r), extreme_band_reference(a, b, r))
+    # mixed |rho| inside the band: the row-by-row evaluation
+    r[::3] = rng.uniform(0.925, 1.0, size=len(r[::3])) * np.sign(r[::3])
+    assert np.array_equal(bvn_cdf(a, b, r), extreme_band_reference(a, b, r))
 
 
 def test_bvn_mpmath_spot_checks():

@@ -10,6 +10,7 @@ from medsens import (ConfoundingKind, EffectEstimate, EffectType, RhoGrid,
                      refine_boundary, run_scan, sign_ranges, simulate,
                      uncertainty_interval, unconstrained_context)
 from medsens import biprobit as biprobit_mod
+from medsens import datamodel as datamodel_mod
 from medsens import probit as probit_mod
 from medsens import sensitivity as sens_mod
 from conftest import confounded_params
@@ -243,6 +244,61 @@ class TestRunScan:
         assert per_pass and set(per_pass) == {1}
         assert max(per_fit) <= 15
         assert sum(per_fit) == len(bvn_calls) == len(per_pass)
+        # secant-predicted starts: 84 passes when every fit starts from
+        # the previous optimum
+        assert sum(per_fit) <= 75
+
+    def test_setup_once_per_scan(self, monkeypatch):
+        # validation and the pair designs are built once per scan, not at
+        # every grid point (22 validations and 111 builds when rebuilt)
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 1500, 65)
+        counts = {"validate": 0, "build": 0}
+        names = {"validate_for_fit": "validate",
+                 "build_exposure_design": "build",
+                 "build_mediator_design": "build",
+                 "build_outcome_design": "build"}
+        for module in (datamodel_mod, probit_mod, biprobit_mod):
+            for name, key in names.items():
+                real = getattr(module, name, None)
+                if real is None:
+                    continue
+
+                def counted(*args, _real=real, _key=key, **kwargs):
+                    counts[_key] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        grid = RhoGrid.regular(-0.5, 0.5, 0.05)
+        scan = run_scan(MY, NIE, "marginal", grid, ds, params.spec)
+        assert len(scan.points) == 21
+        assert counts["validate"] <= 2
+        assert counts["build"] <= 11
+
+    def test_chain_starts_predicted_then_plain_after_failure(
+            self, demo_confounded, spec, monkeypatch):
+        real = fit_constrained
+        starts = {}
+
+        def recording(kind, rho, ds, spec, start=None):
+            starts[rho] = None if start is None else np.array(start)
+            if rho == 0.2:
+                raise ScanError("synthetic failure at 0.2")
+            return real(kind, rho, ds, spec, start=start)
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.4, 0.1),
+                        demo_confounded, spec)
+        assert scan.failures == (0.2,)
+        x = {pt.rho: pt.coefficients for pt in scan.converged_points()}
+        # one optimum (the anchor): plain warm start
+        assert np.array_equal(starts[0.1], x[0.0])
+        # two: secant through them
+        assert np.array_equal(starts[0.2],
+                              x[0.1] + (x[0.1] - x[0.0]) * ((0.2 - 0.1) / (0.1 - 0.0)))
+        # after the failure: the last optimum itself
+        assert np.array_equal(starts[0.3], x[0.1])
+        assert np.array_equal(starts[0.4],
+                              x[0.3] + (x[0.3] - x[0.1]) * ((0.4 - 0.3) / (0.3 - 0.1)))
 
     def test_scope_validation(self, demo_confounded, spec):
         grid = RhoGrid.regular(0.0, 0.1, 0.1)
@@ -328,6 +384,13 @@ class TestRefineBoundary:
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
         with pytest.raises(ValueError):
             refine_boundary(scan, resolution=0.0)
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"),
+                                            float("-inf")])
+    def test_non_finite_resolution_rejected(self, resolution):
+        scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
+        with pytest.raises(ValueError, match="resolution"):
+            refine_boundary(scan, resolution=resolution)
 
     def test_no_boundaries_for_uniform_classification(self):
         scan = fake_scan([(-0.1, 0.05, 0.001), (0.1, 0.04, 0.001)])
