@@ -23,15 +23,12 @@ so at fixed rho the probit module's Newton ascent maximizes the likelihood.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .datamodel import (Dataset, ModelSpec, build_exposure_design,
-                        build_mediator_design, build_outcome_design,
-                        validate_for_fit)
+from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
 from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
 from .probit import _newton_ascent, fit_probit
@@ -76,48 +73,20 @@ def _check_rho_interior(rho: float) -> float:
     return rho
 
 
-def _pair_designs(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
-    """Designs and responses for (first, second) coefficient arguments.
+def _signed_pair(kind: ConfoundingKind, designs):
+    """The kind's two (design, response) pairs from a model_designs table,
+    their sign-flipped designs (s_a X_a, s_b X_b) and row signs s_a s_b.
 
-    The second argument's model carries the w-style signed predictor in
-    the likelihood; the two Phi2 arguments commute, so only the sign
+    The second model carries the w-style signed predictor in the
+    likelihood; the two Phi2 arguments commute, so only the sign
     bookkeeping matters.
     """
     if kind not in PAIR_MODELS:
         raise ValueError(f"unknown confounding kind {kind!r}")
-    models = {"exposure": (build_exposure_design, ds.z),
-              "mediator": (build_mediator_design, ds.m),
-              "outcome": (build_outcome_design, ds.y)}
-    return tuple((build(ds, spec), response)
-                 for build, response in map(models.get, PAIR_MODELS[kind]))
-
-
-def _signed_pair(pair_a, pair_b):
-    """Sign-flipped designs (s_a X_a, s_b X_b) and row signs s_a s_b from
-    the two (design, response) pairs."""
+    pair_a, pair_b = (designs[model] for model in PAIR_MODELS[kind])
     (da, ra), (db, rb) = pair_a, pair_b
-    s_a = 2.0 * np.asarray(ra, dtype=float) - 1.0
-    s_b = 2.0 * np.asarray(rb, dtype=float) - 1.0
-    return da * s_a[:, None], db * s_b[:, None], s_a * s_b
-
-
-@functools.lru_cache(maxsize=1)
-def _fit_pair(kind: ConfoundingKind, ds: Dataset, spec: ModelSpec):
-    """Validated (design, response) pairs of the kind's two models with
-    their signed pair: what every fit_constrained on (kind, ds, spec)
-    shares, whatever its rho and start.
-
-    Single entry, so a rho scan sets up once. Dataset hashes by identity
-    and is immutable, ModelSpec is frozen, so the entry is a function of
-    its key; a failed validation raises and caches nothing. The arrays
-    are read-only because every caller gets the same ones.
-    """
-    validate_for_fit(ds, spec)
-    pairs = _pair_designs(kind, ds, spec)
-    signed = _signed_pair(*pairs)
-    for arr in (pairs[0][0], pairs[1][0], *signed):
-        arr.setflags(write=False)
-    return pairs, signed
+    s_a, s_b = 2.0 * ra - 1.0, 2.0 * rb - 1.0
+    return pair_a, pair_b, (da * s_a[:, None], db * s_b[:, None], s_a * s_b)
 
 
 def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
@@ -151,7 +120,7 @@ def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
 
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     rho = _check_rho_interior(rho)
-    signed_a, signed_b, signs = _signed_pair(*_pair_designs(kind, ds, spec))
+    _, _, (signed_a, signed_b, signs) = _signed_pair(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])
     coef_b = _check_len("coef_b", coef_b, signed_b.shape[1])
     return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs * rho)
@@ -198,13 +167,15 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     warning. The start defaults to the two univariate probit fits; scans
     pass their own probit fits at the anchor point and starts predicted
     from the neighboring optima after it; a non-finite start raises
-    ValueError. Validation and the pair's designs are set up once per
-    (kind, ds, spec) and reused by later calls on the same data.
+    ValueError. The validated designs come from datamodel.fit_designs,
+    set up once per (ds, spec) and shared by every kind and by
+    fit_unconstrained; the two sign-flipped designs are formed per call.
     Covariances come from the inverse observed information of the joint
     fit, read out as the two diagonal blocks (the full matrix is also
     kept).
     """
-    ((da, ra), (db, rb)), (signed_a, signed_b, signs) = _fit_pair(kind, ds, spec)
+    (da, ra), (db, rb), (signed_a, signed_b, signs) = _signed_pair(
+        kind, fit_designs(ds, spec))
     warnings: list[str] = []
     rho_used, clamped = clamp_rho(rho)
     if clamped:

@@ -54,8 +54,11 @@ Config schema (keys not listed here are rejected):
 Model flags must be YAML booleans, seed and scenario.n integers, and
 alpha, the grid bounds and step, scenario.confounding.rho, the numeric
 fields of scenario covariates and the entries of the scenario coefficient
-vectors numbers (a quoted "0.05" is a string); a value of another type is
-rejected, never coerced.
+vectors numbers (a quoted "0.05" is a string); data and out must be
+strings, delimiter a one-character string, effects a mapping and its
+types, scopes and profiles lists; a value of another type is rejected,
+never coerced. Scans must differ in kind, effect, scope or profile name:
+each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
 """
 
 from __future__ import annotations
@@ -131,6 +134,12 @@ def _config_int(value, key: str) -> int:
     return value
 
 
+def _config_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _config_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -192,7 +201,8 @@ def _load_config(path_str: str, args) -> _Config:
         raise ConfigError(f"{path}: config must be a mapping at the top level")
     _reject_unknown(raw, _TOP_KEYS, "config")
 
-    out = getattr(args, "out", None) or raw.get("out", "medsens_out")
+    out = _config_str(raw.get("out", "medsens_out"), "out")
+    out = getattr(args, "out", None) or out
     alpha = getattr(args, "alpha", None)
     if alpha is None:
         alpha = _config_float(raw.get("alpha", 0.05), "alpha")
@@ -243,10 +253,13 @@ def _load_dataset(cfg: _Config):
     if "data" not in raw:
         raise ConfigError("config needs a 'data' entry with the CSV path")
     roles = _parse_roles(raw)
-    data_path = Path(raw["data"])
+    data_path = Path(_config_str(raw["data"], "data"))
     if not data_path.is_absolute():
         data_path = cfg.base_dir / data_path
-    delim = str(raw.get("delimiter", ","))
+    delim = raw.get("delimiter", ",")
+    if not isinstance(delim, str) or len(delim) != 1:
+        raise ConfigError(
+            f"delimiter must be a one-character string, got {delim!r}")
     return load_csv(data_path, roles, delimiter=delim), roles
 
 
@@ -299,11 +312,24 @@ def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfi
     return out
 
 
+def _effects_section(raw: dict) -> dict:
+    """The effects mapping with its null entries dropped; types, scopes
+    and profiles must be lists."""
+    eff = raw.get("effects", {}) or {}
+    if not isinstance(eff, dict):
+        raise ConfigError(f"effects must be a mapping, got {eff!r}")
+    _reject_unknown(eff, {"types", "scopes", "profiles"}, "effects")
+    eff = {key: value for key, value in eff.items() if value is not None}
+    for key, value in eff.items():
+        if not isinstance(value, list):
+            raise ConfigError(f"effects.{key} must be a list, got {value!r}")
+    return eff
+
+
 def _parse_profiles(cfg: _Config, ds: Dataset, args) -> list[CovariateProfile]:
     entries = []
-    eff = cfg.raw.get("effects", {}) or {}
-    for entry in eff.get("profiles", []) or []:
-        if not isinstance(entry, dict) or "values" not in entry:
+    for entry in _effects_section(cfg.raw).get("profiles", []):
+        if not isinstance(entry, dict) or not isinstance(entry.get("values"), dict):
             raise ConfigError("each profile needs a 'values' mapping")
         _reject_unknown(entry, {"name", "values"}, "profile")
         entries.append((str(entry.get("name", f"profile{len(entries) + 1}")),
@@ -378,10 +404,7 @@ def cmd_fit(args) -> int:
 
 
 def _requested_effects(cfg: _Config) -> tuple[list[EffectType], list[str]]:
-    eff = cfg.raw.get("effects", {}) or {}
-    if not isinstance(eff, dict):
-        raise ConfigError("effects must be a mapping")
-    _reject_unknown(eff, {"types", "scopes", "profiles"}, "effects")
+    eff = _effects_section(cfg.raw)
     types = [_parse_effect(t) for t in eff.get("types", ["nde", "nie", "te"])]
     scopes = [str(s) for s in eff.get("scopes", ["marginal"])]
     for scope in scopes:
@@ -451,7 +474,10 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
                         "scan")
         kind = _parse_kind(kind_override or entry.get("kind", "my"))
         effect = _parse_effect(entry.get("effect", "nie"))
-        scope = str(entry.get("scope", "marginal"))
+        scope = entry.get("scope", "marginal")
+        if scope not in ("marginal", "conditional"):
+            raise ConfigError(
+                f"scan scope must be marginal or conditional, got {scope!r}")
         profile = None
         if scope == "conditional":
             pname = entry.get("profile")
@@ -503,6 +529,12 @@ def cmd_sens(args) -> int:
     spec = _parse_spec(cfg.raw)
     profiles = _parse_profiles(cfg, ds, args)
     requests = _parse_scan_requests(cfg, args, profiles)
+    tags = [_scan_tag(req) for req in requests]
+    duplicated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if duplicated:
+        raise ConfigError(
+            f"scan requests share the output tag(s) {duplicated}; each scan "
+            "needs its own kind, effect, scope or profile name")
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -511,8 +543,7 @@ def cmd_sens(args) -> int:
     interval_rows, range_rows, failure_rows = [], [], []
     summary = []
     exit_code = 0
-    for req in requests:
-        tag = _scan_tag(req)
+    for req, tag in zip(requests, tags):
         try:
             scan = run_scan(req["kind"], req["effect"], req["scope"],
                             req["grid"], ds, spec, alpha=cfg.alpha,

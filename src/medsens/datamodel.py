@@ -16,7 +16,8 @@ never a column of zeros.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +142,10 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
         missing = [c for c in wanted if c not in header]
         if missing:
             raise ConfigError(f"{path}: mapped columns not in header: {missing}")
+        repeated = [c for c in wanted if header.count(c) > 1]
+        if repeated:
+            raise DataError(
+                f"{path}: mapped columns appear more than once in header: {repeated}")
         pos = {c: header.index(c) for c in wanted}
         rows = list(reader)
 
@@ -349,8 +354,16 @@ def covariate_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return ds.x.mean(axis=0), ds.x.std(axis=0)
 
 
-def validate_for_fit(ds: Dataset, spec: ModelSpec) -> None:
-    """Checks run at every fit boundary: size, variance, design rank."""
+def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
+    """Unvalidated (design, response) per model, keyed as UnconstrainedFits."""
+    return {"exposure": (build_exposure_design(ds, spec), ds.z),
+            "mediator": (build_mediator_design(ds, spec), ds.m),
+            "outcome": (build_outcome_design(ds, spec), ds.y)}
+
+
+def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
+    """Checks run at every fit boundary: size, variance, design rank.
+    Returns the model_designs table whose designs passed them."""
     if ds.n <= ds.p + 10:
         raise DataError(
             f"dataset too small to fit: n = {ds.n} rows with p = {ds.p} "
@@ -360,8 +373,31 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> None:
         flat = [name for name, s in zip(ds.covariate_names, sd) if s == 0.0]
         if flat:
             raise DataError(f"covariate columns with zero variance: {flat}")
-    for label, design in (("exposure", build_exposure_design(ds, spec)),
-                          ("mediator", build_mediator_design(ds, spec)),
-                          ("outcome", build_outcome_design(ds, spec))):
+    designs = model_designs(ds, spec)
+    for label, (design, _) in designs.items():
         if np.linalg.matrix_rank(design) < design.shape[1]:
             raise RankError(f"{label} design matrix is rank deficient")
+    return designs
+
+
+_FIT_ENTRY: dict = {}  # fit_designs' one entry: {(id(ds), spec): designs}
+
+
+def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
+    """The validated model_designs table every fit on (ds, spec) reads.
+
+    One entry, dropped before the next (ds, spec) is set up and when its
+    Dataset is collected, so it never keeps a dataset's designs alive on
+    its own. Dataset compares by identity and is immutable, ModelSpec is
+    frozen, so the entry is a function of its key; a failed validation
+    caches nothing. The designs are read-only because callers share them.
+    """
+    key = (id(ds), spec)
+    if key not in _FIT_ENTRY:
+        _FIT_ENTRY.clear()
+        designs = validate_for_fit(ds, spec)
+        for design, _ in designs.values():
+            design.setflags(write=False)
+        _FIT_ENTRY[key] = designs
+        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
+    return _FIT_ENTRY[key]

@@ -16,9 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .datamodel import (Dataset, ModelSpec, build_exposure_design,
-                        build_mediator_design, build_outcome_design,
-                        validate_for_fit)
+from .datamodel import Dataset, ModelSpec, fit_designs
 from .errors import RankError, SeparationError
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -185,10 +183,8 @@ class UnconstrainedFits:
 
 
 def fit_unconstrained(ds: Dataset, spec: ModelSpec) -> UnconstrainedFits:
-    """Fit exposure, mediator and outcome probits on one dataset."""
-    validate_for_fit(ds, spec)
-    return UnconstrainedFits(
-        exposure=fit_probit(build_exposure_design(ds, spec), ds.z),
-        mediator=fit_probit(build_mediator_design(ds, spec), ds.m),
-        outcome=fit_probit(build_outcome_design(ds, spec), ds.y),
-    )
+    """Fit exposure, mediator and outcome probits on one dataset, from the
+    validated designs datamodel.fit_designs holds for (ds, spec)."""
+    return UnconstrainedFits(**{
+        model: fit_probit(design, response)
+        for model, (design, response) in fit_designs(ds, spec).items()})

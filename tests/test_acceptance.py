@@ -98,8 +98,10 @@ def test_analytic_gradients_match_finite_differences(capsys):
                     rng.uniform(-1.5, 1.5, size=(n, p)),
                     tuple(f"x{i}" for i in range(p)))
                 rho = rng.uniform(-0.8, 0.8)
-                from medsens.biprobit import _pair_designs
-                (da, _), (db, _) = _pair_designs(kind, ds, spec)
+                from medsens.biprobit import PAIR_MODELS
+                from medsens.datamodel import model_designs
+                designs = model_designs(ds, spec)
+                (da, _), (db, _) = (designs[m] for m in PAIR_MODELS[kind])
                 ca = rng.normal(scale=0.25, size=da.shape[1])
                 cb = rng.normal(scale=0.25, size=db.shape[1])
                 ga, gb = constrained_grad(kind, ca, cb, rho, ds, spec)

@@ -282,6 +282,31 @@ class TestSens:
         assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "scan_my_nie_conditional_typ.csv").exists()
 
+    def test_scans_sharing_a_tag_rejected_before_fitting(self, workdir,
+                                                         tmp_path, capsys):
+        # under --kind zy both requests would write scan_zy_nde_marginal.csv
+        cfg = analysis_config(workdir, "sens7", scans=[
+            {"kind": "zm", "effect": "nde", "scope": "marginal"},
+            {"kind": "my", "effect": "nde", "scope": "marginal"}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o"),
+                     "--kind", "zy", "--grid", "0.0:0.1:0.1"]) == 1
+        assert "zy_nde_marginal" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_profiles_sanitized_to_one_tag_rejected(self, workdir, tmp_path,
+                                                    capsys):
+        values = {"xcont": "mean", "xbin": 0}
+        cfg = analysis_config(
+            workdir, "sens8",
+            effects={"profiles": [{"name": "a b", "values": values},
+                                  {"name": "a-b", "values": values}]},
+            scans=[{"kind": "my", "effect": "nie", "scope": "conditional",
+                    "profile": name, "grid": "0.0:0.1:0.1"}
+                   for name in ("a b", "a-b")])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "my_nie_conditional_a-b" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, capsys):
@@ -394,6 +419,39 @@ class TestConfigErrors:
             "out": str(tmp_path / "o")})
         assert main(["simulate", str(cfg)]) == 1
         assert f"scenario.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("fit", "data", 5),
+        ("fit", "out", 5),
+        ("fit", "delimiter", ";;"),
+        ("fit", "delimiter", 5),
+        ("sens", "effects", [1]),
+        ("effects", "effects.types", "te"),
+        ("effects", "effects.scopes", "marginal"),
+        ("sens", "effects.profiles", {"name": "p", "values": {}}),
+    ])
+    def test_mistyped_value_rejected(self, workdir, tmp_path, capsys,
+                                     command, key, value):
+        section, _, sub = key.partition(".")
+        obj = yaml.safe_load(analysis_config(workdir, "bad8").read_text())
+        obj[section] = {sub: value} if sub else value
+        cfg = write_config(tmp_path / "c.yaml", obj)
+        assert main([command, str(cfg)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scope", ["conditionl", 5])
+    def test_unknown_scan_scope_rejected(self, workdir, tmp_path, capsys,
+                                         scope):
+        cfg = analysis_config(workdir, "bad10", scans=[
+            {"kind": "my", "effect": "nie", "scope": scope}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "scan scope" in capsys.readouterr().err
+
+    def test_profile_values_must_be_a_mapping(self, workdir, tmp_path, capsys):
+        cfg = analysis_config(workdir, "bad9", effects={
+            "profiles": [{"name": "p", "values": 5}]})
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "'values' mapping" in capsys.readouterr().err
 
 
 def readme_output_headers() -> list[tuple[str, str, list[str]]]:

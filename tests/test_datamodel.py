@@ -1,5 +1,8 @@
 """CSV loading, Dataset validation, design construction."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from medsens import (ColumnRoles, ConfigError, CovariateProfile, DataError,
                      exposure_design, exposure_terms, load_csv,
                      mediator_design, mediator_terms, outcome_design,
                      outcome_terms, validate_for_fit, write_csv)
+from medsens.datamodel import fit_designs, model_designs
 from conftest import make_dataset
 
 FULL = ModelSpec()
@@ -81,6 +85,15 @@ class TestLoadCsv:
         path = write(tmp_path, "z,m,y,age\n1.0,0.0,1,35\n")
         res = load_csv(path, ROLES)
         assert res.dataset.z[0] == 1 and res.dataset.m[0] == 0
+
+    def test_duplicated_mapped_column_rejected(self, tmp_path):
+        path = write(tmp_path, "z,m,y,age,age\n1,0,1,35,70\n0,1,0,41,82\n")
+        with pytest.raises(DataError, match=r"more than once.*\['age'\]"):
+            load_csv(path, ROLES)
+
+    def test_duplicated_unmapped_column_ignored(self, tmp_path):
+        path = write(tmp_path, "z,m,y,age,w,w\n1,0,1,35,a,b\n")
+        assert load_csv(path, ROLES).dataset.x.tolist() == [[35.0]]
 
     def test_semicolon_delimiter(self, tmp_path):
         path = write(tmp_path, "z;m;y;age\n1;0;1;35\n0;1;0;41\n")
@@ -256,4 +269,40 @@ class TestValidateForFit:
             validate_for_fit(ds, FULL)
 
     def test_clean_dataset_passes(self, demo_clean, spec):
-        validate_for_fit(demo_clean, spec)
+        designs = validate_for_fit(demo_clean, spec)
+        expected = model_designs(demo_clean, spec)
+        assert list(designs) == ["exposure", "mediator", "outcome"]
+        for model, (design, response) in designs.items():
+            assert np.array_equal(design, expected[model][0])
+            assert response is expected[model][1]
+
+
+class TestFitDesigns:
+    def test_designs_are_read_only(self, demo_clean, spec):
+        designs = fit_designs(demo_clean, spec)
+        for design, response in designs.values():
+            with pytest.raises(ValueError):
+                design[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                response[0] = 1
+
+    def test_one_entry_per_dataset_and_spec(self, demo_clean, spec):
+        first = fit_designs(demo_clean, spec)
+        assert fit_designs(demo_clean, spec) is first
+        # a single entry: another spec replaces it
+        assert fit_designs(demo_clean, FULL) is not first
+        assert fit_designs(demo_clean, spec) is not first
+
+    def test_entry_dies_with_its_dataset(self, demo_clean, spec):
+        ds = demo_clean.take(np.arange(demo_clean.n))
+        design = weakref.ref(fit_designs(ds, spec)["outcome"][0])
+        assert design() is not None
+        del ds
+        gc.collect()
+        assert design() is None
+
+    def test_failed_validation_is_not_cached(self):
+        ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0])
+        for _ in range(2):
+            with pytest.raises(DataError, match="too small"):
+                fit_designs(ds, FULL)

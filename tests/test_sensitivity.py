@@ -248,11 +248,9 @@ class TestRunScan:
         # the previous optimum
         assert sum(per_fit) <= 75
 
-    def test_setup_once_per_scan(self, monkeypatch):
-        # validation and the pair designs are built once per scan, not at
-        # every grid point (22 validations and 111 builds when rebuilt)
-        params = confounded_params(MY, 0.3)
-        ds = simulate(params, 1500, 65)
+    @staticmethod
+    def count_setup(monkeypatch) -> dict:
+        """Count validations and design builds through every binding."""
         counts = {"validate": 0, "build": 0}
         names = {"validate_for_fit": "validate",
                  "build_exposure_design": "build",
@@ -268,11 +266,31 @@ class TestRunScan:
                     counts[_key] += 1
                     return _real(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_setup_once_per_scan(self, monkeypatch):
+        # one validation and three design builds per scan, not at every
+        # grid point (22 validations and 111 builds when rebuilt, 2 and 11
+        # when the probit fits and the constrained fits set up separately)
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 1500, 65)
+        counts = self.count_setup(monkeypatch)
         grid = RhoGrid.regular(-0.5, 0.5, 0.05)
         scan = run_scan(MY, NIE, "marginal", grid, ds, params.spec)
         assert len(scan.points) == 21
-        assert counts["validate"] <= 2
-        assert counts["build"] <= 11
+        assert counts == {"validate": 1, "build": 3}
+
+    def test_setup_once_across_kinds(self, monkeypatch):
+        # the three kinds' scans on one (dataset, spec) share one set-up
+        # (6 validations when each kind set up its own pair)
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 1500, 66)
+        counts = self.count_setup(monkeypatch)
+        grid = RhoGrid.regular(-0.2, 0.2, 0.1)
+        for kind in (EM, MY, ZY):
+            scan = run_scan(kind, NIE, "marginal", grid, ds, params.spec)
+            assert scan.failures == ()
+        assert counts == {"validate": 1, "build": 3}
 
     def test_chain_starts_predicted_then_plain_after_failure(
             self, demo_confounded, spec, monkeypatch):
