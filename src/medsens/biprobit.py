@@ -31,10 +31,9 @@ from scipy.special import log_ndtr
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
 from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
-from .probit import _newton_ascent, fit_probit
+from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _newton_ascent,
+                     fit_probit)
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-_SEPARATION_BOUND = 30.0
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
 _LOG_RATIO_CAP = 600.0

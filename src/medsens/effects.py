@@ -135,9 +135,18 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     return means[0] - means[1], grad
 
 
-def _profile_row(profile) -> np.ndarray:
+def _profile_row(profile, p: int | None = None) -> np.ndarray:
+    """The profile as one covariate row; with p given, a row of another
+    length raises ValueError."""
     values = profile.values if isinstance(profile, CovariateProfile) else np.atleast_1d(profile)
-    return np.asarray(values, dtype=float).reshape(1, -1)
+    row = np.asarray(values, dtype=float).reshape(1, -1)
+    if p is not None and row.shape[1] != p:
+        name = (f"profile {profile.name!r}"
+                if isinstance(profile, CovariateProfile) else "profile")
+        raise ValueError(
+            f"{name} has {row.shape[1]} values, expected {p} "
+            f"(one per covariate of the dataset)")
+    return row
 
 
 def conditional_effect(effect_type: EffectType, theta, beta, profile,
@@ -245,7 +254,7 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     if scope == "conditional":
         if profile is None:
             raise ValueError("conditional scope requires a covariate profile")
-        x = _profile_row(profile)
+        x = _profile_row(profile, None if ctx.dataset is None else ctx.dataset.p)
     elif scope == "marginal":
         if ctx.dataset is None:
             raise ValueError("marginal scope requires a dataset on the fit context")

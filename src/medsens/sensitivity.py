@@ -17,26 +17,32 @@ intervals, so its coverage is at least the nominal level at every grid
 value), and sign ranges classifying each rho against the sign of the
 rho-nearest-zero estimate.
 
-Fits are chained outward from the grid point nearest zero. Once a chain
-has two converged optima (the anchor counts as one), each fit starts from
-their secant extrapolation to the next rho, x_k + (x_k - x_{k-1})
-(rho_{k+1} - rho_k) / (rho_k - rho_{k-1}), a predictor-corrector
-continuation with Newton as the corrector; after a failed point the next
-fit starts from the last optimum itself.
+Fitting does not depend on the effect: a scan refits the kind's model
+pair at every grid value, then reads the effect off each fit. A point
+fails when its fit raises a MedsensError or does not converge, or when
+its effect raises one; only a failed fit changes later starts. The fit
+nearest zero starts from the probit fits, and the others are chained
+outward from it. Once a chain has two converged optima (the anchor
+counts as one), each fit starts from their secant extrapolation to the
+next rho, x_k + (x_k - x_{k-1}) (rho_{k+1} - rho_k) / (rho_k - rho_{k-1}),
+a predictor-corrector continuation with Newton as the corrector; after a
+failed point the next fit starts from the last optimum, or from the
+probit fits while the chain has none.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
                        fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
-from .effects import EffectEstimate, EffectType, FitContext, effect_with_ci
+from .effects import (EffectEstimate, EffectType, FitContext, _profile_row,
+                      effect_with_ci)
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR
 from .probit import UnconstrainedFits, fit_unconstrained
@@ -65,6 +71,19 @@ class RhoGrid:
     step: float
     points: tuple[float, ...]
     clamped: bool = False
+
+    def __post_init__(self):
+        points = tuple(float(v) for v in self.points)
+        if not points:
+            raise ValueError("grid needs at least one point")
+        bad = [v for v in points if not (math.isfinite(v) and abs(v) <= 1.0)]
+        if bad:
+            raise ValueError(f"grid points must be finite with |rho| <= 1, got {bad}")
+        steps = [(a, b) for a, b in zip(points, points[1:]) if b <= a]
+        if steps:
+            raise ValueError(f"grid points must be strictly increasing, got "
+                             f"{steps[0][1]!r} after {steps[0][0]!r}")
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def regular(cls, lower: float = DEFAULT_GRID_LOWER,
@@ -133,18 +152,36 @@ class SensitivityScan:
         return [pt for pt in self.points if pt.converged and pt.estimate is not None]
 
 
+def _context(base, ds, spec, kind=None, fit=None) -> FitContext:
+    """FitContext from the probit fits, except for the mediator (beta) and
+    outcome (theta) blocks that the constrained fit's pair, PAIR_MODELS[kind],
+    contains."""
+    blocks = {model: (probit.coefficients, probit.covariance, probit.converged,
+                      f"{model} probit fit")
+              for model, probit in (("mediator", base.mediator),
+                                    ("outcome", base.outcome))}
+    if fit is not None:
+        tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
+        for model, coef, cov in zip(PAIR_MODELS[kind],
+                                    (fit.coefficients_a, fit.coefficients_b),
+                                    (fit.covariance_a, fit.covariance_b)):
+            if model in blocks:
+                blocks[model] = (coef, cov, fit.converged, tag)
+    beta, sigma_beta, beta_ok, beta_src = blocks["mediator"]
+    theta, sigma_theta, theta_ok, theta_src = blocks["outcome"]
+    return FitContext(
+        beta=beta, theta=theta, sigma_beta=sigma_beta, sigma_theta=sigma_theta,
+        spec=spec, dataset=ds, beta_converged=beta_ok, theta_converged=theta_ok,
+        beta_source=beta_src, theta_source=theta_src,
+        rho_context=None if fit is None else (kind.value, fit.rho))
+
+
 def unconstrained_context(ds: Dataset, spec: ModelSpec,
                           base: UnconstrainedFits | None = None) -> FitContext:
     """FitContext built from the three separate probit fits."""
     if base is None:
         base = fit_unconstrained(ds, spec)
-    return FitContext(
-        beta=base.mediator.coefficients, theta=base.outcome.coefficients,
-        sigma_beta=base.mediator.covariance, sigma_theta=base.outcome.covariance,
-        spec=spec, dataset=ds,
-        beta_converged=base.mediator.converged,
-        theta_converged=base.outcome.converged,
-        beta_source="mediator probit fit", theta_source="outcome probit fit")
+    return _context(base, ds, spec)
 
 
 def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
@@ -152,66 +189,61 @@ def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
                         spec: ModelSpec) -> FitContext:
     """FitContext at the fit's rho: the constrained fit supplies the
     coefficient blocks its kind affects, the probit fits the rest."""
-    tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
-    if kind is ConfoundingKind.EXPOSURE_MEDIATOR:
-        return FitContext(
-            beta=fit.coefficients_b, theta=base.outcome.coefficients,
-            sigma_beta=fit.covariance_b, sigma_theta=base.outcome.covariance,
-            spec=spec, dataset=ds,
-            beta_converged=fit.converged, theta_converged=base.outcome.converged,
-            beta_source=tag, theta_source="outcome probit fit",
-            rho_context=(kind.value, fit.rho))
-    if kind is ConfoundingKind.MEDIATOR_OUTCOME:
-        return FitContext(
-            beta=fit.coefficients_a, theta=fit.coefficients_b,
-            sigma_beta=fit.covariance_a, sigma_theta=fit.covariance_b,
-            spec=spec, dataset=ds,
-            beta_converged=fit.converged, theta_converged=fit.converged,
-            beta_source=tag, theta_source=tag,
-            rho_context=(kind.value, fit.rho))
-    return FitContext(
-        beta=base.mediator.coefficients, theta=fit.coefficients_b,
-        sigma_beta=base.mediator.covariance, sigma_theta=fit.covariance_b,
-        spec=spec, dataset=ds,
-        beta_converged=base.mediator.converged, theta_converged=fit.converged,
-        beta_source="mediator probit fit", theta_source=tag,
-        rho_context=(kind.value, fit.rho))
+    return _context(base, ds, spec, kind, fit)
 
 
-def _fit_point(kind, rho, ds, spec, start, base, effect_type, scope, alpha,
-               profile) -> ScanPoint:
+def _refit(kind, rho, ds, spec, start) -> ConstrainedFit | None:
+    """The constrained fit at rho, None if it raises a MedsensError or
+    does not converge."""
     try:
         fit = fit_constrained(kind, rho, ds, spec, start=start)
-        ctx = constrained_context(kind, fit, base, ds, spec)
-        est = effect_with_ci(effect_type, scope, ctx, alpha=alpha, profile=profile)
+    except MedsensError:
+        return None
+    return fit if fit.converged else None
+
+
+def _coefficients(fit: ConstrainedFit) -> np.ndarray:
+    return np.concatenate([fit.coefficients_a, fit.coefficients_b])
+
+
+def _fit_path(kind, points, ds, spec, base) -> list[ConstrainedFit | None]:
+    """One refit per sorted, unique grid point, None where it failed: the
+    point nearest zero from the probit fits, then a chain outward on
+    either side of it."""
+    anchor = int(np.argmin(np.abs(points)))
+    probit_start = np.concatenate([getattr(base, name).coefficients
+                                   for name in PAIR_MODELS[kind]])
+    fits: list[ConstrainedFit | None] = [None] * len(points)
+    for chain in ((anchor,), range(anchor + 1, len(points)),
+                  range(anchor - 1, -1, -1)):
+        # converged (rho, optimum) pairs to start from: the last two, or
+        # only the last one after a failed point
+        known = [] if fits[anchor] is None else [
+            (points[anchor], _coefficients(fits[anchor]))]
+        for i in chain:
+            start = known[-1][1] if known else probit_start
+            if len(known) == 2:
+                (rho0, x0), (rho1, x1) = known
+                start = x1 + (x1 - x0) * ((points[i] - rho1) / (rho1 - rho0))
+            fits[i] = _refit(kind, points[i], ds, spec, start)
+            known = known[-1:] if fits[i] is None else [
+                *known[-1:], (points[i], _coefficients(fits[i]))]
+    return fits
+
+
+def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
+    """The scan's effect at one refit; the point fails with its fit or
+    when the effect raises a MedsensError."""
+    if fit is None:
+        return ScanPoint(rho=rho, estimate=None, converged=False)
+    ctx = constrained_context(scan.kind, fit, scan.base, scan.dataset, scan.spec)
+    try:
+        est = effect_with_ci(scan.effect_type, scan.scope, ctx,
+                             alpha=scan.alpha, profile=scan.profile)
     except MedsensError:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    coefs = np.concatenate([fit.coefficients_a, fit.coefficients_b])
-    return ScanPoint(rho=rho, estimate=est, converged=fit.converged,
-                     coefficients=coefs)
-
-
-def _run_chain(rhos, kind, ds, spec, anchor, base, effect_type, scope, alpha,
-               profile) -> list[ScanPoint]:
-    out = []
-    last = anchor.coefficients  # None if the anchor fit failed
-    # converged points to extrapolate from: the last two, or only the
-    # last one after a failed point
-    known = [anchor] if anchor.converged else []
-    for rho in rhos:
-        start = last
-        if len(known) == 2:
-            (rho0, x0), (rho1, x1) = ((pt.rho, pt.coefficients) for pt in known)
-            start = x1 + (x1 - x0) * ((rho - rho1) / (rho1 - rho0))
-        pt = _fit_point(kind, rho, ds, spec, start, base, effect_type, scope,
-                        alpha, profile)
-        out.append(pt)
-        if pt.converged and pt.coefficients is not None:
-            last = pt.coefficients
-            known = [*known[-1:], pt]
-        else:
-            known = known[-1:]
-    return out
+    return ScanPoint(rho=rho, estimate=est, converged=True,
+                     coefficients=_coefficients(fit))
 
 
 def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
@@ -226,6 +258,8 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
         raise ValueError("conditional scope requires a covariate profile")
     if scope not in ("conditional", "marginal"):
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
+    if scope == "conditional":
+        _profile_row(profile, ds.p)  # a wrong length raises before any fit
     warnings: list[str] = []
     if grid.clamped:
         warnings.append("grid values beyond |rho| = 0.999 were clamped onto it")
@@ -235,40 +269,24 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "numerically delicate")
 
     base = fit_unconstrained(ds, spec)
-
-    points = list(grid.points)
-    anchor_idx = int(np.argmin(np.abs(points)))
-    anchor = points[anchor_idx]
-
-    # the anchor starts from the probit fits just made, not from refits
-    anchor_start = np.concatenate([getattr(base, name).coefficients
-                                   for name in PAIR_MODELS[kind]])
-    anchor_pt = _fit_point(kind, anchor, ds, spec, anchor_start, base,
-                           effect_type, scope, alpha, profile)
-
-    args = (kind, ds, spec, anchor_pt, base, effect_type, scope, alpha, profile)
-    up = _run_chain(points[anchor_idx + 1:], *args)
-    down = _run_chain(points[:anchor_idx][::-1], *args)
-
-    merged = sorted([*down, anchor_pt, *up], key=lambda pt: pt.rho)
-    n_failed = sum(1 for pt in merged if not pt.converged)
-    if n_failed > 0.5 * len(merged):
-        failed = [pt.rho for pt in merged if not pt.converged]
+    scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
+                           grid=grid, alpha=alpha, points=(), warnings=(),
+                           dataset=ds, spec=spec,
+                           profile=profile if scope == "conditional" else None,
+                           base=base)
+    points = tuple(
+        _scan_point(scan, rho, fit) for rho, fit in
+        zip(grid.points, _fit_path(kind, grid.points, ds, spec, base)))
+    failed = [pt.rho for pt in points if not pt.converged]
+    if len(failed) > 0.5 * len(points):
         err = ScanError(
-            f"{n_failed} of {len(merged)} grid points failed to converge "
+            f"{len(failed)} of {len(points)} grid points failed to converge "
             f"(at rho = {failed}); scan abandoned")
         err.failures = tuple(failed)
         raise err
-    if n_failed:
-        warnings.append(
-            f"{n_failed} grid points did not converge: "
-            f"{[pt.rho for pt in merged if not pt.converged]}")
-
-    return SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
-                           grid=grid, alpha=alpha, points=tuple(merged),
-                           warnings=tuple(warnings), dataset=ds, spec=spec,
-                           profile=profile if scope == "conditional" else None,
-                           base=base)
+    if failed:
+        warnings.append(f"{len(failed)} grid points did not converge: {failed}")
+    return replace(scan, points=points, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -394,10 +412,9 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         start = left.coefficients
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            pt = _fit_point(scan.kind, mid, scan.dataset, scan.spec, start,
-                            scan.base, scan.effect_type, scan.scope,
-                            scan.alpha, scan.profile)
-            if not pt.converged or pt.estimate is None:
+            pt = _scan_point(scan, mid, _refit(scan.kind, mid, scan.dataset,
+                                               scan.spec, start))
+            if not pt.converged:
                 break
             start = pt.coefficients
             if _classify(pt.estimate, ref_sign) is cls_left:

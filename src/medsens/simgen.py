@@ -4,14 +4,15 @@ Randomness protocol (fixed, so a given seed reproduces bit-identical
 datasets across platforms):
 
  1. the bit stream is numpy's counter-based Philox generator keyed
-    directly with the integer seed: Generator(Philox(key=seed));
+    directly with the integer seed, 0 <= seed < 2**128:
+    Generator(Philox(key=seed));
  2. covariate columns are drawn in declaration order, one uniform block
     of length n per random column (constant columns consume no draws);
  3. three uniform blocks of length n follow for the exposure, mediator
     and outcome errors, in that order;
  4. every normal variate is the inverse-CDF transform of its uniform;
- 5. with confounding (kind, rho), the second error of the designated
-    pair is replaced by rho * first + sqrt(1 - rho^2) * second.
+ 5. with confounding (kind, rho), the second error of the pair
+    PAIR_MODELS[kind] becomes rho * first + sqrt(1 - rho^2) * second.
 
 z, m, y are then the indicators of positive latent indexes built from
 the design layouts in datamodel. Replication studies derive seeds as
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .biprobit import ConfoundingKind
+from .biprobit import PAIR_MODELS, ConfoundingKind
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
                         exposure_terms, mediator_design, mediator_terms,
                         outcome_design, outcome_terms)
@@ -138,20 +139,19 @@ def simulate_latent(params: TrueParams, n: int, seed: int) -> tuple[Dataset, Lat
     n = int(n)
     if n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    key = int(seed)
+    if not 0 <= key < 2**128:  # Philox keys are 128-bit
+        raise ConfigError(f"seed must lie in [0, 2**128), got {seed!r}")
+    rng = np.random.Generator(np.random.Philox(key=key))
     x = _draw_covariates(rng, params, n)
-    eps = _normals(rng, n)
-    eta = _normals(rng, n)
-    xi = _normals(rng, n)
+    errors = {model: _normals(rng, n)
+              for model in ("exposure", "mediator", "outcome")}
     if params.confounding is not None:
         kind, rho = params.confounding
-        mix = np.sqrt(1.0 - rho * rho)
-        if kind is ConfoundingKind.EXPOSURE_MEDIATOR:
-            eta = rho * eps + mix * eta
-        elif kind is ConfoundingKind.MEDIATOR_OUTCOME:
-            xi = rho * eta + mix * xi
-        else:
-            xi = rho * eps + mix * xi
+        first, second = PAIR_MODELS[kind]
+        errors[second] = (rho * errors[first]
+                          + np.sqrt(1.0 - rho * rho) * errors[second])
+    eps, eta, xi = errors["exposure"], errors["mediator"], errors["outcome"]
     z = (exposure_design(x, params.spec) @ params.alpha + eps > 0).astype(int)
     m = (mediator_design(z, x, params.spec) @ params.beta + eta > 0).astype(int)
     y = (outcome_design(z, m, x, params.spec) @ params.theta + xi > 0).astype(int)

@@ -370,6 +370,19 @@ class TestConfigErrors:
         assert main(["simulate", str(cfg)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed,flag", [(-1, None),
+                                           (None, str(2**128))])
+    def test_seed_outside_key_range_rejected(self, tmp_path, capsys, seed,
+                                             flag):
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, **({} if seed is None else {"seed": seed}),
+            "out": str(tmp_path / "o")})
+        argv = ["simulate", str(cfg)] + ([] if flag is None else ["--seed", flag])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must lie in [0, 2**128)")
+        assert "Traceback" not in err
+
     def test_fractional_scenario_size_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "sim.yaml", {
             **SCENARIO, "scenario": {**SCENARIO["scenario"], "n": 1.5},

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsens import (EffectType, FitContext, GradientVector, ModelSpec,
-                     NotConvergedError, NumericalError, conditional_effect,
-                     delta_se, demo_params, effect_marginal, effect_with_ci,
-                     finite_diff_grad, grad_conditional, grad_effect_marginal,
-                     norm_quantile, simulate)
+from medsens import (CovariateProfile, EffectType, FitContext, GradientVector,
+                     ModelSpec, NotConvergedError, NumericalError,
+                     conditional_effect, delta_se, demo_params,
+                     effect_marginal, effect_with_ci, finite_diff_grad,
+                     grad_conditional, grad_effect_marginal, norm_quantile,
+                     simulate)
 from conftest import make_dataset
 
 FULL = ModelSpec()
@@ -250,6 +251,15 @@ class TestEffectWithCi:
                           spec=spec)
         with pytest.raises(ValueError, match="dataset"):
             effect_with_ci(EffectType.NDE, "marginal", bare)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_profile_length_checked_against_dataset(self, demo_clean, spec,
+                                                    count):
+        ctx = self.make_ctx(demo_clean, spec)
+        prof = CovariateProfile(values=np.zeros(count), name="wide")
+        with pytest.raises(ValueError,
+                           match=f"^profile 'wide' has {count} values, expected 2"):
+            effect_with_ci(EffectType.NIE, "conditional", ctx, profile=prof)
 
     def test_alpha_validation(self, demo_clean, spec):
         ctx = self.make_ctx(demo_clean, spec)

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from medsens import (ConfoundingKind, EffectEstimate, EffectType, RhoGrid,
-                     ScanError, ScanPoint, SensitivityScan, SignClass,
-                     constrained_context, effect_with_ci, fit_constrained,
-                     fit_unconstrained, identification_set, norm_quantile,
-                     refine_boundary, run_scan, sign_ranges, simulate,
-                     uncertainty_interval, unconstrained_context)
+from medsens import (ConfoundingKind, CovariateProfile, EffectEstimate,
+                     EffectType, RhoGrid, ScanError, ScanPoint,
+                     SensitivityScan, SignClass, constrained_context,
+                     effect_with_ci, fit_constrained, fit_unconstrained,
+                     identification_set, norm_quantile, refine_boundary,
+                     run_scan, sign_ranges, simulate, uncertainty_interval,
+                     unconstrained_context)
 from medsens import biprobit as biprobit_mod
 from medsens import datamodel as datamodel_mod
 from medsens import probit as probit_mod
 from medsens import sensitivity as sens_mod
+from medsens.biprobit import PAIR_MODELS
 from conftest import confounded_params
 
 MY = ConfoundingKind.MEDIATOR_OUTCOME
@@ -61,6 +63,18 @@ class TestRhoGrid:
     def test_single_point_grid(self):
         grid = RhoGrid.regular(0.3, 0.3, 0.1)
         assert grid.points == (0.3,)
+
+    @pytest.mark.parametrize("points,problem", [
+        ((), "at least one"),
+        ((0.2, 0.2), "increasing"),
+        ((0.3, 0.1), "increasing"),
+        ((0.0, float("nan")), "finite"),
+        ((-float("inf"), 0.0), "finite"),
+        ((-1.5, 0.0), "finite"),
+    ])
+    def test_direct_grid_checked(self, points, problem):
+        with pytest.raises(ValueError, match=problem):
+            RhoGrid(lower=-1.0, upper=1.0, step=0.0, points=points)
 
 
 def fake_estimate(est, se, alpha=0.05):
@@ -202,6 +216,50 @@ class TestRunScan:
         assert scan.failures == ()
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_fit_path_does_not_depend_on_the_effect(self, kind,
+                                                    demo_confounded, spec,
+                                                    monkeypatch):
+        real = fit_constrained
+        calls = []
+
+        def recording(kind, rho, ds, spec, start=None):
+            calls.append((rho, np.array(start)))
+            return real(kind, rho, ds, spec, start=start)
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        prof = CovariateProfile(values=np.array([0.5, 1.0]), name="p")
+        grid = RhoGrid.regular(-0.3, 0.3, 0.1)
+        sequences = []
+        for effect in (EffectType.NDE, NIE, EffectType.TE):
+            for scope in ("marginal", "conditional"):
+                calls.clear()
+                scan = run_scan(kind, effect, scope, grid, demo_confounded,
+                                spec, profile=prof)
+                assert scan.failures == ()
+                sequences.append(list(calls))
+        first = sequences[0]
+        assert [rho for rho, _ in first] == [0.0, 0.1, 0.2, 0.3,
+                                             -0.1, -0.2, -0.3]
+        for seq in sequences[1:]:
+            assert [rho for rho, _ in seq] == [rho for rho, _ in first]
+            assert all(a.tobytes() == b.tobytes()
+                       for (_, a), (_, b) in zip(seq, first))
+
+    def test_wrong_length_profile_rejected_before_fitting(self,
+                                                          demo_confounded,
+                                                          spec, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the profile")
+
+        monkeypatch.setattr(sens_mod, "fit_unconstrained", no_fit)
+        monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
+        prof = CovariateProfile(values=np.zeros(3), name="wide")
+        with pytest.raises(ValueError,
+                           match="^profile 'wide' has 3 values, expected 2"):
+            run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
+                     demo_confounded, spec, profile=prof)
+
     def test_grid_order_and_convergence(self, demo_confounded, spec):
         grid = RhoGrid.regular(-0.4, 0.4, 0.1)
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
@@ -341,6 +399,47 @@ class TestRunScan:
                    for pt in scan.converged_points())
 
 
+class TestContexts:
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_blocks_from_the_fit_exactly_for_paired_models(self, kind,
+                                                           demo_confounded,
+                                                           spec):
+        base = fit_unconstrained(demo_confounded, spec)
+        fit = fit_constrained(kind, 0.2, demo_confounded, spec)
+        ctx = constrained_context(kind, fit, base, demo_confounded, spec)
+        tag = f"constrained fit (kind={kind.value}, rho=0.2)"
+        fit_blocks = dict(zip(PAIR_MODELS[kind],
+                              ((fit.coefficients_a, fit.covariance_a),
+                               (fit.coefficients_b, fit.covariance_b))))
+        for model, coef, cov, source in (
+                ("mediator", ctx.beta, ctx.sigma_beta, ctx.beta_source),
+                ("outcome", ctx.theta, ctx.sigma_theta, ctx.theta_source)):
+            probit = getattr(base, model)
+            if model in PAIR_MODELS[kind]:
+                assert coef is fit_blocks[model][0]
+                assert cov is fit_blocks[model][1]
+                assert source == tag
+            else:
+                assert coef is probit.coefficients
+                assert cov is probit.covariance
+                assert source == f"{model} probit fit"
+        assert ctx.rho_context == (kind.value, 0.2)
+        assert ctx.dataset is demo_confounded and ctx.spec is spec
+
+    def test_unconstrained_context_reads_the_probit_fits(self,
+                                                         demo_confounded,
+                                                         spec):
+        base = fit_unconstrained(demo_confounded, spec)
+        ctx = unconstrained_context(demo_confounded, spec, base)
+        assert ctx.beta is base.mediator.coefficients
+        assert ctx.theta is base.outcome.coefficients
+        assert ctx.sigma_beta is base.mediator.covariance
+        assert ctx.sigma_theta is base.outcome.covariance
+        assert (ctx.beta_source, ctx.theta_source) == (
+            "mediator probit fit", "outcome probit fit")
+        assert ctx.rho_context is None
+
+
 class TestFailureHandling:
     def _failing_fit(self, bad):
         real = fit_constrained
@@ -374,12 +473,33 @@ class TestFailureHandling:
 
     def test_failed_anchor_still_scans(self, demo_confounded, spec,
                                        monkeypatch):
-        monkeypatch.setattr(sens_mod, "fit_constrained",
-                            self._failing_fit(lambda r: r == 0.0))
+        failing = self._failing_fit(lambda r: r == 0.0)
+        starts = {}
+
+        def recording(kind, rho, ds, spec, start=None):
+            starts[rho] = start
+            return failing(kind, rho, ds, spec, start=start)
+
+        real_probit = probit_mod.fit_probit
+        probit_calls = []
+
+        def counting(*args, **kwargs):
+            probit_calls.append(None)
+            return real_probit(*args, **kwargs)
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        monkeypatch.setattr(probit_mod, "fit_probit", counting)
+        monkeypatch.setattr(biprobit_mod, "fit_probit", counting)
         grid = RhoGrid.regular(-0.1, 0.1, 0.1)
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert scan.failures == (0.0,)
         assert len(scan.converged_points()) == 2
+        # both chains start from the scan's own probit fits: no refits
+        assert len(probit_calls) == 3
+        probit_start = np.concatenate([scan.base.mediator.coefficients,
+                                       scan.base.outcome.coefficients])
+        for rho in (0.0, 0.1, -0.1):
+            assert np.array_equal(starts[rho], probit_start)
 
 
 class TestRefineBoundary:
