@@ -16,8 +16,11 @@ never a column of zeros.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -130,24 +133,68 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
     Rows with a missing value (empty cell or "NA") in any mapped column
     are dropped and counted. Non-binary exposure/mediator/outcome values
     and non-numeric covariates are data errors naming the offending rows.
+
+    A body of plain numbers, one row per line, with 0/1 exposure, mediator
+    and outcome is parsed by numpy's C reader. The row loop reads every
+    other body and alone reports bad cells and dropped rows.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
+        header, pos = _read_header(reader, path, roles)
+        loaded = _load_numeric(fh, len(header), pos, delimiter)
+    return loaded if loaded is not None else _load_rows(path, roles, delimiter)
+
+
+def _read_header(reader, path, roles: ColumnRoles) -> tuple[list[str], dict]:
+    """The stripped header row and each mapped column's position: exposure,
+    mediator, outcome, then the covariates."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    wanted = [roles.exposure, roles.mediator, roles.outcome, *roles.covariates]
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: mapped columns not in header: {missing}")
+    repeated = [c for c in wanted if header.count(c) > 1]
+    if repeated:
+        raise DataError(
+            f"{path}: mapped columns appear more than once in header: {repeated}")
+    return header, {c: header.index(c) for c in wanted}
+
+
+def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | None:
+    """load_csv's result on the rest of fh if numpy's reader shows that the
+    row loop would return it, else None. That reader skips blank lines and
+    joins quoted line breaks, so it must read one row per line."""
+    lines = itertools.count()  # one step per line handed to the reader
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        wanted = [roles.exposure, roles.mediator, roles.outcome, *roles.covariates]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ConfigError(f"{path}: mapped columns not in header: {missing}")
-        repeated = [c for c in wanted if header.count(c) > 1]
-        if repeated:
-            raise DataError(
-                f"{path}: mapped columns appear more than once in header: {repeated}")
-        pos = {c: header.index(c) for c in wanted}
+            block = np.loadtxt(map(itemgetter(0), zip(fh, lines)), dtype=float,
+                               delimiter=delimiter, quotechar='"', comments=None,
+                               ndmin=2)
+        except (TypeError, ValueError, Warning):
+            return None
+    if block.shape != (next(lines), width):
+        return None
+    cols = list(pos.values())
+    zmy = block.take(cols[:3], axis=1)
+    if not ((zmy == 0.0) | (zmy == 1.0)).all():
+        return None
+    z, m, y = zmy.astype(np.int64).T
+    x = block.take(cols[3:], axis=1)
+    return LoadResult(Dataset(z, m, y, x, tuple(pos)[3:]), dropped=0)
+
+
+def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
+    """load_csv by the row loop: every cell through csv and float()."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header, pos = _read_header(reader, path, roles)
         rows = list(reader)
+    wanted = list(pos)
 
     z_vals, m_vals, y_vals, x_rows = [], [], [], []
     dropped = 0

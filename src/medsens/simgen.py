@@ -21,6 +21,7 @@ base + replicate index.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,20 @@ def _draw_covariates(rng, params: TrueParams, n: int) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a fractional number is a ConfigError,
+    never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def simulate_latent(params: TrueParams, n: int, seed: int) -> tuple[Dataset, LatentDraws]:
     """simulate plus the error draws, for diagnostics and tests."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
-    key = int(seed)
+    key = _integer(seed, "seed")
     if not 0 <= key < 2**128:  # Philox keys are 128-bit
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -182,7 +191,8 @@ def true_effects(params: TrueParams, at) -> dict[EffectType, float]:
 
 def replicate_seeds(base_seed: int, count: int) -> list[int]:
     """Seed-sequence rule for replication studies: base + index."""
-    return [int(base_seed) + r for r in range(count)]
+    base = _integer(base_seed, "base_seed")
+    return [base + r for r in range(_integer(count, "count"))]
 
 
 def demo_params() -> TrueParams:

@@ -14,6 +14,7 @@ from medsens import (ColumnRoles, ConfigError, CovariateProfile, DataError,
                      exposure_design, exposure_terms, load_csv,
                      mediator_design, mediator_terms, outcome_design,
                      outcome_terms, validate_for_fit, write_csv)
+from medsens import datamodel
 from medsens.datamodel import fit_designs, model_designs
 from conftest import make_dataset
 
@@ -99,6 +100,149 @@ class TestLoadCsv:
         path = write(tmp_path, "z;m;y;age\n1;0;1;35\n0;1;0;41\n")
         res = load_csv(path, ROLES, delimiter=";")
         assert res.dataset.n == 2
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfz,m,y,age\n1,0,1,35\n")
+        res = load_csv(path, ROLES)
+        assert res.dataset.z.tolist() == [1] and res.dataset.x.tolist() == [[35.0]]
+
+
+def _load_outcome(load, path, roles, delimiter):
+    try:
+        return load(path, roles, delimiter)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def assert_same_load(got, expected):
+    """Bitwise equal Datasets and dropped counts, or the same error."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.dropped == expected.dropped
+    assert got.dataset.covariate_names == expected.dataset.covariate_names
+    for name in "zmyx":
+        a, b = getattr(got.dataset, name), getattr(expected.dataset, name)
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
+def _row_loop_calls(monkeypatch) -> list:
+    row_loop = datamodel._load_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row_loop(*args)
+    monkeypatch.setattr(datamodel, "_load_rows", counted)
+    return calls
+
+
+H = "z,m,y,age\n"
+# text, delimiter, whether numpy's reader decides the result
+LOAD_CASES = {
+    "padded cells": (H + " 1 ,0,\t1,35 \n0, 1 ,0, 41\n", ",", True),
+    "quoted cells": (H + '"1",0," 1 ","35.5"\n', ",", True),
+    "doubled quotes": (H + '1,0,1,"3""5"\n', ",", False),
+    "quoted delimiter": (H + '1,0,1,"3,5"\n', ",", False),
+    "NA cell": (H + "1,0,1,35\n0,NA,1,36\n", ",", False),
+    "empty cell": (H + "1,0,1,35\n0,1,,36\n", ",", False),
+    "float-coded binaries": (H + "1.0,+1,-0,35\n1e0,0,1,36\n", ",", True),
+    "non-binary outcome": (H + "1,0,2,35\n", ",", False),
+    "nan covariate": (H + "1,0,1,nan\n", ",", True),
+    "inf covariate": (H + "1,0,1,-inf\n", ",", True),
+    "underscore covariate": (H + "1,0,1,1_0\n0,1,0,2\n", ",", False),
+    "unicode digit covariate": (H + "1,0,1,\u0661\n0,1,0,2\n", ",", False),
+    "CRLF line ends": ("z,m,y,age\r\n1,0,1,35\r\n0,1,0,41\r\n", ",", True),
+    "CR line ends": ("z,m,y,age\r1,0,1,35\r0,1,0,41\r", ",", True),
+    "blank line in the middle": (H + "1,0,1,35\n\n0,1,0,41\n", ",", False),
+    "blank line at the end": (H + "1,0,1,35\n\n", ",", False),
+    "ragged row": (H + "1,0,1,35\n0,1,0\n", ",", False),
+    "unterminated last line": (H + "1,0,1,35\n0,1,0,41", ",", True),
+    "quoted line break": (H + '1,0,1,"35\n"\n', ",", False),
+    "header only": (H, ",", False),
+    "semicolon delimiter": ("z;m;y;age\n1;0;1;35,5\n0;1;0;41\n", ";", False),
+    "semicolon numeric": ("z;m;y;age\n1;0;1;35.5\n0;1;0;41\n", ";", True),
+    "quote as delimiter": ('z"m"y"age\n1"0"1"35\n', '"', False),
+    "unmapped text column": ("z,m,y,age,note\n1,0,1,35,ok\n", ",", False),
+    "unmapped numeric column": ("id,z,m,y,age\n7,1,0,1,35\n", ",", True),
+    "byte-order mark": ("\ufeff" + H + "1,0,1,35\n", ",", True),
+}
+
+
+@pytest.mark.parametrize("text, delimiter, numeric", LOAD_CASES.values(),
+                         ids=list(LOAD_CASES))
+def test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numeric):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _load_outcome(datamodel._load_rows, path, ROLES, delimiter)
+    calls = _row_loop_calls(monkeypatch)
+    assert_same_load(_load_outcome(load_csv, path, ROLES, delimiter), expected)
+    assert (not calls) == numeric
+
+
+def test_write_csv_round_trip_skips_the_row_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2, size=(3, 200))
+    ds = make_dataset(*bits, rng.normal(size=(200, 2)) * 1e3, ("a", "b"))
+    path = tmp_path / "d.csv"
+    write_csv(ds, path)
+    roles = ColumnRoles("z", "m", "y", ("a", "b"))
+    expected = datamodel._load_rows(path, roles, ",")
+    calls = _row_loop_calls(monkeypatch)
+    res = load_csv(path, roles)
+    assert calls == []
+    assert_same_load(res, expected)
+    assert res.dataset.equals(ds)
+
+
+# one cell grammar for load_csv against the row loop: files are drawn from
+# cells numpy's reader parses as the row loop does, then given flaws it
+# must leave to the row loop (cells from DIRTY, ragged rows, blank lines)
+CLEAN = {"binary": ["0", "1", "1.0", "+1", "1e0", "-0", " 1 ", '"0"', '" 1 "', "\t0"],
+         "covariate": ["35", "-1.5e3", "0.1", " 2.5 ", '"3"', "-0", "nan", "inf", "1e999"],
+         "unmapped": ["7", "-2.5"]}
+DIRTY = {"binary": ["NA", "", "2", "nan", "0.5", "x", "1_0", '"1,0"', '"1"""', ' "1"'],
+         "covariate": ["NA", "", "old", "1_0", "\u0661", '"4"""', "0x1", "1;5", "1,5"],
+         "unmapped": ["ok", '"a,b"', ""]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_load_csv_matches_row_loop_on_cell_grammar(tmp_path_factory, data):
+    names = [f"c{j}" for j in range(data.draw(st.integers(0, 2)))]
+    columns = ["z", "m", "y", *names] + (["note"] if data.draw(st.booleans()) else [])
+    columns = data.draw(st.permutations(columns))
+    role = ["binary" if c in "zmy" else "unmapped" if c == "note" else "covariate"
+            for c in columns]
+    rows = [[data.draw(st.sampled_from(CLEAN[r])) for r in role]
+            for _ in range(data.draw(st.integers(1, 5)))]
+    flaws = data.draw(st.lists(st.sampled_from(["cell", "ragged", "blank", "no rows"]),
+                               max_size=3), label="flaws")
+    if "no rows" in flaws:
+        rows = []
+    for flaw in flaws:
+        if flaw in ("cell", "ragged") and rows:
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            if flaw == "ragged":
+                row.pop()
+            elif row:
+                j = data.draw(st.integers(0, len(row) - 1))
+                row[j] = data.draw(st.sampled_from(DIRTY[role[j]]))
+    delimiter = data.draw(st.sampled_from([",", ";"]))
+    lines = [delimiter.join(row) for row in rows]
+    for _ in range(flaws.count("blank")):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = (eol.join([delimiter.join(columns), *lines])
+            + (eol if data.draw(st.booleans(), label="terminated") else ""))
+    path = tmp_path_factory.mktemp("grammar") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    roles = ColumnRoles("z", "m", "y", tuple(names))
+    assert_same_load(_load_outcome(load_csv, path, roles, delimiter),
+                     _load_outcome(datamodel._load_rows, path, roles, delimiter))
 
 
 @settings(max_examples=25)

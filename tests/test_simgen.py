@@ -208,3 +208,21 @@ class TestValidation:
     def test_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ConfigError, match=r"seed .*\[0, 2\*\*128\)"):
             simulate(demo_params(), 10, seed)
+
+    @pytest.mark.parametrize("n, seed, name", [
+        (50, 1.7, "seed"), (50, 1.0, "seed"), (50, True, "seed"), (50, "1", "seed"),
+        (50.9, 1, "n"), (50.0, 1, "n"), (True, 1, "n")])
+    def test_non_integer_size_or_seed_rejected(self, n, seed, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got"):
+            simulate(demo_params(), n, seed)
+
+    def test_numpy_integer_size_and_seed_accepted(self):
+        a = simulate(demo_params(), np.int64(50), np.uint32(7))
+        assert a.n == 50 and a.equals(simulate(demo_params(), 50, 7))
+
+    @pytest.mark.parametrize("base, count, name", [
+        (4.5, 2, "base_seed"), (False, 2, "base_seed"), (4, 2.0, "count"),
+        (4, True, "count")])
+    def test_replicate_seeds_rejects_non_integers(self, base, count, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got"):
+            replicate_seeds(base, count)
