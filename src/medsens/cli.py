@@ -57,8 +57,9 @@ fields of scenario covariates and the entries of the scenario coefficient
 vectors numbers (a quoted "0.05" is a string); data and out must be
 strings, delimiter a one-character string, effects a mapping and its
 types, scopes and profiles lists; a value of another type is rejected,
-never coerced. Scans must differ in kind, effect, scope or profile name:
-each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
+never coerced. effects.types and scopes must not be empty, nor types name
+an effect twice (nde* is nde_total). Scans must differ in kind, effect,
+scope or profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
 """
 
 from __future__ import annotations
@@ -405,8 +406,15 @@ def cmd_fit(args) -> int:
 
 def _requested_effects(cfg: _Config) -> tuple[list[EffectType], list[str]]:
     eff = _effects_section(cfg.raw)
-    types = [_parse_effect(t) for t in eff.get("types", ["nde", "nie", "te"])]
+    entries = eff.get("types", ["nde", "nie", "te"])
+    types = [_parse_effect(t) for t in entries]
     scopes = [str(s) for s in eff.get("scopes", ["marginal"])]
+    for key, value in (("types", types), ("scopes", scopes)):
+        if not value:
+            raise ConfigError(f"effects.{key} must name at least one entry")
+    for i, (entry, effect_type) in enumerate(zip(entries, types)):
+        if effect_type in types[:i]:
+            raise ConfigError(f"effects.types entry {entry!r} repeats {effect_type.value}")
     for scope in scopes:
         if scope not in ("marginal", "conditional"):
             raise ConfigError(

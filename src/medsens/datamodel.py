@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -132,11 +133,13 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
 
     Rows with a missing value (empty cell or "NA") in any mapped column
     are dropped and counted. Non-binary exposure/mediator/outcome values
-    and non-numeric covariates are data errors naming the offending rows.
+    and non-numeric or non-finite covariates are data errors naming the
+    offending rows.
 
     A body of plain numbers, one row per line, with 0/1 exposure, mediator
-    and outcome is parsed by numpy's C reader. The row loop reads every
-    other body and alone reports bad cells and dropped rows.
+    and outcome and finite covariates is parsed by numpy's C reader. The
+    row loop reads every other body and alone reports bad cells and
+    dropped rows.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -183,8 +186,10 @@ def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | Non
     zmy = block.take(cols[:3], axis=1)
     if not ((zmy == 0.0) | (zmy == 1.0)).all():
         return None
-    z, m, y = zmy.astype(np.int64).T
     x = block.take(cols[3:], axis=1)
+    if not np.isfinite(x).all():
+        return None
+    z, m, y = zmy.astype(np.int64).T
     return LoadResult(Dataset(z, m, y, x, tuple(pos)[3:]), dropped=0)
 
 
@@ -200,6 +205,7 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
     dropped = 0
     bad_binary: list[tuple[int, str, str]] = []
     bad_numeric: list[tuple[int, str, str]] = []
+    bad_finite: list[tuple[int, str, str]] = []
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DataError(
@@ -210,39 +216,36 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
             continue
         rec = {}
         for c in (roles.exposure, roles.mediator, roles.outcome):
-            cell = cells[c]
-            if cell in ("0", "1"):
-                rec[c] = int(cell)
-                continue
             try:
-                val = float(cell)
+                val = float(cells[c])
             except ValueError:
-                bad_binary.append((i, c, cell))
-                continue
+                val = None
             if val in (0.0, 1.0):
                 rec[c] = int(val)
             else:
-                bad_binary.append((i, c, cell))
+                bad_binary.append((i, c, cells[c]))
         xs = []
         for c in roles.covariates:
             try:
                 xs.append(float(cells[c]))
             except ValueError:
                 bad_numeric.append((i, c, cells[c]))
+            else:
+                if not math.isfinite(xs[-1]):
+                    bad_finite.append((i, c, cells[c]))
         if len(rec) == 3 and len(xs) == len(roles.covariates):
             z_vals.append(rec[roles.exposure])
             m_vals.append(rec[roles.mediator])
             y_vals.append(rec[roles.outcome])
             x_rows.append(xs)
 
-    if bad_binary:
-        listed = ", ".join(f"row {i} {c}={v!r}" for i, c, v in bad_binary[:_MAX_LISTED_ROWS])
-        more = "" if len(bad_binary) <= _MAX_LISTED_ROWS else f" (+{len(bad_binary) - _MAX_LISTED_ROWS} more)"
-        raise DataError(f"{path}: non-binary exposure/mediator/outcome values: {listed}{more}")
-    if bad_numeric:
-        listed = ", ".join(f"row {i} {c}={v!r}" for i, c, v in bad_numeric[:_MAX_LISTED_ROWS])
-        more = "" if len(bad_numeric) <= _MAX_LISTED_ROWS else f" (+{len(bad_numeric) - _MAX_LISTED_ROWS} more)"
-        raise DataError(f"{path}: non-numeric covariate values: {listed}{more}")
+    for bad, what in ((bad_binary, "non-binary exposure/mediator/outcome"),
+                      (bad_numeric, "non-numeric covariate"),
+                      (bad_finite, "non-finite covariate")):
+        if bad:
+            listed = ", ".join(f"row {i} {c}={v!r}" for i, c, v in bad[:_MAX_LISTED_ROWS])
+            more = "" if len(bad) <= _MAX_LISTED_ROWS else f" (+{len(bad) - _MAX_LISTED_ROWS} more)"
+            raise DataError(f"{path}: {what} values: {listed}{more}")
     if not z_vals:
         raise DataError(f"{path}: no complete rows after dropping {dropped} incomplete rows")
 
@@ -448,3 +451,10 @@ def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
         _FIT_ENTRY[key] = designs
         weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
     return _FIT_ENTRY[key]
+
+
+def is_fit_design(design, response) -> bool:
+    """Whether (design, response) is, by identity, a read-only pair that
+    fit_designs holds now, so validate_for_fit has checked it."""
+    return any(d is design and r is response and not (d.flags.writeable or r.flags.writeable)
+               for designs in _FIT_ENTRY.values() for d, r in designs.values())

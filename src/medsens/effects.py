@@ -22,6 +22,10 @@ design(x) = [1, x] @ M. A cell's linear predictor is then c0 + X c with
 (c0, c) = M coef, and the gradient of a row mean with per-row weights w
 is [sum w, X'w] @ M / n; no n x k design is built.
 
+The cells do not depend on the effect: effect_rows is _cells, then
+_contrast, and effect_with_ci keeps a context's marginal cells for its
+current (beta, theta), so the effects of one context share one pass.
+
 Standard errors use the delta method with a block-diagonal covariance:
 the gradient is split into its mediator-coefficient and
 outcome-coefficient parts and each block is contracted with its own
@@ -31,7 +35,7 @@ fitted covariance matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -104,10 +108,9 @@ def _mean_grad(layouts: dict, weights: dict, x: np.ndarray) -> np.ndarray:
                for key, w in weights.items()) / x.shape[0]
 
 
-def effect_rows(effect_type: EffectType, theta, beta, x,
-                spec: ModelSpec) -> tuple[np.ndarray, GradientVector]:
-    """One effect at every covariate row of x, plus the gradient of its
-    row mean with respect to the packed (beta, theta)."""
+def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
+    """What every effect contrasts: the rows x, the mediator-arm and
+    outcome-cell layouts, and each cell's probit mean and density per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = x.shape[1]
     basis = np.vstack([np.zeros((1, p)), np.eye(p)])
@@ -120,7 +123,12 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
            for z in (0, 1) for m in (0, 1)}
     pm = _probit_cells(med, _check_len("beta", beta, med[0]), x)
     q = _probit_cells(out, _check_len("theta", theta, out[0, 0]), x)
+    return x, med, out, pm, q
 
+
+def _contrast(effect_type: EffectType, cells: tuple):
+    """effect_rows from _cells' output."""
+    x, med, out, pm, q = cells
     # mu(z, z') = q_z0 + (q_z1 - q_z0) pm_z'; w_* accumulate the effect's
     # derivative with respect to each cell's linear predictor
     means, w_pm, w_q = [], {}, {}
@@ -133,6 +141,13 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     grad = GradientVector(wrt_beta=_mean_grad(med, w_pm, x),
                           wrt_theta=_mean_grad(out, w_q, x))
     return means[0] - means[1], grad
+
+
+def effect_rows(effect_type: EffectType, theta, beta, x,
+                spec: ModelSpec) -> tuple[np.ndarray, GradientVector]:
+    """One effect at every covariate row of x, plus the gradient of its
+    row mean with respect to the packed (beta, theta)."""
+    return _contrast(effect_type, _cells(theta, beta, x, spec))
 
 
 def _profile_row(profile, p: int | None = None) -> np.ndarray:
@@ -234,6 +249,8 @@ class FitContext:
     beta_source: str = "mediator model"
     theta_source: str = "outcome model"
     rho_context: tuple[str, float] | None = None
+    _cell_memo: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
 
 
 def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
@@ -254,14 +271,20 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     if scope == "conditional":
         if profile is None:
             raise ValueError("conditional scope requires a covariate profile")
-        x = _profile_row(profile, None if ctx.dataset is None else ctx.dataset.p)
+        cells = _cells(ctx.theta, ctx.beta, _profile_row(
+            profile, None if ctx.dataset is None else ctx.dataset.p), ctx.spec)
     elif scope == "marginal":
         if ctx.dataset is None:
             raise ValueError("marginal scope requires a dataset on the fit context")
-        x = ctx.dataset.x
+        # keyed by the coefficients' bytes, so an in-place edit misses
+        key = tuple(np.asarray(c, dtype=float).tobytes() for c in (ctx.beta, ctx.theta))
+        if key not in ctx._cell_memo:
+            ctx._cell_memo.clear()
+            ctx._cell_memo[key] = _cells(ctx.theta, ctx.beta, ctx.dataset.x, ctx.spec)
+        cells = ctx._cell_memo[key]
     else:
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
-    values, grad = effect_rows(effect_type, ctx.theta, ctx.beta, x, ctx.spec)
+    values, grad = _contrast(effect_type, cells)
     est = float(values.mean())
     se = delta_se(grad, ctx.sigma_beta, ctx.sigma_theta)
     zq = norm_quantile(1.0 - alpha / 2.0)

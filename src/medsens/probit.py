@@ -6,6 +6,9 @@ handful of iterations; a step-halving guard keeps early steps honest.
 The same Newton ascent maximizes the constrained bivariate fits.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0.
+fit_probit skips the rank SVD that validate_for_fit already ran on the
+designs datamodel.fit_designs holds; its separation guard reads the
+last pass's linear predictor, and its Hessian reuses one (n, k) buffer.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .datamodel import Dataset, ModelSpec, fit_designs
+from .datamodel import Dataset, ModelSpec, fit_designs, is_fit_design
 from .errors import RankError, SeparationError
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -131,40 +134,46 @@ def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
     return float(log_ndtr(s * (design @ coefficients)).sum())
 
 
-def _loglik_score_hessian(coefficients, design, s):
-    """Log-likelihood, score and Hessian of the probit log-likelihood."""
-    q = s * (design @ coefficients)
-    log_cdf = log_ndtr(q)
-    ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
-    score = design.T @ (s * ratio)
-    weight = ratio * (ratio + q)                  # positive for all q
-    hessian = -(design.T @ (design * weight[:, None]))
-    return float(log_cdf.sum()), score, hessian
-
-
 def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on rank deficiency
-    and separation."""
-    design, response = _check_design(design, response)
+    and separation. The arrays datamodel.fit_designs holds skip the rank
+    and binary checks they passed there; copies of them do not."""
+    validated = is_fit_design(design, response)
+    design, response = ((design, response.astype(float)) if validated
+                        else _check_design(design, response))
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    if np.linalg.matrix_rank(design) < k:
+    if not validated and np.linalg.matrix_rank(design) < k:
         raise RankError("design matrix is rank deficient")
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
             "the probit likelihood has no interior maximum")
 
+    s = 2.0 * response - 1.0
+    weighted = np.empty_like(design)  # the Hessian's weighted design
+    q = None
+
+    def loglik_score_hessian(coef):
+        nonlocal q
+        q = s * (design @ coef)
+        log_cdf = log_ndtr(q)
+        ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
+        weight = ratio * (ratio + q)                  # positive for all q
+        np.multiply(design, weight[:, None], out=weighted)
+        return float(log_cdf.sum()), design.T @ (s * ratio), -(design.T @ weighted)
+
     def check_separation(coef):
-        if np.abs(design @ coef).max() > _SEPARATION_BOUND:
+        # _newton_ascent calls this right after evaluating its accepted
+        # point coef, and |q| = |design @ coef| because s = +-1
+        if np.abs(q).max() > _SEPARATION_BOUND:
             raise SeparationError(
                 "fitted linear predictor exceeded +-30 while the likelihood "
                 "was still improving; the data are (quasi-)separated")
 
-    s = 2.0 * response - 1.0
-    opt = _newton_ascent(lambda c: _loglik_score_hessian(c, design, s),
-                         np.zeros(k), on_improve=check_separation)
+    opt = _newton_ascent(loglik_score_hessian, np.zeros(k),
+                         on_improve=check_separation)
     covariance = np.linalg.inv(-opt.hessian)
     covariance = 0.5 * (covariance + covariance.T)
     return ProbitFit(coefficients=opt.x, covariance=covariance,

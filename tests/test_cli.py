@@ -452,6 +452,21 @@ class TestConfigErrors:
         assert main([command, str(cfg)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("effects, message", [
+        ({"types": []}, "effects.types must name at least one entry"),
+        ({"scopes": []}, "effects.scopes must name at least one entry"),
+        ({"types": ["nie", "te", "nie"]}, "entry 'nie' repeats nie"),
+        ({"types": ["nde_total", "nde*"]}, "entry 'nde*' repeats nde_total"),
+        ({"types": ["nie_pure", "NIE*"]}, "entry 'NIE*' repeats nie_pure"),
+    ])
+    def test_empty_or_repeated_effect_request_rejected(self, workdir, tmp_path,
+                                                       capsys, effects,
+                                                       message):
+        cfg = analysis_config(workdir, "bad11", effects=effects)
+        assert main(["effects", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scope", ["conditionl", 5])
     def test_unknown_scan_scope_rejected(self, workdir, tmp_path, capsys,
                                          scope):

@@ -67,6 +67,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 1.*age"):
             load_csv(path, ROLES)
 
+    def test_non_finite_covariate_names_cells(self, tmp_path):
+        body = "".join(f"1,0,1,{v}\n" for v in ["35", "nan", "1e999", *["-inf"] * 10])
+        path = write(tmp_path, "z,m,y,age\n" + body)
+        with pytest.raises(DataError) as err:
+            load_csv(path, ROLES)
+        assert str(err.value) == (
+            f"{path}: non-finite covariate values: row 2 age='nan', "
+            "row 3 age='1e999', " + ", ".join(f"row {i} age='-inf'" for i in range(4, 12))
+            + " (+2 more)")
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "z,m,y,age\n1,0,1\n")
         with pytest.raises(DataError, match="row 1"):
@@ -151,8 +161,8 @@ LOAD_CASES = {
     "empty cell": (H + "1,0,1,35\n0,1,,36\n", ",", False),
     "float-coded binaries": (H + "1.0,+1,-0,35\n1e0,0,1,36\n", ",", True),
     "non-binary outcome": (H + "1,0,2,35\n", ",", False),
-    "nan covariate": (H + "1,0,1,nan\n", ",", True),
-    "inf covariate": (H + "1,0,1,-inf\n", ",", True),
+    "nan covariate": (H + "1,0,1,nan\n", ",", False),
+    "inf covariate": (H + "1,0,1,-inf\n", ",", False),
     "underscore covariate": (H + "1,0,1,1_0\n0,1,0,2\n", ",", False),
     "unicode digit covariate": (H + "1,0,1,\u0661\n0,1,0,2\n", ",", False),
     "CRLF line ends": ("z,m,y,age\r\n1,0,1,35\r\n0,1,0,41\r\n", ",", True),

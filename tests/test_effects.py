@@ -1,7 +1,12 @@
 """Effect formulas, analytic gradients, and delta-method intervals."""
 
+import contextlib
+import dataclasses
+import io
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +15,9 @@ from medsens import (CovariateProfile, EffectType, FitContext, GradientVector,
                      conditional_effect, delta_se, demo_params,
                      effect_marginal, effect_with_ci, finite_diff_grad,
                      grad_conditional, grad_effect_marginal, norm_quantile,
-                     simulate)
+                     simulate, unconstrained_context, write_csv)
+from medsens import effects
+from medsens.cli import main
 from conftest import make_dataset
 
 FULL = ModelSpec()
@@ -281,3 +288,58 @@ def test_zero_covariate_effects_run():
     assert val == pytest.approx(nde + nie, abs=1e-14)
     marg = effect_marginal(EffectType.TE, theta, beta, ds, spec)
     assert marg == pytest.approx(val, abs=1e-15)
+
+
+def count_cell_passes(monkeypatch) -> list:
+    """Row counts of every effects._cells call."""
+    cells = effects._cells
+    calls = []
+
+    def counted(theta, beta, x, spec):
+        calls.append(np.atleast_2d(x).shape[0])
+        return cells(theta, beta, x, spec)
+    monkeypatch.setattr(effects, "_cells", counted)
+    return calls
+
+
+def test_cmd_effects_evaluates_marginal_cells_once(monkeypatch, tmp_path, spec):
+    ds = simulate(demo_params(), 700, 74)
+    write_csv(ds, tmp_path / "d.csv")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data": "d.csv", "out": str(tmp_path / "out"),
+        "model": {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
+        "columns": {"exposure": "z", "mediator": "m", "outcome": "y",
+                    "covariates": list(ds.covariate_names)},
+        "effects": {"types": ["nde", "nie", "te", "nde*", "nie*"],
+                    "scopes": ["marginal", "conditional"],
+                    "profiles": [{"name": "band",
+                                  "values": {"xcont": "mean+-sd", "xbin": 0}}]}}))
+    calls = count_cell_passes(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["effects", str(cfg)]) == 0
+    # one marginal pass for the context, one per (effect, profile) row
+    assert sorted(calls) == [1] * 15 + [ds.n]
+
+
+def test_marginal_effects_share_one_cell_pass(monkeypatch, demo_clean, spec):
+    ctx = unconstrained_context(demo_clean, spec)
+    calls = count_cell_passes(monkeypatch)
+    for effect_type in EffectType:
+        fresh = FitContext(**{f.name: getattr(ctx, f.name)
+                              for f in dataclasses.fields(ctx) if f.init})
+        assert (effect_with_ci(effect_type, "marginal", ctx)
+                == effect_with_ci(effect_type, "marginal", fresh))
+    assert calls == [demo_clean.n] * (1 + len(EffectType))
+
+
+@pytest.mark.parametrize("block", ["beta", "theta"])
+def test_in_place_coefficient_edit_reads_fresh_cells(demo_clean, spec, block):
+    base = unconstrained_context(demo_clean, spec)
+    ctx = dataclasses.replace(base, beta=base.beta.copy(), theta=base.theta.copy())
+    before = effect_with_ci(EffectType.NIE, "marginal", ctx)
+    getattr(ctx, block)[1] += 0.25
+    after = effect_with_ci(EffectType.NIE, "marginal", ctx)
+    fresh = dataclasses.replace(ctx, beta=ctx.beta.copy(), theta=ctx.theta.copy())
+    assert after == effect_with_ci(EffectType.NIE, "marginal", fresh)
+    assert after.estimate != before.estimate

@@ -1,13 +1,20 @@
 """Newton-Raphson probit fitting."""
 
+import contextlib
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
+import yaml
 
-from medsens import (RankError, SeparationError, build_mediator_design,
-                     demo_params, fit_probit, fit_unconstrained, norm_quantile,
-                     probit_loglik, simulate)
+from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
+                     SeparationError, build_mediator_design, demo_params,
+                     fit_probit, fit_unconstrained, norm_quantile,
+                     probit_loglik, run_scan, simulate, write_csv)
+from medsens.cli import main
+from medsens.datamodel import fit_designs
 
 
 def intercept_only(y):
@@ -112,3 +119,73 @@ def test_fit_unconstrained_matches_componentwise(demo_clean, spec):
     assert np.array_equal(fits.mediator.coefficients, direct.coefficients)
     assert fits.mediator.loglik == direct.loglik
     assert fits.exposure.converged and fits.outcome.converged
+
+
+def count_rank_svds(monkeypatch) -> list:
+    rank = np.linalg.matrix_rank
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return rank(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls
+
+
+def fresh_dataset(seed):
+    return simulate(demo_params(), 600, seed)
+
+
+def run_effects_cli(ds, spec, tmp_path):
+    write_csv(ds, tmp_path / "d.csv")
+    flags = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data": "d.csv", "model": flags, "out": str(tmp_path / "out"),
+        "columns": {"exposure": "z", "mediator": "m", "outcome": "y",
+                    "covariates": list(ds.covariate_names)},
+        "effects": {"types": ["nde", "nie", "te", "nde*", "nie*"]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["effects", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("entry", ["fit_unconstrained", "run_scan", "cmd_effects"])
+def test_fresh_dataset_runs_one_rank_svd_per_design(monkeypatch, tmp_path, spec,
+                                                     entry):
+    ds = fresh_dataset(71)
+    calls = count_rank_svds(monkeypatch)
+    if entry == "fit_unconstrained":
+        fit_unconstrained(ds, spec)
+    elif entry == "run_scan":
+        run_scan(ConfoundingKind.MEDIATOR_OUTCOME, EffectType.NIE, "marginal",
+                 RhoGrid.regular(0.3, 0.3, 0.1), ds, spec)
+    else:
+        run_effects_cli(ds, spec, tmp_path)
+    assert len(calls) == 3
+
+
+def test_copies_of_validated_arrays_are_checked(monkeypatch, spec):
+    ds = fresh_dataset(72)
+    design, response = fit_designs(ds, spec)["outcome"]
+    calls = count_rank_svds(monkeypatch)
+    held = fit_probit(design, response)
+    assert calls == []
+    for args in ((design.copy(), response), (design, response.copy())):
+        assert args[0].flags.writeable or args[1].flags.writeable
+        fit = fit_probit(*args)
+        assert np.array_equal(fit.coefficients, held.coefficients)
+    assert calls == [design.shape] * 2
+    with pytest.raises(ValueError, match="binary"):
+        fit_probit(design, 2 * response)
+    design.setflags(write=True)  # no longer the read-only array validated
+    fit_probit(design, response)
+    assert calls == [design.shape] * 3
+
+
+def test_rank_deficient_copy_of_validated_design_raises(spec):
+    ds = fresh_dataset(73)
+    design, response = fit_designs(ds, spec)["mediator"]
+    collinear = design.copy()
+    collinear[:, -1] = collinear[:, 1]
+    with pytest.raises(RankError, match="rank deficient"):
+        fit_probit(collinear, response)
