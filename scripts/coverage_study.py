@@ -9,6 +9,7 @@ Usage: python3 scripts/coverage_study.py [--reps 200] [--n 5000] [--rho 0.3]
 """
 
 import argparse
+import dataclasses
 
 import numpy as np
 
@@ -51,11 +52,8 @@ def main():
     args = parser.parse_args()
 
     effect_type = EffectType(args.effect)
-    params = demo_params()
-    params = type(params)(spec=params.spec, covariates=params.covariates,
-                          alpha=params.alpha, beta=params.beta,
-                          theta=params.theta,
-                          confounding=(ConfoundingKind.MEDIATOR_OUTCOME, args.rho))
+    params = dataclasses.replace(
+        demo_params(), confounding=(ConfoundingKind.MEDIATOR_OUTCOME, args.rho))
 
     results = []
     for seed in replicate_seeds(args.seed, args.reps):

@@ -9,6 +9,7 @@ Usage: python3 scripts/run_demo.py [--n 4000] [--rho 0.3] [--seed 20260814]
 """
 
 import argparse
+import dataclasses
 import time
 
 from medsens import (ConfoundingKind, EffectType, RhoGrid, demo_params,
@@ -25,11 +26,8 @@ def main():
     parser.add_argument("--step", type=float, default=0.05)
     args = parser.parse_args()
 
-    params = demo_params()
-    params = type(params)(spec=params.spec, covariates=params.covariates,
-                          alpha=params.alpha, beta=params.beta,
-                          theta=params.theta,
-                          confounding=(ConfoundingKind.MEDIATOR_OUTCOME, args.rho))
+    params = dataclasses.replace(
+        demo_params(), confounding=(ConfoundingKind.MEDIATOR_OUTCOME, args.rho))
     ds = simulate(params, args.n, args.seed)
     truth = true_effects(params, ds)
     print(f"simulated n={ds.n} with mediator-outcome confounding rho={args.rho}")

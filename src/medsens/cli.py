@@ -2,11 +2,14 @@
 
 Each subcommand takes one YAML config file as its positional argument;
 flags override individual config entries. Outputs are UTF-8 CSV tables
-with LF newlines plus a summary.json mirroring every table, written so
-that reruns on identical inputs are byte-identical: floats are emitted
-with repr (exact round-trip, always at least full 17-significant-digit
-fidelity when needed), JSON keys are sorted, and nothing time- or
-host-dependent is written.
+with LF newlines (a cell holding a comma, double quote or newline is quoted)
+plus a summary.json mirroring every table, written so that reruns on
+identical inputs are byte-identical: floats are emitted with repr (exact
+round-trip, always at least full 17-significant-digit fidelity when
+needed), JSON keys are sorted, and nothing time-dependent is written.
+The last digits of fitted values depend on the BLAS thread count (the
+probit products sum in a thread-dependent order), so reruns match byte
+for byte only on hosts with the same BLAS threading.
 
 Config schema (keys not listed here are rejected):
 
@@ -65,6 +68,7 @@ scope or profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -75,8 +79,8 @@ import yaml
 from scipy.special import ndtr
 
 from .biprobit import ConfoundingKind
-from .datamodel import (ColumnRoles, CovariateProfile, Dataset, ModelSpec,
-                        covariate_stats, exposure_terms, load_csv,
+from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
+                        ModelSpec, covariate_stats, exposure_terms, load_csv,
                         mediator_terms, outcome_terms, write_csv)
 from .effects import EffectType, effect_with_ci
 from .errors import ConfigError, MedsensError, ScanError
@@ -93,6 +97,7 @@ _EFFECT_ALIASES = {
     "nde*": EffectType.NDE_TOTAL, "nie*": EffectType.NIE_PURE,
 }
 _KINDS = {k.value: k for k in ConfoundingKind}
+_IDENTITY = ["scan", "kind", "effect", "scope", "profile"]
 _MEAN_TOKENS = ("mean", "mean-sd", "mean+sd", "mean+-sd", "mean±sd")
 
 _TOP_KEYS = {"data", "delimiter", "columns", "model", "alpha", "out",
@@ -110,17 +115,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_outputs(cfg: _Config, loaded: LoadResult, command: str, tables,
+                   summary: dict) -> Path:
+    """Write each (file name, header, rows) table as CSV and summary.json,
+    whose envelope (command, n_rows, dropped_rows) is added to ``summary``;
+    returns the output directory."""
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+    _write_json(out / "summary.json", {
+        "command": command, "n_rows": loaded.dataset.n,
+        "dropped_rows": loaded.dropped, **summary})
+    return out
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -147,32 +163,44 @@ def _config_float(value, key: str) -> float:
     return float(value)
 
 
-def _parse_effect(name) -> EffectType:
+def _lookup(table: dict, name, what: str):
+    """Case-insensitive lookup of an effect type (_EFFECT_ALIASES) or a
+    confounding kind (_KINDS) by name."""
     key = str(name).strip().lower()
-    if key not in _EFFECT_ALIASES:
-        raise ConfigError(
-            f"unknown effect type {name!r}; choose from "
-            f"{sorted(set(_EFFECT_ALIASES))}")
-    return _EFFECT_ALIASES[key]
+    if key not in table:
+        raise ConfigError(f"unknown {what} {name!r}; choose from {sorted(table)}")
+    return table[key]
 
 
-def _parse_kind(name) -> ConfoundingKind:
-    key = str(name).strip().lower()
-    if key not in _KINDS:
-        raise ConfigError(f"unknown confounding kind {name!r}; choose from "
-                          f"{sorted(_KINDS)}")
-    return _KINDS[key]
+def _check_scope(scope, what: str) -> str:
+    if scope not in ("marginal", "conditional"):
+        raise ConfigError(f"{what} must be marginal or conditional, got {scope!r}")
+    return scope
 
 
-def _parse_grid_string(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--grid expects LO:HI:STEP, got {text!r}")
+def _parse_grid(spec) -> RhoGrid:
+    """A LO:HI:STEP string (the --grid flag or a scan's grid entry) or a
+    {lower, upper, step} mapping with the package defaults -> RhoGrid."""
+    if isinstance(spec, str):
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"--grid expects LO:HI:STEP, got {spec!r}")
+        try:
+            lo, hi, step = (float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"--grid values must be numeric, got {spec!r}") from None
+    elif isinstance(spec, dict):
+        _reject_unknown(spec, {"lower", "upper", "step"}, "grid")
+        lo, hi, step = (_config_float(spec.get(key, default), f"grid.{key}")
+                        for key, default in (("lower", DEFAULT_GRID_LOWER),
+                                             ("upper", DEFAULT_GRID_UPPER),
+                                             ("step", DEFAULT_GRID_STEP)))
+    else:
+        raise ConfigError("scan grid must be a mapping or LO:HI:STEP string")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--grid values must be numeric, got {text!r}") from None
-    return lo, hi, step
+        return RhoGrid.regular(lo, hi, step)
+    except ValueError as exc:
+        raise ConfigError(f"bad scan grid: {exc}") from None
 
 
 @dataclass
@@ -209,6 +237,9 @@ def _load_config(path_str: str, args) -> _Config:
         alpha = _config_float(raw.get("alpha", 0.05), "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ConfigError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds "
+                          "to 1, so the Wald quantile is infinite")
 
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -249,7 +280,7 @@ def _parse_roles(raw: dict) -> ColumnRoles:
                        covariates=tuple(str(c) for c in covs))
 
 
-def _load_dataset(cfg: _Config):
+def _load_dataset(cfg: _Config) -> LoadResult:
     raw = cfg.raw
     if "data" not in raw:
         raise ConfigError("config needs a 'data' entry with the CSV path")
@@ -261,7 +292,7 @@ def _load_dataset(cfg: _Config):
     if not isinstance(delim, str) or len(delim) != 1:
         raise ConfigError(
             f"delimiter must be a one-character string, got {delim!r}")
-    return load_csv(data_path, roles, delimiter=delim), roles
+    return load_csv(data_path, roles, delimiter=delim)
 
 
 def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
@@ -372,23 +403,17 @@ def _fit_tables(ds: Dataset, spec: ModelSpec, fits):
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, args)
-    loaded, roles = _load_dataset(cfg)
+    loaded = _load_dataset(cfg)
     ds = loaded.dataset
     spec = _parse_spec(cfg.raw)
     fits = fit_unconstrained(ds, spec)
     coef_rows, conv_rows = _fit_tables(ds, spec, fits)
-
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     coef_header = ["model", "term", "estimate", "std_error", "z_value", "p_value"]
     conv_header = ["model", "converged", "iterations", "loglik", "score_norm",
                    "n_rows", "n_params"]
-    _write_table(out / "coefficients.csv", coef_header, coef_rows)
-    _write_table(out / "convergence.csv", conv_header, conv_rows)
-    _write_json(out / "summary.json", {
-        "command": "fit",
-        "n_rows": ds.n,
-        "dropped_rows": loaded.dropped,
+    out = _write_outputs(cfg, loaded, "fit", [
+        ("coefficients.csv", coef_header, coef_rows),
+        ("convergence.csv", conv_header, conv_rows)], {
         "covariates": list(ds.covariate_names),
         "coefficients": [dict(zip(coef_header, row)) for row in coef_rows],
         "convergence": [dict(zip(conv_header, row)) for row in conv_rows],
@@ -407,7 +432,7 @@ def cmd_fit(args) -> int:
 def _requested_effects(cfg: _Config) -> tuple[list[EffectType], list[str]]:
     eff = _effects_section(cfg.raw)
     entries = eff.get("types", ["nde", "nie", "te"])
-    types = [_parse_effect(t) for t in entries]
+    types = [_lookup(_EFFECT_ALIASES, t, "effect type") for t in entries]
     scopes = [str(s) for s in eff.get("scopes", ["marginal"])]
     for key, value in (("types", types), ("scopes", scopes)):
         if not value:
@@ -416,15 +441,13 @@ def _requested_effects(cfg: _Config) -> tuple[list[EffectType], list[str]]:
         if effect_type in types[:i]:
             raise ConfigError(f"effects.types entry {entry!r} repeats {effect_type.value}")
     for scope in scopes:
-        if scope not in ("marginal", "conditional"):
-            raise ConfigError(
-                f"effects.scopes entries must be marginal or conditional, got {scope!r}")
+        _check_scope(scope, "effects.scopes entries")
     return types, scopes
 
 
 def cmd_effects(args) -> int:
     cfg = _load_config(args.config, args)
-    loaded, roles = _load_dataset(cfg)
+    loaded = _load_dataset(cfg)
     ds = loaded.dataset
     spec = _parse_spec(cfg.raw)
     types, scopes = _requested_effects(cfg)
@@ -433,29 +456,20 @@ def cmd_effects(args) -> int:
         raise ConfigError("conditional effects requested but no profiles given")
 
     ctx = unconstrained_context(ds, spec)
+    groups = [("marginal", None)] if "marginal" in scopes else []
+    if "conditional" in scopes:
+        groups += [("conditional", prof) for prof in profiles]
     rows = []
     for effect_type in types:
-        if "marginal" in scopes:
-            est = effect_with_ci(effect_type, "marginal", ctx, alpha=cfg.alpha)
-            rows.append([effect_type.value, "marginal", "", est.estimate,
-                         est.std_error, est.ci_lower, est.ci_upper, est.alpha])
-        if "conditional" in scopes:
-            for prof in profiles:
-                est = effect_with_ci(effect_type, "conditional", ctx,
-                                     alpha=cfg.alpha, profile=prof)
-                rows.append([effect_type.value, "conditional", prof.name,
-                             est.estimate, est.std_error, est.ci_lower,
-                             est.ci_upper, est.alpha])
-
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+        for scope, prof in groups:
+            est = effect_with_ci(effect_type, scope, ctx, alpha=cfg.alpha,
+                                 profile=prof)
+            rows.append([effect_type.value, scope, "" if prof is None else prof.name,
+                         est.estimate, est.std_error, est.ci_lower,
+                         est.ci_upper, est.alpha])
     header = ["effect", "scope", "profile", "estimate", "std_error",
               "ci_lower", "ci_upper", "alpha"]
-    _write_table(out / "effects.csv", header, rows)
-    _write_json(out / "summary.json", {
-        "command": "effects",
-        "n_rows": ds.n,
-        "dropped_rows": loaded.dropped,
+    out = _write_outputs(cfg, loaded, "effects", [("effects.csv", header, rows)], {
         "alpha": cfg.alpha,
         "profiles": {p.name: [float(v) for v in p.values] for p in profiles},
         "effects": [dict(zip(header, row)) for row in rows],
@@ -480,12 +494,10 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
             raise ConfigError("each scan request must be a mapping")
         _reject_unknown(entry, {"kind", "effect", "scope", "grid", "profile"},
                         "scan")
-        kind = _parse_kind(kind_override or entry.get("kind", "my"))
-        effect = _parse_effect(entry.get("effect", "nie"))
-        scope = entry.get("scope", "marginal")
-        if scope not in ("marginal", "conditional"):
-            raise ConfigError(
-                f"scan scope must be marginal or conditional, got {scope!r}")
+        kind = _lookup(_KINDS, kind_override or entry.get("kind", "my"),
+                       "confounding kind")
+        effect = _lookup(_EFFECT_ALIASES, entry.get("effect", "nie"), "effect type")
+        scope = _check_scope(entry.get("scope", "marginal"), "scan scope")
         profile = None
         if scope == "conditional":
             pname = entry.get("profile")
@@ -496,26 +508,8 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
                     f"scan profile {pname!r} not found among profiles "
                     f"{sorted(by_name)}")
             profile = by_name[str(pname)]
-        if grid_override is not None:
-            lo, hi, step = _parse_grid_string(grid_override)
-        else:
-            gspec = entry.get("grid", {}) or {}
-            if isinstance(gspec, str):
-                lo, hi, step = _parse_grid_string(gspec)
-            elif isinstance(gspec, dict):
-                _reject_unknown(gspec, {"lower", "upper", "step"}, "grid")
-                lo = _config_float(gspec.get("lower", DEFAULT_GRID_LOWER),
-                                   "grid.lower")
-                hi = _config_float(gspec.get("upper", DEFAULT_GRID_UPPER),
-                                   "grid.upper")
-                step = _config_float(gspec.get("step", DEFAULT_GRID_STEP),
-                                     "grid.step")
-            else:
-                raise ConfigError("scan grid must be a mapping or LO:HI:STEP string")
-        try:
-            grid = RhoGrid.regular(lo, hi, step)
-        except ValueError as exc:
-            raise ConfigError(f"bad scan grid: {exc}") from None
+        grid = _parse_grid(grid_override if grid_override is not None
+                           else entry.get("grid") or {})
         requests.append({"kind": kind, "effect": effect, "scope": scope,
                          "profile": profile, "grid": grid})
     return requests
@@ -532,7 +526,7 @@ def _scan_tag(req) -> str:
 
 def cmd_sens(args) -> int:
     cfg = _load_config(args.config, args)
-    loaded, roles = _load_dataset(cfg)
+    loaded = _load_dataset(cfg)
     ds = loaded.dataset
     spec = _parse_spec(cfg.raw)
     profiles = _parse_profiles(cfg, ds, args)
@@ -544,11 +538,9 @@ def cmd_sens(args) -> int:
             f"scan requests share the output tag(s) {duplicated}; each scan "
             "needs its own kind, effect, scope or profile name")
 
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     point_header = ["rho", "estimate", "std_error", "ci_lower", "ci_upper",
                     "converged"]
-    interval_rows, range_rows, failure_rows = [], [], []
+    tables, interval_rows, range_rows, failure_rows = [], [], [], []
     summary = []
     exit_code = 0
     for req, tag in zip(requests, tags):
@@ -563,34 +555,24 @@ def cmd_sens(args) -> int:
             continue
         rows = []
         for pt in scan.points:
-            if pt.estimate is None:
-                rows.append([pt.rho, "", "", "", "", pt.converged])
-            else:
-                rows.append([pt.rho, pt.estimate.estimate, pt.estimate.std_error,
-                             pt.estimate.ci_lower, pt.estimate.ci_upper,
-                             pt.converged])
-        _write_table(out / f"scan_{tag}.csv", point_header, rows)
+            est = pt.estimate
+            cells = (["", "", "", ""] if est is None else
+                     [est.estimate, est.std_error, est.ci_lower, est.ci_upper])
+            rows.append([pt.rho, *cells, pt.converged])
+        tables.append((f"scan_{tag}.csv", point_header, rows))
         iset = identification_set(scan)
         ui = uncertainty_interval(scan)
         ranges = sign_ranges(scan)
-        pname = req["profile"].name if req["profile"] is not None else ""
-        for res in (iset, ui):
-            interval_rows.append([tag, req["kind"].value, req["effect"].value,
-                                  req["scope"], pname, res.label, res.lower,
-                                  res.upper,
-                                  "" if res.alpha is None else res.alpha])
-        for lo, hi, cls in ranges.ranges:
-            range_rows.append([tag, req["kind"].value, req["effect"].value,
-                               req["scope"], pname, lo, hi, cls.value,
-                               ranges.reference_sign])
-        for rho in scan.failures:
-            failure_rows.append([tag, rho])
+        identity = [tag, req["kind"].value, req["effect"].value, req["scope"],
+                    req["profile"].name if req["profile"] is not None else ""]
+        interval_rows.extend([*identity, res.label, res.lower, res.upper,
+                              "" if res.alpha is None else res.alpha]
+                             for res in (iset, ui))
+        range_rows.extend([*identity, lo, hi, cls.value, ranges.reference_sign]
+                          for lo, hi, cls in ranges.ranges)
+        failure_rows.extend([tag, rho] for rho in scan.failures)
         summary.append({
-            "scan": tag,
-            "kind": req["kind"].value,
-            "effect": req["effect"].value,
-            "scope": req["scope"],
-            "profile": pname,
+            **dict(zip(_IDENTITY, identity)),
             "alpha": cfg.alpha,
             "grid": {"lower": req["grid"].lower, "upper": req["grid"].upper,
                      "step": req["grid"].step,
@@ -606,19 +588,12 @@ def cmd_sens(args) -> int:
             "points": [dict(zip(point_header, row)) for row in rows],
         })
 
-    interval_header = ["scan", "kind", "effect", "scope", "profile", "label",
-                       "lower", "upper", "alpha"]
-    ranges_header = ["scan", "kind", "effect", "scope", "profile", "rho_lower",
-                     "rho_upper", "classification", "reference_sign"]
-    _write_table(out / "intervals.csv", interval_header, interval_rows)
-    _write_table(out / "sign_ranges.csv", ranges_header, range_rows)
-    _write_table(out / "failures.csv", ["scan", "rho"], failure_rows)
-    _write_json(out / "summary.json", {
-        "command": "sens",
-        "n_rows": ds.n,
-        "dropped_rows": loaded.dropped,
-        "scans": summary,
-    })
+    out = _write_outputs(cfg, loaded, "sens", tables + [
+        ("intervals.csv", [*_IDENTITY, "label", "lower", "upper", "alpha"],
+         interval_rows),
+        ("sign_ranges.csv", [*_IDENTITY, "rho_lower", "rho_upper",
+                             "classification", "reference_sign"], range_rows),
+        ("failures.csv", ["scan", "rho"], failure_rows)], {"scans": summary})
     print(f"sensitivity tables written to {out}")
     return exit_code
 
@@ -650,7 +625,7 @@ def _parse_scenario(cfg: _Config) -> tuple[TrueParams, int]:
         if not isinstance(centry, dict) or "kind" not in centry or "rho" not in centry:
             raise ConfigError("scenario.confounding needs kind and rho")
         _reject_unknown(centry, {"kind", "rho"}, "confounding")
-        conf = (_parse_kind(centry["kind"]),
+        conf = (_lookup(_KINDS, centry["kind"], "confounding kind"),
                 _config_float(centry["rho"], "scenario.confounding.rho"))
     coefs = {}
     for key in ("alpha", "beta", "theta"):

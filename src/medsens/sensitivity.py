@@ -97,7 +97,9 @@ class RhoGrid:
                 f"grid needs -1 <= lower <= upper <= 1, got [{lower}, {upper}]")
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step!r}")
-        count = int(math.floor((upper - lower) / step + 1e-9)) + 1
+        # a subnormal step makes the span infinite, which has no int floor
+        span = (upper - lower) / step + 1e-9
+        count = math.floor(span) + 1 if math.isfinite(span) else span
         if count > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid [{lower}, {upper}] with step {step!r} has {count} "

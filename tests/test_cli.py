@@ -87,15 +87,6 @@ class TestSimulate:
             assert truth["true_effects_marginal"][et.value] == pytest.approx(
                 val, abs=1e-12)
 
-    def test_rerun_is_byte_identical(self, workdir, tmp_path):
-        cfg = write_config(tmp_path / "sim.yaml",
-                           {**SCENARIO, "out": str(tmp_path / "a")})
-        assert main(["simulate", str(cfg)]) == 0
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        for name in ("data.csv", "truth.json", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
     def test_seed_flag_changes_data(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "sim.yaml",
                            {**SCENARIO, "out": str(tmp_path / "a")})
@@ -245,18 +236,6 @@ class TestSens:
         assert scan["identification_set"]["lower"] <= \
             scan["identification_set"]["upper"]
 
-    def test_rerun_byte_identical(self, workdir, tmp_path):
-        cfg = analysis_config(
-            workdir, "sens2",
-            scans=[{"kind": "my", "effect": "nie", "scope": "marginal",
-                    "grid": self.GRID}])
-        assert main(["sens", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert main(["sens", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        for name in ("scan_my_nie_marginal.csv", "intervals.csv",
-                     "sign_ranges.csv", "failures.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
     def test_kind_and_grid_flags(self, workdir, tmp_path):
         cfg = analysis_config(workdir, "sens4")
         code = main(["sens", str(cfg), "--out", str(tmp_path / "o"),
@@ -307,6 +286,72 @@ class TestSens:
         assert "my_nie_conditional_a-b" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_subnormal_grid_step_rejected(self, workdir, tmp_path, capsys):
+        cfg = analysis_config(workdir, "sens9", scans=[
+            {"kind": "my", "effect": "nie", "scope": "marginal",
+             "grid": {"lower": -0.5, "upper": 0.5, "step": 5.0e-324}}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad scan grid:")
+        assert "at most 10001" in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "effects", "sens", "simulate"])
+def test_rerun_is_byte_identical(workdir, tmp_path, command):
+    if command == "simulate":
+        cfg = write_config(tmp_path / "sim.yaml", SCENARIO)
+    else:
+        cfg = analysis_config(
+            workdir, "rerun",
+            effects={"types": ["nde", "nie", "te"],
+                     "scopes": ["marginal", "conditional"],
+                     "profiles": [{"name": "band", "values": {
+                         "xcont": "mean+-sd", "xbin": 0}}]},
+            scans=[{"kind": "my", "effect": "nie", "scope": "marginal",
+                    "grid": TestSens.GRID},
+                   {"kind": "zy", "effect": "te", "scope": "conditional",
+                    "profile": "band.mean", "grid": "0.0:0.2:0.2"}])
+    for run in ("a", "b"):
+        assert main([command, str(cfg), "--out", str(tmp_path / run)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "summary.json" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_csv_cells_with_commas_are_quoted(workdir, tmp_path):
+    """A profile or covariate name holding a comma stays one cell: every
+    row read back with csv.reader has the header's width."""
+    lines = (workdir / "simout" / "data.csv").read_text().splitlines()
+    lines[0] = lines[0].replace("xcont", '"age, years"')
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    name = "typical, adjusted"
+    cfg = write_config(tmp_path / "c.yaml", {
+        "data": str(tmp_path / "data.csv"),
+        "columns": {"exposure": "z", "mediator": "m", "outcome": "y",
+                    "covariates": ["age, years", "xbin"]},
+        "model": SCENARIO["model"],
+        "effects": {"types": ["nie"], "scopes": ["conditional"], "profiles": [
+            {"name": name, "values": {"age, years": "mean", "xbin": 0}}]},
+        "scans": [{"kind": "my", "effect": "nie", "scope": "conditional",
+                   "profile": name, "grid": "0.0:0.2:0.2"}]})
+    for command in ("fit", "effects", "sens"):
+        assert main([command, str(cfg), "--out", str(tmp_path / command)]) == 0
+    for path, column, expect in [
+            (tmp_path / "fit" / "coefficients.csv", "term", "age, years"),
+            (tmp_path / "effects" / "effects.csv", "profile", name),
+            (tmp_path / "sens" / "intervals.csv", "profile", name),
+            (tmp_path / "sens" / "sign_ranges.csv", "profile", name)]:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows, path.name
+        assert all(len(row) == len(header) for row in rows), path.name
+        cells = {row[header.index(column)] for row in rows}
+        assert expect in cells, path.name
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, capsys):
@@ -335,6 +380,23 @@ class TestConfigErrors:
         assert main(["effects", str(cfg), "--out", str(tmp_path / "o"),
                      "--alpha", "1.5"]) == 1
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["effects", "sens"])
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_alpha_too_small_for_a_wald_quantile(self, tmp_path, capsys,
+                                                 command, in_config):
+        # 1 - 1e-17/2 rounds to 1; the data file does not exist, so the
+        # error must come before any data is read
+        cfg = write_config(tmp_path / "c.yaml", {
+            "data": str(tmp_path / "missing.csv"),
+            "columns": {"exposure": "z", "mediator": "m", "outcome": "y"},
+            **({"alpha": 1e-17} if in_config else {})})
+        flags = [] if in_config else ["--alpha", "1e-17"]
+        assert main([command, str(cfg), "--out", str(tmp_path / "o")]
+                    + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha 1e-17 is too small")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_grid_string(self, workdir, tmp_path, capsys):
         cfg = analysis_config(workdir, "bad3")

@@ -60,6 +60,11 @@ class TestRhoGrid:
         with pytest.raises(ValueError, match="at most"):
             RhoGrid.regular(-0.95, 0.95, 1e-9)
 
+    def test_subnormal_step_capped_without_overflow(self):
+        # (upper - lower) / 5e-324 is inf, which has no integer point count
+        with pytest.raises(ValueError, match="at most 10001"):
+            RhoGrid.regular(-0.5, 0.5, 5e-324)
+
     def test_single_point_grid(self):
         grid = RhoGrid.regular(0.3, 0.3, 0.1)
         assert grid.points == (0.3,)
