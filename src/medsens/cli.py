@@ -163,6 +163,16 @@ def _config_float(value, key: str) -> float:
     return float(value)
 
 
+def _output_name(value, key: str) -> str:
+    """A name written into output CSV cells. csv.writer quotes a cell
+    holding a line feed but not one holding a carriage return, which
+    csv.reader then reads as a line break."""
+    name = str(value)
+    if "\r" in name:
+        raise ConfigError(f"{key} {name!r} must not hold a carriage return")
+    return name
+
+
 def _lookup(table: dict, name, what: str):
     """Case-insensitive lookup of an effect type (_EFFECT_ALIASES) or a
     confounding kind (_KINDS) by name."""
@@ -178,25 +188,26 @@ def _check_scope(scope, what: str) -> str:
     return scope
 
 
-def _parse_grid(spec) -> RhoGrid:
-    """A LO:HI:STEP string (the --grid flag or a scan's grid entry) or a
-    {lower, upper, step} mapping with the package defaults -> RhoGrid."""
+def _parse_grid(spec, where: str) -> RhoGrid:
+    """A LO:HI:STEP string or a {lower, upper, step} mapping with the
+    package defaults -> RhoGrid; errors name ``where`` the grid came from
+    (the --grid flag or a scan's grid entry)."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"--grid expects LO:HI:STEP, got {spec!r}")
+            raise ConfigError(f"{where} expects LO:HI:STEP, got {spec!r}")
         try:
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"--grid values must be numeric, got {spec!r}") from None
+            raise ConfigError(f"{where} values must be numeric, got {spec!r}") from None
     elif isinstance(spec, dict):
-        _reject_unknown(spec, {"lower", "upper", "step"}, "grid")
-        lo, hi, step = (_config_float(spec.get(key, default), f"grid.{key}")
+        _reject_unknown(spec, {"lower", "upper", "step"}, where)
+        lo, hi, step = (_config_float(spec.get(key, default), f"{where}.{key}")
                         for key, default in (("lower", DEFAULT_GRID_LOWER),
                                              ("upper", DEFAULT_GRID_UPPER),
                                              ("step", DEFAULT_GRID_STEP)))
     else:
-        raise ConfigError("scan grid must be a mapping or LO:HI:STEP string")
+        raise ConfigError(f"{where} must be a mapping or LO:HI:STEP string")
     try:
         return RhoGrid.regular(lo, hi, step)
     except ValueError as exc:
@@ -277,7 +288,8 @@ def _parse_roles(raw: dict) -> ColumnRoles:
     return ColumnRoles(exposure=str(cols["exposure"]),
                        mediator=str(cols["mediator"]),
                        outcome=str(cols["outcome"]),
-                       covariates=tuple(str(c) for c in covs))
+                       covariates=tuple(_output_name(c, "columns.covariates entry")
+                                        for c in covs))
 
 
 def _load_dataset(cfg: _Config) -> LoadResult:
@@ -292,7 +304,10 @@ def _load_dataset(cfg: _Config) -> LoadResult:
     if not isinstance(delim, str) or len(delim) != 1:
         raise ConfigError(
             f"delimiter must be a one-character string, got {delim!r}")
-    return load_csv(data_path, roles, delimiter=delim)
+    try:
+        return load_csv(data_path, roles, delimiter=delim)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {data_path}: {exc}") from None
 
 
 def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
@@ -360,11 +375,12 @@ def _effects_section(raw: dict) -> dict:
 
 def _parse_profiles(cfg: _Config, ds: Dataset, args) -> list[CovariateProfile]:
     entries = []
-    for entry in _effects_section(cfg.raw).get("profiles", []):
+    for i, entry in enumerate(_effects_section(cfg.raw).get("profiles", [])):
         if not isinstance(entry, dict) or not isinstance(entry.get("values"), dict):
             raise ConfigError("each profile needs a 'values' mapping")
         _reject_unknown(entry, {"name", "values"}, "profile")
-        entries.append((str(entry.get("name", f"profile{len(entries) + 1}")),
+        entries.append((_output_name(entry.get("name", f"profile{i + 1}"),
+                                     f"effects.profiles[{i}].name"),
                         entry["values"]))
     for i, text in enumerate(getattr(args, "profile", None) or [], start=1):
         values = {}
@@ -489,7 +505,8 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
                       "scope": "marginal"}]
     requests = []
     by_name = {p.name: p for p in profiles}
-    for entry in raw_scans:
+    flag_grid = None if grid_override is None else _parse_grid(grid_override, "--grid")
+    for i, entry in enumerate(raw_scans):
         if not isinstance(entry, dict):
             raise ConfigError("each scan request must be a mapping")
         _reject_unknown(entry, {"kind", "effect", "scope", "grid", "profile"},
@@ -508,8 +525,9 @@ def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
                     f"scan profile {pname!r} not found among profiles "
                     f"{sorted(by_name)}")
             profile = by_name[str(pname)]
-        grid = _parse_grid(grid_override if grid_override is not None
-                           else entry.get("grid") or {})
+        grid = _parse_grid(entry.get("grid") or {}, f"scans[{i}].grid")
+        if flag_grid is not None:
+            grid = flag_grid
         requests.append({"kind": kind, "effect": effect, "scope": scope,
                          "profile": profile, "grid": grid})
     return requests

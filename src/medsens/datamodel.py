@@ -10,7 +10,9 @@ design builders fix the coefficient layouts used everywhere else:
 
 Optional blocks are controlled by ModelSpec flags; a disabled block is
 simply absent from the matrix (and from the packed coefficient vector),
-never a column of zeros.
+never a column of zeros. Each builder fills one Fortran-order array, so a
+column is contiguous: the probit fit scales rows of whole columns and
+forms X'X by a symmetric rank-k update without copying the design.
 """
 
 from __future__ import annotations
@@ -298,24 +300,41 @@ class ModelSpec:
                 "outcome z*m*x interaction requires the z*m, z*x and m*x blocks")
 
 
+def _design(n: int, blocks) -> np.ndarray:
+    """One Fortran-order (n, k) design filled block by block. A block is a
+    tuple of factors, (n, 1) columns or an (n, p) matrix, and holds their
+    product; the empty tuple is the intercept column."""
+    shapes = [f.shape for block in blocks for f in block]
+    if any(len(shape) != 2 or shape[0] != n for shape in shapes):
+        raise ValueError(f"design blocks must be 2-d with {n} rows, got {shapes}")
+    widths = [np.broadcast_shapes((n, 1), *(f.shape for f in block))[1]
+              for block in blocks]
+    out = np.empty((n, sum(widths)), order="F")
+    start = 0
+    for block, width in zip(blocks, widths):
+        cols = out[:, start:start + width]
+        first, *rest = block or (1.0,)
+        cols[...] = first
+        for factor in rest:
+            np.multiply(cols, factor, out=cols)
+        start += width
+    return out
+
+
 def exposure_design(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    cols = [np.ones((n, 1))]
-    if spec.exposure_x:
-        cols.append(x)
-    return np.hstack(cols)
+    return _design(x.shape[0], [()] + ([(x,)] if spec.exposure_x else []))
 
 
 def mediator_design(z: np.ndarray, x: np.ndarray, spec: ModelSpec) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     x = np.asarray(x, dtype=float)
-    cols = [np.ones_like(z), z]
+    blocks = [(), (z,)]
     if spec.mediator_x:
-        cols.append(x)
+        blocks.append((x,))
     if spec.mediator_zx:
-        cols.append(z * x)
-    return np.hstack(cols)
+        blocks.append((z, x))
+    return _design(z.shape[0], blocks)
 
 
 def outcome_design(z: np.ndarray, m: np.ndarray, x: np.ndarray,
@@ -323,18 +342,18 @@ def outcome_design(z: np.ndarray, m: np.ndarray, x: np.ndarray,
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     m = np.asarray(m, dtype=float).reshape(-1, 1)
     x = np.asarray(x, dtype=float)
-    cols = [np.ones_like(z), z, m]
+    blocks = [(), (z,), (m,)]
     if spec.outcome_zm:
-        cols.append(z * m)
+        blocks.append((z, m))
     if spec.outcome_x:
-        cols.append(x)
+        blocks.append((x,))
     if spec.outcome_zx:
-        cols.append(z * x)
+        blocks.append((z, x))
     if spec.outcome_mx:
-        cols.append(m * x)
+        blocks.append((m, x))
     if spec.outcome_zmx:
-        cols.append(z * m * x)
-    return np.hstack(cols)
+        blocks.append((z, m, x))
+    return _design(z.shape[0], blocks)
 
 
 def build_exposure_design(ds: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -411,9 +430,36 @@ def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
             "outcome": (build_outcome_design(ds, spec), ds.y)}
 
 
+def require_full_rank(design: np.ndarray, what: str) -> None:
+    """Raise RankError "<what> is rank deficient" unless the (n, k) design,
+    n > k, has full column rank by np.linalg.matrix_rank.
+
+    The Gram G = X'X decides first: its eigenvalues are the squared
+    singular values s_i**2, and matrix_rank accepts X when
+    s_min > s_max * n * eps. Rounding X'X moves G by at most
+    n * u * ||X||_F**2 <= (k/2) * n * eps * s_max**2 in the 2-norm
+    (u = eps/2, to first order), and eigvalsh's backward error of order
+    k**2 * u * s_max**2 is below that for n > k. So every computed
+    eigenvalue is within k * n * eps * s_max**2 of its s_i**2, and a
+    computed lam_min > c * n * eps * lam_max with c = k + 2 >= 3 leaves
+    s_min**2 > n * eps * s_max**2: far above the (n * eps * s_max)**2
+    that matrix_rank needs, its own rounding included. Designs at or below
+    the bound go to matrix_rank, so the SVD still decides every RankError.
+    """
+    n, k = design.shape
+    gram = np.linalg.eigvalsh(design.T @ design)
+    if gram[0] > (k + 2) * n * np.finfo(float).eps * gram[-1]:
+        return
+    if np.linalg.matrix_rank(design) < k:
+        raise RankError(f"{what} is rank deficient")
+
+
 def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
     """Checks run at every fit boundary: size, variance, design rank.
-    Returns the model_designs table whose designs passed them."""
+    Returns the model_designs table whose designs passed them. Each
+    design's rank is decided by require_full_rank: one Gram eigenvalue
+    check, and matrix_rank's SVD only when the Gram's smallest eigenvalue
+    is at most (k + 2) * n * eps times its largest."""
     if ds.n <= ds.p + 10:
         raise DataError(
             f"dataset too small to fit: n = {ds.n} rows with p = {ds.p} "
@@ -425,8 +471,7 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
             raise DataError(f"covariate columns with zero variance: {flat}")
     designs = model_designs(ds, spec)
     for label, (design, _) in designs.items():
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            raise RankError(f"{label} design matrix is rank deficient")
+        require_full_rank(design, f"{label} design matrix")
     return designs
 
 

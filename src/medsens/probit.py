@@ -6,9 +6,14 @@ handful of iterations; a step-halving guard keeps early steps honest.
 The same Newton ascent maximizes the constrained bivariate fits.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0.
-fit_probit skips the rank SVD that validate_for_fit already ran on the
-designs datamodel.fit_designs holds; its separation guard reads the
-last pass's linear predictor, and its Hessian reuses one (n, k) buffer.
+fit_probit skips the rank check that validate_for_fit already ran on the
+designs datamodel.fit_designs holds, and puts any other design through the
+same rule (datamodel.require_full_rank: a Gram eigenvalue check, and
+matrix_rank's SVD only near the bound). Every design is fitted in Fortran
+order. The probit weights w are nonnegative, so the Hessian -X'WX is
+accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
+update per block. The separation guard reads the last pass's linear
+predictor.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .datamodel import Dataset, ModelSpec, fit_designs, is_fit_design
+from .datamodel import (Dataset, ModelSpec, fit_designs, is_fit_design,
+                        require_full_rank)
 from .errors import RankError, SeparationError
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -27,6 +33,10 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # |linear predictor| beyond this while the likelihood still improves is
 # treated as (quasi-)separation: the MLE is drifting to infinity.
 _SEPARATION_BOUND = 30.0
+
+# rows per block of the Hessian's rank-k updates: a block of a 20-column
+# design stays in cache between its scaling and its update
+_HESSIAN_ROWS = 8192
 
 MAX_ITER = 100
 SCORE_TOL = 1e-6
@@ -109,7 +119,7 @@ class ProbitFit:
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
-    design = np.asarray(design, dtype=float)
+    design = np.asfortranarray(design, dtype=float)
     response = np.asarray(response)
     if design.ndim != 2:
         raise ValueError("design must be a 2-d matrix")
@@ -137,32 +147,45 @@ def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
 def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on rank deficiency
     and separation. The arrays datamodel.fit_designs holds skip the rank
-    and binary checks they passed there; copies of them do not."""
+    and binary checks they passed there; copies of them do not, and any
+    other design is checked by datamodel.require_full_rank. The fit reads
+    a Fortran-order copy of a design in any other memory order, so it
+    does not depend on the caller's layout."""
     validated = is_fit_design(design, response)
     design, response = ((design, response.astype(float)) if validated
                         else _check_design(design, response))
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    if not validated and np.linalg.matrix_rank(design) < k:
-        raise RankError("design matrix is rank deficient")
+    if not validated:
+        require_full_rank(design, "design matrix")
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
             "the probit likelihood has no interior maximum")
 
     s = 2.0 * response - 1.0
-    weighted = np.empty_like(design)  # the Hessian's weighted design
+    block = np.empty((min(n, _HESSIAN_ROWS), k), order="F")
     q = None
+
+    def hessian(weight):
+        # below q = -1e4 the sum ratio + q cancels and can round negative
+        root = np.sqrt(np.maximum(weight, 0.0))
+        h = np.zeros((k, k))
+        for start in range(0, n, block.shape[0]):
+            stop = min(start + block.shape[0], n)
+            scaled = block[:stop - start]
+            np.multiply(design[start:stop], root[start:stop, None], out=scaled)
+            h -= scaled.T @ scaled  # numpy's syrk path: one buffer, transposed
+        return h
 
     def loglik_score_hessian(coef):
         nonlocal q
         q = s * (design @ coef)
         log_cdf = log_ndtr(q)
         ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
-        weight = ratio * (ratio + q)                  # positive for all q
-        np.multiply(design, weight[:, None], out=weighted)
-        return float(log_cdf.sum()), design.T @ (s * ratio), -(design.T @ weighted)
+        weight = ratio * (ratio + q)  # positive for all q, up to rounding
+        return float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight)
 
     def check_separation(coef):
         # _newton_ascent calls this right after evaluating its accepted

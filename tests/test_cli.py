@@ -543,6 +543,71 @@ class TestConfigErrors:
         assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "'values' mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "effects", "sens"])
+    def test_missing_data_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.csv"
+        cfg = write_config(tmp_path / "c.yaml", {
+            "data": str(missing), "out": str(tmp_path / "o"),
+            "columns": {"exposure": "z", "mediator": "m", "outcome": "y"}})
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read data file {missing}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_scan_grid_entry_checked_under_grid_flag(self, workdir, tmp_path,
+                                                     capsys):
+        cfg = analysis_config(workdir, "bad10", scans=[
+            {"kind": "my", "effect": "nie", "scope": "marginal",
+             "grid": {"bogus": 1}}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o"),
+                     "--grid", "0:0.2:0.1"]) == 1
+        assert "unknown scans[0].grid keys: ['bogus']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0.1:oops", "scans[1].grid expects LO:HI:STEP, got '0.1:oops'"),
+        ("0.1:x:0.2", "scans[1].grid values must be numeric, got '0.1:x:0.2'"),
+        (5, "scans[1].grid must be a mapping or LO:HI:STEP string")])
+    def test_scan_grid_entry_errors_name_the_entry(self, workdir, tmp_path,
+                                                   capsys, grid, message):
+        cfg = analysis_config(workdir, "bad11", scans=[
+            {"kind": "zm", "effect": "nie", "scope": "marginal"},
+            {"kind": "my", "effect": "nie", "scope": "marginal", "grid": grid}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command,key,extra", [
+        *((command, "effects.profiles[1].name", {"effects": {
+            "scopes": ["conditional"], "profiles": [
+                {"name": "typical", "values": {"xcont": "mean", "xbin": 0}},
+                {"name": "a\rb", "values": {"xcont": "mean", "xbin": 1}}]}})
+          for command in ("effects", "sens")),
+        *((command, "columns.covariates entry", {"columns": {
+            "exposure": "z", "mediator": "m", "outcome": "y",
+            "covariates": ["xcont", "x\rbin"]}})
+          for command in ("fit", "effects", "sens"))])
+    def test_carriage_return_in_written_name_rejected(self, workdir, tmp_path,
+                                                      capsys, command, key,
+                                                      extra):
+        cfg = analysis_config(workdir, "bad12", **extra)
+        out = tmp_path / "o"
+        assert main([command, str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "carriage return" in err
+        assert not out.exists()
+
+
+def test_line_breaks_and_quotes_in_profile_names_are_quoted(workdir, tmp_path):
+    name = 'two\nlines, "quoted"'
+    cfg = analysis_config(workdir, "quoted", effects={
+        "types": ["nie"], "scopes": ["conditional"],
+        "profiles": [{"name": name, "values": {"xcont": "mean", "xbin": 0}}]})
+    assert main(["effects", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "effects.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("profile")] for row in rows] == [name]
+    assert all(len(row) == len(header) for row in rows)
+
 
 def readme_output_headers() -> list[tuple[str, str, list[str]]]:
     """(command, file glob, columns) for each CSV row of README's outputs

@@ -1,5 +1,6 @@
 """CSV loading, Dataset validation, design construction."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -362,7 +363,7 @@ class TestDesigns:
         row = outcome_design(self.Z, self.M, self.X, spec)[0]
         assert row.tolist() == [1.0, 1.0, 0.0, 0.0, 2.0, -1.0]
 
-    @pytest.mark.parametrize("spec", [
+    SPECS = [
         FULL,
         ModelSpec(mediator_zx=False, outcome_zx=False, outcome_mx=False,
                   outcome_zmx=False),
@@ -370,7 +371,9 @@ class TestDesigns:
                   outcome_zm=False, outcome_x=False, outcome_zx=False,
                   outcome_mx=False, outcome_zmx=False),
         ModelSpec(outcome_zmx=False),
-    ])
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
     def test_term_labels_match_design_width(self, spec):
         names = ("a", "b")
         z = np.array([0.0, 1.0, 1.0])
@@ -379,6 +382,37 @@ class TestDesigns:
         assert len(exposure_terms(spec, names)) == exposure_design(x, spec).shape[1]
         assert len(mediator_terms(spec, names)) == mediator_design(z, x, spec).shape[1]
         assert len(outcome_terms(spec, names)) == outcome_design(z, m, x, spec).shape[1]
+
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_builders_fill_one_fortran_array(self, spec, p):
+        """Bitwise the column stack of the products, signed zeros included."""
+        rng = np.random.default_rng(p)
+        z, m = rng.integers(0, 2, (2, 50)).astype(float)
+        x = rng.normal(size=(50, p))
+        zc, mc = z[:, None], m[:, None]
+        one = np.ones((50, 1))
+        flags = dataclasses.asdict(spec)
+        blocks = {
+            "exposure": [one] + [x] * flags["exposure_x"],
+            "mediator": [one, zc] + [x] * flags["mediator_x"]
+                        + [zc * x] * flags["mediator_zx"],
+            "outcome": [one, zc, mc] + [zc * mc] * flags["outcome_zm"]
+                       + [x] * flags["outcome_x"] + [zc * x] * flags["outcome_zx"]
+                       + [mc * x] * flags["outcome_mx"]
+                       + [zc * mc * x] * flags["outcome_zmx"]}
+        built = {"exposure": exposure_design(x, spec),
+                 "mediator": mediator_design(z, x, spec),
+                 "outcome": outcome_design(z, m, x, spec)}
+        for model, design in built.items():
+            assert design.flags.f_contiguous
+            expected = np.asfortranarray(np.hstack(blocks[model]))
+            assert design.shape == expected.shape
+            assert design.tobytes(order="A") == expected.tobytes(order="A")
+
+    def test_builders_reject_a_flat_covariate_block(self):
+        with pytest.raises(ValueError, match="2-d"):
+            exposure_design(np.ones(5), FULL)
 
 
 def test_covariate_profile_validation():

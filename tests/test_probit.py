@@ -13,8 +13,9 @@ from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
                      SeparationError, build_mediator_design, demo_params,
                      fit_probit, fit_unconstrained, norm_quantile,
                      probit_loglik, run_scan, simulate, write_csv)
+from medsens import datamodel, probit
 from medsens.cli import main
-from medsens.datamodel import fit_designs
+from medsens.datamodel import fit_designs, require_full_rank
 
 
 def intercept_only(y):
@@ -132,6 +133,19 @@ def count_rank_svds(monkeypatch) -> list:
     return calls
 
 
+def count_rank_checks(monkeypatch) -> list:
+    """Shapes of the designs put through the rank rule, one Gram each."""
+    rule = require_full_rank
+    calls = []
+
+    def counted(design, what):
+        calls.append(design.shape)
+        return rule(design, what)
+    for module in (datamodel, probit):
+        monkeypatch.setattr(module, "require_full_rank", counted)
+    return calls
+
+
 def fresh_dataset(seed):
     return simulate(demo_params(), 600, seed)
 
@@ -150,10 +164,11 @@ def run_effects_cli(ds, spec, tmp_path):
 
 
 @pytest.mark.parametrize("entry", ["fit_unconstrained", "run_scan", "cmd_effects"])
-def test_fresh_dataset_runs_one_rank_svd_per_design(monkeypatch, tmp_path, spec,
-                                                     entry):
+def test_fresh_dataset_runs_one_gram_check_per_design(monkeypatch, tmp_path, spec,
+                                                      entry):
     ds = fresh_dataset(71)
-    calls = count_rank_svds(monkeypatch)
+    checks = count_rank_checks(monkeypatch)
+    svds = count_rank_svds(monkeypatch)
     if entry == "fit_unconstrained":
         fit_unconstrained(ds, spec)
     elif entry == "run_scan":
@@ -161,13 +176,15 @@ def test_fresh_dataset_runs_one_rank_svd_per_design(monkeypatch, tmp_path, spec,
                  RhoGrid.regular(0.3, 0.3, 0.1), ds, spec)
     else:
         run_effects_cli(ds, spec, tmp_path)
-    assert len(calls) == 3
+    shapes = [design.shape for design, _ in datamodel.model_designs(ds, spec).values()]
+    assert checks == shapes
+    assert svds == []  # every design here is far above the Gram bound
 
 
 def test_copies_of_validated_arrays_are_checked(monkeypatch, spec):
     ds = fresh_dataset(72)
     design, response = fit_designs(ds, spec)["outcome"]
-    calls = count_rank_svds(monkeypatch)
+    calls = count_rank_checks(monkeypatch)
     held = fit_probit(design, response)
     assert calls == []
     for args in ((design.copy(), response), (design, response.copy())):
@@ -189,3 +206,54 @@ def test_rank_deficient_copy_of_validated_design_raises(spec):
     collinear[:, -1] = collinear[:, 1]
     with pytest.raises(RankError, match="rank deficient"):
         fit_probit(collinear, response)
+
+
+def test_fit_does_not_depend_on_memory_order(spec):
+    design, response = fit_designs(fresh_dataset(74), spec)["outcome"]
+    n, k = design.shape
+    wide = np.zeros((2 * n, 3 * k))
+    wide[::2, ::3] = design
+    held = fit_probit(design, response)
+    copies = [np.array(design, order="C"), np.array(design, order="F"),
+              wide[::2, ::3]]
+    assert [(c.flags.c_contiguous, c.flags.f_contiguous) for c in copies] == [
+        (True, False), (False, True), (False, False)]
+    for copy in copies:
+        fit = fit_probit(copy, response)
+        for field in ("coefficients", "covariance"):
+            assert getattr(fit, field).tobytes() == getattr(held, field).tobytes()
+        assert (fit.loglik, fit.iterations) == (held.loglik, held.iterations)
+
+
+def scaled_design(n, singular_values, seed):
+    """An (n, k) design with exactly these singular values, up to rounding."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.normal(size=(n, len(singular_values))))
+    right, _ = np.linalg.qr(rng.normal(size=(len(singular_values),) * 2))
+    return (left * singular_values) @ right
+
+
+@pytest.mark.parametrize("ratio,svd_calls", [(0.25, 1), (4.0, 0)])
+def test_designs_at_the_gram_bound(monkeypatch, ratio, svd_calls):
+    """lam_min / lam_max just below the bound (k + 2) n eps reaches the SVD,
+    which accepts the design; just above it the Gram alone accepts it."""
+    n, k = 400, 3
+    bound = (k + 2) * n * np.finfo(float).eps
+    design = scaled_design(n, [1.0, 1.0, math.sqrt(ratio * bound)], 5)
+    lam = np.linalg.eigvalsh(design.T @ design)
+    assert (lam[0] < bound * lam[-1]) == (ratio < 1)
+    svds = count_rank_svds(monkeypatch)
+    require_full_rank(design, "design")
+    assert svds == [design.shape] * svd_calls
+    response = np.random.default_rng(6).integers(0, 2, n)
+    assert fit_probit(design, response).converged
+    assert svds == [design.shape] * (2 * svd_calls)
+
+
+def test_collinear_design_is_decided_by_the_svd(monkeypatch):
+    design = scaled_design(400, [1.0, 1.0, 1.0], 7)
+    design[:, 2] = design[:, 0] - design[:, 1]
+    svds = count_rank_svds(monkeypatch)
+    with pytest.raises(RankError, match="design matrix is rank deficient"):
+        fit_probit(design, np.random.default_rng(8).integers(0, 2, 400))
+    assert svds == [design.shape]

@@ -1,13 +1,18 @@
-"""The example scripts run end to end on small inputs."""
+"""The example scripts run end to end on small inputs; the benchmark pair
+runner is checked on fake run records."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("args", [
@@ -22,3 +27,95 @@ def test_script_runs(args):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_record(wall_s, correct=True):
+    """A perfbench/run.py record whose metrics all follow wall_s."""
+    units = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+    values = {name: wall_s for name in units}
+    values.update(ops_per_s=1000.0 / wall_s, ok_frac=1.0)
+    return {"correct": correct,
+            "metrics": {name: {"value": values[name], "unit": unit}
+                        for name, unit in units.items()},
+            "environment": {"nproc": 2, "machine": "x86_64", "python": "3",
+                            "numpy": "2", "scipy": "1", "blas": "openblas",
+                            "threads": {"OMP_NUM_THREADS": "1"}}}
+
+
+PARENT_WALLS = [2.0, 2.1, 1.9, 2.05, 2.2, 1.95, 2.0, 2.15, 2.1, 1.9]
+CHANGE_WALLS = [1.6, 1.7, 2.0, 1.6, 1.65, 1.55, 1.6, 1.7, 1.6, 1.5]  # pair 3 lost
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    """The script with run_once replaced by a log of fake runs."""
+    module = load_bench_pairs()
+    runs = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        runs.append((tree.name, workload, seed, trace))
+        walls = PARENT_WALLS if tree.name == "parent" else CHANGE_WALLS
+        return fake_record(walls[seed % 10])
+    monkeypatch.setattr(module, "run_once", run_once)
+    module.runs = runs
+    return module
+
+
+def test_bench_pairs_alternates_the_side_run_first(bench_pairs, tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    bench_pairs.run_pairs(trees, "sens_cli", [10, 11, 12], 1.0)
+    assert [(tree, seed) for tree, _, seed, _ in bench_pairs.runs] == [
+        ("parent", 10), ("change", 10), ("change", 11), ("parent", 11),
+        ("parent", 12), ("change", 12)]
+
+
+def test_bench_pairs_claim_report(bench_pairs, tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10), 1.0)
+    summary = bench_pairs.summarize(pairs, range(10))
+    wall = summary["metrics"]["wall_s"]
+    assert (wall["parent_median"], wall["change_median"]) == (2.025, 1.6)
+    q1, q3 = np.percentile(PARENT_WALLS, [25, 75])
+    assert wall["parent_iqr"] == pytest.approx(q3 - q1)
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (9, 1)
+    ops = summary["metrics"]["ops_per_s"]  # higher is better
+    assert (ops["change_better_pairs"], ops["change_worse_pairs"]) == (9, 1)
+    check = bench_pairs.claim_check(summary, "wall_s")
+    assert check == {"wins": 9, "pairs": 10, "median_gap": pytest.approx(0.425),
+                     "parent_iqr": wall["parent_iqr"], "holds": True}
+    assert bench_pairs.claim_text("effects_cli", "wall_s", summary).startswith(
+        "effects_cli wall_s improves: 2.025 -> 1.6 s (-21.0%), better in 9 of 10")
+    assert wall["within_bound"] and ops["within_bound"]
+    swapped = bench_pairs.summarize(
+        [{"parent": p["change"], "change": p["parent"]} for p in pairs], range(10))
+    assert not bench_pairs.claim_check(swapped, "wall_s")["holds"]
+    # 1.6 -> 2.025 s is 27% slower, beyond the 25% bound; ops_per_s falls 21%
+    assert not swapped["metrics"]["wall_s"]["within_bound"]
+    assert swapped["metrics"]["ops_per_s"]["within_bound"]
+
+
+def test_bench_pairs_writes_a_valid_record(bench_pairs, tmp_path):
+    from test_bench_files import test_record_reports_every_end_to_end_metric
+    out = tmp_path / "BENCH_fake.json"
+    (tmp_path / "parent").mkdir()
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+        "--label", "fake", "--claim", "effects_cli:wall_s", "--first-seed", "0",
+        "--traced-pairs", "2", "--out", str(out)]) == 0
+    test_record_reports_every_end_to_end_metric(out)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["claim_check"]["holds"]
+    assert {name: w["seeds"] for name, w in record["workloads"].items()} == {
+        name: list(range(10 * j, 10 * j + 10))
+        for j, name in enumerate(w["name"] for w in BENCHMARK["workloads"])}
+    traced = record["traced_effects_cli_seed7"]
+    assert traced["parent"]["wall_s"]["runs"] == [PARENT_WALLS[7]] * 2
+    assert [run[3] for run in bench_pairs.runs[-4:]] == [1] * 4
