@@ -6,18 +6,19 @@ tree run first alternates from pair to pair, so a drift in machine load
 does not favour one side. The record holds, per workload and end-to-end
 metric of BENCHMARK.json, both medians and interquartile ranges, whether
 the change stays within the metric's regression bound, and how many
-pairs the change won and lost. The claim (one workload and
-metric) is reported as wins out of N, the gap between the medians and the
-parent IQR; it holds when the change wins at least 9 in 10 pairs and the
-gap exceeds the IQR. Optional traced runs (--traced-pairs) add the
-per-layer metrics of one seed for both trees.
+pairs the change won and lost. Every workload of BENCHMARK.json runs
+10 pairs of its run_seconds each. The claim (one workload and metric) is
+reported as wins out of N, the gap between the medians and the parent
+IQR; it holds when there are at least 10 pairs, every run is correct, the
+change's median ok_frac is no lower than the parent's, the change wins at
+least 9 in 10 pairs and the gap exceeds the IQR. Optional traced runs
+(--traced-pairs) add the per-layer metrics of seed 7 for both trees.
 
 Usage (from the root of the change tree):
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --label probit_gram --claim effects_cli:wall_s --first-seed 2201 \\
-        [--pairs 10] [--seconds 5] [--workloads effects_cli ...] \\
-        [--traced-pairs 3 --traced-seed 7] [--summary "what changed"]
+        [--traced-pairs 3] [--summary "what changed"]
 """
 
 from __future__ import annotations
@@ -32,28 +33,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SIDES = ("parent", "change")
+PAIRS = 10
+TRACED_SEED = 7
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench/run.py process in ``tree``: its last stdout line (the
     record) joined with its {"environment": ...} line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith('{"environment"'))
     return {**json.loads(lines[-1]), **json.loads(env)}
 
 
-def run_pairs(trees: dict, workload: str, seeds, seconds: float,
-              trace: int = 0) -> list[dict]:
+def run_pairs(trees: dict, workload: str, seeds, trace: int = 0) -> list[dict]:
     """{side: record} per seed; the side run first alternates, parent first."""
     pairs = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pairs.append({side: run_once(trees[side], workload, seed, seconds, trace)
+        pairs.append({side: run_once(trees[side], workload, seed, trace)
                       for side in order})
     return pairs
 
@@ -95,15 +98,19 @@ def summarize(pairs: list[dict], seeds, metrics=None) -> dict:
 
 
 def claim_check(summary: dict, metric: str) -> dict:
-    """Wins out of N, median gap and parent IQR for the claimed metric."""
-    m = summary["metrics"][metric]
+    """Wins out of N, median gap and parent IQR for the claimed metric. A
+    gain holds only on enough pairs of correct runs that fail no more
+    operations than the parent's."""
+    m, ok = summary["metrics"][metric], summary["metrics"]["ok_frac"]
     sign = next(1 if e["better"] == "lower" else -1
                 for e in BENCHMARK["end_to_end"] if e["name"] == metric)
     gap = sign * (m["parent_median"] - m["change_median"])
     wins, n = m["change_better_pairs"], summary["pairs"]
     return {"wins": wins, "pairs": n, "median_gap": gap,
             "parent_iqr": m["parent_iqr"],
-            "holds": wins >= 0.9 * n and gap > m["parent_iqr"]}
+            "holds": (n >= PAIRS and summary["correct_all"]
+                      and ok["change_median"] >= ok["parent_median"]
+                      and wins >= 0.9 * n and gap > m["parent_iqr"])}
 
 
 def claim_text(workload: str, metric: str, summary: dict) -> str:
@@ -135,25 +142,20 @@ def machine(record: dict) -> str:
 
 
 def parse_args(argv=None):
-    names = [w["name"] for w in BENCHMARK["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
     parser.add_argument("--first-seed", type=int, required=True,
-                        help="workload j, pair i runs seed first + j * pairs + i")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+                        help="workload j, pair i runs seed first + 10 * j + i")
     parser.add_argument("--traced-pairs", type=int, default=0)
-    parser.add_argument("--traced-seed", type=int, default=7)
     parser.add_argument("--summary", default="", help="what the change does")
     parser.add_argument("--out", type=Path,
                         help="default: BENCH_<label>.json in the change tree")
     args = parser.parse_args(argv)
     workload, _, metric = args.claim.partition(":")
-    if workload not in args.workloads or metric not in {
+    if workload not in WORKLOADS or metric not in {
             e["name"] for e in BENCHMARK["end_to_end"]}:
         parser.error(f"--claim names no measured workload and metric: {args.claim!r}")
     return args
@@ -164,10 +166,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     claim_workload, _, claim_metric = args.claim.partition(":")
     workloads, last = {}, None
-    for j, name in enumerate(args.workloads):
-        seeds = range(args.first_seed + j * args.pairs,
-                      args.first_seed + (j + 1) * args.pairs)
-        pairs = run_pairs(trees, name, seeds, args.seconds)
+    for j, name in enumerate(WORKLOADS):
+        seeds = range(args.first_seed + j * PAIRS, args.first_seed + (j + 1) * PAIRS)
+        pairs = run_pairs(trees, name, seeds)
         workloads[name] = summarize(pairs, seeds)
         last = pairs[-1]["change"]
         print(name, json.dumps(workloads[name]["metrics"]["wall_s"]), flush=True)
@@ -178,8 +179,8 @@ def main(argv=None) -> int:
         "claim": claim_text(claim_workload, claim_metric, workloads[claim_workload]),
         "claim_check": {"workload": claim_workload, "metric": claim_metric,
                         **claim_check(workloads[claim_workload], claim_metric)},
-        "method": (f"perfbench/run.py --seconds {args.seconds:g} --trace 0, "
-                   f"{args.pairs} alternating parent/change pairs per workload "
+        "method": (f"perfbench/run.py --seconds {BENCHMARK['run_seconds']:g} "
+                   f"--trace 0, {PAIRS} alternating parent/change pairs per workload "
                    f"(the side run first alternates), seeds {min(seeds)}-{max(seeds)}, "
                    "run one at a time, each side from its own tree; end-to-end "
                    "times are reference-normalized seconds; parent_iqr is the "
@@ -190,10 +191,10 @@ def main(argv=None) -> int:
     }
     if args.traced_pairs:
         pairs = run_pairs(trees, claim_workload,
-                          [args.traced_seed] * args.traced_pairs, args.seconds, 1)
-        record[f"traced_{claim_workload}_seed{args.traced_seed}"] = {
+                          [TRACED_SEED] * args.traced_pairs, 1)
+        record[f"traced_{claim_workload}_seed{TRACED_SEED}"] = {
             "method": (f"perfbench/run.py --workload {claim_workload} --seed "
-                       f"{args.traced_seed} --trace 1, {args.traced_pairs} "
+                       f"{TRACED_SEED} --trace 1, {args.traced_pairs} "
                        "alternating pairs; raw seconds"),
             **summarize_traced(pairs)}
     out = args.out or trees["change"] / f"BENCH_{args.label}.json"

@@ -300,41 +300,30 @@ class ModelSpec:
                 "outcome z*m*x interaction requires the z*m, z*x and m*x blocks")
 
 
-def _design(n: int, blocks) -> np.ndarray:
-    """One Fortran-order (n, k) design filled block by block. A block is a
-    tuple of factors, (n, 1) columns or an (n, p) matrix, and holds their
-    product; the empty tuple is the intercept column."""
-    shapes = [f.shape for block in blocks for f in block]
-    if any(len(shape) != 2 or shape[0] != n for shape in shapes):
-        raise ValueError(f"design blocks must be 2-d with {n} rows, got {shapes}")
-    widths = [np.broadcast_shapes((n, 1), *(f.shape for f in block))[1]
-              for block in blocks]
-    out = np.empty((n, sum(widths)), order="F")
-    start = 0
-    for block, width in zip(blocks, widths):
-        cols = out[:, start:start + width]
-        first, *rest = block or (1.0,)
-        cols[...] = first
-        for factor in rest:
-            np.multiply(cols, factor, out=cols)
-        start += width
-    return out
+def _columns(cols) -> np.ndarray:
+    """np.hstack of (n, p) blocks, written into one Fortran-order array."""
+    out = np.empty((cols[0].shape[0], sum(c.shape[-1] for c in cols)), order="F")
+    return np.concatenate(cols, axis=1, out=out)
 
 
 def exposure_design(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return _design(x.shape[0], [()] + ([(x,)] if spec.exposure_x else []))
+    n = x.shape[0]
+    cols = [np.ones((n, 1))]
+    if spec.exposure_x:
+        cols.append(x)
+    return _columns(cols)
 
 
 def mediator_design(z: np.ndarray, x: np.ndarray, spec: ModelSpec) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     x = np.asarray(x, dtype=float)
-    blocks = [(), (z,)]
+    cols = [np.ones_like(z), z]
     if spec.mediator_x:
-        blocks.append((x,))
+        cols.append(x)
     if spec.mediator_zx:
-        blocks.append((z, x))
-    return _design(z.shape[0], blocks)
+        cols.append(z * x)
+    return _columns(cols)
 
 
 def outcome_design(z: np.ndarray, m: np.ndarray, x: np.ndarray,
@@ -342,18 +331,18 @@ def outcome_design(z: np.ndarray, m: np.ndarray, x: np.ndarray,
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     m = np.asarray(m, dtype=float).reshape(-1, 1)
     x = np.asarray(x, dtype=float)
-    blocks = [(), (z,), (m,)]
+    cols = [np.ones_like(z), z, m]
     if spec.outcome_zm:
-        blocks.append((z, m))
+        cols.append(z * m)
     if spec.outcome_x:
-        blocks.append((x,))
+        cols.append(x)
     if spec.outcome_zx:
-        blocks.append((z, x))
+        cols.append(z * x)
     if spec.outcome_mx:
-        blocks.append((m, x))
+        cols.append(m * x)
     if spec.outcome_zmx:
-        blocks.append((z, m, x))
-    return _design(z.shape[0], blocks)
+        cols.append(z * m * x)
+    return _columns(cols)
 
 
 def build_exposure_design(ds: Dataset, spec: ModelSpec) -> np.ndarray:

@@ -119,7 +119,7 @@ class ProbitFit:
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
-    design = np.asfortranarray(design, dtype=float)
+    design = np.asarray(design, dtype=float)
     response = np.asarray(response)
     if design.ndim != 2:
         raise ValueError("design must be a 2-d matrix")
@@ -152,8 +152,11 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     a Fortran-order copy of a design in any other memory order, so it
     does not depend on the caller's layout."""
     validated = is_fit_design(design, response)
-    design, response = ((design, response.astype(float)) if validated
-                        else _check_design(design, response))
+    if validated:  # the builders' Fortran-order arrays
+        response = response.astype(float)
+    else:
+        design, response = _check_design(design, response)
+        design = np.asfortranarray(design)
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")

@@ -410,10 +410,6 @@ class TestDesigns:
             assert design.shape == expected.shape
             assert design.tobytes(order="A") == expected.tobytes(order="A")
 
-    def test_builders_reject_a_flat_covariate_block(self):
-        with pytest.raises(ValueError, match="2-d"):
-            exposure_design(np.ones(5), FULL)
-
 
 def test_covariate_profile_validation():
     prof = CovariateProfile(values=[1.0, 2.0], name="p")

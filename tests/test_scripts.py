@@ -60,7 +60,7 @@ def bench_pairs(monkeypatch):
     module = load_bench_pairs()
     runs = []
 
-    def run_once(tree, workload, seed, seconds, trace=0):
+    def run_once(tree, workload, seed, trace=0):
         runs.append((tree.name, workload, seed, trace))
         walls = PARENT_WALLS if tree.name == "parent" else CHANGE_WALLS
         return fake_record(walls[seed % 10])
@@ -71,7 +71,7 @@ def bench_pairs(monkeypatch):
 
 def test_bench_pairs_alternates_the_side_run_first(bench_pairs, tmp_path):
     trees = {side: tmp_path / side for side in ("parent", "change")}
-    bench_pairs.run_pairs(trees, "sens_cli", [10, 11, 12], 1.0)
+    bench_pairs.run_pairs(trees, "sens_cli", [10, 11, 12])
     assert [(tree, seed) for tree, _, seed, _ in bench_pairs.runs] == [
         ("parent", 10), ("change", 10), ("change", 11), ("parent", 11),
         ("parent", 12), ("change", 12)]
@@ -79,7 +79,7 @@ def test_bench_pairs_alternates_the_side_run_first(bench_pairs, tmp_path):
 
 def test_bench_pairs_claim_report(bench_pairs, tmp_path):
     trees = {side: tmp_path / side for side in ("parent", "change")}
-    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10), 1.0)
+    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10))
     summary = bench_pairs.summarize(pairs, range(10))
     wall = summary["metrics"]["wall_s"]
     assert (wall["parent_median"], wall["change_median"]) == (2.025, 1.6)
@@ -100,6 +100,29 @@ def test_bench_pairs_claim_report(bench_pairs, tmp_path):
     # 1.6 -> 2.025 s is 27% slower, beyond the 25% bound; ops_per_s falls 21%
     assert not swapped["metrics"]["wall_s"]["within_bound"]
     assert swapped["metrics"]["ops_per_s"]["within_bound"]
+
+
+def test_bench_pairs_claim_needs_ten_pairs_of_sound_runs(bench_pairs, tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    seeds = [0, 1, 3, 4, 5]  # pair 2 is the one the change loses
+    few = bench_pairs.claim_check(bench_pairs.summarize(
+        bench_pairs.run_pairs(trees, "effects_cli", seeds), seeds), "wall_s")
+    assert (few["wins"], few["pairs"]) == (5, 5)
+    assert few["median_gap"] > few["parent_iqr"]
+    assert not few["holds"]  # five pairs are too few, however clear
+
+    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10))
+    pairs[4]["change"]["correct"] = False
+    assert not bench_pairs.claim_check(
+        bench_pairs.summarize(pairs, range(10)), "wall_s")["holds"]
+
+    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10))
+    for pair in pairs:  # faster, but failing one operation in ten
+        pair["change"]["metrics"]["ok_frac"]["value"] = 0.9
+    summary = bench_pairs.summarize(pairs, range(10))
+    check = bench_pairs.claim_check(summary, "wall_s")
+    assert check["wins"] == 9 and check["median_gap"] > check["parent_iqr"]
+    assert not check["holds"]
 
 
 def test_bench_pairs_writes_a_valid_record(bench_pairs, tmp_path):
