@@ -31,8 +31,8 @@ from scipy.special import log_ndtr
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
 from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
-from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _newton_ascent,
-                     fit_probit)
+from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _mills,
+                     _newton_ascent, fit_probit)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -89,8 +89,8 @@ def _signed_pair(kind: ConfoundingKind, designs):
 
 
 def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
-    """Log-likelihood, score and Hessian of sum_i ln Phi2(u_a, u_b; r_i)
-    from one Phi2 evaluation; r holds the signed row correlations."""
+    """Log-likelihood, score, Hessian and row terms u_a, u_b, w_a, w_b, d of
+    sum_i ln Phi2(u_a, u_b; r_i), r_i signed, from one Phi2 evaluation."""
     u_a = signed_a @ coef_a
     u_b = signed_b @ coef_b
     logp = safe_log(bvn_cdf(u_b, u_a, r))
@@ -114,7 +114,31 @@ def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
     hessian = np.block([
         [signed_a.T @ (signed_a * h_aa[:, None]), cross],
         [cross.T, signed_b.T @ (signed_b * h_bb[:, None])]])
-    return float(logp.sum()), score, hessian
+    return float(logp.sum()), score, hessian, u_a, u_b, w_a, w_b, d
+
+
+def _score_rho(signed_a, signed_b, signs, r, rows):
+    """dg/drho, so that the path tangent at an optimum is -H^-1 dg/drho:
+    dw_a/dr = dd/du_a = d [(r u_b - u_a)/(1 - r^2) - w_a] (Plackett 1954)
+    and dr_i/drho = s_i."""
+    u_a, u_b, w_a, w_b, d = rows
+    sd, one_minus_r2 = signs * d, 1.0 - r * r
+    return np.concatenate([
+        signed_a.T @ (sd * ((r * u_b - u_a) / one_minus_r2 - w_a)),
+        signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
+
+
+def _probit_pair_tangent(kind, ds, spec, fit_a, fit_b) -> np.ndarray:
+    """The tangent at rho = 0 from the probit fits, the pair's optimum there:
+    ln Phi2 splits, so w = phi/Phi, d = w_a w_b and H is block diagonal."""
+    _, _, (signed_a, signed_b, signs) = _signed_pair(kind, fit_designs(ds, spec))
+    u_a, u_b = signed_a @ fit_a.coefficients, signed_b @ fit_b.coefficients
+    w_a, w_b = _mills(u_a)[1], _mills(u_b)[1]
+    g = _score_rho(signed_a, signed_b, signs, 0.0,
+                   (u_a, u_b, w_a, w_b, w_a * w_b))
+    ka = fit_a.coefficients.size
+    return np.concatenate([fit_a.covariance @ g[:ka],
+                           fit_b.covariance @ g[ka:]])
 
 
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
@@ -141,7 +165,7 @@ def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
 
 @dataclass(frozen=True)
 class ConstrainedFit:
-    """Joint ML fit of one model pair at a fixed error correlation."""
+    """Joint ML fit of a model pair at fixed rho, with dx/drho and dl/drho."""
 
     kind: ConfoundingKind
     rho: float
@@ -155,6 +179,8 @@ class ConstrainedFit:
     converged: bool
     score_norm: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    tangent: np.ndarray | None = None
+    loglik_slope: float | None = None
 
 
 def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
@@ -164,14 +190,12 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     rho outside the +-0.999 interior band is clamped with a recorded
     warning. The start defaults to the two univariate probit fits; scans
-    pass their own probit fits at the anchor point and starts predicted
-    from the neighboring optima after it; a non-finite start raises
-    ValueError. The validated designs come from datamodel.fit_designs,
-    set up once per (ds, spec) and shared by every kind and by
-    fit_unconstrained; the two sign-flipped designs are formed per call.
-    Covariances come from the inverse observed information of the joint
-    fit, read out as the two diagonal blocks (the full matrix is also
-    kept).
+    pass a cubic Hermite or Euler prediction from converged optima, and a
+    non-finite start raises ValueError. The designs come from
+    datamodel.fit_designs; the sign-flipped pair is formed per call.
+    Covariances are the inverse observed information of the joint fit
+    (the full matrix and its two diagonal blocks); the tangent and slope
+    reuse the last pass's row terms, with no further Phi2 call.
     """
     (da, ra), (db, rb), (signed_a, signed_b, signs) = _signed_pair(
         kind, fit_designs(ds, spec))
@@ -226,4 +250,6 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
         covariance_full=cov_full, loglik=opt.loglik,
         iterations=opt.iterations, converged=converged,
         score_norm=float(np.abs(opt.score).max()),
-        warnings=tuple(warnings))
+        warnings=tuple(warnings),
+        tangent=cov_full @ _score_rho(signed_a, signed_b, signs, r, opt.rows),
+        loglik_slope=float(signs @ opt.rows[-1]))  # sum_i s_i d_i

@@ -56,19 +56,21 @@ class _Optimum(NamedTuple):
     hessian: np.ndarray
     iterations: int
     converged: bool
+    rows: list
 
 
 def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
     """Maximize a concave log-likelihood by step-halving Newton.
 
-    loglik_score_hessian maps x to (loglik, score, Hessian). Convergence
-    requires a score below SCORE_TOL in the infinity norm and a relative
-    log-likelihood change below LOGLIK_RTOL. on_improve(x) runs after
-    every step that strictly increased the log-likelihood, so callers can
-    raise on divergence (separation).
+    loglik_score_hessian maps x to (loglik, score, Hessian, *rows); the
+    rows of the pass at the returned x are kept. Convergence requires a
+    score below SCORE_TOL in the infinity norm and a relative log-likelihood
+    change below LOGLIK_RTOL. on_improve(x) runs after every step that
+    strictly increased the log-likelihood, so callers can raise on
+    divergence (separation).
     """
     x = np.asarray(x0, dtype=float)
-    f, g, h = loglik_score_hessian(x)
+    f, g, h, *rows = loglik_score_hessian(x)
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
@@ -82,7 +84,7 @@ def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
         accepted = False
         for _ in range(40):
             cand = x + scale * step
-            f_new, g_new, h_new = loglik_score_hessian(cand)
+            f_new, g_new, h_new, *rows_new = loglik_score_hessian(cand)
             if np.isfinite(f_new) and (
                     f_new >= f or (f_new >= floor
                                    and np.abs(g_new).max() <= 0.5 * g_norm)):
@@ -96,14 +98,14 @@ def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
             break
         improved = f_new > f
         rel_change = abs(f_new - f) / (abs(f) + 1.0)
-        x, f, g, h = cand, f_new, g_new, h_new
+        x, f, g, h, rows = cand, f_new, g_new, h_new, rows_new
         if improved and on_improve is not None:
             on_improve(x)
         if np.abs(g).max() < SCORE_TOL and rel_change < LOGLIK_RTOL:
             converged = True
             break
     return _Optimum(x=x, loglik=float(f), score=g, hessian=h,
-                    iterations=iterations, converged=converged)
+                    iterations=iterations, converged=converged, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,21 @@ def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
     return float(log_ndtr(s * (design @ coefficients)).sum())
 
 
+def _mills(q):
+    """ln Phi(q), ratio = phi/Phi and the weight ratio (ratio + q); below
+    -30 that sum is 1/(x + 2/(x + 3/...)), x = -q (Laplace's fraction)."""
+    log_cdf = log_ndtr(q)
+    ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
+    weight = ratio * (ratio + q)
+    tail = q < -_SEPARATION_BOUND
+    if tail.any():
+        x = t = -q[tail]
+        for k in range(8, 1, -1):  # 8 terms: double precision at x = 30
+            t = x + k / t
+        weight[tail] = (x + 1.0 / t) / t
+    return log_cdf, ratio, weight
+
+
 def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on rank deficiency
     and separation. The arrays datamodel.fit_designs holds skip the rank
@@ -172,8 +189,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     q = None
 
     def hessian(weight):
-        # below q = -1e4 the sum ratio + q cancels and can round negative
-        root = np.sqrt(np.maximum(weight, 0.0))
+        root = np.sqrt(weight)
         h = np.zeros((k, k))
         for start in range(0, n, block.shape[0]):
             stop = min(start + block.shape[0], n)
@@ -185,9 +201,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     def loglik_score_hessian(coef):
         nonlocal q
         q = s * (design @ coef)
-        log_cdf = log_ndtr(q)
-        ratio = np.exp(-0.5 * q * q - _LOG_SQRT_2PI - log_cdf)  # pdf/cdf, tail-stable
-        weight = ratio * (ratio + q)  # positive for all q, up to rounding
+        log_cdf, ratio, weight = _mills(q)
         return float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight)
 
     def check_separation(coef):

@@ -20,14 +20,12 @@ rho-nearest-zero estimate.
 Fitting does not depend on the effect: a scan refits the kind's model
 pair at every grid value, then reads the effect off each fit. A point
 fails when its fit raises a MedsensError or does not converge, or when
-its effect raises one; only a failed fit changes later starts. The fit
-nearest zero starts from the probit fits, and the others are chained
-outward from it. Once a chain has two converged optima (the anchor
-counts as one), each fit starts from their secant extrapolation to the
-next rho, x_k + (x_k - x_{k-1}) (rho_{k+1} - rho_k) / (rho_k - rho_{k-1}),
-a predictor-corrector continuation with Newton as the corrector; after a
-failed point the next fit starts from the last optimum, or from the
-probit fits while the chain has none.
+its effect raises one; only a failed fit changes later starts. Fits
+chain outward from the one nearest zero, each starting from the cubic
+Hermite through the chain's last two converged optima and their tangents
+dx/drho, or from an Euler step when it has one (Allgower & Georg 1990,
+ch. 2). The rho = 0 probit pair counts as an optimum, with a closed-form
+tangent.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
-                       fit_constrained)
+                       _probit_pair_tangent, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _profile_row,
                       effect_with_ci)
@@ -208,28 +206,39 @@ def _coefficients(fit: ConstrainedFit) -> np.ndarray:
     return np.concatenate([fit.coefficients_a, fit.coefficients_b])
 
 
+def _predict(known, rho) -> np.ndarray:
+    """The start at rho: a cubic Hermite through two nodes or an Euler step."""
+    (rho0, x0, t0), (rho1, x1, t1) = known[0], known[-1]
+    if len(known) == 1:
+        return x1 + t1 * (rho - rho1)
+    h = rho1 - rho0
+    s = (rho - rho0) / h
+    return (((2 * s - 3) * s * s + 1) * x0 + (s - 1) * (s - 1) * s * h * t0
+            + (3 - 2 * s) * s * s * x1 + (s - 1) * s * s * h * t1)
+
+
 def _fit_path(kind, points, ds, spec, base) -> list[ConstrainedFit | None]:
     """One refit per sorted, unique grid point, None where it failed: the
-    point nearest zero from the probit fits, then a chain outward on
-    either side of it."""
+    point nearest zero predicted from the probit pair, then a chain
+    outward on either side of it."""
     anchor = int(np.argmin(np.abs(points)))
-    probit_start = np.concatenate([getattr(base, name).coefficients
-                                   for name in PAIR_MODELS[kind]])
+    fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
+    probit_pair = (0.0, np.concatenate([fit_a.coefficients, fit_b.coefficients]),
+                   _probit_pair_tangent(kind, ds, spec, fit_a, fit_b))
     fits: list[ConstrainedFit | None] = [None] * len(points)
+
+    def node(i):
+        return points[i], _coefficients(fits[i]), fits[i].tangent
+
     for chain in ((anchor,), range(anchor + 1, len(points)),
                   range(anchor - 1, -1, -1)):
-        # converged (rho, optimum) pairs to start from: the last two, or
-        # only the last one after a failed point
-        known = [] if fits[anchor] is None else [
-            (points[anchor], _coefficients(fits[anchor]))]
+        # converged (rho, optimum, tangent) nodes to predict from: the last
+        # two, or only the last one after a failed point
+        known = [probit_pair if fits[anchor] is None else node(anchor)]
         for i in chain:
-            start = known[-1][1] if known else probit_start
-            if len(known) == 2:
-                (rho0, x0), (rho1, x1) = known
-                start = x1 + (x1 - x0) * ((points[i] - rho1) / (rho1 - rho0))
-            fits[i] = _refit(kind, points[i], ds, spec, start)
-            known = known[-1:] if fits[i] is None else [
-                *known[-1:], (points[i], _coefficients(fits[i]))]
+            fits[i] = _refit(kind, points[i], ds, spec,
+                             _predict(known, points[i]))
+            known = known[-1:] if fits[i] is None else [*known[-1:], node(i)]
     return fits
 
 

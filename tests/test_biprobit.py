@@ -10,7 +10,8 @@ from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
                      build_mediator_design, build_outcome_design,
                      constrained_grad, constrained_loglik, demo_params,
                      finite_diff_grad, fit_constrained, fit_probit,
-                     probit_loglik, simulate)
+                     fit_unconstrained, probit_loglik, simulate)
+from medsens.biprobit import PAIR_MODELS, _probit_pair_tangent
 from conftest import confounded_params, make_dataset
 
 KINDS = list(ConfoundingKind)
@@ -214,6 +215,47 @@ class TestFitConstrained:
         # not a SeparationError: the data are not separated
         with pytest.raises(ValueError, match="start"):
             fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
+
+
+@pytest.fixture(scope="module", params=KINDS, ids=[k.value for k in KINDS])
+def fits_around_rho(request):
+    """The kind's fits at rho = 0.2 and 0.2 -+ 1e-4 on an n = 2000 draw."""
+    kind = request.param
+    params = confounded_params(kind, 0.3)
+    ds = simulate(params, 2000, 71)
+    return [fit_constrained(kind, rho, ds, params.spec)
+            for rho in (0.2, 0.2 - 1e-4, 0.2 + 1e-4)]
+
+
+class TestPathDerivatives:
+    """The closed-form rho derivatives at an optimum against central
+    differences of two fits."""
+
+    def test_profile_slope(self, fits_around_rho):
+        fit, below, above = fits_around_rho
+        assert all(f.converged for f in fits_around_rho)
+        central = (above.loglik - below.loglik) / 2e-4
+        assert fit.loglik_slope == pytest.approx(central, rel=1e-5)
+
+    def test_tangent(self, fits_around_rho):
+        fit, below, above = fits_around_rho
+        central = (np.concatenate([above.coefficients_a, above.coefficients_b])
+                   - np.concatenate([below.coefficients_a, below.coefficients_b])
+                   ) / 2e-4
+        assert fit.tangent.shape == central.shape
+        assert np.abs(fit.tangent - central).max() <= 1e-5 * np.abs(central).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_probit_pair_tangent_is_the_zero_rho_fit_tangent(
+            self, kind, demo_confounded, spec):
+        # ln Phi2(u_a, u_b; 0) splits into the two probit terms, so the
+        # probit fits and their covariances give the tangent at rho = 0
+        base = fit_unconstrained(demo_confounded, spec)
+        fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
+        tangent = _probit_pair_tangent(kind, demo_confounded, spec, fit_a, fit_b)
+        fit = fit_constrained(kind, 0.0, demo_confounded, spec)
+        assert np.abs(tangent - fit.tangent).max() <= \
+            1e-8 * np.abs(fit.tangent).max()
 
 
 def _designs_for(kind, ds, spec):

@@ -257,3 +257,21 @@ def test_collinear_design_is_decided_by_the_svd(monkeypatch):
     with pytest.raises(RankError, match="design matrix is rank deficient"):
         fit_probit(design, np.random.default_rng(8).integers(0, 2, 400))
     assert svds == [design.shape]
+
+
+def test_weight_matches_oracle_into_the_lower_tail():
+    # the Hessian weight ratio * (ratio + q), ratio = phi(q)/Phi(q), has
+    # relative error 1e-5 at q = -1e3 and is wrong below -1e4 when formed
+    # as written
+    mpmath = pytest.importorskip("mpmath")
+    q = -np.logspace(-3, 9, 1201)
+    weight = probit._mills(q)[2]
+    with mpmath.workdps(60):
+        oracle = []
+        for value in q:
+            value = mpmath.mpf(float(value))
+            ratio = mpmath.npdf(value) / mpmath.ncdf(value)
+            oracle.append(float(ratio * (ratio + value)))
+    oracle = np.array(oracle)
+    assert np.all(weight > 0.0)
+    np.testing.assert_allclose(weight, oracle, rtol=1e-9, atol=0.0)

@@ -18,6 +18,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("args", [
     ["scripts/run_demo.py", "--n", "800", "--step", "0.2"],
     ["scripts/coverage_study.py", "--reps", "3", "--n", "600"],
+    ["scripts/coverage_study.py", "--reps", "3", "--n", "600", "--kind", "zy"],
 ])
 def test_script_runs(args):
     env = dict(os.environ)

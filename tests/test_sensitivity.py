@@ -279,10 +279,10 @@ class TestRunScan:
         assert len(scan.points) == 21
         assert scan.failures == ()
 
-    def test_wide_grid_phi2_passes(self, monkeypatch):
-        # one Phi2 evaluation per likelihood pass, at most 15 per fit
-        params = confounded_params(MY, 0.3)
-        ds = simulate(params, 5000, 64)
+    @staticmethod
+    def count_passes(monkeypatch, kind, grid, ds, spec) -> list[int]:
+        """Phi2 calls per constrained fit of a clean scan, checking that
+        every likelihood pass makes exactly one."""
         # each log gets one entry per call of its function: the number of
         # Phi2 calls made inside it, so len(bvn_calls) counts Phi2 calls
         bvn_calls, per_pass, per_fit = [], [], []
@@ -300,16 +300,44 @@ class TestRunScan:
         counted(biprobit_mod, "bvn_cdf", bvn_calls)
         counted(biprobit_mod, "_pair_pass", per_pass)
         counted(sens_mod, "fit_constrained", per_fit)
-        grid = RhoGrid.regular(-0.95, 0.95, 0.1)
-        scan = run_scan(MY, NIE, "marginal", grid, ds, params.spec)
+        scan = run_scan(kind, NIE, "marginal", grid, ds, spec)
         assert scan.failures == ()
-        assert len(per_fit) == 21
+        assert len(per_fit) == len(grid.points)
         assert per_pass and set(per_pass) == {1}
-        assert max(per_fit) <= 15
         assert sum(per_fit) == len(bvn_calls) == len(per_pass)
-        # secant-predicted starts: 84 passes when every fit starts from
-        # the previous optimum
+        return per_fit
+
+    def test_wide_grid_phi2_passes(self, monkeypatch):
+        # one Phi2 evaluation per likelihood pass, at most 15 per fit
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        per_fit = self.count_passes(monkeypatch, MY,
+                                    RhoGrid.regular(-0.95, 0.95, 0.1), ds,
+                                    params.spec)
+        assert max(per_fit) <= 15
+        # 84 passes when every fit starts from the previous optimum
         assert sum(per_fit) <= 75
+
+    def test_wide_grid_tangent_predicted_passes(self, monkeypatch):
+        # Hermite and Euler starts from the path tangents: 55 passes here,
+        # 67 with secant-extrapolated starts
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        per_fit = self.count_passes(monkeypatch, MY,
+                                    RhoGrid.regular(-0.95, 0.95, 0.1), ds,
+                                    params.spec)
+        assert sum(per_fit) <= 58
+
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_off_zero_anchor_passes(self, kind, monkeypatch):
+        # an Euler step from the rho = 0 probit pair: 4 passes, and 5 when
+        # the fit starts from the probit fits themselves
+        params = confounded_params(kind, 0.3)
+        ds = simulate(params, 2000, 67)
+        per_fit = self.count_passes(monkeypatch, kind,
+                                    RhoGrid.regular(0.3, 0.3, 0.1), ds,
+                                    params.spec)
+        assert per_fit[0] <= 4
 
     @staticmethod
     def count_setup(monkeypatch) -> dict:
@@ -358,28 +386,63 @@ class TestRunScan:
     def test_chain_starts_predicted_then_plain_after_failure(
             self, demo_confounded, spec, monkeypatch):
         real = fit_constrained
-        starts = {}
+        starts, nodes = {}, {}
 
         def recording(kind, rho, ds, spec, start=None):
-            starts[rho] = None if start is None else np.array(start)
-            if rho == 0.2:
-                raise ScanError("synthetic failure at 0.2")
-            return real(kind, rho, ds, spec, start=start)
+            starts[rho] = np.array(start)
+            if rho in failing:
+                raise ScanError(f"synthetic failure at {rho}")
+            fit = real(kind, rho, ds, spec, start=start)
+            nodes[rho] = (np.concatenate([fit.coefficients_a,
+                                          fit.coefficients_b]), fit.tangent)
+            return fit
+
+        def euler(rho0, rho):
+            x0, t0 = nodes[rho0]
+            return x0 + t0 * (rho - rho0)
+
+        def hermite(rho0, rho1, rho):
+            (x0, t0), (x1, t1) = nodes[rho0], nodes[rho1]
+            h = rho1 - rho0
+            s = (rho - rho0) / h
+            return ((2 * s**3 - 3 * s**2 + 1) * x0
+                    + (s**3 - 2 * s**2 + s) * h * t0
+                    + (-2 * s**3 + 3 * s**2) * x1 + (s**3 - s**2) * h * t1)
+
+        def close(a, b):
+            return np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
         monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        failing = {0.2}
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.4, 0.1),
                         demo_confounded, spec)
         assert scan.failures == (0.2,)
-        x = {pt.rho: pt.coefficients for pt in scan.converged_points()}
-        # one optimum (the anchor): plain warm start
-        assert np.array_equal(starts[0.1], x[0.0])
-        # two: secant through them
-        assert np.array_equal(starts[0.2],
-                              x[0.1] + (x[0.1] - x[0.0]) * ((0.2 - 0.1) / (0.1 - 0.0)))
-        # after the failure: the last optimum itself
-        assert np.array_equal(starts[0.3], x[0.1])
-        assert np.array_equal(starts[0.4],
-                              x[0.3] + (x[0.3] - x[0.1]) * ((0.4 - 0.3) / (0.3 - 0.1)))
+        probit_start = np.concatenate([scan.base.mediator.coefficients,
+                                       scan.base.outcome.coefficients])
+        assert np.array_equal(starts[0.0], probit_start)
+        # one optimum (the anchor): Euler step off its tangent
+        assert np.array_equal(starts[0.1], euler(0.0, 0.1))
+        assert not close(starts[0.1], nodes[0.0][0])
+        # two: the cubic Hermite through them
+        assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
+        # after the failure: Euler from the last optimum, then Hermite
+        # across the gap
+        assert np.array_equal(starts[0.3], euler(0.1, 0.3))
+        assert close(starts[0.4], hermite(0.1, 0.3, 0.4))
+
+        # a failed anchor: Euler from the rho = 0 probit pair, whose
+        # tangent is closed-form
+        failing = {0.0}
+        starts.clear()
+        nodes.clear()
+        nodes[0.0] = (probit_start, biprobit_mod._probit_pair_tangent(
+            MY, demo_confounded, spec, scan.base.mediator, scan.base.outcome))
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.2, 0.1),
+                        demo_confounded, spec)
+        assert scan.failures == (0.0,)
+        assert np.array_equal(starts[0.0], probit_start)
+        assert np.array_equal(starts[0.1], euler(0.0, 0.1))
+        assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
 
     def test_scope_validation(self, demo_confounded, spec):
         grid = RhoGrid.regular(0.0, 0.1, 0.1)
@@ -499,12 +562,15 @@ class TestFailureHandling:
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert scan.failures == (0.0,)
         assert len(scan.converged_points()) == 2
-        # both chains start from the scan's own probit fits: no refits
+        # both chains start from an Euler step off the scan's own probit
+        # fits: no refits
         assert len(probit_calls) == 3
         probit_start = np.concatenate([scan.base.mediator.coefficients,
                                        scan.base.outcome.coefficients])
+        tangent = biprobit_mod._probit_pair_tangent(
+            MY, demo_confounded, spec, scan.base.mediator, scan.base.outcome)
         for rho in (0.0, 0.1, -0.1):
-            assert np.array_equal(starts[rho], probit_start)
+            assert np.array_equal(starts[rho], probit_start + tangent * rho)
 
 
 class TestRefineBoundary:
