@@ -12,7 +12,8 @@ reported as wins out of N, the gap between the medians and the parent
 IQR; it holds when there are at least 10 pairs, every run is correct, the
 change's median ok_frac is no lower than the parent's, the change wins at
 least 9 in 10 pairs and the gap exceeds the IQR. Optional traced runs
-(--traced-pairs) add the per-layer metrics of seed 7 for both trees.
+(--traced-pairs) add the per-layer metrics of seed 7 for both trees on
+every workload, one traced_<workload>_seed7 entry each.
 
 Usage (from the root of the change tree):
 
@@ -189,11 +190,10 @@ def main(argv=None) -> int:
         "machine": machine(last),
         "workloads": workloads,
     }
-    if args.traced_pairs:
-        pairs = run_pairs(trees, claim_workload,
-                          [TRACED_SEED] * args.traced_pairs, 1)
-        record[f"traced_{claim_workload}_seed{TRACED_SEED}"] = {
-            "method": (f"perfbench/run.py --workload {claim_workload} --seed "
+    for name in WORKLOADS if args.traced_pairs else ():
+        pairs = run_pairs(trees, name, [TRACED_SEED] * args.traced_pairs, 1)
+        record[f"traced_{name}_seed{TRACED_SEED}"] = {
+            "method": (f"perfbench/run.py --workload {name} --seed "
                        f"{TRACED_SEED} --trace 1, {args.traced_pairs} "
                        "alternating pairs; raw seconds"),
             **summarize_traced(pairs)}

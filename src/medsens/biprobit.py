@@ -18,6 +18,8 @@ sqrt(1-r^2)) / Phi2, d2/du_a2 = -u_a g_a - r phi2/Phi2 - g_a^2 and
 d2/du_a du_b = phi2/Phi2 - g_a g_b (Greene, Econometric Analysis), every
 ratio taken in log space over the package-wide floor. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood.
+At rho = 0 the path's tangent and curvature come from the probit fits'
+kept Mills ratios and the tetrachoric series, with no Phi2 call.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from scipy.special import log_ndtr
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
 from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
-from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _mills,
-                     _newton_ascent, fit_probit)
+from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _newton_ascent,
+                     fit_probit)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -128,17 +130,31 @@ def _score_rho(signed_a, signed_b, signs, r, rows):
         signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
 
 
-def _probit_pair_tangent(kind, ds, spec, fit_a, fit_b) -> np.ndarray:
-    """The tangent at rho = 0 from the probit fits, the pair's optimum there:
-    ln Phi2 splits, so w = phi/Phi, d = w_a w_b and H is block diagonal."""
-    _, _, (signed_a, signed_b, signs) = _signed_pair(kind, fit_designs(ds, spec))
-    u_a, u_b = signed_a @ fit_a.coefficients, signed_b @ fit_b.coefficients
-    w_a, w_b = _mills(u_a)[1], _mills(u_b)[1]
-    g = _score_rho(signed_a, signed_b, signs, 0.0,
-                   (u_a, u_b, w_a, w_b, w_a * w_b))
-    ka = fit_a.coefficients.size
-    return np.concatenate([fit_a.covariance @ g[:ka],
-                           fit_b.covariance @ g[ka:]])
+def _probit_pair_path(kind, ds, spec, fit_a, fit_b):
+    """The path's tangent and curvature at rho = 0, where the probit fits are
+    the optimum and H is block diagonal: with lam = phi/Phi (the fits'
+    mills_ratio), the tetrachoric series (Pearson 1900) ln Phi2(u_a, u_b; r)
+    = ln Phi(u_a) + ln Phi(u_b) + r lam_a lam_b + r^2/2 lam_a lam_b (u_a u_b
+    - lam_a lam_b) + O(r^3) gives each block of x' and x'' as cov X~' rows."""
+    fits = (fit_a, fit_b)
+    designs, responses = zip(*(fit_designs(ds, spec)[m] for m in PAIR_MODELS[kind]))
+    signs = 2.0 * np.array(responses, dtype=float) - 1.0
+    u = signs * np.array([d @ f.coefficients for d, f in zip(designs, fits)])
+    lam = np.array([f.mills_ratio for f in fits])
+    d1 = -lam * (u + lam)                       # lam'
+    d2 = -d1 * (u + lam) - lam * (1.0 + d1)     # lam''
+    s, lam_o, u_o, d1_o = signs[0] * signs[1], lam[::-1], u[::-1], d1[::-1]
+
+    def blocks(rows):  # [cov_a X~_a' rows[0], cov_b X~_b' rows[1]]
+        return [f.covariance @ (d.T @ (sign * r))
+                for f, d, sign, r in zip(fits, designs, signs, rows)]
+
+    tangent = blocks(s * d1 * lam_o)
+    delta = signs * np.array([d @ t for d, t in zip(designs, tangent)])
+    curvature = blocks(
+        d2 * delta * delta + 2.0 * s * (d2 * lam_o * delta + d1 * d1_o * delta[::-1])
+        + lam_o * (d1 * (u * u_o - lam * lam_o) + lam * (u_o - d1 * lam_o)))
+    return np.concatenate(tangent), np.concatenate(curvature)
 
 
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):

@@ -13,12 +13,13 @@ matrix_rank's SVD only near the bound). Every design is fitted in Fortran
 order. The probit weights w are nonnegative, so the Hessian -X'WX is
 accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
 update per block. The separation guard reads the last pass's linear
-predictor.
+predictor. The zero start needs no row pass (at q = +-0 its row terms are
+constants), and a fit keeps its last pass's phi/Phi for biprobit's use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -118,6 +119,9 @@ class ProbitFit:
     iterations: int
     converged: bool
     score_norm: float
+    # phi(q)/Phi(q) per row, q = (2y - 1) X b at the returned coefficients
+    mills_ratio: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -187,6 +191,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     s = 2.0 * response - 1.0
     block = np.empty((min(n, _HESSIAN_ROWS), k), order="F")
     q = None
+    zero = np.zeros(k)
 
     def hessian(weight):
         root = np.sqrt(weight)
@@ -200,9 +205,13 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
 
     def loglik_score_hessian(coef):
         nonlocal q
-        q = s * (design @ coef)
-        log_cdf, ratio, weight = _mills(q)
-        return float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight)
+        if coef is zero:  # the start: q = +-0 gives _mills' values at 0
+            log_cdf, ratio, weight = (np.full(n, v) for v in _mills(zero[:1]))
+        else:
+            q = s * (design @ coef)
+            log_cdf, ratio, weight = _mills(q)
+        return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
+                ratio)
 
     def check_separation(coef):
         # _newton_ascent calls this right after evaluating its accepted
@@ -212,14 +221,15 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
                 "fitted linear predictor exceeded +-30 while the likelihood "
                 "was still improving; the data are (quasi-)separated")
 
-    opt = _newton_ascent(loglik_score_hessian, np.zeros(k),
+    opt = _newton_ascent(loglik_score_hessian, zero,
                          on_improve=check_separation)
     covariance = np.linalg.inv(-opt.hessian)
     covariance = 0.5 * (covariance + covariance.T)
     return ProbitFit(coefficients=opt.x, covariance=covariance,
                      loglik=opt.loglik, iterations=opt.iterations,
                      converged=opt.converged,
-                     score_norm=float(np.abs(opt.score).max()))
+                     score_norm=float(np.abs(opt.score).max()),
+                     mills_ratio=opt.rows[0])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ chain outward from the one nearest zero, each starting from the cubic
 Hermite through the chain's last two converged optima and their tangents
 dx/drho, or from an Euler step when it has one (Allgower & Georg 1990,
 ch. 2). The rho = 0 probit pair counts as an optimum, with a closed-form
-tangent.
+tangent and curvature, so a step off a rho = 0 node is quadratic.
+refine_boundary's refits start from Euler steps off converged points.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
-                       _probit_pair_tangent, fit_constrained)
+                       _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _profile_row,
                       effect_with_ci)
@@ -126,6 +127,7 @@ class ScanPoint:
     estimate: EffectEstimate | None
     converged: bool
     coefficients: np.ndarray | None = None
+    tangent: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,12 @@ def _coefficients(fit: ConstrainedFit) -> np.ndarray:
 
 
 def _predict(known, rho) -> np.ndarray:
-    """The start at rho: a cubic Hermite through two nodes or an Euler step."""
-    (rho0, x0, t0), (rho1, x1, t1) = known[0], known[-1]
+    """The start at rho: a cubic Hermite through two (rho, x, tangent,
+    curvature) nodes, or a step off one, quadratic if it has a curvature."""
+    (rho0, x0, t0, _), (rho1, x1, t1, c1) = known[0], known[-1]
     if len(known) == 1:
-        return x1 + t1 * (rho - rho1)
+        step = rho - rho1
+        return x1 + t1 * step + (0.0 if c1 is None else 0.5 * c1 * step * step)
     h = rho1 - rho0
     s = (rho - rho0) / h
     return (((2 * s - 3) * s * s + 1) * x0 + (s - 1) * (s - 1) * s * h * t0
@@ -220,15 +224,17 @@ def _predict(known, rho) -> np.ndarray:
 def _fit_path(kind, points, ds, spec, base) -> list[ConstrainedFit | None]:
     """One refit per sorted, unique grid point, None where it failed: the
     point nearest zero predicted from the probit pair, then a chain
-    outward on either side of it."""
+    outward on either side of it; nodes at rho = 0 carry the curvature."""
     anchor = int(np.argmin(np.abs(points)))
     fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
+    tangent, curvature = _probit_pair_path(kind, ds, spec, fit_a, fit_b)
     probit_pair = (0.0, np.concatenate([fit_a.coefficients, fit_b.coefficients]),
-                   _probit_pair_tangent(kind, ds, spec, fit_a, fit_b))
+                   tangent, curvature)
     fits: list[ConstrainedFit | None] = [None] * len(points)
 
     def node(i):
-        return points[i], _coefficients(fits[i]), fits[i].tangent
+        return (points[i], _coefficients(fits[i]), fits[i].tangent,
+                curvature if points[i] == 0.0 else None)
 
     for chain in ((anchor,), range(anchor + 1, len(points)),
                   range(anchor - 1, -1, -1)):
@@ -254,7 +260,7 @@ def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
     except MedsensError:
         return ScanPoint(rho=rho, estimate=None, converged=False)
     return ScanPoint(rho=rho, estimate=est, converged=True,
-                     coefficients=_coefficients(fit))
+                     coefficients=_coefficients(fit), tangent=fit.tangent)
 
 
 def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
@@ -280,14 +286,18 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "numerically delicate")
 
     base = fit_unconstrained(ds, spec)
+    fits = _fit_path(kind, grid.points, ds, spec, base)
+    # only the path's start reads the probit fits' per-row Mills ratios; a
+    # scan keeps the fits without them, so many scans hold no n-vectors
+    base = UnconstrainedFits(**{name: replace(fit, mills_ratio=None)
+                                for name, fit in vars(base).items()})
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
                            dataset=ds, spec=spec,
                            profile=profile if scope == "conditional" else None,
                            base=base)
-    points = tuple(
-        _scan_point(scan, rho, fit) for rho, fit in
-        zip(grid.points, _fit_path(kind, grid.points, ds, spec, base)))
+    points = tuple(_scan_point(scan, rho, fit)
+                   for rho, fit in zip(grid.points, fits))
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
         err = ScanError(
@@ -403,6 +413,8 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     Each boundary between adjacent differently-classified grid points is
     refined by refitting at bracket midpoints until the bracket is no
     wider than resolution; the returned value is the bracket midpoint.
+    Each refit starts from an Euler step off the bracket's latest
+    converged point, at first its left end.
     A failed refit stops refinement of that boundary at the coarse
     bracket (the scan-level warning machinery does not apply here; the
     coarse midpoint is still returned).
@@ -420,14 +432,15 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         if cls_left is cls_right:
             continue
         lo, hi = left.rho, right.rho
-        start = left.coefficients
+        latest = left
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
+            start = latest.coefficients + latest.tangent * (mid - latest.rho)
             pt = _scan_point(scan, mid, _refit(scan.kind, mid, scan.dataset,
                                                scan.spec, start))
             if not pt.converged:
                 break
-            start = pt.coefficients
+            latest = pt
             if _classify(pt.estimate, ref_sign) is cls_left:
                 lo = mid
             else:

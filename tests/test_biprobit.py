@@ -11,7 +11,7 @@ from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
                      constrained_grad, constrained_loglik, demo_params,
                      finite_diff_grad, fit_constrained, fit_probit,
                      fit_unconstrained, probit_loglik, simulate)
-from medsens.biprobit import PAIR_MODELS, _probit_pair_tangent
+from medsens.biprobit import PAIR_MODELS, _probit_pair_path
 from conftest import confounded_params, make_dataset
 
 KINDS = list(ConfoundingKind)
@@ -252,10 +252,28 @@ class TestPathDerivatives:
         # probit fits and their covariances give the tangent at rho = 0
         base = fit_unconstrained(demo_confounded, spec)
         fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
-        tangent = _probit_pair_tangent(kind, demo_confounded, spec, fit_a, fit_b)
+        tangent, _ = _probit_pair_path(kind, demo_confounded, spec, fit_a,
+                                       fit_b)
         fit = fit_constrained(kind, 0.0, demo_confounded, spec)
         assert np.abs(tangent - fit.tangent).max() <= \
             1e-8 * np.abs(fit.tangent).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_probit_pair_curvature(self, kind):
+        # the tetrachoric series' curvature against a central difference
+        # of the fits' tangents at rho = -+1e-4
+        params = confounded_params(kind, 0.3)
+        ds = simulate(params, 2000, 71)
+        base = fit_unconstrained(ds, params.spec)
+        fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
+        _, curvature = _probit_pair_path(kind, ds, params.spec, fit_a, fit_b)
+        below, above = (fit_constrained(kind, rho, ds, params.spec)
+                        for rho in (-1e-4, 1e-4))
+        assert below.converged and above.converged
+        central = (above.tangent - below.tangent) / 2e-4
+        assert curvature.shape == central.shape
+        assert np.abs(curvature - central).max() <= \
+            1e-6 * np.abs(central).max()
 
 
 def _designs_for(kind, ds, spec):

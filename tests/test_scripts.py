@@ -140,6 +140,14 @@ def test_bench_pairs_writes_a_valid_record(bench_pairs, tmp_path):
     assert {name: w["seeds"] for name, w in record["workloads"].items()} == {
         name: list(range(10 * j, 10 * j + 10))
         for j, name in enumerate(w["name"] for w in BENCHMARK["workloads"])}
-    traced = record["traced_effects_cli_seed7"]
-    assert traced["parent"]["wall_s"]["runs"] == [PARENT_WALLS[7]] * 2
-    assert [run[3] for run in bench_pairs.runs[-4:]] == [1] * 4
+    # every workload is traced, not only the claimed one
+    traced_runs = [run for run in bench_pairs.runs if run[3] == 1]
+    assert [(tree, workload, seed) for tree, workload, seed, _ in traced_runs] == [
+        (tree, name, 7) for name in bench_pairs.WORKLOADS
+        for tree in ("parent", tmp_path.name, tmp_path.name, "parent")]
+    for name in bench_pairs.WORKLOADS:
+        traced = record[f"traced_{name}_seed7"]
+        assert traced["method"].startswith(
+            f"perfbench/run.py --workload {name} --seed 7 --trace 1, 2 ")
+        for side, walls in (("parent", PARENT_WALLS), ("change", CHANGE_WALLS)):
+            assert traced[side]["wall_s"]["runs"] == [walls[7]] * 2

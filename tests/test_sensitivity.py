@@ -319,25 +319,27 @@ class TestRunScan:
         assert sum(per_fit) <= 75
 
     def test_wide_grid_tangent_predicted_passes(self, monkeypatch):
-        # Hermite and Euler starts from the path tangents: 55 passes here,
-        # 67 with secant-extrapolated starts
+        # Hermite starts from the path tangents and quadratic steps off the
+        # rho = 0 anchor: 53 passes here, 55 with Euler steps off the
+        # anchor, 67 with secant-extrapolated starts
         params = confounded_params(MY, 0.3)
         ds = simulate(params, 5000, 64)
         per_fit = self.count_passes(monkeypatch, MY,
                                     RhoGrid.regular(-0.95, 0.95, 0.1), ds,
                                     params.spec)
-        assert sum(per_fit) <= 58
+        assert sum(per_fit) <= 54
 
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_off_zero_anchor_passes(self, kind, monkeypatch):
-        # an Euler step from the rho = 0 probit pair: 4 passes, and 5 when
-        # the fit starts from the probit fits themselves
+        # a quadratic step off the rho = 0 probit pair: 3 passes, 4 with
+        # an Euler step, and 5 when the fit starts from the probit fits
+        # themselves
         params = confounded_params(kind, 0.3)
         ds = simulate(params, 2000, 67)
         per_fit = self.count_passes(monkeypatch, kind,
                                     RhoGrid.regular(0.3, 0.3, 0.1), ds,
                                     params.spec)
-        assert per_fit[0] <= 4
+        assert per_fit[0] <= 3
 
     @staticmethod
     def count_setup(monkeypatch) -> dict:
@@ -397,9 +399,12 @@ class TestRunScan:
                                           fit.coefficients_b]), fit.tangent)
             return fit
 
-        def euler(rho0, rho):
+        def euler(rho0, rho, curvature=None):
             x0, t0 = nodes[rho0]
-            return x0 + t0 * (rho - rho0)
+            step = rho - rho0
+            if curvature is None:
+                return x0 + t0 * step
+            return x0 + t0 * step + 0.5 * curvature * step * step
 
         def hermite(rho0, rho1, rho):
             (x0, t0), (x1, t1) = nodes[rho0], nodes[rho1]
@@ -419,29 +424,35 @@ class TestRunScan:
         assert scan.failures == (0.2,)
         probit_start = np.concatenate([scan.base.mediator.coefficients,
                                        scan.base.outcome.coefficients])
+        # the scan keeps its probit fits without the per-row ratios
+        assert all(fit.mills_ratio is None for fit in vars(scan.base).values())
+        base = fit_unconstrained(demo_confounded, spec)
+        tangent, curvature = biprobit_mod._probit_pair_path(
+            MY, demo_confounded, spec, base.mediator, base.outcome)
         assert np.array_equal(starts[0.0], probit_start)
-        # one optimum (the anchor): Euler step off its tangent
-        assert np.array_equal(starts[0.1], euler(0.0, 0.1))
+        # one optimum (the anchor at rho = 0): a quadratic step off its
+        # tangent and the probit pair's curvature
+        assert np.array_equal(starts[0.1], euler(0.0, 0.1, curvature))
+        assert not close(starts[0.1], euler(0.0, 0.1))
         assert not close(starts[0.1], nodes[0.0][0])
         # two: the cubic Hermite through them
         assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
-        # after the failure: Euler from the last optimum, then Hermite
-        # across the gap
+        # after the failure: Euler from the last optimum (off zero, so
+        # without curvature), then Hermite across the gap
         assert np.array_equal(starts[0.3], euler(0.1, 0.3))
         assert close(starts[0.4], hermite(0.1, 0.3, 0.4))
 
-        # a failed anchor: Euler from the rho = 0 probit pair, whose
-        # tangent is closed-form
+        # a failed anchor: a quadratic step off the rho = 0 probit pair,
+        # whose tangent and curvature are closed-form
         failing = {0.0}
         starts.clear()
         nodes.clear()
-        nodes[0.0] = (probit_start, biprobit_mod._probit_pair_tangent(
-            MY, demo_confounded, spec, scan.base.mediator, scan.base.outcome))
+        nodes[0.0] = (probit_start, tangent)
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.2, 0.1),
                         demo_confounded, spec)
         assert scan.failures == (0.0,)
         assert np.array_equal(starts[0.0], probit_start)
-        assert np.array_equal(starts[0.1], euler(0.0, 0.1))
+        assert np.array_equal(starts[0.1], euler(0.0, 0.1, curvature))
         assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
 
     def test_scope_validation(self, demo_confounded, spec):
@@ -562,15 +573,18 @@ class TestFailureHandling:
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert scan.failures == (0.0,)
         assert len(scan.converged_points()) == 2
-        # both chains start from an Euler step off the scan's own probit
-        # fits: no refits
+        # both chains start from a quadratic step off the scan's own
+        # probit fits: no refits
         assert len(probit_calls) == 3
         probit_start = np.concatenate([scan.base.mediator.coefficients,
                                        scan.base.outcome.coefficients])
-        tangent = biprobit_mod._probit_pair_tangent(
-            MY, demo_confounded, spec, scan.base.mediator, scan.base.outcome)
+        base = fit_unconstrained(demo_confounded, spec)
+        tangent, curvature = biprobit_mod._probit_pair_path(
+            MY, demo_confounded, spec, base.mediator, base.outcome)
         for rho in (0.0, 0.1, -0.1):
-            assert np.array_equal(starts[rho], probit_start + tangent * rho)
+            assert np.array_equal(
+                starts[rho],
+                probit_start + tangent * rho + 0.5 * curvature * rho * rho)
 
 
 class TestRefineBoundary:
@@ -588,6 +602,24 @@ class TestRefineBoundary:
             # each refined boundary must fall inside one coarse cell that
             # ends at a classification change
             assert any(lo - 1e-9 <= b <= hi + 1e-9 for lo, hi, _ in coarse)
+
+    def test_refits_start_from_euler_steps(self, monkeypatch):
+        # Euler starts off the bracket's latest converged point: 34 Phi2
+        # passes for these 14 refits, 48 from its bare coefficients
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
+                        ds, params.spec)
+        assert all(pt.tangent is not None for pt in scan.converged_points())
+        real, calls = biprobit_mod.bvn_cdf, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(biprobit_mod, "bvn_cdf", counted)
+        boundaries = refine_boundary(scan, resolution=0.001)
+        assert boundaries == pytest.approx([0.5285156, 0.6699219], abs=1e-7)
+        assert len(calls) <= 36
 
     def test_resolution_validation(self, demo_confounded, spec):
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
