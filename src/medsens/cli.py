@@ -43,26 +43,27 @@ Config schema (keys not listed here are rejected):
     scans:
       - kind: my                # zm | my | zy
         effect: nie
-        scope: marginal         # or conditional with profile: <name>
-        grid: {lower: -0.95, upper: 0.95, step: 0.01}
+        scope: marginal
+        grid: {lower: -0.95, upper: 0.95, step: 0.01}   # or "LO:HI:STEP"
+      - {kind: zy, effect: te, scope: conditional, profile: typical}
     scenario:                   # simulate only
       n: 5000
-      covariates:
-        - {name: age, dist: normal}         # constant/uniform/normal/bernoulli
-      alpha: [...]
+      covariates:               # dist: constant | uniform | normal | bernoulli
+        - {name: age, dist: normal}
+        - {name: female, dist: bernoulli, mean: 0.5}
+        - {name: site, dist: uniform, low: 0.0, high: 1.0}
+        - {name: arm, dist: constant, value: 1.0}
+      alpha: [...]              # packed coefficients, as in TrueParams
       beta: [...]
       theta: [...]
       confounding: {kind: my, rho: 0.3}     # optional
 
-Model flags must be YAML booleans, seed and scenario.n integers, and
-alpha, the grid bounds and step, scenario.confounding.rho, the numeric
-fields of scenario covariates and the entries of the scenario coefficient
-vectors numbers (a quoted "0.05" is a string); data and out must be
-strings, delimiter a one-character string, effects a mapping and its
-types, scopes and profiles lists; a value of another type is rejected,
-never coerced. effects.types and scopes must not be empty, nor types name
-an effect twice (nde* is nde_total). Scans must differ in kind, effect,
-scope or profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
+_SCHEMA gives each key its type and default. A null or absent key takes
+the default; any other value must have the key's type or is rejected,
+never coerced: a quoted "0.05" is not a number, nor false a mapping.
+effects.types and scopes must not be empty, nor types name an effect
+twice (nde* is nde_total). Scans must differ in kind, effect, scope or
+profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,25 +92,61 @@ from .sensitivity import (DEFAULT_GRID_LOWER, DEFAULT_GRID_STEP,
                           uncertainty_interval)
 from .simgen import CovariateSpec, TrueParams, simulate, true_effects
 
-_EFFECT_ALIASES = {
-    "nde": EffectType.NDE, "nie": EffectType.NIE, "te": EffectType.TE,
-    "nde_total": EffectType.NDE_TOTAL, "nie_pure": EffectType.NIE_PURE,
-    "nde*": EffectType.NDE_TOTAL, "nie*": EffectType.NIE_PURE,
-}
+_EFFECT_ALIASES = {**{t.value: t for t in EffectType},
+                   "nde*": EffectType.NDE_TOTAL, "nie*": EffectType.NIE_PURE}
 _KINDS = {k.value: k for k in ConfoundingKind}
 _IDENTITY = ["scan", "kind", "effect", "scope", "profile"]
 _MEAN_TOKENS = ("mean", "mean-sd", "mean+sd", "mean+-sd", "mean±sd")
+_SCOPES = ("marginal", "conditional")
 
-_TOP_KEYS = {"data", "delimiter", "columns", "model", "alpha", "out",
-             "seed", "effects", "scans", "scenario"}
+# type name -> (what an error says a value must be, test). The exact type()
+# tests keep YAML true and false, which are Python ints, from passing as numbers.
+_TYPES = {
+    "integer": ("an integer", lambda v: type(v) is int),
+    "number": ("a number", lambda v: type(v) in (int, float)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "char": ("a one-character string", lambda v: isinstance(v, str) and len(v) == 1),
+    "boolean": ("true or false", lambda v: isinstance(v, bool)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "mapping": ("a mapping", lambda v: isinstance(v, dict)),
+    "values": ("a 'values' mapping", lambda v: isinstance(v, dict)),
+    "free": ("anything", lambda v: True),  # read by a name lookup or _parse_grid
+}
+_REQUIRED = object()
+# section -> key -> (type, default); a null or absent key takes the default.
+# fit, effects and sens need data; simulate reads scenario and seed instead.
+_SCHEMA = {
+    "config": {"data": ("string", None), "delimiter": ("char", ","),
+               "columns": ("mapping", {}), "model": ("mapping", {}),
+               "alpha": ("number", 0.05), "out": ("string", "medsens_out"),
+               "seed": ("integer", 0), "effects": ("mapping", {}),
+               "scans": ("list", []), "scenario": ("mapping", {})},
+    "columns": {"exposure": ("free", _REQUIRED), "mediator": ("free", _REQUIRED),
+                "outcome": ("free", _REQUIRED), "covariates": ("list", [])},
+    "model": {f.name: ("boolean", f.default) for f in fields(ModelSpec)},
+    "effects": {"types": ("list", ["nde", "nie", "te"]),
+                "scopes": ("list", ["marginal"]), "profiles": ("list", [])},
+    "profile": {"name": ("free", None), "values": ("values", _REQUIRED)},
+    "scan": {"kind": ("free", "my"), "effect": ("free", "nie"),
+             "scope": ("free", "marginal"), "profile": ("free", None),
+             "grid": ("free", {})},
+    "grid": {"lower": ("number", DEFAULT_GRID_LOWER),
+             "upper": ("number", DEFAULT_GRID_UPPER),
+             "step": ("number", DEFAULT_GRID_STEP)},
+    "scenario": {"n": ("integer", _REQUIRED), "covariates": ("list", []),
+                 "alpha": ("list", _REQUIRED), "beta": ("list", _REQUIRED),
+                 "theta": ("list", _REQUIRED), "confounding": ("mapping", None)},
+    "covariate": {"name": ("free", _REQUIRED), "dist": ("string", _REQUIRED),
+                  **{f.name: ("number", f.default) for f in fields(CovariateSpec)
+                     if f.name not in ("name", "dist")}},
+    "confounding": {"kind": ("free", _REQUIRED), "rho": ("number", _REQUIRED)},
+}
 
 
 def _fmt(v) -> str:
     """Deterministic plain-text rendering of one cell."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
@@ -121,12 +158,12 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_outputs(cfg: _Config, loaded: LoadResult, command: str, tables,
+def _write_outputs(cfg: dict, loaded: LoadResult, command: str, tables,
                    summary: dict) -> Path:
     """Write each (file name, header, rows) table as CSV and summary.json,
     whose envelope (command, n_rows, dropped_rows) is added to ``summary``;
     returns the output directory."""
-    out = cfg.out_dir
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
         with open(out / name, "w", encoding="utf-8", newline="") as fh:
@@ -139,28 +176,32 @@ def _write_outputs(cfg: _Config, loaded: LoadResult, command: str, tables,
     return out
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _typed(value, kind: str, path: str):
+    """``value`` if it has the _TYPES ``kind`` (a number as a float)."""
+    what, test = _TYPES[kind]
+    if not test(value):
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _section(raw, section: str, prefix: str = "") -> dict:
+    """Check a config mapping against _SCHEMA[section] and return all of
+    the section's keys, each null or absent one as its default. Errors
+    name a key as ``prefix + key`` and the mapping as ``prefix`` less its
+    trailing separator (the top level as "config")."""
+    where = prefix[:-1] or "config"
+    _typed(raw, "mapping", where)
+    schema = _SCHEMA[section]
+    unknown = sorted((key for key in raw if key not in schema), key=str)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {unknown}")
-
-
-def _config_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _config_str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _config_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    out = {}
+    for key, (kind, default) in schema.items():
+        value = raw.get(key)
+        if value is None and default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        out[key] = default if value is None else _typed(value, kind, prefix + key)
+    return out
 
 
 def _output_name(value, key: str) -> str:
@@ -182,12 +223,6 @@ def _lookup(table: dict, name, what: str):
     return table[key]
 
 
-def _check_scope(scope, what: str) -> str:
-    if scope not in ("marginal", "conditional"):
-        raise ConfigError(f"{what} must be marginal or conditional, got {scope!r}")
-    return scope
-
-
 def _parse_grid(spec, where: str) -> RhoGrid:
     """A LO:HI:STEP string or a {lower, upper, step} mapping with the
     package defaults -> RhoGrid; errors name ``where`` the grid came from
@@ -201,11 +236,7 @@ def _parse_grid(spec, where: str) -> RhoGrid:
         except ValueError:
             raise ConfigError(f"{where} values must be numeric, got {spec!r}") from None
     elif isinstance(spec, dict):
-        _reject_unknown(spec, {"lower", "upper", "step"}, where)
-        lo, hi, step = (_config_float(spec.get(key, default), f"{where}.{key}")
-                        for key, default in (("lower", DEFAULT_GRID_LOWER),
-                                             ("upper", DEFAULT_GRID_UPPER),
-                                             ("step", DEFAULT_GRID_STEP)))
+        lo, hi, step = _section(spec, "grid", f"{where}.").values()
     else:
         raise ConfigError(f"{where} must be a mapping or LO:HI:STEP string")
     try:
@@ -214,100 +245,45 @@ def _parse_grid(spec, where: str) -> RhoGrid:
         raise ConfigError(f"bad scan grid: {exc}") from None
 
 
-@dataclass
-class _Config:
-    """Parsed analysis configuration (one command invocation)."""
-
-    base_dir: Path
-    raw: dict
-    out_dir: Path
-    alpha: float
-    seed: int
-
-
-def _load_config(path_str: str, args) -> _Config:
+def _load_config(path_str: str, args) -> dict:
+    """The config file's top-level section with the command-line flags
+    applied, ``data`` taken relative to the config file and ``model`` as a
+    ModelSpec."""
     path = Path(path_str)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    try:
-        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping at the top level")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    out = _config_str(raw.get("out", "medsens_out"), "out")
-    out = getattr(args, "out", None) or out
-    alpha = getattr(args, "alpha", None)
-    if alpha is None:
-        alpha = _config_float(raw.get("alpha", 0.05), "alpha")
+    cfg = _section({} if raw is None else raw, "config")
+    cfg["out"] = Path(getattr(args, "out", None) or cfg["out"])
+    for key in ("alpha", "seed"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    alpha = cfg["alpha"]
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ConfigError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds "
                           "to 1, so the Wald quantile is infinite")
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _config_int(raw.get("seed", 0), "seed")
-    return _Config(base_dir=path.parent, raw=raw, out_dir=Path(out),
-                   alpha=alpha, seed=seed)
+    if cfg["data"] is not None:
+        cfg["data"] = path.parent / cfg["data"]
+    cfg["model"] = ModelSpec(**_section(cfg["model"], "model", "model."))
+    return cfg
 
 
-def _parse_spec(raw: dict) -> ModelSpec:
-    model = raw.get("model", {}) or {}
-    if not isinstance(model, dict):
-        raise ConfigError("model must be a mapping of term flags")
-    flags = {f.name for f in ModelSpec.__dataclass_fields__.values()}
-    _reject_unknown(model, flags, "model")
-    for key, value in model.items():
-        if not isinstance(value, bool):
-            raise ConfigError(
-                f"model.{key} must be true or false, got {value!r}")
-    return ModelSpec(**model)
-
-
-def _parse_roles(raw: dict) -> ColumnRoles:
-    cols = raw.get("columns")
-    if not isinstance(cols, dict):
-        raise ConfigError("config needs a 'columns' mapping with exposure, "
-                          "mediator and outcome entries")
-    _reject_unknown(cols, {"exposure", "mediator", "outcome", "covariates"},
-                    "columns")
-    for role in ("exposure", "mediator", "outcome"):
-        if role not in cols:
-            raise ConfigError(f"columns.{role} is required")
-    covs = cols.get("covariates", []) or []
-    if not isinstance(covs, (list, tuple)):
-        raise ConfigError("columns.covariates must be a list")
-    return ColumnRoles(exposure=str(cols["exposure"]),
-                       mediator=str(cols["mediator"]),
-                       outcome=str(cols["outcome"]),
-                       covariates=tuple(_output_name(c, "columns.covariates entry")
-                                        for c in covs))
-
-
-def _load_dataset(cfg: _Config) -> LoadResult:
-    raw = cfg.raw
-    if "data" not in raw:
-        raise ConfigError("config needs a 'data' entry with the CSV path")
-    roles = _parse_roles(raw)
-    data_path = Path(_config_str(raw["data"], "data"))
-    if not data_path.is_absolute():
-        data_path = cfg.base_dir / data_path
-    delim = raw.get("delimiter", ",")
-    if not isinstance(delim, str) or len(delim) != 1:
-        raise ConfigError(
-            f"delimiter must be a one-character string, got {delim!r}")
+def _load_dataset(cfg: dict) -> LoadResult:
+    if cfg["data"] is None:
+        raise ConfigError("data is required")
+    cols = _section(cfg["columns"], "columns", "columns.")
+    roles = ColumnRoles(*(str(cols[r]) for r in ("exposure", "mediator", "outcome")),
+                        tuple(_output_name(c, "columns.covariates entry")
+                              for c in cols["covariates"]))
     try:
-        return load_csv(data_path, roles, delimiter=delim)
+        return load_csv(cfg["data"], roles, delimiter=cfg["delimiter"])
     except OSError as exc:
-        raise ConfigError(f"cannot read data file {data_path}: {exc}") from None
+        raise ConfigError(f"cannot read data file {cfg['data']}: {exc}") from None
 
 
 def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
@@ -359,41 +335,26 @@ def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfi
     return out
 
 
-def _effects_section(raw: dict) -> dict:
-    """The effects mapping with its null entries dropped; types, scopes
-    and profiles must be lists."""
-    eff = raw.get("effects", {}) or {}
-    if not isinstance(eff, dict):
-        raise ConfigError(f"effects must be a mapping, got {eff!r}")
-    _reject_unknown(eff, {"types", "scopes", "profiles"}, "effects")
-    eff = {key: value for key, value in eff.items() if value is not None}
-    for key, value in eff.items():
-        if not isinstance(value, list):
-            raise ConfigError(f"effects.{key} must be a list, got {value!r}")
-    return eff
-
-
-def _parse_profiles(cfg: _Config, ds: Dataset, args) -> list[CovariateProfile]:
+def _parse_profiles(cfg: dict, ds: Dataset, args) -> list[CovariateProfile]:
     entries = []
-    for i, entry in enumerate(_effects_section(cfg.raw).get("profiles", [])):
-        if not isinstance(entry, dict) or not isinstance(entry.get("values"), dict):
-            raise ConfigError("each profile needs a 'values' mapping")
-        _reject_unknown(entry, {"name", "values"}, "profile")
-        entries.append((_output_name(entry.get("name", f"profile{i + 1}"),
-                                     f"effects.profiles[{i}].name"),
+    effects = _section(cfg["effects"], "effects", "effects.")
+    for i, entry in enumerate(effects["profiles"]):
+        entry = _section(entry, "profile", f"effects.profiles[{i}].")
+        name = f"profile{i + 1}" if entry["name"] is None else entry["name"]
+        entries.append((_output_name(name, f"effects.profiles[{i}].name"),
                         entry["values"]))
     for i, text in enumerate(getattr(args, "profile", None) or [], start=1):
         values = {}
         for pair in text.split(","):
             if "=" not in pair:
-                raise ConfigError(
-                    f"--profile expects NAME=VALUE pairs, got {pair!r}")
-            key, val = pair.split("=", 1)
-            values[key.strip()] = val.strip()
+                raise ConfigError(f"--profile expects NAME=VALUE pairs, got {pair!r}")
+            key, val = (part.strip() for part in pair.split("=", 1))
+            if key in values:
+                raise ConfigError(f"--profile {text!r} names covariate {key!r} twice")
+            values[key] = val
         entries.append((f"cli{i}", values))
-    profiles: list[CovariateProfile] = []
-    for name, values in entries:
-        profiles.extend(_expand_profile(name, values, ds))
+    profiles = [profile for name, values in entries
+                for profile in _expand_profile(name, values, ds)]
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise ConfigError(f"profile names must be distinct, got {names}")
@@ -421,9 +382,8 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config, args)
     loaded = _load_dataset(cfg)
     ds = loaded.dataset
-    spec = _parse_spec(cfg.raw)
-    fits = fit_unconstrained(ds, spec)
-    coef_rows, conv_rows = _fit_tables(ds, spec, fits)
+    fits = fit_unconstrained(ds, cfg["model"])
+    coef_rows, conv_rows = _fit_tables(ds, cfg["model"], fits)
     coef_header = ["model", "term", "estimate", "std_error", "z_value", "p_value"]
     conv_header = ["model", "converged", "iterations", "loglik", "score_norm",
                    "n_rows", "n_params"]
@@ -437,27 +397,26 @@ def cmd_fit(args) -> int:
     if loaded.dropped:
         print(f"dropped {loaded.dropped} incomplete rows")
     print(f"fit tables written to {out}")
-    all_converged = all(f.converged for f in (fits.exposure, fits.mediator,
-                                              fits.outcome))
-    if not all_converged:
+    if not all(f.converged for f in (fits.exposure, fits.mediator, fits.outcome)):
         print("error: at least one probit fit did not converge", file=sys.stderr)
         return 1
     return 0
 
 
-def _requested_effects(cfg: _Config) -> tuple[list[EffectType], list[str]]:
-    eff = _effects_section(cfg.raw)
-    entries = eff.get("types", ["nde", "nie", "te"])
-    types = [_lookup(_EFFECT_ALIASES, t, "effect type") for t in entries]
-    scopes = [str(s) for s in eff.get("scopes", ["marginal"])]
+def _requested_effects(cfg: dict) -> tuple[list[EffectType], list[str]]:
+    eff = _section(cfg["effects"], "effects", "effects.")
+    types = [_lookup(_EFFECT_ALIASES, t, "effect type") for t in eff["types"]]
+    scopes = [str(s) for s in eff["scopes"]]
     for key, value in (("types", types), ("scopes", scopes)):
         if not value:
             raise ConfigError(f"effects.{key} must name at least one entry")
-    for i, (entry, effect_type) in enumerate(zip(entries, types)):
+    for i, (entry, effect_type) in enumerate(zip(eff["types"], types)):
         if effect_type in types[:i]:
             raise ConfigError(f"effects.types entry {entry!r} repeats {effect_type.value}")
     for scope in scopes:
-        _check_scope(scope, "effects.scopes entries")
+        if scope not in _SCOPES:
+            raise ConfigError("effects.scopes entries must be marginal or "
+                              f"conditional, got {scope!r}")
     return types, scopes
 
 
@@ -465,20 +424,19 @@ def cmd_effects(args) -> int:
     cfg = _load_config(args.config, args)
     loaded = _load_dataset(cfg)
     ds = loaded.dataset
-    spec = _parse_spec(cfg.raw)
     types, scopes = _requested_effects(cfg)
     profiles = _parse_profiles(cfg, ds, args)
     if "conditional" in scopes and not profiles:
         raise ConfigError("conditional effects requested but no profiles given")
 
-    ctx = unconstrained_context(ds, spec)
+    ctx = unconstrained_context(ds, cfg["model"])
     groups = [("marginal", None)] if "marginal" in scopes else []
     if "conditional" in scopes:
         groups += [("conditional", prof) for prof in profiles]
     rows = []
     for effect_type in types:
         for scope, prof in groups:
-            est = effect_with_ci(effect_type, scope, ctx, alpha=cfg.alpha,
+            est = effect_with_ci(effect_type, scope, ctx, alpha=cfg["alpha"],
                                  profile=prof)
             rows.append([effect_type.value, scope, "" if prof is None else prof.name,
                          est.estimate, est.std_error, est.ci_lower,
@@ -486,7 +444,7 @@ def cmd_effects(args) -> int:
     header = ["effect", "scope", "profile", "estimate", "std_error",
               "ci_lower", "ci_upper", "alpha"]
     out = _write_outputs(cfg, loaded, "effects", [("effects.csv", header, rows)], {
-        "alpha": cfg.alpha,
+        "alpha": cfg["alpha"],
         "profiles": {p.name: [float(v) for v in p.values] for p in profiles},
         "effects": [dict(zip(header, row)) for row in rows],
     })
@@ -494,42 +452,34 @@ def cmd_effects(args) -> int:
     return 0
 
 
-def _parse_scan_requests(cfg: _Config, args, profiles) -> list[dict]:
-    raw_scans = cfg.raw.get("scans", []) or []
-    if not isinstance(raw_scans, list):
-        raise ConfigError("scans must be a list of scan request mappings")
-    grid_override = getattr(args, "grid", None)
-    kind_override = getattr(args, "kind", None)
-    if not raw_scans:
-        raw_scans = [{"kind": kind_override or "my", "effect": "nie",
-                      "scope": "marginal"}]
-    requests = []
+def _parse_scan_requests(cfg: dict, args, profiles) -> list[dict]:
+    flag_grid = getattr(args, "grid", None)
+    if flag_grid is not None:
+        flag_grid = _parse_grid(flag_grid, "--grid")
     by_name = {p.name: p for p in profiles}
-    flag_grid = None if grid_override is None else _parse_grid(grid_override, "--grid")
-    for i, entry in enumerate(raw_scans):
-        if not isinstance(entry, dict):
-            raise ConfigError("each scan request must be a mapping")
-        _reject_unknown(entry, {"kind", "effect", "scope", "grid", "profile"},
-                        "scan")
-        kind = _lookup(_KINDS, kind_override or entry.get("kind", "my"),
-                       "confounding kind")
-        effect = _lookup(_EFFECT_ALIASES, entry.get("effect", "nie"), "effect type")
-        scope = _check_scope(entry.get("scope", "marginal"), "scan scope")
+    requests = []
+    for i, entry in enumerate(cfg["scans"] or [{}]):
+        entry = _section(entry, "scan", f"scans[{i}].")
+        # the entry's kind is checked even when --kind replaces it
+        kind = _KINDS.get(getattr(args, "kind", None),
+                          _lookup(_KINDS, entry["kind"], "confounding kind"))
+        effect = _lookup(_EFFECT_ALIASES, entry["effect"], "effect type")
+        scope = entry["scope"]
+        if scope not in _SCOPES:
+            raise ConfigError(
+                f"scan scope must be marginal or conditional, got {scope!r}")
         profile = None
         if scope == "conditional":
-            pname = entry.get("profile")
-            if pname is None:
-                raise ConfigError("conditional scans need a profile name")
-            if str(pname) not in by_name:
-                raise ConfigError(
-                    f"scan profile {pname!r} not found among profiles "
-                    f"{sorted(by_name)}")
-            profile = by_name[str(pname)]
-        grid = _parse_grid(entry.get("grid") or {}, f"scans[{i}].grid")
-        if flag_grid is not None:
-            grid = flag_grid
+            if entry["profile"] is None:
+                raise ConfigError(f"scans[{i}].profile is required for a conditional scan")
+            profile = by_name.get(str(entry["profile"]))
+            if profile is None:
+                raise ConfigError(f"scan profile {entry['profile']!r} not found among "
+                                  f"profiles {sorted(by_name)}")
+        grid = _parse_grid(entry["grid"], f"scans[{i}].grid")
         requests.append({"kind": kind, "effect": effect, "scope": scope,
-                         "profile": profile, "grid": grid})
+                         "profile": profile,
+                         "grid": grid if flag_grid is None else flag_grid})
     return requests
 
 
@@ -546,7 +496,6 @@ def cmd_sens(args) -> int:
     cfg = _load_config(args.config, args)
     loaded = _load_dataset(cfg)
     ds = loaded.dataset
-    spec = _parse_spec(cfg.raw)
     profiles = _parse_profiles(cfg, ds, args)
     requests = _parse_scan_requests(cfg, args, profiles)
     tags = [_scan_tag(req) for req in requests]
@@ -564,7 +513,7 @@ def cmd_sens(args) -> int:
     for req, tag in zip(requests, tags):
         try:
             scan = run_scan(req["kind"], req["effect"], req["scope"],
-                            req["grid"], ds, spec, alpha=cfg.alpha,
+                            req["grid"], ds, cfg["model"], alpha=cfg["alpha"],
                             profile=req["profile"])
         except ScanError as exc:
             print(f"error: scan {tag}: {exc}", file=sys.stderr)
@@ -591,7 +540,7 @@ def cmd_sens(args) -> int:
         failure_rows.extend([tag, rho] for rho in scan.failures)
         summary.append({
             **dict(zip(_IDENTITY, identity)),
-            "alpha": cfg.alpha,
+            "alpha": cfg["alpha"],
             "grid": {"lower": req["grid"].lower, "upper": req["grid"].upper,
                      "step": req["grid"].step,
                      "n_points": len(req["grid"].points)},
@@ -616,69 +565,46 @@ def cmd_sens(args) -> int:
     return exit_code
 
 
-def _parse_scenario(cfg: _Config) -> tuple[TrueParams, int]:
-    raw = cfg.raw.get("scenario")
-    if not isinstance(raw, dict):
-        raise ConfigError("simulate needs a 'scenario' mapping in the config")
-    _reject_unknown(raw, {"n", "covariates", "alpha", "beta", "theta",
-                          "confounding"}, "scenario")
-    if "n" not in raw:
-        raise ConfigError("scenario.n is required")
-    n = _config_int(raw["n"], "scenario.n")
+def _parse_scenario(cfg: dict) -> tuple[TrueParams, int]:
+    raw = _section(cfg["scenario"], "scenario", "scenario.")
     covs = []
-    for entry in raw.get("covariates", []) or []:
-        if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
-            raise ConfigError(
-                "each scenario covariate needs at least name and dist")
-        _reject_unknown(entry, {"name", "dist", "value", "low", "high", "mean"},
-                        "scenario covariate")
-        covs.append(CovariateSpec(**{
-            k: (str(v) if k in ("name", "dist")
-                else _config_float(v, f"scenario covariate {entry['name']!r} {k}"))
-            for k, v in entry.items()}))
-    spec = _parse_spec(cfg.raw)
-    conf = None
-    if raw.get("confounding") is not None:
-        centry = raw["confounding"]
-        if not isinstance(centry, dict) or "kind" not in centry or "rho" not in centry:
-            raise ConfigError("scenario.confounding needs kind and rho")
-        _reject_unknown(centry, {"kind", "rho"}, "confounding")
-        conf = (_lookup(_KINDS, centry["kind"], "confounding kind"),
-                _config_float(centry["rho"], "scenario.confounding.rho"))
-    coefs = {}
-    for key in ("alpha", "beta", "theta"):
-        if not isinstance(raw.get(key), list):
-            raise ConfigError(f"scenario.{key} coefficient vector is required")
-        coefs[key] = np.array([_config_float(v, f"scenario.{key}")
-                               for v in raw[key]])
-    params = TrueParams(spec=spec, covariates=tuple(covs), confounding=conf,
-                        **coefs)
-    return params, n
+    for i, entry in enumerate(raw["covariates"]):
+        # errors name a covariate by its index and, once known, its name
+        name = entry.get("name") if isinstance(entry, dict) else None
+        entry = _section(entry, "covariate", f"scenario.covariates[{i}]"
+                         + ("." if name is None else f" {name!r} "))
+        name = _output_name(entry["name"], f"scenario.covariates[{i}].name")
+        covs.append(CovariateSpec(**{**entry, "name": name}))
+    conf = raw["confounding"]
+    if conf is not None:
+        conf = _section(conf, "confounding", "scenario.confounding.")
+        conf = (_lookup(_KINDS, conf["kind"], "confounding kind"), conf["rho"])
+    coefs = {key: [_typed(v, "number", f"scenario.{key}[{j}]")
+                   for j, v in enumerate(raw[key])]
+             for key in ("alpha", "beta", "theta")}
+    params = TrueParams(spec=cfg["model"], covariates=tuple(covs),
+                        confounding=conf, **coefs)
+    return params, raw["n"]
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
     params, n = _parse_scenario(cfg)
-    ds = simulate(params, n, cfg.seed)
-    out = cfg.out_dir
+    ds = simulate(params, n, cfg["seed"])
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out / "data.csv")
     effects = {et.value: v for et, v in true_effects(params, ds).items()}
     truth = {
         "n": n,
-        "seed": cfg.seed,
-        "covariates": [
-            {"name": c.name, "dist": c.dist, "value": c.value, "low": c.low,
-             "high": c.high, "mean": c.mean} for c in params.covariates],
-        "alpha": [float(v) for v in params.alpha],
-        "beta": [float(v) for v in params.beta],
-        "theta": [float(v) for v in params.theta],
+        "seed": cfg["seed"],
+        "covariates": [asdict(c) for c in params.covariates],
+        **{key: getattr(params, key).tolist() for key in ("alpha", "beta", "theta")},
         "confounding": (None if params.confounding is None else
                         {"kind": params.confounding[0].value,
                          "rho": params.confounding[1]}),
         "true_effects_marginal": effects,
-        "prevalence": {"z": float(ds.z.mean()), "m": float(ds.m.mean()),
-                       "y": float(ds.y.mean())},
+        "prevalence": {key: float(getattr(ds, key).mean()) for key in "zmy"},
     }
     _write_json(out / "truth.json", truth)
     _write_json(out / "summary.json", {"command": "simulate", **truth})
@@ -693,38 +619,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "and outcome, with sensitivity analysis to unmeasured "
                     "confounding via fixed error-term correlations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("config", help="YAML config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-
-    p_fit = sub.add_parser("fit", help="fit the three probit models")
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_eff = sub.add_parser("effects", help="estimate effects with Wald CIs")
-    common(p_eff)
-    p_eff.add_argument("--alpha", type=float, help="CI level (overrides config)")
-    p_eff.add_argument("--profile", action="append", metavar="NAME=VALUE,...",
-                       help="extra covariate profile; values may be numbers "
-                            "or mean / mean-sd / mean+sd / mean+-sd")
-    p_eff.set_defaults(func=cmd_effects)
-
-    p_sens = sub.add_parser("sens", help="sensitivity scans over rho grids")
-    common(p_sens)
-    p_sens.add_argument("--alpha", type=float, help="CI level (overrides config)")
-    p_sens.add_argument("--grid", metavar="LO:HI:STEP",
-                        help="override every scan's rho grid")
-    p_sens.add_argument("--kind", choices=sorted(_KINDS),
-                        help="override every scan's confounding kind")
-    p_sens.add_argument("--profile", action="append", metavar="NAME=VALUE,...",
-                        help="extra covariate profile (see effects)")
-    p_sens.set_defaults(func=cmd_sens)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
-    common(p_sim)
-    p_sim.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p_sim.set_defaults(func=cmd_simulate)
+    commands = {}
+    for name, func, text in (
+            ("fit", cmd_fit, "fit the three probit models"),
+            ("effects", cmd_effects, "estimate effects with Wald CIs"),
+            ("sens", cmd_sens, "sensitivity scans over rho grids"),
+            ("simulate", cmd_simulate, "generate a synthetic dataset")):
+        command = commands[name] = sub.add_parser(name, help=text)
+        command.set_defaults(func=func)
+        command.add_argument("config", help="YAML config file")
+        command.add_argument("--out", help="output directory (overrides config)")
+    for name in ("effects", "sens"):
+        commands[name].add_argument("--alpha", type=float,
+                                    help="CI level (overrides config)")
+    commands["sens"].add_argument("--grid", metavar="LO:HI:STEP",
+                                  help="override every scan's rho grid")
+    commands["sens"].add_argument("--kind", choices=sorted(_KINDS),
+                                  help="override every scan's confounding kind")
+    for name in ("effects", "sens"):
+        commands[name].add_argument(
+            "--profile", action="append", metavar="NAME=VALUE,...",
+            help="extra covariate profile; values may be numbers or mean / "
+                 "mean-sd / mean+sd / mean+-sd")
+    commands["simulate"].add_argument("--seed", type=int,
+                                      help="RNG seed (overrides config)")
     return parser
 
 

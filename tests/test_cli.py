@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import yaml
 
 from medsens import (ColumnRoles, EffectType, demo_params, load_csv,
                      true_effects)
+import medsens.cli
 from medsens.cli import main
 
 SCENARIO = {
@@ -61,6 +63,20 @@ def analysis_config(root: Path, out: str, **extra) -> Path:
         **extra,
     }
     return write_config(root / f"{out}.yaml", obj)
+
+
+ROLES = {"exposure": "z", "mediator": "m", "outcome": "y"}
+TYPICAL = {"xcont": "mean", "xbin": 0}
+
+
+def scenario(**changes) -> dict:
+    """SCENARIO's scenario section with ``changes``; "DROP" removes a key."""
+    merged = {**SCENARIO["scenario"], **changes}
+    return {"scenario": {k: v for k, v in merged.items() if v != "DROP"}}
+
+
+def profiles(*entries) -> dict:
+    return {"effects": {"profiles": list(entries)}}
 
 
 class TestSimulate:
@@ -183,6 +199,17 @@ class TestEffects:
         rows = read_rows(tmp_path / "o" / "effects.csv")
         assert [r["profile"] for r in rows] == ["cli1"]
         assert float(rows[0]["alpha"]) == 0.10
+
+    def test_profile_flag_naming_a_covariate_twice_rejected(self, workdir,
+                                                            tmp_path, capsys):
+        cfg = analysis_config(workdir, "eff5", effects={
+            "types": ["nie"], "scopes": ["conditional"]})
+        assert main(["effects", str(cfg), "--out", str(tmp_path / "o"),
+                     "--profile", "xcont=1,xbin=0,xcont=5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --profile 'xcont=1,xbin=0,xcont=5' names covariate "
+            "'xcont' twice\n")
+        assert not (tmp_path / "o").exists()
 
     def test_conditional_without_profiles_errors(self, workdir, tmp_path,
                                                  capsys):
@@ -564,6 +591,15 @@ class TestConfigErrors:
         assert "unknown scans[0].grid keys: ['bogus']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_scan_kind_entry_checked_under_kind_flag(self, workdir, tmp_path,
+                                                     capsys):
+        cfg = analysis_config(workdir, "bad13", scans=[
+            {"kind": "bogus", "effect": "nie", "scope": "marginal"}])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o"),
+                     "--kind", "my", "--grid", "0:0.2:0.1"]) == 1
+        assert "unknown confounding kind 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("grid,message", [
         ("0.1:oops", "scans[1].grid expects LO:HI:STEP, got '0.1:oops'"),
         ("0.1:x:0.2", "scans[1].grid values must be numeric, got '0.1:x:0.2'"),
@@ -585,7 +621,10 @@ class TestConfigErrors:
         *((command, "columns.covariates entry", {"columns": {
             "exposure": "z", "mediator": "m", "outcome": "y",
             "covariates": ["xcont", "x\rbin"]}})
-          for command in ("fit", "effects", "sens"))])
+          for command in ("fit", "effects", "sens")),
+        ("simulate", "scenario.covariates[1].name", scenario(covariates=[
+            {"name": "xcont", "dist": "normal"},
+            {"name": "x\rbin", "dist": "bernoulli", "mean": 0.2}]))])
     def test_carriage_return_in_written_name_rejected(self, workdir, tmp_path,
                                                       capsys, command, key,
                                                       extra):
@@ -646,3 +685,243 @@ def test_readme_output_headers_match_writers(workdir, tmp_path):
         for path in paths:
             header = path.read_text(encoding="utf-8").splitlines()[0]
             assert header.split(",") == columns, path.name
+
+
+# One bad config per place the CLI raises ConfigError: (command, config,
+# flags, text the error line must hold). ``config`` is merged into the analysis
+# config, or into SCENARIO for simulate; a string is the config file's
+# text, and None names a config file that does not exist.
+CONFIG_ERRORS = {
+    "unknown-top-key": ("fit", {"bogus": 1}, [],
+                        "unknown config keys: ['bogus']"),
+    "seed-not-integer": ("simulate", {"seed": 1.5}, [],
+                         "seed must be an integer, got 1.5"),
+    "out-not-string": ("fit", {"out": 5}, [], "out must be a string, got 5"),
+    "alpha-not-number": ("effects", {"alpha": "0.05"}, [],
+                         "alpha must be a number, got '0.05'"),
+    "covariate-carriage-return": (
+        "fit", {"columns": {**ROLES, "covariates": ["xcont", "x\rbin"]}}, [],
+        "columns.covariates entry 'x\\rbin' must not hold a carriage return"),
+    "unknown-effect-type": ("effects", {"effects": {"types": ["hazard_ratio"]}},
+                            [], "unknown effect type 'hazard_ratio'"),
+    "unknown-scan-scope": ("sens", {"scans": [{"scope": "conditionl"}]}, [],
+                           "scan scope must be marginal or conditional, "
+                           "got 'conditionl'"),
+    "grid-flag-shape": ("sens", {}, ["--grid", "0:1"],
+                        "--grid expects LO:HI:STEP, got '0:1'"),
+    "grid-flag-not-numeric": ("sens", {}, ["--grid", "0:x:1"],
+                              "--grid values must be numeric, got '0:x:1'"),
+    "grid-entry-type": ("sens", {"scans": [{"grid": 5}]}, [],
+                        "scans[0].grid must be a mapping or LO:HI:STEP string"),
+    "grid-empty": ("sens", {}, ["--grid", "0.5:0.1:0.1"], "bad scan grid: "),
+    "config-file-missing": ("fit", None, [], "cannot read config file "),
+    "config-not-yaml": ("fit", "data: [unclosed", [], ": not valid YAML: "),
+    "config-not-mapping": ("fit", "- 1\n", [],
+                           "config must be a mapping, got [1]"),
+    "alpha-range": ("effects", {}, ["--alpha", "1.5"],
+                    "alpha must lie in (0, 1), got 1.5"),
+    "alpha-too-small": ("effects", {"alpha": 1e-17}, [],
+                        "alpha 1e-17 is too small"),
+    "model-not-mapping": ("fit", {"model": [1]}, [],
+                          "model must be a mapping, got [1]"),
+    "model-flag-not-boolean": ("fit", {"model": {"mediator_x": "false"}}, [],
+                               "model.mediator_x must be true or false, "
+                               "got 'false'"),
+    "columns-not-mapping": ("fit", {"columns": 5}, [],
+                            "columns must be a mapping, got 5"),
+    "columns-role-missing": ("fit", {"columns": {"exposure": "z",
+                                                 "mediator": "m"}}, [],
+                             "columns.outcome is required"),
+    "covariates-not-list": ("fit", {"columns": {**ROLES, "covariates": 5}}, [],
+                            "columns.covariates must be a list, got 5"),
+    "data-missing": ("fit", {"data": "DROP"}, [],
+                     "data is required"),
+    "delimiter-not-char": ("fit", {"delimiter": ";;"}, [],
+                           "delimiter must be a one-character string, "
+                           "got ';;'"),
+    "data-file-missing": ("fit", {"data": "absent.csv"}, [],
+                          "cannot read data file "),
+    "profile-token": ("effects", profiles(
+        {"name": "p", "values": {"xcont": "median", "xbin": 0}}), [],
+        "profile value 'median' is neither numeric"),
+    "profile-incomplete": ("effects", profiles(
+        {"name": "p", "values": {"xcont": 0}}), [],
+        "profile 'p' must assign exactly the covariates"),
+    "profile-two-sweeps": ("effects", profiles(
+        {"name": "p", "values": {"xcont": "mean+-sd", "xbin": "mean+-sd"}}),
+        [], "profile 'p' sweeps more than one covariate"),
+    "effects-not-mapping": ("effects", {"effects": [1]}, [],
+                            "effects must be a mapping, got [1]"),
+    "effects-types-not-list": ("effects", {"effects": {"types": "te"}}, [],
+                               "effects.types must be a list, got 'te'"),
+    "profile-values-not-mapping": ("sens", profiles(
+        {"name": "p", "values": 5}), [],
+        "effects.profiles[0].values must be a 'values' mapping, got 5"),
+    "profile-flag-pair": ("effects", {}, ["--profile", "xcont"],
+                          "--profile expects NAME=VALUE pairs, got 'xcont'"),
+    "profile-flag-repeat": ("effects", {},
+                            ["--profile", "xcont=1,xbin=0,xcont=5"],
+                            "--profile 'xcont=1,xbin=0,xcont=5' names "
+                            "covariate 'xcont' twice"),
+    "profile-names-repeat": ("effects", profiles(
+        {"name": "p", "values": TYPICAL}, {"name": "p", "values": TYPICAL}),
+        [], "profile names must be distinct"),
+    "effects-types-empty": ("effects", {"effects": {"types": []}}, [],
+                            "effects.types must name at least one entry"),
+    "effects-types-repeat": ("effects", {"effects": {"types": ["nie", "nie"]}},
+                             [], "effects.types entry 'nie' repeats nie"),
+    "effects-scope-unknown": ("effects", {"effects": {"scopes": ["joint"]}},
+                              [], "effects.scopes entries must be marginal "
+                                  "or conditional, got 'joint'"),
+    "conditional-without-profiles": (
+        "effects", {"effects": {"scopes": ["conditional"]}}, [],
+        "conditional effects requested but no profiles given"),
+    "scans-not-list": ("sens", {"scans": {"kind": "my"}}, [],
+                       "scans must be a list, got {'kind': 'my'}"),
+    "scan-not-mapping": ("sens", {"scans": [5]}, [],
+                         "scans[0] must be a mapping, got 5"),
+    "scan-profile-missing": ("sens", {"scans": [{"scope": "conditional"}]}, [],
+                             "scans[0].profile is required for a "
+                             "conditional scan"),
+    "scan-profile-unknown": ("sens", {"scans": [{"scope": "conditional",
+                                                 "profile": "ghost"}]}, [],
+                             "scan profile 'ghost' not found"),
+    "scan-tags-repeat": ("sens", {"scans": [{"kind": "my"}, {"kind": "my"}]},
+                         [], "scan requests share the output tag(s) "
+                             "['my_nie_marginal']"),
+    "scenario-not-mapping": ("simulate", {"scenario": 5}, [],
+                             "scenario must be a mapping, got 5"),
+    "scenario-size-missing": ("simulate", scenario(n="DROP"), [],
+                              "scenario.n is required"),
+    "scenario-covariate-no-dist": ("simulate", scenario(covariates=[
+        {"name": "xcont"}]), [],
+        "scenario.covariates[0] 'xcont' dist is required"),
+    "confounding-no-rho": ("simulate", scenario(confounding={"kind": "my"}),
+                           [], "scenario.confounding.rho is required"),
+    "coefficients-missing": ("simulate", scenario(alpha="DROP"), [],
+                             "scenario.alpha is required"),
+}
+
+
+def base_config(workdir: Path, command: str) -> dict:
+    """SCENARIO for simulate, else the analysis config."""
+    if command == "simulate":
+        return dict(SCENARIO)
+    return yaml.safe_load(analysis_config(workdir, "base").read_text())
+
+
+def assert_config_error(workdir, tmp_path, capsys, command, config, flags,
+                        expect):
+    """``config`` (see CONFIG_ERRORS) exits 1 with one ``error:`` line
+    holding ``expect``, no traceback and no output directory."""
+    path = tmp_path / "c.yaml"
+    if isinstance(config, str):
+        path.write_text(config, encoding="utf-8")
+    elif config is not None:
+        obj = {**base_config(workdir, command), **config}
+        write_config(path, {k: v for k, v in obj.items() if v != "DROP"})
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    first, *rest = err.splitlines()
+    assert first.startswith("error: ") and expect in first
+    assert not any(line.startswith("error") for line in rest)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_corpus(workdir, tmp_path, capsys, case):
+    assert_config_error(workdir, tmp_path, capsys, *CONFIG_ERRORS[case])
+
+
+def test_unknown_keys_of_mixed_types_listed(workdir, tmp_path, capsys):
+    """Unknown keys that are not all strings still sort into one message."""
+    assert_config_error(workdir, tmp_path, capsys, "fit", "1: 2\nbogus: 3\n",
+                        [], "unknown config keys: [1, 'bogus']")
+
+
+@pytest.mark.parametrize("command,config,expect", [
+    ("fit", {"model": False}, "model must be a mapping, got False"),
+    ("sens", {"scans": 0}, "scans must be a list, got 0"),
+    ("sens", {"scans": [{"grid": 0}]},
+     "scans[0].grid must be a mapping or LO:HI:STEP string"),
+    ("sens", {"scans": [{"grid": False}]},
+     "scans[0].grid must be a mapping or LO:HI:STEP string"),
+    ("effects", {"effects": []}, "effects must be a mapping, got []"),
+    ("fit", {"columns": {**ROLES, "covariates": ""}},
+     "columns.covariates must be a list, got ''"),
+    ("simulate", scenario(covariates=5),
+     "scenario.covariates must be a list, got 5"),
+])
+def test_falsy_value_of_the_wrong_type_rejected(workdir, tmp_path, capsys,
+                                                command, config, expect):
+    assert_config_error(workdir, tmp_path, capsys, command, config, [], expect)
+
+
+def drop_nulls(obj):
+    if isinstance(obj, dict):
+        return {k: drop_nulls(v) for k, v in obj.items() if v is not None}
+    if isinstance(obj, list):
+        return [drop_nulls(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("command,nulls", [
+    ("fit", {"out": None, "alpha": None, "seed": None, "delimiter": None,
+             "effects": None, "scans": None, "scenario": None,
+             "model": {**SCENARIO["model"], "exposure_x": None}}),
+    ("effects", {"effects": {"types": None, "scopes": None,
+                             "profiles": None}}),
+    ("sens", {"scans": [{"kind": None, "effect": None, "scope": None,
+                         "profile": None,
+                         "grid": {"lower": None, "upper": 0.1, "step": 0.5}}]}),
+    ("simulate", {"seed": None, **scenario(confounding=None, covariates=[
+        {"name": "xcont", "dist": "normal", "value": None, "low": None,
+         "high": None, "mean": None},
+        {"name": "xbin", "dist": "bernoulli", "mean": 0.2}])}),
+])
+def test_null_key_means_its_default(workdir, tmp_path, command, nulls):
+    """A config with null keys writes the same bytes as one without them."""
+    obj = {**base_config(workdir, command), **nulls}
+    for name, config in (("null", obj), ("absent", drop_nulls(obj))):
+        cfg = write_config(tmp_path / f"{name}.yaml", config)
+        assert main([command, str(cfg), "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "null").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "absent").iterdir())
+    for name in names:
+        assert (tmp_path / "null" / name).read_bytes() == \
+            (tmp_path / "absent" / name).read_bytes(), name
+
+
+# The dotted path of each _SCHEMA section in the docstring's schema block;
+# "[]" marks a list of such mappings.
+SECTION_PATHS = {
+    "config": "", "columns": "columns.", "model": "model.",
+    "effects": "effects.", "profile": "effects.profiles[].",
+    "scan": "scans[].", "grid": "scans[].grid.", "scenario": "scenario.",
+    "covariate": "scenario.covariates[].",
+    "confounding": "scenario.confounding."}
+
+
+def documented_keys(node: dict, prefix: str = "") -> set[str]:
+    keys = set()
+    for key, value in node.items():
+        keys.add(prefix + key)
+        subs = ([(v, f"{prefix}{key}[].") for v in value]
+                if isinstance(value, list) else [(value, f"{prefix}{key}.")])
+        for sub, path in subs:
+            if isinstance(sub, dict) and path in SECTION_PATHS.values():
+                keys |= documented_keys(sub, path)
+    return keys
+
+
+def test_docstring_schema_matches_key_table():
+    doc = medsens.cli.__doc__
+    block = doc.split("keys not listed here are rejected):\n\n")[1]
+    documented = documented_keys(yaml.safe_load(
+        textwrap.dedent(block.split("\n\n")[0])))
+    assert set(SECTION_PATHS) == set(medsens.cli._SCHEMA)
+    table = {SECTION_PATHS[section] + key
+             for section, keys in medsens.cli._SCHEMA.items() for key in keys}
+    assert documented == table
