@@ -31,7 +31,7 @@ def one_replicate(params, kind, n, rho, seed, effect_type):
     except ScanError:
         return None
     naive = effect_with_ci(effect_type, "marginal",
-                           unconstrained_context(ds, params.spec, scan.base))
+                           unconstrained_context(ds, params.spec))
     adjusted = scan.points[0].estimate
     return {
         "truth": truth,

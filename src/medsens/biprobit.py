@@ -210,8 +210,9 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     non-finite start raises ValueError. The designs come from
     datamodel.fit_designs; the sign-flipped pair is formed per call.
     Covariances are the inverse observed information of the joint fit
-    (the full matrix and its two diagonal blocks); the tangent and slope
-    reuse the last pass's row terms, with no further Phi2 call.
+    (the full matrix and its two diagonal blocks); the separation check,
+    tangent and slope reuse the last pass's row terms, with no further
+    Phi2 call or design product.
     """
     (da, ra), (db, rb), (signed_a, signed_b, signs) = _signed_pair(
         kind, fit_designs(ds, spec))
@@ -241,8 +242,8 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
         lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, r), x0)
     x = opt.x
 
-    if np.abs(da @ x[:ka]).max() > _SEPARATION_BOUND or \
-            np.abs(db @ x[ka:]).max() > _SEPARATION_BOUND:
+    # the last pass ran at x, so its u_a and u_b are the signed predictors
+    if any(np.abs(u).max() > _SEPARATION_BOUND for u in opt.rows[:2]):
         raise SeparationError(
             "constrained fit drove a linear predictor beyond +-30; "
             "one margin is (quasi-)separated")

@@ -60,7 +60,8 @@ Config schema (keys not listed here are rejected):
 
 _SCHEMA gives each key its type and default. A null or absent key takes
 the default; any other value must have the key's type or is rejected,
-never coerced: a quoted "0.05" is not a number, nor false a mapping.
+never coerced: a quoted "0.05" is not a number, nor false a mapping, and
+every name (a column, covariate, profile or scan profile) is a string.
 effects.types and scopes must not be empty, nor types name an effect
 twice (nde* is nde_total). Scans must differ in kind, effect, scope or
 profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
@@ -121,14 +122,14 @@ _SCHEMA = {
                "alpha": ("number", 0.05), "out": ("string", "medsens_out"),
                "seed": ("integer", 0), "effects": ("mapping", {}),
                "scans": ("list", []), "scenario": ("mapping", {})},
-    "columns": {"exposure": ("free", _REQUIRED), "mediator": ("free", _REQUIRED),
-                "outcome": ("free", _REQUIRED), "covariates": ("list", [])},
+    "columns": {"exposure": ("string", _REQUIRED), "mediator": ("string", _REQUIRED),
+                "outcome": ("string", _REQUIRED), "covariates": ("list", [])},
     "model": {f.name: ("boolean", f.default) for f in fields(ModelSpec)},
     "effects": {"types": ("list", ["nde", "nie", "te"]),
                 "scopes": ("list", ["marginal"]), "profiles": ("list", [])},
-    "profile": {"name": ("free", None), "values": ("values", _REQUIRED)},
+    "profile": {"name": ("string", None), "values": ("values", _REQUIRED)},
     "scan": {"kind": ("free", "my"), "effect": ("free", "nie"),
-             "scope": ("free", "marginal"), "profile": ("free", None),
+             "scope": ("free", "marginal"), "profile": ("string", None),
              "grid": ("free", {})},
     "grid": {"lower": ("number", DEFAULT_GRID_LOWER),
              "upper": ("number", DEFAULT_GRID_UPPER),
@@ -136,7 +137,7 @@ _SCHEMA = {
     "scenario": {"n": ("integer", _REQUIRED), "covariates": ("list", []),
                  "alpha": ("list", _REQUIRED), "beta": ("list", _REQUIRED),
                  "theta": ("list", _REQUIRED), "confounding": ("mapping", None)},
-    "covariate": {"name": ("free", _REQUIRED), "dist": ("string", _REQUIRED),
+    "covariate": {"name": ("string", _REQUIRED), "dist": ("string", _REQUIRED),
                   **{f.name: ("number", f.default) for f in fields(CovariateSpec)
                      if f.name not in ("name", "dist")}},
     "confounding": {"kind": ("free", _REQUIRED), "rho": ("number", _REQUIRED)},
@@ -204,11 +205,11 @@ def _section(raw, section: str, prefix: str = "") -> dict:
     return out
 
 
-def _output_name(value, key: str) -> str:
-    """A name written into output CSV cells. csv.writer quotes a cell
-    holding a line feed but not one holding a carriage return, which
-    csv.reader then reads as a line break."""
-    name = str(value)
+def _output_name(name, key: str) -> str:
+    """A name written into output CSV cells: a string without a carriage
+    return. csv.writer quotes a cell holding a line feed but not one holding
+    a carriage return, which csv.reader then reads as a line break."""
+    _typed(name, "string", key)
     if "\r" in name:
         raise ConfigError(f"{key} {name!r} must not hold a carriage return")
     return name
@@ -242,7 +243,7 @@ def _parse_grid(spec, where: str) -> RhoGrid:
     try:
         return RhoGrid.regular(lo, hi, step)
     except ValueError as exc:
-        raise ConfigError(f"bad scan grid: {exc}") from None
+        raise ConfigError(f"bad scan grid: {where}: {exc}") from None
 
 
 def _load_config(path_str: str, args) -> dict:
@@ -254,8 +255,11 @@ def _load_config(path_str: str, args) -> dict:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    except yaml.YAMLError as exc:  # one line: the problem at its mark
+        mark = getattr(exc, "problem_mark", None)
+        problem = (" ".join(str(exc).split()) if mark is None else
+                   f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}")
+        raise ConfigError(f"{path}: not valid YAML: {problem}") from None
     cfg = _section({} if raw is None else raw, "config")
     cfg["out"] = Path(getattr(args, "out", None) or cfg["out"])
     for key in ("alpha", "seed"):
@@ -277,7 +281,7 @@ def _load_dataset(cfg: dict) -> LoadResult:
     if cfg["data"] is None:
         raise ConfigError("data is required")
     cols = _section(cfg["columns"], "columns", "columns.")
-    roles = ColumnRoles(*(str(cols[r]) for r in ("exposure", "mediator", "outcome")),
+    roles = ColumnRoles(*(cols[r] for r in ("exposure", "mediator", "outcome")),
                         tuple(_output_name(c, "columns.covariates entry")
                               for c in cols["covariates"]))
     try:
@@ -288,7 +292,7 @@ def _load_dataset(cfg: dict) -> LoadResult:
 
 def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
     """One covariate's profile entry -> list of concrete values (length
-    3 for the mean+-sd sweep, else 1)."""
+    3 for the mean+-sd sweep, else 1); ValueError for any other token."""
     if isinstance(token, (int, float)) and not isinstance(token, bool):
         return [float(token)]
     text = str(token).strip().lower().replace("±", "+-")
@@ -300,12 +304,7 @@ def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
         return [mean + sd]
     if text == "mean+-sd":
         return [mean - sd, mean, mean + sd]
-    try:
-        return [float(text)]
-    except ValueError:
-        raise ConfigError(
-            f"profile value {token!r} is neither numeric nor one of "
-            f"{_MEAN_TOKENS}") from None
+    return [float(text)]
 
 
 def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfile]:
@@ -318,7 +317,14 @@ def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfi
             f" (missing {missing}, unknown {extra})")
     means, sds = covariate_stats(ds)
     stats = {c: (means[i], sds[i]) for i, c in enumerate(names)}
-    resolved = {c: _resolve_profile_value(values[c], *stats[c]) for c in names}
+    resolved = {}
+    for c in names:
+        try:
+            resolved[c] = _resolve_profile_value(values[c], *stats[c])
+        except ValueError:
+            raise ConfigError(
+                f"profile value {values[c]!r} is neither numeric nor one of "
+                f"{_MEAN_TOKENS} (profile {name!r}, covariate {c!r})") from None
     sweeps = [c for c in names if len(resolved[c]) > 1]
     if len(sweeps) > 1:
         raise ConfigError(
@@ -466,13 +472,13 @@ def _parse_scan_requests(cfg: dict, args, profiles) -> list[dict]:
         effect = _lookup(_EFFECT_ALIASES, entry["effect"], "effect type")
         scope = entry["scope"]
         if scope not in _SCOPES:
-            raise ConfigError(
-                f"scan scope must be marginal or conditional, got {scope!r}")
+            raise ConfigError(f"scan scope must be marginal or conditional, "
+                              f"got {scope!r} (scans[{i}].scope)")
         profile = None
         if scope == "conditional":
             if entry["profile"] is None:
                 raise ConfigError(f"scans[{i}].profile is required for a conditional scan")
-            profile = by_name.get(str(entry["profile"]))
+            profile = by_name.get(entry["profile"])
             if profile is None:
                 raise ConfigError(f"scan profile {entry['profile']!r} not found among "
                                   f"profiles {sorted(by_name)}")
@@ -569,12 +575,12 @@ def _parse_scenario(cfg: dict) -> tuple[TrueParams, int]:
     raw = _section(cfg["scenario"], "scenario", "scenario.")
     covs = []
     for i, entry in enumerate(raw["covariates"]):
-        # errors name a covariate by its index and, once known, its name
+        # errors name a covariate by its index and, if a string, its name
         name = entry.get("name") if isinstance(entry, dict) else None
         entry = _section(entry, "covariate", f"scenario.covariates[{i}]"
-                         + ("." if name is None else f" {name!r} "))
-        name = _output_name(entry["name"], f"scenario.covariates[{i}].name")
-        covs.append(CovariateSpec(**{**entry, "name": name}))
+                         + (f" {name!r} " if isinstance(name, str) else "."))
+        _output_name(entry["name"], f"scenario.covariates[{i}].name")
+        covs.append(CovariateSpec(**entry))
     conf = raw["confounding"]
     if conf is not None:
         conf = _section(conf, "confounding", "scenario.confounding.")

@@ -27,6 +27,7 @@ dx/drho, or from an Euler step when it has one (Allgower & Georg 1990,
 ch. 2). The rho = 0 probit pair counts as an optimum, with a closed-form
 tangent and curvature, so a step off a rho = 0 node is quadratic.
 refine_boundary's refits start from Euler steps off converged points.
+A scan fits only the probits it reads and keeps none of them.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
                        _probit_pair_path, fit_constrained)
-from .datamodel import CovariateProfile, Dataset, ModelSpec
+from .datamodel import CovariateProfile, Dataset, ModelSpec, fit_designs
 from .effects import (EffectEstimate, EffectType, FitContext, _profile_row,
                       effect_with_ci)
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR
-from .probit import UnconstrainedFits, fit_unconstrained
+from .probit import ProbitFit, UnconstrainedFits, fit_probit, fit_unconstrained
 
 DEFAULT_GRID_LOWER = -0.95
 DEFAULT_GRID_UPPER = 0.95
@@ -132,7 +133,7 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class SensitivityScan:
-    """Scan results plus enough context to refit at new rho values."""
+    """Scan results plus the dataset and spec to refit at new rho values."""
 
     kind: ConfoundingKind
     effect_type: EffectType
@@ -144,7 +145,6 @@ class SensitivityScan:
     dataset: Dataset
     spec: ModelSpec
     profile: CovariateProfile | None
-    base: UnconstrainedFits
 
     @property
     def failures(self) -> tuple[float, ...]:
@@ -154,14 +154,19 @@ class SensitivityScan:
         return [pt for pt in self.points if pt.converged and pt.estimate is not None]
 
 
-def _context(base, ds, spec, kind=None, fit=None) -> FitContext:
-    """FitContext from the probit fits, except for the mediator (beta) and
-    outcome (theta) blocks that the constrained fit's pair, PAIR_MODELS[kind],
-    contains."""
-    blocks = {model: (probit.coefficients, probit.covariance, probit.converged,
-                      f"{model} probit fit")
-              for model, probit in (("mediator", base.mediator),
-                                    ("outcome", base.outcome))}
+def _probit_fits(kind, ds, spec) -> dict[str, ProbitFit]:
+    """The mediator, outcome and PAIR_MODELS[kind] probit fits by name."""
+    return {model: fit_probit(*pair) for model, pair in fit_designs(ds, spec).items()
+            if model in ("mediator", "outcome", *PAIR_MODELS[kind])}
+
+
+def _context(probits, ds, spec, kind=None, fit=None) -> FitContext:
+    """FitContext from the probit fits (by model name), except for the
+    mediator (beta) and outcome (theta) blocks that the constrained fit's
+    pair, PAIR_MODELS[kind], contains."""
+    blocks = {model: (probits[model].coefficients, probits[model].covariance,
+                      probits[model].converged, f"{model} probit fit")
+              for model in ("mediator", "outcome")}
     if fit is not None:
         tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
         for model, coef, cov in zip(PAIR_MODELS[kind],
@@ -183,7 +188,7 @@ def unconstrained_context(ds: Dataset, spec: ModelSpec,
     """FitContext built from the three separate probit fits."""
     if base is None:
         base = fit_unconstrained(ds, spec)
-    return _context(base, ds, spec)
+    return _context(vars(base), ds, spec)
 
 
 def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
@@ -191,7 +196,7 @@ def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
                         spec: ModelSpec) -> FitContext:
     """FitContext at the fit's rho: the constrained fit supplies the
     coefficient blocks its kind affects, the probit fits the rest."""
-    return _context(base, ds, spec, kind, fit)
+    return _context(vars(base), ds, spec, kind, fit)
 
 
 def _refit(kind, rho, ds, spec, start) -> ConstrainedFit | None:
@@ -221,12 +226,12 @@ def _predict(known, rho) -> np.ndarray:
             + (3 - 2 * s) * s * s * x1 + (s - 1) * s * s * h * t1)
 
 
-def _fit_path(kind, points, ds, spec, base) -> list[ConstrainedFit | None]:
+def _fit_path(kind, points, ds, spec, probits) -> list[ConstrainedFit | None]:
     """One refit per sorted, unique grid point, None where it failed: the
     point nearest zero predicted from the probit pair, then a chain
     outward on either side of it; nodes at rho = 0 carry the curvature."""
     anchor = int(np.argmin(np.abs(points)))
-    fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
+    fit_a, fit_b = (probits[name] for name in PAIR_MODELS[kind])
     tangent, curvature = _probit_pair_path(kind, ds, spec, fit_a, fit_b)
     probit_pair = (0.0, np.concatenate([fit_a.coefficients, fit_b.coefficients]),
                    tangent, curvature)
@@ -248,12 +253,12 @@ def _fit_path(kind, points, ds, spec, base) -> list[ConstrainedFit | None]:
     return fits
 
 
-def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
+def _scan_point(scan: SensitivityScan, probits, rho, fit) -> ScanPoint:
     """The scan's effect at one refit; the point fails with its fit or
     when the effect raises a MedsensError."""
     if fit is None:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    ctx = constrained_context(scan.kind, fit, scan.base, scan.dataset, scan.spec)
+    ctx = _context(probits, scan.dataset, scan.spec, scan.kind, fit)
     try:
         est = effect_with_ci(scan.effect_type, scan.scope, ctx,
                              alpha=scan.alpha, profile=scan.profile)
@@ -285,18 +290,13 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "grid extends beyond |rho| = 0.95; fits near the boundary can be "
             "numerically delicate")
 
-    base = fit_unconstrained(ds, spec)
-    fits = _fit_path(kind, grid.points, ds, spec, base)
-    # only the path's start reads the probit fits' per-row Mills ratios; a
-    # scan keeps the fits without them, so many scans hold no n-vectors
-    base = UnconstrainedFits(**{name: replace(fit, mills_ratio=None)
-                                for name, fit in vars(base).items()})
+    probits = _probit_fits(kind, ds, spec)
+    fits = _fit_path(kind, grid.points, ds, spec, probits)
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
                            dataset=ds, spec=spec,
-                           profile=profile if scope == "conditional" else None,
-                           base=base)
-    points = tuple(_scan_point(scan, rho, fit)
+                           profile=profile if scope == "conditional" else None)
+    points = tuple(_scan_point(scan, probits, rho, fit)
                    for rho, fit in zip(grid.points, fits))
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
@@ -425,19 +425,18 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
             f"resolution must be positive and finite, got {resolution!r}")
     pts = _require_converged(scan)
     ref_sign, _ = _reference_sign(scan)
-    boundaries: list[float] = []
+    probits, boundaries = None, []
     for left, right in zip(pts[:-1], pts[1:]):
         cls_left = _classify(left.estimate, ref_sign)
-        cls_right = _classify(right.estimate, ref_sign)
-        if cls_left is cls_right:
+        if cls_left is _classify(right.estimate, ref_sign):
             continue
-        lo, hi = left.rho, right.rho
-        latest = left
+        probits = probits or _probit_fits(scan.kind, scan.dataset, scan.spec)
+        lo, hi, latest = left.rho, right.rho, left
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
             start = latest.coefficients + latest.tangent * (mid - latest.rho)
-            pt = _scan_point(scan, mid, _refit(scan.kind, mid, scan.dataset,
-                                               scan.spec, start))
+            pt = _scan_point(scan, probits, mid, _refit(
+                scan.kind, mid, scan.dataset, scan.spec, start))
             if not pt.converged:
                 break
             latest = pt

@@ -192,7 +192,7 @@ def test_constrained_fit_recovers_truth_under_confounding(capsys):
                         "marginal", grid, ds, spec)
         assert all(pt.converged for pt in scan.points)
         adj.append(scan.points[0].estimate.estimate - truth)
-        ctx = unconstrained_context(ds, spec, base=scan.base)
+        ctx = unconstrained_context(ds, spec)
         naive.append(effect_with_ci(EffectType.NIE, "marginal", ctx).estimate
                      - truth)
     elapsed = time.time() - t0

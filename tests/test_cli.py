@@ -706,16 +706,22 @@ CONFIG_ERRORS = {
                             [], "unknown effect type 'hazard_ratio'"),
     "unknown-scan-scope": ("sens", {"scans": [{"scope": "conditionl"}]}, [],
                            "scan scope must be marginal or conditional, "
-                           "got 'conditionl'"),
+                           "got 'conditionl' (scans[0].scope)"),
     "grid-flag-shape": ("sens", {}, ["--grid", "0:1"],
                         "--grid expects LO:HI:STEP, got '0:1'"),
     "grid-flag-not-numeric": ("sens", {}, ["--grid", "0:x:1"],
                               "--grid values must be numeric, got '0:x:1'"),
     "grid-entry-type": ("sens", {"scans": [{"grid": 5}]}, [],
                         "scans[0].grid must be a mapping or LO:HI:STEP string"),
-    "grid-empty": ("sens", {}, ["--grid", "0.5:0.1:0.1"], "bad scan grid: "),
+    "grid-empty": ("sens", {}, ["--grid", "0.5:0.1:0.1"],
+                   "bad scan grid: --grid: grid needs -1 <= lower <= upper"),
+    "grid-entry-empty": ("sens", {"scans": [{"kind": "zm"}, {"grid": "0.5:0.1:0.1"}]},
+                         [], "bad scan grid: scans[1].grid: grid needs -1 <= "
+                             "lower <= upper"),
     "config-file-missing": ("fit", None, [], "cannot read config file "),
-    "config-not-yaml": ("fit", "data: [unclosed", [], ": not valid YAML: "),
+    "config-not-yaml": ("fit", "data: [unclosed", [],
+                        ": not valid YAML: expected ',' or ']', but got "
+                        "'<stream end>' at line 1, column 16"),
     "config-not-mapping": ("fit", "- 1\n", [],
                            "config must be a mapping, got [1]"),
     "alpha-range": ("effects", {}, ["--alpha", "1.5"],
@@ -729,6 +735,11 @@ CONFIG_ERRORS = {
                                "got 'false'"),
     "columns-not-mapping": ("fit", {"columns": 5}, [],
                             "columns must be a mapping, got 5"),
+    "columns-role-not-string": ("fit", {"columns": {**ROLES, "exposure": 1}}, [],
+                                "columns.exposure must be a string, got 1"),
+    "covariate-name-not-string": (
+        "fit", {"columns": {**ROLES, "covariates": ["xcont", 2]}}, [],
+        "columns.covariates entry must be a string, got 2"),
     "columns-role-missing": ("fit", {"columns": {"exposure": "z",
                                                  "mediator": "m"}}, [],
                              "columns.outcome is required"),
@@ -744,6 +755,16 @@ CONFIG_ERRORS = {
     "profile-token": ("effects", profiles(
         {"name": "p", "values": {"xcont": "median", "xbin": 0}}), [],
         "profile value 'median' is neither numeric"),
+    "profile-token-path": ("effects", profiles(
+        {"name": "p", "values": {"xcont": 0, "xbin": "median"}}), [],
+        "(profile 'p', covariate 'xbin')"),
+    "profile-flag-token": ("effects", {}, ["--profile", "xcont=median,xbin=0"],
+                           "profile value 'median' is neither numeric nor one "
+                           "of ('mean', 'mean-sd', 'mean+sd', 'mean+-sd', "
+                           "'mean±sd') (profile 'cli1', covariate 'xcont')"),
+    "profile-name-not-string": ("effects", profiles(
+        {"name": 0.5, "values": TYPICAL}), [],
+        "effects.profiles[0].name must be a string, got 0.5"),
     "profile-incomplete": ("effects", profiles(
         {"name": "p", "values": {"xcont": 0}}), [],
         "profile 'p' must assign exactly the covariates"),
@@ -783,6 +804,9 @@ CONFIG_ERRORS = {
     "scan-profile-missing": ("sens", {"scans": [{"scope": "conditional"}]}, [],
                              "scans[0].profile is required for a "
                              "conditional scan"),
+    "scan-profile-not-string": ("sens", {"scans": [{"scope": "conditional",
+                                                    "profile": 1}]}, [],
+                                "scans[0].profile must be a string, got 1"),
     "scan-profile-unknown": ("sens", {"scans": [{"scope": "conditional",
                                                  "profile": "ghost"}]}, [],
                              "scan profile 'ghost' not found"),
@@ -793,6 +817,9 @@ CONFIG_ERRORS = {
                              "scenario must be a mapping, got 5"),
     "scenario-size-missing": ("simulate", scenario(n="DROP"), [],
                               "scenario.n is required"),
+    "scenario-covariate-name-not-string": ("simulate", scenario(covariates=[
+        {"name": 1, "dist": "normal"}]), [],
+        "scenario.covariates[0].name must be a string, got 1"),
     "scenario-covariate-no-dist": ("simulate", scenario(covariates=[
         {"name": "xcont"}]), [],
         "scenario.covariates[0] 'xcont' dist is required"),
@@ -813,7 +840,7 @@ def base_config(workdir: Path, command: str) -> dict:
 def assert_config_error(workdir, tmp_path, capsys, command, config, flags,
                         expect):
     """``config`` (see CONFIG_ERRORS) exits 1 with one ``error:`` line
-    holding ``expect``, no traceback and no output directory."""
+    holding ``expect`` as its only stderr, and no output directory."""
     path = tmp_path / "c.yaml"
     if isinstance(config, str):
         path.write_text(config, encoding="utf-8")
@@ -823,9 +850,9 @@ def assert_config_error(workdir, tmp_path, capsys, command, config, flags,
     out = tmp_path / "o"
     assert main([command, str(path), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    first, *rest = err.splitlines()
+    first, newline, rest = err.partition("\n")
     assert first.startswith("error: ") and expect in first
-    assert not any(line.startswith("error") for line in rest)
+    assert newline and not rest
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Correlation scans, interval summaries, sign classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def fake_scan(entries, alpha=0.05):
     grid = RhoGrid(lower=rhos[0], upper=rhos[-1], step=0.0, points=rhos)
     return SensitivityScan(kind=MY, effect_type=NIE, scope="marginal",
                            grid=grid, alpha=alpha, points=pts, warnings=(),
-                           dataset=None, spec=None, profile=None, base=None)
+                           dataset=None, spec=None, profile=None)
 
 
 class TestSummaries:
@@ -129,7 +131,7 @@ class TestSummaries:
                                alpha=scan.alpha,
                                points=(ScanPoint(0.0, None, False),),
                                warnings=(), dataset=None, spec=None,
-                               profile=None, base=None)
+                               profile=None)
         with pytest.raises(ScanError):
             identification_set(dead)
 
@@ -203,10 +205,12 @@ class TestRunScan:
                                                          abs=1e-7)
             assert pt.estimate.rho_context == (kind.value, pt.rho)
 
-    @pytest.mark.parametrize("kind", [EM, MY, ZY])
-    def test_anchor_starts_from_the_scan_probit_fits(self, kind,
+    @pytest.mark.parametrize("kind,fits", [(EM, 3), (MY, 2), (ZY, 3)])
+    def test_anchor_starts_from_the_scan_probit_fits(self, kind, fits,
                                                      demo_confounded, spec,
                                                      monkeypatch):
+        # the mediator and outcome probits plus the kind's pair: a my scan
+        # fits no exposure probit, and no constrained fit refits a probit
         real = probit_mod.fit_probit
         calls = []
 
@@ -214,12 +218,47 @@ class TestRunScan:
             calls.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(probit_mod, "fit_probit", counting)
-        monkeypatch.setattr(biprobit_mod, "fit_probit", counting)
+        for module in (sens_mod, probit_mod, biprobit_mod):
+            monkeypatch.setattr(module, "fit_probit", counting)
         scan = run_scan(kind, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
                         demo_confounded, spec)
         assert scan.failures == ()
-        assert len(calls) == 3
+        assert len(calls) == fits
+
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_scan_holds_no_row_vectors(self, kind, demo_confounded, spec):
+        # a scan keeps no probit fit, so it keeps no per-row Mills ratios or
+        # other n-vectors beyond its dataset's own arrays
+        prof = CovariateProfile(values=np.array([0.5, 1.0]), name="p")
+        scan = run_scan(kind, NIE, "conditional",
+                        RhoGrid.regular(-0.1, 0.1, 0.1), demo_confounded, spec,
+                        profile=prof)
+        own = {id(v) for v in vars(demo_confounded).values()
+               if isinstance(v, np.ndarray)}
+        seen, arrays = set(), []
+
+        def walk(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif dataclasses.is_dataclass(obj):
+                for field in dataclasses.fields(obj):
+                    walk(getattr(obj, field.name))
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    walk(item)
+
+        walk(scan)
+        assert scan.failures == ()
+        assert all(any(pt.coefficients is a for a in arrays)
+                   for pt in scan.points)
+        rows = [a for a in arrays if a.ndim and a.shape[0] == demo_confounded.n]
+        assert {id(a) for a in rows} == own
 
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_fit_path_does_not_depend_on_the_effect(self, kind,
@@ -257,7 +296,7 @@ class TestRunScan:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking the profile")
 
-        monkeypatch.setattr(sens_mod, "fit_unconstrained", no_fit)
+        monkeypatch.setattr(sens_mod, "fit_probit", no_fit)
         monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
         prof = CovariateProfile(values=np.zeros(3), name="wide")
         with pytest.raises(ValueError,
@@ -422,11 +461,9 @@ class TestRunScan:
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.4, 0.1),
                         demo_confounded, spec)
         assert scan.failures == (0.2,)
-        probit_start = np.concatenate([scan.base.mediator.coefficients,
-                                       scan.base.outcome.coefficients])
-        # the scan keeps its probit fits without the per-row ratios
-        assert all(fit.mills_ratio is None for fit in vars(scan.base).values())
         base = fit_unconstrained(demo_confounded, spec)
+        probit_start = np.concatenate([base.mediator.coefficients,
+                                       base.outcome.coefficients])
         tangent, curvature = biprobit_mod._probit_pair_path(
             MY, demo_confounded, spec, base.mediator, base.outcome)
         assert np.array_equal(starts[0.0], probit_start)
@@ -567,18 +604,18 @@ class TestFailureHandling:
             return real_probit(*args, **kwargs)
 
         monkeypatch.setattr(sens_mod, "fit_constrained", recording)
-        monkeypatch.setattr(probit_mod, "fit_probit", counting)
-        monkeypatch.setattr(biprobit_mod, "fit_probit", counting)
+        for module in (sens_mod, probit_mod, biprobit_mod):
+            monkeypatch.setattr(module, "fit_probit", counting)
         grid = RhoGrid.regular(-0.1, 0.1, 0.1)
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert scan.failures == (0.0,)
         assert len(scan.converged_points()) == 2
         # both chains start from a quadratic step off the scan's own
-        # probit fits: no refits
-        assert len(probit_calls) == 3
-        probit_start = np.concatenate([scan.base.mediator.coefficients,
-                                       scan.base.outcome.coefficients])
+        # mediator and outcome probit fits: no refits
+        assert len(probit_calls) == 2
         base = fit_unconstrained(demo_confounded, spec)
+        probit_start = np.concatenate([base.mediator.coefficients,
+                                       base.outcome.coefficients])
         tangent, curvature = biprobit_mod._probit_pair_path(
             MY, demo_confounded, spec, base.mediator, base.outcome)
         for rho in (0.0, 0.1, -0.1):
