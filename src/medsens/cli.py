@@ -64,13 +64,17 @@ never coerced: a quoted "0.05" is not a number, nor false a mapping, and
 every name (a column, covariate, profile or scan profile) is a string.
 effects.types and scopes must not be empty, nor types name an effect
 twice (nde* is nde_total). Scans must differ in kind, effect, scope or
-profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv.
+profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv,
+where a profile-name character other than a letter, digit, "_", ".", "+"
+or "-" becomes "-". A number given as text (a data CSV cell, a --profile
+or quoted profile value, a LO:HI:STEP grid) is ASCII without "_".
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -82,8 +86,8 @@ from scipy.special import ndtr
 
 from .biprobit import ConfoundingKind
 from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
-                        ModelSpec, covariate_stats, exposure_terms, load_csv,
-                        mediator_terms, outcome_terms, write_csv)
+                        ModelSpec, _number, covariate_stats, exposure_terms,
+                        load_csv, mediator_terms, outcome_terms, write_csv)
 from .effects import EffectType, effect_with_ci
 from .errors import ConfigError, MedsensError, ScanError
 from .probit import fit_unconstrained
@@ -97,7 +101,12 @@ _EFFECT_ALIASES = {**{t.value: t for t in EffectType},
                    "nde*": EffectType.NDE_TOTAL, "nie*": EffectType.NIE_PURE}
 _KINDS = {k.value: k for k in ConfoundingKind}
 _IDENTITY = ["scan", "kind", "effect", "scope", "profile"]
-_MEAN_TOKENS = ("mean", "mean-sd", "mean+sd", "mean+-sd", "mean±sd")
+# a multiple of a covariate's SD -> the token that adds it to the mean, which
+# also names that end of a mean+-sd sweep
+_SD_NAMES = {0: "mean", -1: "mean-sd", 1: "mean+sd"}
+# profile token -> the multiples of a covariate's SD it adds to the mean
+_SD_STEPS = {**{token: (k,) for k, token in _SD_NAMES.items()}, "mean+-sd": (-1, 0, 1)}
+_MEAN_TOKENS = (*_SD_STEPS, "mean±sd")  # ± is read as +-
 _SCOPES = ("marginal", "conditional")
 
 # type name -> (what an error says a value must be, test). The exact type()
@@ -233,7 +242,7 @@ def _parse_grid(spec, where: str) -> RhoGrid:
         if len(parts) != 3:
             raise ConfigError(f"{where} expects LO:HI:STEP, got {spec!r}")
         try:
-            lo, hi, step = (float(p) for p in parts)
+            lo, hi, step = (_number(p) for p in parts)
         except ValueError:
             raise ConfigError(f"{where} values must be numeric, got {spec!r}") from None
     elif isinstance(spec, dict):
@@ -290,23 +299,6 @@ def _load_dataset(cfg: dict) -> LoadResult:
         raise ConfigError(f"cannot read data file {cfg['data']}: {exc}") from None
 
 
-def _resolve_profile_value(token, mean: float, sd: float) -> list[float]:
-    """One covariate's profile entry -> list of concrete values (length
-    3 for the mean+-sd sweep, else 1); ValueError for any other token."""
-    if isinstance(token, (int, float)) and not isinstance(token, bool):
-        return [float(token)]
-    text = str(token).strip().lower().replace("±", "+-")
-    if text == "mean":
-        return [mean]
-    if text == "mean-sd":
-        return [mean - sd]
-    if text == "mean+sd":
-        return [mean + sd]
-    if text == "mean+-sd":
-        return [mean - sd, mean, mean + sd]
-    return [float(text)]
-
-
 def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfile]:
     names = ds.covariate_names
     missing = [c for c in names if c not in values]
@@ -316,29 +308,29 @@ def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfi
             f"profile {name!r} must assign exactly the covariates {list(names)}"
             f" (missing {missing}, unknown {extra})")
     means, sds = covariate_stats(ds)
-    stats = {c: (means[i], sds[i]) for i, c in enumerate(names)}
-    resolved = {}
-    for c in names:
+    points = []  # per covariate, its (profile-name suffix, value) at each step
+    for c, mean, sd in zip(names, means, sds):
+        # a number is read from its text too: the repr of a float round-trips
+        text = str(values[c]).strip().lower().replace("±", "+-")
+        steps = _SD_STEPS.get(text, ())
+        if steps:
+            points.append([(f".{_SD_NAMES[k]}" if len(steps) > 1 else "",
+                            mean + k * sd if k else mean) for k in steps])
+            continue
         try:
-            resolved[c] = _resolve_profile_value(values[c], *stats[c])
+            points.append([("", _number(text))])
         except ValueError:
             raise ConfigError(
                 f"profile value {values[c]!r} is neither numeric nor one of "
                 f"{_MEAN_TOKENS} (profile {name!r}, covariate {c!r})") from None
-    sweeps = [c for c in names if len(resolved[c]) > 1]
+    sweeps = [c for c, pts in zip(names, points) if len(pts) > 1]
     if len(sweeps) > 1:
         raise ConfigError(
             f"profile {name!r} sweeps more than one covariate ({sweeps}); "
             "one mean+-sd token per profile")
-    if not sweeps:
-        vec = np.array([resolved[c][0] for c in names])
-        return [CovariateProfile(values=vec, name=name)]
-    sweep = sweeps[0]
-    out = []
-    for val, tag in zip(resolved[sweep], ("mean-sd", "mean", "mean+sd")):
-        vec = np.array([val if c == sweep else resolved[c][0] for c in names])
-        out.append(CovariateProfile(values=vec, name=f"{name}.{tag}"))
-    return out
+    return [CovariateProfile(np.array([v for _, v in row]),
+                             name + "".join(tag for tag, _ in row))
+            for row in itertools.product(*points)]
 
 
 def _parse_profiles(cfg: dict, ds: Dataset, args) -> list[CovariateProfile]:
@@ -492,7 +484,7 @@ def _parse_scan_requests(cfg: dict, args, profiles) -> list[dict]:
 def _scan_tag(req) -> str:
     parts = [req["kind"].value, req["effect"].value, req["scope"]]
     if req["profile"] is not None:
-        safe = "".join(c if (c.isalnum() or c in "_.-") else "-"
+        safe = "".join(c if (c.isalnum() or c in "_.+-") else "-"
                        for c in req["profile"].name)
         parts.append(safe)
     return "_".join(parts)
@@ -533,14 +525,13 @@ def cmd_sens(args) -> int:
                      [est.estimate, est.std_error, est.ci_lower, est.ci_upper])
             rows.append([pt.rho, *cells, pt.converged])
         tables.append((f"scan_{tag}.csv", point_header, rows))
-        iset = identification_set(scan)
-        ui = uncertainty_interval(scan)
+        intervals = identification_set(scan), uncertainty_interval(scan)
         ranges = sign_ranges(scan)
         identity = [tag, req["kind"].value, req["effect"].value, req["scope"],
                     req["profile"].name if req["profile"] is not None else ""]
         interval_rows.extend([*identity, res.label, res.lower, res.upper,
                               "" if res.alpha is None else res.alpha]
-                             for res in (iset, ui))
+                             for res in intervals)
         range_rows.extend([*identity, lo, hi, cls.value, ranges.reference_sign]
                           for lo, hi, cls in ranges.ranges)
         failure_rows.extend([tag, rho] for rho in scan.failures)
@@ -550,8 +541,7 @@ def cmd_sens(args) -> int:
             "grid": {"lower": req["grid"].lower, "upper": req["grid"].upper,
                      "step": req["grid"].step,
                      "n_points": len(req["grid"].points)},
-            "identification_set": {"lower": iset.lower, "upper": iset.upper},
-            "uncertainty_interval": {"lower": ui.lower, "upper": ui.upper},
+            **{res.label: {"lower": res.lower, "upper": res.upper} for res in intervals},
             "sign_ranges": [{"rho_lower": lo, "rho_upper": hi,
                              "classification": cls.value}
                             for lo, hi, cls in ranges.ranges],

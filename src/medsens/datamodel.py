@@ -2,7 +2,8 @@
 
 A Dataset holds one binary exposure z, one binary mediator m, one binary
 outcome y and a (possibly empty) block of numeric covariates x. The three
-design builders fix the coefficient layouts used everywhere else:
+design builders fix the coefficient layouts used everywhere else, each a
+row of one table, _LAYOUTS:
 
     exposure design: [1, x]                                -> alpha
     mediator design: [1, z, x, z*x]                        -> beta
@@ -10,7 +11,8 @@ design builders fix the coefficient layouts used everywhere else:
 
 Optional blocks are controlled by ModelSpec flags; a disabled block is
 simply absent from the matrix (and from the packed coefficient vector),
-never a column of zeros. Each builder fills one Fortran-order array, so a
+never a column of zeros. The term names and ModelSpec's flag rule are read
+off the same table. Each builder fills one Fortran-order array, so a
 column is contiguous: the probit fit scales rows of whole columns and
 forms X'X by a symmetric rank-k update without copying the design.
 """
@@ -23,7 +25,8 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -195,8 +198,18 @@ def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | Non
     return LoadResult(Dataset(z, m, y, x, tuple(pos)[3:]), dropped=0)
 
 
+def _number(text: str) -> float:
+    """float(text) for text that is, once stripped, ASCII without "_";
+    ValueError otherwise. float() alone reads "1_0" as 10.0 and digits of
+    other scripts ("\u0663" as 3.0)."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return float(text)
+
+
 def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
-    """load_csv by the row loop: every cell through csv and float()."""
+    """load_csv by the row loop: every cell through csv and _number."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header, pos = _read_header(reader, path, roles)
@@ -219,7 +232,7 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
         rec = {}
         for c in (roles.exposure, roles.mediator, roles.outcome):
             try:
-                val = float(cells[c])
+                val = _number(cells[c])
             except ValueError:
                 val = None
             if val in (0.0, 1.0):
@@ -229,7 +242,7 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
         xs = []
         for c in roles.covariates:
             try:
-                xs.append(float(cells[c]))
+                xs.append(_number(cells[c]))
             except ValueError:
                 bad_numeric.append((i, c, cells[c]))
             else:
@@ -270,14 +283,30 @@ def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
                              *[repr(float(v)) for v in ds.x[i]]])
 
 
+# model -> its blocks in column order, each a ModelSpec flag (None for a
+# block that is always present) and its factors among z, m and x; the
+# intercept has none. A flag requires the flag of every block whose factors
+# it strictly contains.
+_LAYOUTS = {
+    "exposure": ((None, ""), ("exposure_x", "x")),
+    "mediator": ((None, ""), (None, "z"), ("mediator_x", "x"),
+                 ("mediator_zx", "zx")),
+    "outcome": ((None, ""), (None, "z"), (None, "m"), ("outcome_zm", "zm"),
+                ("outcome_x", "x"), ("outcome_zx", "zx"), ("outcome_mx", "mx"),
+                ("outcome_zmx", "zmx")),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Term flags for the three probit models.
+    """Term flags for the three probit models, one per optional block of
+    _LAYOUTS.
 
     Intercepts, the exposure main effect in the mediator model and the
     exposure and mediator main effects in the outcome model are always
-    present and have no flags. Every interaction flag requires its
-    main-effect flags; the default is the full model.
+    present and have no flags. A flag requires the flag of every block of
+    its model whose factors it strictly contains (z*x needs x; z*m*x needs
+    z*m, x, z*x and m*x); the default is the full model.
     """
 
     exposure_x: bool = True
@@ -290,59 +319,60 @@ class ModelSpec:
     outcome_zmx: bool = True
 
     def __post_init__(self):
-        if self.mediator_zx and not self.mediator_x:
-            raise ConfigError("mediator z*x interaction requires the mediator x block")
-        for flag, name in ((self.outcome_zx, "z*x"), (self.outcome_mx, "m*x")):
-            if flag and not self.outcome_x:
-                raise ConfigError(f"outcome {name} interaction requires the outcome x block")
-        if self.outcome_zmx and not (self.outcome_zm and self.outcome_zx and self.outcome_mx):
-            raise ConfigError(
-                "outcome z*m*x interaction requires the z*m, z*x and m*x blocks")
+        for blocks in _LAYOUTS.values():
+            for flag, factors in blocks:
+                off = [inner for inner, part in blocks if inner
+                       and set(part) < set(factors) and not getattr(self, inner)]
+                if flag and getattr(self, flag) and off:
+                    raise ConfigError(f"{flag} requires {' and '.join(off)}")
 
 
-def _columns(cols) -> np.ndarray:
-    """np.hstack of (n, p) blocks, written into one Fortran-order array."""
-    out = np.empty((cols[0].shape[0], sum(c.shape[-1] for c in cols)), order="F")
-    return np.concatenate(cols, axis=1, out=out)
+def _blocks(model: str, spec: ModelSpec) -> list[str]:
+    """The factors of each block of the model that spec enables, in order."""
+    return [factors for flag, factors in _LAYOUTS[model]
+            if flag is None or getattr(spec, flag)]
+
+
+def _design(model: str, spec: ModelSpec, x, **zm) -> np.ndarray:
+    """The model's design: each enabled block's product of factors (z and m
+    vectors, x an (n, p) matrix; the intercept a column of ones), written
+    into one Fortran-order array."""
+    vals = {"x": np.asarray(x, dtype=float),
+            **{key: np.asarray(v, dtype=float).reshape(-1, 1) for key, v in zm.items()}}
+    n, p = vals["x"].shape
+    if any(len(v) != n for v in vals.values()):  # a block would broadcast
+        raise ValueError(f"z, m and x must have {n} rows each, as x has")
+    blocks = _blocks(model, spec)
+    out = np.empty((n, sum(p if "x" in f else 1 for f in blocks)), order="F")
+    j = 0
+    for factors in blocks:
+        block = out[:, j:j + (p if "x" in factors else 1)]
+        block[...] = reduce(mul, [vals[f] for f in factors]) if factors else 1.0
+        j += block.shape[1]
+    return out
+
+
+def _terms(model: str, spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
+    """The design's column names: "intercept", "z", "z:m", "age", "z:m:age"."""
+    out = []
+    for factors in _blocks(model, spec):
+        stem = list(factors.rstrip("x"))
+        out += ([":".join([*stem, s]) for s in names] if "x" in factors
+                else [":".join(stem) or "intercept"])
+    return out
 
 
 def exposure_design(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    cols = [np.ones((n, 1))]
-    if spec.exposure_x:
-        cols.append(x)
-    return _columns(cols)
+    return _design("exposure", spec, x)
 
 
 def mediator_design(z: np.ndarray, x: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1, 1)
-    x = np.asarray(x, dtype=float)
-    cols = [np.ones_like(z), z]
-    if spec.mediator_x:
-        cols.append(x)
-    if spec.mediator_zx:
-        cols.append(z * x)
-    return _columns(cols)
+    return _design("mediator", spec, x, z=z)
 
 
 def outcome_design(z: np.ndarray, m: np.ndarray, x: np.ndarray,
                    spec: ModelSpec) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1, 1)
-    m = np.asarray(m, dtype=float).reshape(-1, 1)
-    x = np.asarray(x, dtype=float)
-    cols = [np.ones_like(z), z, m]
-    if spec.outcome_zm:
-        cols.append(z * m)
-    if spec.outcome_x:
-        cols.append(x)
-    if spec.outcome_zx:
-        cols.append(z * x)
-    if spec.outcome_mx:
-        cols.append(m * x)
-    if spec.outcome_zmx:
-        cols.append(z * m * x)
-    return _columns(cols)
+    return _design("outcome", spec, x, z=z, m=m)
 
 
 def build_exposure_design(ds: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -358,34 +388,15 @@ def build_outcome_design(ds: Dataset, spec: ModelSpec) -> np.ndarray:
 
 
 def exposure_terms(spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
-    out = ["intercept"]
-    if spec.exposure_x:
-        out.extend(names)
-    return out
+    return _terms("exposure", spec, names)
 
 
 def mediator_terms(spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
-    out = ["intercept", "z"]
-    if spec.mediator_x:
-        out.extend(names)
-    if spec.mediator_zx:
-        out.extend(f"z:{s}" for s in names)
-    return out
+    return _terms("mediator", spec, names)
 
 
 def outcome_terms(spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
-    out = ["intercept", "z", "m"]
-    if spec.outcome_zm:
-        out.append("z:m")
-    if spec.outcome_x:
-        out.extend(names)
-    if spec.outcome_zx:
-        out.extend(f"z:{s}" for s in names)
-    if spec.outcome_mx:
-        out.extend(f"m:{s}" for s in names)
-    if spec.outcome_zmx:
-        out.extend(f"z:m:{s}" for s in names)
-    return out
+    return _terms("outcome", spec, names)
 
 
 @dataclass(frozen=True)
@@ -406,9 +417,8 @@ class CovariateProfile:
 
 
 def covariate_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column means and (population) standard deviations of x."""
-    if ds.p == 0:
-        return np.empty(0), np.empty(0)
+    """Per-column means and (population) standard deviations of x (empty
+    when p = 0)."""
     return ds.x.mean(axis=0), ds.x.std(axis=0)
 
 

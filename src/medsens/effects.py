@@ -150,6 +150,12 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     return _contrast(effect_type, _cells(theta, beta, x, spec))
 
 
+def _check_alpha(alpha: float) -> None:
+    """ValueError unless the Wald level alpha lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def _profile_row(profile, p: int | None = None) -> np.ndarray:
     """The profile as one covariate row; with p given, a row of another
     length raises ValueError."""
@@ -260,8 +266,7 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     scope is "conditional" (needs a profile) or "marginal" (needs the
     dataset on the context). Refuses to report from a non-converged fit.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if not ctx.beta_converged:
         raise NotConvergedError(
             f"{ctx.beta_source} did not converge; refusing to report an effect")

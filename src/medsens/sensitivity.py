@@ -41,8 +41,8 @@ import numpy as np
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
                        _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec, fit_designs
-from .effects import (EffectEstimate, EffectType, FitContext, _profile_row,
-                      effect_with_ci)
+from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
+                      _profile_row, effect_with_ci)
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR
 from .probit import ProbitFit, UnconstrainedFits, fit_probit, fit_unconstrained
@@ -282,6 +282,7 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
     if scope == "conditional":
         _profile_row(profile, ds.p)  # a wrong length raises before any fit
+    _check_alpha(alpha)  # as effect_with_ci would, before any fit
     warnings: list[str] = []
     if grid.clamped:
         warnings.append("grid values beyond |rho| = 0.999 were clamped onto it")

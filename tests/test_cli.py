@@ -1,7 +1,9 @@
 """End-to-end command-line interface behavior."""
 
+import argparse
 import csv
 import json
+import math
 import re
 import textwrap
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from medsens import (ColumnRoles, EffectType, demo_params, load_csv,
+from medsens import (ColumnRoles, Dataset, EffectType, demo_params, load_csv,
                      true_effects)
 import medsens.cli
 from medsens.cli import main
@@ -313,6 +315,22 @@ class TestSens:
         assert "my_nie_conditional_a-b" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_both_ends_of_a_sweep_scan_to_their_own_files(self, workdir, tmp_path):
+        ends = ("band.mean-sd", "band.mean+sd")
+        cfg = analysis_config(
+            workdir, "sens10",
+            effects={"profiles": [{"name": "band", "values": {
+                "xcont": "mean+-sd", "xbin": 0}}]},
+            scans=[{"kind": "my", "effect": "nie", "scope": "conditional",
+                    "profile": end, "grid": "0.0:0.1:0.1"} for end in ends])
+        assert main(["sens", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        tags = [f"my_nie_conditional_{end}" for end in ends]
+        scans = [(tmp_path / "o" / f"scan_{tag}.csv").read_bytes() for tag in tags]
+        assert scans[0] != scans[1]
+        rows = read_rows(tmp_path / "o" / "intervals.csv")
+        assert [(r["scan"], r["profile"]) for r in rows] == [
+            pair for pair in zip(tags, ends) for _ in range(2)]
+
     def test_subnormal_grid_step_rejected(self, workdir, tmp_path, capsys):
         cfg = analysis_config(workdir, "sens9", scans=[
             {"kind": "my", "effect": "nie", "scope": "marginal",
@@ -322,6 +340,35 @@ class TestSens:
         assert err.startswith("error: bad scan grid:")
         assert "at most 10001" in err
         assert not (tmp_path / "o").exists()
+
+
+def test_profile_tokens_pin_values_and_names():
+    """Every profile token's values and names, from the config and from
+    --profile text; xcont has mean 3 and SD sqrt(2.5), xbin 0.5 and 0.5."""
+    x = np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 0.0], [5.0, 1.0]])
+    ds = Dataset([0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1], x, ("xcont", "xbin"))
+    sd = math.sqrt(2.5)
+    cfg = profiles(
+        {"name": "a", "values": {"xcont": "mean", "xbin": 0}},
+        {"name": "b", "values": {"xcont": " Mean+SD ", "xbin": 1}},
+        {"name": "c", "values": {"xcont": "mean-sd", "xbin": 0.25}},
+        {"name": "d", "values": {"xcont": -1.5, "xbin": "mean±sd"}},
+        {"values": {"xcont": "MEAN+-SD", "xbin": "1e0"}})
+    args = argparse.Namespace(profile=["xcont=2.5, xbin = mean+sd",
+                                       "xcont= mean+-sd ,xbin=-0"])
+    got = [(p.name, p.values.tolist())
+           for p in medsens.cli._parse_profiles(cfg, ds, args)]
+    assert got == [
+        ("a", [3.0, 0.0]), ("b", [3.0 + sd, 1.0]), ("c", [3.0 - sd, 0.25]),
+        ("d.mean-sd", [-1.5, 0.0]), ("d.mean", [-1.5, 0.5]),
+        ("d.mean+sd", [-1.5, 1.0]),
+        ("profile5.mean-sd", [3.0 - sd, 1.0]), ("profile5.mean", [3.0, 1.0]),
+        ("profile5.mean+sd", [3.0 + sd, 1.0]),
+        ("cli1", [2.5, 1.0]),
+        ("cli2.mean-sd", [3.0 - sd, -0.0]), ("cli2.mean", [3.0, -0.0]),
+        ("cli2.mean+sd", [3.0 + sd, -0.0])]
+    flag_only = medsens.cli._parse_profiles({"effects": {}}, ds, args)
+    assert [math.copysign(1.0, p.values[1]) for p in flag_only[1:]] == [-1.0] * 3
 
 
 @pytest.mark.parametrize("command", ["fit", "effects", "sens", "simulate"])
@@ -697,6 +744,8 @@ CONFIG_ERRORS = {
     "seed-not-integer": ("simulate", {"seed": 1.5}, [],
                          "seed must be an integer, got 1.5"),
     "out-not-string": ("fit", {"out": 5}, [], "out must be a string, got 5"),
+    "model-flag-requires": ("fit", {"model": {"mediator_x": False, "mediator_zx": True}},
+                            [], "mediator_zx requires mediator_x"),
     "alpha-not-number": ("effects", {"alpha": "0.05"}, [],
                          "alpha must be a number, got '0.05'"),
     "covariate-carriage-return": (
@@ -707,6 +756,12 @@ CONFIG_ERRORS = {
     "unknown-scan-scope": ("sens", {"scans": [{"scope": "conditionl"}]}, [],
                            "scan scope must be marginal or conditional, "
                            "got 'conditionl' (scans[0].scope)"),
+    "grid-flag-underscore": ("sens", {}, ["--grid", "0_0:0.1_0:0.05"],
+                             "--grid values must be numeric, got "
+                             "'0_0:0.1_0:0.05'"),
+    "grid-entry-underscore": ("sens", {"scans": [{"grid": "0:0.1_0:0.05"}]}, [],
+                              "scans[0].grid values must be numeric, got "
+                              "'0:0.1_0:0.05'"),
     "grid-flag-shape": ("sens", {}, ["--grid", "0:1"],
                         "--grid expects LO:HI:STEP, got '0:1'"),
     "grid-flag-not-numeric": ("sens", {}, ["--grid", "0:x:1"],
@@ -762,6 +817,14 @@ CONFIG_ERRORS = {
                            "profile value 'median' is neither numeric nor one "
                            "of ('mean', 'mean-sd', 'mean+sd', 'mean+-sd', "
                            "'mean±sd') (profile 'cli1', covariate 'xcont')"),
+    "profile-flag-underscore": ("effects", {}, ["--profile", "xcont=1_0,xbin=0"],
+                                "profile value '1_0' is neither numeric nor "
+                                "one of ('mean', 'mean-sd', 'mean+sd', "
+                                "'mean+-sd', 'mean±sd') (profile 'cli1', "
+                                "covariate 'xcont')"),
+    "profile-non-ascii-digit": ("effects", profiles(
+        {"name": "p", "values": {"xcont": "\u0663", "xbin": 0}}), [],
+        "profile value '\u0663' is neither numeric"),
     "profile-name-not-string": ("effects", profiles(
         {"name": 0.5, "values": TYPICAL}), [],
         "effects.profiles[0].name must be a string, got 0.5"),

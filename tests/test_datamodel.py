@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import itertools
+import re
 import weakref
 
 import numpy as np
@@ -117,6 +119,21 @@ class TestLoadCsv:
         path.write_bytes(b"\xef\xbb\xbfz,m,y,age\n1,0,1,35\n")
         res = load_csv(path, ROLES)
         assert res.dataset.z.tolist() == [1] and res.dataset.x.tolist() == [[35.0]]
+
+    # float() reads "1_0" as 10.0 and digits of other scripts as numbers
+    @pytest.mark.parametrize("row, bad", [
+        ("1,0,1,1_0", "non-numeric covariate values: row 1 age='1_0'"),
+        ("1,0,1,\u0663", "non-numeric covariate values: row 1 age='\u0663'"),
+        ("1,0,1, 3_5 ", "non-numeric covariate values: row 1 age='3_5'"),
+        ("\u0661,0,1,35", "non-binary exposure/mediator/outcome values: "
+                          "row 1 z='\u0661'"),
+        ("1,0_0,1,35", "non-binary exposure/mediator/outcome values: "
+                       "row 1 m='0_0'"),
+    ])
+    def test_numbers_are_ascii_without_underscores(self, tmp_path, row, bad):
+        path = write(tmp_path, f"z,m,y,age\n{row}\n0,1,0,2\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {bad}$"):
+            load_csv(path, ROLES)
 
 
 def _load_outcome(load, path, roles, delimiter):
@@ -409,6 +426,85 @@ class TestDesigns:
             expected = np.asfortranarray(np.hstack(blocks[model]))
             assert design.shape == expected.shape
             assert design.tobytes(order="A") == expected.tobytes(order="A")
+
+
+FLAGS = [f.name for f in dataclasses.fields(ModelSpec)]
+
+
+def hand_kept_rules(flags: dict) -> bool:
+    """The four rules ModelSpec once wrote out by hand, kept as the
+    reference for the rule it now reads off the layout table."""
+    return ((flags["mediator_x"] or not flags["mediator_zx"])
+            and (flags["outcome_x"] or not flags["outcome_zx"])
+            and (flags["outcome_x"] or not flags["outcome_mx"])
+            and (flags["outcome_zm"] and flags["outcome_zx"] and flags["outcome_mx"]
+                 or not flags["outcome_zmx"]))
+
+
+def spelled_column(term: str, z, m, x, names) -> np.ndarray:
+    """The product a term names, its factors multiplied left to right."""
+    if term == "intercept":
+        return np.ones(len(z))
+    factors = [{"z": z, "m": m}[f] if f in ("z", "m") else x[:, names.index(f)]
+               for f in term.split(":")]
+    col = factors[0]
+    for f in factors[1:]:
+        col = col * f
+    return col
+
+
+def test_layout_table_over_every_flag_set():
+    rng = np.random.default_rng(3)
+    names = ("age", "edu")
+    z, m = rng.integers(0, 2, (2, 40)).astype(float)
+    x = rng.normal(size=(40, 2))
+    x[::7] = -0.0  # signed zeros must survive the products
+    accepted = 0
+    for bits in itertools.product((False, True), repeat=len(FLAGS)):
+        flags = dict(zip(FLAGS, bits))
+        if not hand_kept_rules(flags):
+            with pytest.raises(ConfigError, match="requires"):
+                ModelSpec(**flags)
+            continue
+        spec = ModelSpec(**flags)
+        accepted += 1
+        f = {name: int(on) for name, on in flags.items()}
+        for terms, design, width in (
+                (exposure_terms(spec, names), exposure_design(x, spec),
+                 1 + 2 * f["exposure_x"]),
+                (mediator_terms(spec, names), mediator_design(z, x, spec),
+                 2 + 2 * (f["mediator_x"] + f["mediator_zx"])),
+                (outcome_terms(spec, names), outcome_design(z, m, x, spec),
+                 3 + f["outcome_zm"] + 2 * (f["outcome_x"] + f["outcome_zx"]
+                                            + f["outcome_mx"] + f["outcome_zmx"]))):
+            assert design.flags.f_contiguous
+            assert design.shape == (40, len(terms)) == (40, width)
+            for j, term in enumerate(terms):
+                assert design[:, j].tobytes() == spelled_column(
+                    term, z, m, x, names).tobytes(), (flags, term)
+    # flag sets each model admits: exposure 2, mediator 3, outcome 11
+    assert accepted == 2 * 3 * 11
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"mediator_x": False}, "mediator_zx requires mediator_x"),
+    ({"outcome_x": False}, "outcome_zx requires outcome_x"),
+    ({"outcome_zm": False, "outcome_mx": False},
+     "outcome_zmx requires outcome_zm and outcome_mx"),
+    ({"outcome_x": False, "outcome_zx": False, "outcome_mx": False},
+     "outcome_zmx requires outcome_x and outcome_zx and outcome_mx"),
+])
+def test_spec_error_names_the_flags(flags, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ModelSpec(**flags)
+
+
+def test_builders_reject_factors_of_unequal_length():
+    x = np.zeros((5, 2))
+    for build in (lambda v: mediator_design(v, x, FULL),
+                  lambda v: outcome_design(np.zeros(5), v, x, FULL)):
+        with pytest.raises(ValueError, match="must have 5 rows each"):
+            build(np.ones(1))  # would broadcast down the whole column
 
 
 def test_covariate_profile_validation():

@@ -30,12 +30,33 @@ def test_script_runs(args):
     assert proc.stdout.strip()
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_code_lines_counts_code_apart_from_comments_and_docstrings(tmp_path):
+    count = load_script("code_lines").count
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# comment\nX = """not a\n\ndocstring"""\n'
+        'def f():\n    """Doc."""\n    return 1  # trailing\n', encoding="utf-8")
+    (tmp_path / "b.py").write_text("\n\nY = 2\n", encoding="utf-8")
+    # a.py: the lines of X's string are code but for its blank one
+    assert count(tmp_path / "a.py") == (10, 4)
+    assert count(tmp_path / "b.py") == (3, 1)
+
+
+def test_code_lines_lists_every_module():
+    proc = subprocess.run([sys.executable, "scripts/code_lines.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines[0] == ["module", "raw", "code"] and lines[-1][0] == "total"
+    assert [line[0] for line in lines[1:-1]] == sorted(
+        p.name for p in (ROOT / "src" / "medsens").glob("*.py"))
+    assert int(lines[-1][2]) == sum(int(line[2]) for line in lines[1:-1])
 
 
 def fake_record(wall_s, correct=True):
@@ -58,7 +79,7 @@ CHANGE_WALLS = [1.6, 1.7, 2.0, 1.6, 1.65, 1.55, 1.6, 1.7, 1.6, 1.5]  # pair 3 lo
 @pytest.fixture
 def bench_pairs(monkeypatch):
     """The script with run_once replaced by a log of fake runs."""
-    module = load_bench_pairs()
+    module = load_script("bench_pairs")
     runs = []
 
     def run_once(tree, workload, seed, trace=0):

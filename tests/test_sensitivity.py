@@ -304,6 +304,20 @@ class TestRunScan:
             run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, profile=prof)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
+                                               monkeypatch, alpha):
+        calls = []
+        for name in ("fit_probit", "fit_constrained"):
+            def counted(*args, _fit=getattr(sens_mod, name), **kwargs):
+                calls.append(_fit)
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(sens_mod, name, counted)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+            run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.1, 0.1),
+                     demo_confounded, spec, alpha=alpha)
+        assert calls == []
+
     def test_grid_order_and_convergence(self, demo_confounded, spec):
         grid = RhoGrid.regular(-0.4, 0.4, 0.1)
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
