@@ -206,8 +206,9 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     rho outside the +-0.999 interior band is clamped with a recorded
     warning. The start defaults to the two univariate probit fits; scans
-    pass a cubic Hermite or Euler prediction from converged optima, and a
-    non-finite start raises ValueError. The designs come from
+    pass the Hermite polynomial through up to four converged optima and
+    their tangents, or an Euler step off one, and a non-finite start
+    raises ValueError. The designs come from
     datamodel.fit_designs; the sign-flipped pair is formed per call.
     Covariances are the inverse observed information of the joint fit
     (the full matrix and its two diagonal blocks); the separation check,

@@ -68,6 +68,8 @@ profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv,
 where a profile-name character other than a letter, digit, "_", ".", "+"
 or "-" becomes "-". A number given as text (a data CSV cell, a --profile
 or quoted profile value, a LO:HI:STEP grid) is ASCII without "_".
+Unquoted numbers follow the YAML 1.2 core schema (_ConfigLoader): 1_0,
+0.0_5 and 1:30 are strings, 017 is 17.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -255,13 +258,42 @@ def _parse_grid(spec, where: str) -> RhoGrid:
         raise ConfigError(f"bad scan grid: {where}: {exc}") from None
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader with the YAML 1.2 core schema's plain-scalar int and
+    float rules, where YAML 1.1's read unquoted 1_0, 0.0_5, 1:30 and 017 as
+    10, 0.05, 90 and 15: the first three stay strings, 017 is 17."""
+
+
+_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_ConfigLoader.yaml_implicit_resolvers = {
+    first: [(tag, rx) for tag, rx in resolvers if tag not in (_INT, _FLOAT)]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_ConfigLoader.add_implicit_resolver(
+    _INT, re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$"),
+    list("-+0123456789"))
+_ConfigLoader.add_implicit_resolver(
+    _FLOAT, re.compile(r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+                       r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"),
+    list("-+.0123456789"))
+
+
+def _core_int(loader, node) -> int:
+    """A core-schema int: decimal, 0o octal or 0x hexadecimal."""
+    text = loader.construct_scalar(node)
+    base = {"0o": 8, "0x": 16}.get(text[:2])
+    return int(text) if base is None else int(text[2:], base)
+
+
+_ConfigLoader.add_constructor(_INT, _core_int)
+
+
 def _load_config(path_str: str, args) -> dict:
     """The config file's top-level section with the command-line flags
     applied, ``data`` taken relative to the config file and ``model`` as a
     ModelSpec."""
     path = Path(path_str)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:  # one line: the problem at its mark

@@ -474,7 +474,19 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
     return designs
 
 
-_FIT_ENTRY: dict = {}  # fit_designs' one entry: {(id(ds), spec): designs}
+_FIT_ENTRY: dict = {}  # the one entry: {(id(ds), spec): (designs, memo)}
+
+
+def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
+    key = (id(ds), spec)
+    if key not in _FIT_ENTRY:
+        _FIT_ENTRY.clear()
+        designs = validate_for_fit(ds, spec)
+        for design, _ in designs.values():
+            design.setflags(write=False)
+        _FIT_ENTRY[key] = designs, {}
+        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
+    return _FIT_ENTRY[key]
 
 
 def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
@@ -486,19 +498,18 @@ def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
     frozen, so the entry is a function of its key; a failed validation
     caches nothing. The designs are read-only because callers share them.
     """
-    key = (id(ds), spec)
-    if key not in _FIT_ENTRY:
-        _FIT_ENTRY.clear()
-        designs = validate_for_fit(ds, spec)
-        for design, _ in designs.values():
-            design.setflags(write=False)
-        _FIT_ENTRY[key] = designs
-        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
-    return _FIT_ENTRY[key]
+    return _fit_entry(ds, spec)[0]
+
+
+def fit_memo(ds: Dataset, spec: ModelSpec) -> dict:
+    """A dict that lives and dies with fit_designs' entry for (ds, spec),
+    for values that are a function of those designs alone (the probit
+    fits a scan reads). It has no eviction rule of its own."""
+    return _fit_entry(ds, spec)[1]
 
 
 def is_fit_design(design, response) -> bool:
     """Whether (design, response) is, by identity, a read-only pair that
     fit_designs holds now, so validate_for_fit has checked it."""
     return any(d is design and r is response and not (d.flags.writeable or r.flags.writeable)
-               for designs in _FIT_ENTRY.values() for d, r in designs.values())
+               for designs, _ in _FIT_ENTRY.values() for d, r in designs.values())

@@ -21,13 +21,16 @@ Fitting does not depend on the effect: a scan refits the kind's model
 pair at every grid value, then reads the effect off each fit. A point
 fails when its fit raises a MedsensError or does not converge, or when
 its effect raises one; only a failed fit changes later starts. Fits
-chain outward from the one nearest zero, each starting from the cubic
-Hermite through the chain's last two converged optima and their tangents
-dx/drho, or from an Euler step when it has one (Allgower & Georg 1990,
-ch. 2). The rho = 0 probit pair counts as an optimum, with a closed-form
-tangent and curvature, so a step off a rho = 0 node is quadratic.
+chain outward from the one nearest zero. Each starts from the confluent
+Hermite polynomial through the chain's last four converged optima, which
+matches each optimum's value and tangent dx/drho, or from an Euler step
+when the chain has one optimum (Allgower & Georg 1990, ch. 2 and 6).
+The rho = 0 probit pair counts as an optimum, with a closed-form tangent
+and curvature, which the polynomial and a step off it also match. After
+a failed point the chain restarts from its last optimum alone.
 refine_boundary's refits start from Euler steps off converged points.
-A scan fits only the probits it reads and keeps none of them.
+A scan fits only the probits it reads, once per fit_designs entry (they
+are kept in its fit_memo), and keeps none of them on the scan.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
                        _probit_pair_path, fit_constrained)
-from .datamodel import CovariateProfile, Dataset, ModelSpec, fit_designs
+from .datamodel import (CovariateProfile, Dataset, ModelSpec, fit_designs,
+                        fit_memo)
 from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
                       _profile_row, effect_with_ci)
 from .errors import MedsensError, ScanError
@@ -56,6 +60,8 @@ _GRID_DECIMALS = 12
 # largest grid RhoGrid.regular builds (a step of 2e-4 across [-1, 1]);
 # every point is a constrained refit
 MAX_GRID_POINTS = 10_001
+# converged nodes a chain's starts are predicted from
+_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,19 @@ class SensitivityScan:
 
 
 def _probit_fits(kind, ds, spec) -> dict[str, ProbitFit]:
-    """The mediator, outcome and PAIR_MODELS[kind] probit fits by name."""
-    return {model: fit_probit(*pair) for model, pair in fit_designs(ds, spec).items()
-            if model in ("mediator", "outcome", *PAIR_MODELS[kind])}
+    """The mediator, outcome and PAIR_MODELS[kind] probit fits by name,
+    each fitted once per fit_designs entry and kept in its fit_memo, with
+    read-only arrays, for the scans of every kind on one (ds, spec)."""
+    memo, fits = fit_memo(ds, spec), {}
+    for model, pair in fit_designs(ds, spec).items():
+        if model in ("mediator", "outcome", *PAIR_MODELS[kind]):
+            if model not in memo:
+                memo[model] = fit_probit(*pair)
+                for array in (memo[model].coefficients, memo[model].covariance,
+                              memo[model].mills_ratio):
+                    array.setflags(write=False)
+            fits[model] = memo[model]
+    return fits
 
 
 def _context(probits, ds, spec, kind=None, fit=None) -> FitContext:
@@ -214,16 +230,31 @@ def _coefficients(fit: ConstrainedFit) -> np.ndarray:
 
 
 def _predict(known, rho) -> np.ndarray:
-    """The start at rho: a cubic Hermite through two (rho, x, tangent,
-    curvature) nodes, or a step off one, quadratic if it has a curvature."""
-    (rho0, x0, t0, _), (rho1, x1, t1, c1) = known[0], known[-1]
+    """The start at rho from (rho, x, tangent, curvature) nodes: a step off
+    one node, quadratic if it has a curvature, else the confluent Hermite
+    polynomial matching every node's x and tangent, and its curvature
+    where it has one. The polynomial is solved for in s = (rho -
+    rho_last) / span, span = rho_last - rho_first, so nodes lie in
+    [-1, 0]."""
+    rho1, x1, t1, c1 = known[-1]
     if len(known) == 1:
         step = rho - rho1
         return x1 + t1 * step + (0.0 if c1 is None else 0.5 * c1 * step * step)
-    h = rho1 - rho0
-    s = (rho - rho0) / h
-    return (((2 * s - 3) * s * s + 1) * x0 + (s - 1) * (s - 1) * s * h * t0
-            + (3 - 2 * s) * s * s * x1 + (s - 1) * s * s * h * t1)
+    span = rho1 - known[0][0]
+    rows, rhs = [], []
+    for node_rho, *derivatives in known:
+        for order, value in enumerate(derivatives):
+            if value is not None:
+                rows.append((order, (node_rho - rho1) / span))
+                rhs.append(value * span ** order)
+    powers = np.arange(len(rows))
+
+    def basis(order, s):  # d^order/ds^order of s ** powers
+        falling = np.prod([powers - m for m in range(order)], axis=0)
+        return falling * s ** np.maximum(powers - order, 0)
+
+    coef = np.linalg.solve(np.array([basis(*row) for row in rows]), np.array(rhs))
+    return basis(0, (rho - rho1) / span) @ coef
 
 
 def _fit_path(kind, points, ds, spec, probits) -> list[ConstrainedFit | None]:
@@ -243,13 +274,14 @@ def _fit_path(kind, points, ds, spec, probits) -> list[ConstrainedFit | None]:
 
     for chain in ((anchor,), range(anchor + 1, len(points)),
                   range(anchor - 1, -1, -1)):
-        # converged (rho, optimum, tangent) nodes to predict from: the last
-        # two, or only the last one after a failed point
+        # converged (rho, optimum, tangent, curvature) nodes to predict
+        # from: the last _WINDOW, or only the last one after a failed point
         known = [probit_pair if fits[anchor] is None else node(anchor)]
         for i in chain:
             fits[i] = _refit(kind, points[i], ds, spec,
                              _predict(known, points[i]))
-            known = known[-1:] if fits[i] is None else [*known[-1:], node(i)]
+            known = (known[-1:] if fits[i] is None
+                     else [*known[1 - _WINDOW:], node(i)])
     return fits
 
 

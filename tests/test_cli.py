@@ -35,8 +35,21 @@ SCENARIO = {
 }
 
 
+class Plain(str):
+    """A config scalar written unquoted, so that a YAML 1.1 reader would
+    take 1_0, 0.0_5, 1:30 or 017 for a number."""
+
+
+class ConfigDumper(yaml.SafeDumper):
+    """yaml.SafeDumper that writes a Plain as a plain scalar."""
+
+
+ConfigDumper.add_representer(Plain, lambda dumper, text: dumper.represent_scalar(
+    dumper.resolve(yaml.ScalarNode, text, (True, False)), text))
+
+
 def write_config(path: Path, obj: dict) -> Path:
-    path.write_text(yaml.safe_dump(obj), encoding="utf-8")
+    path.write_text(yaml.dump(obj, Dumper=ConfigDumper), encoding="utf-8")
     return path
 
 
@@ -822,6 +835,21 @@ CONFIG_ERRORS = {
                                 "one of ('mean', 'mean-sd', 'mean+sd', "
                                 "'mean+-sd', 'mean±sd') (profile 'cli1', "
                                 "covariate 'xcont')"),
+    "profile-yaml-underscore": ("effects", profiles(
+        {"name": "p", "values": {"xcont": Plain("1_0"), "xbin": 0}}), [],
+        "profile value '1_0' is neither numeric nor one of ('mean', 'mean-sd', "
+        "'mean+sd', 'mean+-sd', 'mean±sd') (profile 'p', covariate 'xcont')"),
+    "profile-yaml-sexagesimal": ("effects", profiles(
+        {"name": "p", "values": {"xcont": 0, "xbin": Plain("1:30")}}), [],
+        "profile value '1:30' is neither numeric nor one of ('mean', 'mean-sd', "
+        "'mean+sd', 'mean+-sd', 'mean±sd') (profile 'p', covariate 'xbin')"),
+    "alpha-yaml-underscore": ("effects", {"alpha": Plain("0.0_5")}, [],
+                              "alpha must be a number, got '0.0_5'"),
+    "grid-bound-yaml-sexagesimal": (
+        "sens", {"scans": [{"grid": {"lower": Plain("-1:30")}}]}, [],
+        "scans[0].grid.lower must be a number, got '-1:30'"),
+    "scenario-size-yaml-underscore": ("simulate", scenario(n=Plain("1_000")), [],
+                                      "scenario.n must be an integer, got '1_000'"),
     "profile-non-ascii-digit": ("effects", profiles(
         {"name": "p", "values": {"xcont": "\u0663", "xbin": 0}}), [],
         "profile value '\u0663' is neither numeric"),
@@ -923,6 +951,18 @@ def assert_config_error(workdir, tmp_path, capsys, command, config, flags,
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_error_corpus(workdir, tmp_path, capsys, case):
     assert_config_error(workdir, tmp_path, capsys, *CONFIG_ERRORS[case])
+
+
+@pytest.mark.parametrize("text,value", [
+    ("017", 17), ("-017", -17), ("0o17", 15), ("0x1A", 26), ("1e3", 1000.0),
+    ("-.5", -0.5), (".inf", math.inf), ("1_0", "1_0"), ("0.0_5", "0.0_5"),
+    ("1:30", "1:30"), ("0b11", "0b11")])
+def test_config_numbers_are_yaml_core_schema(tmp_path, text, value):
+    """Plain scalars resolve as YAML 1.2 core-schema ints and floats: no
+    digit separators, sexagesimal or binary numbers, and 017 is decimal."""
+    path = write_config(tmp_path / "c.yaml", {"scenario": {"n": Plain(text)}})
+    n = medsens.cli._load_config(str(path), argparse.Namespace())["scenario"]["n"]
+    assert n == value and type(n) is type(value)
 
 
 def test_unknown_keys_of_mixed_types_listed(workdir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import KroghInterpolator
 
 from medsens import (ConfoundingKind, CovariateProfile, EffectEstimate,
                      EffectType, RhoGrid, ScanError, ScanPoint,
@@ -23,6 +24,26 @@ MY = ConfoundingKind.MEDIATOR_OUTCOME
 ZY = ConfoundingKind.EXPOSURE_OUTCOME
 EM = ConfoundingKind.EXPOSURE_MEDIATOR
 NIE = EffectType.NIE
+
+
+@pytest.fixture
+def empty_memo():
+    """Drop fit_designs' entry, and with it the probit fits that scans on
+    a shared fixture dataset left in its fit_memo."""
+    datamodel_mod._FIT_ENTRY.clear()
+
+
+def count_probit_fits(monkeypatch) -> list:
+    """One entry per fit_probit call, through every binding."""
+    real, calls = probit_mod.fit_probit, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (sens_mod, probit_mod, biprobit_mod):
+        monkeypatch.setattr(module, "fit_probit", counting)
+    return calls
 
 
 class TestRhoGrid:
@@ -176,6 +197,43 @@ class TestSignRanges:
         assert res.ranges == ((0.3, 0.3, SignClass.SIGNIFICANT_SAME_SIGN),)
 
 
+class TestPredict:
+    @pytest.mark.parametrize("rhos", [
+        (0.0, 0.05), (0.0, 0.05, 0.15), (0.0, 0.05, 0.15, 0.25),
+        (0.0, -0.05, -0.15, -0.25), (-0.2, -0.3, -0.35, -0.45),
+        (0.6, 0.7, 0.9, 0.95), (0.1, 0.3)])
+    def test_exact_on_a_polynomial_path(self, rhos):
+        # a path of the interpolating degree: two conditions per node
+        # (value and tangent) and a third at rho = 0 (its curvature); nodes
+        # spaced unevenly, as around a grid's inserted 0 or across a
+        # failed point
+        poly = np.polynomial.polynomial
+        degree = 2 * len(rhos) - 1 + (0.0 in rhos)
+        path = np.random.default_rng(5).uniform(-1.0, 1.0, (degree + 1, 3))
+
+        def derivative(order, rho):
+            return poly.polyval(rho, poly.polyder(path, order))
+
+        known = [(rho, derivative(0, rho), derivative(1, rho),
+                  derivative(2, rho) if rho == 0.0 else None) for rho in rhos]
+        step = rhos[-1] - rhos[-2]
+        for rho in (rhos[-1] + step, rhos[-1] + 0.5 * step, rhos[1]):
+            np.testing.assert_allclose(sens_mod._predict(known, rho),
+                                       derivative(0, rho), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("node_rho,rho,curved", [
+        (0.0, 0.1, True), (0.0, -0.05, True), (0.3, 0.4, False),
+        (-0.3, -0.45, False)])
+    def test_one_node_steps_as_before(self, node_rho, rho, curved):
+        # an Euler step, quadratic with a curvature, bit for bit
+        rng = np.random.default_rng(6)
+        x, t, c = rng.normal(size=(3, 5))
+        step = rho - node_rho
+        want = x + t * step + (0.5 * c * step * step if curved else 0.0)
+        got = sens_mod._predict([(node_rho, x, t, c if curved else None)], rho)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRunScan:
     def test_zero_grid_point_matches_unconstrained_pipeline(self,
                                                             demo_confounded,
@@ -208,18 +266,10 @@ class TestRunScan:
     @pytest.mark.parametrize("kind,fits", [(EM, 3), (MY, 2), (ZY, 3)])
     def test_anchor_starts_from_the_scan_probit_fits(self, kind, fits,
                                                      demo_confounded, spec,
-                                                     monkeypatch):
+                                                     empty_memo, monkeypatch):
         # the mediator and outcome probits plus the kind's pair: a my scan
         # fits no exposure probit, and no constrained fit refits a probit
-        real = probit_mod.fit_probit
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        for module in (sens_mod, probit_mod, biprobit_mod):
-            monkeypatch.setattr(module, "fit_probit", counting)
+        calls = count_probit_fits(monkeypatch)
         scan = run_scan(kind, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
                         demo_confounded, spec)
         assert scan.failures == ()
@@ -371,16 +421,18 @@ class TestRunScan:
         # 84 passes when every fit starts from the previous optimum
         assert sum(per_fit) <= 75
 
-    def test_wide_grid_tangent_predicted_passes(self, monkeypatch):
-        # Hermite starts from the path tangents and quadratic steps off the
-        # rho = 0 anchor: 53 passes here, 55 with Euler steps off the
-        # anchor, 67 with secant-extrapolated starts
-        params = confounded_params(MY, 0.3)
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_wide_grid_tangent_predicted_passes(self, kind, monkeypatch):
+        # Hermite starts through the last four optima and their tangents,
+        # and quadratic steps off the rho = 0 anchor: 46 passes for each
+        # kind, 42 if every fit took one Newton step; 53 (my) and 56 (zm,
+        # zy) through the last two optima, 67 (my) with secant starts
+        params = confounded_params(kind, 0.3)
         ds = simulate(params, 5000, 64)
-        per_fit = self.count_passes(monkeypatch, MY,
+        per_fit = self.count_passes(monkeypatch, kind,
                                     RhoGrid.regular(-0.95, 0.95, 0.1), ds,
                                     params.spec)
-        assert sum(per_fit) <= 54
+        assert sum(per_fit) <= 46
 
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_off_zero_anchor_passes(self, kind, monkeypatch):
@@ -428,15 +480,23 @@ class TestRunScan:
 
     def test_setup_once_across_kinds(self, monkeypatch):
         # the three kinds' scans on one (dataset, spec) share one set-up
-        # (6 validations when each kind set up its own pair)
+        # (6 validations when each kind set up its own pair) and its three
+        # probit fits (8 when each scan fitted its own); a scan on another
+        # dataset drops both with fit_designs' entry
         params = confounded_params(MY, 0.3)
         ds = simulate(params, 1500, 66)
         counts = self.count_setup(monkeypatch)
+        probit_calls = count_probit_fits(monkeypatch)
         grid = RhoGrid.regular(-0.2, 0.2, 0.1)
-        for kind in (EM, MY, ZY):
+        for kind in (EM, MY, ZY, EM):
             scan = run_scan(kind, NIE, "marginal", grid, ds, params.spec)
             assert scan.failures == ()
         assert counts == {"validate": 1, "build": 3}
+        assert len(probit_calls) == 3
+        for data in (simulate(params, 1500, 67), ds):
+            run_scan(MY, NIE, "marginal", grid, data, params.spec)
+        assert counts == {"validate": 3, "build": 9}
+        assert len(probit_calls) == 7
 
     def test_chain_starts_predicted_then_plain_after_failure(
             self, demo_confounded, spec, monkeypatch):
@@ -459,42 +519,52 @@ class TestRunScan:
                 return x0 + t0 * step
             return x0 + t0 * step + 0.5 * curvature * step * step
 
-        def hermite(rho0, rho1, rho):
-            (x0, t0), (x1, t1) = nodes[rho0], nodes[rho1]
-            h = rho1 - rho0
-            s = (rho - rho0) / h
-            return ((2 * s**3 - 3 * s**2 + 1) * x0
-                    + (s**3 - 2 * s**2 + s) * h * t0
-                    + (-2 * s**3 + 3 * s**2) * x1 + (s**3 - s**2) * h * t1)
+        def hermite(*known, rho, curved=True):
+            # the interpolant through each node's value and tangent, and the
+            # curvature at rho = 0 if curved, by Krogh's divided differences
+            xi, yi = [], []
+            for node_rho in known:
+                derivatives = (*nodes[node_rho], curvature)[
+                    :3 if curved and node_rho == 0.0 else 2]
+                xi += [node_rho] * len(derivatives)
+                yi += derivatives
+            return KroghInterpolator(xi, np.array(yi))(rho)
 
         def close(a, b):
-            return np.allclose(a, b, rtol=1e-12, atol=1e-14)
+            return np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
         monkeypatch.setattr(sens_mod, "fit_constrained", recording)
-        failing = {0.2}
-        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.4, 0.1),
-                        demo_confounded, spec)
-        assert scan.failures == (0.2,)
         base = fit_unconstrained(demo_confounded, spec)
         probit_start = np.concatenate([base.mediator.coefficients,
                                        base.outcome.coefficients])
         tangent, curvature = biprobit_mod._probit_pair_path(
             MY, demo_confounded, spec, base.mediator, base.outcome)
+        failing = {0.5}
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.7, 0.1),
+                        demo_confounded, spec)
+        assert scan.failures == (0.5,)
         assert np.array_equal(starts[0.0], probit_start)
         # one optimum (the anchor at rho = 0): a quadratic step off its
         # tangent and the probit pair's curvature
         assert np.array_equal(starts[0.1], euler(0.0, 0.1, curvature))
         assert not close(starts[0.1], euler(0.0, 0.1))
-        assert not close(starts[0.1], nodes[0.0][0])
-        # two: the cubic Hermite through them
-        assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
+        # the window grows to four optima, matching the curvature at 0
+        assert close(starts[0.2], hermite(0.0, 0.1, rho=0.2))
+        assert close(starts[0.3], hermite(0.0, 0.1, 0.2, rho=0.3))
+        assert close(starts[0.4], hermite(0.0, 0.1, 0.2, 0.3, rho=0.4))
+        assert not close(starts[0.2], hermite(0.0, 0.1, rho=0.2, curved=False))
+        assert not close(starts[0.4], hermite(0.1, 0.2, 0.3, rho=0.4))
+        # then slides: the last four, without rho = 0
+        assert close(starts[0.5], hermite(0.1, 0.2, 0.3, 0.4, rho=0.5))
+        assert not close(starts[0.5], hermite(0.0, 0.1, 0.2, 0.3, 0.4, rho=0.5))
         # after the failure: Euler from the last optimum (off zero, so
-        # without curvature), then Hermite across the gap
-        assert np.array_equal(starts[0.3], euler(0.1, 0.3))
-        assert close(starts[0.4], hermite(0.1, 0.3, 0.4))
+        # without curvature), then the cubic Hermite across the gap
+        assert np.array_equal(starts[0.6], euler(0.4, 0.6))
+        assert close(starts[0.7], hermite(0.4, 0.6, rho=0.7))
 
         # a failed anchor: a quadratic step off the rho = 0 probit pair,
-        # whose tangent and curvature are closed-form
+        # whose tangent and curvature are closed-form, which the next
+        # start also matches
         failing = {0.0}
         starts.clear()
         nodes.clear()
@@ -504,7 +574,7 @@ class TestRunScan:
         assert scan.failures == (0.0,)
         assert np.array_equal(starts[0.0], probit_start)
         assert np.array_equal(starts[0.1], euler(0.0, 0.1, curvature))
-        assert close(starts[0.2], hermite(0.0, 0.1, 0.2))
+        assert close(starts[0.2], hermite(0.0, 0.1, rho=0.2))
 
     def test_scope_validation(self, demo_confounded, spec):
         grid = RhoGrid.regular(0.0, 0.1, 0.1)
@@ -602,7 +672,7 @@ class TestFailureHandling:
         assert iset.lower <= iset.upper
 
     def test_failed_anchor_still_scans(self, demo_confounded, spec,
-                                       monkeypatch):
+                                       empty_memo, monkeypatch):
         failing = self._failing_fit(lambda r: r == 0.0)
         starts = {}
 
@@ -610,16 +680,8 @@ class TestFailureHandling:
             starts[rho] = start
             return failing(kind, rho, ds, spec, start=start)
 
-        real_probit = probit_mod.fit_probit
-        probit_calls = []
-
-        def counting(*args, **kwargs):
-            probit_calls.append(None)
-            return real_probit(*args, **kwargs)
-
         monkeypatch.setattr(sens_mod, "fit_constrained", recording)
-        for module in (sens_mod, probit_mod, biprobit_mod):
-            monkeypatch.setattr(module, "fit_probit", counting)
+        probit_calls = count_probit_fits(monkeypatch)
         grid = RhoGrid.regular(-0.1, 0.1, 0.1)
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert scan.failures == (0.0,)
