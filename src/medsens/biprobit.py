@@ -18,6 +18,12 @@ sqrt(1-r^2)) / Phi2, d2/du_a2 = -u_a g_a - r phi2/Phi2 - g_a^2 and
 d2/du_a du_b = phi2/Phi2 - g_a g_b (Greene, Econometric Analysis), every
 ratio taken in log space over the package-wide floor. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood.
+The rows of one pass share |r| = rho, so 1 - rho^2, its root and its log
+are scalars. With z_a = (u_b - r u_a)/sqrt(1 - rho^2), the identity
+u_a^2 + z_a^2 = (u_a^2 - 2 r u_a u_b + u_b^2)/(1 - rho^2) gives
+ln(phi2/Phi2) = ln phi(u_a) - ln Phi2 - z_a^2/2 - ln sqrt(1 - rho^2)
+- ln sqrt(2 pi) from the terms ln g_a already needs, and ln Phi(z) is
+numkernel._log_ndtr.
 At rho = 0 the path's tangent and curvature come from the probit fits'
 kept Mills ratios and the tetrachoric series, with no Phi2 call.
 """
@@ -25,14 +31,15 @@ kept Mills ratios and the tetrachoric series, with no Phi2 call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
-from .numkernel import RHO_INTERIOR, bvn_cdf, clamp_rho, safe_log
+from .numkernel import (RHO_INTERIOR, _log_ndtr, bvn_cdf, clamp_rho,
+                        safe_log)
 from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _newton_ascent,
                      fit_probit)
 
@@ -90,41 +97,69 @@ def _signed_pair(kind: ConfoundingKind, designs):
     return pair_a, pair_b, (da * s_a[:, None], db * s_b[:, None], s_a * s_b)
 
 
-def _pair_pass(coef_a, signed_a, coef_b, signed_b, r):
+def _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho):
     """Log-likelihood, score, Hessian and row terms u_a, u_b, w_a, w_b, d of
-    sum_i ln Phi2(u_a, u_b; r_i), r_i signed, from one Phi2 evaluation."""
+    sum_i ln Phi2(u_a, u_b; r_i), r_i = s_i rho, from one Phi2 evaluation."""
     u_a = signed_a @ coef_a
     u_b = signed_b @ coef_b
+    r = signs * rho
     logp = safe_log(bvn_cdf(u_b, u_a, r))
-    one_minus_r2 = 1.0 - r * r
-    denom = np.sqrt(one_minus_r2)
-    log_w_a = (-0.5 * u_a * u_a - _LOG_SQRT_2PI
-               + log_ndtr((u_b - r * u_a) / denom) - logp)
-    log_w_b = (-0.5 * u_b * u_b - _LOG_SQRT_2PI
-               + log_ndtr((u_a - r * u_b) / denom) - logp)
-    log_d = (-(u_a * u_a - 2.0 * r * u_a * u_b + u_b * u_b)
-             / (2.0 * one_minus_r2) - 2.0 * _LOG_SQRT_2PI
-             - 0.5 * np.log(one_minus_r2) - logp)
-    w_a = np.exp(np.minimum(log_w_a, _LOG_RATIO_CAP))
-    w_b = np.exp(np.minimum(log_w_b, _LOG_RATIO_CAP))
-    d = np.exp(np.minimum(log_d, _LOG_RATIO_CAP))      # phi2 / Phi2
-    h_aa = -u_a * w_a - r * d - w_a * w_a
-    h_bb = -u_b * w_b - r * d - w_b * w_b
+    loglik = float(logp.sum())
+    logp += _LOG_SQRT_2PI   # so -u^2/2 - logp = ln phi(u) - ln Phi2
+    one_minus_rho2 = 1.0 - rho * rho
+    inv_root = 1.0 / math.sqrt(one_minus_rho2)
+    z_a = r * u_a
+    np.subtract(u_b, z_a, out=z_a)
+    z_a *= inv_root
+    z_b = r * u_b
+    np.subtract(u_a, z_b, out=z_b)
+    z_b *= inv_root
+    # ln w = ln phi(u) - ln Phi2 + ln Phi(z)
+    base_a = u_a * u_a
+    base_a *= -0.5
+    base_a -= logp
+    log_w_a = _log_ndtr(z_a)
+    log_w_a += base_a
+    log_w_b = u_b * u_b
+    log_w_b *= -0.5
+    log_w_b -= logp
+    log_w_b += _log_ndtr(z_b)
+    # ln d = ln phi(u_a) - ln Phi2 - z_a^2/2 - ln sqrt(2 pi (1 - rho^2)),
+    # as u_a^2 + z_a^2 = (u_a^2 - 2 r u_a u_b + u_b^2)/(1 - rho^2)
+    log_d = z_a
+    log_d *= z_a
+    log_d *= -0.5
+    log_d += base_a
+    log_d -= _LOG_SQRT_2PI + 0.5 * math.log(one_minus_rho2)
+    for t in (log_w_a, log_w_b, log_d):
+        np.minimum(t, _LOG_RATIO_CAP, out=t)
+        np.exp(t, out=t)
+    w_a, w_b, d = log_w_a, log_w_b, log_d      # d = phi2 / Phi2
+    rd = r * d
+    # minus the diagonal weights, -h = u w + r d + w^2
+    neg_h_aa = u_a * w_a
+    neg_h_aa += rd
+    neg_h_aa += w_a * w_a
+    neg_h_bb = u_b * w_b
+    neg_h_bb += rd
+    neg_h_bb += w_b * w_b
     h_ab = d - w_a * w_b
+    ka = signed_a.shape[1]
+    hessian = np.empty((ka + signed_b.shape[1],) * 2)
+    hessian[:ka, :ka] = -(signed_a.T @ (signed_a * neg_h_aa[:, None]))
+    hessian[ka:, ka:] = -(signed_b.T @ (signed_b * neg_h_bb[:, None]))
+    hessian[:ka, ka:] = signed_a.T @ (signed_b * h_ab[:, None])
+    hessian[ka:, :ka] = hessian[:ka, ka:].T
     score = np.concatenate([signed_a.T @ w_a, signed_b.T @ w_b])
-    cross = signed_a.T @ (signed_b * h_ab[:, None])
-    hessian = np.block([
-        [signed_a.T @ (signed_a * h_aa[:, None]), cross],
-        [cross.T, signed_b.T @ (signed_b * h_bb[:, None])]])
-    return float(logp.sum()), score, hessian, u_a, u_b, w_a, w_b, d
+    return loglik, score, hessian, u_a, u_b, w_a, w_b, d
 
 
-def _score_rho(signed_a, signed_b, signs, r, rows):
+def _score_rho(signed_a, signed_b, signs, rho, rows):
     """dg/drho, so that the path tangent at an optimum is -H^-1 dg/drho:
     dw_a/dr = dd/du_a = d [(r u_b - u_a)/(1 - r^2) - w_a] (Plackett 1954)
     and dr_i/drho = s_i."""
     u_a, u_b, w_a, w_b, d = rows
-    sd, one_minus_r2 = signs * d, 1.0 - r * r
+    sd, r, one_minus_r2 = signs * d, signs * rho, 1.0 - rho * rho
     return np.concatenate([
         signed_a.T @ (sd * ((r * u_b - u_a) / one_minus_r2 - w_a)),
         signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
@@ -162,7 +197,7 @@ def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     _, _, (signed_a, signed_b, signs) = _signed_pair(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])
     coef_b = _check_len("coef_b", coef_b, signed_b.shape[1])
-    return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs * rho)
+    return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho)
 
 
 def constrained_loglik(kind: ConfoundingKind, coef_a, coef_b, rho,
@@ -238,9 +273,9 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
                 f"start must be finite, got non-finite entries at "
                 f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
 
-    r = signs * rho_used
     opt = _newton_ascent(
-        lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, r), x0)
+        lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, signs,
+                             rho_used), x0)
     x = opt.x
 
     # the last pass ran at x, so its u_a and u_b are the signed predictors
@@ -269,5 +304,5 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
         iterations=opt.iterations, converged=converged,
         score_norm=float(np.abs(opt.score).max()),
         warnings=tuple(warnings),
-        tangent=cov_full @ _score_rho(signed_a, signed_b, signs, r, opt.rows),
+        tangent=cov_full @ _score_rho(signed_a, signed_b, signs, rho_used, opt.rows),
         loglik_slope=float(signs @ opt.rows[-1]))  # sum_i s_i d_i

@@ -68,8 +68,10 @@ profile name: each writes scan_<kind>_<effect>_<scope>[_<profile>].csv,
 where a profile-name character other than a letter, digit, "_", ".", "+"
 or "-" becomes "-". A number given as text (a data CSV cell, a --profile
 or quoted profile value, a LO:HI:STEP grid) is ASCII without "_".
-Unquoted numbers follow the YAML 1.2 core schema (_ConfigLoader): 1_0,
-0.0_5 and 1:30 are strings, 017 is 17.
+Unquoted numbers and booleans follow the YAML 1.2 core schema
+(_ConfigLoader): 1_0, 0.0_5 and 1:30 are strings, 017 is 17, and only
+true and false (also True, TRUE, False, FALSE) are booleans, so on, off,
+yes and no are strings.
 """
 
 from __future__ import annotations
@@ -259,15 +261,20 @@ def _parse_grid(spec, where: str) -> RhoGrid:
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """yaml.SafeLoader with the YAML 1.2 core schema's plain-scalar int and
-    float rules, where YAML 1.1's read unquoted 1_0, 0.0_5, 1:30 and 017 as
-    10, 0.05, 90 and 15: the first three stay strings, 017 is 17."""
+    """yaml.SafeLoader with the YAML 1.2 core schema's plain-scalar bool,
+    int and float rules, where YAML 1.1's read unquoted 1_0, 0.0_5, 1:30
+    and 017 as 10, 0.05, 90 and 15, and on, off, yes and no as booleans:
+    the first three stay strings, 017 is 17, and only true and false (in
+    lower, title or upper case) are booleans, so a column named on is the
+    string "on"."""
 
 
-_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_BOOL, _INT, _FLOAT = (f"tag:yaml.org,2002:{t}" for t in ("bool", "int", "float"))
 _ConfigLoader.yaml_implicit_resolvers = {
-    first: [(tag, rx) for tag, rx in resolvers if tag not in (_INT, _FLOAT)]
+    first: [(tag, rx) for tag, rx in resolvers if tag not in (_BOOL, _INT, _FLOAT)]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_ConfigLoader.add_implicit_resolver(
+    _BOOL, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF"))
 _ConfigLoader.add_implicit_resolver(
     _INT, re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$"),
     list("-+0123456789"))

@@ -85,9 +85,8 @@ class Dataset:
         if x.ndim != 2 or x.shape[0] != n:
             raise DataError(f"x must be an ({n}, p) matrix")
         for name, col in (("z", z), ("m", m), ("y", y)):
-            vals = np.unique(col)
-            if not np.isin(vals, (0, 1)).all():
-                bad = [v for v in vals if v not in (0, 1)]
+            if not ((col == 0) | (col == 1)).all():  # O(n); unique sorts
+                bad = [v for v in np.unique(col) if v not in (0, 1)]
                 raise DataError(f"column {name} must be binary 0/1, found values {bad}")
         if not np.isfinite(x).all():
             raise DataError("covariates must be finite")

@@ -20,7 +20,8 @@ fixed (z, m) cell a design row is linear in (1, x), so the builders
 evaluated at the basis rows x = 0, e_1..e_p give a (p + 1) x k map M with
 design(x) = [1, x] @ M. A cell's linear predictor is then c0 + X c with
 (c0, c) = M coef, and the gradient of a row mean with per-row weights w
-is [sum w, X'w] @ M / n; no n x k design is built.
+is [sum w, X'w] @ M / n; no n x k design is built. The maps of one
+(spec, p) are built once (_layouts) and kept read-only.
 
 The cells do not depend on the effect: effect_rows is _cells, then
 _contrast, and effect_with_ci keeps a context's marginal cells for its
@@ -35,7 +36,9 @@ fitted covariance matrix.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import ndtr
@@ -108,11 +111,10 @@ def _mean_grad(layouts: dict, weights: dict, x: np.ndarray) -> np.ndarray:
                for key, w in weights.items()) / x.shape[0]
 
 
-def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
-    """What every effect contrasts: the rows x, the mediator-arm and
-    outcome-cell layouts, and each cell's probit mean and density per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = x.shape[1]
+@functools.lru_cache(maxsize=32)
+def _layouts(spec: ModelSpec, p: int) -> tuple:
+    """The mediator-arm and outcome-cell layouts of (spec, p), built once
+    through the design builders, as read-only maps of read-only arrays."""
     basis = np.vstack([np.zeros((1, p)), np.eye(p)])
 
     def at(v):
@@ -121,6 +123,16 @@ def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
     med = {zp: _layout(mediator_design(at(zp), basis, spec)) for zp in (0, 1)}
     out = {(z, m): _layout(outcome_design(at(z), at(m), basis, spec))
            for z in (0, 1) for m in (0, 1)}
+    for layout in (*med.values(), *out.values()):
+        layout.flags.writeable = False
+    return MappingProxyType(med), MappingProxyType(out)
+
+
+def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
+    """What every effect contrasts: the rows x, the mediator-arm and
+    outcome-cell layouts, and each cell's probit mean and density per row."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    med, out = _layouts(spec, x.shape[1])
     pm = _probit_cells(med, _check_len("beta", beta, med[0]), x)
     q = _probit_cells(out, _check_len("theta", theta, out[0, 0]), x)
     return x, med, out, pm, q

@@ -5,13 +5,15 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
                      build_mediator_design, build_outcome_design,
                      constrained_grad, constrained_loglik, demo_params,
                      finite_diff_grad, fit_constrained, fit_probit,
                      fit_unconstrained, probit_loglik, simulate)
-from medsens.biprobit import PAIR_MODELS, _probit_pair_path
+from medsens.biprobit import PAIR_MODELS, _pair_pass, _probit_pair_path
+from medsens.numkernel import PROB_FLOOR, bvn_cdf, safe_log
 from conftest import confounded_params, make_dataset
 
 KINDS = list(ConfoundingKind)
@@ -104,6 +106,104 @@ def test_analytic_gradient_matches_finite_differences(kind, rho, scale,
     analytic = np.concatenate([ga, gb])
     scale = np.maximum(np.abs(analytic), 1.0)
     assert np.max(np.abs(analytic - fd) / scale) < 1e-6
+
+
+LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def pair_hessian(signed_a, signed_b, h_aa, h_bb, h_ab):
+    cross = signed_a.T @ (signed_b * h_ab[:, None])
+    return np.block([
+        [signed_a.T @ (signed_a * h_aa[:, None]), cross],
+        [cross.T, signed_b.T @ (signed_b * h_bb[:, None])]])
+
+
+def reference_pair_pass(coef_a, signed_a, coef_b, signed_b, r):
+    """The pair pass with per-row r, scipy's log_ndtr and the quadratic
+    form of ln phi2 written out: the formula the kernel replaced."""
+    u_a = signed_a @ coef_a
+    u_b = signed_b @ coef_b
+    logp = safe_log(bvn_cdf(u_b, u_a, r))
+    one_minus_r2 = 1.0 - r * r
+    denom = np.sqrt(one_minus_r2)
+    log_w_a = (-0.5 * u_a * u_a - LOG_SQRT_2PI
+               + log_ndtr((u_b - r * u_a) / denom) - logp)
+    log_w_b = (-0.5 * u_b * u_b - LOG_SQRT_2PI
+               + log_ndtr((u_a - r * u_b) / denom) - logp)
+    log_d = (-(u_a * u_a - 2.0 * r * u_a * u_b + u_b * u_b)
+             / (2.0 * one_minus_r2) - 2.0 * LOG_SQRT_2PI
+             - 0.5 * np.log(one_minus_r2) - logp)
+    w_a, w_b, d = (np.exp(np.minimum(t, 600.0)) for t in (log_w_a, log_w_b, log_d))
+    hessian = pair_hessian(signed_a, signed_b, -u_a * w_a - r * d - w_a * w_a,
+                           -u_b * w_b - r * d - w_b * w_b, d - w_a * w_b)
+    score = np.concatenate([signed_a.T @ w_a, signed_b.T @ w_b])
+    return float(logp.sum()), score, hessian, u_a, u_b, w_a, w_b, d
+
+
+def exact_pair_hessian(signed_a, signed_b, u_a, u_b, rho, signs):
+    """The pair Hessian from row terms evaluated in 40-digit arithmetic,
+    with bvn_cdf's Phi2 values taken as exact."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = []
+    with mpmath.workdps(40):
+        half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
+        for a, b, s, p in zip(u_a, u_b, signs, bvn_cdf(u_b, u_a, signs * rho)):
+            a, b, r = mpmath.mpf(float(a)), mpmath.mpf(float(b)), s * mpmath.mpf(rho)
+            c, log_p = 1 - r * r, mpmath.log(mpmath.mpf(float(p)))
+            w_a = mpmath.exp(-a * a / 2 - half_log_2pi - log_p
+                             + mpmath.log(mpmath.ncdf((b - r * a) / mpmath.sqrt(c))))
+            w_b = mpmath.exp(-b * b / 2 - half_log_2pi - log_p
+                             + mpmath.log(mpmath.ncdf((a - r * b) / mpmath.sqrt(c))))
+            d = mpmath.exp(-(a * a - 2 * r * a * b + b * b) / (2 * c)
+                           - 2 * half_log_2pi - mpmath.log(c) / 2 - log_p)
+            rows.append([float(-a * w_a - r * d - w_a * w_a),
+                         float(-b * w_b - r * d - w_b * w_b), float(d - w_a * w_b)])
+    return pair_hessian(signed_a, signed_b, *np.array(rows).T)
+
+
+@pytest.fixture(scope="module")
+def wide_pair_rows():
+    """Signed designs and row signs whose predictors u_a, u_b cover
+    [-8, 8], rows beyond it dropped."""
+    rng = np.random.default_rng(2020)
+    n = 3000
+    xa = np.column_stack([np.ones(n), rng.uniform(-1, 1, n), rng.normal(size=n)])
+    xb = np.column_stack([np.ones(n), rng.uniform(-1, 1, n), rng.normal(size=n),
+                          rng.integers(0, 2, n)])
+    coef_a, coef_b = np.array([0.3, 6.0, 0.8]), np.array([-0.2, -5.0, 1.0, 0.5])
+    s_a, s_b = rng.choice([-1.0, 1.0], size=(2, n))
+    signed_a, signed_b = xa * s_a[:, None], xb * s_b[:, None]
+    keep = (np.abs(signed_a @ coef_a) <= 8.0) & (np.abs(signed_b @ coef_b) <= 8.0)
+    return (coef_a, signed_a[keep], coef_b, signed_b[keep], (s_a * s_b)[keep])
+
+
+def normwise(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.85, 0.95, 0.999])
+def test_pair_pass_matches_the_reference_formula(rho, wide_pair_rows):
+    # rows where Phi2 is below the probability floor are left out: there
+    # both passes cap the ratios at exp(600) and w^2 overflows the Hessian
+    coef_a, signed_a, coef_b, signed_b, signs = wide_pair_rows
+    live = bvn_cdf(signed_b @ coef_b, signed_a @ coef_a, signs * rho) > PROB_FLOOR
+    signed_a, signed_b, signs = signed_a[live], signed_b[live], signs[live]
+    got = _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho)
+    ref = reference_pair_pass(coef_a, signed_a, coef_b, signed_b, signs * rho)
+    assert normwise(got[0], ref[0]) <= 1e-13
+    assert normwise(got[1], ref[1]) <= 1e-13
+    if rho < 0.999:
+        assert normwise(got[2], ref[2]) <= 1e-12
+    else:
+        # here d nearly cancels w_a w_b, and the reference's Hessian is
+        # itself about 5e-11 from one built of exact row terms: the kernel
+        # must be no farther from that than 1.5 times the reference
+        exact = exact_pair_hessian(signed_a, signed_b, got[3], got[4], rho, signs)
+        assert normwise(got[2], exact) <= 1.5 * normwise(ref[2], exact)
+    for g, r in zip(got[3:5], ref[3:5]):    # u_a, u_b
+        assert np.array_equal(g, r)
+    for g, r in zip(got[5:], ref[5:]):      # w_a, w_b, d
+        np.testing.assert_allclose(g, r, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -37,7 +37,7 @@ SCENARIO = {
 
 class Plain(str):
     """A config scalar written unquoted, so that a YAML 1.1 reader would
-    take 1_0, 0.0_5, 1:30 or 017 for a number."""
+    take 1_0, 0.0_5, 1:30 or 017 for a number and on or yes for a bool."""
 
 
 class ConfigDumper(yaml.SafeDumper):
@@ -850,6 +850,10 @@ CONFIG_ERRORS = {
         "scans[0].grid.lower must be a number, got '-1:30'"),
     "scenario-size-yaml-underscore": ("simulate", scenario(n=Plain("1_000")), [],
                                       "scenario.n must be an integer, got '1_000'"),
+    "column-named-on": ("fit", {"columns": {**ROLES, "mediator": Plain("on")}},
+                        [], "mapped columns not in header: ['on']"),
+    "model-flag-yaml-yes": ("fit", {"model": {"exposure_x": Plain("yes")}}, [],
+                            "model.exposure_x must be true or false, got 'yes'"),
     "profile-non-ascii-digit": ("effects", profiles(
         {"name": "p", "values": {"xcont": "\u0663", "xbin": 0}}), [],
         "profile value '\u0663' is neither numeric"),
@@ -956,10 +960,13 @@ def test_config_error_corpus(workdir, tmp_path, capsys, case):
 @pytest.mark.parametrize("text,value", [
     ("017", 17), ("-017", -17), ("0o17", 15), ("0x1A", 26), ("1e3", 1000.0),
     ("-.5", -0.5), (".inf", math.inf), ("1_0", "1_0"), ("0.0_5", "0.0_5"),
-    ("1:30", "1:30"), ("0b11", "0b11")])
+    ("1:30", "1:30"), ("0b11", "0b11"), ("true", True), ("False", False),
+    ("TRUE", True), ("tRue", "tRue"), ("on", "on"), ("Off", "Off"),
+    ("yes", "yes"), ("No", "No")])
 def test_config_numbers_are_yaml_core_schema(tmp_path, text, value):
-    """Plain scalars resolve as YAML 1.2 core-schema ints and floats: no
-    digit separators, sexagesimal or binary numbers, and 017 is decimal."""
+    """Plain scalars resolve as YAML 1.2 core-schema ints, floats and
+    booleans: no digit separators, sexagesimal or binary numbers, 017 is
+    decimal, and only true and false are booleans."""
     path = write_config(tmp_path / "c.yaml", {"scenario": {"n": Plain(text)}})
     n = medsens.cli._load_config(str(path), argparse.Namespace())["scenario"]["n"]
     assert n == value and type(n) is type(value)

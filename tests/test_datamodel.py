@@ -296,6 +296,17 @@ class TestDataset:
         with pytest.raises(DataError, match="binary"):
             make_dataset([0, 2], [0, 1], [1, 0])
 
+    @pytest.mark.parametrize("m,bad", [
+        ([3, 0, 2, 3], "[np.int64(2), np.int64(3)]"),
+        ([1, 0, 1, 3], "[np.int64(3)]"),
+        ([1, 0, -1, 0], "[np.int64(-1)]"),
+        ([1.0, 0.5, 1.0, 0.0], "[np.float64(0.5)]"),
+        ([1.0, np.nan, 0.0, 1.0], "[np.float64(nan)]")])
+    def test_binary_validation_lists_the_bad_values_in_order(self, m, bad):
+        with pytest.raises(DataError, match=re.escape(
+                f"column m must be binary 0/1, found values {bad}")):
+            make_dataset([0, 1, 1, 0], m, [1, 0, 1, 1])
+
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="equal length"):
             make_dataset([0, 1], [0, 1, 1], [1, 0])

@@ -290,6 +290,16 @@ def test_zero_covariate_effects_run():
     assert marg == pytest.approx(val, abs=1e-15)
 
 
+def test_layouts_are_built_once_and_read_only(spec):
+    med, out = effects._layouts(spec, 2)
+    assert effects._layouts(spec, 2)[1] is out
+    assert effects._layouts(spec, 3)[1] is not out
+    for layout in (*med.values(), *out.values()):
+        assert not layout.flags.writeable
+    with pytest.raises(TypeError):
+        med[0] = np.zeros_like(med[0])
+
+
 def count_cell_passes(monkeypatch) -> list:
     """Row counts of every effects._cells call."""
     cells = effects._cells

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.special import ndtr
 from medsens import (EvaluationError, MedsensError, binorm_cdf, bvn_cdf,
                      clamp_rho, finite_diff_grad, log_bvn_cdf, norm_cdf,
                      norm_pdf, norm_quantile)
+from medsens.numkernel import _log_ndtr
 
 ORACLE = Path(__file__).parent / "data" / "bvn_oracle.csv"
 
@@ -214,6 +216,38 @@ def test_bvn_mpmath_spot_checks():
     for a, b, rho in points:
         assert binorm_cdf(a, b, rho) == pytest.approx(oracle(a, b, rho),
                                                       abs=5e-15)
+
+
+def test_log_ndtr_against_mpmath():
+    # |error| <= max(1e-15 |ln Phi|, 2.3e-16): 1e-15 relative for q <= 0,
+    # 2.3e-16 absolute above 6, the weaker of the two in between, where
+    # rounding q/sqrt(2) alone costs Phi(-q) about q^2 ulp
+    mpmath = pytest.importorskip("mpmath")
+    cut = -20.0
+    q = np.concatenate([
+        -np.logspace(3, -3, 400), np.linspace(-30.0, 40.0, 1401),
+        np.logspace(-3, math.log10(40.0), 200),
+        [-0.0, 0.0, cut, np.nextafter(cut, -np.inf), np.nextafter(cut, 0.0),
+         cut - 1e-9, cut + 1e-9, 6.0, np.nextafter(6.0, 0.0),
+         np.nextafter(6.0, np.inf)]])
+    with mpmath.workdps(40):
+        oracle = np.array([float(mpmath.log(mpmath.ncdf(mpmath.mpf(float(v)))))
+                           for v in q])
+    bound = np.maximum(1e-15 * np.abs(oracle), 2.3e-16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = _log_ndtr(q)                  # rows on both sides of -20
+        above = _log_ndtr(q[q > cut])         # the log(ndtr) path alone
+    assert np.all(np.abs(mixed - oracle) <= bound)
+    assert np.array_equal(above, mixed[q > cut])
+
+
+@pytest.mark.parametrize("q", [-40.0, -1e3])
+def test_log_ndtr_underflow_raises_no_warning(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _log_ndtr(np.array([q, 0.0]))
+    assert np.isfinite(value).all() and value[0] < -800.0
 
 
 # --- distributional invariants ----------------------------------------
