@@ -36,12 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
+from .datamodel import Dataset, ModelSpec, fit_designs, fit_memo, model_designs
 from .errors import SeparationError
 from .numkernel import (RHO_INTERIOR, _log_ndtr, bvn_cdf, clamp_rho,
                         safe_log)
-from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _newton_ascent,
-                     fit_probit)
+from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, ProbitFit,
+                     _newton_ascent, fit_probit)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -82,8 +82,8 @@ def _check_rho_interior(rho: float) -> float:
 
 
 def _signed_pair(kind: ConfoundingKind, designs):
-    """The kind's two (design, response) pairs from a model_designs table,
-    their sign-flipped designs (s_a X_a, s_b X_b) and row signs s_a s_b.
+    """The sign-flipped designs (s_a X_a, s_b X_b) of the kind's two
+    (design, response) pairs in a model_designs table, and row signs s_a s_b.
 
     The second model carries the w-style signed predictor in the
     likelihood; the two Phi2 arguments commute, so only the sign
@@ -91,10 +91,9 @@ def _signed_pair(kind: ConfoundingKind, designs):
     """
     if kind not in PAIR_MODELS:
         raise ValueError(f"unknown confounding kind {kind!r}")
-    pair_a, pair_b = (designs[model] for model in PAIR_MODELS[kind])
-    (da, ra), (db, rb) = pair_a, pair_b
+    (da, ra), (db, rb) = (designs[model] for model in PAIR_MODELS[kind])
     s_a, s_b = 2.0 * ra - 1.0, 2.0 * rb - 1.0
-    return pair_a, pair_b, (da * s_a[:, None], db * s_b[:, None], s_a * s_b)
+    return da * s_a[:, None], db * s_b[:, None], s_a * s_b
 
 
 def _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho):
@@ -165,13 +164,27 @@ def _score_rho(signed_a, signed_b, signs, rho, rows):
         signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
 
 
-def _probit_pair_path(kind, ds, spec, fit_a, fit_b):
-    """The path's tangent and curvature at rho = 0, where the probit fits are
-    the optimum and H is block diagonal: with lam = phi/Phi (the fits'
-    mills_ratio), the tetrachoric series (Pearson 1900) ln Phi2(u_a, u_b; r)
-    = ln Phi(u_a) + ln Phi(u_b) + r lam_a lam_b + r^2/2 lam_a lam_b (u_a u_b
-    - lam_a lam_b) + O(r^3) gives each block of x' and x'' as cov X~' rows."""
-    fits = (fit_a, fit_b)
+def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
+    """The named models' probit fits, each fitted once per fit_designs
+    entry and kept in its fit_memo, with read-only arrays, for every
+    constrained fit and scan on one (ds, spec)."""
+    memo, designs = fit_memo(ds, spec), fit_designs(ds, spec)
+    for model in models:
+        if model not in memo:
+            fit = memo[model] = fit_probit(*designs[model])
+            for array in (fit.coefficients, fit.covariance, fit.mills_ratio):
+                array.setflags(write=False)
+    return {model: memo[model] for model in models}
+
+
+def _probit_pair_path(kind, ds, spec):
+    """The path's rho = 0 node (0.0, x, tangent, curvature), where the
+    kind's probit pair is the optimum x and H is block diagonal: with lam =
+    phi/Phi (the fits' mills_ratio), the tetrachoric series (Pearson 1900)
+    ln Phi2(u_a, u_b; r) = ln Phi(u_a) + ln Phi(u_b) + r lam_a lam_b + r^2/2
+    lam_a lam_b (u_a u_b - lam_a lam_b) + O(r^3) gives each block of x' and
+    x'' as cov X~' rows."""
+    fits = tuple(_probit_fits(ds, spec, PAIR_MODELS[kind]).values())
     designs, responses = zip(*(fit_designs(ds, spec)[m] for m in PAIR_MODELS[kind]))
     signs = 2.0 * np.array(responses, dtype=float) - 1.0
     u = signs * np.array([d @ f.coefficients for d, f in zip(designs, fits)])
@@ -189,12 +202,13 @@ def _probit_pair_path(kind, ds, spec, fit_a, fit_b):
     curvature = blocks(
         d2 * delta * delta + 2.0 * s * (d2 * lam_o * delta + d1 * d1_o * delta[::-1])
         + lam_o * (d1 * (u * u_o - lam * lam_o) + lam * (u_o - d1 * lam_o)))
-    return np.concatenate(tangent), np.concatenate(curvature)
+    return (0.0, np.concatenate([f.coefficients for f in fits]),
+            np.concatenate(tangent), np.concatenate(curvature))
 
 
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     rho = _check_rho_interior(rho)
-    _, _, (signed_a, signed_b, signs) = _signed_pair(kind, model_designs(ds, spec))
+    signed_a, signed_b, signs = _signed_pair(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])
     coef_b = _check_len("coef_b", coef_b, signed_b.shape[1])
     return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho)
@@ -240,38 +254,38 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     """Maximize the kind's constrained likelihood at a fixed rho.
 
     rho outside the +-0.999 interior band is clamped with a recorded
-    warning. The start defaults to the two univariate probit fits; scans
-    pass the Hermite polynomial through up to four converged optima and
-    their tangents, or an Euler step off one, and a non-finite start
-    raises ValueError. The designs come from
+    warning. The start defaults to the second-order step to rho off the
+    rho = 0 node of _probit_pair_path, x + t rho + c rho^2 / 2, from the
+    kind's probit pair kept in fit_memo: the start a one-point scan's
+    anchor gets. Scans pass the Hermite polynomial through up to four
+    converged optima and their tangents, or a step off one, and a
+    non-finite start raises ValueError. The designs come from
     datamodel.fit_designs; the sign-flipped pair is formed per call.
     Covariances are the inverse observed information of the joint fit
     (the full matrix and its two diagonal blocks); the separation check,
     tangent and slope reuse the last pass's row terms, with no further
     Phi2 call or design product.
     """
-    (da, ra), (db, rb), (signed_a, signed_b, signs) = _signed_pair(
-        kind, fit_designs(ds, spec))
+    signed_a, signed_b, signs = _signed_pair(kind, fit_designs(ds, spec))
     warnings: list[str] = []
     rho_used, clamped = clamp_rho(rho)
     if clamped:
         warnings.append(
             f"rho = {rho!r} clamped to {rho_used!r} for likelihood evaluation")
 
-    ka, kb = da.shape[1], db.shape[1]
+    ka, kb = signed_a.shape[1], signed_b.shape[1]
     if start is None:
-        x0 = np.concatenate([fit_probit(da, ra).coefficients,
-                             fit_probit(db, rb).coefficients])
-    else:
-        x0 = np.asarray(start, dtype=float)
-        if x0.shape != (ka + kb,):
-            raise ValueError(
-                f"start has length {x0.shape}, expected {ka + kb} "
-                f"({ka} + {kb} coefficients)")
-        if not np.isfinite(x0).all():
-            raise ValueError(
-                f"start must be finite, got non-finite entries at "
-                f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
+        _, x, tangent, curvature = _probit_pair_path(kind, ds, spec)
+        start = x + tangent * rho_used + 0.5 * curvature * rho_used * rho_used
+    x0 = np.asarray(start, dtype=float)
+    if x0.shape != (ka + kb,):
+        raise ValueError(
+            f"start has length {x0.shape}, expected {ka + kb} "
+            f"({ka} + {kb} coefficients)")
+    if not np.isfinite(x0).all():
+        raise ValueError(
+            f"start must be finite, got non-finite entries at "
+            f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
 
     opt = _newton_ascent(
         lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, signs,

@@ -503,7 +503,7 @@ def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
 def fit_memo(ds: Dataset, spec: ModelSpec) -> dict:
     """A dict that lives and dies with fit_designs' entry for (ds, spec),
     for values that are a function of those designs alone (the probit
-    fits a scan reads). It has no eviction rule of its own."""
+    fits of biprobit._probit_fits). It has no eviction rule of its own."""
     return _fit_entry(ds, spec)[1]
 
 

@@ -26,11 +26,14 @@ Hermite polynomial through the chain's last four converged optima, which
 matches each optimum's value and tangent dx/drho, or from an Euler step
 when the chain has one optimum (Allgower & Georg 1990, ch. 2 and 6).
 The rho = 0 probit pair counts as an optimum, with a closed-form tangent
-and curvature, which the polynomial and a step off it also match. After
-a failed point the chain restarts from its last optimum alone.
-refine_boundary's refits start from Euler steps off converged points.
-A scan fits only the probits it reads, once per fit_designs entry (they
-are kept in its fit_memo), and keeps none of them on the scan.
+and curvature, which the polynomial and a step off it also match; it is
+biprobit._probit_pair_path's node, whose quadratic step is also where
+fit_constrained starts when given no start. After a failed point the
+chain restarts from its last optimum alone. refine_boundary's refits
+start from _predict's Euler step off the bracket's latest converged
+point. A scan fits only the probits it reads, through
+biprobit._probit_fits, which fits each once per (dataset, spec), and
+keeps none of them on the scan.
 """
 
 from __future__ import annotations
@@ -42,14 +45,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
-                       _probit_pair_path, fit_constrained)
-from .datamodel import (CovariateProfile, Dataset, ModelSpec, fit_designs,
-                        fit_memo)
+                       _probit_fits, _probit_pair_path, fit_constrained)
+from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
                       _profile_row, effect_with_ci)
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR
-from .probit import ProbitFit, UnconstrainedFits, fit_probit, fit_unconstrained
+from .probit import UnconstrainedFits, fit_unconstrained
 
 DEFAULT_GRID_LOWER = -0.95
 DEFAULT_GRID_UPPER = 0.95
@@ -62,6 +64,8 @@ _GRID_DECIMALS = 12
 MAX_GRID_POINTS = 10_001
 # converged nodes a chain's starts are predicted from
 _WINDOW = 4
+# the models whose coefficients the effects read
+_EFFECT_MODELS = ("mediator", "outcome")
 
 
 @dataclass(frozen=True)
@@ -160,29 +164,13 @@ class SensitivityScan:
         return [pt for pt in self.points if pt.converged and pt.estimate is not None]
 
 
-def _probit_fits(kind, ds, spec) -> dict[str, ProbitFit]:
-    """The mediator, outcome and PAIR_MODELS[kind] probit fits by name,
-    each fitted once per fit_designs entry and kept in its fit_memo, with
-    read-only arrays, for the scans of every kind on one (ds, spec)."""
-    memo, fits = fit_memo(ds, spec), {}
-    for model, pair in fit_designs(ds, spec).items():
-        if model in ("mediator", "outcome", *PAIR_MODELS[kind]):
-            if model not in memo:
-                memo[model] = fit_probit(*pair)
-                for array in (memo[model].coefficients, memo[model].covariance,
-                              memo[model].mills_ratio):
-                    array.setflags(write=False)
-            fits[model] = memo[model]
-    return fits
-
-
 def _context(probits, ds, spec, kind=None, fit=None) -> FitContext:
     """FitContext from the probit fits (by model name), except for the
     mediator (beta) and outcome (theta) blocks that the constrained fit's
     pair, PAIR_MODELS[kind], contains."""
     blocks = {model: (probits[model].coefficients, probits[model].covariance,
                       probits[model].converged, f"{model} probit fit")
-              for model in ("mediator", "outcome")}
+              for model in _EFFECT_MODELS}
     if fit is not None:
         tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
         for model, coef, cov in zip(PAIR_MODELS[kind],
@@ -257,15 +245,13 @@ def _predict(known, rho) -> np.ndarray:
     return basis(0, (rho - rho1) / span) @ coef
 
 
-def _fit_path(kind, points, ds, spec, probits) -> list[ConstrainedFit | None]:
+def _fit_path(kind, points, ds, spec) -> list[ConstrainedFit | None]:
     """One refit per sorted, unique grid point, None where it failed: the
     point nearest zero predicted from the probit pair, then a chain
     outward on either side of it; nodes at rho = 0 carry the curvature."""
     anchor = int(np.argmin(np.abs(points)))
-    fit_a, fit_b = (probits[name] for name in PAIR_MODELS[kind])
-    tangent, curvature = _probit_pair_path(kind, ds, spec, fit_a, fit_b)
-    probit_pair = (0.0, np.concatenate([fit_a.coefficients, fit_b.coefficients]),
-                   tangent, curvature)
+    probit_pair = _probit_pair_path(kind, ds, spec)
+    curvature = probit_pair[3]
     fits: list[ConstrainedFit | None] = [None] * len(points)
 
     def node(i):
@@ -323,8 +309,8 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "grid extends beyond |rho| = 0.95; fits near the boundary can be "
             "numerically delicate")
 
-    probits = _probit_fits(kind, ds, spec)
-    fits = _fit_path(kind, grid.points, ds, spec, probits)
+    probits = _probit_fits(ds, spec, _EFFECT_MODELS)
+    fits = _fit_path(kind, grid.points, ds, spec)
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
                            dataset=ds, spec=spec,
@@ -446,7 +432,7 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     Each boundary between adjacent differently-classified grid points is
     refined by refitting at bracket midpoints until the bracket is no
     wider than resolution; the returned value is the bracket midpoint.
-    Each refit starts from an Euler step off the bracket's latest
+    Each refit starts from _predict's Euler step off the bracket's latest
     converged point, at first its left end.
     A failed refit stops refinement of that boundary at the coarse
     bracket (the scan-level warning machinery does not apply here; the
@@ -463,11 +449,12 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         cls_left = _classify(left.estimate, ref_sign)
         if cls_left is _classify(right.estimate, ref_sign):
             continue
-        probits = probits or _probit_fits(scan.kind, scan.dataset, scan.spec)
+        probits = probits or _probit_fits(scan.dataset, scan.spec, _EFFECT_MODELS)
         lo, hi, latest = left.rho, right.rho, left
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            start = latest.coefficients + latest.tangent * (mid - latest.rho)
+            start = _predict([(latest.rho, latest.coefficients, latest.tangent,
+                               None)], mid)
             pt = _scan_point(scan, probits, mid, _refit(
                 scan.kind, mid, scan.dataset, scan.spec, start))
             if not pt.converged:

@@ -11,8 +11,8 @@ from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
                      build_mediator_design, build_outcome_design,
                      constrained_grad, constrained_loglik, demo_params,
                      finite_diff_grad, fit_constrained, fit_probit,
-                     fit_unconstrained, probit_loglik, simulate)
-from medsens.biprobit import PAIR_MODELS, _pair_pass, _probit_pair_path
+                     probit_loglik, simulate)
+from medsens.biprobit import _pair_pass, _probit_pair_path
 from medsens.numkernel import PROB_FLOOR, bvn_cdf, safe_log
 from conftest import confounded_params, make_dataset
 
@@ -350,10 +350,7 @@ class TestPathDerivatives:
             self, kind, demo_confounded, spec):
         # ln Phi2(u_a, u_b; 0) splits into the two probit terms, so the
         # probit fits and their covariances give the tangent at rho = 0
-        base = fit_unconstrained(demo_confounded, spec)
-        fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
-        tangent, _ = _probit_pair_path(kind, demo_confounded, spec, fit_a,
-                                       fit_b)
+        _, _, tangent, _ = _probit_pair_path(kind, demo_confounded, spec)
         fit = fit_constrained(kind, 0.0, demo_confounded, spec)
         assert np.abs(tangent - fit.tangent).max() <= \
             1e-8 * np.abs(fit.tangent).max()
@@ -364,9 +361,7 @@ class TestPathDerivatives:
         # of the fits' tangents at rho = -+1e-4
         params = confounded_params(kind, 0.3)
         ds = simulate(params, 2000, 71)
-        base = fit_unconstrained(ds, params.spec)
-        fit_a, fit_b = (getattr(base, name) for name in PAIR_MODELS[kind])
-        _, curvature = _probit_pair_path(kind, ds, params.spec, fit_a, fit_b)
+        _, _, _, curvature = _probit_pair_path(kind, ds, params.spec)
         below, above = (fit_constrained(kind, rho, ds, params.spec)
                         for rho in (-1e-4, 1e-4))
         assert below.converged and above.converged

@@ -1,8 +1,13 @@
 """The package namespace: what medsens exports is what it binds."""
 
+import ast
+import importlib
 import types
+from pathlib import Path
 
 import medsens
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_all_has_no_duplicates():
@@ -19,3 +24,39 @@ def test_every_public_binding_is_listed():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert sorted(bound - set(medsens.__all__)) == []
+
+
+def _parse(name):
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def test_benchmark_reads_only_exported_names():
+    # every medsens.<name> the benchmark scripts read, except the
+    # submodules they import and dunders such as medsens.__file__
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = _parse(path.name)
+        submodules = {alias.name.split(".")[1] for node in ast.walk(tree)
+                      if isinstance(node, ast.Import) for alias in node.names
+                      if alias.name.startswith("medsens.")}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "medsens"
+                  and not node.attr.startswith("__")} - submodules
+    assert "run_scan" in reads
+    assert sorted(reads - set(medsens.__all__)) == []
+
+
+def test_benchmark_trace_targets_exist():
+    # the (module, function) pairs of perfbench/tracing.py's TARGETS table,
+    # read from its source so that nothing under perfbench/ is imported
+    table = next(node.value for node in ast.walk(_parse("tracing.py"))
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    targets = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert ("biprobit", "fit_constrained") in targets
+    missing = [f"{module}.{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(f"medsens.{module}"),
+                                       name, None))]
+    assert missing == []

@@ -1,6 +1,7 @@
 """Correlation scans, interval summaries, sign classification."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def count_probit_fits(monkeypatch) -> list:
         calls.append(None)
         return real(*args, **kwargs)
 
-    for module in (sens_mod, probit_mod, biprobit_mod):
+    for module in (probit_mod, biprobit_mod):
         monkeypatch.setattr(module, "fit_probit", counting)
     return calls
 
@@ -346,7 +347,7 @@ class TestRunScan:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking the profile")
 
-        monkeypatch.setattr(sens_mod, "fit_probit", no_fit)
+        monkeypatch.setattr(biprobit_mod, "fit_probit", no_fit)
         monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
         prof = CovariateProfile(values=np.zeros(3), name="wide")
         with pytest.raises(ValueError,
@@ -358,11 +359,12 @@ class TestRunScan:
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
                                                monkeypatch, alpha):
         calls = []
-        for name in ("fit_probit", "fit_constrained"):
-            def counted(*args, _fit=getattr(sens_mod, name), **kwargs):
+        for module, name in ((biprobit_mod, "fit_probit"),
+                             (sens_mod, "fit_constrained")):
+            def counted(*args, _fit=getattr(module, name), **kwargs):
                 calls.append(_fit)
                 return _fit(*args, **kwargs)
-            monkeypatch.setattr(sens_mod, name, counted)
+            monkeypatch.setattr(module, name, counted)
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
             run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, alpha=alpha)
@@ -537,8 +539,8 @@ class TestRunScan:
         base = fit_unconstrained(demo_confounded, spec)
         probit_start = np.concatenate([base.mediator.coefficients,
                                        base.outcome.coefficients])
-        tangent, curvature = biprobit_mod._probit_pair_path(
-            MY, demo_confounded, spec, base.mediator, base.outcome)
+        _, _, tangent, curvature = biprobit_mod._probit_pair_path(
+            MY, demo_confounded, spec)
         failing = {0.5}
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.7, 0.1),
                         demo_confounded, spec)
@@ -597,6 +599,54 @@ class TestRunScan:
         assert scan.profile is prof
         assert all(pt.estimate.scope == "conditional"
                    for pt in scan.converged_points())
+
+
+@pytest.fixture(scope="module")
+def edge_data():
+    """Demo params confounded my at rho = 0.3, n = 5000, seed 7: a draw on
+    which fits started at the probit pair itself fail near the band edge."""
+    params = confounded_params(MY, 0.3)
+    return simulate(params, 5000, 7), params.spec
+
+
+class TestColdStart:
+    """fit_constrained(start=None) starts where a one-point scan's anchor
+    does: the second-order step off the memoized probit pair."""
+
+    @pytest.mark.parametrize("kind,rho", [
+        (EM, -0.999), (EM, -0.99), (EM, 0.999), (MY, -0.999), (MY, 0.999),
+        (ZY, -0.999), (ZY, 0.999)])
+    def test_band_edge_fits_converge_as_one_point_scans(self, kind, rho,
+                                                        edge_data):
+        # each stopped after one iteration with a score norm near 1e250
+        # and 7-13 RuntimeWarnings when started at the probit pair
+        ds, spec = edge_data
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_constrained(kind, rho, ds, spec)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert fit.converged and fit.rho == rho
+        scan = run_scan(kind, NIE, "marginal", RhoGrid.regular(rho, rho, 0.1),
+                        ds, spec)
+        assert scan.failures == ()
+        coef = np.concatenate([fit.coefficients_a, fit.coefficients_b])
+        assert np.abs(coef - scan.points[0].coefficients).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind,missing", [(EM, 1), (MY, 0), (ZY, 1)])
+    def test_cold_fits_and_scans_share_one_probit_set(
+            self, kind, missing, demo_confounded, spec, empty_memo,
+            monkeypatch):
+        calls = count_probit_fits(monkeypatch)
+        memo = datamodel_mod.fit_memo(demo_confounded, spec)
+        fit_constrained(kind, 0.2, demo_confounded, spec)
+        assert len(calls) == 2 and set(memo) == set(PAIR_MODELS[kind])
+        fit_constrained(kind, -0.3, demo_confounded, spec)
+        assert len(calls) == 2
+        # the scan fits only the effect model outside the pair, if any
+        run_scan(kind, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
+                 demo_confounded, spec)
+        assert len(calls) == 2 + missing
+        assert set(memo) == {"mediator", "outcome", *PAIR_MODELS[kind]}
 
 
 class TestContexts:
@@ -692,8 +742,8 @@ class TestFailureHandling:
         base = fit_unconstrained(demo_confounded, spec)
         probit_start = np.concatenate([base.mediator.coefficients,
                                        base.outcome.coefficients])
-        tangent, curvature = biprobit_mod._probit_pair_path(
-            MY, demo_confounded, spec, base.mediator, base.outcome)
+        _, _, tangent, curvature = biprobit_mod._probit_pair_path(
+            MY, demo_confounded, spec)
         for rho in (0.0, 0.1, -0.1):
             assert np.array_equal(
                 starts[rho],
