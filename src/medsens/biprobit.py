@@ -16,7 +16,8 @@ With u_a, u_b the signed linear predictors and r the signed row
 correlation, ln Phi2(u_a, u_b; r) has g_a = phi(u_a) Phi((u_b - r u_a)/
 sqrt(1-r^2)) / Phi2, d2/du_a2 = -u_a g_a - r phi2/Phi2 - g_a^2 and
 d2/du_a du_b = phi2/Phi2 - g_a g_b (Greene, Econometric Analysis), every
-ratio taken in log space over the package-wide floor. ln Phi2 is concave,
+ratio taken in log space from numkernel.log_bvn_cdf, which owns the
+probability floor of ln Phi2. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood.
 The rows of one pass share |r| = rho, so 1 - rho^2, its root and its log
 are scalars. With z_a = (u_b - r u_a)/sqrt(1 - rho^2), the identity
@@ -38,8 +39,7 @@ import numpy as np
 
 from .datamodel import Dataset, ModelSpec, fit_designs, fit_memo, model_designs
 from .errors import SeparationError
-from .numkernel import (RHO_INTERIOR, _log_ndtr, bvn_cdf, clamp_rho,
-                        safe_log)
+from .numkernel import RHO_INTERIOR, _log_ndtr, clamp_rho, log_bvn_cdf
 from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, ProbitFit,
                      _newton_ascent, fit_probit)
 
@@ -102,7 +102,7 @@ def _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho):
     u_a = signed_a @ coef_a
     u_b = signed_b @ coef_b
     r = signs * rho
-    logp = safe_log(bvn_cdf(u_b, u_a, r))
+    logp = log_bvn_cdf(u_b, u_a, r)
     loglik = float(logp.sum())
     logp += _LOG_SQRT_2PI   # so -u^2/2 - logp = ln phi(u) - ln Phi2
     one_minus_rho2 = 1.0 - rho * rho
@@ -207,6 +207,7 @@ def _probit_pair_path(kind, ds, spec):
 
 
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
+    # not fit_designs: validate_for_fit's n > p + 10 rejects one-row datasets
     rho = _check_rho_interior(rho)
     signed_a, signed_b, signs = _signed_pair(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])

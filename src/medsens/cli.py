@@ -93,7 +93,7 @@ from .biprobit import ConfoundingKind
 from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         ModelSpec, _number, covariate_stats, exposure_terms,
                         load_csv, mediator_terms, outcome_terms, write_csv)
-from .effects import EffectType, effect_with_ci
+from .effects import EffectType, _check_alpha, effect_with_ci
 from .errors import ConfigError, MedsensError, ScanError
 from .probit import fit_unconstrained
 from .sensitivity import (DEFAULT_GRID_LOWER, DEFAULT_GRID_STEP,
@@ -313,12 +313,10 @@ def _load_config(path_str: str, args) -> dict:
     for key in ("alpha", "seed"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    alpha = cfg["alpha"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if 1.0 - alpha / 2.0 == 1.0:
-        raise ConfigError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds "
-                          "to 1, so the Wald quantile is infinite")
+    try:
+        _check_alpha(cfg["alpha"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg["data"] is not None:
         cfg["data"] = path.parent / cfg["data"]
     cfg["model"] = ModelSpec(**_section(cfg["model"], "model", "model."))

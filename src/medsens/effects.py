@@ -163,9 +163,13 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
 
 
 def _check_alpha(alpha: float) -> None:
-    """ValueError unless the Wald level alpha lies in (0, 1)."""
+    """ValueError unless the Wald level alpha lies in (0, 1) and 1 - alpha/2
+    stays below 1, so that the Wald quantile is finite."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds "
+                         "to 1, so the Wald quantile is infinite")
 
 
 def _profile_row(profile, p: int | None = None) -> np.ndarray:

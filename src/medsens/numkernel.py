@@ -12,17 +12,25 @@ for |rho| <= 0.999, and the |rho| = 1 limits are exact:
     binorm_cdf(a, b, 1)  = Phi(min(a, b))
     binorm_cdf(a, b, -1) = max(0, Phi(a) + Phi(b) - 1)
 
-The quadrature depends on rho only through arcsin(rho) and the node sines
-sin(arcsin(rho) (1 -+ x) / 2) below 0.925, and only through |rho| in the
-expansion's per-node quantities above it. When every row of a bvn_cdf call
-has the same |rho| < 1 (a likelihood pass at a fixed rho, where the rows
-carry +-rho), those are computed once and the row signs applied by exact
-sign flips; arcsin and sin are odd, so the result is bitwise the
-row-by-row one.
+bvn_cdf is one table of |rho| bands, _BANDS: Gauss-Legendre sums of 6,
+12 and 20 points below 0.3, 0.75 and 0.925, the expansion below 1, and the
+|rho| = 1 limit, which also takes every row no other band covers (|rho| > 1
+or NaN). Each band's evaluator takes either the |rho| all rows of a call
+share or one |rho| per row; every row is written by exactly one band. The
+Gauss-Legendre sum depends on rho only through arcsin(rho) and the node
+sines sin(arcsin(rho) (1 -+ x) / 2), and the expansion's per-node
+quantities only through |rho|. When every row of a call has the same |rho|
+(a likelihood pass at a fixed rho, where the rows carry +-rho), those are
+computed once and the row signs applied by exact sign flips; arcsin and
+sin are odd, so the result is bitwise the row-by-row one.
+
+ln Phi2 is log_bvn_cdf, the one place that applies the probability floor
+PROB_FLOOR before the log.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -119,9 +127,7 @@ def clamp_rho(rho: float) -> tuple[float, bool]:
     return rho, False
 
 
-# Gauss-Legendre nodes (positive half) and weights; order picked by |rho|
-# exactly as in Genz's reference implementation of the Drezner/Wesolowsky
-# method: 6 points below 0.3, 12 below 0.75, 20 otherwise.
+# Gauss-Legendre nodes (positive half) and weights of 6, 12 and 20 points
 _GL_X6 = np.array([0.9324695142031521, 0.6612093864662645, 0.2386191860831969])
 _GL_W6 = np.array([0.1713244923791704, 0.3607615730481386, 0.4679139345726910])
 _GL_X12 = np.array(
@@ -142,14 +148,10 @@ _GL_W20 = np.array(
      0.1527533871307258])
 
 
-def _gl_band(upper, x, w):
-    """(upper |rho| limit, 1 -+ x, weights) as node-major columns."""
-    return (upper, np.concatenate([1.0 - x, 1.0 + x])[:, None],
+def _gl_columns(x, w):
+    """(1 -+ x, weights) as node-major columns."""
+    return (np.concatenate([1.0 - x, 1.0 + x])[:, None],
             np.concatenate([w, w])[:, None])
-
-
-_GL_BANDS = (_gl_band(0.3, _GL_X6, _GL_W6), _gl_band(0.75, _GL_X12, _GL_W12),
-             _gl_band(0.925, _GL_X20, _GL_W20))
 
 
 def _node_sum(t):
@@ -167,56 +169,34 @@ def _node_sum(t):
     return acc
 
 
-def _gl_upper(h, k, hk, asr, sn, w):
-    """P(X > h, Y > k) by the moderate-band Gauss-Legendre sum.
+def _bvn_upper_gl(nodes, w, h, k, r, absr):
+    """P(X > h, Y > k) by the Gauss-Legendre sum for |r| < 0.925.
 
-    sn holds the node sines sin(asr (1 -+ x) / 2), node-major: per row
-    (2 nodes, n), or for a shared |rho| the unsigned (2 nodes, 1) column
-    with the row signs carried by hk and the closing factor asr.
+    absr holds each row's |r|, or is the one |r| all rows share, and then
+    arcsin and the node sines sin(arcsin|r| (1 -+ x) / 2) are computed once
+    as (2 nodes, 1) columns. arcsin and sin are odd and sign flips are
+    exact, so carrying the row sign on hk and the closing factor asr gives
+    bitwise the signed per-row formula.
     """
+    s = np.copysign(1.0, r)
+    asr = np.arcsin(absr)
+    sn = np.sin(nodes * asr * 0.5)
     hs = 0.5 * (h * h + k * k)
     # w exp((sn hk - hs) / (1 - sn^2)) in one buffer: at (2 nodes, n)
     # fresh temporaries cost more than the arithmetic
-    terms = sn * hk
+    terms = sn * (s * (h * k))
     terms -= hs
     terms /= 1.0 - sn * sn
     np.exp(terms, out=terms)
     terms *= w
     half = len(w) // 2
     acc = _node_sum(terms[:half]) + _node_sum(terms[half:])
-    return acc * asr / (4.0 * np.pi) + ndtr(-h) * ndtr(-k)
-
-
-def _bvn_upper_shared(h, k, r, absr):
-    """P(X > h, Y > k) when every row has |r| = absr < 0.925.
-
-    arcsin and sin are odd and sign flips are exact, so carrying the row
-    sign s on hk and asr gives bitwise the per-row values of
-    _bvn_upper_moderate while arcsin and the node sines are computed once.
-    """
-    nodes, w = next((x, w) for upper, x, w in _GL_BANDS if absr < upper)
-    s = np.copysign(1.0, r)
-    asr = np.arcsin(np.array([absr]))
-    return _gl_upper(h, k, s * (h * k), s * asr, np.sin(nodes * asr * 0.5), w)
-
-
-def _bvn_upper_moderate(h, k, r, out):
-    """P(X > h, Y > k) for |r| < 0.925, row by row, written into out."""
-    absr = np.abs(r)
-    lower = 0.0
-    for upper, nodes, w in _GL_BANDS:
-        mask = (absr >= lower) & (absr < upper)
-        lower = upper
-        if not mask.any():
-            continue
-        hh, kk = h[mask], k[mask]
-        asr = np.arcsin(r[mask])
-        out[mask] = _gl_upper(hh, kk, hh * kk, asr, np.sin(nodes * asr * 0.5), w)
+    return acc * (s * asr) / (4.0 * np.pi) + ndtr(-h) * ndtr(-k)
 
 
 # the 20-point band's 1 -+ x and weights, also the nodes of the
 # |rho| >= 0.925 expansion
-_EXT_NODES, _EXT_W = _GL_BANDS[-1][1:]
+_EXT_NODES, _EXT_W = _gl_columns(_GL_X20, _GL_W20)
 # rows per (20 nodes, rows) block of the expansion sum: keeps its
 # temporaries cache-sized
 _EXT_BLOCK = 1024
@@ -291,31 +271,32 @@ def _ext_expansion(h, k, hk, absr):
     return -acc / (2.0 * np.pi)
 
 
-def _bvn_upper_extreme(h, k, r, absr):
-    """P(X > h, Y > k) for 0.925 <= |r| <= 1.
+def _bvn_upper_extreme(h, k, r, absr, expand=True):
+    """P(X > h, Y > k) for 0.925 <= |r| < 1: the |r| = 1 limit plus the
+    expansion term, with absr as in _ext_expansion. With expand=False it
+    is the exact |r| = 1 limit, which takes r of any sign.
 
-    absr holds each row's |r|, or is the one |r| < 1 all rows share, and
-    then the per-node quantities are computed once as (20, 1) columns.
     (1 - |r|)(1 + |r|) is (1 - r)(1 + r) up to the order of its factors,
-    so both give bitwise the same values. The |r| = 1 boundary needs no
-    special casing: the expansion block is skipped there and the closing
-    marginal terms are already the exact perfectly-correlated
-    probabilities.
+    so both give bitwise the same values.
     """
     neg = r < 0.0
     k = np.where(neg, -k, k)
-    hk = h * k
-    if np.ndim(absr):
-        bvn = np.zeros_like(h)
-        interior = absr < 1.0
-        if interior.any():
-            bvn[interior] = _ext_expansion(h[interior], k[interior],
-                                           hk[interior], absr[interior])
-    else:
-        bvn = _ext_expansion(h, k, hk, absr)
-    res = np.where(neg, -bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0),
-                   bvn + ndtr(-np.maximum(h, k)))
-    return np.clip(res, 0.0, 1.0)
+    bvn = _ext_expansion(h, k, h * k, absr) if expand else 0.0
+    return np.where(neg, -bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0),
+                    bvn + ndtr(-np.maximum(h, k)))
+
+
+# The |rho| bands by increasing |rho|, as in Genz's reference
+# implementation: Gauss-Legendre of 6, 12 and 20 points below 0.3, 0.75 and
+# 0.925, the expansion below 1, then the |rho| = 1 limit, which also takes
+# every row no other band covers (|rho| > 1 or NaN). Each evaluator takes
+# (h, k, r, absr) with absr per row or shared.
+_BAND_EDGES = np.array([0.3, 0.75, 0.925, 1.0])
+_BANDS = (
+    *(functools.partial(_bvn_upper_gl, *_gl_columns(x, w))
+      for x, w in ((_GL_X6, _GL_W6), (_GL_X12, _GL_W12), (_GL_X20, _GL_W20))),
+    _bvn_upper_extreme,
+    functools.partial(_bvn_upper_extreme, expand=False))
 
 
 def bvn_cdf(a, b, rho):
@@ -323,11 +304,10 @@ def bvn_cdf(a, b, rho):
 
     Arguments broadcast against each other; no input validation happens
     here, so callers on the hot path must pass finite a, b and |rho| <= 1.
-    If all rows share one |rho| < 1 (checked in one pass), the band is
-    picked once and its rho-dependent node quantities (arcsin and the node
-    sines below 0.925, the expansion's per-node terms above) are evaluated
-    once for the call, with a result bitwise equal to the row-by-row
-    evaluation used for mixed |rho| and for rows with |rho| = 1.
+    Each row is evaluated by the one band of _BANDS its |rho| falls in. If
+    all rows share one |rho| (checked in one pass), that band is picked
+    once and its rho-dependent node quantities are computed once for the
+    call, with a result bitwise equal to the row-by-row evaluation.
     """
     a, b, rho = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -340,20 +320,17 @@ def bvn_cdf(a, b, rho):
     r = rho.ravel()
     absr = np.abs(r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        if absr.size and absr[0] < 1.0 and (absr == absr[0]).all():
-            shared = _bvn_upper_shared if absr[0] < 0.925 else _bvn_upper_extreme
-            out = shared(h, k, r, absr[0])
+        if absr.size and (absr == absr[0]).all():
+            band = _BANDS[np.searchsorted(_BAND_EDGES, absr[0], side="right")]
+            out = band(h, k, r, absr[0])
         else:
+            # NaN sorts after every edge, into the last band
+            index = np.searchsorted(_BAND_EDGES, absr, side="right")
             out = np.empty_like(h)
-            moderate = absr < 0.925
-            if moderate.any():
-                sub = np.empty(int(moderate.sum()))
-                _bvn_upper_moderate(h[moderate], k[moderate], r[moderate], sub)
-                out[moderate] = sub
-            extreme = ~moderate
-            if extreme.any():
-                out[extreme] = _bvn_upper_extreme(h[extreme], k[extreme],
-                                                  r[extreme], absr[extreme])
+            for i, band in enumerate(_BANDS):
+                rows = index == i
+                if rows.any():
+                    out[rows] = band(h[rows], k[rows], r[rows], absr[rows])
     out = np.clip(out, 0.0, 1.0)
     return out.reshape(shape)
 
@@ -373,7 +350,8 @@ def binorm_cdf(a, b, rho) -> float:
 
 
 def log_bvn_cdf(a, b, rho):
-    """Elementwise log of bvn_cdf with the probability floor applied."""
+    """ln Phi2: elementwise log of bvn_cdf with the probability floor
+    applied, so a likelihood never sees -inf."""
     return safe_log(bvn_cdf(a, b, rho))
 
 

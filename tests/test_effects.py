@@ -273,6 +273,8 @@ class TestEffectWithCi:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 effect_with_ci(EffectType.TE, "marginal", ctx, alpha=bad)
+        with pytest.raises(ValueError, match="^alpha 1e-17 is too small"):
+            effect_with_ci(EffectType.TE, "marginal", ctx, alpha=1e-17)
 
 
 def test_zero_covariate_effects_run():

@@ -129,7 +129,15 @@ def test_bvn_shared_abs_rho_is_bitwise_the_row_by_row_value(absr):
     assert np.array_equal(shared, per_row)
 
 
-# Gauss-Legendre 20-point nodes (positive half) and weights
+# Gauss-Legendre 6-, 12- and 20-point nodes (positive half) and weights
+GL_X6 = np.array([0.9324695142031521, 0.6612093864662645, 0.2386191860831969])
+GL_W6 = np.array([0.1713244923791704, 0.3607615730481386, 0.4679139345726910])
+GL_X12 = np.array(
+    [0.9815606342467192, 0.9041172563704749, 0.7699026741943047,
+     0.5873179542866175, 0.3678314989981802, 0.1252334085114689])
+GL_W12 = np.array(
+    [0.04717533638651183, 0.1069393259953184, 0.1600783285433462,
+     0.2031674267230659, 0.2334925365383548, 0.2491470458134028])
 GL_X20 = np.array(
     [0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
      0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
@@ -140,6 +148,46 @@ GL_W20 = np.array(
      0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
      0.1316886384491766, 0.1420961093183820, 0.1491729864726037,
      0.1527533871307258])
+
+
+def moderate_band_reference(a, b, r):
+    """P(X <= a, Y <= b) for |r| < 0.925 by Genz's Gauss-Legendre sum, row
+    by row with the signed arcsin(r) and signed node sines, row major:
+    (rows, nodes) arrays per node sign, summed with .sum(axis=1)."""
+    h = np.minimum(-a, -b)
+    k = np.maximum(-a, -b)
+    res = np.full(h.shape, np.nan)
+    lower = 0.0
+    for upper, x, w in ((0.3, GL_X6, GL_W6), (0.75, GL_X12, GL_W12),
+                        (0.925, GL_X20, GL_W20)):
+        rows = (np.abs(r) >= lower) & (np.abs(r) < upper)
+        lower = upper
+        hh, kk = h[rows], k[rows]
+        hk, hs = (hh * kk)[:, None], (0.5 * (hh * hh + kk * kk))[:, None]
+        asr = np.arcsin(r[rows])
+        acc = 0.0
+        for sgn in (-1.0, 1.0):
+            sn = np.sin((1.0 + sgn * x) * asr[:, None] * 0.5)
+            acc = acc + (w * np.exp((sn * hk - hs) / (1.0 - sn * sn))).sum(axis=1)
+        res[rows] = acc * asr / (4.0 * np.pi) + ndtr(-hh) * ndtr(-kk)
+    return np.clip(res, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("absr", [0.0, 0.05, 0.2999, 0.3, 0.5, 0.7499, 0.75,
+                                  0.9, 0.9249])
+def test_bvn_gauss_legendre_bands_are_bitwise_the_signed_row_formula(absr):
+    rng = np.random.default_rng(int(absr * 10_000) + 7)
+    n = 2000
+    a = rng.normal(scale=2.0, size=n)
+    b = rng.normal(scale=2.0, size=n)
+    r = rng.choice([-1.0, 1.0], size=n) * absr
+    assert np.array_equal(bvn_cdf(a, b, r), moderate_band_reference(a, b, r))
+    # mixed |rho| inside the band: the row-by-row evaluation
+    lower, upper = next(band for band in ((0.0, 0.3), (0.3, 0.75), (0.75, 0.925))
+                        if absr < band[1])
+    r[::3] = np.copysign(rng.uniform(lower, upper, size=len(r[::3])), r[::3])
+    assert len(np.unique(np.abs(r))) > 2
+    assert np.array_equal(bvn_cdf(a, b, r), moderate_band_reference(a, b, r))
 
 
 def extreme_band_reference(a, b, r):

@@ -64,6 +64,16 @@ def test_loglik_beats_nearby_points(demo_clean, spec):
         assert probit_loglik(perturbed, design, demo_clean.m) <= fit.loglik + 1e-12
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_loglik_at_the_fit_is_the_fits_own(spec, seed):
+    # probit_loglik sums the same ln Phi rows as fit_probit
+    ds = simulate(demo_params(), 5000, seed)
+    for model in ("mediator", "outcome"):
+        design, response = fit_designs(ds, spec)[model]
+        fit = fit_probit(design, response)
+        assert probit_loglik(fit.coefficients, design, response) == fit.loglik
+
+
 def test_covariance_symmetric_positive_definite(demo_clean, spec):
     fit = fit_probit(build_mediator_design(demo_clean, spec), demo_clean.m)
     cov = fit.covariance

@@ -16,6 +16,7 @@ from medsens import (ConfoundingKind, CovariateProfile, EffectEstimate,
                      unconstrained_context)
 from medsens import biprobit as biprobit_mod
 from medsens import datamodel as datamodel_mod
+from medsens import numkernel as numkernel_mod
 from medsens import probit as probit_mod
 from medsens import sensitivity as sens_mod
 from medsens.biprobit import PAIR_MODELS
@@ -355,7 +356,7 @@ class TestRunScan:
             run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, profile=prof)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), 1e-17])
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
                                                monkeypatch, alpha):
         calls = []
@@ -365,7 +366,10 @@ class TestRunScan:
                 calls.append(_fit)
                 return _fit(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+        # 1 - 1e-17/2 rounds to 1, so the Wald quantile would be infinite
+        match = (r"^alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"
+                 if alpha == 1e-17 else r"^alpha must lie in \(0, 1\), got ")
+        with pytest.raises(ValueError, match=match):
             run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, alpha=alpha)
         assert calls == []
@@ -402,7 +406,7 @@ class TestRunScan:
                 return out
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(biprobit_mod, "bvn_cdf", bvn_calls)
+        counted(numkernel_mod, "bvn_cdf", bvn_calls)
         counted(biprobit_mod, "_pair_pass", per_pass)
         counted(sens_mod, "fit_constrained", per_fit)
         scan = run_scan(kind, NIE, "marginal", grid, ds, spec)
@@ -774,12 +778,12 @@ class TestRefineBoundary:
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
                         ds, params.spec)
         assert all(pt.tangent is not None for pt in scan.converged_points())
-        real, calls = biprobit_mod.bvn_cdf, []
+        real, calls = numkernel_mod.bvn_cdf, []
 
         def counted(*args, **kwargs):
             calls.append(None)
             return real(*args, **kwargs)
-        monkeypatch.setattr(biprobit_mod, "bvn_cdf", counted)
+        monkeypatch.setattr(numkernel_mod, "bvn_cdf", counted)
         boundaries = refine_boundary(scan, resolution=0.001)
         assert boundaries == pytest.approx([0.5285156, 0.6699219], abs=1e-7)
         assert len(calls) <= 36
