@@ -20,8 +20,7 @@ from .effects import (EffectEstimate, EffectType, FitContext, GradientVector,
                       effect_with_ci, grad_conditional, grad_effect_marginal)
 from .errors import (ConfigError, DataError, MedsensError, NotConvergedError,
                      NumericalError, RankError, ScanError, SeparationError)
-from .numkernel import (EvaluationError, binorm_cdf, bvn_cdf, clamp_rho,
-                        finite_diff_grad, log_bvn_cdf, norm_cdf, norm_pdf,
+from .numkernel import (binorm_cdf, bvn_cdf, clamp_rho, log_bvn_cdf,
                         norm_quantile)
 from .probit import (ProbitFit, UnconstrainedFits, fit_probit,
                      fit_unconstrained, probit_loglik)
@@ -40,10 +39,8 @@ __all__ = [
     # errors
     "MedsensError", "ConfigError", "DataError", "RankError",
     "SeparationError", "NotConvergedError", "NumericalError", "ScanError",
-    "EvaluationError",
     # numerics
-    "binorm_cdf", "bvn_cdf", "log_bvn_cdf", "norm_cdf", "norm_pdf",
-    "norm_quantile", "clamp_rho", "finite_diff_grad",
+    "binorm_cdf", "bvn_cdf", "log_bvn_cdf", "norm_quantile", "clamp_rho",
     # data
     "ColumnRoles", "Dataset", "LoadResult", "load_csv", "write_csv",
     "ModelSpec", "CovariateProfile", "covariate_stats", "validate_for_fit",

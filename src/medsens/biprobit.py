@@ -39,7 +39,8 @@ import numpy as np
 
 from .datamodel import Dataset, ModelSpec, fit_designs, fit_memo, model_designs
 from .errors import SeparationError
-from .numkernel import RHO_INTERIOR, _log_ndtr, clamp_rho, log_bvn_cdf
+from .numkernel import (RHO_INTERIOR, _as_real, _log_ndtr, clamp_rho,
+                        log_bvn_cdf)
 from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, ProbitFit,
                      _newton_ascent, fit_probit)
 
@@ -74,7 +75,7 @@ def _check_len(name: str, coef, ncol: int) -> np.ndarray:
 
 
 def _check_rho_interior(rho: float) -> float:
-    rho = float(rho)
+    rho = _as_real(rho, "rho")
     if not np.isfinite(rho) or abs(rho) > RHO_INTERIOR:
         raise ValueError(
             f"likelihood evaluation needs |rho| <= {RHO_INTERIOR}, got {rho!r}")
@@ -206,6 +207,34 @@ def _probit_pair_path(kind, ds, spec):
             np.concatenate(tangent), np.concatenate(curvature))
 
 
+def _predict(known, rho) -> np.ndarray:
+    """The start at rho from (rho, x, tangent, curvature) nodes: a step off
+    one node, quadratic if it has a curvature, else the confluent Hermite
+    polynomial matching every node's x and tangent, and its curvature
+    where it has one. The polynomial is solved for in s = (rho -
+    rho_last) / span, span = rho_last - rho_first, so nodes lie in
+    [-1, 0]."""
+    rho1, x1, t1, c1 = known[-1]
+    if len(known) == 1:
+        step = rho - rho1
+        return x1 + t1 * step + (0.0 if c1 is None else 0.5 * c1 * step * step)
+    span = rho1 - known[0][0]
+    rows, rhs = [], []
+    for node_rho, *derivatives in known:
+        for order, value in enumerate(derivatives):
+            if value is not None:
+                rows.append((order, (node_rho - rho1) / span))
+                rhs.append(value * span ** order)
+    powers = np.arange(len(rows))
+
+    def basis(order, s):  # d^order/ds^order of s ** powers
+        falling = np.prod([powers - m for m in range(order)], axis=0)
+        return falling * s ** np.maximum(powers - order, 0)
+
+    coef = np.linalg.solve(np.array([basis(*row) for row in rows]), np.array(rhs))
+    return basis(0, (rho - rho1) / span) @ coef
+
+
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     # not fit_designs: validate_for_fit's n > p + 10 rejects one-row datasets
     rho = _check_rho_interior(rho)
@@ -255,8 +284,8 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     """Maximize the kind's constrained likelihood at a fixed rho.
 
     rho outside the +-0.999 interior band is clamped with a recorded
-    warning. The start defaults to the second-order step to rho off the
-    rho = 0 node of _probit_pair_path, x + t rho + c rho^2 / 2, from the
+    warning. The start defaults to _predict's second-order step to rho off
+    the rho = 0 node of _probit_pair_path, x + t rho + c rho^2 / 2, from the
     kind's probit pair kept in fit_memo: the start a one-point scan's
     anchor gets. Scans pass the Hermite polynomial through up to four
     converged optima and their tangents, or a step off one, and a
@@ -276,8 +305,7 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     ka, kb = signed_a.shape[1], signed_b.shape[1]
     if start is None:
-        _, x, tangent, curvature = _probit_pair_path(kind, ds, spec)
-        start = x + tangent * rho_used + 0.5 * curvature * rho_used * rho_used
+        start = _predict([_probit_pair_path(kind, ds, spec)], rho_used)
     x0 = np.asarray(start, dtype=float)
     if x0.shape != (ka + kb,):
         raise ValueError(

@@ -172,9 +172,10 @@ def _read_header(reader, path, roles: ColumnRoles) -> tuple[list[str], dict]:
 
 
 def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | None:
-    """load_csv's result on the rest of fh if numpy's reader shows that the
-    row loop would return it, else None. That reader skips blank lines and
-    joins quoted line breaks, so it must read one row per line."""
+    """load_csv's result on the rest of fh if numpy's reader parses it, one
+    row per line, into columns Dataset accepts, else None, and the row loop
+    reports the problem. That reader skips blank lines and joins quoted
+    line breaks, so it must read one row per line."""
     lines = itertools.count()  # one step per line handed to the reader
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -187,14 +188,12 @@ def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | Non
     if block.shape != (next(lines), width):
         return None
     cols = list(pos.values())
-    zmy = block.take(cols[:3], axis=1)
-    if not ((zmy == 0.0) | (zmy == 1.0)).all():
+    z, m, y = block.take(cols[:3], axis=1).T
+    try:
+        ds = Dataset(z, m, y, block.take(cols[3:], axis=1), tuple(pos)[3:])
+    except DataError:
         return None
-    x = block.take(cols[3:], axis=1)
-    if not np.isfinite(x).all():
-        return None
-    z, m, y = zmy.astype(np.int64).T
-    return LoadResult(Dataset(z, m, y, x, tuple(pos)[3:]), dropped=0)
+    return LoadResult(ds, dropped=0)
 
 
 def _number(text: str) -> float:

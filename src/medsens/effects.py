@@ -46,7 +46,7 @@ from scipy.special import ndtr
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, mediator_design,
                         outcome_design)
 from .errors import NotConvergedError, NumericalError
-from .numkernel import SQRT_2PI, norm_quantile
+from .numkernel import SQRT_2PI, _as_real, norm_quantile
 
 
 def _npdf(v):
@@ -165,6 +165,7 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
 def _check_alpha(alpha: float) -> None:
     """ValueError unless the Wald level alpha lies in (0, 1) and 1 - alpha/2
     stays below 1, so that the Wald quantile is finite."""
+    alpha = _as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:

@@ -1,8 +1,8 @@
 """Normal-distribution kernels used by every other module.
 
-Scalar wrappers (norm_cdf, norm_pdf, norm_quantile, binorm_cdf) validate
-their inputs and are the documented public surface. The vectorized
-bivariate CDF bvn_cdf is what the likelihood code calls in bulk.
+The scalar entries (norm_quantile, clamp_rho, binorm_cdf) check their
+inputs. The vectorized bivariate CDF bvn_cdf is what the likelihood code
+calls in bulk; it checks rho, not a and b.
 
 The bivariate normal CDF uses the Drezner/Wesolowsky method in Genz's
 formulation: Gauss-Legendre quadrature on an arcsin-transformed integrand
@@ -14,9 +14,9 @@ for |rho| <= 0.999, and the |rho| = 1 limits are exact:
 
 bvn_cdf is one table of |rho| bands, _BANDS: Gauss-Legendre sums of 6,
 12 and 20 points below 0.3, 0.75 and 0.925, the expansion below 1, and the
-|rho| = 1 limit, which also takes every row no other band covers (|rho| > 1
-or NaN). Each band's evaluator takes either the |rho| all rows of a call
-share or one |rho| per row; every row is written by exactly one band. The
+|rho| = 1 limit. A row with |rho| > 1 or a NaN rho raises ValueError.
+Each band's evaluator takes either the |rho| all rows of a call share or
+one |rho| per row; every row is written by exactly one band. The
 Gauss-Legendre sum depends on rho only through arcsin(rho) and the node
 sines sin(arcsin(rho) (1 -+ x) / 2), and the expansion's per-node
 quantities only through |rho|. When every row of a call has the same |rho|
@@ -36,8 +36,6 @@ import math
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .errors import MedsensError
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Probabilities are floored here before any log, so likelihood code never
@@ -48,46 +46,30 @@ PROB_FLOOR = 1e-300
 RHO_INTERIOR = 0.999
 
 
-class EvaluationError(MedsensError):
-    """finite_diff_grad hit a non-finite function value at a probe point."""
-
-    def __init__(self, message: str, component: int):
-        super().__init__(message)
-        self.component = component
+def _as_real(value, name: str) -> float:
+    """value as a float, which may be NaN or infinite; bools and strings,
+    which float() would coerce, are not real scalars."""
+    try:
+        if not isinstance(value, (bool, np.bool_, str, bytes)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a real scalar, got {value!r}")
 
 
 def _as_finite_float(value, name: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a real scalar, got {value!r}") from exc
+    out = _as_real(value, name)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out!r}")
     return out
 
 
-def norm_cdf(z) -> float:
-    """Standard normal CDF of a finite scalar."""
-    return float(ndtr(_as_finite_float(z, "z")))
-
-
-def norm_pdf(z) -> float:
-    """Standard normal density of a finite scalar."""
-    z = _as_finite_float(z, "z")
-    return math.exp(-0.5 * z * z) / SQRT_2PI
-
-
 def norm_quantile(p) -> float:
     """Standard normal quantile for p strictly inside (0, 1)."""
-    p = float(p)
+    p = _as_real(p, "p")
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     return float(ndtri(p))
-
-
-def safe_log(p):
-    """Elementwise log with the package-wide probability floor applied."""
-    return np.log(np.maximum(p, PROB_FLOOR))
 
 
 # _log_ndtr takes log(ndtr(q)) above this cut, where ndtr(q) > 2.7e-89; below
@@ -121,7 +103,7 @@ def clamp_rho(rho: float) -> tuple[float, bool]:
     """
     rho = _as_finite_float(rho, "rho")
     if abs(rho) > 1.0:
-        raise ValueError(f"correlation must satisfy |rho| <= 1, got {rho!r}")
+        _bad_rho(rho)
     if abs(rho) > RHO_INTERIOR:
         return math.copysign(RHO_INTERIOR, rho), True
     return rho, False
@@ -288,9 +270,8 @@ def _bvn_upper_extreme(h, k, r, absr, expand=True):
 
 # The |rho| bands by increasing |rho|, as in Genz's reference
 # implementation: Gauss-Legendre of 6, 12 and 20 points below 0.3, 0.75 and
-# 0.925, the expansion below 1, then the |rho| = 1 limit, which also takes
-# every row no other band covers (|rho| > 1 or NaN). Each evaluator takes
-# (h, k, r, absr) with absr per row or shared.
+# 0.925, the expansion below 1, then the |rho| = 1 limit. Each evaluator
+# takes (h, k, r, absr) with absr per row or shared.
 _BAND_EDGES = np.array([0.3, 0.75, 0.925, 1.0])
 _BANDS = (
     *(functools.partial(_bvn_upper_gl, *_gl_columns(x, w))
@@ -302,12 +283,14 @@ _BANDS = (
 def bvn_cdf(a, b, rho):
     """Vectorized bivariate standard normal CDF P(X <= a, Y <= b).
 
-    Arguments broadcast against each other; no input validation happens
-    here, so callers on the hot path must pass finite a, b and |rho| <= 1.
-    Each row is evaluated by the one band of _BANDS its |rho| falls in. If
-    all rows share one |rho| (checked in one pass), that band is picked
-    once and its rho-dependent node quantities are computed once for the
-    call, with a result bitwise equal to the row-by-row evaluation.
+    Arguments broadcast against each other. rho is checked: a row with a
+    NaN rho or |rho| > 1 raises ValueError naming the value. a and b are
+    not checked and must be finite: bvn_cdf(inf, 0.3, 0.5) is NaN, while
+    bvn_cdf(0.3, inf, -0.95) is Phi(0.3); binorm_cdf is the entry that
+    checks them. Each row is evaluated by the one band of _BANDS its |rho|
+    falls in. If all rows share one |rho| (checked in one pass), that band
+    is picked once and its rho-dependent node quantities are computed once
+    for the call, with a result bitwise equal to the row-by-row evaluation.
     """
     a, b, rho = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -320,11 +303,15 @@ def bvn_cdf(a, b, rho):
     r = rho.ravel()
     absr = np.abs(r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        if absr.size and (absr == absr[0]).all():
+        if absr.size and (absr == absr[0]).all():   # False for a NaN row
+            if absr[0] > 1.0:
+                _bad_rho(r[0])
             band = _BANDS[np.searchsorted(_BAND_EDGES, absr[0], side="right")]
             out = band(h, k, r, absr[0])
         else:
-            # NaN sorts after every edge, into the last band
+            bad = ~(absr <= 1.0)
+            if bad.any():
+                _bad_rho(r[bad][0])
             index = np.searchsorted(_BAND_EDGES, absr, side="right")
             out = np.empty_like(h)
             for i, band in enumerate(_BANDS):
@@ -335,57 +322,24 @@ def bvn_cdf(a, b, rho):
     return out.reshape(shape)
 
 
+def _bad_rho(rho):
+    raise ValueError(f"correlation must satisfy |rho| <= 1, got {float(rho)!r}")
+
+
 def binorm_cdf(a, b, rho) -> float:
     """Bivariate standard normal CDF P(X <= a, Y <= b) with correlation rho.
 
-    Scalar, validating entry point. Accuracy is ~1e-15 absolute for
+    Scalar entry point: a and b must be finite real scalars, and rho a real
+    scalar, which bvn_cdf checks. Accuracy is ~1e-15 absolute for
     |rho| <= 0.999 and the |rho| = 1 limits are exact.
     """
     a = _as_finite_float(a, "a")
     b = _as_finite_float(b, "b")
-    rho = _as_finite_float(rho, "rho")
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must satisfy |rho| <= 1, got {rho!r}")
-    return float(bvn_cdf(a, b, rho))
+    return float(bvn_cdf(a, b, _as_real(rho, "rho")))
 
 
 def log_bvn_cdf(a, b, rho):
     """ln Phi2: elementwise log of bvn_cdf with the probability floor
     applied, so a likelihood never sees -inf."""
-    return safe_log(bvn_cdf(a, b, rho))
+    return np.log(np.maximum(bvn_cdf(a, b, rho), PROB_FLOOR))
 
-
-def finite_diff_grad(f, point, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a real vector.
-
-    Accuracy is O(step^2) times a third-derivative bound, so the default
-    step suits smooth likelihood-scale functions. Raises EvaluationError
-    (carrying the component index) if a probe returns a non-finite value.
-    """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.ndim != 1:
-        raise ValueError("point must be a scalar or 1-d vector")
-    step = float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be a positive finite scalar, got {step!r}")
-    grad = np.empty(point.size)
-    for j in range(point.size):
-        probe = point.copy()
-        probe[j] = point[j] + step
-        hi = float(f(probe))
-        probe[j] = point[j] - step
-        lo = float(f(probe))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise EvaluationError(
-                f"function value non-finite when probing component {j} "
-                f"(f+ = {hi!r}, f- = {lo!r})", component=j)
-        grad[j] = (hi - lo) / (2.0 * step)
-    return grad
-
-
-__all__ = [
-    "EvaluationError", "PROB_FLOOR", "RHO_INTERIOR", "SQRT_2PI",
-    "binorm_cdf", "bvn_cdf", "clamp_rho", "finite_diff_grad",
-    "log_bvn_cdf", "log_ndtr", "ndtr", "ndtri", "norm_cdf", "norm_pdf",
-    "norm_quantile", "safe_log",
-]

@@ -44,13 +44,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit,
+from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit, _predict,
                        _probit_fits, _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
                       _profile_row, effect_with_ci)
 from .errors import MedsensError, ScanError
-from .numkernel import RHO_INTERIOR
+from .numkernel import RHO_INTERIOR, _as_finite_float, _as_real
 from .probit import UnconstrainedFits, fit_unconstrained
 
 DEFAULT_GRID_LOWER = -0.95
@@ -83,7 +83,7 @@ class RhoGrid:
     clamped: bool = False
 
     def __post_init__(self):
-        points = tuple(float(v) for v in self.points)
+        points = tuple(_as_real(v, "grid point") for v in self.points)
         if not points:
             raise ValueError("grid needs at least one point")
         bad = [v for v in points if not (math.isfinite(v) and abs(v) <= 1.0)]
@@ -99,9 +99,8 @@ class RhoGrid:
     def regular(cls, lower: float = DEFAULT_GRID_LOWER,
                 upper: float = DEFAULT_GRID_UPPER,
                 step: float = DEFAULT_GRID_STEP) -> "RhoGrid":
-        lower, upper, step = float(lower), float(upper), float(step)
-        if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(step)):
-            raise ValueError("grid bounds and step must be finite")
+        lower, upper, step = map(_as_finite_float, (lower, upper, step),
+                                 ("grid lower", "grid upper", "grid step"))
         if not -1.0 <= lower <= upper <= 1.0:
             raise ValueError(
                 f"grid needs -1 <= lower <= upper <= 1, got [{lower}, {upper}]")
@@ -215,34 +214,6 @@ def _refit(kind, rho, ds, spec, start) -> ConstrainedFit | None:
 
 def _coefficients(fit: ConstrainedFit) -> np.ndarray:
     return np.concatenate([fit.coefficients_a, fit.coefficients_b])
-
-
-def _predict(known, rho) -> np.ndarray:
-    """The start at rho from (rho, x, tangent, curvature) nodes: a step off
-    one node, quadratic if it has a curvature, else the confluent Hermite
-    polynomial matching every node's x and tangent, and its curvature
-    where it has one. The polynomial is solved for in s = (rho -
-    rho_last) / span, span = rho_last - rho_first, so nodes lie in
-    [-1, 0]."""
-    rho1, x1, t1, c1 = known[-1]
-    if len(known) == 1:
-        step = rho - rho1
-        return x1 + t1 * step + (0.0 if c1 is None else 0.5 * c1 * step * step)
-    span = rho1 - known[0][0]
-    rows, rhs = [], []
-    for node_rho, *derivatives in known:
-        for order, value in enumerate(derivatives):
-            if value is not None:
-                rows.append((order, (node_rho - rho1) / span))
-                rhs.append(value * span ** order)
-    powers = np.arange(len(rows))
-
-    def basis(order, s):  # d^order/ds^order of s ** powers
-        falling = np.prod([powers - m for m in range(order)], axis=0)
-        return falling * s ** np.maximum(powers - order, 0)
-
-    coef = np.linalg.solve(np.array([basis(*row) for row in rows]), np.array(rhs))
-    return basis(0, (rho - rho1) / span) @ coef
 
 
 def _fit_path(kind, points, ds, spec) -> list[ConstrainedFit | None]:
@@ -438,10 +409,9 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     bracket (the scan-level warning machinery does not apply here; the
     coarse midpoint is still returned).
     """
-    resolution = float(resolution)
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(
-            f"resolution must be positive and finite, got {resolution!r}")
+    resolution = _as_finite_float(resolution, "resolution")
+    if resolution <= 0.0:
+        raise ValueError(f"resolution must be positive, got {resolution!r}")
     pts = _require_converged(scan)
     ref_sign, _ = _reference_sign(scan)
     probits, boundaries = None, []

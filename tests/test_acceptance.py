@@ -12,14 +12,14 @@ import numpy as np
 import yaml
 
 from conftest import confounded_params, reduced_spec
+from finite_diff import finite_diff_grad
 from medsens import (ConfoundingKind, Dataset, EffectType, ModelSpec,
                      RhoGrid, binorm_cdf, conditional_effect,
                      constrained_grad, constrained_loglik, demo_params,
-                     effect_marginal, effect_with_ci, finite_diff_grad,
-                     fit_constrained, fit_unconstrained, identification_set,
-                     refine_boundary, replicate_seeds, run_scan, sign_ranges,
-                     simulate, true_effects, uncertainty_interval,
-                     unconstrained_context)
+                     effect_marginal, effect_with_ci, fit_constrained,
+                     fit_unconstrained, identification_set, refine_boundary,
+                     replicate_seeds, run_scan, sign_ranges, simulate,
+                     true_effects, uncertainty_interval, unconstrained_context)
 from medsens.cli import main as cli_main
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -8,13 +8,14 @@ import pytest
 from scipy.special import log_ndtr
 
 from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
-                     build_mediator_design, build_outcome_design,
+                     build_mediator_design, build_outcome_design, bvn_cdf,
                      constrained_grad, constrained_loglik, demo_params,
-                     finite_diff_grad, fit_constrained, fit_probit,
-                     probit_loglik, simulate)
+                     fit_constrained, fit_probit, log_bvn_cdf, probit_loglik,
+                     simulate)
 from medsens.biprobit import _pair_pass, _probit_pair_path
-from medsens.numkernel import PROB_FLOOR, bvn_cdf, safe_log
+from medsens.numkernel import PROB_FLOOR
 from conftest import confounded_params, make_dataset
+from finite_diff import finite_diff_grad
 
 KINDS = list(ConfoundingKind)
 
@@ -123,7 +124,7 @@ def reference_pair_pass(coef_a, signed_a, coef_b, signed_b, r):
     form of ln phi2 written out: the formula the kernel replaced."""
     u_a = signed_a @ coef_a
     u_b = signed_b @ coef_b
-    logp = safe_log(bvn_cdf(u_b, u_a, r))
+    logp = log_bvn_cdf(u_b, u_a, r)
     one_minus_r2 = 1.0 - r * r
     denom = np.sqrt(one_minus_r2)
     log_w_a = (-0.5 * u_a * u_a - LOG_SQRT_2PI
@@ -231,6 +232,8 @@ def test_information_matches_finite_difference_hessian(kind, rho,
 def test_rho_outside_interior_band_rejected(demo_clean, spec):
     with pytest.raises(ValueError, match="0.999"):
         constrained_loglik(MY, np.zeros(4), np.zeros(6), 0.9995, demo_clean, spec)
+    with pytest.raises(ValueError, match="^rho must be a real scalar"):
+        constrained_loglik(MY, np.zeros(4), np.zeros(6), False, demo_clean, spec)
 
 
 class TestFitConstrained:

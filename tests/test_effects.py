@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from medsens import (CovariateProfile, EffectType, FitContext, GradientVector,
                      ModelSpec, NotConvergedError, NumericalError,
                      conditional_effect, delta_se, demo_params,
-                     effect_marginal, effect_with_ci, finite_diff_grad,
-                     grad_conditional, grad_effect_marginal, norm_quantile,
-                     simulate, unconstrained_context, write_csv)
+                     effect_marginal, effect_with_ci, grad_conditional,
+                     grad_effect_marginal, norm_quantile, simulate,
+                     unconstrained_context, write_csv)
 from medsens import effects
 from medsens.cli import main
 from conftest import make_dataset
+from finite_diff import finite_diff_grad
 
 FULL = ModelSpec()
 
@@ -275,6 +276,8 @@ class TestEffectWithCi:
                 effect_with_ci(EffectType.TE, "marginal", ctx, alpha=bad)
         with pytest.raises(ValueError, match="^alpha 1e-17 is too small"):
             effect_with_ci(EffectType.TE, "marginal", ctx, alpha=1e-17)
+        with pytest.raises(ValueError, match="^alpha must be a real scalar"):
+            effect_with_ci(EffectType.TE, "marginal", ctx, alpha="0.05")
 
 
 def test_zero_covariate_effects_run():

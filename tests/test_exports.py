@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -60,3 +61,11 @@ def test_benchmark_trace_targets_exist():
                if not callable(getattr(importlib.import_module(f"medsens.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_readme_api_section_documents_exactly_the_public_names():
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"`([^`]+)`", section)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(medsens.__all__) - {"__version__"}

@@ -1,4 +1,5 @@
-"""Bivariate normal CDF and scalar normal helpers."""
+"""Bivariate normal CDF, scalar normal helpers and the tests'
+finite-difference helper."""
 
 import csv
 import math
@@ -11,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from medsens import (EvaluationError, MedsensError, binorm_cdf, bvn_cdf,
-                     clamp_rho, finite_diff_grad, log_bvn_cdf, norm_cdf,
-                     norm_pdf, norm_quantile)
+from finite_diff import finite_diff_grad
+from medsens import binorm_cdf, bvn_cdf, clamp_rho, log_bvn_cdf, norm_quantile
 from medsens.numkernel import _log_ndtr
 
 ORACLE = Path(__file__).parent / "data" / "bvn_oracle.csv"
@@ -22,23 +22,22 @@ finite_z = st.floats(-8.0, 8.0, allow_nan=False)
 interior_rho = st.floats(-0.999, 0.999, allow_nan=False)
 
 
+def norm_cdf(z):
+    return float(ndtr(z))
+
+
 def test_normal_scalar_constants():
-    assert norm_cdf(0.0) == 0.5
-    assert norm_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-    assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-16)
     assert norm_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-14)
     assert norm_quantile(0.5) == 0.0
 
 
 def test_normal_scalar_validation():
     with pytest.raises(ValueError):
-        norm_cdf(float("nan"))
-    with pytest.raises(ValueError):
-        norm_pdf(float("inf"))
-    with pytest.raises(ValueError):
         norm_quantile(0.0)
     with pytest.raises(ValueError):
         norm_quantile(1.0)
+    with pytest.raises(ValueError, match="^p must be a real scalar"):
+        norm_quantile("0.5")
 
 
 @given(st.floats(1e-6, 1 - 1e-6))
@@ -55,6 +54,9 @@ def test_clamp_rho():
         clamp_rho(1.2)
     with pytest.raises(ValueError):
         clamp_rho(float("nan"))
+    for not_real in (True, np.bool_(False), "0.5"):
+        with pytest.raises(ValueError, match="must be a real scalar"):
+            clamp_rho(not_real)
 
 
 # --- bivariate CDF against closed forms -------------------------------
@@ -248,6 +250,51 @@ def test_bvn_extreme_band_is_bitwise_the_row_major_formula(absr, scale):
     assert np.array_equal(bvn_cdf(a, b, r), extreme_band_reference(a, b, r))
 
 
+BAND_EDGES = (0.3, 0.75, 0.925, 1.0)
+
+
+def test_bvn_band_edges_and_limits_are_bitwise_the_row_formulas():
+    # shared |rho| at every band edge, just below it and at 0, with rows of
+    # both signs; then one mixed call over the same values, rows at +-1
+    # included
+    absrs = sorted({0.0, *BAND_EDGES,
+                    *(float(np.nextafter(e, 0.0)) for e in BAND_EDGES)})
+    rng = np.random.default_rng(23)
+    n = 600
+    a = rng.normal(scale=2.0, size=n)
+    b = rng.normal(scale=2.0, size=n)
+    sign = rng.choice([-1.0, 1.0], size=n)
+
+    def reference(r):
+        return np.where(np.abs(r) < 0.925, moderate_band_reference(a, b, r),
+                        extreme_band_reference(a, b, r))
+
+    for absr in absrs:
+        r = sign * absr
+        assert np.array_equal(bvn_cdf(a, b, r), reference(r)), absr
+    r = sign * rng.choice(absrs, size=n)
+    assert set(r[np.abs(r) == 1.0]) == {-1.0, 1.0}
+    assert np.array_equal(bvn_cdf(a, b, r), reference(r))
+
+
+BAD_RHO = [float("nan"), 1.5, -1.5, float("inf"), -float("inf"),
+           1.0 + 2.0 ** -52, -(1.0 + 2.0 ** -52)]
+
+
+@pytest.mark.parametrize("rho", BAD_RHO)
+def test_bvn_rejects_rho_outside_minus_one_one(rho):
+    message = f"got {rho!r}$"
+    with pytest.raises(ValueError, match=message):      # scalar
+        bvn_cdf(0.3, -0.4, rho)
+    with pytest.raises(ValueError, match=message):      # shared |rho|
+        bvn_cdf(np.array([0.3, -1.0, 2.0]), 0.5, np.full(3, rho))
+    with pytest.raises(ValueError, match=message):      # one row of many
+        bvn_cdf(np.array([0.3, -1.0, 2.0]), 0.5, np.array([0.2, rho, -1.0]))
+    with pytest.raises(ValueError, match=message):
+        binorm_cdf(0.3, -0.4, rho)
+    with pytest.raises(ValueError, match=message):
+        log_bvn_cdf(0.3, -0.4, rho)
+
 def test_bvn_mpmath_spot_checks():
     # independent 1-d oracle: integrate phi(u) * Phi((b - rho u)/sqrt(1-rho^2))
     mpmath = pytest.importorskip("mpmath")
@@ -352,14 +399,17 @@ def test_bvn_broadcasting_and_scalar_paths():
 
 
 def test_binorm_validates_scalar_inputs():
-    # binorm_cdf is the validating entry point; bvn_cdf is documented as
-    # the unvalidated hot path
+    # binorm_cdf checks that a and b are finite real scalars; rho is
+    # checked by bvn_cdf
     with pytest.raises(ValueError):
         binorm_cdf(0.0, 0.0, 1.5)
     with pytest.raises(ValueError):
         binorm_cdf(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         binorm_cdf(0.0, float("inf"), 0.0)
+    for not_real in (True, "0.5"):
+        with pytest.raises(ValueError, match="must be a real scalar"):
+            binorm_cdf(0.0, 0.0, not_real)
 
 
 def test_log_bvn_matches_log_of_cdf_and_is_floored():
@@ -370,7 +420,7 @@ def test_log_bvn_matches_log_of_cdf_and_is_floored():
     assert deep >= math.log(1e-300)
 
 
-# --- finite differences ------------------------------------------------
+# --- finite differences (tests/finite_diff.py) --------------------------
 
 def test_finite_diff_grad_on_smooth_function():
     f = lambda v: float(v[0] ** 2 + 3.0 * v[0] * v[1] - math.sin(v[2]))
@@ -386,7 +436,5 @@ def test_finite_diff_grad_flags_bad_component():
             return float("nan")
         return float(v.sum())
 
-    with pytest.raises(EvaluationError) as exc_info:
+    with pytest.raises(ValueError, match="probing component 1 "):
         finite_diff_grad(f, np.array([0.0, 1.0, 0.0]), step=0.5)
-    assert exc_info.value.component == 1
-    assert isinstance(exc_info.value, MedsensError)

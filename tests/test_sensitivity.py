@@ -80,6 +80,11 @@ class TestRhoGrid:
             RhoGrid.regular(-0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             RhoGrid.regular(-2.0, 0.5, 0.1)
+        # float() would read these as numbers
+        with pytest.raises(ValueError, match="^grid lower must be a real scalar"):
+            RhoGrid.regular(False, True, 0.5)
+        with pytest.raises(ValueError, match="^grid lower must be a real scalar"):
+            RhoGrid.regular("-0.1", "0.1", "0.1")
 
     def test_point_count_capped_before_building(self):
         with pytest.raises(ValueError, match="at most"):
@@ -101,6 +106,8 @@ class TestRhoGrid:
         ((0.0, float("nan")), "finite"),
         ((-float("inf"), 0.0), "finite"),
         ((-1.5, 0.0), "finite"),
+        ((False, True), "real scalar"),
+        (("-0.1", 0.1), "real scalar"),
     ])
     def test_direct_grid_checked(self, points, problem):
         with pytest.raises(ValueError, match=problem):
@@ -794,7 +801,7 @@ class TestRefineBoundary:
             refine_boundary(scan, resolution=0.0)
 
     @pytest.mark.parametrize("resolution", [float("nan"), float("inf"),
-                                            float("-inf")])
+                                            float("-inf"), "0.01"])
     def test_non_finite_resolution_rejected(self, resolution):
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
         with pytest.raises(ValueError, match="resolution"):
