@@ -25,8 +25,9 @@ u_a^2 + z_a^2 = (u_a^2 - 2 r u_a u_b + u_b^2)/(1 - rho^2) gives
 ln(phi2/Phi2) = ln phi(u_a) - ln Phi2 - z_a^2/2 - ln sqrt(1 - rho^2)
 - ln sqrt(2 pi) from the terms ln g_a already needs, and ln Phi(z) is
 numkernel._log_ndtr.
-At rho = 0 the path's tangent and curvature come from the probit fits'
-kept Mills ratios and the tetrachoric series, with no Phi2 call.
+At rho = 0 the path's tangent and curvature come from the probit fits
+that probit._probit_fits keeps, their Mills ratios recomputed at the
+fitted coefficients, and the tetrachoric series, with no Phi2 call.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, ModelSpec, fit_designs, fit_memo, model_designs
+from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
 from .numkernel import (RHO_INTERIOR, _as_real, _log_ndtr, clamp_rho,
                         log_bvn_cdf)
-from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, ProbitFit,
-                     _newton_ascent, fit_probit)
+from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _mills,
+                     _newton_ascent, _probit_fits)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -58,7 +59,8 @@ class ConfoundingKind(enum.Enum):
 
 
 # the (first, second) models each kind pairs, by their UnconstrainedFits
-# field names; coefficient arguments, starts and results follow this order
+# field names, which are also the fit_designs and _probit_fits keys;
+# coefficient arguments, starts and results follow this order
 PAIR_MODELS = {
     ConfoundingKind.EXPOSURE_MEDIATOR: ("exposure", "mediator"),
     ConfoundingKind.MEDIATOR_OUTCOME: ("mediator", "outcome"),
@@ -165,23 +167,11 @@ def _score_rho(signed_a, signed_b, signs, rho, rows):
         signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
 
 
-def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
-    """The named models' probit fits, each fitted once per fit_designs
-    entry and kept in its fit_memo, with read-only arrays, for every
-    constrained fit and scan on one (ds, spec)."""
-    memo, designs = fit_memo(ds, spec), fit_designs(ds, spec)
-    for model in models:
-        if model not in memo:
-            fit = memo[model] = fit_probit(*designs[model])
-            for array in (fit.coefficients, fit.covariance, fit.mills_ratio):
-                array.setflags(write=False)
-    return {model: memo[model] for model in models}
-
-
 def _probit_pair_path(kind, ds, spec):
     """The path's rho = 0 node (0.0, x, tangent, curvature), where the
     kind's probit pair is the optimum x and H is block diagonal: with lam =
-    phi/Phi (the fits' mills_ratio), the tetrachoric series (Pearson 1900)
+    phi/Phi at each fit's signed predictors u, the tetrachoric series
+    (Pearson 1900)
     ln Phi2(u_a, u_b; r) = ln Phi(u_a) + ln Phi(u_b) + r lam_a lam_b + r^2/2
     lam_a lam_b (u_a u_b - lam_a lam_b) + O(r^3) gives each block of x' and
     x'' as cov X~' rows."""
@@ -189,7 +179,7 @@ def _probit_pair_path(kind, ds, spec):
     designs, responses = zip(*(fit_designs(ds, spec)[m] for m in PAIR_MODELS[kind]))
     signs = 2.0 * np.array(responses, dtype=float) - 1.0
     u = signs * np.array([d @ f.coefficients for d, f in zip(designs, fits)])
-    lam = np.array([f.mills_ratio for f in fits])
+    lam = np.array([_mills(q)[1] for q in u])
     d1 = -lam * (u + lam)                       # lam'
     d2 = -d1 * (u + lam) - lam * (1.0 + d1)     # lam''
     s, lam_o, u_o, d1_o = signs[0] * signs[1], lam[::-1], u[::-1], d1[::-1]

@@ -24,7 +24,7 @@ import itertools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import itemgetter, mul
 
@@ -317,6 +317,9 @@ class ModelSpec:
     outcome_zmx: bool = True
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         for blocks in _LAYOUTS.values():
             for flag, factors in blocks:
                 off = [inner for inner, part in blocks if inner
@@ -502,7 +505,7 @@ def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
 def fit_memo(ds: Dataset, spec: ModelSpec) -> dict:
     """A dict that lives and dies with fit_designs' entry for (ds, spec),
     for values that are a function of those designs alone (the probit
-    fits of biprobit._probit_fits). It has no eviction rule of its own."""
+    fits of probit._probit_fits). It has no eviction rule of its own."""
     return _fit_entry(ds, spec)[1]
 
 

@@ -47,10 +47,12 @@ RHO_INTERIOR = 0.999
 
 
 def _as_real(value, name: str) -> float:
-    """value as a float, which may be NaN or infinite; bools and strings,
-    which float() would coerce, are not real scalars."""
+    """value as a float, which may be NaN or infinite; bools (any value of
+    boolean dtype, 0-d arrays too) and strings, which float() would
+    coerce, are not real scalars."""
     try:
-        if not isinstance(value, (bool, np.bool_, str, bytes)):
+        if not (isinstance(value, (bool, str, bytes))
+                or getattr(value, "dtype", None) == bool):
             return float(value)
     except (TypeError, ValueError):
         pass

@@ -19,18 +19,22 @@ order. The probit weights w are nonnegative, so the Hessian -X'WX is
 accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
 update per block. The separation guard reads the last pass's linear
 predictor. The zero start needs no row pass (at q = +-0 its row terms are
-constants), and a fit keeps its last pass's phi/Phi for biprobit's use.
+constants), and a fit keeps no per-row vector.
+_probit_fits is the only caller of fit_probit in the package: it fits each
+model once per (dataset, spec) and keeps the fit, with read-only arrays,
+in datamodel.fit_memo, so fit_unconstrained, the effect contexts, every
+constrained fit and every scan on that pair read the same fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .datamodel import (Dataset, ModelSpec, fit_designs, is_fit_design,
-                        require_full_rank)
+from .datamodel import (Dataset, ModelSpec, fit_designs, fit_memo,
+                        is_fit_design, require_full_rank)
 from .errors import RankError, SeparationError
 from .numkernel import _log_ndtr
 
@@ -124,9 +128,6 @@ class ProbitFit:
     iterations: int
     converged: bool
     score_norm: float
-    # phi(q)/Phi(q) per row, q = (2y - 1) X b at the returned coefficients
-    mills_ratio: np.ndarray | None = field(default=None, repr=False,
-                                           compare=False)
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -219,8 +220,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
         else:
             q = s * (design @ coef)
             log_cdf, ratio, weight = _mills(q)
-        return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
-                ratio)
+        return float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight)
 
     def check_separation(coef):
         # _newton_ascent calls this right after evaluating its accepted
@@ -237,8 +237,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     return ProbitFit(coefficients=opt.x, covariance=covariance,
                      loglik=opt.loglik, iterations=opt.iterations,
                      converged=opt.converged,
-                     score_norm=float(np.abs(opt.score).max()),
-                     mills_ratio=opt.rows[0])
+                     score_norm=float(np.abs(opt.score).max()))
 
 
 @dataclass(frozen=True)
@@ -250,9 +249,21 @@ class UnconstrainedFits:
     outcome: ProbitFit
 
 
+def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
+    """The named models' probit fits, each fitted once per fit_designs
+    entry and kept in its fit_memo, with read-only arrays, for every
+    reader on one (ds, spec)."""
+    memo, designs = fit_memo(ds, spec), fit_designs(ds, spec)
+    for model in models:
+        if model not in memo:
+            fit = memo[model] = fit_probit(*designs[model])
+            for array in (fit.coefficients, fit.covariance):
+                array.setflags(write=False)
+    return {model: memo[model] for model in models}
+
+
 def fit_unconstrained(ds: Dataset, spec: ModelSpec) -> UnconstrainedFits:
-    """Fit exposure, mediator and outcome probits on one dataset, from the
-    validated designs datamodel.fit_designs holds for (ds, spec)."""
-    return UnconstrainedFits(**{
-        model: fit_probit(design, response)
-        for model, (design, response) in fit_designs(ds, spec).items()})
+    """The exposure, mediator and outcome probits on one dataset, fitted
+    from the validated designs datamodel.fit_designs holds for (ds, spec):
+    the shared, read-only fits _probit_fits keeps for that pair."""
+    return UnconstrainedFits(**_probit_fits(ds, spec, fit_designs(ds, spec)))

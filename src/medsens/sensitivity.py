@@ -32,8 +32,9 @@ fit_constrained starts when given no start. After a failed point the
 chain restarts from its last optimum alone. refine_boundary's refits
 start from _predict's Euler step off the bracket's latest converged
 point. A scan fits only the probits it reads, through
-biprobit._probit_fits, which fits each once per (dataset, spec), and
-keeps none of them on the scan.
+probit._probit_fits, which fits each once per (dataset, spec) and keeps
+it in datamodel.fit_memo, so no probit fit is kept on or passed with the
+scan.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit, _predict,
-                       _probit_fits, _probit_pair_path, fit_constrained)
+                       _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
                       _profile_row, effect_with_ci)
 from .errors import MedsensError, ScanError
 from .numkernel import RHO_INTERIOR, _as_finite_float, _as_real
-from .probit import UnconstrainedFits, fit_unconstrained
+from .probit import _probit_fits, fit_unconstrained
 
 DEFAULT_GRID_LOWER = -0.95
 DEFAULT_GRID_UPPER = 0.95
@@ -68,12 +69,26 @@ _WINDOW = 4
 _EFFECT_MODELS = ("mediator", "outcome")
 
 
+def _grid_bounds(lower, upper, step) -> tuple[float, float, float]:
+    """lower, upper and step as finite floats, with -1 <= lower <= upper
+    <= 1 and step >= 0; step 0 marks a grid of given points."""
+    lower, upper, step = map(_as_finite_float, (lower, upper, step),
+                             ("grid lower", "grid upper", "grid step"))
+    if not -1.0 <= lower <= upper <= 1.0:
+        raise ValueError(
+            f"grid needs -1 <= lower <= upper <= 1, got [{lower}, {upper}]")
+    if step < 0.0:
+        raise ValueError(f"grid step must be positive, got {step!r}")
+    return lower, upper, step
+
+
 @dataclass(frozen=True)
 class RhoGrid:
     """Ordered, deduplicated correlation grid.
 
     Values beyond the +-0.999 likelihood band are clamped onto it;
-    0 is always included when the range spans it.
+    0 is always included when the range spans it. The bounds and step are
+    checked however the grid is built.
     """
 
     lower: float
@@ -83,6 +98,7 @@ class RhoGrid:
     clamped: bool = False
 
     def __post_init__(self):
+        _grid_bounds(self.lower, self.upper, self.step)
         points = tuple(_as_real(v, "grid point") for v in self.points)
         if not points:
             raise ValueError("grid needs at least one point")
@@ -99,11 +115,7 @@ class RhoGrid:
     def regular(cls, lower: float = DEFAULT_GRID_LOWER,
                 upper: float = DEFAULT_GRID_UPPER,
                 step: float = DEFAULT_GRID_STEP) -> "RhoGrid":
-        lower, upper, step = map(_as_finite_float, (lower, upper, step),
-                                 ("grid lower", "grid upper", "grid step"))
-        if not -1.0 <= lower <= upper <= 1.0:
-            raise ValueError(
-                f"grid needs -1 <= lower <= upper <= 1, got [{lower}, {upper}]")
+        lower, upper, step = _grid_bounds(lower, upper, step)
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step!r}")
         # a subnormal step makes the span infinite, which has no int floor
@@ -163,13 +175,13 @@ class SensitivityScan:
         return [pt for pt in self.points if pt.converged and pt.estimate is not None]
 
 
-def _context(probits, ds, spec, kind=None, fit=None) -> FitContext:
-    """FitContext from the probit fits (by model name), except for the
-    mediator (beta) and outcome (theta) blocks that the constrained fit's
-    pair, PAIR_MODELS[kind], contains."""
-    blocks = {model: (probits[model].coefficients, probits[model].covariance,
-                      probits[model].converged, f"{model} probit fit")
-              for model in _EFFECT_MODELS}
+def _context(ds, spec, kind=None, fit=None) -> FitContext:
+    """FitContext from the probit fits _probit_fits keeps for (ds, spec),
+    except for the mediator (beta) and outcome (theta) blocks that the
+    constrained fit's pair, PAIR_MODELS[kind], contains."""
+    blocks = {model: (probit.coefficients, probit.covariance, probit.converged,
+                      f"{model} probit fit")
+              for model, probit in _probit_fits(ds, spec, _EFFECT_MODELS).items()}
     if fit is not None:
         tag = f"constrained fit (kind={kind.value}, rho={fit.rho})"
         for model, coef, cov in zip(PAIR_MODELS[kind],
@@ -186,20 +198,19 @@ def _context(probits, ds, spec, kind=None, fit=None) -> FitContext:
         rho_context=None if fit is None else (kind.value, fit.rho))
 
 
-def unconstrained_context(ds: Dataset, spec: ModelSpec,
-                          base: UnconstrainedFits | None = None) -> FitContext:
-    """FitContext built from the three separate probit fits."""
-    if base is None:
-        base = fit_unconstrained(ds, spec)
-    return _context(vars(base), ds, spec)
+def unconstrained_context(ds: Dataset, spec: ModelSpec) -> FitContext:
+    """FitContext built from the three separate probit fits. All three
+    are fitted, as fit_unconstrained returns them, so data the exposure
+    probit fails on fail here too, though the effects read only two."""
+    fit_unconstrained(ds, spec)
+    return _context(ds, spec)
 
 
 def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
-                        base: UnconstrainedFits, ds: Dataset,
-                        spec: ModelSpec) -> FitContext:
+                        ds: Dataset, spec: ModelSpec) -> FitContext:
     """FitContext at the fit's rho: the constrained fit supplies the
     coefficient blocks its kind affects, the probit fits the rest."""
-    return _context(vars(base), ds, spec, kind, fit)
+    return _context(ds, spec, kind, fit)
 
 
 def _refit(kind, rho, ds, spec, start) -> ConstrainedFit | None:
@@ -242,12 +253,12 @@ def _fit_path(kind, points, ds, spec) -> list[ConstrainedFit | None]:
     return fits
 
 
-def _scan_point(scan: SensitivityScan, probits, rho, fit) -> ScanPoint:
+def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
     """The scan's effect at one refit; the point fails with its fit or
     when the effect raises a MedsensError."""
     if fit is None:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    ctx = _context(probits, scan.dataset, scan.spec, scan.kind, fit)
+    ctx = _context(scan.dataset, scan.spec, scan.kind, fit)
     try:
         est = effect_with_ci(scan.effect_type, scan.scope, ctx,
                              alpha=scan.alpha, profile=scan.profile)
@@ -280,13 +291,13 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "grid extends beyond |rho| = 0.95; fits near the boundary can be "
             "numerically delicate")
 
-    probits = _probit_fits(ds, spec, _EFFECT_MODELS)
+    _probit_fits(ds, spec, _EFFECT_MODELS)  # their errors raise before any refit
     fits = _fit_path(kind, grid.points, ds, spec)
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
                            dataset=ds, spec=spec,
                            profile=profile if scope == "conditional" else None)
-    points = tuple(_scan_point(scan, probits, rho, fit)
+    points = tuple(_scan_point(scan, rho, fit)
                    for rho, fit in zip(grid.points, fits))
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
@@ -414,18 +425,17 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         raise ValueError(f"resolution must be positive, got {resolution!r}")
     pts = _require_converged(scan)
     ref_sign, _ = _reference_sign(scan)
-    probits, boundaries = None, []
+    boundaries = []
     for left, right in zip(pts[:-1], pts[1:]):
         cls_left = _classify(left.estimate, ref_sign)
         if cls_left is _classify(right.estimate, ref_sign):
             continue
-        probits = probits or _probit_fits(scan.dataset, scan.spec, _EFFECT_MODELS)
         lo, hi, latest = left.rho, right.rho, left
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
             start = _predict([(latest.rho, latest.coefficients, latest.tangent,
                                None)], mid)
-            pt = _scan_point(scan, probits, mid, _refit(
+            pt = _scan_point(scan, mid, _refit(
                 scan.kind, mid, scan.dataset, scan.spec, start))
             if not pt.converged:
                 break

@@ -359,6 +359,15 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec(outcome_zm=False, outcome_zmx=True)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_flags_must_be_booleans(self, value):
+        with pytest.raises(ConfigError,
+                           match=rf"^exposure_x must be true or false, got {value!r}$"):
+            ModelSpec(exposure_x=value)
+
+    def test_numpy_boolean_flags_allowed(self):
+        assert not ModelSpec(exposure_x=np.bool_(False)).exposure_x
+
     def test_reduced_spec_allowed(self):
         spec = ModelSpec(exposure_x=False, mediator_x=False, mediator_zx=False,
                          outcome_zm=False, outcome_x=False, outcome_zx=False,

@@ -1,6 +1,8 @@
-"""The package namespace: what medsens exports is what it binds."""
+"""The package namespace: what medsens exports is what it binds, and the
+names and fields the benchmark reads."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import types
@@ -69,3 +71,30 @@ def test_readme_api_section_documents_exactly_the_public_names():
     documented = re.findall(r"`([^`]+)`", section)
     assert len(documented) == len(set(documented))
     assert set(documented) == set(medsens.__all__) - {"__version__"}
+
+
+# the fields perfbench/ reads off package objects: the replicates check
+# (ScanPoint), the sens_cli references (SensitivityScan, LoadResult,
+# Dataset, EffectEstimate), the tracer's result attributes (ProbitFit,
+# ConstrainedFit) and the workloads' scenarios (TrueParams)
+BENCHMARK_FIELDS = {
+    "ScanPoint": ("rho", "converged", "coefficients"),
+    "SensitivityScan": ("points",),
+    "LoadResult": ("dataset",),
+    "Dataset": ("n", "covariate_names"),
+    "ProbitFit": ("iterations",),
+    "ConstrainedFit": ("iterations", "converged"),
+    "EffectEstimate": ("estimate",),
+    "TrueParams": ("spec", "covariate_names", "confounding"),
+}
+
+
+def test_benchmark_fields_exist():
+    missing = []
+    for cls_name, names in BENCHMARK_FIELDS.items():
+        cls = getattr(medsens, cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        missing += [f"{cls_name}.{name}" for name in names
+                    if name not in fields
+                    and not isinstance(getattr(cls, name, None), property)]
+    assert missing == []

@@ -54,7 +54,8 @@ def test_clamp_rho():
         clamp_rho(1.2)
     with pytest.raises(ValueError):
         clamp_rho(float("nan"))
-    for not_real in (True, np.bool_(False), "0.5"):
+    for not_real in (True, np.bool_(False), np.array(True), np.array(False),
+                     "0.5"):
         with pytest.raises(ValueError, match="must be a real scalar"):
             clamp_rho(not_real)
 

@@ -287,16 +287,6 @@ def test_weight_matches_oracle_into_the_lower_tail():
     np.testing.assert_allclose(weight, oracle, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("source", ["fit_designs", "plain array"])
-def test_mills_ratio_is_the_ratio_at_the_returned_coefficients(spec, source):
-    design, response = fit_designs(fresh_dataset(75), spec)["outcome"]
-    if source == "plain array":  # not the memo's array: checked and copied
-        design = np.array(design, order="F")
-    fit = fit_probit(design, response)
-    q = (2.0 * response - 1.0) * (design @ fit.coefficients)
-    assert fit.mills_ratio.tobytes() == probit._mills(q)[1].tobytes()
-
-
 def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     # at the zero start q = +-0, so the rows _mills would return are
     # constants; a first pass that evaluates them gives the same fit
@@ -319,7 +309,7 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     computed = fit_probit(design, response)
     assert skipped[0] == 1 and mills_rows[0] == design.shape[0]
     assert skipped[1:] == mills_rows[1:]
-    for field in ("coefficients", "covariance", "mills_ratio"):
+    for field in ("coefficients", "covariance"):
         assert getattr(computed, field).tobytes() == \
             getattr(held, field).tobytes()
     assert (computed.loglik, computed.iterations, computed.converged,

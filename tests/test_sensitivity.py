@@ -36,15 +36,15 @@ def empty_memo():
 
 
 def count_probit_fits(monkeypatch) -> list:
-    """One entry per fit_probit call, through every binding."""
+    """One entry per fit_probit call; probit._probit_fits is its only
+    caller."""
     real, calls = probit_mod.fit_probit, []
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    for module in (probit_mod, biprobit_mod):
-        monkeypatch.setattr(module, "fit_probit", counting)
+    monkeypatch.setattr(probit_mod, "fit_probit", counting)
     return calls
 
 
@@ -112,6 +112,20 @@ class TestRhoGrid:
     def test_direct_grid_checked(self, points, problem):
         with pytest.raises(ValueError, match=problem):
             RhoGrid(lower=-1.0, upper=1.0, step=0.0, points=points)
+
+    @pytest.mark.parametrize("bounds,message", [
+        (("a", None, -3), "grid lower must be a real scalar, got 'a'"),
+        ((-1.0, None, 0.0), "grid upper must be a real scalar, got None"),
+        ((-1.0, 1.0, float("inf")), "grid step must be finite, got inf"),
+        ((-1.0, 1.0, True), "grid step must be a real scalar, got True"),
+        ((0.5, 0.1, 0.0), r"grid needs -1 <= lower <= upper <= 1, got \[0.5, 0.1\]"),
+        ((-1.5, 1.0, 0.0), r"grid needs -1 <= lower <= upper <= 1, got \[-1.5, 1.0\]"),
+        ((-1.0, 1.0, -3), "grid step must be positive, got -3.0"),
+    ])
+    def test_direct_grid_bounds_checked(self, bounds, message):
+        lower, upper, step = bounds
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RhoGrid(lower=lower, upper=upper, step=step, points=(0.0,))
 
 
 def fake_estimate(est, se, alpha=0.05):
@@ -263,10 +277,9 @@ class TestRunScan:
                                                 spec):
         grid = RhoGrid.regular(-0.2, 0.2, 0.2)
         scan = run_scan(kind, NIE, "marginal", grid, demo_confounded, spec)
-        base = fit_unconstrained(demo_confounded, spec)
         for pt in scan.points:
             fit = fit_constrained(kind, pt.rho, demo_confounded, spec)
-            ctx = constrained_context(kind, fit, base, demo_confounded, spec)
+            ctx = constrained_context(kind, fit, demo_confounded, spec)
             manual = effect_with_ci(NIE, "marginal", ctx)
             assert pt.estimate.estimate == pytest.approx(manual.estimate,
                                                          abs=1e-7)
@@ -286,12 +299,17 @@ class TestRunScan:
 
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_scan_holds_no_row_vectors(self, kind, demo_confounded, spec):
-        # a scan keeps no probit fit, so it keeps no per-row Mills ratios or
-        # other n-vectors beyond its dataset's own arrays
+        # neither a scan, nor the probit fits, nor a context built from
+        # them keeps per-row Mills ratios or other n-vectors beyond the
+        # dataset's own arrays
         prof = CovariateProfile(values=np.array([0.5, 1.0]), name="p")
         scan = run_scan(kind, NIE, "conditional",
                         RhoGrid.regular(-0.1, 0.1, 0.1), demo_confounded, spec,
                         profile=prof)
+        fit = fit_constrained(kind, 0.1, demo_confounded, spec)
+        held = (scan, fit_unconstrained(demo_confounded, spec),
+                unconstrained_context(demo_confounded, spec),
+                constrained_context(kind, fit, demo_confounded, spec))
         own = {id(v) for v in vars(demo_confounded).values()
                if isinstance(v, np.ndarray)}
         seen, arrays = set(), []
@@ -312,7 +330,7 @@ class TestRunScan:
                 for item in obj.values():
                     walk(item)
 
-        walk(scan)
+        walk(held)
         assert scan.failures == ()
         assert all(any(pt.coefficients is a for a in arrays)
                    for pt in scan.points)
@@ -355,7 +373,7 @@ class TestRunScan:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking the profile")
 
-        monkeypatch.setattr(biprobit_mod, "fit_probit", no_fit)
+        monkeypatch.setattr(probit_mod, "fit_probit", no_fit)
         monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
         prof = CovariateProfile(values=np.zeros(3), name="wide")
         with pytest.raises(ValueError,
@@ -367,7 +385,7 @@ class TestRunScan:
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
                                                monkeypatch, alpha):
         calls = []
-        for module, name in ((biprobit_mod, "fit_probit"),
+        for module, name in ((probit_mod, "fit_probit"),
                              (sens_mod, "fit_constrained")):
             def counted(*args, _fit=getattr(module, name), **kwargs):
                 calls.append(_fit)
@@ -661,13 +679,37 @@ class TestColdStart:
 
 
 class TestContexts:
+    def test_every_entry_reads_one_probit_set(self, empty_memo, monkeypatch):
+        # the probit fits, both contexts, a scan of each kind and a cold
+        # constrained fit on a fresh (dataset, spec) share three fits
+        params = confounded_params(MY, 0.3)
+        ds, spec = simulate(params, 1500, 68), params.spec
+        calls = count_probit_fits(monkeypatch)
+        fits = fit_unconstrained(ds, spec)
+        contexts = [unconstrained_context(ds, spec)]
+        for kind in (EM, MY, ZY):
+            run_scan(kind, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
+                     ds, spec)
+        fit = fit_constrained(ZY, 0.2, ds, spec)
+        contexts.append(constrained_context(ZY, fit, ds, spec))
+        assert len(calls) == 3
+        assert fit_unconstrained(ds, spec).outcome is fits.outcome
+        for model in ("exposure", "mediator", "outcome"):
+            for array in (getattr(fits, model).coefficients,
+                          getattr(fits, model).covariance):
+                assert not array.flags.writeable
+        assert contexts[0].beta is fits.mediator.coefficients
+        assert contexts[0].theta is fits.outcome.coefficients
+        assert contexts[1].beta is fits.mediator.coefficients
+        assert contexts[1].sigma_beta is fits.mediator.covariance
+
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_blocks_from_the_fit_exactly_for_paired_models(self, kind,
                                                            demo_confounded,
                                                            spec):
         base = fit_unconstrained(demo_confounded, spec)
         fit = fit_constrained(kind, 0.2, demo_confounded, spec)
-        ctx = constrained_context(kind, fit, base, demo_confounded, spec)
+        ctx = constrained_context(kind, fit, demo_confounded, spec)
         tag = f"constrained fit (kind={kind.value}, rho=0.2)"
         fit_blocks = dict(zip(PAIR_MODELS[kind],
                               ((fit.coefficients_a, fit.covariance_a),
@@ -691,7 +733,7 @@ class TestContexts:
                                                          demo_confounded,
                                                          spec):
         base = fit_unconstrained(demo_confounded, spec)
-        ctx = unconstrained_context(demo_confounded, spec, base)
+        ctx = unconstrained_context(demo_confounded, spec)
         assert ctx.beta is base.mediator.coefficients
         assert ctx.theta is base.outcome.coefficients
         assert ctx.sigma_beta is base.mediator.covariance
