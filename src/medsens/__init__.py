@@ -16,8 +16,7 @@ from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         outcome_design, outcome_terms, validate_for_fit,
                         write_csv)
 from .effects import (EffectEstimate, EffectType, FitContext, GradientVector,
-                      conditional_effect, delta_se, effect_marginal,
-                      effect_with_ci, grad_conditional, grad_effect_marginal)
+                      delta_se, effect_rows, effect_with_ci)
 from .errors import (ConfigError, DataError, MedsensError, NotConvergedError,
                      NumericalError, RankError, ScanError, SeparationError)
 from .numkernel import (binorm_cdf, bvn_cdf, clamp_rho, log_bvn_cdf,
@@ -54,8 +53,7 @@ __all__ = [
     "ConfoundingKind", "constrained_loglik", "constrained_grad",
     "ConstrainedFit", "fit_constrained",
     # effects
-    "EffectType", "conditional_effect", "effect_marginal", "GradientVector",
-    "grad_conditional", "grad_effect_marginal", "delta_se", "EffectEstimate",
+    "EffectType", "effect_rows", "GradientVector", "delta_se", "EffectEstimate",
     "FitContext", "effect_with_ci",
     # simulation
     "CovariateSpec", "TrueParams", "LatentDraws", "simulate",

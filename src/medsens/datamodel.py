@@ -24,6 +24,7 @@ import itertools
 import math
 import warnings
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import itemgetter, mul
@@ -40,7 +41,8 @@ _MAX_LISTED_ROWS = 10
 
 @dataclass(frozen=True)
 class ColumnRoles:
-    """Mapping from analysis roles to CSV column names."""
+    """Mapping from analysis roles to CSV column names: a string for each
+    role and a sequence of strings for the covariates."""
 
     exposure: str
     mediator: str
@@ -48,8 +50,15 @@ class ColumnRoles:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        covariates = self.covariates
+        if isinstance(covariates, str) or not isinstance(covariates, Sequence):
+            raise ConfigError(
+                f"covariates must be a sequence of column names, got {covariates!r}")
+        object.__setattr__(self, "covariates", tuple(covariates))
         names = [self.exposure, self.mediator, self.outcome, *self.covariates]
+        bad = [name for name in names if not isinstance(name, str)]
+        if bad:
+            raise ConfigError(f"column names must be strings, got {bad}")
         if len(set(names)) != len(names):
             raise ConfigError(f"column roles must name distinct columns, got {names}")
 
@@ -145,6 +154,9 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
     row loop reads every other body and alone reports bad cells and
     dropped rows.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(
+            f"delimiter must be a one-character string, got {delimiter!r}")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header, pos = _read_header(reader, path, roles)
@@ -402,13 +414,18 @@ def outcome_terms(spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
 
 @dataclass(frozen=True)
 class CovariateProfile:
-    """A single covariate row at which conditional effects are evaluated."""
+    """A single covariate row at which conditional effects are evaluated;
+    its values must be integers or floats (no bools, strings or objects)."""
 
     values: np.ndarray
     name: str = "profile"
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+        raw = np.asarray(self.values)
+        if raw.dtype.kind not in "iuf":
+            raise DataError(f"profile {self.name!r} values must be real "
+                            f"numbers, got {self.values!r}")
+        vals = np.atleast_1d(np.asarray(raw, dtype=float))
         if vals.ndim != 1:
             raise DataError("profile values must be a flat vector")
         if not np.isfinite(vals).all():

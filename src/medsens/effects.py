@@ -23,9 +23,13 @@ design(x) = [1, x] @ M. A cell's linear predictor is then c0 + X c with
 is [sum w, X'w] @ M / n; no n x k design is built. The maps of one
 (spec, p) are built once (_layouts) and kept read-only.
 
-The cells do not depend on the effect: effect_rows is _cells, then
-_contrast, and effect_with_ci keeps a context's marginal cells for its
-current (beta, theta), so the effects of one context share one pass.
+The cells do not depend on the effect: effect_rows, the one public
+evaluator, is _cells, then _contrast. effect_with_ci keeps a context's
+marginal cells for its current (beta, theta), so the effects of one
+context share one pass. A FitContext holds no convergence flags: the
+sensitivity context builders refuse a block from an unconverged fit.
+_check_request is the one check of an effect request's scope, profile and
+alpha, which run_scan also makes before it fits anything.
 
 Standard errors use the delta method with a block-diagonal covariance:
 the gradient is split into its mediator-coefficient and
@@ -45,7 +49,7 @@ from scipy.special import ndtr
 
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, mediator_design,
                         outcome_design)
-from .errors import NotConvergedError, NumericalError
+from .errors import NumericalError
 from .numkernel import SQRT_2PI, _as_real, norm_quantile
 
 
@@ -157,8 +161,11 @@ def _contrast(effect_type: EffectType, cells: tuple):
 
 def effect_rows(effect_type: EffectType, theta, beta, x,
                 spec: ModelSpec) -> tuple[np.ndarray, GradientVector]:
-    """One effect at every covariate row of x, plus the gradient of its
-    row mean with respect to the packed (beta, theta)."""
+    """One effect at every covariate row of x (one row when x is 1-d),
+    plus the gradient of its row mean with respect to the packed
+    (beta, theta)."""
+    if not np.isfinite(np.asarray(x, dtype=float)).all():
+        raise ValueError("x has non-finite values")
     return _contrast(effect_type, _cells(theta, beta, x, spec))
 
 
@@ -173,45 +180,24 @@ def _check_alpha(alpha: float) -> None:
                          "to 1, so the Wald quantile is infinite")
 
 
-def _profile_row(profile, p: int | None = None) -> np.ndarray:
-    """The profile as one covariate row; with p given, a row of another
-    length raises ValueError."""
-    values = profile.values if isinstance(profile, CovariateProfile) else np.atleast_1d(profile)
-    row = np.asarray(values, dtype=float).reshape(1, -1)
-    if p is not None and row.shape[1] != p:
-        name = (f"profile {profile.name!r}"
-                if isinstance(profile, CovariateProfile) else "profile")
-        raise ValueError(
-            f"{name} has {row.shape[1]} values, expected {p} "
-            f"(one per covariate of the dataset)")
+def _check_request(scope: str, alpha, profile, ds: Dataset) -> np.ndarray | None:
+    """The covariate row of a conditional request on ds (None for a
+    marginal one), once the scope, the profile and alpha pass their checks.
+    Raw profile values are read through CovariateProfile."""
+    if scope == "conditional" and profile is None:
+        raise ValueError("conditional scope requires a covariate profile")
+    if scope not in ("conditional", "marginal"):
+        raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
+    row = None
+    if scope == "conditional":
+        named = isinstance(profile, CovariateProfile)
+        row = (profile if named else CovariateProfile(profile)).values.reshape(1, -1)
+        if row.shape[1] != ds.p:
+            name = f"profile {profile.name!r}" if named else "profile"
+            raise ValueError(f"{name} has {row.shape[1]} values, expected {ds.p} "
+                             "(one per covariate of the dataset)")
+    _check_alpha(alpha)
     return row
-
-
-def conditional_effect(effect_type: EffectType, theta, beta, profile,
-                       spec: ModelSpec) -> float:
-    """One effect evaluated at a single covariate row."""
-    values, _ = effect_rows(effect_type, theta, beta, _profile_row(profile), spec)
-    return float(values[0])
-
-
-def effect_marginal(effect_type: EffectType, theta, beta, ds: Dataset,
-                    spec: ModelSpec) -> float:
-    """Sample-average of the conditional effect over the dataset rows."""
-    values, _ = effect_rows(effect_type, theta, beta, ds.x, spec)
-    return float(values.mean())
-
-
-def grad_conditional(effect_type: EffectType, theta, beta, profile,
-                     spec: ModelSpec) -> GradientVector:
-    """Analytic gradient of a conditional effect in packed layout."""
-    return effect_rows(effect_type, theta, beta, _profile_row(profile), spec)[1]
-
-
-def grad_effect_marginal(effect_type: EffectType, theta, beta, ds: Dataset,
-                         spec: ModelSpec) -> GradientVector:
-    """Gradient of the marginal effect: the row-average of the
-    conditional gradients."""
-    return effect_rows(effect_type, theta, beta, ds.x, spec)[1]
 
 
 def delta_se(grad: GradientVector, sigma_beta: np.ndarray,
@@ -257,8 +243,8 @@ class FitContext:
     """Everything needed to turn fitted coefficients into an effect.
 
     beta/theta are packed coefficient vectors with their covariance
-    matrices; sources name the fits for error messages; rho_context
-    records which constrained fit (if any) produced them.
+    matrices, fitted on dataset; rho_context records which constrained
+    fit (if any) produced them.
     """
 
     beta: np.ndarray
@@ -266,11 +252,7 @@ class FitContext:
     sigma_beta: np.ndarray
     sigma_theta: np.ndarray
     spec: ModelSpec
-    dataset: Dataset | None = None
-    beta_converged: bool = True
-    theta_converged: bool = True
-    beta_source: str = "mediator model"
-    theta_source: str = "outcome model"
+    dataset: Dataset
     rho_context: tuple[str, float] | None = None
     _cell_memo: dict = field(default_factory=dict, init=False,
                              compare=False, repr=False)
@@ -280,32 +262,19 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
                    alpha: float = 0.05, profile=None) -> EffectEstimate:
     """Point estimate, delta SE and Wald (1 - alpha) interval.
 
-    scope is "conditional" (needs a profile) or "marginal" (needs the
-    dataset on the context). Refuses to report from a non-converged fit.
+    scope is "conditional" (at a profile of the context's covariates) or
+    "marginal" (averaged over the context's dataset rows).
     """
-    _check_alpha(alpha)
-    if not ctx.beta_converged:
-        raise NotConvergedError(
-            f"{ctx.beta_source} did not converge; refusing to report an effect")
-    if not ctx.theta_converged:
-        raise NotConvergedError(
-            f"{ctx.theta_source} did not converge; refusing to report an effect")
-    if scope == "conditional":
-        if profile is None:
-            raise ValueError("conditional scope requires a covariate profile")
-        cells = _cells(ctx.theta, ctx.beta, _profile_row(
-            profile, None if ctx.dataset is None else ctx.dataset.p), ctx.spec)
-    elif scope == "marginal":
-        if ctx.dataset is None:
-            raise ValueError("marginal scope requires a dataset on the fit context")
+    row = _check_request(scope, alpha, profile, ctx.dataset)
+    if row is not None:
+        cells = _cells(ctx.theta, ctx.beta, row, ctx.spec)
+    else:
         # keyed by the coefficients' bytes, so an in-place edit misses
         key = tuple(np.asarray(c, dtype=float).tobytes() for c in (ctx.beta, ctx.theta))
         if key not in ctx._cell_memo:
             ctx._cell_memo.clear()
             ctx._cell_memo[key] = _cells(ctx.theta, ctx.beta, ctx.dataset.x, ctx.spec)
         cells = ctx._cell_memo[key]
-    else:
-        raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
     values, grad = _contrast(effect_type, cells)
     est = float(values.mean())
     se = delta_se(grad, ctx.sigma_beta, ctx.sigma_theta)

@@ -20,7 +20,8 @@ rho-nearest-zero estimate.
 Fitting does not depend on the effect: a scan refits the kind's model
 pair at every grid value, then reads the effect off each fit. A point
 fails when its fit raises a MedsensError or does not converge, or when
-its effect raises one; only a failed fit changes later starts. Fits
+its context or effect raises one (a context refuses a block from a fit
+that did not converge); only a failed fit changes later starts. Fits
 chain outward from the one nearest zero. Each starts from the confluent
 Hermite polynomial through the chain's last four converged optima, which
 matches each optimum's value and tangent dx/drho, or from an Euler step
@@ -48,9 +49,9 @@ import numpy as np
 from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit, _predict,
                        _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
-from .effects import (EffectEstimate, EffectType, FitContext, _check_alpha,
-                      _profile_row, effect_with_ci)
-from .errors import MedsensError, ScanError
+from .effects import (EffectEstimate, EffectType, FitContext, _check_request,
+                      effect_with_ci)
+from .errors import MedsensError, NotConvergedError, ScanError
 from .numkernel import RHO_INTERIOR, _as_finite_float, _as_real
 from .probit import _probit_fits, fit_unconstrained
 
@@ -178,7 +179,9 @@ class SensitivityScan:
 def _context(ds, spec, kind=None, fit=None) -> FitContext:
     """FitContext from the probit fits _probit_fits keeps for (ds, spec),
     except for the mediator (beta) and outcome (theta) blocks that the
-    constrained fit's pair, PAIR_MODELS[kind], contains."""
+    constrained fit's pair, PAIR_MODELS[kind], contains. Raises
+    NotConvergedError, naming the fit, when a block it takes comes from a
+    fit that did not converge, the mediator's first."""
     blocks = {model: (probit.coefficients, probit.covariance, probit.converged,
                       f"{model} probit fit")
               for model, probit in _probit_fits(ds, spec, _EFFECT_MODELS).items()}
@@ -189,12 +192,15 @@ def _context(ds, spec, kind=None, fit=None) -> FitContext:
                                     (fit.covariance_a, fit.covariance_b)):
             if model in blocks:
                 blocks[model] = (coef, cov, fit.converged, tag)
-    beta, sigma_beta, beta_ok, beta_src = blocks["mediator"]
-    theta, sigma_theta, theta_ok, theta_src = blocks["outcome"]
+    for _, _, converged, source in blocks.values():
+        if not converged:
+            raise NotConvergedError(
+                f"{source} did not converge; refusing to report an effect")
+    beta, sigma_beta, *_ = blocks["mediator"]
+    theta, sigma_theta, *_ = blocks["outcome"]
     return FitContext(
         beta=beta, theta=theta, sigma_beta=sigma_beta, sigma_theta=sigma_theta,
-        spec=spec, dataset=ds, beta_converged=beta_ok, theta_converged=theta_ok,
-        beta_source=beta_src, theta_source=theta_src,
+        spec=spec, dataset=ds,
         rho_context=None if fit is None else (kind.value, fit.rho))
 
 
@@ -255,11 +261,11 @@ def _fit_path(kind, points, ds, spec) -> list[ConstrainedFit | None]:
 
 def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
     """The scan's effect at one refit; the point fails with its fit or
-    when the effect raises a MedsensError."""
+    when its context or effect raises a MedsensError."""
     if fit is None:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    ctx = _context(scan.dataset, scan.spec, scan.kind, fit)
     try:
+        ctx = _context(scan.dataset, scan.spec, scan.kind, fit)
         est = effect_with_ci(scan.effect_type, scan.scope, ctx,
                              alpha=scan.alpha, profile=scan.profile)
     except MedsensError:
@@ -276,13 +282,7 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
     Raises ScanError when more than half the grid points fail; partial
     failures are recorded on the scan and surfaced via .failures.
     """
-    if scope == "conditional" and profile is None:
-        raise ValueError("conditional scope requires a covariate profile")
-    if scope not in ("conditional", "marginal"):
-        raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
-    if scope == "conditional":
-        _profile_row(profile, ds.p)  # a wrong length raises before any fit
-    _check_alpha(alpha)  # as effect_with_ci would, before any fit
+    _check_request(scope, alpha, profile, ds)  # before any fit
     warnings: list[str] = []
     if grid.clamped:
         warnings.append("grid values beyond |rho| = 0.999 were clamped onto it")

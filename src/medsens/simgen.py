@@ -33,8 +33,17 @@ from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
                         outcome_design, outcome_terms)
 from .effects import EffectType, effect_rows
 from .errors import ConfigError
+from .numkernel import _as_real
 
 _DISTS = ("constant", "uniform", "normal", "bernoulli")
+
+
+def _config_real(value, name: str) -> float:
+    """numkernel._as_real, with its ValueError raised as a ConfigError."""
+    try:
+        return _as_real(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,8 @@ class CovariateSpec:
             raise ConfigError(
                 f"covariate {self.name!r}: dist must be one of {_DISTS}, "
                 f"got {self.dist!r}")
+        for key in ("value", "low", "high", "mean"):
+            _config_real(getattr(self, key), f"covariate {self.name!r}: {key}")
         if self.dist == "uniform" and not self.high > self.low:
             raise ConfigError(
                 f"covariate {self.name!r}: uniform needs high > low")
@@ -91,7 +102,7 @@ class TrueParams:
             kind, rho = self.confounding
             if not isinstance(kind, ConfoundingKind):
                 raise ConfigError(f"confounding kind must be a ConfoundingKind, got {kind!r}")
-            rho = float(rho)
+            rho = _config_real(rho, "confounding correlation")
             if not abs(rho) <= 1.0:
                 raise ConfigError(f"confounding correlation must satisfy |rho| <= 1, got {rho!r}")
             object.__setattr__(self, "confounding", (kind, rho))

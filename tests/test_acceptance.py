@@ -14,9 +14,9 @@ import yaml
 from conftest import confounded_params, reduced_spec
 from finite_diff import finite_diff_grad
 from medsens import (ConfoundingKind, Dataset, EffectType, ModelSpec,
-                     RhoGrid, binorm_cdf, conditional_effect,
-                     constrained_grad, constrained_loglik, demo_params,
-                     effect_marginal, effect_with_ci, fit_constrained,
+                     RhoGrid, binorm_cdf, constrained_grad,
+                     constrained_loglik, demo_params, effect_rows,
+                     effect_with_ci, fit_constrained,
                      fit_unconstrained, identification_set, refine_boundary,
                      replicate_seeds, run_scan, sign_ranges, simulate,
                      true_effects, uncertainty_interval, unconstrained_context)
@@ -135,11 +135,11 @@ def test_effect_decompositions_are_exact(capsys):
         theta = rng.normal(size=4 + 4 * p)
         beta = rng.normal(size=2 + 2 * p)
         x = rng.normal(size=p)
-        te = conditional_effect(EffectType.TE, theta, beta, x, spec)
-        d1 = conditional_effect(EffectType.NDE, theta, beta, x, spec) \
-            + conditional_effect(EffectType.NIE, theta, beta, x, spec) - te
-        d2 = conditional_effect(EffectType.NDE_TOTAL, theta, beta, x, spec) \
-            + conditional_effect(EffectType.NIE_PURE, theta, beta, x, spec) - te
+        value = {et: effect_rows(et, theta, beta, x, spec)[0][0]
+                 for et in EffectType}
+        te = value[EffectType.TE]
+        d1 = value[EffectType.NDE] + value[EffectType.NIE] - te
+        d2 = value[EffectType.NDE_TOTAL] + value[EffectType.NIE_PURE] - te
         worst = max(worst, abs(d1), abs(d2))
     ok = worst <= 1e-12
     assert report(capsys, "decomposition_identity", ok,
@@ -160,9 +160,9 @@ def test_delta_se_matches_bootstrap(capsys):
         dsb = ds.take(rng.integers(0, ds.n, ds.n))
         fits = fit_unconstrained(dsb, spec)
         for et in boots:
-            boots[et].append(effect_marginal(
+            boots[et].append(effect_rows(
                 et, fits.outcome.coefficients, fits.mediator.coefficients,
-                dsb, spec))
+                dsb.x, spec)[0].mean())
     elapsed = time.time() - t0
     ratios = {et.value: delta[et] / float(np.std(vals, ddof=1))
               for et, vals in boots.items()}

@@ -534,6 +534,48 @@ def test_covariate_profile_validation():
         CovariateProfile(values=[np.inf])
 
 
+@pytest.mark.parametrize("values", [
+    True, np.array([True, False]), np.bool_(False), "1.5", ["1.5", "2"],
+    np.array([b"1"]), [1.0, None], [1 + 2j]])
+def test_covariate_profile_values_must_be_real_numbers(values):
+    with pytest.raises(DataError, match="^profile 'p' values must be real numbers"):
+        CovariateProfile(values=values, name="p")
+
+
+@pytest.mark.parametrize("values", [3, [1, 2], np.array([0.5], dtype=np.float32),
+                                    np.array([7], dtype=np.uint8)])
+def test_covariate_profile_takes_integers_and_floats(values):
+    prof = CovariateProfile(values=values)
+    assert prof.values.dtype == float
+    assert prof.values.tolist() == np.atleast_1d(values).astype(float).tolist()
+
+
+@pytest.mark.parametrize("roles, match", [
+    (("z", "m", "y", "xcont"), "^covariates must be a sequence of column names"),
+    (("z", "m", "y", 5), "^covariates must be a sequence of column names"),
+    (("z", "m", 3), r"^column names must be strings, got \[3\]"),
+    ((None, "m", "y"), r"^column names must be strings, got \[None\]"),
+    (("z", "m", "y", ["a", 1.5]), r"^column names must be strings, got \[1.5\]"),
+    (("z", "m", "y", [["a"]]), r"^column names must be strings, got \[\['a'\]\]")])
+def test_column_roles_must_be_strings(roles, match):
+    with pytest.raises(ConfigError, match=match):
+        ColumnRoles(*roles)
+
+
+def test_column_roles_take_any_sequence_of_strings():
+    assert ColumnRoles("z", "m", "y", ["a", "b"]).covariates == ("a", "b")
+    assert ColumnRoles("z", "m", "y").covariates == ()
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", 5, None])
+def test_load_csv_delimiter_must_be_one_character(tmp_path, delimiter):
+    path = tmp_path / "d.csv"
+    path.write_text("z,m,y,age\n1,0,1,35\n")
+    with pytest.raises(ConfigError,
+                       match="^delimiter must be a one-character string, got"):
+        load_csv(path, ROLES, delimiter=delimiter)
+
+
 def test_covariate_stats():
     ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0],
                       [[1.0, 10.0], [2.0, 10.0], [3.0, 10.0], [4.0, 10.0]],

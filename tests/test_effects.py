@@ -10,18 +10,23 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsens import (CovariateProfile, EffectType, FitContext, GradientVector,
-                     ModelSpec, NotConvergedError, NumericalError,
-                     conditional_effect, delta_se, demo_params,
-                     effect_marginal, effect_with_ci, grad_conditional,
-                     grad_effect_marginal, norm_quantile, simulate,
-                     unconstrained_context, write_csv)
-from medsens import effects
+from medsens import (ConfoundingKind, CovariateProfile, DataError, EffectType,
+                     FitContext, GradientVector, ModelSpec, NotConvergedError,
+                     NumericalError, constrained_context, delta_se,
+                     demo_params, effect_rows, effect_with_ci, fit_constrained,
+                     norm_quantile, simulate, unconstrained_context, write_csv)
+from medsens import datamodel, effects, probit
 from medsens.cli import main
 from conftest import make_dataset
 from finite_diff import finite_diff_grad
 
 FULL = ModelSpec()
+MY = ConfoundingKind.MEDIATOR_OUTCOME
+
+
+def mean_effect(effect_type, theta, beta, x, spec):
+    """The effect's mean over the rows of x (its value when x is one row)."""
+    return float(effect_rows(effect_type, theta, beta, x, spec)[0].mean())
 
 # worked single-covariate example, frozen from 30-digit quadrature:
 # theta = (-1, 0.5, 1, 0, 0.2, 0, 0, 0), beta = (-0.5, 0.3, 0.1, 0), x = 0
@@ -40,27 +45,27 @@ REF_VALUES = {
 @pytest.mark.parametrize("effect_type,expected", sorted(REF_VALUES.items(),
                                                         key=lambda kv: kv[0].value))
 def test_reference_point_values(effect_type, expected):
-    got = conditional_effect(effect_type, THETA_REF, BETA_REF, X_REF, FULL)
+    got = mean_effect(effect_type, THETA_REF, BETA_REF, X_REF, FULL)
     assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_no_exposure_effect_on_mediator_kills_mediation():
     beta = BETA_REF.copy()
     beta[1] = 0.0  # z coefficient; z:x already zero
-    assert conditional_effect(EffectType.NIE, THETA_REF, beta, X_REF, FULL) == 0.0
+    assert mean_effect(EffectType.NIE, THETA_REF, beta, X_REF, FULL) == 0.0
 
 
 def test_no_mediator_effect_on_outcome_kills_mediation():
     theta = THETA_REF.copy()
     theta[2] = 0.0  # m coefficient; z:m, m:x, z:m:x already zero
-    assert conditional_effect(EffectType.NIE, theta, BETA_REF, X_REF, FULL) == 0.0
+    assert mean_effect(EffectType.NIE, theta, BETA_REF, X_REF, FULL) == 0.0
 
 
 def test_no_direct_pathway_makes_nde_zero():
     theta = THETA_REF.copy()
     theta[1] = theta[3] = 0.0  # z and z:m coefficients
-    assert conditional_effect(EffectType.NDE, theta, BETA_REF, X_REF,
-                              FULL) == pytest.approx(0.0, abs=1e-16)
+    assert mean_effect(EffectType.NDE, theta, BETA_REF, X_REF,
+                       FULL) == pytest.approx(0.0, abs=1e-16)
 
 
 def coef_strategy(k, scale=2.0):
@@ -73,11 +78,11 @@ def coef_strategy(k, scale=2.0):
        xv=st.floats(-3.0, 3.0, allow_nan=False))
 def test_decomposition_identity_conditional(theta, beta, xv):
     x = np.array([xv])
-    nde = conditional_effect(EffectType.NDE, theta, beta, x, FULL)
-    nie = conditional_effect(EffectType.NIE, theta, beta, x, FULL)
-    nde_t = conditional_effect(EffectType.NDE_TOTAL, theta, beta, x, FULL)
-    nie_p = conditional_effect(EffectType.NIE_PURE, theta, beta, x, FULL)
-    te = conditional_effect(EffectType.TE, theta, beta, x, FULL)
+    nde = mean_effect(EffectType.NDE, theta, beta, x, FULL)
+    nie = mean_effect(EffectType.NIE, theta, beta, x, FULL)
+    nde_t = mean_effect(EffectType.NDE_TOTAL, theta, beta, x, FULL)
+    nie_p = mean_effect(EffectType.NIE_PURE, theta, beta, x, FULL)
+    te = mean_effect(EffectType.TE, theta, beta, x, FULL)
     assert nde + nie == pytest.approx(te, abs=1e-12)
     assert nde_t + nie_p == pytest.approx(te, abs=1e-12)
 
@@ -87,19 +92,19 @@ def test_decomposition_identity_conditional(theta, beta, xv):
        xv=st.floats(-3.0, 3.0, allow_nan=False))
 def test_effects_are_bounded_probability_differences(theta, beta, xv):
     for et in EffectType:
-        val = conditional_effect(et, theta, beta, np.array([xv]), FULL)
+        val = mean_effect(et, theta, beta, np.array([xv]), FULL)
         assert -1.0 - 1e-15 <= val <= 1.0 + 1e-15
 
 
 def test_marginal_is_mean_of_conditionals(demo_clean, spec):
     params = demo_params()
-    marg = effect_marginal(EffectType.NIE, params.theta, params.beta,
-                           demo_clean, spec)
-    per_row = [conditional_effect(EffectType.NIE, params.theta, params.beta,
-                                  demo_clean.x[i], spec)
+    marg = mean_effect(EffectType.NIE, params.theta, params.beta,
+                       demo_clean.x, spec)
+    per_row = [mean_effect(EffectType.NIE, params.theta, params.beta,
+                           demo_clean.x[i], spec)
                for i in range(0, demo_clean.n, 50)]
-    full = [conditional_effect(EffectType.NIE, params.theta, params.beta,
-                               demo_clean.x[i], spec)
+    full = [mean_effect(EffectType.NIE, params.theta, params.beta,
+                        demo_clean.x[i], spec)
             for i in range(demo_clean.n)]
     assert marg == pytest.approx(np.mean(full), abs=1e-14)
     assert marg != pytest.approx(np.mean(per_row), abs=1e-6)  # subsample sanity
@@ -107,7 +112,7 @@ def test_marginal_is_mean_of_conditionals(demo_clean, spec):
 
 class TestGradients:
     def test_nde_has_no_beta_exposure_terms(self):
-        grad = grad_conditional(EffectType.NDE, THETA_REF, BETA_REF, X_REF, FULL)
+        grad = effect_rows(EffectType.NDE, THETA_REF, BETA_REF, X_REF, FULL)[1]
         # beta layout: intercept, z, x, z:x; NDE only uses the z=0 arm of
         # the mediator model
         assert grad.wrt_beta[1] == 0.0
@@ -115,7 +120,7 @@ class TestGradients:
         assert grad.wrt_beta[0] != 0.0
 
     def test_nie_theta_interaction_pairs_collapse(self):
-        grad = grad_conditional(EffectType.NIE, THETA_REF, BETA_REF, X_REF, FULL)
+        grad = effect_rows(EffectType.NIE, THETA_REF, BETA_REF, X_REF, FULL)[1]
         # theta layout: 1, z, m, z:m, x, z:x, m:x, z:m:x; both q terms in
         # the mediated contrast sit at z=1, so the z:m partial equals the
         # m partial and z:m:x equals m:x
@@ -132,9 +137,9 @@ class TestGradients:
         beta = rng.normal(scale=0.7, size=kb)
         theta = rng.normal(scale=0.7, size=kt)
         x = rng.normal(size=p)
-        grad = grad_conditional(effect_type, theta, beta, x, FULL)
+        grad = effect_rows(effect_type, theta, beta, x, FULL)[1]
         packed = np.concatenate([beta, theta])
-        f = lambda v: conditional_effect(effect_type, v[kb:], v[:kb], x, FULL)
+        f = lambda v: mean_effect(effect_type, v[kb:], v[:kb], x, FULL)
         fd = finite_diff_grad(f, packed, step=1e-6)
         analytic = np.concatenate([grad.wrt_beta, grad.wrt_theta])
         assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0,
@@ -146,9 +151,9 @@ class TestGradients:
         rng = np.random.default_rng(list(EffectType).index(effect_type))
         beta = rng.normal(scale=0.5, size=4)
         theta = rng.normal(scale=0.5, size=6)
-        grad = grad_effect_marginal(effect_type, theta, beta, demo_clean, spec)
+        grad = effect_rows(effect_type, theta, beta, demo_clean.x, spec)[1]
         packed = np.concatenate([beta, theta])
-        f = lambda v: effect_marginal(effect_type, v[4:], v[:4], demo_clean, spec)
+        f = lambda v: mean_effect(effect_type, v[4:], v[:4], demo_clean.x, spec)
         fd = finite_diff_grad(f, packed, step=1e-6)
         analytic = np.concatenate([grad.wrt_beta, grad.wrt_theta])
         assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0,
@@ -164,16 +169,16 @@ class TestGradients:
         kb, kt = 2 + 2 * p, 4 + 4 * p
         beta = rng.normal(scale=0.5, size=kb)
         theta = rng.normal(scale=0.5, size=kt)
-        grad = grad_effect_marginal(effect_type, theta, beta, ds, FULL)
-        f = lambda v: effect_marginal(effect_type, v[kb:], v[:kb], ds, FULL)
+        grad = effect_rows(effect_type, theta, beta, ds.x, FULL)[1]
+        f = lambda v: mean_effect(effect_type, v[kb:], v[:kb], ds.x, FULL)
         fd = finite_diff_grad(f, np.concatenate([beta, theta]), step=1e-6)
         analytic = np.concatenate([grad.wrt_beta, grad.wrt_theta])
         assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0,
                                                           np.abs(analytic).max())
 
     def test_reduced_spec_gradient_lengths(self, spec):
-        grad = grad_conditional(EffectType.TE, np.zeros(6), np.zeros(4),
-                                np.zeros(2), spec)
+        grad = effect_rows(EffectType.TE, np.zeros(6), np.zeros(4),
+                           np.zeros(2), spec)[1]
         assert grad.wrt_beta.shape == (4,)
         assert grad.wrt_theta.shape == (6,)
 
@@ -219,12 +224,12 @@ class TestDeltaSe:
 
 
 class TestEffectWithCi:
-    def make_ctx(self, ds, spec, **kw):
+    def make_ctx(self, ds, spec):
         params = demo_params()
         return FitContext(beta=params.beta, theta=params.theta,
                           sigma_beta=0.01 * np.eye(4),
                           sigma_theta=0.01 * np.eye(6), spec=spec,
-                          dataset=ds, **kw)
+                          dataset=ds)
 
     def test_wald_interval_halfwidth(self, demo_clean, spec):
         ctx = self.make_ctx(demo_clean, spec)
@@ -239,14 +244,19 @@ class TestEffectWithCi:
         narrow = effect_with_ci(EffectType.NDE, "marginal", ctx, alpha=0.20)
         assert (wide.ci_upper - wide.ci_lower) > (narrow.ci_upper - narrow.ci_lower)
 
-    def test_refuses_non_converged_sources(self, demo_clean, spec):
-        ctx = self.make_ctx(demo_clean, spec, beta_converged=False)
+    def test_refuses_non_converged_sources(self, demo_clean, spec,
+                                           monkeypatch):
+        # the context builders refuse a block from an unconverged fit
+        fit = fit_constrained(MY, 0.3, demo_clean, spec)
+        with pytest.raises(NotConvergedError, match="rho=0.3"):
+            constrained_context(MY, dataclasses.replace(fit, converged=False),
+                                demo_clean, spec)
+        monkeypatch.setattr(datamodel, "_FIT_ENTRY", {})  # fit afresh
+        real = probit.fit_probit
+        monkeypatch.setattr(probit, "fit_probit", lambda *args: dataclasses.replace(
+            real(*args), converged=False))
         with pytest.raises(NotConvergedError, match="mediator"):
-            effect_with_ci(EffectType.NIE, "marginal", ctx)
-        ctx = self.make_ctx(demo_clean, spec, theta_converged=False,
-                            theta_source="outcome model at rho = 0.3")
-        with pytest.raises(NotConvergedError, match="rho = 0.3"):
-            effect_with_ci(EffectType.NIE, "marginal", ctx)
+            unconstrained_context(demo_clean, spec)
 
     def test_conditional_needs_profile_and_marginal_needs_data(self, demo_clean,
                                                                spec):
@@ -254,11 +264,10 @@ class TestEffectWithCi:
         with pytest.raises(ValueError, match="profile"):
             effect_with_ci(EffectType.NDE, "conditional", ctx)
         params = demo_params()
-        bare = FitContext(beta=params.beta, theta=params.theta,
-                          sigma_beta=np.eye(4), sigma_theta=np.eye(6),
-                          spec=spec)
-        with pytest.raises(ValueError, match="dataset"):
-            effect_with_ci(EffectType.NDE, "marginal", bare)
+        with pytest.raises(TypeError, match="dataset"):
+            FitContext(beta=params.beta, theta=params.theta,
+                       sigma_beta=np.eye(4), sigma_theta=np.eye(6), spec=spec)
+        assert unconstrained_context(demo_clean, spec).dataset is demo_clean
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_profile_length_checked_against_dataset(self, demo_clean, spec,
@@ -268,6 +277,18 @@ class TestEffectWithCi:
         with pytest.raises(ValueError,
                            match=f"^profile 'wide' has {count} values, expected 2"):
             effect_with_ci(EffectType.NIE, "conditional", ctx, profile=prof)
+
+    @pytest.mark.parametrize("values,match", [
+        (np.array([np.nan, 0.0]), "non-finite"),
+        (np.array([0.0, np.inf]), "non-finite"),
+        (np.zeros((1, 2)), "flat vector"),
+        (True, "real numbers"),
+        (["0.5", "1"], "real numbers")])
+    def test_raw_profile_read_through_covariate_profile(self, demo_clean, spec,
+                                                        values, match):
+        ctx = self.make_ctx(demo_clean, spec)
+        with pytest.raises(DataError, match=match):
+            effect_with_ci(EffectType.NIE, "conditional", ctx, profile=values)
 
     def test_alpha_validation(self, demo_clean, spec):
         ctx = self.make_ctx(demo_clean, spec)
@@ -287,12 +308,20 @@ def test_zero_covariate_effects_run():
                      outcome_zmx=False)
     theta = np.array([-0.5, 0.4, 0.8, -0.2])
     beta = np.array([-0.6, 0.5])
-    val = conditional_effect(EffectType.TE, theta, beta, np.empty(0), spec)
-    nde = conditional_effect(EffectType.NDE, theta, beta, np.empty(0), spec)
-    nie = conditional_effect(EffectType.NIE, theta, beta, np.empty(0), spec)
+    val = mean_effect(EffectType.TE, theta, beta, np.empty(0), spec)
+    nde = mean_effect(EffectType.NDE, theta, beta, np.empty(0), spec)
+    nie = mean_effect(EffectType.NIE, theta, beta, np.empty(0), spec)
     assert val == pytest.approx(nde + nie, abs=1e-14)
-    marg = effect_marginal(EffectType.TE, theta, beta, ds, spec)
+    marg = mean_effect(EffectType.TE, theta, beta, ds.x, spec)
     assert marg == pytest.approx(val, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [[np.inf, 0.0], [[0.0, 0.0], [np.nan, 1.0]],
+                               [-np.inf, np.inf]])
+def test_effect_rows_refuses_non_finite_rows(x, spec):
+    params = demo_params()
+    with pytest.raises(ValueError, match="^x has non-finite values$"):
+        effect_rows(EffectType.NIE, params.theta, params.beta, x, spec)
 
 
 def test_layouts_are_built_once_and_read_only(spec):

@@ -1,19 +1,20 @@
 """Correlation scans, interval summaries, sign classification."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import KroghInterpolator
 
-from medsens import (ConfoundingKind, CovariateProfile, EffectEstimate,
-                     EffectType, RhoGrid, ScanError, ScanPoint,
-                     SensitivityScan, SignClass, constrained_context,
-                     effect_with_ci, fit_constrained, fit_unconstrained,
-                     identification_set, norm_quantile, refine_boundary,
-                     run_scan, sign_ranges, simulate, uncertainty_interval,
-                     unconstrained_context)
+from medsens import (ConfoundingKind, CovariateProfile, DataError,
+                     EffectEstimate, EffectType, NotConvergedError, RhoGrid,
+                     ScanError, ScanPoint, SensitivityScan, SignClass,
+                     constrained_context, effect_with_ci, fit_constrained,
+                     fit_unconstrained, identification_set, norm_quantile,
+                     refine_boundary, run_scan, sign_ranges, simulate,
+                     uncertainty_interval, unconstrained_context)
 from medsens import biprobit as biprobit_mod
 from medsens import datamodel as datamodel_mod
 from medsens import numkernel as numkernel_mod
@@ -381,6 +382,17 @@ class TestRunScan:
             run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, profile=prof)
 
+    def test_nan_profile_rejected_before_fitting(self, demo_confounded, spec,
+                                                 monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the profile")
+
+        monkeypatch.setattr(probit_mod, "fit_probit", no_fit)
+        monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
+        with pytest.raises(DataError, match="non-finite"):
+            run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
+                     demo_confounded, spec, profile=np.array([np.nan, 0.0]))
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), 1e-17])
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
                                                monkeypatch, alpha):
@@ -710,22 +722,18 @@ class TestContexts:
         base = fit_unconstrained(demo_confounded, spec)
         fit = fit_constrained(kind, 0.2, demo_confounded, spec)
         ctx = constrained_context(kind, fit, demo_confounded, spec)
-        tag = f"constrained fit (kind={kind.value}, rho=0.2)"
         fit_blocks = dict(zip(PAIR_MODELS[kind],
                               ((fit.coefficients_a, fit.covariance_a),
                                (fit.coefficients_b, fit.covariance_b))))
-        for model, coef, cov, source in (
-                ("mediator", ctx.beta, ctx.sigma_beta, ctx.beta_source),
-                ("outcome", ctx.theta, ctx.sigma_theta, ctx.theta_source)):
+        for model, coef, cov in (("mediator", ctx.beta, ctx.sigma_beta),
+                                 ("outcome", ctx.theta, ctx.sigma_theta)):
             probit = getattr(base, model)
             if model in PAIR_MODELS[kind]:
                 assert coef is fit_blocks[model][0]
                 assert cov is fit_blocks[model][1]
-                assert source == tag
             else:
                 assert coef is probit.coefficients
                 assert cov is probit.covariance
-                assert source == f"{model} probit fit"
         assert ctx.rho_context == (kind.value, 0.2)
         assert ctx.dataset is demo_confounded and ctx.spec is spec
 
@@ -738,9 +746,52 @@ class TestContexts:
         assert ctx.theta is base.outcome.coefficients
         assert ctx.sigma_beta is base.mediator.covariance
         assert ctx.sigma_theta is base.outcome.covariance
-        assert (ctx.beta_source, ctx.theta_source) == (
-            "mediator probit fit", "outcome probit fit")
         assert ctx.rho_context is None
+
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_contexts_refuse_blocks_of_unconverged_fits(self, kind,
+                                                        demo_confounded, spec,
+                                                        monkeypatch):
+        refusal = "{} did not converge; refusing to report an effect"
+        fit = fit_constrained(kind, 0.2, demo_confounded, spec)
+        with pytest.raises(NotConvergedError, match=re.escape(refusal.format(
+                f"constrained fit (kind={kind.value}, rho=0.2)"))):
+            constrained_context(kind, dataclasses.replace(fit, converged=False),
+                                demo_confounded, spec)
+        # probit fits that did not converge, in a fresh memo
+        monkeypatch.setattr(datamodel_mod, "_FIT_ENTRY", {})
+        real = probit_mod.fit_probit
+        monkeypatch.setattr(probit_mod, "fit_probit", lambda *args: (
+            dataclasses.replace(real(*args), converged=False)))
+        with pytest.raises(NotConvergedError,
+                           match=re.escape(refusal.format("mediator probit fit"))):
+            unconstrained_context(demo_confounded, spec)
+        # only a block the context takes from a probit fit is refused
+        from_probit = {EM: "outcome", MY: None, ZY: "mediator"}[kind]
+        if from_probit is None:
+            ctx = constrained_context(kind, fit, demo_confounded, spec)
+            assert ctx.beta is fit.coefficients_a
+            assert ctx.theta is fit.coefficients_b
+        else:
+            with pytest.raises(NotConvergedError, match=re.escape(
+                    refusal.format(f"{from_probit} probit fit"))):
+                constrained_context(kind, fit, demo_confounded, spec)
+
+    def test_scan_point_fails_when_its_context_refuses(self, demo_confounded,
+                                                       spec, monkeypatch):
+        real = sens_mod._refit
+
+        def refit(kind, rho, ds, spec, start):
+            fit = real(kind, rho, ds, spec, start)
+            return dataclasses.replace(fit, converged=False) if rho == 0.1 else fit
+
+        monkeypatch.setattr(sens_mod, "_refit", refit)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.2, 0.2, 0.1),
+                        demo_confounded, spec)
+        assert scan.failures == (0.1,)
+        assert scan.points[3] == ScanPoint(rho=0.1, estimate=None,
+                                           converged=False)
+        assert len(scan.converged_points()) == 4
 
 
 class TestFailureHandling:

@@ -1,5 +1,6 @@
 """Synthetic data generation and true-effect calculation."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -191,6 +192,30 @@ class TestValidation:
             TrueParams(spec=params.spec, covariates=params.covariates,
                        alpha=params.alpha, beta=params.beta,
                        theta=params.theta, confounding=(MY, 1.5))
+
+    @pytest.mark.parametrize("rho", [True, np.bool_(False), "0.3", None, [0.3]])
+    def test_confounding_rho_must_be_a_real_number(self, rho):
+        with pytest.raises(ConfigError, match=(
+                "^confounding correlation must be a real scalar, got")):
+            dataclasses.replace(demo_params(), confounding=(MY, rho))
+
+    def test_confounding_rho_read_as_a_float(self):
+        params = dataclasses.replace(demo_params(),
+                                     confounding=(MY, np.float32(0.5)))
+        assert params.confounding == (MY, 0.5)
+        assert type(params.confounding[1]) is float
+
+    @pytest.mark.parametrize("field", ["value", "low", "high", "mean"])
+    @pytest.mark.parametrize("bad", ["abc", "0.5", True, None, [0.5]])
+    def test_covariate_numbers_must_be_real(self, field, bad):
+        with pytest.raises(ConfigError, match=(
+                f"^covariate 'x': {field} must be a real scalar, got")):
+            CovariateSpec(name="x", dist="constant", **{field: bad})
+
+    def test_covariate_numbers_keep_their_type(self):
+        cov = CovariateSpec(name="u", dist="uniform", low=0, high=np.int64(2))
+        assert cov.low == 0 and type(cov.low) is int
+        assert cov.high == 2 and cov.high.dtype == np.int64
 
     def test_covariate_dist_names(self):
         with pytest.raises(ConfigError, match="dist"):
