@@ -15,6 +15,11 @@ never a column of zeros. The term names and ModelSpec's flag rule are read
 off the same table. Each builder fills one Fortran-order array, so a
 column is contiguous: the probit fit scales rows of whole columns and
 forms X'X by a symmetric rank-k update without copying the design.
+
+Dataset and CovariateProfile store read-only copies of the arrays they are
+given, never the caller's own. write_csv writes the body a chunk of rows
+at a time, column by column, with the field strings of a row-by-row
+writer, so its files do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class Dataset:
         z = np.asarray(self.z)
         m = np.asarray(self.m)
         y = np.asarray(self.y)
-        x = np.asarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float)  # a copy: the caller's stays writeable
         if z.ndim != 1 or m.ndim != 1 or y.ndim != 1:
             raise DataError("z, m, y must be one-dimensional")
         n = z.shape[0]
@@ -154,14 +159,18 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
     row loop reads every other body and alone reports bad cells and
     dropped rows.
     """
-    if not (isinstance(delimiter, str) and len(delimiter) == 1):
-        raise ConfigError(
-            f"delimiter must be a one-character string, got {delimiter!r}")
+    _check_delimiter(delimiter)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header, pos = _read_header(reader, path, roles)
         loaded = _load_numeric(fh, len(header), pos, delimiter)
     return loaded if loaded is not None else _load_rows(path, roles, delimiter)
+
+
+def _check_delimiter(delimiter) -> None:
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(
+            f"delimiter must be a one-character string, got {delimiter!r}")
 
 
 def _read_header(reader, path, roles: ColumnRoles) -> tuple[list[str], dict]:
@@ -280,17 +289,29 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
     return LoadResult(dataset=ds, dropped=dropped)
 
 
+# rows per write_csv chunk: bounds the Python ints, floats and strings
+# alive at once, while each csv writerows call still takes many rows
+_WRITE_CHUNK = 4096
+
+
 def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
     """Write a Dataset so that load_csv reads back an identical Dataset.
 
-    Covariates are written with repr, which round-trips doubles exactly.
+    The delimiter is checked (as load_csv checks it) before the file is
+    opened. Covariates are written with repr, which round-trips doubles
+    exactly. The body goes out _WRITE_CHUNK rows at a time, built column
+    by column from .tolist(); the field strings are those of one writerow
+    per row of int(z), int(m), int(y) and repr(float(v)) per covariate.
     """
+    _check_delimiter(delimiter)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(["z", "m", "y", *ds.covariate_names])
-        for i in range(ds.n):
-            writer.writerow([int(ds.z[i]), int(ds.m[i]), int(ds.y[i]),
-                             *[repr(float(v)) for v in ds.x[i]]])
+        for lo in range(0, ds.n, _WRITE_CHUNK):
+            rows = slice(lo, lo + _WRITE_CHUNK)
+            writer.writerows(zip(
+                ds.z[rows].tolist(), ds.m[rows].tolist(), ds.y[rows].tolist(),
+                *(map(repr, col) for col in ds.x[rows].T.tolist())))
 
 
 # model -> its blocks in column order, each a ModelSpec flag (None for a
@@ -425,7 +446,7 @@ class CovariateProfile:
         if raw.dtype.kind not in "iuf":
             raise DataError(f"profile {self.name!r} values must be real "
                             f"numbers, got {self.values!r}")
-        vals = np.atleast_1d(np.asarray(raw, dtype=float))
+        vals = np.atleast_1d(np.array(raw, dtype=float))  # a copy to freeze
         if vals.ndim != 1:
             raise DataError("profile values must be a flat vector")
         if not np.isfinite(vals).all():

@@ -26,7 +26,8 @@ is [sum w, X'w] @ M / n; no n x k design is built. The maps of one
 The cells do not depend on the effect: effect_rows, the one public
 evaluator, is _cells, then _contrast. effect_with_ci keeps a context's
 marginal cells for its current (beta, theta), so the effects of one
-context share one pass. A FitContext holds no convergence flags: the
+context share one pass; simgen.true_effects contrasts all five effects
+from one _cells call. A FitContext holds no convergence flags: the
 sensitivity context builders refuse a block from an unconverged fit.
 _check_request is the one check of an effect request's scope, profile and
 alpha, which run_scan also makes before it fits anything.
@@ -136,6 +137,8 @@ def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
     """What every effect contrasts: the rows x, the mediator-arm and
     outcome-cell layouts, and each cell's probit mean and density per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("x has non-finite values")
     med, out = _layouts(spec, x.shape[1])
     pm = _probit_cells(med, _check_len("beta", beta, med[0]), x)
     q = _probit_cells(out, _check_len("theta", theta, out[0, 0]), x)
@@ -164,8 +167,6 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     """One effect at every covariate row of x (one row when x is 1-d),
     plus the gradient of its row mean with respect to the packed
     (beta, theta)."""
-    if not np.isfinite(np.asarray(x, dtype=float)).all():
-        raise ValueError("x has non-finite values")
     return _contrast(effect_type, _cells(theta, beta, x, spec))
 
 

@@ -31,7 +31,7 @@ from .biprobit import PAIR_MODELS, ConfoundingKind
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
                         exposure_terms, mediator_design, mediator_terms,
                         outcome_design, outcome_terms)
-from .effects import EffectType, effect_rows
+from .effects import EffectType, _cells, _contrast
 from .errors import ConfigError
 from .numkernel import _as_real
 
@@ -91,7 +91,7 @@ class TrueParams:
         for name, terms in (("alpha", exposure_terms), ("beta", mediator_terms),
                             ("theta", outcome_terms)):
             expected = len(terms(self.spec, names))
-            vec = np.asarray(getattr(self, name), dtype=float)
+            vec = np.array(getattr(self, name), dtype=float)  # a copy to freeze
             if vec.shape != (expected,):
                 raise ConfigError(
                     f"{name} has length {vec.shape}, layout expects "
@@ -188,16 +188,19 @@ def simulate(params: TrueParams, n: int, seed: int) -> Dataset:
 
 def true_effects(params: TrueParams, at) -> dict[EffectType, float]:
     """All five true effects at a profile (conditional) or averaged over
-    rows of a Dataset / covariate matrix (marginal)."""
+    rows of a Dataset / covariate matrix (marginal).
+
+    The probit cells are evaluated once and every effect is a contrast of
+    them, so each value equals effect_rows(et, ...)[0].mean() bit for bit.
+    """
     if isinstance(at, Dataset):
         rows = at.x
     elif isinstance(at, CovariateProfile):
         rows = at.values
     else:
         rows = at
-    return {et: float(effect_rows(et, params.theta, params.beta, rows,
-                                  params.spec)[0].mean())
-            for et in EffectType}
+    cells = _cells(params.theta, params.beta, rows, params.spec)
+    return {et: float(_contrast(et, cells)[0].mean()) for et in EffectType}
 
 
 def replicate_seeds(base_seed: int, count: int) -> list[int]:

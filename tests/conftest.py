@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ def reduced_spec() -> ModelSpec:
     only."""
     return ModelSpec(mediator_zx=False, outcome_zx=False, outcome_mx=False,
                      outcome_zmx=False)
+
+
+def write_rows(ds: Dataset, path, delimiter: str = ",") -> None:
+    """write_csv as one csv writerow per row: the reference for the bytes
+    of write_csv's chunked writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(["z", "m", "y", *ds.covariate_names])
+        for i in range(ds.n):
+            writer.writerow([int(ds.z[i]), int(ds.m[i]), int(ds.y[i]),
+                             *[repr(float(v)) for v in ds.x[i]]])
 
 
 def confounded_params(kind: ConfoundingKind, rho: float) -> TrueParams:

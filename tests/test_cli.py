@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 import yaml
 
-from medsens import (ColumnRoles, Dataset, EffectType, demo_params, load_csv,
-                     true_effects)
+from medsens import (ColumnRoles, ConfoundingKind, Dataset, EffectType,
+                     demo_params, effect_rows, load_csv, simulate, true_effects)
 import medsens.cli
 from medsens.cli import main
+from conftest import confounded_params, write_rows
 
 SCENARIO = {
     "model": {"mediator_zx": False, "outcome_zx": False, "outcome_mx": False,
@@ -110,13 +111,29 @@ class TestSimulate:
         assert truth["confounding"] == {"kind": "my", "rho": 0.3}
         roles = ColumnRoles("z", "m", "y", ("xcont", "xbin"))
         ds = load_csv(workdir / "simout" / "data.csv", roles).dataset
-        from conftest import confounded_params
-        from medsens import ConfoundingKind
         params = confounded_params(ConfoundingKind.MEDIATOR_OUTCOME, 0.3)
         expect = true_effects(params, ds)
         for et, val in expect.items():
             assert truth["true_effects_marginal"][et.value] == pytest.approx(
                 val, abs=1e-12)
+
+    def test_outputs_past_one_write_chunk(self, tmp_path):
+        # the chunked write_csv against the row writer, and the truth
+        # sidecar against effect_rows, on n = one write chunk plus a row
+        n = medsens.datamodel._WRITE_CHUNK + 1
+        cfg = write_config(tmp_path / "sim.yaml", {
+            **SCENARIO, **scenario(n=n), "out": str(tmp_path / "big")})
+        assert main(["simulate", str(cfg)]) == 0
+        params = confounded_params(ConfoundingKind.MEDIATOR_OUTCOME, 0.3)
+        ds = simulate(params, n, SCENARIO["seed"])
+        write_rows(ds, tmp_path / "rows.csv")
+        assert (tmp_path / "big" / "data.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+        truth = json.loads((tmp_path / "big" / "truth.json").read_text())
+        assert truth["true_effects_marginal"] == {
+            et.value: float(effect_rows(et, params.theta, params.beta, ds.x,
+                                        params.spec)[0].mean())
+            for et in EffectType}
 
     def test_seed_flag_changes_data(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "sim.yaml",

@@ -19,7 +19,7 @@ from medsens import (ColumnRoles, ConfigError, CovariateProfile, DataError,
                      outcome_terms, validate_for_fit, write_csv)
 from medsens import datamodel
 from medsens.datamodel import fit_designs, model_designs
-from conftest import make_dataset
+from conftest import make_dataset, write_rows
 
 FULL = ModelSpec()
 
@@ -224,6 +224,58 @@ def test_write_csv_round_trip_skips_the_row_loop(tmp_path, monkeypatch):
     assert calls == []
     assert_same_load(res, expected)
     assert res.dataset.equals(ds)
+
+
+def _bits_dataset(n, x, names, seed=3):
+    bits = np.random.default_rng(seed).integers(0, 2, size=(3, n))
+    return make_dataset(*bits, x, names)
+
+
+CHUNK = datamodel._WRITE_CHUNK
+WRITE_CASES = {
+    "p=0": (lambda: _bits_dataset(7, np.empty((7, 0)), ()), ","),
+    "edge values": (lambda: _bits_dataset(
+        4, np.array([[1e-05, 1e+16], [5e-324, -0.0], [-1e-05, 0.0],
+                     [1.7976931348623157e308, 0.1]]), ("a", "b")), ","),
+    "n=1": (lambda: _bits_dataset(1, [[2.5]], ("a",)), ","),
+    "one chunk": (lambda: _bits_dataset(
+        CHUNK, np.random.default_rng(1).normal(size=(CHUNK, 2)), ("a", "b")), ","),
+    "one chunk and a row": (lambda: _bits_dataset(
+        CHUNK + 1, np.random.default_rng(2).normal(size=(CHUNK + 1, 3)),
+        ("a", "b", "c")), ","),
+    "semicolon": (lambda: _bits_dataset(
+        9, np.random.default_rng(4).normal(size=(9, 2)) * 1e5, ("a", "b")), ";"),
+    "dot quotes floats": (lambda: _bits_dataset(
+        9, np.random.default_rng(5).normal(size=(9, 2)), ("a", "b")), "."),
+    "quoted names": (lambda: _bits_dataset(
+        3, np.arange(9.0).reshape(3, 3) / 7,
+        ("a,b", 'say "hi"', "line\nbreak")), ","),
+}
+
+
+@pytest.mark.parametrize("make, delimiter", WRITE_CASES.values(), ids=list(WRITE_CASES))
+def test_write_csv_bytes_match_row_writer(tmp_path, make, delimiter):
+    ds = make()
+    write_csv(ds, tmp_path / "chunked.csv", delimiter=delimiter)
+    write_rows(ds, tmp_path / "rows.csv", delimiter=delimiter)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_dot_delimiter_quotes_every_float(tmp_path):
+    ds = _bits_dataset(2, [[0.5], [-1.25]], ("a",))
+    write_csv(ds, tmp_path / "d.csv", delimiter=".")
+    body = (tmp_path / "d.csv").read_text().splitlines()[1:]
+    assert [line.split(".", 3)[3] for line in body] == ['"0.5"', '"-1.25"']
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", 1, None])
+def test_write_csv_checks_delimiter_before_opening(tmp_path, delimiter):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"z,m,y\n1,0,1\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"delimiter must be a one-character string, got {delimiter!r}")):
+        write_csv(_bits_dataset(2, np.empty((2, 0)), ()), path, delimiter=delimiter)
+    assert path.read_bytes() == b"z,m,y\n1,0,1\n"
 
 
 # one cell grammar for load_csv against the row loop: files are drawn from
@@ -525,6 +577,24 @@ def test_builders_reject_factors_of_unequal_length():
                   lambda v: outcome_design(np.zeros(5), v, x, FULL)):
         with pytest.raises(ValueError, match="must have 5 rows each"):
             build(np.ones(1))  # would broadcast down the whole column
+
+
+def test_dataset_copies_the_callers_covariates():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ds = make_dataset([0, 1], [1, 0], [1, 1], x, ("a", "b"))
+    assert x.flags.writeable and not ds.x.flags.writeable
+    x[0, 0] = 9.0
+    assert x.tolist() == [[9.0, 2.0], [3.0, 4.0]]
+    assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_covariate_profile_copies_the_callers_values():
+    values = np.array([0.5, 1.0])
+    prof = CovariateProfile(values)
+    assert values.flags.writeable and not prof.values.flags.writeable
+    values[0] = 7.0
+    assert values.tolist() == [7.0, 1.0]
+    assert prof.values.tolist() == [0.5, 1.0]
 
 
 def test_covariate_profile_validation():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from medsens import (ConfigError, ConfoundingKind, CovariateSpec, EffectType,
-                     ModelSpec, TrueParams, demo_params, replicate_seeds,
-                     simulate, simulate_latent, true_effects)
+from medsens import (ConfigError, ConfoundingKind, CovariateProfile,
+                     CovariateSpec, EffectType, ModelSpec, TrueParams,
+                     demo_params, effect_rows, replicate_seeds, simulate,
+                     simulate_latent, true_effects)
+from medsens import effects, simgen
 from medsens.datamodel import mediator_design, outcome_design
 from conftest import confounded_params
 
@@ -171,6 +173,54 @@ def test_true_effects_marginal_averages_rows():
     per_row = [true_effects(params, ds.x[i])[EffectType.NIE]
                for i in range(ds.n)]
     assert marg[EffectType.NIE] == pytest.approx(np.mean(per_row), abs=1e-14)
+
+
+def _counted_cells(monkeypatch):
+    """Count effects._cells calls, through either module's binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = effects._cells
+    monkeypatch.setattr(effects, "_cells", counted)
+    monkeypatch.setattr(simgen, "_cells", counted)
+    return calls
+
+
+def test_true_effects_take_one_cell_pass_and_equal_effect_rows(monkeypatch):
+    params = demo_params()
+    ds = simulate(params, 300, 8)
+    prof = CovariateProfile(np.array([0.3, 1.0]))
+    cases = [(ds, ds.x), (prof, prof.values), (ds.x[:40], ds.x[:40])]
+    expect = [{et: float(effect_rows(et, params.theta, params.beta, rows,
+                                     params.spec)[0].mean()).hex()
+               for et in EffectType} for _, rows in cases]
+    calls = _counted_cells(monkeypatch)
+    for (at, _), want in zip(cases, expect):
+        calls.clear()
+        truth = true_effects(params, at)
+        assert len(calls) == 1
+        assert {et: v.hex() for et, v in truth.items()} == want
+
+
+def test_true_effects_reject_non_finite_rows():
+    with pytest.raises(ValueError, match="^x has non-finite values$"):
+        true_effects(demo_params(), np.array([[0.0, np.nan]]))
+
+
+def test_true_params_copy_the_callers_coefficients():
+    base = demo_params()
+    coefs = {key: np.array(getattr(base, key)) for key in ("alpha", "beta", "theta")}
+    before = {key: vec.copy() for key, vec in coefs.items()}
+    params = TrueParams(spec=base.spec, covariates=base.covariates, **coefs)
+    for key, vec in coefs.items():
+        stored = getattr(params, key)
+        assert vec.flags.writeable and not stored.flags.writeable
+        vec += 1.0
+        assert np.array_equal(vec, before[key] + 1.0)
+        assert np.array_equal(stored, before[key])
 
 
 def test_replicate_seeds_are_consecutive():
