@@ -6,8 +6,13 @@ tree run first alternates from pair to pair, so a drift in machine load
 does not favour one side. The record holds, per workload and end-to-end
 metric of BENCHMARK.json, both medians and interquartile ranges, whether
 the change stays within the metric's regression bound, and how many
-pairs the change won and lost. Every workload of BENCHMARK.json runs
-10 pairs of its run_seconds each. The claim (one workload and metric) is
+pairs the change won and lost, and a verdict: "worse" when the change's
+median is beyond the bound, "unresolved" when the parent's IQR is wider
+than the bound times its median and not every change run beats every
+parent run, else "within_bound". Every verdict but "within_bound" is
+printed. Every workload of BENCHMARK.json runs 10 pairs of its
+run_seconds each. A claim (one workload and metric) is optional; without
+one the record's claim is "none" and it has no claim_check. A claim is
 reported as wins out of N, the gap between the medians and the parent
 IQR; it holds when there are at least 10 pairs, every run is correct, the
 change's median ok_frac is no lower than the parent's, the change wins at
@@ -18,7 +23,7 @@ every workload, one traced_<workload>_seed7 entry each.
 Usage (from the root of the change tree):
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --label probit_gram --claim effects_cli:wall_s --first-seed 2201 \\
+        --label probit_gram --first-seed 2201 [--claim effects_cli:wall_s] \\
         [--traced-pairs 3] [--summary "what changed"]
 """
 
@@ -87,12 +92,18 @@ def summarize(pairs: list[dict], seeds, metrics=None) -> dict:
         parent_median = statistics.median(parent)
         change_median = statistics.median(change)
         rel_change = change_median / parent_median - 1.0 if parent_median else 0.0
+        within_bound = sign * rel_change <= metric["bound"]
+        clear = min(sign * (a - b) for a in parent for b in change) > 0
+        noisy = iqr(parent) > metric["bound"] * abs(parent_median)
         out["metrics"][name] = {
             "unit": metric["unit"],
             "parent_median": parent_median, "change_median": change_median,
             "parent_iqr": iqr(parent), "change_iqr": iqr(change),
             "rel_change": rel_change,
-            "within_bound": sign * rel_change <= metric["bound"],
+            "within_bound": within_bound,
+            "verdict": ("worse" if not within_bound
+                        else "unresolved" if noisy and not clear
+                        else "within_bound"),
             "change_better_pairs": sum(g > 0 for g in gains),
             "change_worse_pairs": sum(g < 0 for g in gains)}
     return out
@@ -147,7 +158,8 @@ def parse_args(argv=None):
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="the gain claimed, if any")
     parser.add_argument("--first-seed", type=int, required=True,
                         help="workload j, pair i runs seed first + 10 * j + i")
     parser.add_argument("--traced-pairs", type=int, default=0)
@@ -155,17 +167,25 @@ def parse_args(argv=None):
     parser.add_argument("--out", type=Path,
                         help="default: BENCH_<label>.json in the change tree")
     args = parser.parse_args(argv)
-    workload, _, metric = args.claim.partition(":")
-    if workload not in WORKLOADS or metric not in {
-            e["name"] for e in BENCHMARK["end_to_end"]}:
+    workload, _, metric = (args.claim or "").partition(":")
+    if args.claim is not None and (workload not in WORKLOADS or metric not in {
+            e["name"] for e in BENCHMARK["end_to_end"]}):
         parser.error(f"--claim names no measured workload and metric: {args.claim!r}")
     return args
+
+
+def verdict_lines(workloads: dict) -> list[str]:
+    """One line per workload metric whose verdict is not within_bound."""
+    return [f"{name} {metric}: {m['verdict']}, {m['parent_median']:.4g} -> "
+            f"{m['change_median']:.4g} {m['unit']} ({100 * m['rel_change']:+.1f}%), "
+            f"parent IQR {m['parent_iqr']:.3g} {m['unit']}"
+            for name, w in workloads.items() for metric, m in w["metrics"].items()
+            if m["verdict"] != "within_bound"]
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    claim_workload, _, claim_metric = args.claim.partition(":")
     workloads, last = {}, None
     for j, name in enumerate(WORKLOADS):
         seeds = range(args.first_seed + j * PAIRS, args.first_seed + (j + 1) * PAIRS)
@@ -177,9 +197,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "change": args.summary,
-        "claim": claim_text(claim_workload, claim_metric, workloads[claim_workload]),
-        "claim_check": {"workload": claim_workload, "metric": claim_metric,
-                        **claim_check(workloads[claim_workload], claim_metric)},
+        "claim": "none",
         "method": (f"perfbench/run.py --seconds {BENCHMARK['run_seconds']:g} "
                    f"--trace 0, {PAIRS} alternating parent/change pairs per workload "
                    f"(the side run first alternates), seeds {min(seeds)}-{max(seeds)}, "
@@ -190,6 +208,13 @@ def main(argv=None) -> int:
         "machine": machine(last),
         "workloads": workloads,
     }
+    if args.claim:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        record["claim"] = claim_text(claim_workload, claim_metric,
+                                     workloads[claim_workload])
+        record["claim_check"] = {
+            "workload": claim_workload, "metric": claim_metric,
+            **claim_check(workloads[claim_workload], claim_metric)}
     for name in WORKLOADS if args.traced_pairs else ():
         pairs = run_pairs(trees, name, [TRACED_SEED] * args.traced_pairs, 1)
         record[f"traced_{name}_seed{TRACED_SEED}"] = {
@@ -200,8 +225,10 @@ def main(argv=None) -> int:
     out = args.out or trees["change"] / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
-    print(record["claim"])
-    print("claim holds" if record["claim_check"]["holds"] else "claim does not hold")
+    print("\n".join(verdict_lines(workloads)) or "every metric within its bound")
+    if args.claim:
+        print(record["claim"])
+        print("claim holds" if record["claim_check"]["holds"] else "claim does not hold")
     return 0
 
 

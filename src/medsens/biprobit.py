@@ -40,8 +40,8 @@ import numpy as np
 
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
 from .errors import SeparationError
-from .numkernel import (RHO_INTERIOR, _as_real, _log_ndtr, clamp_rho,
-                        log_bvn_cdf)
+from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _log_ndtr,
+                        clamp_rho, log_bvn_cdf)
 from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _mills,
                      _newton_ascent, _probit_fits)
 
@@ -69,7 +69,7 @@ PAIR_MODELS = {
 
 
 def _check_len(name: str, coef, ncol: int) -> np.ndarray:
-    coef = np.asarray(coef, dtype=float)
+    coef = _as_real_array(coef, name)
     if coef.shape != (ncol,):
         raise ValueError(
             f"{name} has length {coef.shape}, design has {ncol} columns")
@@ -278,9 +278,11 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     the rho = 0 node of _probit_pair_path, x + t rho + c rho^2 / 2, from the
     kind's probit pair kept in fit_memo: the start a one-point scan's
     anchor gets. Scans pass the Hermite polynomial through up to four
-    converged optima and their tangents, or a step off one, and a
-    non-finite start raises ValueError. The designs come from
-    datamodel.fit_designs; the sign-flipped pair is formed per call.
+    converged optima and their tangents, a step off one, or the cubic
+    through a bracket's two ends. A start that is not an array of
+    integers or floats, or not finite, raises ValueError. The designs
+    come from datamodel.fit_designs; the sign-flipped pair is formed per
+    call.
     Covariances are the inverse observed information of the joint fit
     (the full matrix and its two diagonal blocks); the separation check,
     tangent and slope reuse the last pass's row terms, with no further
@@ -296,7 +298,7 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     ka, kb = signed_a.shape[1], signed_b.shape[1]
     if start is None:
         start = _predict([_probit_pair_path(kind, ds, spec)], rho_used)
-    x0 = np.asarray(start, dtype=float)
+    x0 = _as_real_array(start, "start")
     if x0.shape != (ka + kb,):
         raise ValueError(
             f"start has length {x0.shape}, expected {ka + kb} "

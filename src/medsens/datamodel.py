@@ -37,6 +37,7 @@ from operator import itemgetter, mul
 import numpy as np
 
 from .errors import ConfigError, DataError, RankError
+from .numkernel import _as_real_array
 
 MISSING_TOKENS = {"", "NA"}
 
@@ -72,8 +73,11 @@ class ColumnRoles:
 class Dataset:
     """Immutable complete-case analysis dataset.
 
-    z, m, y are integer 0/1 vectors of common length n; x is an (n, p)
-    float matrix (p may be zero) and covariate_names labels its columns.
+    z, m, y are 0/1 vectors of common length n, stored as integers; a
+    boolean vector is taken as the 0/1 indicator it is. x is an (n, p)
+    matrix of integers or floats (p may be zero), stored as floats; bool,
+    str, bytes, object and complex x are refused. covariate_names are
+    strings that label the columns of x.
     """
 
     z: np.ndarray
@@ -86,7 +90,8 @@ class Dataset:
         z = np.asarray(self.z)
         m = np.asarray(self.m)
         y = np.asarray(self.y)
-        x = np.array(self.x, dtype=float)  # a copy: the caller's stays writeable
+        # a copy: the caller's stays writeable
+        x = np.array(_as_real_array(self.x, "x", DataError))
         if z.ndim != 1 or m.ndim != 1 or y.ndim != 1:
             raise DataError("z, m, y must be one-dimensional")
         n = z.shape[0]
@@ -104,7 +109,10 @@ class Dataset:
                 raise DataError(f"column {name} must be binary 0/1, found values {bad}")
         if not np.isfinite(x).all():
             raise DataError("covariates must be finite")
-        names = tuple(str(s) for s in self.covariate_names)
+        names = tuple(self.covariate_names)
+        bad = [name for name in names if not isinstance(name, str)]
+        if bad:
+            raise DataError(f"covariate names must be strings, got {bad}")
         if len(names) != x.shape[1]:
             raise DataError(
                 f"{x.shape[1]} covariate columns but {len(names)} names given")
@@ -168,9 +176,13 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
 
 
 def _check_delimiter(delimiter) -> None:
+    """A one-character string other than a line break, which would split
+    every written row into one line per field."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ConfigError(
             f"delimiter must be a one-character string, got {delimiter!r}")
+    if delimiter in "\r\n":
+        raise ConfigError(f"delimiter must not be a line break, got {delimiter!r}")
 
 
 def _read_header(reader, path, roles: ColumnRoles) -> tuple[list[str], dict]:
@@ -442,11 +454,8 @@ class CovariateProfile:
     name: str = "profile"
 
     def __post_init__(self):
-        raw = np.asarray(self.values)
-        if raw.dtype.kind not in "iuf":
-            raise DataError(f"profile {self.name!r} values must be real "
-                            f"numbers, got {self.values!r}")
-        vals = np.atleast_1d(np.array(raw, dtype=float))  # a copy to freeze
+        vals = np.atleast_1d(np.array(_as_real_array(  # a copy to freeze
+            self.values, f"profile {self.name!r} values", DataError)))
         if vals.ndim != 1:
             raise DataError("profile values must be a flat vector")
         if not np.isfinite(vals).all():

@@ -51,7 +51,7 @@ from scipy.special import ndtr
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, mediator_design,
                         outcome_design)
 from .errors import NumericalError
-from .numkernel import SQRT_2PI, _as_real, norm_quantile
+from .numkernel import SQRT_2PI, _as_real, _as_real_array, norm_quantile
 
 
 def _npdf(v):
@@ -90,7 +90,7 @@ def _layout(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_len(name: str, coef, layout: np.ndarray) -> np.ndarray:
-    coef = np.asarray(coef, dtype=float)
+    coef = _as_real_array(coef, name)
     k = layout.shape[1]
     if coef.shape != (k,):
         raise ValueError(
@@ -136,7 +136,7 @@ def _layouts(spec: ModelSpec, p: int) -> tuple:
 def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
     """What every effect contrasts: the rows x, the mediator-arm and
     outcome-cell layouts, and each cell's probit mean and density per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(_as_real_array(x, "x"))
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite values")
     med, out = _layouts(spec, x.shape[1])

@@ -59,6 +59,16 @@ def _as_real(value, name: str) -> float:
     raise ValueError(f"{name} must be a real scalar, got {value!r}")
 
 
+def _as_real_array(value, name: str, error=ValueError) -> np.ndarray:
+    """value as a float array; arrays of any dtype but integer or float
+    (bool, str, bytes, object, complex), which np.asarray(value,
+    dtype=float) would coerce, are refused with error."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _as_finite_float(value, name: str) -> float:
     out = _as_real(value, name)
     if not math.isfinite(out):

@@ -36,7 +36,7 @@ import numpy as np
 from .datamodel import (Dataset, ModelSpec, fit_designs, fit_memo,
                         is_fit_design, require_full_rank)
 from .errors import RankError, SeparationError
-from .numkernel import _log_ndtr
+from .numkernel import _as_real_array, _log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -131,7 +131,7 @@ class ProbitFit:
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
-    design = np.asarray(design, dtype=float)
+    design = _as_real_array(design, "design")
     response = np.asarray(response)
     if design.ndim != 2:
         raise ValueError("design must be a 2-d matrix")

@@ -21,28 +21,30 @@ Fitting does not depend on the effect: a scan refits the kind's model
 pair at every grid value, then reads the effect off each fit. A point
 fails when its fit raises a MedsensError or does not converge, or when
 its context or effect raises one (a context refuses a block from a fit
-that did not converge); only a failed fit changes later starts. Fits
-chain outward from the one nearest zero. Each starts from the confluent
-Hermite polynomial through the chain's last four converged optima, which
-matches each optimum's value and tangent dx/drho, or from an Euler step
-when the chain has one optimum (Allgower & Georg 1990, ch. 2 and 6).
-The rho = 0 probit pair counts as an optimum, with a closed-form tangent
-and curvature, which the polynomial and a step off it also match; it is
-biprobit._probit_pair_path's node, whose quadratic step is also where
-fit_constrained starts when given no start. After a failed point the
-chain restarts from its last optimum alone. refine_boundary's refits
-start from _predict's Euler step off the bracket's latest converged
-point. A scan fits only the probits it reads, through
-probit._probit_fits, which fits each once per (dataset, spec) and keeps
-it in datamodel.fit_memo, so no probit fit is kept on or passed with the
-scan.
+that did not converge); only a failed fit changes later starts. Every
+constrained fit goes through one _FitPath per scan, which fits each rho
+once, keeps the result, and picks the start by one of two rules
+(Allgower & Georg 1990, ch. 2 and 6). A chain step, outward from the
+grid point nearest zero, starts from the confluent Hermite polynomial
+through the chain's last four converged optima, which matches each
+optimum's value and tangent dx/drho, or from an Euler step when the
+chain has one optimum; after a failed point the chain restarts from its
+last optimum alone. The rho = 0 probit pair counts as an optimum, with a
+closed-form tangent and curvature, which the polynomial and a step off
+it also match; it is biprobit._probit_pair_path's node, whose quadratic
+step starts the anchor, and is also where fit_constrained starts when
+given no start. A fit inside a bracket, refine_boundary's midpoints,
+starts from the cubic Hermite through the bracket's two converged ends.
+A scan fits only the probits it reads, through probit._probit_fits,
+which fits each once per (dataset, spec) and keeps it in
+datamodel.fit_memo, so no probit fit is kept on or passed with the scan.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,18 +146,23 @@ class RhoGrid:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One grid value: the refitted effect (None if the fit failed)."""
+    """One grid value: the refitted effect and the fit's packed
+    coefficients (both None if the point failed)."""
 
     rho: float
     estimate: EffectEstimate | None
     converged: bool
     coefficients: np.ndarray | None = None
-    tangent: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SensitivityScan:
-    """Scan results plus the dataset and spec to refit at new rho values."""
+    """Scan results plus the dataset and spec to refit at new rho values.
+
+    A scan from run_scan also keeps its _FitPath, out of repr and
+    comparisons, so that refine_boundary refits from the scan's own fits
+    and a rho already fitted is not fitted again.
+    """
 
     kind: ConfoundingKind
     effect_type: EffectType
@@ -167,6 +174,7 @@ class SensitivityScan:
     dataset: Dataset
     spec: ModelSpec
     profile: CovariateProfile | None
+    _path: _FitPath | None = field(default=None, repr=False, compare=False)
 
     @property
     def failures(self) -> tuple[float, ...]:
@@ -219,44 +227,48 @@ def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
     return _context(ds, spec, kind, fit)
 
 
-def _refit(kind, rho, ds, spec, start) -> ConstrainedFit | None:
-    """The constrained fit at rho, None if it raises a MedsensError or
-    does not converge."""
-    try:
-        fit = fit_constrained(kind, rho, ds, spec, start=start)
-    except MedsensError:
-        return None
-    return fit if fit.converged else None
-
-
 def _coefficients(fit: ConstrainedFit) -> np.ndarray:
     return np.concatenate([fit.coefficients_a, fit.coefficients_b])
 
 
-def _fit_path(kind, points, ds, spec) -> list[ConstrainedFit | None]:
-    """One refit per sorted, unique grid point, None where it failed: the
-    point nearest zero predicted from the probit pair, then a chain
-    outward on either side of it; nodes at rho = 0 carry the curvature."""
-    anchor = int(np.argmin(np.abs(points)))
-    probit_pair = _probit_pair_path(kind, ds, spec)
-    curvature = probit_pair[3]
-    fits: list[ConstrainedFit | None] = [None] * len(points)
+class _FitPath:
+    """The kind's constrained fits on (ds, spec), one per rho fitted: the
+    converged fit, or None where it raised a MedsensError or did not
+    converge. Each chain fit leaves the window of (rho, x, tangent,
+    curvature) nodes its outward neighbour starts from: the last _WINDOW
+    converged ones, or only the last after a failed point; nodes at rho =
+    0 carry the curvature."""
 
-    def node(i):
-        return (points[i], _coefficients(fits[i]), fits[i].tangent,
-                curvature if points[i] == 0.0 else None)
+    def __init__(self, kind, ds, spec):
+        self.kind, self.ds, self.spec = kind, ds, spec
+        self.probit_pair = _probit_pair_path(kind, ds, spec)
+        self.fits, self.windows = {}, {}  # each keyed by rho
 
-    for chain in ((anchor,), range(anchor + 1, len(points)),
-                  range(anchor - 1, -1, -1)):
-        # converged (rho, optimum, tangent, curvature) nodes to predict
-        # from: the last _WINDOW, or only the last one after a failed point
-        known = [probit_pair if fits[anchor] is None else node(anchor)]
-        for i in chain:
-            fits[i] = _refit(kind, points[i], ds, spec,
-                             _predict(known, points[i]))
-            known = (known[-1:] if fits[i] is None
-                     else [*known[1 - _WINDOW:], node(i)])
-    return fits
+    def node(self, rho):
+        fit = self.fits[rho]
+        return (rho, _coefficients(fit), fit.tangent,
+                self.probit_pair[3] if rho == 0.0 else None)
+
+    def fit(self, rho, after=None, bracket=()) -> ConstrainedFit | None:
+        """The fit at rho, recorded if rho was fitted before. A first fit
+        starts from the Hermite polynomial through the bracket's two
+        converged ends when given; else it is a chain step, from the
+        window the fit at after left, or from the probit pair at the
+        anchor (after None), whose own window restarts at its node."""
+        if rho in self.fits:
+            return self.fits[rho]
+        known = ([self.node(end) for end in bracket] if bracket
+                 else [self.probit_pair] if after is None else self.windows[after])
+        try:
+            fit = fit_constrained(self.kind, rho, self.ds, self.spec,
+                                  start=_predict(known, rho))
+            self.fits[rho] = fit if fit.converged else None
+        except MedsensError:
+            self.fits[rho] = None
+        if not bracket:
+            self.windows[rho] = (known[-1:] if self.fits[rho] is None else [
+                *(known[1 - _WINDOW:] if after is not None else ()), self.node(rho)])
+        return self.fits[rho]
 
 
 def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
@@ -270,8 +282,7 @@ def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
                              alpha=scan.alpha, profile=scan.profile)
     except MedsensError:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    return ScanPoint(rho=rho, estimate=est, converged=True,
-                     coefficients=_coefficients(fit), tangent=fit.tangent)
+    return ScanPoint(rho, est, True, _coefficients(fit))
 
 
 def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
@@ -292,13 +303,18 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "numerically delicate")
 
     _probit_fits(ds, spec, _EFFECT_MODELS)  # their errors raise before any refit
-    fits = _fit_path(kind, grid.points, ds, spec)
+    path = _FitPath(kind, ds, spec)
+    # the point nearest zero, then a chain outward on either side of it
+    anchor = int(np.argmin(np.abs(grid.points)))
+    path.fit(grid.points[anchor])
+    for chain in (range(anchor + 1, len(grid.points)), range(anchor - 1, -1, -1)):
+        for before, i in zip([anchor, *chain], chain):
+            path.fit(grid.points[i], after=grid.points[before])
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
-                           dataset=ds, spec=spec,
+                           dataset=ds, spec=spec, _path=path,
                            profile=profile if scope == "conditional" else None)
-    points = tuple(_scan_point(scan, rho, fit)
-                   for rho, fit in zip(grid.points, fits))
+    points = tuple(_scan_point(scan, rho, path.fit(rho)) for rho in grid.points)
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
         err = ScanError(
@@ -397,8 +413,7 @@ def sign_ranges(scan: SensitivityScan) -> SignRanges:
     ref_sign, warnings = _reference_sign(scan)
     classes = [(pt.rho, _classify(pt.estimate, ref_sign)) for pt in pts]
     ranges: list[tuple[float, float, SignClass]] = []
-    run_start = classes[0][0]
-    run_class = classes[0][1]
+    run_start, run_class = classes[0]
     for rho, cls in classes[1:]:
         if cls is not run_class:
             ranges.append((run_start, rho, run_class))
@@ -414,8 +429,12 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     Each boundary between adjacent differently-classified grid points is
     refined by refitting at bracket midpoints until the bracket is no
     wider than resolution; the returned value is the bracket midpoint.
-    Each refit starts from _predict's Euler step off the bracket's latest
-    converged point, at first its left end.
+    Each midpoint is fitted through the scan's _FitPath inside its
+    bracket, so it starts from the cubic Hermite through the bracket's two
+    converged ends, and a midpoint fitted before, by an earlier call, is
+    not refitted.
+    A scan built by hand keeps no fits, so refining one of its
+    boundaries raises ValueError.
     A failed refit stops refinement of that boundary at the coarse
     bracket (the scan-level warning machinery does not apply here; the
     coarse midpoint is still returned).
@@ -430,19 +449,16 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         cls_left = _classify(left.estimate, ref_sign)
         if cls_left is _classify(right.estimate, ref_sign):
             continue
-        lo, hi, latest = left.rho, right.rho, left
+        if scan._path is None:
+            raise ValueError("refine_boundary refits through the fits of a "
+                             "scan from run_scan; this scan keeps none")
+        lo, hi = left.rho, right.rho
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            start = _predict([(latest.rho, latest.coefficients, latest.tangent,
-                               None)], mid)
-            pt = _scan_point(scan, mid, _refit(
-                scan.kind, mid, scan.dataset, scan.spec, start))
+            pt = _scan_point(scan, mid, scan._path.fit(mid, bracket=(lo, hi)))
             if not pt.converged:
                 break
-            latest = pt
-            if _classify(pt.estimate, ref_sign) is cls_left:
-                lo = mid
-            else:
-                hi = mid
+            same = _classify(pt.estimate, ref_sign) is cls_left
+            lo, hi = (mid, hi) if same else (lo, mid)
         boundaries.append(0.5 * (lo + hi))
     return sorted(boundaries)

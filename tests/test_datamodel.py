@@ -646,6 +646,26 @@ def test_load_csv_delimiter_must_be_one_character(tmp_path, delimiter):
         load_csv(path, ROLES, delimiter=delimiter)
 
 
+@pytest.mark.parametrize("delimiter", ["\n", "\r"])
+def test_line_break_delimiter_refused_by_both_entries(tmp_path, delimiter):
+    message = re.escape(f"delimiter must not be a line break, got {delimiter!r}")
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"z,m,y,age\n1,0,1,35\n")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_csv(path, ROLES, delimiter=delimiter)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        write_csv(_bits_dataset(2, [[0.5], [1.0]], ("age",)), path,
+                  delimiter=delimiter)
+    assert path.read_bytes() == b"z,m,y,age\n1,0,1,35\n"
+
+
+def test_dataset_covariate_names_must_be_strings():
+    with pytest.raises(DataError, match=re.escape(
+            "covariate names must be strings, got [1, None]")):
+        make_dataset([0, 1], [1, 0], [1, 1], [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]],
+                     (1, "a", None))
+
+
 def test_covariate_stats():
     ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0],
                       [[1.0, 10.0], [2.0, 10.0], [3.0, 10.0], [4.0, 10.0]],

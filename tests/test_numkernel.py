@@ -3,6 +3,7 @@ finite-difference helper."""
 
 import csv
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -439,3 +440,73 @@ def test_finite_diff_grad_flags_bad_component():
 
     with pytest.raises(ValueError, match="probing component 1 "):
         finite_diff_grad(f, np.array([0.0, 1.0, 0.0]), step=0.5)
+
+
+# --- one dtype rule for real-valued arrays (numkernel._as_real_array) ----
+
+BAD_DTYPES = [bool, str, bytes, object, complex]
+
+
+@pytest.fixture(scope="module")
+def real_array_entries(demo_confounded, spec):
+    """Per entry: a valid value, the call that takes it, the error class
+    and the parameter name a refusal must start with."""
+    from medsens import (ConfoundingKind, CovariateProfile, Dataset, DataError,
+                         EffectType, constrained_grad, constrained_loglik,
+                         effect_rows, fit_constrained, fit_probit,
+                         fit_unconstrained)
+    ds, my, nie = demo_confounded, ConfoundingKind.MEDIATOR_OUTCOME, EffectType.NIE
+    fits = fit_unconstrained(ds, spec)
+    beta, theta = fits.mediator.coefficients, fits.outcome.coefficients
+    design = np.column_stack([np.ones(ds.n), ds.z, ds.x])
+    return {
+        "Dataset x": (ds.x, lambda v: Dataset(ds.z, ds.m, ds.y, v, ds.covariate_names),
+                      DataError, "x"),
+        "CovariateProfile values": (np.array([0.5, 1.0]),
+                                    lambda v: CovariateProfile(v, name="p"),
+                                    DataError, "profile 'p' values"),
+        "fit_constrained start": (np.concatenate([beta, theta]),
+                                  lambda v: fit_constrained(my, 0.1, ds, spec, start=v),
+                                  ValueError, "start"),
+        "constrained_loglik coef_a": (
+            beta, lambda v: constrained_loglik(my, v, theta, 0.1, ds, spec),
+            ValueError, "coef_a"),
+        "constrained_grad coef_b": (
+            theta, lambda v: constrained_grad(my, beta, v, 0.1, ds, spec),
+            ValueError, "coef_b"),
+        "effect_rows theta": (theta, lambda v: effect_rows(nie, v, beta, ds.x[:3], spec),
+                              ValueError, "theta"),
+        "effect_rows beta": (beta, lambda v: effect_rows(nie, theta, v, ds.x[:3], spec),
+                             ValueError, "beta"),
+        "effect_rows x": (ds.x[:3], lambda v: effect_rows(nie, theta, beta, v, spec),
+                          ValueError, "x"),
+        "fit_probit design": (design, lambda v: fit_probit(v, ds.m), ValueError, "design"),
+    }
+
+
+ENTRY_NAMES = ["Dataset x", "CovariateProfile values", "fit_constrained start",
+               "constrained_loglik coef_a", "constrained_grad coef_b",
+               "effect_rows theta", "effect_rows beta", "effect_rows x",
+               "fit_probit design"]
+
+
+@pytest.mark.parametrize("dtype", BAD_DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("entry", ENTRY_NAMES)
+def test_real_arrays_refuse_other_dtypes(real_array_entries, entry, dtype):
+    valid, call, error, name = real_array_entries[entry]
+    call(valid)  # the valid value passes
+    with pytest.raises(error, match=f"^{re.escape(name)} must be real numbers, "
+                                    "got dtype") as info:
+        call(valid.astype(dtype))
+    assert type(info.value) is error
+
+
+def test_binary_responses_take_bool_indicators(demo_confounded):
+    from medsens import Dataset, fit_probit
+    ds = demo_confounded
+    flags = Dataset(ds.z.astype(bool), ds.m.astype(bool), ds.y.astype(bool),
+                    ds.x, ds.covariate_names)
+    assert flags.equals(ds) and flags.z.dtype == np.int64
+    design = np.column_stack([np.ones(ds.n), ds.z, ds.x])
+    assert np.array_equal(fit_probit(design, ds.m.astype(bool)).coefficients,
+                          fit_probit(design, ds.m).coefficients)

@@ -147,6 +147,52 @@ def test_bench_pairs_claim_needs_ten_pairs_of_sound_runs(bench_pairs, tmp_path):
     assert not check["holds"]
 
 
+def test_bench_pairs_verdicts(bench_pairs, tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    pairs = bench_pairs.run_pairs(trees, "effects_cli", range(10))
+    summary = bench_pairs.summarize(pairs, range(10))
+    assert {m["verdict"] for m in summary["metrics"].values()} == {"within_bound"}
+    swapped = bench_pairs.summarize(
+        [{"parent": p["change"], "change": p["parent"]} for p in pairs], range(10))
+    assert swapped["metrics"]["wall_s"]["verdict"] == "worse"
+    assert swapped["metrics"]["ops_per_s"]["verdict"] == "within_bound"
+
+    def summary_of(parent_walls, change_walls):
+        return bench_pairs.summarize(
+            [{"parent": fake_record(a), "change": fake_record(b)}
+             for a, b in zip(parent_walls, change_walls)], range(10))["metrics"]
+
+    # a parent IQR of 2 s against a bound of 0.25 * 2 s: equal medians are
+    # unresolved unless every change run beats every parent run
+    noisy = summary_of([1.0, 3.0] * 5, [1.1, 2.9] * 5)
+    assert noisy["wall_s"]["within_bound"]
+    assert noisy["wall_s"]["verdict"] == "unresolved"
+    assert noisy["ok_frac"]["verdict"] == "within_bound"  # no spread
+    clear = summary_of([1.0, 3.0] * 5, [0.9] * 10)
+    assert clear["wall_s"]["verdict"] == clear["ops_per_s"]["verdict"] == "within_bound"
+    lines = bench_pairs.verdict_lines({"effects_cli": {"metrics": noisy}})
+    assert lines and all(line.startswith("effects_cli ") for line in lines)
+    assert "effects_cli wall_s: unresolved, 2 -> 2 s (+0.0%), parent IQR 2 s" in lines
+
+
+def test_bench_pairs_runs_without_a_claim(bench_pairs, tmp_path, capsys):
+    from test_bench_files import test_record_reports_every_end_to_end_metric
+    out = tmp_path / "BENCH_fake.json"
+    (tmp_path / "parent").mkdir()
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+        "--label", "fake", "--first-seed", "0", "--out", str(out)]) == 0
+    test_record_reports_every_end_to_end_metric(out)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["claim"] == "none" and "claim_check" not in record
+    printed = capsys.readouterr().out
+    assert "every metric within its bound" in printed and "claim" not in printed
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([
+            "--parent", "a", "--change", "b", "--label", "x", "--first-seed", "0",
+            "--claim", "effects_cli:speed"])
+
+
 def test_bench_pairs_writes_a_valid_record(bench_pairs, tmp_path):
     from test_bench_files import test_record_reports_every_end_to_end_metric
     out = tmp_path / "BENCH_fake.json"

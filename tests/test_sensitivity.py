@@ -779,13 +779,13 @@ class TestContexts:
 
     def test_scan_point_fails_when_its_context_refuses(self, demo_confounded,
                                                        spec, monkeypatch):
-        real = sens_mod._refit
+        real = fit_constrained
 
-        def refit(kind, rho, ds, spec, start):
-            fit = real(kind, rho, ds, spec, start)
+        def refit(kind, rho, ds, spec, start=None):
+            fit = real(kind, rho, ds, spec, start=start)
             return dataclasses.replace(fit, converged=False) if rho == 0.1 else fit
 
-        monkeypatch.setattr(sens_mod, "_refit", refit)
+        monkeypatch.setattr(sens_mod, "fit_constrained", refit)
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.2, 0.2, 0.1),
                         demo_confounded, spec)
         assert scan.failures == (0.1,)
@@ -870,23 +870,64 @@ class TestRefineBoundary:
             # ends at a classification change
             assert any(lo - 1e-9 <= b <= hi + 1e-9 for lo, hi, _ in coarse)
 
-    def test_refits_start_from_euler_steps(self, monkeypatch):
-        # Euler starts off the bracket's latest converged point: 34 Phi2
-        # passes for these 14 refits, 48 from its bare coefficients
-        params = confounded_params(MY, 0.3)
-        ds = simulate(params, 5000, 64)
-        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
-                        ds, params.spec)
-        assert all(pt.tangent is not None for pt in scan.converged_points())
+    @staticmethod
+    def count_bvn_calls(monkeypatch) -> list:
         real, calls = numkernel_mod.bvn_cdf, []
 
         def counted(*args, **kwargs):
             calls.append(None)
             return real(*args, **kwargs)
         monkeypatch.setattr(numkernel_mod, "bvn_cdf", counted)
+        return calls
+
+    def test_refits_start_from_bracket_hermite(self, monkeypatch):
+        # each midpoint starts from the cubic Hermite through its bracket's
+        # two converged ends: 28 Phi2 passes for these 14 refits, 34 from
+        # Euler steps off the bracket's latest end, 48 from its bare
+        # coefficients
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        nodes, starts = {}, {}
+        real_fit = fit_constrained
+
+        def recording(kind, rho, ds, spec, start=None):
+            starts[rho] = np.array(start)
+            fit = real_fit(kind, rho, ds, spec, start=start)
+            nodes[rho] = (np.concatenate([fit.coefficients_a,
+                                          fit.coefficients_b]), fit.tangent)
+            return fit
+        monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
+                        ds, params.spec)
+        calls = self.count_bvn_calls(monkeypatch)
+        refits = len(starts)
         boundaries = refine_boundary(scan, resolution=0.001)
         assert boundaries == pytest.approx([0.5285156, 0.6699219], abs=1e-7)
-        assert len(calls) <= 36
+        assert len(calls) <= 30
+        order = list(starts)
+        assert len(order) - refits == 14
+        for k in range(refits, len(order)):
+            # the bracket's ends: the nearest earlier fits on either side
+            mid, earlier = order[k], order[:k]
+            ends = (max(r for r in earlier if r < mid),
+                    min(r for r in earlier if r > mid))
+            hermite = KroghInterpolator(
+                [r for r in ends for _ in range(2)],
+                np.array([v for r in ends for v in nodes[r]]))
+            np.testing.assert_allclose(starts[mid], hermite(mid),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_second_refinement_refits_nothing(self, monkeypatch):
+        # the scan's fit path keeps every midpoint fit
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 2000, 64)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
+                        ds, params.spec)
+        first = refine_boundary(scan, resolution=0.01)
+        assert first
+        calls = self.count_bvn_calls(monkeypatch)
+        assert refine_boundary(scan, resolution=0.01) == first
+        assert calls == []
 
     def test_resolution_validation(self, demo_confounded, spec):
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
@@ -899,6 +940,12 @@ class TestRefineBoundary:
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
         with pytest.raises(ValueError, match="resolution"):
             refine_boundary(scan, resolution=resolution)
+
+    def test_scan_built_by_hand_has_no_fits_to_refine(self):
+        scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
+        with pytest.raises(ValueError, match="^refine_boundary refits through "
+                                             "the fits of a scan from run_scan"):
+            refine_boundary(scan, resolution=0.01)
 
     def test_no_boundaries_for_uniform_classification(self):
         scan = fake_scan([(-0.1, 0.05, 0.001), (0.1, 0.04, 0.001)])
