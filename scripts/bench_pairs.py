@@ -4,14 +4,13 @@ in alternating order and writes a BENCH_<label>.json record.
 For each workload, pair i runs one seed on both trees, one at a time; the
 tree run first alternates from pair to pair, so a drift in machine load
 does not favour one side. The record holds, per workload and end-to-end
-metric of BENCHMARK.json, both medians and interquartile ranges, whether
-the change stays within the metric's regression bound, and how many
-pairs the change won and lost, and a verdict: "worse" when the change's
-median is beyond the bound, "unresolved" when the parent's IQR is wider
-than the bound times its median and not every change run beats every
-parent run, else "within_bound". Every verdict but "within_bound" is
-printed. Every workload of BENCHMARK.json runs 10 pairs of its
-run_seconds each. A claim (one workload and metric) is optional; without
+metric of BENCHMARK.json, both medians and interquartile ranges, how
+many pairs the change won and lost, and a verdict: "unresolved" when the
+parent's IQR is wider than the metric's regression bound times its
+median and not every change run beats every parent run, else "worse"
+when the change's median is beyond the bound, else "within_bound". Every
+verdict but "within_bound" is printed. Every workload of BENCHMARK.json
+runs 10 pairs of its run_seconds each. A claim (one workload and metric) is optional; without
 one the record's claim is "none" and it has no claim_check. A claim is
 reported as wins out of N, the gap between the medians and the parent
 IQR; it holds when there are at least 10 pairs, every run is correct, the
@@ -92,7 +91,6 @@ def summarize(pairs: list[dict], seeds, metrics=None) -> dict:
         parent_median = statistics.median(parent)
         change_median = statistics.median(change)
         rel_change = change_median / parent_median - 1.0 if parent_median else 0.0
-        within_bound = sign * rel_change <= metric["bound"]
         clear = min(sign * (a - b) for a in parent for b in change) > 0
         noisy = iqr(parent) > metric["bound"] * abs(parent_median)
         out["metrics"][name] = {
@@ -100,9 +98,8 @@ def summarize(pairs: list[dict], seeds, metrics=None) -> dict:
             "parent_median": parent_median, "change_median": change_median,
             "parent_iqr": iqr(parent), "change_iqr": iqr(change),
             "rel_change": rel_change,
-            "within_bound": within_bound,
-            "verdict": ("worse" if not within_bound
-                        else "unresolved" if noisy and not clear
+            "verdict": ("unresolved" if noisy and not clear
+                        else "worse" if sign * rel_change > metric["bound"]
                         else "within_bound"),
             "change_better_pairs": sum(g > 0 for g in gains),
             "change_worse_pairs": sum(g < 0 for g in gains)}

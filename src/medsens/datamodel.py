@@ -109,6 +109,9 @@ class Dataset:
                 raise DataError(f"column {name} must be binary 0/1, found values {bad}")
         if not np.isfinite(x).all():
             raise DataError("covariates must be finite")
+        if isinstance(self.covariate_names, str):
+            raise DataError("covariate names must be a sequence of strings, "
+                            f"got {self.covariate_names!r}")
         names = tuple(self.covariate_names)
         bad = [name for name in names if not isinstance(name, str)]
         if bad:

@@ -22,19 +22,20 @@ pair at every grid value, then reads the effect off each fit. A point
 fails when its fit raises a MedsensError or does not converge, or when
 its context or effect raises one (a context refuses a block from a fit
 that did not converge); only a failed fit changes later starts. Every
-constrained fit goes through one _FitPath per scan, which fits each rho
-once, keeps the result, and picks the start by one of two rules
-(Allgower & Georg 1990, ch. 2 and 6). A chain step, outward from the
-grid point nearest zero, starts from the confluent Hermite polynomial
-through the chain's last four converged optima, which matches each
-optimum's value and tangent dx/drho, or from an Euler step when the
-chain has one optimum; after a failed point the chain restarts from its
-last optimum alone. The rho = 0 probit pair counts as an optimum, with a
-closed-form tangent and curvature, which the polynomial and a step off
-it also match; it is biprobit._probit_pair_path's node, whose quadratic
-step starts the anchor, and is also where fit_constrained starts when
-given no start. A fit inside a bracket, refine_boundary's midpoints,
-starts from the cubic Hermite through the bracket's two converged ends.
+constrained fit goes through one _FitPath per scan, which keeps each
+rho's converged fit, so it fits that rho once, and starts a fit from the
+nodes its caller names, by one of two rules (Allgower & Georg 1990, ch.
+2 and 6). A chain step, outward from the grid point nearest zero, starts
+from the confluent Hermite polynomial through the chain's last four
+converged optima, which matches each optimum's value and tangent
+dx/drho, or from an Euler step when the chain has one optimum; after a
+failed point the chain restarts from its last optimum alone. The rho = 0
+probit pair counts as an optimum, with a closed-form tangent and
+curvature, which the polynomial and a step off it also match; it is
+biprobit._probit_pair_path's node, whose quadratic step starts the
+anchor, and is also where fit_constrained starts when given no start. A
+fit inside a bracket, refine_boundary's midpoints, starts from the cubic
+Hermite through the bracket's two converged ends.
 A scan fits only the probits it reads, through probit._probit_fits,
 which fits each once per (dataset, spec) and keeps it in
 datamodel.fit_memo, so no probit fit is kept on or passed with the scan.
@@ -161,7 +162,7 @@ class SensitivityScan:
 
     A scan from run_scan also keeps its _FitPath, out of repr and
     comparisons, so that refine_boundary refits from the scan's own fits
-    and a rho already fitted is not fitted again.
+    and a rho whose fit converged is not fitted again.
     """
 
     kind: ConfoundingKind
@@ -234,40 +235,36 @@ def _coefficients(fit: ConstrainedFit) -> np.ndarray:
 class _FitPath:
     """The kind's constrained fits on (ds, spec), one per rho fitted: the
     converged fit, or None where it raised a MedsensError or did not
-    converge. Each chain fit leaves the window of (rho, x, tangent,
-    curvature) nodes its outward neighbour starts from: the last _WINDOW
-    converged ones, or only the last after a failed point; nodes at rho =
-    0 carry the curvature."""
+    converge. Only converged fits are kept for good; a failed rho is
+    fitted again when asked for again."""
 
     def __init__(self, kind, ds, spec):
         self.kind, self.ds, self.spec = kind, ds, spec
         self.probit_pair = _probit_pair_path(kind, ds, spec)
-        self.fits, self.windows = {}, {}  # each keyed by rho
+        self.fits = {}  # keyed by rho
 
     def node(self, rho):
-        fit = self.fits[rho]
+        """The (rho, x, tangent, curvature) node of the converged fit at
+        rho, or the probit pair's where rho has none (a failed or unfitted
+        anchor); nodes at rho = 0 carry the curvature."""
+        fit = self.fits.get(rho)
+        if fit is None:
+            return self.probit_pair
         return (rho, _coefficients(fit), fit.tangent,
                 self.probit_pair[3] if rho == 0.0 else None)
 
-    def fit(self, rho, after=None, bracket=()) -> ConstrainedFit | None:
-        """The fit at rho, recorded if rho was fitted before. A first fit
-        starts from the Hermite polynomial through the bracket's two
-        converged ends when given; else it is a chain step, from the
-        window the fit at after left, or from the probit pair at the
-        anchor (after None), whose own window restarts at its node."""
-        if rho in self.fits:
-            return self.fits[rho]
-        known = ([self.node(end) for end in bracket] if bracket
-                 else [self.probit_pair] if after is None else self.windows[after])
-        try:
-            fit = fit_constrained(self.kind, rho, self.ds, self.spec,
-                                  start=_predict(known, rho))
-            self.fits[rho] = fit if fit.converged else None
-        except MedsensError:
-            self.fits[rho] = None
-        if not bracket:
-            self.windows[rho] = (known[-1:] if self.fits[rho] is None else [
-                *(known[1 - _WINDOW:] if after is not None else ()), self.node(rho)])
+    def fit(self, rho, known) -> ConstrainedFit | None:
+        """The fit at rho: the kept one if rho converged before, else a
+        fit from the Hermite polynomial through the nodes at the rhos
+        known."""
+        if self.fits.get(rho) is None:
+            start = _predict([self.node(r) for r in known], rho)
+            try:
+                fit = fit_constrained(self.kind, rho, self.ds, self.spec,
+                                      start=start)
+                self.fits[rho] = fit if fit.converged else None
+            except MedsensError:
+                self.fits[rho] = None
         return self.fits[rho]
 
 
@@ -303,18 +300,22 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
             "numerically delicate")
 
     _probit_fits(ds, spec, _EFFECT_MODELS)  # their errors raise before any refit
-    path = _FitPath(kind, ds, spec)
+    path, rhos = _FitPath(kind, ds, spec), grid.points
     # the point nearest zero, then a chain outward on either side of it
-    anchor = int(np.argmin(np.abs(grid.points)))
-    path.fit(grid.points[anchor])
-    for chain in (range(anchor + 1, len(grid.points)), range(anchor - 1, -1, -1)):
-        for before, i in zip([anchor, *chain], chain):
-            path.fit(grid.points[i], after=grid.points[before])
+    anchor = int(np.argmin(np.abs(rhos)))
+    for chain in ((anchor,), range(anchor + 1, len(rhos)),
+                  range(anchor - 1, -1, -1)):
+        # the rhos of the nodes to predict from: the last _WINDOW
+        # converged, or only the last one after a failed point
+        known = [rhos[anchor]]
+        for i in chain:
+            known = (known[-1:] if path.fit(rhos[i], known) is None
+                     else [*known[1 - _WINDOW:], rhos[i]])
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
                            dataset=ds, spec=spec, _path=path,
                            profile=profile if scope == "conditional" else None)
-    points = tuple(_scan_point(scan, rho, path.fit(rho)) for rho in grid.points)
+    points = tuple(_scan_point(scan, rho, path.fits[rho]) for rho in rhos)
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
         err = ScanError(
@@ -431,8 +432,8 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     wider than resolution; the returned value is the bracket midpoint.
     Each midpoint is fitted through the scan's _FitPath inside its
     bracket, so it starts from the cubic Hermite through the bracket's two
-    converged ends, and a midpoint fitted before, by an earlier call, is
-    not refitted.
+    converged ends; a midpoint that converged before, in the scan or an
+    earlier call, is not refitted, and one that failed is refitted.
     A scan built by hand keeps no fits, so refining one of its
     boundaries raises ValueError.
     A failed refit stops refinement of that boundary at the coarse
@@ -455,7 +456,7 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         lo, hi = left.rho, right.rho
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            pt = _scan_point(scan, mid, scan._path.fit(mid, bracket=(lo, hi)))
+            pt = _scan_point(scan, mid, scan._path.fit(mid, (lo, hi)))
             if not pt.converged:
                 break
             same = _classify(pt.estimate, ref_sign) is cls_left

@@ -664,6 +664,11 @@ def test_dataset_covariate_names_must_be_strings():
             "covariate names must be strings, got [1, None]")):
         make_dataset([0, 1], [1, 0], [1, 1], [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]],
                      (1, "a", None))
+    # one string is not split into one name per character
+    with pytest.raises(DataError, match=re.escape(
+            "covariate names must be a sequence of strings, got 'ab'")):
+        Dataset(z=np.array([0, 1]), m=np.array([1, 0]), y=np.array([1, 1]),
+                x=np.array([[1.0, 2.0], [3.0, 4.0]]), covariate_names="ab")
 
 
 def test_covariate_stats():

@@ -779,15 +779,18 @@ class TestContexts:
 
     def test_scan_point_fails_when_its_context_refuses(self, demo_confounded,
                                                        spec, monkeypatch):
-        real = fit_constrained
+        # the fit at 0.1 converges; only the context built from it refuses
+        real = sens_mod._context
 
-        def refit(kind, rho, ds, spec, start=None):
-            fit = real(kind, rho, ds, spec, start=start)
-            return dataclasses.replace(fit, converged=False) if rho == 0.1 else fit
+        def context(ds, spec, kind=None, fit=None):
+            if fit is not None and fit.rho == 0.1:
+                raise NotConvergedError("synthetic refusal at 0.1")
+            return real(ds, spec, kind, fit)
 
-        monkeypatch.setattr(sens_mod, "fit_constrained", refit)
+        monkeypatch.setattr(sens_mod, "_context", context)
         scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.2, 0.2, 0.1),
                         demo_confounded, spec)
+        assert scan._path.fits[0.1].converged
         assert scan.failures == (0.1,)
         assert scan.points[3] == ScanPoint(rho=0.1, estimate=None,
                                            converged=False)
@@ -928,6 +931,28 @@ class TestRefineBoundary:
         calls = self.count_bvn_calls(monkeypatch)
         assert refine_boundary(scan, resolution=0.01) == first
         assert calls == []
+
+    def test_refinement_refits_a_grid_point_that_failed(self, monkeypatch):
+        # the grid point 0.55 fails in the scan and is the first midpoint
+        # of the bracket (0.45, 0.65) around the boundary at 0.53;
+        # refinement refits it from the bracket's ends and bisects past it
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        real, starts = fit_constrained, []
+
+        def failing_once(kind, rho, ds, spec, start=None):
+            starts.append(rho)
+            if rho == 0.55 and starts.count(0.55) == 1:
+                raise ScanError("synthetic failure at 0.55")
+            return real(kind, rho, ds, spec, start=start)
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", failing_once)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
+                        ds, params.spec)
+        assert scan.failures == (0.55,)
+        refined = refine_boundary(scan, resolution=0.001)
+        assert starts.count(0.55) == 2
+        assert refined == pytest.approx([0.5285156, 0.6699219], abs=1e-7)
 
     def test_resolution_validation(self, demo_confounded, spec):
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])
