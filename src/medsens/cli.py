@@ -2,9 +2,10 @@
 
 Each subcommand takes one YAML config file as its positional argument;
 flags override individual config entries. Outputs are UTF-8 CSV tables
-with LF newlines (a cell holding a comma, double quote or newline is quoted)
-plus a summary.json mirroring every table, written so that reruns on
-identical inputs are byte-identical: floats are emitted with repr (exact
+with LF newlines (a cell holding a comma, double quote or newline is quoted),
+each listed in _OUTPUTS with its header and its summary.json key, plus that
+summary.json, written so that reruns on identical inputs are
+byte-identical: floats are emitted with repr (exact
 round-trip, always at least full 17-significant-digit fidelity when
 needed), JSON keys are sorted, and nothing time-dependent is written.
 The last digits of fitted values depend on the BLAS thread count (the
@@ -156,6 +157,25 @@ _SCHEMA = {
                      if f.name not in ("name", "dist")}},
     "confounding": {"kind": ("free", _REQUIRED), "rho": ("number", _REQUIRED)},
 }
+# command -> the CSV files it writes, in the order of the rows it returns:
+# (file name, header, summary.json key its rows are mirrored under, or None).
+# scan_{}.csv is one file per scan tag, whose rows sens mirrors as that scan's
+# "points" in "scans" instead, beside its intervals, sign ranges and failures.
+_OUTPUTS = {
+    "fit": (("coefficients.csv", ["model", "term", "estimate", "std_error",
+                                  "z_value", "p_value"], "coefficients"),
+            ("convergence.csv", ["model", "converged", "iterations", "loglik",
+                                 "score_norm", "n_rows", "n_params"], "convergence")),
+    "effects": (("effects.csv", ["effect", "scope", "profile", "estimate",
+                                 "std_error", "ci_lower", "ci_upper", "alpha"],
+                 "effects"),),
+    "sens": (("scan_{}.csv", ["rho", "estimate", "std_error", "ci_lower",
+                              "ci_upper", "converged"], None),
+             ("intervals.csv", [*_IDENTITY, "label", "lower", "upper", "alpha"], None),
+             ("sign_ranges.csv", [*_IDENTITY, "rho_lower", "rho_upper",
+                                  "classification", "reference_sign"], None),
+             ("failures.csv", ["scan", "rho"], None)),
+}
 
 
 def _fmt(v) -> str:
@@ -167,28 +187,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _records(header, rows) -> list[dict]:
+    """rows as summary.json records keyed by their file's header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _write_outputs(cfg: dict, loaded: LoadResult, command: str, tables,
-                   summary: dict) -> Path:
-    """Write each (file name, header, rows) table as CSV and summary.json,
-    whose envelope (command, n_rows, dropped_rows) is added to ``summary``;
-    returns the output directory."""
-    out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    for name, header, rows in tables:
-        with open(out / name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
-    _write_json(out / "summary.json", {
-        "command": command, "n_rows": loaded.dataset.n,
-        "dropped_rows": loaded.dropped, **summary})
-    return out
 
 
 def _typed(value, kind: str, path: str):
@@ -396,13 +403,15 @@ def _parse_profiles(cfg: dict, ds: Dataset, args) -> list[CovariateProfile]:
     return profiles
 
 
-def _fit_tables(ds: Dataset, spec: ModelSpec, fits):
+def cmd_fit(cfg: dict, ds: Dataset, args):
     """Coefficient and convergence rows for the three probit fits."""
+    spec, names = cfg["model"], ds.covariate_names
+    fits = fit_unconstrained(ds, spec)
+    models = (("exposure", exposure_terms(spec, names), fits.exposure),
+              ("mediator", mediator_terms(spec, names), fits.mediator),
+              ("outcome", outcome_terms(spec, names), fits.outcome))
     coef_rows, conv_rows = [], []
-    for model, terms, fit in (
-            ("exposure", exposure_terms(spec, ds.covariate_names), fits.exposure),
-            ("mediator", mediator_terms(spec, ds.covariate_names), fits.mediator),
-            ("outcome", outcome_terms(spec, ds.covariate_names), fits.outcome)):
+    for model, terms, fit in models:
         se = np.sqrt(np.diag(fit.covariance))
         for term, est, s in zip(terms, fit.coefficients, se):
             zval = est / s if s > 0 else np.inf
@@ -410,32 +419,9 @@ def _fit_tables(ds: Dataset, spec: ModelSpec, fits):
             coef_rows.append([model, term, est, s, zval, pval])
         conv_rows.append([model, fit.converged, fit.iterations, fit.loglik,
                           fit.score_norm, ds.n, len(terms)])
-    return coef_rows, conv_rows
-
-
-def cmd_fit(args) -> int:
-    cfg = _load_config(args.config, args)
-    loaded = _load_dataset(cfg)
-    ds = loaded.dataset
-    fits = fit_unconstrained(ds, cfg["model"])
-    coef_rows, conv_rows = _fit_tables(ds, cfg["model"], fits)
-    coef_header = ["model", "term", "estimate", "std_error", "z_value", "p_value"]
-    conv_header = ["model", "converged", "iterations", "loglik", "score_norm",
-                   "n_rows", "n_params"]
-    out = _write_outputs(cfg, loaded, "fit", [
-        ("coefficients.csv", coef_header, coef_rows),
-        ("convergence.csv", conv_header, conv_rows)], {
-        "covariates": list(ds.covariate_names),
-        "coefficients": [dict(zip(coef_header, row)) for row in coef_rows],
-        "convergence": [dict(zip(conv_header, row)) for row in conv_rows],
-    })
-    if loaded.dropped:
-        print(f"dropped {loaded.dropped} incomplete rows")
-    print(f"fit tables written to {out}")
-    if not all(f.converged for f in (fits.exposure, fits.mediator, fits.outcome)):
-        print("error: at least one probit fit did not converge", file=sys.stderr)
-        return 1
-    return 0
+    errors = ([] if all(fit.converged for _, _, fit in models) else
+              ["at least one probit fit did not converge"])
+    return [coef_rows, conv_rows], {"covariates": list(names)}, errors
 
 
 def _requested_effects(cfg: dict) -> tuple[list[EffectType], list[str]]:
@@ -455,10 +441,7 @@ def _requested_effects(cfg: dict) -> tuple[list[EffectType], list[str]]:
     return types, scopes
 
 
-def cmd_effects(args) -> int:
-    cfg = _load_config(args.config, args)
-    loaded = _load_dataset(cfg)
-    ds = loaded.dataset
+def cmd_effects(cfg: dict, ds: Dataset, args):
     types, scopes = _requested_effects(cfg)
     profiles = _parse_profiles(cfg, ds, args)
     if "conditional" in scopes and not profiles:
@@ -476,15 +459,10 @@ def cmd_effects(args) -> int:
             rows.append([effect_type.value, scope, "" if prof is None else prof.name,
                          est.estimate, est.std_error, est.ci_lower,
                          est.ci_upper, est.alpha])
-    header = ["effect", "scope", "profile", "estimate", "std_error",
-              "ci_lower", "ci_upper", "alpha"]
-    out = _write_outputs(cfg, loaded, "effects", [("effects.csv", header, rows)], {
+    return [rows], {
         "alpha": cfg["alpha"],
         "profiles": {p.name: [float(v) for v in p.values] for p in profiles},
-        "effects": [dict(zip(header, row)) for row in rows],
-    })
-    print(f"effect tables written to {out}")
-    return 0
+    }, []
 
 
 def _parse_scan_requests(cfg: dict, args, profiles) -> list[dict]:
@@ -527,10 +505,7 @@ def _scan_tag(req) -> str:
     return "_".join(parts)
 
 
-def cmd_sens(args) -> int:
-    cfg = _load_config(args.config, args)
-    loaded = _load_dataset(cfg)
-    ds = loaded.dataset
+def cmd_sens(cfg: dict, ds: Dataset, args):
     profiles = _parse_profiles(cfg, ds, args)
     requests = _parse_scan_requests(cfg, args, profiles)
     tags = [_scan_tag(req) for req in requests]
@@ -540,20 +515,17 @@ def cmd_sens(args) -> int:
             f"scan requests share the output tag(s) {duplicated}; each scan "
             "needs its own kind, effect, scope or profile name")
 
-    point_header = ["rho", "estimate", "std_error", "ci_lower", "ci_upper",
-                    "converged"]
-    tables, interval_rows, range_rows, failure_rows = [], [], [], []
-    summary = []
-    exit_code = 0
+    point_header = _OUTPUTS["sens"][0][1]  # scan_{}.csv's
+    points, interval_rows, range_rows, failure_rows = {}, [], [], []
+    summary, errors = [], []
     for req, tag in zip(requests, tags):
         try:
             scan = run_scan(req["kind"], req["effect"], req["scope"],
                             req["grid"], ds, cfg["model"], alpha=cfg["alpha"],
                             profile=req["profile"])
         except ScanError as exc:
-            print(f"error: scan {tag}: {exc}", file=sys.stderr)
+            errors.append(f"scan {tag}: {exc}")
             failure_rows.extend([tag, rho] for rho in getattr(exc, "failures", []))
-            exit_code = 1
             continue
         rows = []
         for pt in scan.points:
@@ -561,7 +533,7 @@ def cmd_sens(args) -> int:
             cells = (["", "", "", ""] if est is None else
                      [est.estimate, est.std_error, est.ci_lower, est.ci_upper])
             rows.append([pt.rho, *cells, pt.converged])
-        tables.append((f"scan_{tag}.csv", point_header, rows))
+        points[tag] = rows
         intervals = identification_set(scan), uncertainty_interval(scan)
         ranges = sign_ranges(scan)
         identity = [tag, req["kind"].value, req["effect"].value, req["scope"],
@@ -585,17 +557,39 @@ def cmd_sens(args) -> int:
             "reference_sign": ranges.reference_sign,
             "failures": list(scan.failures),
             "warnings": list(scan.warnings) + list(ranges.warnings),
-            "points": [dict(zip(point_header, row)) for row in rows],
+            "points": _records(point_header, rows),
         })
+    return [points, interval_rows, range_rows, failure_rows], {"scans": summary}, errors
 
-    out = _write_outputs(cfg, loaded, "sens", tables + [
-        ("intervals.csv", [*_IDENTITY, "label", "lower", "upper", "alpha"],
-         interval_rows),
-        ("sign_ranges.csv", [*_IDENTITY, "rho_lower", "rho_upper",
-                             "classification", "reference_sign"], range_rows),
-        ("failures.csv", ["scan", "rho"], failure_rows)], {"scans": summary})
-    print(f"sensitivity tables written to {out}")
-    return exit_code
+
+def _run(args) -> int:
+    """Run fit, effects or sens: load the config and the dataset, call the
+    command for its rows per file of _OUTPUTS (a dict of rows per scan tag
+    for scan_{}.csv), its summary fields and its error lines, then write
+    the CSVs and summary.json, and report. Exits 1 on any error line."""
+    cfg = _load_config(args.config, args)
+    loaded = _load_dataset(cfg)
+    tables, summary, errors = args.func(cfg, loaded.dataset, args)
+    out = cfg["out"]
+    out.mkdir(parents=True, exist_ok=True)
+    for (name, header, key), rows in zip(_OUTPUTS[args.command], tables, strict=True):
+        for tag, tag_rows in (rows.items() if isinstance(rows, dict) else [("", rows)]):
+            with open(out / name.format(tag), "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([_fmt(v) for v in row] for row in tag_rows)
+        if key is not None:
+            summary[key] = _records(header, rows)
+    _write_json(out / "summary.json", {
+        "command": args.command, "n_rows": loaded.dataset.n,
+        "dropped_rows": loaded.dropped, **summary})
+    if args.command == "fit" and loaded.dropped:
+        print(f"dropped {loaded.dropped} incomplete rows")
+    what = {"fit": "fit", "effects": "effect", "sens": "sensitivity"}[args.command]
+    print(f"{what} tables written to {out}")
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _parse_scenario(cfg: dict) -> tuple[TrueParams, int]:
@@ -682,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args) if args.command in _OUTPUTS else args.func(args)
     except MedsensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -203,11 +203,12 @@ def _check_request(scope: str, alpha, profile, ds: Dataset) -> np.ndarray | None
 
 def delta_se(grad: GradientVector, sigma_beta: np.ndarray,
              sigma_theta: np.ndarray) -> float:
-    """Delta-method standard error with block-diagonal covariance."""
-    gb = np.asarray(grad.wrt_beta, dtype=float)
-    gt = np.asarray(grad.wrt_theta, dtype=float)
-    sigma_beta = np.asarray(sigma_beta, dtype=float)
-    sigma_theta = np.asarray(sigma_theta, dtype=float)
+    """Delta-method standard error with block-diagonal covariance; the
+    gradient blocks and covariances must hold integers or floats."""
+    gb = _as_real_array(grad.wrt_beta, "grad.wrt_beta")
+    gt = _as_real_array(grad.wrt_theta, "grad.wrt_theta")
+    sigma_beta = _as_real_array(sigma_beta, "sigma_beta")
+    sigma_theta = _as_real_array(sigma_theta, "sigma_theta")
     if sigma_beta.shape != (gb.size, gb.size):
         raise ValueError(
             f"sigma_beta shape {sigma_beta.shape} does not match gradient "

@@ -295,18 +295,19 @@ _BANDS = (
 def bvn_cdf(a, b, rho):
     """Vectorized bivariate standard normal CDF P(X <= a, Y <= b).
 
-    Arguments broadcast against each other. rho is checked: a row with a
-    NaN rho or |rho| > 1 raises ValueError naming the value. a and b are
-    not checked and must be finite: bvn_cdf(inf, 0.3, 0.5) is NaN, while
-    bvn_cdf(0.3, inf, -0.95) is Phi(0.3); binorm_cdf is the entry that
-    checks them. Each row is evaluated by the one band of _BANDS its |rho|
-    falls in. If all rows share one |rho| (checked in one pass), that band
-    is picked once and its rho-dependent node quantities are computed once
-    for the call, with a result bitwise equal to the row-by-row evaluation.
+    Arguments broadcast against each other, and each must hold integers or
+    floats: a bool, string, object or complex one raises ValueError. rho is
+    checked: a row with a NaN rho or |rho| > 1 raises ValueError naming the
+    value. a and b are not checked for finiteness and must be finite:
+    bvn_cdf(inf, 0.3, 0.5) is NaN, while bvn_cdf(0.3, inf, -0.95) is
+    Phi(0.3); binorm_cdf is the entry that checks them. Each row is
+    evaluated by the one band of _BANDS its |rho| falls in. If all rows
+    share one |rho| (checked in one pass), that band is picked once and its
+    rho-dependent node quantities are computed once for the call, with a
+    result bitwise equal to the row-by-row evaluation.
     """
     a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-        np.asarray(rho, dtype=float))
+        _as_real_array(a, "a"), _as_real_array(b, "b"), _as_real_array(rho, "rho"))
     shape = a.shape
     h = -a.ravel()
     k = -b.ravel()

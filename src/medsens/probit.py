@@ -145,9 +145,9 @@ def _check_design(design: np.ndarray, response: np.ndarray):
 
 def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
                   response: np.ndarray) -> float:
-    """Probit log-likelihood at a coefficient vector."""
+    """Probit log-likelihood at a coefficient vector of integers or floats."""
     design, response = _check_design(design, response)
-    coefficients = np.asarray(coefficients, dtype=float)
+    coefficients = _as_real_array(coefficients, "coefficients")
     if coefficients.shape != (design.shape[1],):
         raise ValueError(
             f"coefficient length {coefficients.shape} does not match design "

@@ -160,9 +160,10 @@ class ScanPoint:
 class SensitivityScan:
     """Scan results plus the dataset and spec to refit at new rho values.
 
-    A scan from run_scan also keeps its _FitPath, out of repr and
-    comparisons, so that refine_boundary refits from the scan's own fits
-    and a rho whose fit converged is not fitted again.
+    A scan from run_scan on more than one grid point also keeps its
+    _FitPath, out of repr and comparisons, so that refine_boundary refits
+    from the scan's own fits and a rho whose fit converged is not fitted
+    again. A one-point scan has no bracket to refine and keeps none.
     """
 
     kind: ConfoundingKind
@@ -313,7 +314,8 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
                      else [*known[1 - _WINDOW:], rhos[i]])
     scan = SensitivityScan(kind=kind, effect_type=effect_type, scope=scope,
                            grid=grid, alpha=alpha, points=(), warnings=(),
-                           dataset=ds, spec=spec, _path=path,
+                           dataset=ds, spec=spec,
+                           _path=path if len(rhos) > 1 else None,  # no bracket to refine
                            profile=profile if scope == "conditional" else None)
     points = tuple(_scan_point(scan, rho, path.fits[rho]) for rho in rhos)
     failed = [pt.rho for pt in points if not pt.converged]
@@ -435,7 +437,7 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     converged ends; a midpoint that converged before, in the scan or an
     earlier call, is not refitted, and one that failed is refitted.
     A scan built by hand keeps no fits, so refining one of its
-    boundaries raises ValueError.
+    boundaries raises ValueError; a one-point scan has no boundary.
     A failed refit stops refinement of that boundary at the coarse
     bracket (the scan-level warning machinery does not apply here; the
     coarse midpoint is still returned).

@@ -372,6 +372,77 @@ class TestSens:
         assert not (tmp_path / "o").exists()
 
 
+class TestRunOutcomes:
+    """What a run prints and writes when a scan is abandoned, a probit fit
+    stops unconverged or the data CSV drops rows."""
+
+    def test_abandoned_scan_writes_the_other_scans(self, workdir, tmp_path,
+                                                   capsys, monkeypatch):
+        import medsens.sensitivity as sens_mod
+        real = sens_mod.fit_constrained
+
+        def refuse_zy(kind, *args, **kwargs):
+            if kind is ConfoundingKind.EXPOSURE_OUTCOME:
+                raise medsens.SeparationError("separated")
+            return real(kind, *args, **kwargs)
+        monkeypatch.setattr(sens_mod, "fit_constrained", refuse_zy)
+        cfg = analysis_config(workdir, "abandon", scans=[
+            {"kind": "my", "effect": "nie", "grid": "0.0:0.1:0.1"},
+            {"kind": "zy", "effect": "te", "grid": "-0.45:0.45:0.05"},
+            {"kind": "zm", "effect": "nde", "grid": "0.0:0.1:0.1"}])
+        out = tmp_path / "o"
+        assert main(["sens", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"sensitivity tables written to {out}\n"
+        assert captured.err.startswith(
+            "error: scan zy_te_marginal: 19 of 19 grid points failed to converge")
+        assert captured.err.endswith("; scan abandoned\n")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "failures.csv", "intervals.csv", "scan_my_nie_marginal.csv",
+            "scan_zm_nde_marginal.csv", "sign_ranges.csv", "summary.json"]
+        failures = read_rows(out / "failures.csv")
+        assert {r["scan"] for r in failures} == {"zy_te_marginal"}
+        assert [float(r["rho"]) for r in failures] == pytest.approx(
+            [-0.45 + 0.05 * i for i in range(19)], abs=1e-12)
+        summary = json.loads((out / "summary.json").read_text())
+        assert [s["scan"] for s in summary["scans"]] == [
+            "my_nie_marginal", "zm_nde_marginal"]
+
+    def test_unconverged_probit_fit_writes_tables_and_exits_1(
+            self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(medsens.probit, "MAX_ITER", 1)
+        cfg = analysis_config(workdir, "unconverged")
+        out = tmp_path / "o"
+        assert main(["fit", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"fit tables written to {out}\n"
+        assert captured.err == "error: at least one probit fit did not converge\n"
+        conv = read_rows(out / "convergence.csv")
+        assert [r["converged"] for r in conv] == ["false"] * 3
+        assert (out / "coefficients.csv").exists()
+        assert json.loads((out / "summary.json").read_text())["convergence"][0][
+            "converged"] is False
+
+    def test_fit_reports_dropped_rows_before_the_tables(self, workdir, tmp_path,
+                                                        capsys):
+        lines = (workdir / "simout" / "data.csv").read_text().splitlines()
+        for i in (3, 10):
+            cells = lines[i].split(",")
+            cells[1] = "NA"
+            lines[i] = ",".join(cells)
+        (tmp_path / "na.csv").write_text("\n".join(lines) + "\n")
+        cfg = yaml.safe_load(analysis_config(workdir, "dropped").read_text())
+        cfg["data"] = str(tmp_path / "na.csv")
+        out = tmp_path / "o"
+        assert main(["fit", str(write_config(tmp_path / "c.yaml", cfg)),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"dropped 2 incomplete rows\nfit tables written to {out}\n")
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["n_rows"], summary["dropped_rows"]) == (798, 2)
+
+
 def test_profile_tokens_pin_values_and_names():
     """Every profile token's values and names, from the config and from
     --profile text; xcont has mean 3 and SD sqrt(2.5), xbin 0.5 and 0.5."""
@@ -725,26 +796,31 @@ def test_line_breaks_and_quotes_in_profile_names_are_quoted(workdir, tmp_path):
     assert all(len(row) == len(header) for row in rows)
 
 
-def readme_output_headers() -> list[tuple[str, str, list[str]]]:
-    """(command, file glob, columns) for each CSV row of README's outputs
-    table."""
+def readme_output_table() -> list[tuple[str, str, list[str], str | None]]:
+    """(command, file name, columns, summary.json key or None) for each CSV
+    row of README's outputs table, with the scan files' <...>[...] tag as
+    the {} of the file names in medsens.cli._OUTPUTS."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| command | files | columns |") + 2
+    start = lines.index("| command | files | columns | `summary.json` key |") + 2
     rows, command = [], None
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        cmd, files, columns = (c.strip() for c in line.strip("|").split("|"))
+        cmd, files, columns, key = (c.strip() for c in line.strip("|").split("|"))
         command = cmd.strip("`") or command
-        name = files.strip("`")
+        name = re.match(r"`([^`]*)`", files).group(1)
         if name.endswith(".csv") and command != "simulate":
-            pattern = re.sub(r"(<[^>]*>|\[[^]]*\])+", "*", name)
-            rows.append((command, pattern, columns.split(" (")[0].split(", ")))
+            rows.append((command, re.sub(r"<.*[>\]]", "{}", name),
+                         columns.split(" (")[0].split(", "),
+                         None if key == "—" else key.strip("`")))
     return rows
 
 
 def test_readme_output_headers_match_writers(workdir, tmp_path):
+    rows = readme_output_table()
+    assert rows == [(command, *entry) for command, entries in medsens.cli._OUTPUTS.items()
+                    for entry in entries]
     cfg = analysis_config(
         workdir, "readme",
         effects={"types": ["nie"], "scopes": ["marginal", "conditional"],
@@ -754,14 +830,15 @@ def test_readme_output_headers_match_writers(workdir, tmp_path):
                 "profile": "typ", "grid": "0.0:0.1:0.1"}])
     for command in ("fit", "effects", "sens"):
         assert main([command, str(cfg), "--out", str(tmp_path / command)]) == 0
-    rows = readme_output_headers()
-    assert {command for command, _, _ in rows} == {"fit", "effects", "sens"}
-    for command, pattern, columns in rows:
-        paths = sorted((tmp_path / command).glob(pattern))
-        assert paths, f"{command} wrote no file matching {pattern}"
+    for command, name, columns, key in rows:
+        paths = sorted((tmp_path / command).glob(name.format("*")))
+        assert paths, f"{command} wrote no file matching {name}"
         for path in paths:
             header = path.read_text(encoding="utf-8").splitlines()[0]
             assert header.split(",") == columns, path.name
+        if key is not None:
+            records = json.loads((tmp_path / command / "summary.json").read_text())[key]
+            assert records and all(sorted(r) == sorted(columns) for r in records), key
 
 
 # One bad config per place the CLI raises ConfigError: (command, config,

@@ -452,14 +452,38 @@ def real_array_entries(demo_confounded, spec):
     """Per entry: a valid value, the call that takes it, the error class
     and the parameter name a refusal must start with."""
     from medsens import (ConfoundingKind, CovariateProfile, Dataset, DataError,
-                         EffectType, constrained_grad, constrained_loglik,
-                         effect_rows, fit_constrained, fit_probit,
-                         fit_unconstrained)
+                         EffectType, GradientVector, bvn_cdf, constrained_grad,
+                         constrained_loglik, delta_se, effect_rows,
+                         fit_constrained, fit_probit, fit_unconstrained,
+                         log_bvn_cdf, probit_loglik)
     ds, my, nie = demo_confounded, ConfoundingKind.MEDIATOR_OUTCOME, EffectType.NIE
     fits = fit_unconstrained(ds, spec)
     beta, theta = fits.mediator.coefficients, fits.outcome.coefficients
+    sigma_beta, sigma_theta = fits.mediator.covariance, fits.outcome.covariance
     design = np.column_stack([np.ones(ds.n), ds.z, ds.x])
+    phi2_args = {"a": np.array([0.3, -1.2]), "b": np.array([0.5, 0.1]),
+                 "rho": np.array([0.2, -0.6])}
+
+    def phi2(func, arg):
+        return lambda v: func(**{**phi2_args, arg: v})
     return {
+        **{f"{func.__name__} {arg}": (valid, phi2(func, arg), ValueError, arg)
+           for func in (bvn_cdf, log_bvn_cdf) for arg, valid in phi2_args.items()},
+        "probit_loglik coefficients": (
+            np.full(design.shape[1], 0.1), lambda v: probit_loglik(v, design, ds.m),
+            ValueError, "coefficients"),
+        "delta_se grad.wrt_beta": (
+            beta, lambda v: delta_se(GradientVector(v, theta), sigma_beta, sigma_theta),
+            ValueError, "grad.wrt_beta"),
+        "delta_se grad.wrt_theta": (
+            theta, lambda v: delta_se(GradientVector(beta, v), sigma_beta, sigma_theta),
+            ValueError, "grad.wrt_theta"),
+        "delta_se sigma_beta": (
+            sigma_beta, lambda v: delta_se(GradientVector(beta, theta), v, sigma_theta),
+            ValueError, "sigma_beta"),
+        "delta_se sigma_theta": (
+            sigma_theta, lambda v: delta_se(GradientVector(beta, theta), sigma_beta, v),
+            ValueError, "sigma_theta"),
         "Dataset x": (ds.x, lambda v: Dataset(ds.z, ds.m, ds.y, v, ds.covariate_names),
                       DataError, "x"),
         "CovariateProfile values": (np.array([0.5, 1.0]),
@@ -487,7 +511,10 @@ def real_array_entries(demo_confounded, spec):
 ENTRY_NAMES = ["Dataset x", "CovariateProfile values", "fit_constrained start",
                "constrained_loglik coef_a", "constrained_grad coef_b",
                "effect_rows theta", "effect_rows beta", "effect_rows x",
-               "fit_probit design"]
+               "fit_probit design", "bvn_cdf a", "bvn_cdf b", "bvn_cdf rho",
+               "log_bvn_cdf a", "log_bvn_cdf b", "log_bvn_cdf rho",
+               "probit_loglik coefficients", "delta_se grad.wrt_beta",
+               "delta_se grad.wrt_theta", "delta_se sigma_beta", "delta_se sigma_theta"]
 
 
 @pytest.mark.parametrize("dtype", BAD_DTYPES, ids=lambda d: d.__name__)

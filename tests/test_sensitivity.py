@@ -972,6 +972,14 @@ class TestRefineBoundary:
                                              "the fits of a scan from run_scan"):
             refine_boundary(scan, resolution=0.01)
 
+    def test_one_point_scan_keeps_no_path(self, demo_confounded, spec):
+        # one grid point makes no bracket, so nothing would read the path
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.3, 0.3, 0.1),
+                        demo_confounded, spec)
+        assert [pt.converged for pt in scan.points] == [True]
+        assert scan._path is None
+        assert refine_boundary(scan, resolution=0.01) == []
+
     def test_no_boundaries_for_uniform_classification(self):
         scan = fake_scan([(-0.1, 0.05, 0.001), (0.1, 0.04, 0.001)])
         assert refine_boundary(scan, resolution=0.01) == []
