@@ -18,7 +18,13 @@ sqrt(1-r^2)) / Phi2, d2/du_a2 = -u_a g_a - r phi2/Phi2 - g_a^2 and
 d2/du_a du_b = phi2/Phi2 - g_a g_b (Greene, Econometric Analysis), every
 ratio taken in log space from numkernel.log_bvn_cdf, which owns the
 probability floor of ln Phi2. ln Phi2 is concave,
-so at fixed rho the probit module's Newton ascent maximizes the likelihood.
+so at fixed rho the probit module's Newton ascent maximizes the likelihood
+and ends the fit, as it ends a probit fit: separation, convergence, the
+covariance and the score norm are read off its _Optimum.
+The pass reads the designs datamodel.fit_designs holds as they are, with
+the response signs s = 2r - 1 on n-vectors: u = s (X b), X'(s v) and the
+Hessian blocks X_a'(X_b (s_a s_b h)) equal the sums over the sign-flipped
+designs s X bit for bit, since s = +-1 and s^2 = 1.
 The rows of one pass share |r| = rho, so 1 - rho^2, its root and its log
 are scalars. With z_a = (u_b - r u_a)/sqrt(1 - rho^2), the identity
 u_a^2 + z_a^2 = (u_a^2 - 2 r u_a u_b + u_b^2)/(1 - rho^2) gives
@@ -39,11 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
-from .errors import SeparationError
 from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _log_ndtr,
                         clamp_rho, log_bvn_cdf)
-from .probit import (_LOG_SQRT_2PI, _SEPARATION_BOUND, _mills,
-                     _newton_ascent, _probit_fits)
+from .probit import _LOG_SQRT_2PI, _mills, _newton_ascent, _probit_fits
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -84,26 +88,30 @@ def _check_rho_interior(rho: float) -> float:
     return rho
 
 
-def _signed_pair(kind: ConfoundingKind, designs):
-    """The sign-flipped designs (s_a X_a, s_b X_b) of the kind's two
-    (design, response) pairs in a model_designs table, and row signs s_a s_b.
+def _pair_rows(kind: ConfoundingKind, designs):
+    """(d_a, s_a, d_b, s_b): the designs of the kind's two (design,
+    response) pairs in a model_designs table, as they are, and their
+    response signs s = 2r - 1.
 
     The second model carries the w-style signed predictor in the
     likelihood; the two Phi2 arguments commute, so only the sign
-    bookkeeping matters.
+    bookkeeping matters. As s = +-1, a product with a sign is an exact
+    sign flip and s^2 = 1, so every signed sum equals the one over the
+    sign-flipped design s X bit for bit.
     """
     if kind not in PAIR_MODELS:
         raise ValueError(f"unknown confounding kind {kind!r}")
-    (da, ra), (db, rb) = (designs[model] for model in PAIR_MODELS[kind])
-    s_a, s_b = 2.0 * ra - 1.0, 2.0 * rb - 1.0
-    return da * s_a[:, None], db * s_b[:, None], s_a * s_b
+    (d_a, r_a), (d_b, r_b) = (designs[model] for model in PAIR_MODELS[kind])
+    return d_a, 2.0 * r_a - 1.0, d_b, 2.0 * r_b - 1.0
 
 
-def _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho):
-    """Log-likelihood, score, Hessian and row terms u_a, u_b, w_a, w_b, d of
-    sum_i ln Phi2(u_a, u_b; r_i), r_i = s_i rho, from one Phi2 evaluation."""
-    u_a = signed_a @ coef_a
-    u_b = signed_b @ coef_b
+def _pair_pass(coef_a, coef_b, rho, d_a, s_a, d_b, s_b):
+    """Log-likelihood, score, Hessian, largest |u| and row terms u_a, u_b,
+    w_a, w_b, d of sum_i ln Phi2(u_a, u_b; r_i), u = s X coef and r_i =
+    s_a s_b rho, from one Phi2 evaluation."""
+    u_a = s_a * (d_a @ coef_a)
+    u_b = s_b * (d_b @ coef_b)
+    signs = s_a * s_b
     r = signs * rho
     logp = log_bvn_cdf(u_b, u_a, r)
     loglik = float(logp.sum())
@@ -146,25 +154,28 @@ def _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho):
     neg_h_bb += rd
     neg_h_bb += w_b * w_b
     h_ab = d - w_a * w_b
-    ka = signed_a.shape[1]
-    hessian = np.empty((ka + signed_b.shape[1],) * 2)
-    hessian[:ka, :ka] = -(signed_a.T @ (signed_a * neg_h_aa[:, None]))
-    hessian[ka:, ka:] = -(signed_b.T @ (signed_b * neg_h_bb[:, None]))
-    hessian[:ka, ka:] = signed_a.T @ (signed_b * h_ab[:, None])
+    h_ab *= signs
+    ka = d_a.shape[1]
+    hessian = np.empty((ka + d_b.shape[1],) * 2)
+    hessian[:ka, :ka] = -(d_a.T @ (d_a * neg_h_aa[:, None]))
+    hessian[ka:, ka:] = -(d_b.T @ (d_b * neg_h_bb[:, None]))
+    hessian[:ka, ka:] = d_a.T @ (d_b * h_ab[:, None])
     hessian[ka:, :ka] = hessian[:ka, ka:].T
-    score = np.concatenate([signed_a.T @ w_a, signed_b.T @ w_b])
-    return loglik, score, hessian, u_a, u_b, w_a, w_b, d
+    score = np.concatenate([d_a.T @ (s_a * w_a), d_b.T @ (s_b * w_b)])
+    reach = max(np.abs(u_a).max(), np.abs(u_b).max())
+    return loglik, score, hessian, reach, u_a, u_b, w_a, w_b, d
 
 
-def _score_rho(signed_a, signed_b, signs, rho, rows):
+def _score_rho(rho, rows, d_a, s_a, d_b, s_b):
     """dg/drho, so that the path tangent at an optimum is -H^-1 dg/drho:
     dw_a/dr = dd/du_a = d [(r u_b - u_a)/(1 - r^2) - w_a] (Plackett 1954)
-    and dr_i/drho = s_i."""
+    and dr_i/drho = s_a s_b, whose product with a design's own sign is the
+    other design's sign."""
     u_a, u_b, w_a, w_b, d = rows
-    sd, r, one_minus_r2 = signs * d, signs * rho, 1.0 - rho * rho
+    r, one_minus_r2 = s_a * s_b * rho, 1.0 - rho * rho
     return np.concatenate([
-        signed_a.T @ (sd * ((r * u_b - u_a) / one_minus_r2 - w_a)),
-        signed_b.T @ (sd * ((r * u_a - u_b) / one_minus_r2 - w_b))])
+        d_a.T @ (s_b * d * ((r * u_b - u_a) / one_minus_r2 - w_a)),
+        d_b.T @ (s_a * d * ((r * u_a - u_b) / one_minus_r2 - w_b))])
 
 
 def _probit_pair_path(kind, ds, spec):
@@ -176,8 +187,8 @@ def _probit_pair_path(kind, ds, spec):
     lam_a lam_b (u_a u_b - lam_a lam_b) + O(r^3) gives each block of x' and
     x'' as cov X~' rows."""
     fits = tuple(_probit_fits(ds, spec, PAIR_MODELS[kind]).values())
-    designs, responses = zip(*(fit_designs(ds, spec)[m] for m in PAIR_MODELS[kind]))
-    signs = 2.0 * np.array(responses, dtype=float) - 1.0
+    d_a, s_a, d_b, s_b = _pair_rows(kind, fit_designs(ds, spec))
+    designs, signs = (d_a, d_b), np.array([s_a, s_b])
     u = signs * np.array([d @ f.coefficients for d, f in zip(designs, fits)])
     lam = np.array([_mills(q)[1] for q in u])
     d1 = -lam * (u + lam)                       # lam'
@@ -228,10 +239,10 @@ def _predict(known, rho) -> np.ndarray:
 def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
     # not fit_designs: validate_for_fit's n > p + 10 rejects one-row datasets
     rho = _check_rho_interior(rho)
-    signed_a, signed_b, signs = _signed_pair(kind, model_designs(ds, spec))
-    coef_a = _check_len("coef_a", coef_a, signed_a.shape[1])
-    coef_b = _check_len("coef_b", coef_b, signed_b.shape[1])
-    return _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho)
+    d_a, s_a, d_b, s_b = _pair_rows(kind, model_designs(ds, spec))
+    coef_a = _check_len("coef_a", coef_a, d_a.shape[1])
+    coef_b = _check_len("coef_b", coef_b, d_b.shape[1])
+    return _pair_pass(coef_a, coef_b, rho, d_a, s_a, d_b, s_b)
 
 
 def constrained_loglik(kind: ConfoundingKind, coef_a, coef_b, rho,
@@ -281,21 +292,20 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     converged optima and their tangents, a step off one, or the cubic
     through a bracket's two ends. A start that is not an array of
     integers or floats, or not finite, raises ValueError. The designs
-    come from datamodel.fit_designs; the sign-flipped pair is formed per
-    call.
-    Covariances are the inverse observed information of the joint fit
-    (the full matrix and its two diagonal blocks); the separation check,
-    tangent and slope reuse the last pass's row terms, with no further
-    Phi2 call or design product.
+    come from datamodel.fit_designs and are read as they are, with the
+    response signs on n-vectors (_pair_rows).
+    probit._newton_ascent ends the fit: it raises SeparationError, and it
+    gives the convergence verdict, the covariance (the inverse observed
+    information of the joint fit, split here into its two diagonal
+    blocks) and the score norm. The tangent and slope reuse the last
+    pass's row terms, with no further Phi2 call or design product.
     """
-    signed_a, signed_b, signs = _signed_pair(kind, fit_designs(ds, spec))
-    warnings: list[str] = []
+    d_a, s_a, d_b, s_b = pair = _pair_rows(kind, fit_designs(ds, spec))
     rho_used, clamped = clamp_rho(rho)
-    if clamped:
-        warnings.append(
-            f"rho = {rho!r} clamped to {rho_used!r} for likelihood evaluation")
+    warnings = (f"rho = {rho!r} clamped to {rho_used!r} for likelihood "
+                "evaluation",) if clamped else ()
 
-    ka, kb = signed_a.shape[1], signed_b.shape[1]
+    ka, kb = d_a.shape[1], d_b.shape[1]
     if start is None:
         start = _predict([_probit_pair_path(kind, ds, spec)], rho_used)
     x0 = _as_real_array(start, "start")
@@ -309,35 +319,14 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
             f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
 
     opt = _newton_ascent(
-        lambda x: _pair_pass(x[:ka], signed_a, x[ka:], signed_b, signs,
-                             rho_used), x0)
-    x = opt.x
-
-    # the last pass ran at x, so its u_a and u_b are the signed predictors
-    if any(np.abs(u).max() > _SEPARATION_BOUND for u in opt.rows[:2]):
-        raise SeparationError(
-            "constrained fit drove a linear predictor beyond +-30; "
-            "one margin is (quasi-)separated")
-
-    converged = bool(opt.converged and np.isfinite(opt.loglik))
-    info = -opt.hessian
-    try:
-        cov_full = np.linalg.inv(info)
-        cov_full = 0.5 * (cov_full + cov_full.T)
-        np.linalg.cholesky(cov_full)
-    except np.linalg.LinAlgError:
-        warnings.append("observed information not positive definite at optimum")
-        cov_full = np.linalg.pinv(info)
-        cov_full = 0.5 * (cov_full + cov_full.T)
-        converged = False
-
+        lambda x: _pair_pass(x[:ka], x[ka:], rho_used, *pair), x0)
+    x, cov_full = opt.x, opt.covariance
     return ConstrainedFit(
         kind=kind, rho=rho_used,
         coefficients_a=x[:ka], coefficients_b=x[ka:],
         covariance_a=cov_full[:ka, :ka], covariance_b=cov_full[ka:, ka:],
         covariance_full=cov_full, loglik=opt.loglik,
-        iterations=opt.iterations, converged=converged,
-        score_norm=float(np.abs(opt.score).max()),
-        warnings=tuple(warnings),
-        tangent=cov_full @ _score_rho(signed_a, signed_b, signs, rho_used, opt.rows),
-        loglik_slope=float(signs @ opt.rows[-1]))  # sum_i s_i d_i
+        iterations=opt.iterations, converged=opt.converged,
+        score_norm=opt.score_norm, warnings=warnings + opt.warnings,
+        tangent=cov_full @ _score_rho(rho_used, opt.rows, *pair),
+        loglik_slope=float((s_a * s_b) @ opt.rows[-1]))  # sum_i s_i d_i

@@ -313,12 +313,19 @@ def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
     """Write a Dataset so that load_csv reads back an identical Dataset.
 
     The delimiter is checked (as load_csv checks it) before the file is
-    opened. Covariates are written with repr, which round-trips doubles
-    exactly. The body goes out _WRITE_CHUNK rows at a time, built column
-    by column from .tolist(); the field strings are those of one writerow
-    per row of int(z), int(m), int(y) and repr(float(v)) per covariate.
+    opened, and so are the covariate names: csv.writer leaves a name with
+    a carriage return unquoted, and csv.reader reads that as a line break,
+    so such a name is a DataError. Covariates are written with repr, which
+    round-trips doubles exactly. The body goes out _WRITE_CHUNK rows at a
+    time, built column by column from .tolist(); the field strings are
+    those of one writerow per row of int(z), int(m), int(y) and
+    repr(float(v)) per covariate.
     """
     _check_delimiter(delimiter)
+    for name in ds.covariate_names:
+        if "\r" in name:
+            raise DataError(
+                f"covariate name {name!r} must not hold a carriage return")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(["z", "m", "y", *ds.covariate_names])

@@ -46,17 +46,17 @@ PROB_FLOOR = 1e-300
 RHO_INTERIOR = 0.999
 
 
-def _as_real(value, name: str) -> float:
+def _as_real(value, name: str, error=ValueError) -> float:
     """value as a float, which may be NaN or infinite; bools (any value of
     boolean dtype, 0-d arrays too) and strings, which float() would
-    coerce, are not real scalars."""
+    coerce, are not real scalars and are refused with error."""
     try:
         if not (isinstance(value, (bool, str, bytes))
                 or getattr(value, "dtype", None) == bool):
             return float(value)
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"{name} must be a real scalar, got {value!r}")
+    raise error(f"{name} must be a real scalar, got {value!r}")
 
 
 def _as_real_array(value, name: str, error=ValueError) -> np.ndarray:

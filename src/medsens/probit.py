@@ -3,7 +3,10 @@
 The log-likelihood sum_i ln Phi(s_i * x_i'b) with s_i = 2r_i - 1 is
 globally concave, so undamped Newton from a zero start converges in a
 handful of iterations; a step-halving guard keeps early steps honest.
-The same Newton ascent maximizes the constrained bivariate fits.
+The same Newton ascent, _newton_ascent, maximizes the constrained
+bivariate fits, and it ends every fit: the separation rule, the
+convergence verdict, the covariance and the score norm are its own, and
+both fits read them off its _Optimum.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0. ln Phi is
 numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
@@ -17,9 +20,9 @@ same rule (datamodel.require_full_rank: a Gram eigenvalue check, and
 matrix_rank's SVD only near the bound). Every design is fitted in Fortran
 order. The probit weights w are nonnegative, so the Hessian -X'WX is
 accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
-update per block. The separation guard reads the last pass's linear
-predictor. The zero start needs no row pass (at q = +-0 its row terms are
-constants), and a fit keeps no per-row vector.
+update per block. Each pass hands the ascent its largest |q|, the
+separation rule's input. The zero start needs no row pass (at q = +-0 its
+row terms are constants), and a fit keeps no per-row vector.
 _probit_fits is the only caller of fit_probit in the package: it fits each
 model once per (dataset, spec) and keeps the fit, with read-only arrays,
 in datamodel.fit_memo, so fit_unconstrained, the effect contexts, every
@@ -40,8 +43,9 @@ from .numkernel import _as_real_array, _log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-# |linear predictor| beyond this while the likelihood still improves is
-# treated as (quasi-)separation: the MLE is drifting to infinity.
+# a signed linear predictor beyond this after a step that improved the
+# likelihood, or at the returned point, is (quasi-)separation: the MLE is
+# drifting to infinity
 _SEPARATION_BOUND = 30.0
 
 # rows per block of the Hessian's rank-k updates: a block of a 20-column
@@ -62,25 +66,30 @@ class _Optimum(NamedTuple):
 
     x: np.ndarray
     loglik: float
-    score: np.ndarray
-    hessian: np.ndarray
+    covariance: np.ndarray
     iterations: int
     converged: bool
+    score_norm: float
+    warnings: tuple
     rows: list
 
 
-def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
+def _newton_ascent(loglik_score_hessian, x0) -> _Optimum:
     """Maximize a concave log-likelihood by step-halving Newton.
 
-    loglik_score_hessian maps x to (loglik, score, Hessian, *rows); the
-    rows of the pass at the returned x are kept. Convergence requires a
-    score below SCORE_TOL in the infinity norm and a relative log-likelihood
-    change below LOGLIK_RTOL. on_improve(x) runs after every step that
-    strictly increased the log-likelihood, so callers can raise on
-    divergence (separation).
+    loglik_score_hessian maps x to (loglik, score, Hessian, reach, *rows),
+    reach the largest |signed linear predictor| of the pass; the rows of
+    the pass at the returned x are kept. A step that strictly increases
+    the log-likelihood to a reach beyond _SEPARATION_BOUND, or a returned
+    point beyond it, raises SeparationError: the maximum is drifting to
+    infinity. The fit converged when the log-likelihood is finite, the
+    score is below SCORE_TOL in the infinity norm, the relative
+    log-likelihood change is below LOGLIK_RTOL and the information is
+    positive definite; the covariance is its symmetrized inverse, or the
+    pseudo-inverse, with a warning and converged False, where it is not.
     """
     x = np.asarray(x0, dtype=float)
-    f, g, h, *rows = loglik_score_hessian(x)
+    f, g, h, reach, *rows = loglik_score_hessian(x)
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
@@ -94,7 +103,7 @@ def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
         accepted = False
         for _ in range(40):
             cand = x + scale * step
-            f_new, g_new, h_new, *rows_new = loglik_score_hessian(cand)
+            f_new, g_new, h_new, reach_new, *rows_new = loglik_score_hessian(cand)
             if np.isfinite(f_new) and (
                     f_new >= f or (f_new >= floor
                                    and np.abs(g_new).max() <= 0.5 * g_norm)):
@@ -108,14 +117,31 @@ def _newton_ascent(loglik_score_hessian, x0, on_improve=None) -> _Optimum:
             break
         improved = f_new > f
         rel_change = abs(f_new - f) / (abs(f) + 1.0)
-        x, f, g, h, rows = cand, f_new, g_new, h_new, rows_new
-        if improved and on_improve is not None:
-            on_improve(x)
+        x, f, g, h, reach, rows = cand, f_new, g_new, h_new, reach_new, rows_new
+        if improved and reach > _SEPARATION_BOUND:
+            break
         if np.abs(g).max() < SCORE_TOL and rel_change < LOGLIK_RTOL:
             converged = True
             break
-    return _Optimum(x=x, loglik=float(f), score=g, hessian=h,
-                    iterations=iterations, converged=converged, rows=rows)
+    if reach > _SEPARATION_BOUND:
+        raise SeparationError(
+            "a fitted linear predictor exceeded +-30; the data are "
+            "(quasi-)separated and the likelihood has no finite maximum")
+    warnings = ()
+    try:
+        covariance = np.linalg.inv(-h)
+        covariance = 0.5 * (covariance + covariance.T)
+        np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError:
+        covariance = np.linalg.pinv(-h)
+        covariance = 0.5 * (covariance + covariance.T)
+        warnings = ("observed information not positive definite at optimum",)
+        converged = False
+    return _Optimum(x=x, loglik=float(f), covariance=covariance,
+                    iterations=iterations,
+                    converged=converged and bool(np.isfinite(f)),
+                    score_norm=float(np.abs(g).max()), warnings=warnings,
+                    rows=rows)
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,6 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
 
     s = 2.0 * response - 1.0
     block = np.empty((min(n, _HESSIAN_ROWS), k), order="F")
-    q = None
     zero = np.zeros(k)
 
     def hessian(weight):
@@ -214,30 +239,20 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
         return h
 
     def loglik_score_hessian(coef):
-        nonlocal q
         if coef is zero:  # the start: q = +-0 gives _mills' values at 0
             log_cdf, ratio, weight = (np.full(n, v) for v in _mills(zero[:1]))
+            reach = 0.0
         else:
             q = s * (design @ coef)
             log_cdf, ratio, weight = _mills(q)
-        return float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight)
+            reach = np.abs(q).max()
+        return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
+                reach)
 
-    def check_separation(coef):
-        # _newton_ascent calls this right after evaluating its accepted
-        # point coef, and |q| = |design @ coef| because s = +-1
-        if np.abs(q).max() > _SEPARATION_BOUND:
-            raise SeparationError(
-                "fitted linear predictor exceeded +-30 while the likelihood "
-                "was still improving; the data are (quasi-)separated")
-
-    opt = _newton_ascent(loglik_score_hessian, zero,
-                         on_improve=check_separation)
-    covariance = np.linalg.inv(-opt.hessian)
-    covariance = 0.5 * (covariance + covariance.T)
-    return ProbitFit(coefficients=opt.x, covariance=covariance,
+    opt = _newton_ascent(loglik_score_hessian, zero)
+    return ProbitFit(coefficients=opt.x, covariance=opt.covariance,
                      loglik=opt.loglik, iterations=opt.iterations,
-                     converged=opt.converged,
-                     score_norm=float(np.abs(opt.score).max()))
+                     converged=opt.converged, score_norm=opt.score_norm)
 
 
 @dataclass(frozen=True)

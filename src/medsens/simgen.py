@@ -33,17 +33,9 @@ from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
                         outcome_design, outcome_terms)
 from .effects import EffectType, _cells, _contrast
 from .errors import ConfigError
-from .numkernel import _as_real
+from .numkernel import _as_real, _as_real_array
 
 _DISTS = ("constant", "uniform", "normal", "bernoulli")
-
-
-def _config_real(value, name: str) -> float:
-    """numkernel._as_real, with its ValueError raised as a ConfigError."""
-    try:
-        return _as_real(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -58,12 +50,15 @@ class CovariateSpec:
     mean: float = 0.5       # bernoulli
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"covariate name must be a string, got {self.name!r}")
         if self.dist not in _DISTS:
             raise ConfigError(
                 f"covariate {self.name!r}: dist must be one of {_DISTS}, "
                 f"got {self.dist!r}")
         for key in ("value", "low", "high", "mean"):
-            _config_real(getattr(self, key), f"covariate {self.name!r}: {key}")
+            _as_real(getattr(self, key), f"covariate {self.name!r}: {key}",
+                     ConfigError)
         if self.dist == "uniform" and not self.high > self.low:
             raise ConfigError(
                 f"covariate {self.name!r}: uniform needs high > low")
@@ -91,18 +86,21 @@ class TrueParams:
         for name, terms in (("alpha", exposure_terms), ("beta", mediator_terms),
                             ("theta", outcome_terms)):
             expected = len(terms(self.spec, names))
-            vec = np.array(getattr(self, name), dtype=float)  # a copy to freeze
+            # a copy to freeze
+            vec = np.array(_as_real_array(getattr(self, name), name, ConfigError))
             if vec.shape != (expected,):
                 raise ConfigError(
                     f"{name} has length {vec.shape}, layout expects "
                     f"{expected} for p = {p}")
+            if not np.isfinite(vec).all():
+                raise ConfigError(f"{name} must be finite, got {vec.tolist()}")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         if self.confounding is not None:
             kind, rho = self.confounding
             if not isinstance(kind, ConfoundingKind):
                 raise ConfigError(f"confounding kind must be a ConfoundingKind, got {kind!r}")
-            rho = _config_real(rho, "confounding correlation")
+            rho = _as_real(rho, "confounding correlation", ConfigError)
             if not abs(rho) <= 1.0:
                 raise ConfigError(f"confounding correlation must satisfy |rho| <= 1, got {rho!r}")
             object.__setattr__(self, "confounding", (kind, rho))

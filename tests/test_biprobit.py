@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from medsens import (ConfoundingKind, ModelSpec, build_exposure_design,
-                     build_mediator_design, build_outcome_design, bvn_cdf,
-                     constrained_grad, constrained_loglik, demo_params,
-                     fit_constrained, fit_probit, log_bvn_cdf, probit_loglik,
-                     simulate)
+from medsens import (ConfoundingKind, ModelSpec, SeparationError,
+                     build_exposure_design, build_mediator_design,
+                     build_outcome_design, bvn_cdf, constrained_grad,
+                     constrained_loglik, demo_params, fit_constrained,
+                     fit_probit, log_bvn_cdf, probit, probit_loglik, simulate)
 from medsens.biprobit import _pair_pass, _probit_pair_path
 from medsens.numkernel import PROB_FLOOR
 from conftest import confounded_params, make_dataset
@@ -164,7 +164,7 @@ def exact_pair_hessian(signed_a, signed_b, u_a, u_b, rho, signs):
 
 @pytest.fixture(scope="module")
 def wide_pair_rows():
-    """Signed designs and row signs whose predictors u_a, u_b cover
+    """Designs and response signs whose signed predictors u_a, u_b cover
     [-8, 8], rows beyond it dropped."""
     rng = np.random.default_rng(2020)
     n = 3000
@@ -175,7 +175,7 @@ def wide_pair_rows():
     s_a, s_b = rng.choice([-1.0, 1.0], size=(2, n))
     signed_a, signed_b = xa * s_a[:, None], xb * s_b[:, None]
     keep = (np.abs(signed_a @ coef_a) <= 8.0) & (np.abs(signed_b @ coef_b) <= 8.0)
-    return (coef_a, signed_a[keep], coef_b, signed_b[keep], (s_a * s_b)[keep])
+    return coef_a, xa[keep], s_a[keep], coef_b, xb[keep], s_b[keep]
 
 
 def normwise(a, b):
@@ -186,10 +186,13 @@ def normwise(a, b):
 def test_pair_pass_matches_the_reference_formula(rho, wide_pair_rows):
     # rows where Phi2 is below the probability floor are left out: there
     # both passes cap the ratios at exp(600) and w^2 overflows the Hessian
-    coef_a, signed_a, coef_b, signed_b, signs = wide_pair_rows
+    # the kernel reads the designs and signs as they are, the reference
+    # the sign-flipped designs s X
+    coef_a, d_a, s_a, coef_b, d_b, s_b = wide_pair_rows
+    signed_a, signed_b, signs = d_a * s_a[:, None], d_b * s_b[:, None], s_a * s_b
     live = bvn_cdf(signed_b @ coef_b, signed_a @ coef_a, signs * rho) > PROB_FLOOR
     signed_a, signed_b, signs = signed_a[live], signed_b[live], signs[live]
-    got = _pair_pass(coef_a, signed_a, coef_b, signed_b, signs, rho)
+    got = _pair_pass(coef_a, coef_b, rho, d_a[live], s_a[live], d_b[live], s_b[live])
     ref = reference_pair_pass(coef_a, signed_a, coef_b, signed_b, signs * rho)
     assert normwise(got[0], ref[0]) <= 1e-13
     assert normwise(got[1], ref[1]) <= 1e-13
@@ -199,11 +202,12 @@ def test_pair_pass_matches_the_reference_formula(rho, wide_pair_rows):
         # here d nearly cancels w_a w_b, and the reference's Hessian is
         # itself about 5e-11 from one built of exact row terms: the kernel
         # must be no farther from that than 1.5 times the reference
-        exact = exact_pair_hessian(signed_a, signed_b, got[3], got[4], rho, signs)
+        exact = exact_pair_hessian(signed_a, signed_b, got[4], got[5], rho, signs)
         assert normwise(got[2], exact) <= 1.5 * normwise(ref[2], exact)
-    for g, r in zip(got[3:5], ref[3:5]):    # u_a, u_b
+    assert got[3] == max(np.abs(ref[3]).max(), np.abs(ref[4]).max())  # reach
+    for g, r in zip(got[4:6], ref[3:5]):    # u_a, u_b
         assert np.array_equal(g, r)
-    for g, r in zip(got[5:], ref[5:]):      # w_a, w_b, d
+    for g, r in zip(got[6:], ref[5:]):      # w_a, w_b, d
         np.testing.assert_allclose(g, r, rtol=1e-10, atol=0.0)
 
 
@@ -318,6 +322,22 @@ class TestFitConstrained:
         # not a SeparationError: the data are not separated
         with pytest.raises(ValueError, match="start"):
             fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
+
+
+def test_separated_outcome_raises_from_an_explicit_start(monkeypatch, spec):
+    # the outcome is the sign of the covariate; with an explicit start no
+    # probit fit runs, so the constrained fit itself must find the
+    # separation
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=200)
+    ds = make_dataset(rng.integers(0, 2, 200), rng.integers(0, 2, 200),
+                      (x > 0).astype(int), x[:, None], ("x",))
+    probit_fits = []
+    monkeypatch.setattr(probit, "fit_probit",
+                        lambda *args: probit_fits.append(args))
+    with pytest.raises(SeparationError, match="separat"):
+        fit_constrained(MY, 0.3, ds, spec, start=np.zeros(3 + 5))
+    assert probit_fits == []
 
 
 @pytest.fixture(scope="module", params=KINDS, ids=[k.value for k in KINDS])

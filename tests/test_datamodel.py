@@ -278,6 +278,26 @@ def test_write_csv_checks_delimiter_before_opening(tmp_path, delimiter):
     assert path.read_bytes() == b"z,m,y\n1,0,1\n"
 
 
+@pytest.mark.parametrize("name", ["a\rb", "\r", "a\r\nb"])
+def test_write_csv_refuses_a_carriage_return_name_before_opening(tmp_path, name):
+    # csv.writer would leave the name unquoted and load_csv could not
+    # read it back
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"z,m,y\n1,0,1\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"covariate name {name!r} must not hold a carriage return")):
+        write_csv(_bits_dataset(2, [[0.5, 1.0], [1.5, 2.0]], ("x", name)), path)
+    assert path.read_bytes() == b"z,m,y\n1,0,1\n"
+
+
+def test_write_csv_round_trips_names_csv_must_quote(tmp_path):
+    names = ("a,b", 'say "hi"', "line\nbreak")
+    ds = _bits_dataset(3, np.arange(9.0).reshape(3, 3) / 7, names)
+    write_csv(ds, tmp_path / "d.csv")
+    roles = ColumnRoles("z", "m", "y", names)
+    assert load_csv(tmp_path / "d.csv", roles).dataset.equals(ds)
+
+
 # one cell grammar for load_csv against the row loop: files are drawn from
 # cells numpy's reader parses as the row loop does, then given flaws it
 # must leave to the row loop (cells from DIRTY, ragged rows, blank lines)

@@ -2,6 +2,7 @@
 finite-difference helper."""
 
 import csv
+import dataclasses
 import math
 import re
 import warnings
@@ -451,11 +452,11 @@ BAD_DTYPES = [bool, str, bytes, object, complex]
 def real_array_entries(demo_confounded, spec):
     """Per entry: a valid value, the call that takes it, the error class
     and the parameter name a refusal must start with."""
-    from medsens import (ConfoundingKind, CovariateProfile, Dataset, DataError,
-                         EffectType, GradientVector, bvn_cdf, constrained_grad,
-                         constrained_loglik, delta_se, effect_rows,
-                         fit_constrained, fit_probit, fit_unconstrained,
-                         log_bvn_cdf, probit_loglik)
+    from medsens import (ConfigError, ConfoundingKind, CovariateProfile, Dataset,
+                         DataError, EffectType, GradientVector, bvn_cdf,
+                         constrained_grad, constrained_loglik, delta_se,
+                         demo_params, effect_rows, fit_constrained, fit_probit,
+                         fit_unconstrained, log_bvn_cdf, probit_loglik)
     ds, my, nie = demo_confounded, ConfoundingKind.MEDIATOR_OUTCOME, EffectType.NIE
     fits = fit_unconstrained(ds, spec)
     beta, theta = fits.mediator.coefficients, fits.outcome.coefficients
@@ -466,7 +467,12 @@ def real_array_entries(demo_confounded, spec):
 
     def phi2(func, arg):
         return lambda v: func(**{**phi2_args, arg: v})
+    params = demo_params()
     return {
+        **{f"TrueParams {name}": (
+            getattr(params, name),
+            lambda v, name=name: dataclasses.replace(params, **{name: v}),
+            ConfigError, name) for name in ("alpha", "beta", "theta")},
         **{f"{func.__name__} {arg}": (valid, phi2(func, arg), ValueError, arg)
            for func in (bvn_cdf, log_bvn_cdf) for arg, valid in phi2_args.items()},
         "probit_loglik coefficients": (
@@ -514,7 +520,8 @@ ENTRY_NAMES = ["Dataset x", "CovariateProfile values", "fit_constrained start",
                "fit_probit design", "bvn_cdf a", "bvn_cdf b", "bvn_cdf rho",
                "log_bvn_cdf a", "log_bvn_cdf b", "log_bvn_cdf rho",
                "probit_loglik coefficients", "delta_se grad.wrt_beta",
-               "delta_se grad.wrt_theta", "delta_se sigma_beta", "delta_se sigma_theta"]
+               "delta_se grad.wrt_theta", "delta_se sigma_beta", "delta_se sigma_theta",
+               "TrueParams alpha", "TrueParams beta", "TrueParams theta"]
 
 
 @pytest.mark.parametrize("dtype", BAD_DTYPES, ids=lambda d: d.__name__)

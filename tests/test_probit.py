@@ -103,6 +103,65 @@ def test_separated_data_raises():
         fit_probit(design, y)
 
 
+def toy_pass(curve, reach):
+    """A one-coefficient pass for _newton_ascent: loglik -curve(x - 1),
+    its derivatives, and reach(x) as the largest |signed predictor|."""
+    def loglik_score_hessian(x):
+        f, g, h = curve(x[0] - 1.0)
+        return -f, np.array([-g]), np.array([[-h]]), reach(x[0])
+    return loglik_score_hessian
+
+
+def quartic(t):
+    return t ** 4 + t * t, 4.0 * t ** 3 + 2.0 * t, 12.0 * t * t + 2.0
+
+
+def test_an_improving_step_beyond_the_bound_raises():
+    # Newton from 0 climbs to the optimum at 1 through (0, 1); a predictor
+    # beyond +-30 on the way raises although the optimum's is 0
+    beyond_on_the_way = toy_pass(quartic, lambda x: 40.0 if 0.0 < x < 0.99 else 0.0)
+    with pytest.raises(SeparationError, match="separat"):
+        probit._newton_ascent(beyond_on_the_way, np.zeros(1))
+    assert probit._newton_ascent(toy_pass(quartic, lambda x: 0.0),
+                                 np.zeros(1)).converged
+
+
+def test_a_returned_point_beyond_the_bound_raises():
+    # the start is the optimum: no step improves, the returned point is
+    # beyond the bound
+    with pytest.raises(SeparationError, match="separat"):
+        probit._newton_ascent(toy_pass(quartic, lambda x: 31.0), np.ones(1))
+
+
+def test_information_not_positive_definite_is_flagged():
+    # at the start, the optimum of -(x - 1)^2, the pass reports a convex
+    # Hessian: the covariance is the pseudo-inverse, with a warning
+    def convex_at_the_optimum(t):
+        return t * t, 2.0 * t, -2.0
+    opt = probit._newton_ascent(toy_pass(convex_at_the_optimum, lambda x: 0.0),
+                                np.ones(1))
+    assert opt.iterations == 1 and opt.score_norm == 0.0
+    assert not opt.converged
+    assert opt.warnings == ("observed information not positive definite at optimum",)
+    assert opt.covariance.tolist() == [[-0.5]]
+
+
+def test_covariance_is_the_symmetrized_inverse_information(monkeypatch, spec):
+    # the covariance is inv(-H), symmetrized, at the last pass: Cholesky
+    # checks it and leaves it as it is
+    design, response = fit_designs(fresh_dataset(77), spec)["outcome"]
+    passes, real_ascent = [], probit._newton_ascent
+
+    def ascent(f, x0):
+        passes.append(f)
+        return real_ascent(f, x0)
+
+    monkeypatch.setattr(probit, "_newton_ascent", ascent)
+    fit = fit_probit(design, response)
+    inverse = np.linalg.inv(-passes[0](fit.coefficients)[2])
+    assert fit.covariance.tobytes() == (0.5 * (inverse + inverse.T)).tobytes()
+
+
 def test_rank_deficient_design_raises():
     rng = np.random.default_rng(2)
     col = rng.normal(size=50)
@@ -298,9 +357,9 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
         mills_rows.append(q.size)
         return real_mills(q)
 
-    def ascent(f, x0, on_improve=None):
+    def ascent(f, x0):
         # a copy of the zero start is not the start the closure skips
-        return real_ascent(f, x0.copy(), on_improve)
+        return real_ascent(f, x0.copy())
 
     monkeypatch.setattr(probit, "_mills", counted)
     held = fit_probit(design, response)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,29 @@ class TestValidation:
         cov = CovariateSpec(name="u", dist="uniform", low=0, high=np.int64(2))
         assert cov.low == 0 and type(cov.low) is int
         assert cov.high == 2 and cov.high.dtype == np.int64
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coefficients_must_be_finite(self, name, bad):
+        vec = getattr(demo_params(), name).copy()
+        vec[0] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got"):
+            dataclasses.replace(demo_params(), **{name: vec})
+
+    def test_integer_coefficients_simulate_the_float_dataset(self):
+        ints = {"alpha": [-1, 0, 1], "beta": np.array([-1, 1, 0, 0]),
+                "theta": np.array([-1, 0, 1, 0, 1, 0], dtype=np.int8)}
+        params = dataclasses.replace(demo_params(), **ints)
+        as_floats = dataclasses.replace(
+            demo_params(), **{name: np.array(v, dtype=float) for name, v in ints.items()})
+        assert params.theta.dtype == float and not params.theta.flags.writeable
+        assert simulate(params, 300, 5).equals(simulate(as_floats, 300, 5))
+
+    @pytest.mark.parametrize("name", [1, None, b"x", ("x",)])
+    def test_covariate_name_must_be_a_string(self, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"covariate name must be a string, got {name!r}")):
+            CovariateSpec(name=name, dist="normal")
 
     def test_covariate_dist_names(self):
         with pytest.raises(ConfigError, match="dist"):
