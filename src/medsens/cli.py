@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import re
@@ -343,21 +344,23 @@ def _load_dataset(cfg: dict) -> LoadResult:
         raise ConfigError(f"cannot read data file {cfg['data']}: {exc}") from None
 
 
-def _expand_profile(name: str, values: dict, ds: Dataset) -> list[CovariateProfile]:
-    names = ds.covariate_names
+def _expand_profile(name: str, values: dict, names: tuple[str, ...],
+                    stats) -> list[CovariateProfile]:
+    """The profiles of one entry; stats() gives the covariates' means and
+    SDs, read only for a mean or SD token."""
     missing = [c for c in names if c not in values]
     extra = [c for c in values if c not in names]
     if missing or extra:
         raise ConfigError(
             f"profile {name!r} must assign exactly the covariates {list(names)}"
             f" (missing {missing}, unknown {extra})")
-    means, sds = covariate_stats(ds)
     points = []  # per covariate, its (profile-name suffix, value) at each step
-    for c, mean, sd in zip(names, means, sds):
+    for j, c in enumerate(names):
         # a number is read from its text too: the repr of a float round-trips
         text = str(values[c]).strip().lower().replace("±", "+-")
         steps = _SD_STEPS.get(text, ())
         if steps:
+            mean, sd = (column[j] for column in stats())
             points.append([(f".{_SD_NAMES[k]}" if len(steps) > 1 else "",
                             mean + k * sd if k else mean) for k in steps])
             continue
@@ -395,8 +398,9 @@ def _parse_profiles(cfg: dict, ds: Dataset, args) -> list[CovariateProfile]:
                 raise ConfigError(f"--profile {text!r} names covariate {key!r} twice")
             values[key] = val
         entries.append((f"cli{i}", values))
+    stats = functools.cache(lambda: covariate_stats(ds))
     profiles = [profile for name, values in entries
-                for profile in _expand_profile(name, values, ds)]
+                for profile in _expand_profile(name, values, ds.covariate_names, stats)]
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise ConfigError(f"profile names must be distinct, got {names}")

@@ -17,9 +17,18 @@ column is contiguous: the probit fit scales rows of whole columns and
 forms X'X by a symmetric rank-k update without copying the design.
 
 Dataset and CovariateProfile store read-only copies of the arrays they are
-given, never the caller's own. write_csv writes the body a chunk of rows
-at a time, column by column, with the field strings of a row-by-row
-writer, so its files do not depend on the chunk size.
+given, never the caller's own. write_csv writes the header with csv.writer
+and builds the body itself, a chunk of rows at a time, each chunk one
+string: a row is one of eight "z,m,y" prefixes and the repr of each
+covariate. Those fields hold only 0-9 . + - e, so csv's minimal quoting
+wraps a body field in double quotes only when it holds the delimiter,
+which only a delimiter among those characters can be. The bytes are those
+of a row-by-row csv writer and do not depend on the chunk size.
+
+load_csv scans the body's bytes once before numpy's reader sees it: the
+scan counts the lines numpy must return one row each for, and declines a
+body with an NA or empty cell, which numpy's reader would refuse after a
+full parse, so the row loop reads it at once.
 """
 
 from __future__ import annotations
@@ -27,12 +36,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 import warnings
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
-from operator import itemgetter, mul
+from operator import mul
 
 import numpy as np
 
@@ -166,15 +176,16 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
     offending rows.
 
     A body of plain numbers, one row per line, with 0/1 exposure, mediator
-    and outcome and finite covariates is parsed by numpy's C reader. The
-    row loop reads every other body and alone reports bad cells and
-    dropped rows.
+    and outcome and finite covariates is parsed by numpy's C reader, which
+    reads the file by path past the header's lines. The row loop reads
+    every other body and alone reports bad cells and dropped rows; a body
+    with an NA or empty cell goes to it without a numpy parse.
     """
     _check_delimiter(delimiter)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header, pos = _read_header(reader, path, roles)
-        loaded = _load_numeric(fh, len(header), pos, delimiter)
+    loaded = _load_numeric(path, reader.line_num, len(header), pos, delimiter)
     return loaded if loaded is not None else _load_rows(path, roles, delimiter)
 
 
@@ -207,21 +218,26 @@ def _read_header(reader, path, roles: ColumnRoles) -> tuple[list[str], dict]:
     return header, {c: header.index(c) for c in wanted}
 
 
-def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | None:
-    """load_csv's result on the rest of fh if numpy's reader parses it, one
-    row per line, into columns Dataset accepts, else None, and the row loop
-    reports the problem. That reader skips blank lines and joins quoted
-    line breaks, so it must read one row per line."""
-    lines = itertools.count()  # one step per line handed to the reader
+def _load_numeric(path, skip: int, width: int, pos: dict,
+                  delimiter: str) -> LoadResult | None:
+    """load_csv's result on the lines of the file after its first skip
+    (the header's) if numpy's reader parses them, one row per line, into
+    columns Dataset accepts, else None, and the row loop reports the
+    problem. That reader skips blank lines and joins quoted line breaks,
+    so it must return one row per line that _body_lines counted; a body
+    _body_lines declines never reaches it."""
+    lines = _body_lines(path, skip, delimiter)
+    if lines is None:
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            block = np.loadtxt(map(itemgetter(0), zip(fh, lines)), dtype=float,
-                               delimiter=delimiter, quotechar='"', comments=None,
-                               ndmin=2)
+            block = np.loadtxt(path, dtype=float, delimiter=delimiter, quotechar='"',
+                               comments=None, ndmin=2, skiprows=skip,
+                               encoding="utf-8-sig")
         except (TypeError, ValueError, Warning):
             return None
-    if block.shape != (next(lines), width):
+    if block.shape != (lines, width):
         return None
     cols = list(pos.values())
     z, m, y = block.take(cols[:3], axis=1).T
@@ -230,6 +246,58 @@ def _load_numeric(fh, width: int, pos: dict, delimiter: str) -> LoadResult | Non
     except DataError:
         return None
     return LoadResult(ds, dropped=0)
+
+
+# bytes per read of _body_pieces
+_SCAN_CHUNK = 1 << 18
+
+
+def _body_pieces(path, skip: int):
+    """The bytes of the file after its first skip lines, in pieces of whole
+    lines (the last may be unterminated), every line break ("\n", "\r" or
+    "\r\n", as csv.reader and numpy's reader split lines) made b"\n"."""
+    piece = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK):
+            while chunk.endswith(b"\r") and (byte := fh.read(1)):
+                chunk += byte  # a "\r\n" stays in one chunk
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            piece += chunk
+            while skip and (cut := piece.find(b"\n") + 1):
+                piece, skip = piece[cut:], skip - 1
+            cut = piece.rfind(b"\n") + 1
+            if cut and not skip:
+                yield piece[:cut]
+                piece = piece[cut:]
+    if piece and not skip:
+        yield piece
+
+
+def _body_lines(path, skip: int, delimiter: str) -> int | None:
+    """The number of lines after the file's first skip lines, or None when
+    one has a cell numpy's reader would refuse only after a full parse:
+    NA (padded with spaces or tabs at most), or, in a piece of lines
+    without a double quote, an empty cell (two delimiters in a row, or one
+    at the start or end of a line). A quoted cell may hold the delimiter,
+    so the empty-cell rule reads only unquoted text, where every cell lies
+    between two delimiters or line ends; it also declines a blank line,
+    which numpy's reader would skip. One byte scan of the file."""
+    sep = re.escape(delimiter.encode())
+    na = re.compile(rb"(?:^|%s)[ \t]*NA[ \t]*(?:%s|$)" % (sep, sep), re.MULTILINE)
+    code = ord(delimiter) if delimiter.isascii() else None
+    lines = 0
+    for piece in _body_pieces(path, skip):
+        chars = np.frombuffer(piece, np.uint8)
+        ends = chars == 10
+        lines += np.count_nonzero(ends) + (not ends[-1])
+        if b"N" in piece and na.search(piece):
+            return None
+        if code is not None and b'"' not in piece:
+            cuts = ends | (chars == code)
+            if cuts[0] or chars[-1] == code or (cuts[1:] & cuts[:-1]).any():
+                return None
+    return lines
 
 
 def _number(text: str) -> float:
@@ -305,8 +373,11 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
 
 
 # rows per write_csv chunk: bounds the Python ints, floats and strings
-# alive at once, while each csv writerows call still takes many rows
+# alive at once, while each fh.write still takes many rows
 _WRITE_CHUNK = 4096
+
+# every character of a body field: "0"/"1" and the repr of a finite float
+_NUMBER_CHARS = frozenset("0123456789.+-e")
 
 
 def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
@@ -315,25 +386,39 @@ def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
     The delimiter is checked (as load_csv checks it) before the file is
     opened, and so are the covariate names: csv.writer leaves a name with
     a carriage return unquoted, and csv.reader reads that as a line break,
-    so such a name is a DataError. Covariates are written with repr, which
-    round-trips doubles exactly. The body goes out _WRITE_CHUNK rows at a
-    time, built column by column from .tolist(); the field strings are
-    those of one writerow per row of int(z), int(m), int(y) and
-    repr(float(v)) per covariate.
+    so such a name is a DataError. csv.writer writes the header row only.
+    The body goes out _WRITE_CHUNK rows at a time as one string: a row is
+    one of eight "z,m,y" prefixes, indexed by 4z + 2m + y, then repr of
+    each covariate, which round-trips doubles exactly. The bytes are those
+    of one csv writerow per row of int(z), int(m), int(y) and
+    repr(float(v)) per covariate. csv's minimal quoting needs one rule here:
+    a body field holds only 0-9 . + - e, so when the delimiter is one of
+    those characters each field that contains it is wrapped in double
+    quotes, and for any other delimiter no body field is quoted.
     """
     _check_delimiter(delimiter)
     for name in ds.covariate_names:
         if "\r" in name:
             raise DataError(
                 f"covariate name {name!r} must not hold a carriage return")
+    quoted = delimiter in _NUMBER_CHARS
+
+    def field(text: str) -> str:
+        return f'"{text}"' if delimiter in text else text
+    prefixes = [delimiter.join(map(field, bits))
+                for bits in itertools.product("01", repeat=3)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(["z", "m", "y", *ds.covariate_names])
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow(
+            ["z", "m", "y", *ds.covariate_names])
         for lo in range(0, ds.n, _WRITE_CHUNK):
             rows = slice(lo, lo + _WRITE_CHUNK)
-            writer.writerows(zip(
-                ds.z[rows].tolist(), ds.m[rows].tolist(), ds.y[rows].tolist(),
-                *(map(repr, col) for col in ds.x[rows].T.tolist())))
+            codes = 4 * ds.z[rows] + 2 * ds.m[rows] + ds.y[rows]
+            columns = [map(repr, col) for col in ds.x[rows].T.tolist()]
+            if quoted:
+                columns = [map(field, col) for col in columns]
+            fh.write("\n".join(map(delimiter.join, zip(
+                map(prefixes.__getitem__, codes.tolist()), *columns))))
+            fh.write("\n")
 
 
 # model -> its blocks in column order, each a ModelSpec flag (None for a

@@ -62,8 +62,13 @@ def _as_real(value, name: str, error=ValueError) -> float:
 def _as_real_array(value, name: str, error=ValueError) -> np.ndarray:
     """value as a float array; arrays of any dtype but integer or float
     (bool, str, bytes, object, complex), which np.asarray(value,
-    dtype=float) would coerce, are refused with error."""
-    arr = np.asarray(value)
+    dtype=float) would coerce, are refused with error, and so is a ragged
+    sequence, which numpy cannot make an array of."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # "inhomogeneous shape"
+        raise error(f"{name} must be real numbers in a rectangular array, "
+                    "got a ragged sequence") from None
     if arr.dtype.kind not in "iuf":
         raise error(f"{name} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)

@@ -472,6 +472,24 @@ def test_profile_tokens_pin_values_and_names():
     assert [math.copysign(1.0, p.values[1]) for p in flag_only[1:]] == [-1.0] * 3
 
 
+def test_profiles_read_covariate_stats_once_and_only_for_tokens(monkeypatch):
+    x = np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 0.0], [5.0, 1.0]])
+    ds = Dataset([0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1], x, ("xcont", "xbin"))
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return medsens.datamodel.covariate_stats(data)
+    monkeypatch.setattr(medsens.cli, "covariate_stats", counted)
+    numeric = argparse.Namespace(profile=["xcont=2.5,xbin=1", "xcont=-1,xbin=0"])
+    assert len(medsens.cli._parse_profiles({"effects": {}}, ds, numeric)) == 2
+    assert calls == []
+    tokens = argparse.Namespace(profile=["xcont=mean,xbin=1", "xcont=0,xbin=mean+-sd",
+                                         "xcont=mean-sd,xbin=0"])
+    assert len(medsens.cli._parse_profiles({"effects": {}}, ds, tokens)) == 5
+    assert calls == [ds]
+
+
 @pytest.mark.parametrize("command", ["fit", "effects", "sens", "simulate"])
 def test_rerun_is_byte_identical(workdir, tmp_path, command):
     if command == "simulate":

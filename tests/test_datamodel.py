@@ -197,6 +197,16 @@ LOAD_CASES = {
     "unmapped text column": ("z,m,y,age,note\n1,0,1,35,ok\n", ",", False),
     "unmapped numeric column": ("id,z,m,y,age\n7,1,0,1,35\n", ",", True),
     "byte-order mark": ("\ufeff" + H + "1,0,1,35\n", ",", True),
+    # numpy reads the file by path past the header's lines
+    "quoted header line break": ('z,m,y,age,"no\nte"\n1,0,1,35,7\n', ",", True),
+    "quoted header line break, CR": ('z,m,y,age,"no\rte"\r1,0,1,35,7\r', ",", True),
+    "quoted header line break, CRLF and BOM": (
+        '\ufeffz,m,y,age,"no\r\nte"\r\n1,0,1,35,7\r\n0,1,0,4,2\r\n', ",", True),
+    # two delimiters in a row inside quotes are no empty cell
+    "digit delimiter in quoted numbers": (
+        'z1m1y1age\n"1"101"1"1"11"\n0101"1"1"3.5"\n', "1", True),
+    "space delimiter in quoted numbers": ('z m y age\n1 0 1 "35  "\n0 1 0 "  4"\n', " ", True),
+    "tab delimiter in quoted numbers": ('z\tm\ty\tage\n1\t0\t1\t"35\t\t"\n', "\t", True),
 }
 
 
@@ -209,6 +219,44 @@ def test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numer
     calls = _row_loop_calls(monkeypatch)
     assert_same_load(_load_outcome(load_csv, path, ROLES, delimiter), expected)
     assert (not calls) == numeric
+
+
+@pytest.mark.parametrize("text, delimiter, numeric", LOAD_CASES.values(),
+                         ids=list(LOAD_CASES))
+def test_load_csv_scans_in_pieces_of_any_size(tmp_path, monkeypatch, text, delimiter,
+                                               numeric):
+    # three-byte reads cut every "\r\n", line and cell the scan looks at
+    monkeypatch.setattr(datamodel, "_SCAN_CHUNK", 3)
+    test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numeric)
+
+
+def _loadtxt_calls(monkeypatch) -> list:
+    loadtxt = np.loadtxt
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
+@pytest.mark.parametrize("last_row", ["0{d}1{d}1{d}NA", "0{d}1{d} NA{d}36",
+                                      "0{d}1{d}{d}36", "{d}1{d}0{d}36", "0{d}1{d}0{d}",
+                                      "\n0{d}1{d}0{d}36", "0{d}1{d}0{d}36\n\n"])
+def test_load_csv_declines_missing_cells_before_numpy(tmp_path, monkeypatch, delimiter,
+                                                      last_row):
+    """An NA or empty cell, or a blank line, anywhere in the body sends it
+    to the row loop with no numpy parse."""
+    rows = [f"{i % 2}{{d}}{i // 2 % 2}{{d}}1{{d}}{i}.5" for i in range(50)]
+    text = "\n".join(["z{d}m{d}y{d}age", *rows, last_row]).format(d=delimiter)
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _load_outcome(datamodel._load_rows, path, ROLES, delimiter)
+    calls = _loadtxt_calls(monkeypatch)
+    assert_same_load(_load_outcome(load_csv, path, ROLES, delimiter), expected)
+    assert calls == []
 
 
 def test_write_csv_round_trip_skips_the_row_loop(tmp_path, monkeypatch):
@@ -250,6 +298,9 @@ WRITE_CASES = {
     "quoted names": (lambda: _bits_dataset(
         3, np.arange(9.0).reshape(3, 3) / 7,
         ("a,b", 'say "hi"', "line\nbreak")), ","),
+    **{f"number character {d}": (lambda: _bits_dataset(
+        12, np.array([[1e-05, 1e+16], [5e-324, -0.0], [-1.5, 0.0], [10.0, 0.1]] * 3),
+        ("a0", "b1")), d) for d in "01-+e"},
 }
 
 
@@ -259,6 +310,37 @@ def test_write_csv_bytes_match_row_writer(tmp_path, make, delimiter):
     write_csv(ds, tmp_path / "chunked.csv", delimiter=delimiter)
     write_rows(ds, tmp_path / "rows.csv", delimiter=delimiter)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# delimiters a body field may hold (0-9 . + - e) and some it never holds
+WRITE_DELIMITERS = [",", ";", ".", "0", "1", "+", "-", "e", "|", "\t", " "]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, -2.5, 1e22, 123456.789]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_write_csv_bytes_match_row_writer_on_drawn_datasets(tmp_path_factory, data):
+    """write_csv against one csv writerow per row: delimiters a number may
+    hold or not, n on both sides of a chunk edge, and names csv must quote."""
+    delimiter = data.draw(st.sampled_from(WRITE_DELIMITERS), label="delimiter")
+    n = data.draw(st.sampled_from([1, 2, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+                  label="n")
+    p = data.draw(st.integers(0, 3), label="p")
+    pool = data.draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(
+        allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=8),
+        label="floats")
+    names = data.draw(st.lists(st.text(st.sampled_from(
+        ["a", "0", "e", ",", ";", ".", "-", '"', " ", "\n", "\t"]), min_size=1, max_size=4),
+        min_size=p, max_size=p, unique=True), label="names")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bits = rng.integers(0, 2, size=(3, n))
+    ds = make_dataset(*bits, np.array(pool)[rng.integers(0, len(pool), size=(n, p))],
+                      names)
+    path = tmp_path_factory.mktemp("write")
+    write_csv(ds, path / "chunked.csv", delimiter=delimiter)
+    write_rows(ds, path / "rows.csv", delimiter=delimiter)
+    assert (path / "chunked.csv").read_bytes() == (path / "rows.csv").read_bytes()
 
 
 def test_write_csv_dot_delimiter_quotes_every_float(tmp_path):

@@ -535,6 +535,16 @@ def test_real_arrays_refuse_other_dtypes(real_array_entries, entry, dtype):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("entry", ["TrueParams alpha", "Dataset x", "bvn_cdf a"])
+def test_real_arrays_refuse_ragged_sequences(real_array_entries, entry):
+    _, call, error, name = real_array_entries[entry]
+    ragged = [[1.0], [2.0, 3.0]] if entry == "Dataset x" else [[1.0, 2.0], [3.0]]
+    with pytest.raises(error, match=f"^{re.escape(name)} must be real numbers in a "
+                                    "rectangular array, got a ragged sequence$") as info:
+        call(ragged)
+    assert type(info.value) is error
+
+
 def test_binary_responses_take_bool_indicators(demo_confounded):
     from medsens import Dataset, fit_probit
     ds = demo_confounded

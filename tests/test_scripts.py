@@ -216,3 +216,49 @@ def test_bench_pairs_writes_a_valid_record(bench_pairs, tmp_path):
             f"perfbench/run.py --workload {name} --seed 7 --trace 1, 2 ")
         for side, walls in (("parent", PARENT_WALLS), ("change", CHANGE_WALLS)):
             assert traced[side]["wall_s"]["runs"] == [walls[7]] * 2
+
+
+def test_compare_outputs_finds_the_repo_identical_to_itself():
+    proc = subprocess.run([sys.executable, "scripts/compare_outputs.py", "--parent", ".",
+                           "--change", ".", "--n", "600"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "outputs within the tolerance rule"
+    files = [line.split(":")[0] for line in lines[:-1]]
+    assert all(line.endswith(": identical") for line in lines[:-1]), lines
+    for run, names in (("simulate", ["data.csv", "truth.json"]),
+                       ("fit", ["coefficients.csv", "convergence.csv"]),
+                       ("effects", ["effects.csv"]),
+                       *((f"sens_{grid}", ["scan_my_nie_marginal.csv", "intervals.csv",
+                                           "sign_ranges.csv", "failures.csv"])
+                         for grid in ("grid21", "default"))):
+        assert {f"{run}/{name}" for name in [*names, "summary.json"]} <= set(files)
+        assert {f"{run}.stdout", f"{run}.stderr"} <= set(files)
+
+
+def test_compare_outputs_judges_each_column_by_its_bound(tmp_path):
+    compare_file = load_script("compare_outputs").compare_file
+    header = "effect,estimate,std_error,p_value\n"
+
+    def files(name, *rows):
+        pair = []
+        for side, row in zip(("parent", "change"), rows):
+            (tmp_path / side).mkdir(exist_ok=True)
+            (tmp_path / side / name).write_text(header + row + "\n", encoding="utf-8")
+            pair.append(tmp_path / side / name)
+        return pair
+    same = files("same.csv", "nde,0.5,0.1,0.2", "nde,0.5,0.1,0.2")
+    assert compare_file(*same) == (["identical"], False)
+    near = files("near.csv", "nde,0.5,0.1,0.2", "nde,0.5000000005,0.1000000005,0.3")
+    report, breach = compare_file(*near)
+    assert not breach and report[0] == "differs"
+    assert "std_error: largest rel difference 5e-09 (bound 1e-08), ok" in report
+    assert "p_value: largest abs difference 0.1, not judged" in report
+    far = files("far.csv", "nde,0.5,0.1,0.2", "nde,0.500000002,0.1,0.2")
+    report, breach = compare_file(*far)
+    assert breach and any(line.endswith("(bound 1e-09), BREACH") for line in report)
+    text = files("text.csv", "nde,0.5,0.1,0.2", "nie,0.5,0.1,0.2")
+    assert compare_file(*text) == (["differs", "effect: 'nde' vs 'nie'"], True)
+    signs = files("sign_ranges.csv", "nde,0.5,0.1,0.2", "nde,0.5,0.1,0.2000000000001")
+    assert compare_file(*signs) == (["differs; must be identical, BREACH"], True)
