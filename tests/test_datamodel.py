@@ -3,7 +3,9 @@
 import dataclasses
 import gc
 import itertools
+import os
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -202,7 +204,7 @@ LOAD_CASES = {
     "quoted header line break, CR": ('z,m,y,age,"no\rte"\r1,0,1,35,7\r', ",", True),
     "quoted header line break, CRLF and BOM": (
         '\ufeffz,m,y,age,"no\r\nte"\r\n1,0,1,35,7\r\n0,1,0,4,2\r\n', ",", True),
-    # two delimiters in a row inside quotes are no empty cell
+    # quoted numbers padded with the delimiter
     "digit delimiter in quoted numbers": (
         'z1m1y1age\n"1"101"1"1"11"\n0101"1"1"3.5"\n', "1", True),
     "space delimiter in quoted numbers": ('z m y age\n1 0 1 "35  "\n0 1 0 "  4"\n', " ", True),
@@ -225,38 +227,37 @@ def test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numer
                          ids=list(LOAD_CASES))
 def test_load_csv_scans_in_pieces_of_any_size(tmp_path, monkeypatch, text, delimiter,
                                                numeric):
-    # three-byte reads cut every "\r\n", line and cell the scan looks at
+    # three-byte reads cut "\r\n" pairs and lines in two
     monkeypatch.setattr(datamodel, "_SCAN_CHUNK", 3)
     test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numeric)
 
 
-def _loadtxt_calls(monkeypatch) -> list:
-    loadtxt = np.loadtxt
-    calls = []
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body", ["1,0,1,35\n0,1,0,41\n", "1,0,1,35\n0,NA,0,41\n"])
+def test_load_csv_reads_a_named_pipe_once(tmp_path, body):
+    """A pipe's bytes can be read only once; reading it again would find
+    it empty (the feeder hands any later open an empty pipe)."""
+    regular, pipe = tmp_path / "d.csv", tmp_path / "pipe"
+    regular.write_text(H + body)
+    os.mkfifo(pipe)
+    done = threading.Event()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return loadtxt(*args, **kwargs)
-    monkeypatch.setattr(np, "loadtxt", counted)
-    return calls
-
-
-@pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
-@pytest.mark.parametrize("last_row", ["0{d}1{d}1{d}NA", "0{d}1{d} NA{d}36",
-                                      "0{d}1{d}{d}36", "{d}1{d}0{d}36", "0{d}1{d}0{d}",
-                                      "\n0{d}1{d}0{d}36", "0{d}1{d}0{d}36\n\n"])
-def test_load_csv_declines_missing_cells_before_numpy(tmp_path, monkeypatch, delimiter,
-                                                      last_row):
-    """An NA or empty cell, or a blank line, anywhere in the body sends it
-    to the row loop with no numpy parse."""
-    rows = [f"{i % 2}{{d}}{i // 2 % 2}{{d}}1{{d}}{i}.5" for i in range(50)]
-    text = "\n".join(["z{d}m{d}y{d}age", *rows, last_row]).format(d=delimiter)
-    path = tmp_path / "d.csv"
-    path.write_bytes(text.encode("utf-8"))
-    expected = _load_outcome(datamodel._load_rows, path, ROLES, delimiter)
-    calls = _loadtxt_calls(monkeypatch)
-    assert_same_load(_load_outcome(load_csv, path, ROLES, delimiter), expected)
-    assert calls == []
+    def feed():
+        with open(pipe, "w") as fh:
+            fh.write(H + body)
+        while not done.wait(0.05):
+            try:
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        got = _load_outcome(load_csv, pipe, ROLES, ",")
+    finally:
+        done.set()
+        feeder.join(timeout=5)  # a feeder no reader opened stays blocked
+    assert_same_load(got, load_csv(regular, ROLES))
 
 
 def test_write_csv_round_trip_skips_the_row_loop(tmp_path, monkeypatch):
