@@ -23,11 +23,20 @@ design(x) = [1, x] @ M. A cell's linear predictor is then c0 + X c with
 is [sum w, X'w] @ M / n; no n x k design is built. The maps of one
 (spec, p) are built once (_layouts) and kept read-only.
 
-The cells do not depend on the effect: effect_rows, the one public
-evaluator, is _cells, then _contrast. effect_with_ci keeps a context's
-marginal cells for its current (beta, theta), so the effects of one
-context share one pass; simgen.true_effects contrasts all five effects
-from one _cells call. A FitContext holds no convergence flags: the
+Every effect reads three probit cells per counterfactual mean: the
+outcome cells (z, 0) and (z, 1) and the mediator arm z'. _mu_rows is the
+one per-row formula of mu(z, z') and of its derivatives with respect to
+those three linear predictors. effect_rows, the one public evaluator, is
+_cells, then _contrast, which contrasts two _mu_rows; simgen.true_effects
+contrasts all five effects from one _cells call.
+
+A marginal effect is mu_a - mu_b of two row-averaged means, with gradient
+grad mu_a - grad mu_b. A FitContext keeps, for its current (beta, theta),
+each mean it has needed with its gradient: k-vectors only, no per-row
+array. A missing mean is computed on first need by _mu_means, one pass
+over the dataset rows in blocks of _BLOCK rows that evaluates only the
+cells of the missing means, so the five effects of one context compute
+each of the four means once. A FitContext holds no convergence flags: the
 sensitivity context builders refuse a block from an unconverged fit.
 _check_request is the one check of an effect request's scope, profile and
 alpha, which run_scan also makes before it fits anything.
@@ -99,14 +108,25 @@ def _check_len(name: str, coef, layout: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _probit_cell(c: np.ndarray, x: np.ndarray) -> tuple:
+    """Probit mean and density per row of x at one cell, whose linear
+    predictor is c[0] + x @ c[1:] for c = layout @ coef."""
+    lp = c[0] + x @ c[1:]
+    return ndtr(lp), _npdf(lp)
+
+
 def _probit_cells(layouts: dict, coef: np.ndarray, x: np.ndarray) -> dict:
     """Probit mean and density per row at every cell of one model."""
-    out = {}
-    for key, layout in layouts.items():
-        c = layout @ coef
-        lp = c[0] + x @ c[1:]
-        out[key] = (ndtr(lp), _npdf(lp))
-    return out
+    return {key: _probit_cell(layout @ coef, x) for key, layout in layouts.items()}
+
+
+def _mu_rows(outcome0: tuple, outcome1: tuple, arm: tuple) -> tuple:
+    """mu(z, z') = q_z0 + (q_z1 - q_z0) pm_z' per row, from the (mean,
+    density) pairs of the outcome cells (z, 0), (z, 1) and the mediator arm
+    z', and the derivatives of mu with respect to those three cells' linear
+    predictors, in that order."""
+    (q0, f0), (q1, f1), (pm, fm) = outcome0, outcome1, arm
+    return q0 + (q1 - q0) * pm, ((1.0 - pm) * f0, pm * f1, (q1 - q0) * fm)
 
 
 def _mean_grad(layouts: dict, weights: dict, x: np.ndarray) -> np.ndarray:
@@ -148,15 +168,15 @@ def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
 def _contrast(effect_type: EffectType, cells: tuple):
     """effect_rows from _cells' output."""
     x, med, out, pm, q = cells
-    # mu(z, z') = q_z0 + (q_z1 - q_z0) pm_z'; w_* accumulate the effect's
-    # derivative with respect to each cell's linear predictor
+    # w_* accumulate the effect's derivative with respect to each cell's
+    # linear predictor
     means, w_pm, w_q = [], {}, {}
     for sign, (z, zp) in zip((1.0, -1.0), _CONTRASTS[effect_type]):
-        (q0, f0), (q1, f1), (pmz, fm) = q[z, 0], q[z, 1], pm[zp]
-        means.append(q0 + (q1 - q0) * pmz)
-        w_q[z, 0] = w_q.get((z, 0), 0.0) + sign * (1.0 - pmz) * f0
-        w_q[z, 1] = w_q.get((z, 1), 0.0) + sign * pmz * f1
-        w_pm[zp] = w_pm.get(zp, 0.0) + sign * (q1 - q0) * fm
+        mu, (w0, w1, wm) = _mu_rows(q[z, 0], q[z, 1], pm[zp])
+        means.append(mu)
+        w_q[z, 0] = w_q.get((z, 0), 0.0) + sign * w0
+        w_q[z, 1] = w_q.get((z, 1), 0.0) + sign * w1
+        w_pm[zp] = w_pm.get(zp, 0.0) + sign * wm
     grad = GradientVector(wrt_beta=_mean_grad(med, w_pm, x),
                           wrt_theta=_mean_grad(out, w_q, x))
     return means[0] - means[1], grad
@@ -168,6 +188,39 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     plus the gradient of its row mean with respect to the packed
     (beta, theta)."""
     return _contrast(effect_type, _cells(theta, beta, x, spec))
+
+
+# rows per step of the marginal pass: its per-row arrays stay a few
+# hundred KiB however many rows the dataset has
+_BLOCK = 8192
+
+
+def _mu_means(pairs, theta: np.ndarray, beta: np.ndarray, x: np.ndarray,
+              spec: ModelSpec) -> dict:
+    """{(z, z'): (mean, gradient)} of mu(z, z') averaged over the rows of x,
+    for each (z, z') in pairs, with its gradient in the packed (beta,
+    theta). One pass over x in blocks of _BLOCK rows evaluates only the
+    cells these means read."""
+    n, p = x.shape
+    med, out = _layouts(spec, p)
+    c_pm = {zp: med[zp] @ beta for zp in {zp for _, zp in pairs}}
+    c_q = {(z, m): out[z, m] @ theta
+           for z in {z for z, _ in pairs} for m in (0, 1)}
+    # per mean: the sum of mu, and [sum w, x'w] of its three cell weights
+    sums = {pair: [0.0, np.zeros((3, p + 1))] for pair in pairs}
+    for start in range(0, n, _BLOCK):
+        xb = x[start:start + _BLOCK]
+        pm = {zp: _probit_cell(c, xb) for zp, c in c_pm.items()}
+        q = {key: _probit_cell(c, xb) for key, c in c_q.items()}
+        for (z, zp), acc in sums.items():
+            mu, w = _mu_rows(q[z, 0], q[z, 1], pm[zp])
+            w = np.array(w)
+            acc[0] += mu.sum()
+            acc[1] += np.column_stack([w.sum(axis=1), w @ xb])
+    return {(z, zp): (total / n, GradientVector(
+                wrt_beta=w_sums[2] @ med[zp] / n,
+                wrt_theta=(w_sums[0] @ out[z, 0] + w_sums[1] @ out[z, 1]) / n))
+            for (z, zp), (total, w_sums) in sums.items()}
 
 
 def _check_alpha(alpha: float) -> None:
@@ -183,15 +236,21 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_request(scope: str, alpha, profile, ds: Dataset) -> np.ndarray | None:
     """The covariate row of a conditional request on ds (None for a
-    marginal one), once the scope, the profile and alpha pass their checks.
-    Raw profile values are read through CovariateProfile."""
+    marginal one), once the scope, the profile and alpha pass their checks:
+    a conditional request needs a profile with one value per covariate of
+    ds, and a marginal one takes none. Raw profile values are read through
+    CovariateProfile."""
     if scope == "conditional" and profile is None:
         raise ValueError("conditional scope requires a covariate profile")
     if scope not in ("conditional", "marginal"):
         raise ValueError(f"scope must be 'conditional' or 'marginal', got {scope!r}")
+    named = isinstance(profile, CovariateProfile)
+    if scope == "marginal" and profile is not None:
+        name = f"profile {profile.name!r}" if named else "a profile"
+        raise ValueError(f"marginal scope averages over the dataset rows and "
+                         f"takes no covariate profile, got {name}")
     row = None
     if scope == "conditional":
-        named = isinstance(profile, CovariateProfile)
         row = (profile if named else CovariateProfile(profile)).values.reshape(1, -1)
         if row.shape[1] != ds.p:
             name = f"profile {profile.name!r}" if named else "profile"
@@ -256,8 +315,30 @@ class FitContext:
     spec: ModelSpec
     dataset: Dataset
     rho_context: tuple[str, float] | None = None
-    _cell_memo: dict = field(default_factory=dict, init=False,
-                             compare=False, repr=False)
+    _mu_memo: dict = field(default_factory=dict, init=False,
+                           compare=False, repr=False)
+
+
+def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
+    """The effect averaged over ctx's dataset rows, mu_a - mu_b, and its
+    gradient, from the means ctx keeps for its current coefficients."""
+    med, out = _layouts(ctx.spec, ctx.dataset.p)
+    beta = _check_len("beta", ctx.beta, med[0])
+    theta = _check_len("theta", ctx.theta, out[0, 0])
+    # keyed by the coefficients' bytes, so an in-place edit misses
+    key = (beta.tobytes(), theta.tobytes())
+    if key not in ctx._mu_memo:
+        ctx._mu_memo.clear()
+        ctx._mu_memo[key] = {}
+    means = ctx._mu_memo[key]
+    pairs = _CONTRASTS[effect_type]
+    missing = [pair for pair in pairs if pair not in means]
+    if missing:
+        means.update(_mu_means(missing, theta, beta, ctx.dataset.x, ctx.spec))
+    (mu_a, grad_a), (mu_b, grad_b) = (means[pair] for pair in pairs)
+    grad = GradientVector(wrt_beta=grad_a.wrt_beta - grad_b.wrt_beta,
+                          wrt_theta=grad_a.wrt_theta - grad_b.wrt_theta)
+    return float(mu_a - mu_b), grad
 
 
 def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
@@ -268,17 +349,12 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     "marginal" (averaged over the context's dataset rows).
     """
     row = _check_request(scope, alpha, profile, ctx.dataset)
-    if row is not None:
-        cells = _cells(ctx.theta, ctx.beta, row, ctx.spec)
+    if row is None:
+        est, grad = _marginal(effect_type, ctx)
     else:
-        # keyed by the coefficients' bytes, so an in-place edit misses
-        key = tuple(np.asarray(c, dtype=float).tobytes() for c in (ctx.beta, ctx.theta))
-        if key not in ctx._cell_memo:
-            ctx._cell_memo.clear()
-            ctx._cell_memo[key] = _cells(ctx.theta, ctx.beta, ctx.dataset.x, ctx.spec)
-        cells = ctx._cell_memo[key]
-    values, grad = _contrast(effect_type, cells)
-    est = float(values.mean())
+        values, grad = _contrast(effect_type,
+                                 _cells(ctx.theta, ctx.beta, row, ctx.spec))
+        est = float(values.mean())
     se = delta_se(grad, ctx.sigma_beta, ctx.sigma_theta)
     zq = norm_quantile(1.0 - alpha / 2.0)
     prof = profile if isinstance(profile, CovariateProfile) else None

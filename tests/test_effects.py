@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from medsens import (ConfoundingKind, CovariateProfile, DataError, EffectType,
                      norm_quantile, simulate, unconstrained_context, write_csv)
 from medsens import datamodel, effects, probit
 from medsens.cli import main
-from conftest import make_dataset
+from conftest import make_dataset, reduced_spec
 from finite_diff import finite_diff_grad
 
 FULL = ModelSpec()
@@ -194,8 +195,9 @@ def test_wrong_coefficient_length_names_the_vector(name, scope, demo_clean,
                      sigma_beta=np.eye(coefs["beta"].size),
                      sigma_theta=np.eye(coefs["theta"].size), spec=spec,
                      dataset=demo_clean)
+    profile = np.zeros(2) if scope == "conditional" else None
     with pytest.raises(ValueError, match=f"^{name} has length"):
-        effect_with_ci(EffectType.NIE, scope, ctx, profile=np.zeros(2))
+        effect_with_ci(EffectType.NIE, scope, ctx, profile=profile)
 
 
 class TestDeltaSe:
@@ -334,19 +336,57 @@ def test_layouts_are_built_once_and_read_only(spec):
         med[0] = np.zeros_like(med[0])
 
 
-def count_cell_passes(monkeypatch) -> list:
-    """Row counts of every effects._cells call."""
-    cells = effects._cells
+def count_calls(monkeypatch, name: str) -> list:
+    """The arguments of every call of effects.<name>."""
+    real = getattr(effects, name)
     calls = []
 
-    def counted(theta, beta, x, spec):
-        calls.append(np.atleast_2d(x).shape[0])
-        return cells(theta, beta, x, spec)
-    monkeypatch.setattr(effects, "_cells", counted)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(effects, name, counted)
     return calls
 
 
-def test_cmd_effects_evaluates_marginal_cells_once(monkeypatch, tmp_path, spec):
+# the probit cells of the two means each effect reads
+CELLS_READ = {EffectType.NIE: 4, EffectType.NIE_PURE: 4, EffectType.NDE: 5,
+              EffectType.NDE_TOTAL: 5, EffectType.TE: 6}
+ALL_MEANS = sorted({pair for pairs in effects._CONTRASTS.values() for pair in pairs})
+
+
+@pytest.mark.parametrize("effect_type", list(EffectType))
+def test_single_marginal_effect_evaluates_only_its_cells(monkeypatch, demo_clean,
+                                                         spec, effect_type):
+    assert demo_clean.n < effects._BLOCK  # one block: one call per cell
+    fresh = dataclasses.replace(unconstrained_context(demo_clean, spec))  # empty memo
+    cells = count_calls(monkeypatch, "_probit_cell")
+    means = count_calls(monkeypatch, "_mu_rows")
+    effect_with_ci(effect_type, "marginal", fresh)
+    assert len(cells) == CELLS_READ[effect_type]
+    assert all(x.shape[0] == demo_clean.n for _, x in cells)
+    assert len(means) == 2
+
+
+def test_marginal_effects_evaluate_each_mean_once(monkeypatch, demo_clean, spec):
+    ctx = unconstrained_context(demo_clean, spec)
+    fresh = {et: effect_with_ci(et, "marginal", dataclasses.replace(ctx))
+             for et in EffectType}
+    passes = count_calls(monkeypatch, "_mu_means")
+    means = count_calls(monkeypatch, "_mu_rows")
+    for effect_type in EffectType:
+        memoized = effect_with_ci(effect_type, "marginal", ctx)
+        assert memoized == fresh[effect_type]
+        assert memoized.estimate.hex() == fresh[effect_type].estimate.hex()
+        assert memoized.std_error.hex() == fresh[effect_type].std_error.hex()
+    assert sorted(pair for pairs, *_ in passes for pair in pairs) == ALL_MEANS
+    assert len(means) == len(ALL_MEANS)
+    for et in EffectType:  # all memoized now
+        effect_with_ci(et, "marginal", ctx)
+    assert len(passes) == 3 and len(means) == len(ALL_MEANS)
+
+
+def test_cmd_effects_evaluates_each_marginal_mean_once(monkeypatch, tmp_path,
+                                                      spec):
     ds = simulate(demo_params(), 700, 74)
     write_csv(ds, tmp_path / "d.csv")
     cfg = tmp_path / "c.yaml"
@@ -359,22 +399,86 @@ def test_cmd_effects_evaluates_marginal_cells_once(monkeypatch, tmp_path, spec):
                     "scopes": ["marginal", "conditional"],
                     "profiles": [{"name": "band",
                                   "values": {"xcont": "mean+-sd", "xbin": 0}}]}}))
-    calls = count_cell_passes(monkeypatch)
+    cells = count_calls(monkeypatch, "_cells")
+    passes = count_calls(monkeypatch, "_mu_means")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["effects", str(cfg)]) == 0
-    # one marginal pass for the context, one per (effect, profile) row
-    assert sorted(calls) == [1] * 15 + [ds.n]
+    # one row per (effect, profile); the marginal means never go through _cells
+    assert [np.atleast_2d(x).shape[0] for _, _, x, _ in cells] == [1] * 15
+    assert sorted(pair for pairs, *_ in passes for pair in pairs) == ALL_MEANS
+    assert all(x.shape[0] == ds.n for _, _, _, x, _ in passes)
 
 
-def test_marginal_effects_share_one_cell_pass(monkeypatch, demo_clean, spec):
-    ctx = unconstrained_context(demo_clean, spec)
-    calls = count_cell_passes(monkeypatch)
+def _blocked_case(spec: ModelSpec, p: int, n: int, seed: int) -> FitContext:
+    """A context on n drawn rows with p covariates and drawn coefficients."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.normal(size=n), rng.random(n) < 0.3])[:, :p]
+    ds = make_dataset(rng.random(n) < 0.4, rng.random(n) < 0.3, rng.random(n) < 0.5,
+                      x, [f"x{j}" for j in range(p)])
+    med, out = effects._layouts(spec, p)
+    kb, kt = med[0].shape[1], out[0, 0].shape[1]
+    return FitContext(beta=0.5 * rng.normal(size=kb), theta=0.5 * rng.normal(size=kt),
+                      sigma_beta=np.eye(kb), sigma_theta=np.eye(kt), spec=spec,
+                      dataset=ds)
+
+
+@pytest.mark.parametrize("n", [effects._BLOCK - 1, effects._BLOCK,
+                               effects._BLOCK + 1, 3 * effects._BLOCK + 5])
+@pytest.mark.parametrize("spec,p", [(FULL, 2), (reduced_spec(), 2), (FULL, 0)],
+                         ids=["full", "reduced", "p0"])
+def test_blocked_marginal_matches_effect_rows(spec, p, n):
+    ctx = _blocked_case(spec, p, n, seed=n + p)
     for effect_type in EffectType:
-        fresh = FitContext(**{f.name: getattr(ctx, f.name)
-                              for f in dataclasses.fields(ctx) if f.init})
-        assert (effect_with_ci(effect_type, "marginal", ctx)
-                == effect_with_ci(effect_type, "marginal", fresh))
-    assert calls == [demo_clean.n] * (1 + len(EffectType))
+        est, grad = effects._marginal(effect_type, ctx)
+        values, ref = effect_rows(effect_type, ctx.theta, ctx.beta, ctx.dataset.x, spec)
+        assert abs(est - values.mean()) <= 1e-15
+        for got, want in ((grad.wrt_beta, ref.wrt_beta), (grad.wrt_theta, ref.wrt_theta)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _arrays(value):
+    """Every numpy array inside value's dicts, tuples and gradients."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, GradientVector):
+        return [value.wrt_beta, value.wrt_theta]
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _arrays(item)]
+    return []
+
+
+def test_marginal_memo_holds_k_vectors_and_passes_stay_small(spec):
+    n = 100_000
+    ds = simulate(demo_params(), n, 75)
+    ctx = TestEffectWithCi().make_ctx(ds, spec)
+    bound = 0.25 * 12 * n * 8  # a quarter of the per-row cell memo it replaced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for effect_type in EffectType:
+            effect_with_ci(effect_type, "marginal", ctx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    k = max(ctx.beta.size, ctx.theta.size)
+    arrays = _arrays(ctx._mu_memo)
+    assert arrays and max(arr.size for arr in arrays) <= k
+    print(f"traced peak of five marginal effects at n = {n}: {peak} bytes "
+          f"(bound {bound:.0f})")
+    assert peak < bound
+
+
+def test_marginal_request_refuses_a_profile(demo_clean, spec):
+    ctx = TestEffectWithCi().make_ctx(demo_clean, spec)
+    with pytest.raises(ValueError, match="takes no covariate profile, got a profile$"):
+        effect_with_ci(EffectType.NDE, "marginal", ctx, profile=[1.0, 2.0, 3.0])
+    prof = CovariateProfile(values=np.zeros(2), name="origin")
+    with pytest.raises(ValueError, match="got profile 'origin'$"):
+        effect_with_ci(EffectType.NDE, "marginal", ctx, profile=prof)
+    assert effect_with_ci(EffectType.NDE, "marginal", ctx).profile is None
 
 
 @pytest.mark.parametrize("block", ["beta", "theta"])
@@ -387,3 +491,4 @@ def test_in_place_coefficient_edit_reads_fresh_cells(demo_clean, spec, block):
     fresh = dataclasses.replace(ctx, beta=ctx.beta.copy(), theta=ctx.theta.copy())
     assert after == effect_with_ci(EffectType.NIE, "marginal", fresh)
     assert after.estimate != before.estimate
+    assert len(ctx._mu_memo) == 1  # the means of the old coefficients are gone

@@ -356,8 +356,8 @@ class TestRunScan:
         for effect in (EffectType.NDE, NIE, EffectType.TE):
             for scope in ("marginal", "conditional"):
                 calls.clear()
-                scan = run_scan(kind, effect, scope, grid, demo_confounded,
-                                spec, profile=prof)
+                scan = run_scan(kind, effect, scope, grid, demo_confounded, spec,
+                                profile=prof if scope == "conditional" else None)
                 assert scan.failures == ()
                 sequences.append(list(calls))
         first = sequences[0]
@@ -392,6 +392,21 @@ class TestRunScan:
         with pytest.raises(DataError, match="non-finite"):
             run_scan(MY, NIE, "conditional", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, profile=np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("profile,name", [
+        (np.zeros(2), "a profile"), (np.zeros(3), "a profile"),
+        (CovariateProfile(values=np.zeros(2), name="origin"), "profile 'origin'")])
+    def test_marginal_profile_rejected_before_fitting(self, demo_confounded,
+                                                      spec, monkeypatch,
+                                                      profile, name):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the profile")
+
+        monkeypatch.setattr(probit_mod, "fit_probit", no_fit)
+        monkeypatch.setattr(sens_mod, "fit_constrained", no_fit)
+        with pytest.raises(ValueError, match=f"takes no covariate profile, got {name}$"):
+            run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.1, 0.1),
+                     demo_confounded, spec, profile=profile)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), 1e-17])
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
