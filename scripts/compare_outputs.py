@@ -11,10 +11,10 @@ confounding kind, once on a 21-point grid and once on the default grid.
 
 Each output file is reported as identical, byte for byte, or else with
 the largest difference in each numeric column (CSV) or key (JSON), judged
-by the tolerance rule for outputs versus the parent: estimates and CI
-bounds within 1e-9 absolute, SEs within 1e-8 relative, and data.csv,
-sign_ranges.csv and failures.csv identical. Other numeric columns are
-reported but not judged. A different text cell, stdout or stderr, a
+by the tolerance rule for outputs versus the parent: estimates, CI
+bounds and simulate's true effects within 1e-9 absolute, SEs within 1e-8
+relative, and data.csv, sign_ranges.csv and failures.csv identical.
+Other numeric columns are reported but not judged. A different text cell, stdout or stderr, a
 missing file or a different exit code is a breach, and the exit status
 is 1 on any breach.
 
@@ -48,7 +48,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 SEED = 20260814
 # column or key -> (bound, "abs" or "rel"); the rule for outputs versus the parent
 BOUNDS = {**{name: (1e-9, "abs") for name in
-             ("estimate", "ci_lower", "ci_upper", "lower", "upper")},
+             ("estimate", "ci_lower", "ci_upper", "lower", "upper",
+              # the keys of truth.json's true_effects_marginal
+              "nde", "nie", "te", "nde_total", "nie_pure")},
           "std_error": (1e-8, "rel")}
 IDENTICAL = {"data.csv", "sign_ranges.csv", "failures.csv"}
 SCANS = [{"kind": "my", "effect": "nie", "scope": "marginal"},

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
-from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _log_ndtr,
-                        clamp_rho, log_bvn_cdf)
+from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _check_len,
+                        _log_ndtr, clamp_rho, log_bvn_cdf)
 from .probit import _LOG_SQRT_2PI, _mills, _newton_ascent, _probit_fits
 
 # exponent cap keeping pathological floored-probability corners finite;
@@ -72,12 +72,11 @@ PAIR_MODELS = {
 }
 
 
-def _check_len(name: str, coef, ncol: int) -> np.ndarray:
-    coef = _as_real_array(coef, name)
-    if coef.shape != (ncol,):
-        raise ValueError(
-            f"{name} has length {coef.shape}, design has {ncol} columns")
-    return coef
+def _pair_models(kind) -> tuple:
+    """PAIR_MODELS[kind], once kind is a ConfoundingKind."""
+    if not isinstance(kind, ConfoundingKind):
+        raise ValueError(f"unknown confounding kind {kind!r}")
+    return PAIR_MODELS[kind]
 
 
 def _check_rho_interior(rho: float) -> float:
@@ -99,9 +98,7 @@ def _pair_rows(kind: ConfoundingKind, designs):
     sign flip and s^2 = 1, so every signed sum equals the one over the
     sign-flipped design s X bit for bit.
     """
-    if kind not in PAIR_MODELS:
-        raise ValueError(f"unknown confounding kind {kind!r}")
-    (d_a, r_a), (d_b, r_b) = (designs[model] for model in PAIR_MODELS[kind])
+    (d_a, r_a), (d_b, r_b) = (designs[model] for model in _pair_models(kind))
     return d_a, 2.0 * r_a - 1.0, d_b, 2.0 * r_b - 1.0
 
 
@@ -186,7 +183,7 @@ def _probit_pair_path(kind, ds, spec):
     ln Phi2(u_a, u_b; r) = ln Phi(u_a) + ln Phi(u_b) + r lam_a lam_b + r^2/2
     lam_a lam_b (u_a u_b - lam_a lam_b) + O(r^3) gives each block of x' and
     x'' as cov X~' rows."""
-    fits = tuple(_probit_fits(ds, spec, PAIR_MODELS[kind]).values())
+    fits = tuple(_probit_fits(ds, spec, _pair_models(kind)).values())
     d_a, s_a, d_b, s_b = _pair_rows(kind, fit_designs(ds, spec))
     designs, signs = (d_a, d_b), np.array([s_a, s_b])
     u = signs * np.array([d @ f.coefficients for d, f in zip(designs, fits)])

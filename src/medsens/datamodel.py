@@ -515,6 +515,8 @@ class CovariateProfile:
     name: str = "profile"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"profile name must be a string, got {self.name!r}")
         vals = np.atleast_1d(np.array(_as_real_array(  # a copy to freeze
             self.values, f"profile {self.name!r} values", DataError)))
         if vals.ndim != 1:

@@ -24,22 +24,26 @@ is [sum w, X'w] @ M / n; no n x k design is built. The maps of one
 (spec, p) are built once (_layouts) and kept read-only.
 
 Every effect reads three probit cells per counterfactual mean: the
-outcome cells (z, 0) and (z, 1) and the mediator arm z'. _mu_rows is the
-one per-row formula of mu(z, z') and of its derivatives with respect to
-those three linear predictors. effect_rows, the one public evaluator, is
-_cells, then _contrast, which contrasts two _mu_rows; simgen.true_effects
-contrasts all five effects from one _cells call.
+outcome cells (z, 0) and (z, 1) and the mediator arm z'. _mu_pass is the
+one evaluator of the means: one pass over the rows in blocks of _BLOCK
+rows evaluates only the cells of the means it is asked for, and gives
+each mean per row and the gradient of its row mean. The [sum w, x'w]
+totals are summed over the blocks and contracted with the layouts once,
+at the end. Every effect value is then mu_a - mu_b with gradient
+grad mu_a - grad mu_b. effect_rows keeps the means per row, so its
+values are per-row differences; simgen.true_effects takes all five
+effects from one pass over the four means, each the mean of its per-row
+differences. A conditional request is a one-row pass.
 
-A marginal effect is mu_a - mu_b of two row-averaged means, with gradient
-grad mu_a - grad mu_b. A FitContext keeps, for its current (beta, theta),
-each mean it has needed with its gradient: k-vectors only, no per-row
-array. A missing mean is computed on first need by _mu_means, one pass
-over the dataset rows in blocks of _BLOCK rows that evaluates only the
-cells of the missing means, so the five effects of one context compute
-each of the four means once. A FitContext holds no convergence flags: the
-sensitivity context builders refuse a block from an unconverged fit.
-_check_request is the one check of an effect request's scope, profile and
-alpha, which run_scan also makes before it fits anything.
+A marginal request keeps only each block's sum of a mean. A FitContext
+keeps, for its current (beta, theta), each row-averaged mean it has
+needed with its gradient: k-vectors only, no per-row array. A missing
+mean is computed on first need, so the five effects of one context
+compute each of the four means once. A FitContext holds no convergence
+flags: the sensitivity context builders refuse a block from an
+unconverged fit.
+_check_request is the one check of an effect request's type, scope,
+profile and alpha, which run_scan also makes before it fits anything.
 
 Standard errors use the delta method with a block-diagonal covariance:
 the gradient is split into its mediator-coefficient and
@@ -60,7 +64,8 @@ from scipy.special import ndtr
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, mediator_design,
                         outcome_design)
 from .errors import NumericalError
-from .numkernel import SQRT_2PI, _as_real, _as_real_array, norm_quantile
+from .numkernel import (SQRT_2PI, _as_real, _as_real_array, _check_len,
+                        norm_quantile)
 
 
 def _npdf(v):
@@ -98,42 +103,11 @@ def _layout(rows: np.ndarray) -> np.ndarray:
     return np.vstack([rows[:1], rows[1:] - rows[:1]])
 
 
-def _check_len(name: str, coef, layout: np.ndarray) -> np.ndarray:
-    coef = _as_real_array(coef, name)
-    k = layout.shape[1]
-    if coef.shape != (k,):
-        raise ValueError(
-            f"{name} has length {coef.shape}, expected {k} for "
-            f"p = {layout.shape[0] - 1} under this model spec")
-    return coef
-
-
 def _probit_cell(c: np.ndarray, x: np.ndarray) -> tuple:
     """Probit mean and density per row of x at one cell, whose linear
     predictor is c[0] + x @ c[1:] for c = layout @ coef."""
     lp = c[0] + x @ c[1:]
     return ndtr(lp), _npdf(lp)
-
-
-def _probit_cells(layouts: dict, coef: np.ndarray, x: np.ndarray) -> dict:
-    """Probit mean and density per row at every cell of one model."""
-    return {key: _probit_cell(layout @ coef, x) for key, layout in layouts.items()}
-
-
-def _mu_rows(outcome0: tuple, outcome1: tuple, arm: tuple) -> tuple:
-    """mu(z, z') = q_z0 + (q_z1 - q_z0) pm_z' per row, from the (mean,
-    density) pairs of the outcome cells (z, 0), (z, 1) and the mediator arm
-    z', and the derivatives of mu with respect to those three cells' linear
-    predictors, in that order."""
-    (q0, f0), (q1, f1), (pm, fm) = outcome0, outcome1, arm
-    return q0 + (q1 - q0) * pm, ((1.0 - pm) * f0, pm * f1, (q1 - q0) * fm)
-
-
-def _mean_grad(layouts: dict, weights: dict, x: np.ndarray) -> np.ndarray:
-    """Gradient of the row mean of an effect whose derivative with respect
-    to the linear predictor of each cell is weights[cell]."""
-    return sum(np.concatenate([[w.sum()], x.T @ w]) @ layouts[key]
-               for key, w in weights.items()) / x.shape[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,33 +127,79 @@ def _layouts(spec: ModelSpec, p: int) -> tuple:
     return MappingProxyType(med), MappingProxyType(out)
 
 
-def _cells(theta, beta, x, spec: ModelSpec) -> tuple:
-    """What every effect contrasts: the rows x, the mediator-arm and
-    outcome-cell layouts, and each cell's probit mean and density per row."""
+def _coefficients(beta, theta, spec: ModelSpec, p: int) -> tuple:
+    """beta and theta as float vectors, once each has one entry per column
+    of its design under spec with p covariates."""
+    med, out = _layouts(spec, p)
+    return (_check_len("beta", beta, med[0].shape[1]),
+            _check_len("theta", theta, out[0, 0].shape[1]))
+
+
+def _check_effect(effect_type) -> tuple:
+    """The (z, z') arguments of the two means effect_type contrasts, once
+    it is an EffectType."""
+    if not isinstance(effect_type, EffectType):
+        raise ValueError(f"effect type must be an EffectType, got {effect_type!r}")
+    return _CONTRASTS[effect_type]
+
+
+# rows per step of the pass: its per-row arrays stay a few hundred KiB
+# however many rows x has
+_BLOCK = 8192
+
+
+def _mu_pass(pairs, theta: np.ndarray, beta: np.ndarray, x: np.ndarray,
+             spec: ModelSpec, fold) -> dict:
+    """{(z, z'): (folds, gradient)} for each (z, z') in pairs: fold(mu) of
+    each block's mu(z, z') per row, in row order, and the gradient of the
+    row mean of mu(z, z') in the packed (beta, theta).
+
+    One pass over x in blocks of _BLOCK rows evaluates only the cells
+    these means read. The [sum w, x'w] totals of each mean's three cell
+    weights are summed over the blocks and contracted with the layouts
+    once, at the end."""
+    n, p = x.shape
+    med, out = _layouts(spec, p)
+    c_pm = {zp: med[zp] @ beta for zp in {zp for _, zp in pairs}}
+    c_q = {(z, m): out[z, m] @ theta
+           for z in {z for z, _ in pairs} for m in (0, 1)}
+    acc = {pair: ([], np.zeros((3, p + 1))) for pair in pairs}
+    for start in range(0, n, _BLOCK):
+        xb = x[start:start + _BLOCK]
+        pm = {zp: _probit_cell(c, xb) for zp, c in c_pm.items()}
+        q = {key: _probit_cell(c, xb) for key, c in c_q.items()}
+        for (z, zp), (folds, w_sums) in acc.items():
+            (q0, f0), (q1, f1), (m1, fm) = q[z, 0], q[z, 1], pm[zp]
+            folds.append(fold(q0 + (q1 - q0) * m1))
+            # the derivatives of mu with respect to the linear predictors
+            # of the cells (z, 0), (z, 1) and the mediator arm z'
+            w = np.array(((1.0 - m1) * f0, m1 * f1, (q1 - q0) * fm))
+            w_sums += np.column_stack([w.sum(axis=1), w @ xb])
+    return {(z, zp): (folds, GradientVector(
+                wrt_beta=w_sums[2] @ med[zp] / n,
+                wrt_theta=(w_sums[0] @ out[z, 0] + w_sums[1] @ out[z, 1]) / n))
+            for (z, zp), (folds, w_sums) in acc.items()}
+
+
+def _difference(mean_a: tuple, mean_b: tuple) -> tuple:
+    """(a - b, grad a - grad b) of two (value, gradient) means."""
+    (a, grad_a), (b, grad_b) = mean_a, mean_b
+    return a - b, GradientVector(wrt_beta=grad_a.wrt_beta - grad_b.wrt_beta,
+                                 wrt_theta=grad_a.wrt_theta - grad_b.wrt_theta)
+
+
+def _effect_rows(effect_types, theta, beta, x, spec: ModelSpec) -> dict:
+    """{effect type: effect_rows' output} for each of effect_types, from
+    one pass over the means they contrast."""
+    pairs = list(dict.fromkeys(pair for et in effect_types for pair in _check_effect(et)))
     x = np.atleast_2d(_as_real_array(x, "x"))
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite values")
-    med, out = _layouts(spec, x.shape[1])
-    pm = _probit_cells(med, _check_len("beta", beta, med[0]), x)
-    q = _probit_cells(out, _check_len("theta", theta, out[0, 0]), x)
-    return x, med, out, pm, q
-
-
-def _contrast(effect_type: EffectType, cells: tuple):
-    """effect_rows from _cells' output."""
-    x, med, out, pm, q = cells
-    # w_* accumulate the effect's derivative with respect to each cell's
-    # linear predictor
-    means, w_pm, w_q = [], {}, {}
-    for sign, (z, zp) in zip((1.0, -1.0), _CONTRASTS[effect_type]):
-        mu, (w0, w1, wm) = _mu_rows(q[z, 0], q[z, 1], pm[zp])
-        means.append(mu)
-        w_q[z, 0] = w_q.get((z, 0), 0.0) + sign * w0
-        w_q[z, 1] = w_q.get((z, 1), 0.0) + sign * w1
-        w_pm[zp] = w_pm.get(zp, 0.0) + sign * wm
-    grad = GradientVector(wrt_beta=_mean_grad(med, w_pm, x),
-                          wrt_theta=_mean_grad(out, w_q, x))
-    return means[0] - means[1], grad
+    beta, theta = _coefficients(beta, theta, spec, x.shape[1])
+    means = {pair: (np.concatenate(rows), grad) for pair, (rows, grad)
+             in _mu_pass(pairs, theta, beta, x, spec, lambda mu: mu).items()}
+    return {et: _difference(*(means[pair] for pair in _CONTRASTS[et]))
+            for et in effect_types}
 
 
 def effect_rows(effect_type: EffectType, theta, beta, x,
@@ -187,40 +207,7 @@ def effect_rows(effect_type: EffectType, theta, beta, x,
     """One effect at every covariate row of x (one row when x is 1-d),
     plus the gradient of its row mean with respect to the packed
     (beta, theta)."""
-    return _contrast(effect_type, _cells(theta, beta, x, spec))
-
-
-# rows per step of the marginal pass: its per-row arrays stay a few
-# hundred KiB however many rows the dataset has
-_BLOCK = 8192
-
-
-def _mu_means(pairs, theta: np.ndarray, beta: np.ndarray, x: np.ndarray,
-              spec: ModelSpec) -> dict:
-    """{(z, z'): (mean, gradient)} of mu(z, z') averaged over the rows of x,
-    for each (z, z') in pairs, with its gradient in the packed (beta,
-    theta). One pass over x in blocks of _BLOCK rows evaluates only the
-    cells these means read."""
-    n, p = x.shape
-    med, out = _layouts(spec, p)
-    c_pm = {zp: med[zp] @ beta for zp in {zp for _, zp in pairs}}
-    c_q = {(z, m): out[z, m] @ theta
-           for z in {z for z, _ in pairs} for m in (0, 1)}
-    # per mean: the sum of mu, and [sum w, x'w] of its three cell weights
-    sums = {pair: [0.0, np.zeros((3, p + 1))] for pair in pairs}
-    for start in range(0, n, _BLOCK):
-        xb = x[start:start + _BLOCK]
-        pm = {zp: _probit_cell(c, xb) for zp, c in c_pm.items()}
-        q = {key: _probit_cell(c, xb) for key, c in c_q.items()}
-        for (z, zp), acc in sums.items():
-            mu, w = _mu_rows(q[z, 0], q[z, 1], pm[zp])
-            w = np.array(w)
-            acc[0] += mu.sum()
-            acc[1] += np.column_stack([w.sum(axis=1), w @ xb])
-    return {(z, zp): (total / n, GradientVector(
-                wrt_beta=w_sums[2] @ med[zp] / n,
-                wrt_theta=(w_sums[0] @ out[z, 0] + w_sums[1] @ out[z, 1]) / n))
-            for (z, zp), (total, w_sums) in sums.items()}
+    return _effect_rows([effect_type], theta, beta, x, spec)[effect_type]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -234,12 +221,14 @@ def _check_alpha(alpha: float) -> None:
                          "to 1, so the Wald quantile is infinite")
 
 
-def _check_request(scope: str, alpha, profile, ds: Dataset) -> np.ndarray | None:
+def _check_request(effect_type, scope: str, alpha, profile,
+                   ds: Dataset) -> np.ndarray | None:
     """The covariate row of a conditional request on ds (None for a
-    marginal one), once the scope, the profile and alpha pass their checks:
-    a conditional request needs a profile with one value per covariate of
-    ds, and a marginal one takes none. Raw profile values are read through
-    CovariateProfile."""
+    marginal one), once the effect type, the scope, the profile and alpha
+    pass their checks: a conditional request needs a profile with one value
+    per covariate of ds, and a marginal one takes none. Raw profile values
+    are read through CovariateProfile."""
+    _check_effect(effect_type)
     if scope == "conditional" and profile is None:
         raise ValueError("conditional scope requires a covariate profile")
     if scope not in ("conditional", "marginal"):
@@ -322,9 +311,7 @@ class FitContext:
 def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
     """The effect averaged over ctx's dataset rows, mu_a - mu_b, and its
     gradient, from the means ctx keeps for its current coefficients."""
-    med, out = _layouts(ctx.spec, ctx.dataset.p)
-    beta = _check_len("beta", ctx.beta, med[0])
-    theta = _check_len("theta", ctx.theta, out[0, 0])
+    beta, theta = _coefficients(ctx.beta, ctx.theta, ctx.spec, ctx.dataset.p)
     # keyed by the coefficients' bytes, so an in-place edit misses
     key = (beta.tobytes(), theta.tobytes())
     if key not in ctx._mu_memo:
@@ -334,11 +321,11 @@ def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
     pairs = _CONTRASTS[effect_type]
     missing = [pair for pair in pairs if pair not in means]
     if missing:
-        means.update(_mu_means(missing, theta, beta, ctx.dataset.x, ctx.spec))
-    (mu_a, grad_a), (mu_b, grad_b) = (means[pair] for pair in pairs)
-    grad = GradientVector(wrt_beta=grad_a.wrt_beta - grad_b.wrt_beta,
-                          wrt_theta=grad_a.wrt_theta - grad_b.wrt_theta)
-    return float(mu_a - mu_b), grad
+        passed = _mu_pass(missing, theta, beta, ctx.dataset.x, ctx.spec, np.sum)
+        means.update({pair: (sum(sums) / ctx.dataset.n, grad)
+                      for pair, (sums, grad) in passed.items()})
+    est, grad = _difference(*(means[pair] for pair in pairs))
+    return float(est), grad
 
 
 def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
@@ -348,12 +335,11 @@ def effect_with_ci(effect_type: EffectType, scope: str, ctx: FitContext,
     scope is "conditional" (at a profile of the context's covariates) or
     "marginal" (averaged over the context's dataset rows).
     """
-    row = _check_request(scope, alpha, profile, ctx.dataset)
+    row = _check_request(effect_type, scope, alpha, profile, ctx.dataset)
     if row is None:
         est, grad = _marginal(effect_type, ctx)
     else:
-        values, grad = _contrast(effect_type,
-                                 _cells(ctx.theta, ctx.beta, row, ctx.spec))
+        values, grad = effect_rows(effect_type, ctx.theta, ctx.beta, row, ctx.spec)
         est = float(values.mean())
     se = delta_se(grad, ctx.sigma_beta, ctx.sigma_theta)
     zq = norm_quantile(1.0 - alpha / 2.0)

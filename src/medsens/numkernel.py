@@ -74,6 +74,15 @@ def _as_real_array(value, name: str, error=ValueError) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _check_len(name: str, coef, k: int) -> np.ndarray:
+    """coef as a float vector, once it has the k entries of its design's
+    columns."""
+    coef = _as_real_array(coef, name)
+    if coef.shape != (k,):
+        raise ValueError(f"{name} has length {coef.shape}, its design has {k} columns")
+    return coef
+
+
 def _as_finite_float(value, name: str) -> float:
     out = _as_real(value, name)
     if not math.isfinite(out):

@@ -39,7 +39,7 @@ import numpy as np
 from .datamodel import (Dataset, ModelSpec, fit_designs, fit_memo,
                         is_fit_design, require_full_rank)
 from .errors import RankError, SeparationError
-from .numkernel import _as_real_array, _log_ndtr
+from .numkernel import _as_real_array, _check_len, _log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -173,11 +173,7 @@ def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
                   response: np.ndarray) -> float:
     """Probit log-likelihood at a coefficient vector of integers or floats."""
     design, response = _check_design(design, response)
-    coefficients = _as_real_array(coefficients, "coefficients")
-    if coefficients.shape != (design.shape[1],):
-        raise ValueError(
-            f"coefficient length {coefficients.shape} does not match design "
-            f"columns {design.shape[1]}")
+    coefficients = _check_len("coefficients", coefficients, design.shape[1])
     s = 2.0 * response - 1.0
     return float(_log_ndtr(s * (design @ coefficients)).sum())
 

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit, _predict,
-                       _probit_pair_path, fit_constrained)
+from .biprobit import (PAIR_MODELS, ConfoundingKind, ConstrainedFit, _pair_models,
+                       _predict, _probit_pair_path, fit_constrained)
 from .datamodel import CovariateProfile, Dataset, ModelSpec
 from .effects import (EffectEstimate, EffectType, FitContext, _check_request,
                       effect_with_ci)
@@ -291,7 +291,8 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
     Raises ScanError when more than half the grid points fail; partial
     failures are recorded on the scan and surfaced via .failures.
     """
-    _check_request(scope, alpha, profile, ds)  # before any fit
+    _pair_models(kind)  # the request's checks, before any fit
+    _check_request(effect_type, scope, alpha, profile, ds)
     warnings: list[str] = []
     if grid.clamped:
         warnings.append("grid values beyond |rho| = 0.999 were clamped onto it")

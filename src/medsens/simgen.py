@@ -31,7 +31,7 @@ from .biprobit import PAIR_MODELS, ConfoundingKind
 from .datamodel import (CovariateProfile, Dataset, ModelSpec, exposure_design,
                         exposure_terms, mediator_design, mediator_terms,
                         outcome_design, outcome_terms)
-from .effects import EffectType, _cells, _contrast
+from .effects import EffectType, _effect_rows
 from .errors import ConfigError
 from .numkernel import _as_real, _as_real_array
 
@@ -188,8 +188,9 @@ def true_effects(params: TrueParams, at) -> dict[EffectType, float]:
     """All five true effects at a profile (conditional) or averaged over
     rows of a Dataset / covariate matrix (marginal).
 
-    The probit cells are evaluated once and every effect is a contrast of
-    them, so each value equals effect_rows(et, ...)[0].mean() bit for bit.
+    One pass evaluates the four counterfactual means, and each effect is
+    the mean of its per-row differences, so each value equals
+    effect_rows(et, ...)[0].mean() bit for bit.
     """
     if isinstance(at, Dataset):
         rows = at.x
@@ -197,8 +198,9 @@ def true_effects(params: TrueParams, at) -> dict[EffectType, float]:
         rows = at.values
     else:
         rows = at
-    cells = _cells(params.theta, params.beta, rows, params.spec)
-    return {et: float(_contrast(et, cells)[0].mean()) for et in EffectType}
+    per_row = _effect_rows(list(EffectType), params.theta, params.beta, rows,
+                           params.spec)
+    return {et: float(values.mean()) for et, (values, _) in per_row.items()}
 
 
 def replicate_seeds(base_seed: int, count: int) -> list[int]:

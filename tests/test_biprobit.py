@@ -240,6 +240,12 @@ def test_rho_outside_interior_band_rejected(demo_clean, spec):
         constrained_loglik(MY, np.zeros(4), np.zeros(6), False, demo_clean, spec)
 
 
+def test_wrong_coefficient_length_names_the_vector(demo_clean, spec):
+    with pytest.raises(ValueError,
+                       match=r"^coef_b has length \(7,\), its design has 6 columns$"):
+        constrained_loglik(MY, np.zeros(4), np.zeros(7), 0.5, demo_clean, spec)
+
+
 class TestFitConstrained:
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_rho_reduces_to_univariate_fits(self, kind, demo_clean, spec):

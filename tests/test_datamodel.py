@@ -705,6 +705,8 @@ def test_covariate_profile_validation():
     assert prof.values.tolist() == [1.0, 2.0]
     with pytest.raises(DataError):
         CovariateProfile(values=[np.inf])
+    with pytest.raises(DataError, match="^profile name must be a string, got 3$"):
+        CovariateProfile([0.0, 1.0], name=3)
 
 
 @pytest.mark.parametrize("values", [

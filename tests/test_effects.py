@@ -200,6 +200,18 @@ def test_wrong_coefficient_length_names_the_vector(name, scope, demo_clean,
         effect_with_ci(EffectType.NIE, scope, ctx, profile=profile)
 
 
+@pytest.mark.parametrize("bad", ["nie", None, 1])
+def test_bad_effect_type_names_it(bad, demo_clean, spec):
+    ctx = TestEffectWithCi().make_ctx(demo_clean, spec)
+    match = f"^effect type must be an EffectType, got {bad!r}$"
+    with pytest.raises(ValueError, match=match):
+        effect_with_ci(bad, "marginal", ctx)
+    with pytest.raises(ValueError, match=match):
+        effect_with_ci(bad, "conditional", ctx, profile=np.zeros(2))
+    with pytest.raises(ValueError, match=match):
+        effect_rows(bad, ctx.theta, ctx.beta, demo_clean.x, spec)
+
+
 class TestDeltaSe:
     def test_identity_covariance_gives_gradient_norm(self):
         grad = GradientVector(wrt_beta=np.array([3.0, 4.0]),
@@ -354,35 +366,35 @@ CELLS_READ = {EffectType.NIE: 4, EffectType.NIE_PURE: 4, EffectType.NDE: 5,
 ALL_MEANS = sorted({pair for pairs in effects._CONTRASTS.values() for pair in pairs})
 
 
+@pytest.mark.parametrize("scope", ["marginal", "conditional"])
 @pytest.mark.parametrize("effect_type", list(EffectType))
-def test_single_marginal_effect_evaluates_only_its_cells(monkeypatch, demo_clean,
-                                                         spec, effect_type):
+def test_single_effect_evaluates_only_its_cells(monkeypatch, demo_clean, spec,
+                                                effect_type, scope):
     assert demo_clean.n < effects._BLOCK  # one block: one call per cell
     fresh = dataclasses.replace(unconstrained_context(demo_clean, spec))  # empty memo
+    profile, rows = (None, demo_clean.n) if scope == "marginal" else (np.zeros(2), 1)
     cells = count_calls(monkeypatch, "_probit_cell")
-    means = count_calls(monkeypatch, "_mu_rows")
-    effect_with_ci(effect_type, "marginal", fresh)
+    passes = count_calls(monkeypatch, "_mu_pass")
+    effect_with_ci(effect_type, scope, fresh, profile=profile)
     assert len(cells) == CELLS_READ[effect_type]
-    assert all(x.shape[0] == demo_clean.n for _, x in cells)
-    assert len(means) == 2
+    assert all(x.shape[0] == rows for _, x in cells)
+    assert [pairs for pairs, *_ in passes] == [list(effects._CONTRASTS[effect_type])]
 
 
 def test_marginal_effects_evaluate_each_mean_once(monkeypatch, demo_clean, spec):
     ctx = unconstrained_context(demo_clean, spec)
     fresh = {et: effect_with_ci(et, "marginal", dataclasses.replace(ctx))
              for et in EffectType}
-    passes = count_calls(monkeypatch, "_mu_means")
-    means = count_calls(monkeypatch, "_mu_rows")
+    passes = count_calls(monkeypatch, "_mu_pass")
     for effect_type in EffectType:
         memoized = effect_with_ci(effect_type, "marginal", ctx)
         assert memoized == fresh[effect_type]
         assert memoized.estimate.hex() == fresh[effect_type].estimate.hex()
         assert memoized.std_error.hex() == fresh[effect_type].std_error.hex()
     assert sorted(pair for pairs, *_ in passes for pair in pairs) == ALL_MEANS
-    assert len(means) == len(ALL_MEANS)
     for et in EffectType:  # all memoized now
         effect_with_ci(et, "marginal", ctx)
-    assert len(passes) == 3 and len(means) == len(ALL_MEANS)
+    assert len(passes) == 3
 
 
 def test_cmd_effects_evaluates_each_marginal_mean_once(monkeypatch, tmp_path,
@@ -399,14 +411,14 @@ def test_cmd_effects_evaluates_each_marginal_mean_once(monkeypatch, tmp_path,
                     "scopes": ["marginal", "conditional"],
                     "profiles": [{"name": "band",
                                   "values": {"xcont": "mean+-sd", "xbin": 0}}]}}))
-    cells = count_calls(monkeypatch, "_cells")
-    passes = count_calls(monkeypatch, "_mu_means")
+    passes = count_calls(monkeypatch, "_mu_pass")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["effects", str(cfg)]) == 0
-    # one row per (effect, profile); the marginal means never go through _cells
-    assert [np.atleast_2d(x).shape[0] for _, _, x, _ in cells] == [1] * 15
-    assert sorted(pair for pairs, *_ in passes for pair in pairs) == ALL_MEANS
-    assert all(x.shape[0] == ds.n for _, _, _, x, _ in passes)
+    # one one-row pass per (effect, profile); the marginal means once each
+    rows = [x.shape[0] for _, _, _, x, *_ in passes]
+    assert rows.count(1) == 15 and rows.count(ds.n) == len(rows) - 15
+    assert sorted(pair for pairs, _, _, x, *_ in passes if x.shape[0] == ds.n
+                  for pair in pairs) == ALL_MEANS
 
 
 def _blocked_case(spec: ModelSpec, p: int, n: int, seed: int) -> FitContext:
@@ -432,9 +444,8 @@ def test_blocked_marginal_matches_effect_rows(spec, p, n):
         est, grad = effects._marginal(effect_type, ctx)
         values, ref = effect_rows(effect_type, ctx.theta, ctx.beta, ctx.dataset.x, spec)
         assert abs(est - values.mean()) <= 1e-15
-        for got, want in ((grad.wrt_beta, ref.wrt_beta), (grad.wrt_theta, ref.wrt_theta)):
-            assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(grad.wrt_beta, ref.wrt_beta)
+        assert np.array_equal(grad.wrt_theta, ref.wrt_theta)
 
 
 def _arrays(value):

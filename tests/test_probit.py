@@ -36,6 +36,8 @@ def test_loglik_at_zero_coefficients():
     design, resp = intercept_only(y)
     assert probit_loglik(np.zeros(1), design, resp) == pytest.approx(
         5.0 * math.log(0.5), abs=1e-12)
+    with pytest.raises(ValueError, match=r"^coefficients has length \(2,\), its design"):
+        probit_loglik(np.zeros(2), design, resp)
 
 
 def test_score_is_small_at_reported_optimum(demo_clean, spec):

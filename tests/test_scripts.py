@@ -262,3 +262,20 @@ def test_compare_outputs_judges_each_column_by_its_bound(tmp_path):
     assert compare_file(*text) == (["differs", "effect: 'nde' vs 'nie'"], True)
     signs = files("sign_ranges.csv", "nde,0.5,0.1,0.2", "nde,0.5,0.1,0.2000000000001")
     assert compare_file(*signs) == (["differs; must be identical, BREACH"], True)
+    keys = ("nde", "nie", "te", "nde_total", "nie_pure")
+
+    def truths(shift, n=5):  # truth.json with every true effect shifted
+        pair = []
+        for side, side_shift, side_n in (("parent", 0.0, 5), ("change", shift, n)):
+            pair.append(tmp_path / side / "truth.json")
+            pair[-1].write_text(json.dumps({"n": side_n, "true_effects_marginal": {
+                key: 0.25 + side_shift for key in keys}}), encoding="utf-8")
+        return pair
+    report, breach = compare_file(*truths(5e-10, n=6))
+    assert not breach and "n: largest abs difference 1, not judged" in report
+    for key in keys:
+        assert f"{key}: largest abs difference 5e-10 (bound 1e-09), ok" in report
+    report, breach = compare_file(*truths(2e-9))
+    assert breach
+    for key in keys:
+        assert f"{key}: largest abs difference 2e-09 (bound 1e-09), BREACH" in report

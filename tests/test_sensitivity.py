@@ -258,6 +258,20 @@ class TestPredict:
         assert got.tobytes() == want.tobytes()
 
 
+def count_fits(monkeypatch) -> list:
+    """Every fit_probit and fit_constrained call from now on, with no
+    probit fits kept from before."""
+    calls = []
+    for module, name in ((probit_mod, "fit_probit"),
+                         (sens_mod, "fit_constrained")):
+        def counted(*args, _fit=getattr(module, name), **kwargs):
+            calls.append(_fit)
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(datamodel_mod, "_FIT_ENTRY", {})
+    return calls
+
+
 class TestRunScan:
     def test_zero_grid_point_matches_unconstrained_pipeline(self,
                                                             demo_confounded,
@@ -411,19 +425,27 @@ class TestRunScan:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), 1e-17])
     def test_bad_alpha_rejected_before_fitting(self, demo_confounded, spec,
                                                monkeypatch, alpha):
-        calls = []
-        for module, name in ((probit_mod, "fit_probit"),
-                             (sens_mod, "fit_constrained")):
-            def counted(*args, _fit=getattr(module, name), **kwargs):
-                calls.append(_fit)
-                return _fit(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+        calls = count_fits(monkeypatch)
         # 1 - 1e-17/2 rounds to 1, so the Wald quantile would be infinite
         match = (r"^alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"
                  if alpha == 1e-17 else r"^alpha must lie in \(0, 1\), got ")
         with pytest.raises(ValueError, match=match):
             run_scan(MY, NIE, "marginal", RhoGrid.regular(0.0, 0.1, 0.1),
                      demo_confounded, spec, alpha=alpha)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,effect,match", [
+        ("my", NIE, "^unknown confounding kind 'my'$"),
+        (MY, "nie", "^effect type must be an EffectType, got 'nie'$")])
+    def test_bad_kind_or_effect_rejected_before_fitting(self, demo_confounded, spec,
+                                                       monkeypatch, kind, effect, match):
+        calls = count_fits(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            run_scan(kind, effect, "marginal", RhoGrid.regular(-0.5, 0.5, 0.1),
+                     demo_confounded, spec)
+        if kind == "my":
+            with pytest.raises(ValueError, match="^unknown confounding kind 'my'$"):
+                biprobit_mod._probit_pair_path(kind, demo_confounded, spec)
         assert calls == []
 
     def test_grid_order_and_convergence(self, demo_confounded, spec):

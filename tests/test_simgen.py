@@ -12,7 +12,7 @@ from medsens import (ConfigError, ConfoundingKind, CovariateProfile,
                      CovariateSpec, EffectType, ModelSpec, TrueParams,
                      demo_params, effect_rows, replicate_seeds, simulate,
                      simulate_latent, true_effects)
-from medsens import effects, simgen
+from medsens import effects
 from medsens.datamodel import mediator_design, outcome_design
 from conftest import confounded_params
 
@@ -176,21 +176,7 @@ def test_true_effects_marginal_averages_rows():
     assert marg[EffectType.NIE] == pytest.approx(np.mean(per_row), abs=1e-14)
 
 
-def _counted_cells(monkeypatch):
-    """Count effects._cells calls, through either module's binding."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    real = effects._cells
-    monkeypatch.setattr(effects, "_cells", counted)
-    monkeypatch.setattr(simgen, "_cells", counted)
-    return calls
-
-
-def test_true_effects_take_one_cell_pass_and_equal_effect_rows(monkeypatch):
+def test_true_effects_take_one_pass_and_equal_effect_rows(monkeypatch):
     params = demo_params()
     ds = simulate(params, 300, 8)
     prof = CovariateProfile(np.array([0.3, 1.0]))
@@ -198,11 +184,13 @@ def test_true_effects_take_one_cell_pass_and_equal_effect_rows(monkeypatch):
     expect = [{et: float(effect_rows(et, params.theta, params.beta, rows,
                                      params.spec)[0].mean()).hex()
                for et in EffectType} for _, rows in cases]
-    calls = _counted_cells(monkeypatch)
+    real, passes = effects._mu_pass, []
+    monkeypatch.setattr(effects, "_mu_pass",
+                        lambda *args: passes.append(args[0]) or real(*args))
     for (at, _), want in zip(cases, expect):
-        calls.clear()
+        passes.clear()
         truth = true_effects(params, at)
-        assert len(calls) == 1
+        assert [sorted(pairs) for pairs in passes] == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
         assert {et: v.hex() for et, v in truth.items()} == want
 
 
