@@ -1,8 +1,11 @@
-"""Raw lines and code lines of each module of src/medsens.
+"""Raw lines and code lines of each module of src/medsens, and the number
+of names in medsens.__all__.
 
 A code line is a non-blank line that is neither a comment nor part of a
 docstring (a string that is the first statement of a module, class or
-function). A line holding both code and a comment counts as code.
+function). A line holding both code and a comment counts as code. The
+names are counted in the __all__ list of the package's __init__.py, read
+without importing the package.
 
 Usage:
 
@@ -45,6 +48,15 @@ def count(path: Path) -> tuple[int, int]:
     return len(raw), sum(1 for i in code if raw[i - 1].strip())
 
 
+def public_names(init: Path) -> int:
+    """The number of entries of the __all__ list assigned in init."""
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return len(node.value.elts)
+    raise SystemExit(f"{init}: no __all__ list")
+
+
 def main() -> int:
     package = ROOT / "src" / "medsens"
     counts = {path.name: count(path) for path in sorted(package.glob("*.py"))}
@@ -54,6 +66,7 @@ def main() -> int:
         print(f"{name:<{width}}  {raw:>5}  {code:>5}")
     print(f"{'total':<{width}}  {sum(r for r, _ in counts.values()):>5}  "
           f"{sum(c for _, c in counts.values()):>5}")
+    print(f"{'__all__':<{width}}  {public_names(package / '__init__.py'):>5}")
     return 0
 
 

@@ -7,7 +7,7 @@ terms of the exposure, mediator and outcome equations.
 """
 
 from .biprobit import (ConfoundingKind, ConstrainedFit, constrained_grad,
-                       constrained_loglik, fit_constrained)
+                       fit_constrained)
 from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         ModelSpec, build_exposure_design,
                         build_mediator_design, build_outcome_design,
@@ -19,10 +19,9 @@ from .effects import (EffectEstimate, EffectType, FitContext, GradientVector,
                       delta_se, effect_rows, effect_with_ci)
 from .errors import (ConfigError, DataError, MedsensError, NotConvergedError,
                      NumericalError, RankError, ScanError, SeparationError)
-from .numkernel import (binorm_cdf, bvn_cdf, clamp_rho, log_bvn_cdf,
-                        norm_quantile)
+from .numkernel import bvn_cdf, clamp_rho, log_bvn_cdf, norm_quantile
 from .probit import (ProbitFit, UnconstrainedFits, fit_probit,
-                     fit_unconstrained, probit_loglik)
+                     fit_unconstrained)
 from .sensitivity import (IntervalResult, RhoGrid, ScanPoint, SensitivityScan,
                           SignClass, SignRanges, constrained_context,
                           identification_set, refine_boundary, run_scan,
@@ -39,7 +38,7 @@ __all__ = [
     "MedsensError", "ConfigError", "DataError", "RankError",
     "SeparationError", "NotConvergedError", "NumericalError", "ScanError",
     # numerics
-    "binorm_cdf", "bvn_cdf", "log_bvn_cdf", "norm_quantile", "clamp_rho",
+    "bvn_cdf", "log_bvn_cdf", "norm_quantile", "clamp_rho",
     # data
     "ColumnRoles", "Dataset", "LoadResult", "load_csv", "write_csv",
     "ModelSpec", "CovariateProfile", "covariate_stats", "validate_for_fit",
@@ -47,11 +46,10 @@ __all__ = [
     "build_exposure_design", "build_mediator_design", "build_outcome_design",
     "exposure_terms", "mediator_terms", "outcome_terms",
     # probit fits
-    "ProbitFit", "fit_probit", "probit_loglik", "UnconstrainedFits",
-    "fit_unconstrained",
+    "ProbitFit", "fit_probit", "UnconstrainedFits", "fit_unconstrained",
     # constrained likelihoods
-    "ConfoundingKind", "constrained_loglik", "constrained_grad",
-    "ConstrainedFit", "fit_constrained",
+    "ConfoundingKind", "constrained_grad", "ConstrainedFit",
+    "fit_constrained",
     # effects
     "EffectType", "effect_rows", "GradientVector", "delta_se", "EffectEstimate",
     "FitContext", "effect_with_ci",

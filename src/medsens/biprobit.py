@@ -233,26 +233,17 @@ def _predict(known, rho) -> np.ndarray:
     return basis(0, (rho - rho1) / span) @ coef
 
 
-def _pair_at(kind, coef_a, coef_b, rho, ds, spec):
+def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
+                     ds: Dataset, spec: ModelSpec):
+    """Analytic gradient of the kind's joint log-likelihood wrt the
+    (first, second) coefficients: (alpha, beta) for zm, (beta, theta) for
+    my, (alpha, theta) for zy, at |rho| <= 0.999."""
     # not fit_designs: validate_for_fit's n > p + 10 rejects one-row datasets
     rho = _check_rho_interior(rho)
     d_a, s_a, d_b, s_b = _pair_rows(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, d_a.shape[1])
     coef_b = _check_len("coef_b", coef_b, d_b.shape[1])
-    return _pair_pass(coef_a, coef_b, rho, d_a, s_a, d_b, s_b)
-
-
-def constrained_loglik(kind: ConfoundingKind, coef_a, coef_b, rho,
-                       ds: Dataset, spec: ModelSpec) -> float:
-    """The kind's joint log-likelihood at (first, second) coefficients:
-    (alpha, beta) for zm, (beta, theta) for my, (alpha, theta) for zy."""
-    return _pair_at(kind, coef_a, coef_b, rho, ds, spec)[0]
-
-
-def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
-                     ds: Dataset, spec: ModelSpec):
-    """Analytic gradient of constrained_loglik wrt (coef_a, coef_b)."""
-    score = _pair_at(kind, coef_a, coef_b, rho, ds, spec)[1]
+    score = _pair_pass(coef_a, coef_b, rho, d_a, s_a, d_b, s_b)[1]
     return score[:len(coef_a)], score[len(coef_a):]
 
 

@@ -529,7 +529,7 @@ def cmd_sens(cfg: dict, ds: Dataset, args):
                             profile=req["profile"])
         except ScanError as exc:
             errors.append(f"scan {tag}: {exc}")
-            failure_rows.extend([tag, rho] for rho in getattr(exc, "failures", []))
+            failure_rows.extend([tag, rho] for rho in exc.failures)
             continue
         rows = []
         for pt in scan.points:

@@ -17,13 +17,12 @@ column is contiguous: the probit fit scales rows of whole columns and
 forms X'X by a symmetric rank-k update without copying the design.
 
 Dataset and CovariateProfile store read-only copies of the arrays they are
-given, never the caller's own. write_csv writes the header with csv.writer
-and builds the body itself, a chunk of rows at a time, each chunk one
+given, never the caller's own. write_csv writes commas: the header with
+csv.writer, and the body itself, a chunk of rows at a time, each chunk one
 string: a row is one of eight "z,m,y" prefixes and the repr of each
-covariate. Those fields hold only 0-9 . + - e, so csv's minimal quoting
-wraps a body field in double quotes only when it holds the delimiter,
-which only a delimiter among those characters can be. The bytes are those
-of a row-by-row csv writer and do not depend on the chunk size.
+covariate. Those fields hold only 0-9 . + - e, so csv would quote none of
+them; the bytes are those of a row-by-row csv writer and do not depend on
+the chunk size.
 
 load_csv hands a regular file to numpy's reader by path, past the
 header's lines, and checks that the reader returned one row for each
@@ -194,7 +193,7 @@ def load_csv(path, roles: ColumnRoles, delimiter: str = ",") -> LoadResult:
 
 def _check_delimiter(delimiter) -> None:
     """A one-character string other than a line break, which would split
-    every written row into one line per field."""
+    every row into one line per field."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ConfigError(
             f"delimiter must be a one-character string, got {delimiter!r}")
@@ -342,47 +341,33 @@ def _load_rows(path, roles: ColumnRoles, delimiter: str) -> LoadResult:
 # left the process's peak RSS about 1 MB higher than a row writer's.
 _WRITE_CHUNK = 1024
 
-# every character of a body field: "0"/"1" and the repr of a finite float
-_NUMBER_CHARS = frozenset("0123456789.+-e")
+def write_csv(ds: Dataset, path) -> None:
+    """Write a Dataset as a comma-separated file that load_csv reads back
+    as an identical Dataset.
 
-
-def write_csv(ds: Dataset, path, delimiter: str = ",") -> None:
-    """Write a Dataset so that load_csv reads back an identical Dataset.
-
-    The delimiter is checked (as load_csv checks it) before the file is
-    opened, and so are the covariate names: csv.writer leaves a name with
-    a carriage return unquoted, and csv.reader reads that as a line break,
-    so such a name is a DataError. csv.writer writes the header row only.
-    The body goes out _WRITE_CHUNK rows at a time as one string: a row is
-    one of eight "z,m,y" prefixes, indexed by 4z + 2m + y, then repr of
-    each covariate, which round-trips doubles exactly. The bytes are those
-    of one csv writerow per row of int(z), int(m), int(y) and
-    repr(float(v)) per covariate. csv's minimal quoting needs one rule here:
-    a body field holds only 0-9 . + - e, so when the delimiter is one of
-    those characters each field that contains it is wrapped in double
-    quotes, and for any other delimiter no body field is quoted.
+    The covariate names are checked before the file is opened: csv.writer
+    leaves a name with a carriage return unquoted, and csv.reader reads
+    that as a line break, so such a name is a DataError. csv.writer writes
+    the header row only. The body goes out _WRITE_CHUNK rows at a time as
+    one string: a row is one of eight "z,m,y" prefixes, indexed by
+    4z + 2m + y, then repr of each covariate, which round-trips doubles
+    exactly. A body field holds only 0-9 . + - e, never a comma, so none
+    is quoted and the bytes are those of one csv writerow per row of
+    int(z), int(m), int(y) and repr(float(v)) per covariate.
     """
-    _check_delimiter(delimiter)
     for name in ds.covariate_names:
         if "\r" in name:
             raise DataError(
                 f"covariate name {name!r} must not hold a carriage return")
-    quoted = delimiter in _NUMBER_CHARS
-
-    def field(text: str) -> str:
-        return f'"{text}"' if delimiter in text else text
-    prefixes = [delimiter.join(map(field, bits))
-                for bits in itertools.product("01", repeat=3)]
+    prefixes = [",".join(bits) for bits in itertools.product("01", repeat=3)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow(
+        csv.writer(fh, lineterminator="\n").writerow(
             ["z", "m", "y", *ds.covariate_names])
         for lo in range(0, ds.n, _WRITE_CHUNK):
             rows = slice(lo, lo + _WRITE_CHUNK)
             codes = 4 * ds.z[rows] + 2 * ds.m[rows] + ds.y[rows]
             columns = [map(repr, col) for col in ds.x[rows].T.tolist()]
-            if quoted:
-                columns = [map(field, col) for col in columns]
-            fh.write("\n".join(map(delimiter.join, zip(
+            fh.write("\n".join(map(",".join, zip(
                 map(prefixes.__getitem__, codes.tolist()), *columns))))
             fh.write("\n")
 

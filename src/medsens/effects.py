@@ -195,6 +195,8 @@ def _effect_rows(effect_types, theta, beta, x, spec: ModelSpec) -> dict:
     x = np.atleast_2d(_as_real_array(x, "x"))
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite values")
+    if not len(x):
+        raise ValueError("x has no rows")
     beta, theta = _coefficients(beta, theta, spec, x.shape[1])
     means = {pair: (np.concatenate(rows), grad) for pair, (rows, grad)
              in _mu_pass(pairs, theta, beta, x, spec, lambda mu: mu).items()}

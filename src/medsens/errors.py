@@ -39,4 +39,9 @@ class NumericalError(MedsensError):
 
 class ScanError(MedsensError):
     """A sensitivity scan failed as a whole (more than half of the grid
-    points did not converge)."""
+    points did not converge); failures holds the rho of each failed
+    point, empty when the error is not about grid points."""
+
+    def __init__(self, message: str, failures=()):
+        super().__init__(message)
+        self.failures = tuple(failures)

@@ -1,16 +1,16 @@
 """Normal-distribution kernels used by every other module.
 
-The scalar entries (norm_quantile, clamp_rho, binorm_cdf) check their
-inputs. The vectorized bivariate CDF bvn_cdf is what the likelihood code
-calls in bulk; it checks rho, not a and b.
+The scalar entries (norm_quantile, clamp_rho) check their inputs. The
+vectorized bivariate CDF bvn_cdf is what the likelihood code calls in
+bulk; it checks rho, not a and b.
 
 The bivariate normal CDF uses the Drezner/Wesolowsky method in Genz's
 formulation: Gauss-Legendre quadrature on an arcsin-transformed integrand
 for |rho| < 0.925 and an asymptotic-expansion transformation above that.
 Absolute accuracy is around 5e-16, comfortably inside the 1e-12 target
 for |rho| <= 0.999, and the |rho| = 1 limits are exact:
-    binorm_cdf(a, b, 1)  = Phi(min(a, b))
-    binorm_cdf(a, b, -1) = max(0, Phi(a) + Phi(b) - 1)
+    bvn_cdf(a, b, 1)  = Phi(min(a, b))
+    bvn_cdf(a, b, -1) = max(0, Phi(a) + Phi(b) - 1)
 
 bvn_cdf is one table of |rho| bands, _BANDS: Gauss-Legendre sums of 6,
 12 and 20 points below 0.3, 0.75 and 0.925, the expansion below 1, and the
@@ -314,11 +314,11 @@ def bvn_cdf(a, b, rho):
     checked: a row with a NaN rho or |rho| > 1 raises ValueError naming the
     value. a and b are not checked for finiteness and must be finite:
     bvn_cdf(inf, 0.3, 0.5) is NaN, while bvn_cdf(0.3, inf, -0.95) is
-    Phi(0.3); binorm_cdf is the entry that checks them. Each row is
-    evaluated by the one band of _BANDS its |rho| falls in. If all rows
-    share one |rho| (checked in one pass), that band is picked once and its
-    rho-dependent node quantities are computed once for the call, with a
-    result bitwise equal to the row-by-row evaluation.
+    Phi(0.3). Each row is evaluated by the one band of _BANDS its |rho|
+    falls in. If all rows share one |rho| (checked in one pass), that band
+    is picked once and its rho-dependent node quantities are computed once
+    for the call, with a result bitwise equal to the row-by-row
+    evaluation.
     """
     a, b, rho = np.broadcast_arrays(
         _as_real_array(a, "a"), _as_real_array(b, "b"), _as_real_array(rho, "rho"))
@@ -351,18 +351,6 @@ def bvn_cdf(a, b, rho):
 
 def _bad_rho(rho):
     raise ValueError(f"correlation must satisfy |rho| <= 1, got {float(rho)!r}")
-
-
-def binorm_cdf(a, b, rho) -> float:
-    """Bivariate standard normal CDF P(X <= a, Y <= b) with correlation rho.
-
-    Scalar entry point: a and b must be finite real scalars, and rho a real
-    scalar, which bvn_cdf checks. Accuracy is ~1e-15 absolute for
-    |rho| <= 0.999 and the |rho| = 1 limits are exact.
-    """
-    a = _as_finite_float(a, "a")
-    b = _as_finite_float(b, "b")
-    return float(bvn_cdf(a, b, _as_real(rho, "rho")))
 
 
 def log_bvn_cdf(a, b, rho):

@@ -10,10 +10,9 @@ both fits read them off its _Optimum.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0. ln Phi is
 numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
-scipy's log_ndtr, and log_ndtr at and below; probit_loglik sums the same
-rows, so at a fit's coefficients it returns the fit's loglik exactly.
-Its absolute error, at most 1.2e-16 above q = 6, enters only the ratio's
-exponent and the log-likelihood sum.
+scipy's log_ndtr, and log_ndtr at and below. Its absolute error, at most
+1.2e-16 above q = 6, enters only the ratio's exponent and the
+log-likelihood sum.
 fit_probit skips the rank check that validate_for_fit already ran on the
 designs datamodel.fit_designs holds, and puts any other design through the
 same rule (datamodel.require_full_rank: a Gram eigenvalue check, and
@@ -39,7 +38,7 @@ import numpy as np
 from .datamodel import (Dataset, ModelSpec, fit_designs, fit_memo,
                         is_fit_design, require_full_rank)
 from .errors import RankError, SeparationError
-from .numkernel import _as_real_array, _check_len, _log_ndtr
+from .numkernel import _as_real_array, _log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -167,15 +166,6 @@ def _check_design(design: np.ndarray, response: np.ndarray):
     if not np.isin(np.unique(response), (0, 1)).all():
         raise ValueError("response must be binary 0/1")
     return design, response.astype(float)
-
-
-def probit_loglik(coefficients: np.ndarray, design: np.ndarray,
-                  response: np.ndarray) -> float:
-    """Probit log-likelihood at a coefficient vector of integers or floats."""
-    design, response = _check_design(design, response)
-    coefficients = _check_len("coefficients", coefficients, design.shape[1])
-    s = 2.0 * response - 1.0
-    return float(_log_ndtr(s * (design @ coefficients)).sum())
 
 
 def _mills(q):

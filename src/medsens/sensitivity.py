@@ -86,13 +86,20 @@ def _grid_bounds(lower, upper, step) -> tuple[float, float, float]:
     return lower, upper, step
 
 
+def _grid_value(v: float) -> float:
+    """v clamped onto the +-0.999 likelihood band and rounded to
+    _GRID_DECIMALS decimals."""
+    return round(math.copysign(min(abs(v), RHO_INTERIOR), v), _GRID_DECIMALS)
+
+
 @dataclass(frozen=True)
 class RhoGrid:
     """Ordered, deduplicated correlation grid.
 
     Values beyond the +-0.999 likelihood band are clamped onto it;
     0 is always included when the range spans it. The bounds and step are
-    checked however the grid is built.
+    checked however the grid is built, and every point must lie within
+    the bounds or on a bound's clamped, rounded value.
     """
 
     lower: float
@@ -102,13 +109,19 @@ class RhoGrid:
     clamped: bool = False
 
     def __post_init__(self):
-        _grid_bounds(self.lower, self.upper, self.step)
+        lower, upper, _ = _grid_bounds(self.lower, self.upper, self.step)
         points = tuple(_as_real(v, "grid point") for v in self.points)
         if not points:
             raise ValueError("grid needs at least one point")
         bad = [v for v in points if not (math.isfinite(v) and abs(v) <= 1.0)]
         if bad:
             raise ValueError(f"grid points must be finite with |rho| <= 1, got {bad}")
+        # a bound also admits its own grid value, as regular builds it
+        lo, hi = min(lower, _grid_value(lower)), max(upper, _grid_value(upper))
+        outside = [v for v in points if not lo <= v <= hi]
+        if outside:
+            raise ValueError(
+                f"grid points must lie in [{lower}, {upper}], got {outside}")
         steps = [(a, b) for a, b in zip(points, points[1:]) if b <= a]
         if steps:
             raise ValueError(f"grid points must be strictly increasing, got "
@@ -129,20 +142,14 @@ class RhoGrid:
             raise ValueError(
                 f"grid [{lower}, {upper}] with step {step!r} has {count} "
                 f"points; at most {MAX_GRID_POINTS} are allowed")
-        raw = [lower + i * step for i in range(count)]
+        # lower + i * step can round past upper
+        raw = [min(lower + i * step, upper) for i in range(count)]
         raw.append(upper)
         if lower <= 0.0 <= upper:
             raw.append(0.0)
-        clamped = False
-        vals = []
-        for v in raw:
-            if abs(v) > RHO_INTERIOR:
-                v = math.copysign(RHO_INTERIOR, v)
-                clamped = True
-            vals.append(round(v, _GRID_DECIMALS))
-        points = tuple(sorted(set(vals)))
-        return cls(lower=lower, upper=upper, step=step, points=points,
-                   clamped=clamped)
+        return cls(lower=lower, upper=upper, step=step,
+                   points=tuple(sorted(set(map(_grid_value, raw)))),
+                   clamped=max(map(abs, raw)) > RHO_INTERIOR)
 
 
 @dataclass(frozen=True)
@@ -321,11 +328,9 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
     points = tuple(_scan_point(scan, rho, path.fits[rho]) for rho in rhos)
     failed = [pt.rho for pt in points if not pt.converged]
     if len(failed) > 0.5 * len(points):
-        err = ScanError(
+        raise ScanError(
             f"{len(failed)} of {len(points)} grid points failed to converge "
-            f"(at rho = {failed}); scan abandoned")
-        err.failures = tuple(failed)
-        raise err
+            f"(at rho = {failed}); scan abandoned", failures=failed)
     if failed:
         warnings.append(f"{len(failed)} grid points did not converge: {failed}")
     return replace(scan, points=points, warnings=tuple(warnings))

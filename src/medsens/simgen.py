@@ -106,10 +106,6 @@ class TrueParams:
             object.__setattr__(self, "confounding", (kind, rho))
 
     @property
-    def p(self) -> int:
-        return len(self.covariates)
-
-    @property
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.covariates)
 

@@ -5,6 +5,9 @@ import pytest
 
 from medsens import (ConfoundingKind, Dataset, ModelSpec, TrueParams,
                      demo_params, simulate)
+from medsens.biprobit import _pair_pass, _pair_rows
+from medsens.datamodel import model_designs
+from medsens.numkernel import _log_ndtr
 
 
 def reduced_spec() -> ModelSpec:
@@ -14,15 +17,31 @@ def reduced_spec() -> ModelSpec:
                      outcome_zmx=False)
 
 
-def write_rows(ds: Dataset, path, delimiter: str = ",") -> None:
+def write_rows(ds: Dataset, path) -> None:
     """write_csv as one csv writerow per row: the reference for the bytes
     of write_csv's chunked writer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z", "m", "y", *ds.covariate_names])
         for i in range(ds.n):
             writer.writerow([int(ds.z[i]), int(ds.m[i]), int(ds.y[i]),
                              *[repr(float(v)) for v in ds.x[i]]])
+
+
+def joint_loglik(kind: ConfoundingKind, coef_a, coef_b, rho, ds: Dataset,
+                 spec: ModelSpec) -> float:
+    """The kind's constrained log-likelihood at (first, second)
+    coefficients: the first value of the pass a constrained fit runs."""
+    pair = _pair_rows(kind, model_designs(ds, spec))
+    return _pair_pass(np.asarray(coef_a, dtype=float),
+                      np.asarray(coef_b, dtype=float), rho, *pair)[0]
+
+
+def probit_loglik(coefficients, design, response) -> float:
+    """The probit log-likelihood, summed over the same ln Phi rows as
+    fit_probit."""
+    s = 2.0 * np.asarray(response, dtype=float) - 1.0
+    return float(_log_ndtr(s * (design @ np.asarray(coefficients, dtype=float))).sum())
 
 
 def confounded_params(kind: ConfoundingKind, rho: float) -> TrueParams:

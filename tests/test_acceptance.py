@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from conftest import confounded_params, reduced_spec
+from conftest import confounded_params, joint_loglik, reduced_spec
 from finite_diff import finite_diff_grad
 from medsens import (ConfoundingKind, Dataset, EffectType, ModelSpec,
-                     RhoGrid, binorm_cdf, constrained_grad,
-                     constrained_loglik, demo_params, effect_rows,
-                     effect_with_ci, fit_constrained,
+                     RhoGrid, bvn_cdf, constrained_grad, demo_params,
+                     effect_rows, effect_with_ci, fit_constrained,
                      fit_unconstrained, identification_set, refine_boundary,
                      replicate_seeds, run_scan, sign_ranges, simulate,
                      true_effects, uncertainty_interval, unconstrained_context)
@@ -37,7 +36,7 @@ def test_bvn_matches_quadrature_oracle(capsys):
     rows = np.loadtxt(DATA_DIR / "bvn_oracle.csv", delimiter=",", skiprows=1)
     assert rows.shape == (11 * 11 * 9, 4)
     t0 = time.time()
-    got = np.array([binorm_cdf(a, b, r) for a, b, r, _ in rows])
+    got = bvn_cdf(rows[:, 0], rows[:, 1], rows[:, 2])
     elapsed = time.time() - t0
     err = float(np.max(np.abs(got - rows[:, 3])))
     ok = err <= 1e-10 and elapsed < 5.0
@@ -109,8 +108,7 @@ def test_analytic_gradients_match_finite_differences(capsys):
                 na = len(ca)
 
                 def loglik(v, kind=kind, ds=ds, spec=spec, rho=rho, na=na):
-                    return constrained_loglik(kind, v[:na], v[na:], rho,
-                                              ds, spec)
+                    return joint_loglik(kind, v[:na], v[na:], rho, ds, spec)
 
                 fd = finite_diff_grad(loglik, np.concatenate([ca, cb]),
                                       step=1e-5)

@@ -10,11 +10,12 @@ from scipy.special import log_ndtr
 from medsens import (ConfoundingKind, ModelSpec, SeparationError,
                      build_exposure_design, build_mediator_design,
                      build_outcome_design, bvn_cdf, constrained_grad,
-                     constrained_loglik, demo_params, fit_constrained,
-                     fit_probit, log_bvn_cdf, probit, probit_loglik, simulate)
+                     fit_constrained, fit_probit, log_bvn_cdf, probit,
+                     simulate)
 from medsens.biprobit import _pair_pass, _probit_pair_path
 from medsens.numkernel import PROB_FLOOR
-from conftest import confounded_params, make_dataset
+from conftest import (confounded_params, joint_loglik, make_dataset,
+                      probit_loglik)
 from finite_diff import finite_diff_grad
 
 KINDS = list(ConfoundingKind)
@@ -35,29 +36,25 @@ class TestSingleRowClosedForms:
     def test_exposure_mediator(self):
         # P(z=1, m=0) at rho=0.5 is Phi2(0,0;-0.5) = 1/4 - asin(.5)/2pi = 1/6
         ds = one_row(z=1, m=0, y=0)
-        ll = constrained_loglik(EM, np.zeros(1), np.zeros(2), 0.5, ds,
-                                ModelSpec())
+        ll = joint_loglik(EM, np.zeros(1), np.zeros(2), 0.5, ds, ModelSpec())
         assert ll == pytest.approx(math.log(1.0 / 6.0), abs=1e-14)
 
     def test_mediator_outcome(self):
         # P(m=1, y=1) at rho=0.5 is Phi2(0,0;0.5) = 1/4 + 1/12 = 1/3
         ds = one_row(z=0, m=1, y=1)
-        ll = constrained_loglik(MY, np.zeros(2), np.zeros(4), 0.5, ds,
-                                ModelSpec())
+        ll = joint_loglik(MY, np.zeros(2), np.zeros(4), 0.5, ds, ModelSpec())
         assert ll == pytest.approx(math.log(1.0 / 3.0), abs=1e-14)
 
     def test_exposure_outcome(self):
         # P(z=1, y=0) at rho=0.3 is Phi2(0,0;-0.3)
         ds = one_row(z=1, m=0, y=0)
         expect = 0.25 - math.asin(0.3) / (2.0 * math.pi)
-        ll = constrained_loglik(ZY, np.zeros(1), np.zeros(4), 0.3, ds,
-                                ModelSpec())
+        ll = joint_loglik(ZY, np.zeros(1), np.zeros(4), 0.3, ds, ModelSpec())
         assert ll == pytest.approx(math.log(expect), abs=1e-14)
 
     def test_zero_rho_single_row_is_product(self):
         ds = one_row(z=1, m=1, y=0)
-        ll = constrained_loglik(EM, np.zeros(1), np.zeros(2), 0.0, ds,
-                                ModelSpec())
+        ll = joint_loglik(EM, np.zeros(1), np.zeros(2), 0.0, ds, ModelSpec())
         assert ll == pytest.approx(math.log(0.25), abs=1e-14)
 
 
@@ -81,7 +78,7 @@ def test_zero_rho_splits_into_univariate_logliks(kind, demo_clean, spec):
              build_outcome_design(demo_clean, spec), demo_clean.y),
     }
     ca, cb, da, ra, db, rb = pairs[kind]
-    joint = constrained_loglik(kind, ca, cb, 0.0, demo_clean, spec)
+    joint = joint_loglik(kind, ca, cb, 0.0, demo_clean, spec)
     split = probit_loglik(ca, da, ra) + probit_loglik(cb, db, rb)
     assert joint == pytest.approx(split, abs=1e-9 * abs(split))
 
@@ -101,7 +98,7 @@ def test_analytic_gradient_matches_finite_differences(kind, rho, scale,
     ka, kb = len(coef_a), len(coef_b)
 
     packed = np.concatenate([coef_a, coef_b])
-    f = lambda v: constrained_loglik(kind, v[:ka], v[ka:], rho, demo_clean, spec)
+    f = lambda v: joint_loglik(kind, v[:ka], v[ka:], rho, demo_clean, spec)
     fd = finite_diff_grad(f, packed, step=1e-6)
     ga, gb = constrained_grad(kind, coef_a, coef_b, rho, demo_clean, spec)
     analytic = np.concatenate([ga, gb])
@@ -235,15 +232,15 @@ def test_information_matches_finite_difference_hessian(kind, rho,
 
 def test_rho_outside_interior_band_rejected(demo_clean, spec):
     with pytest.raises(ValueError, match="0.999"):
-        constrained_loglik(MY, np.zeros(4), np.zeros(6), 0.9995, demo_clean, spec)
+        constrained_grad(MY, np.zeros(4), np.zeros(6), 0.9995, demo_clean, spec)
     with pytest.raises(ValueError, match="^rho must be a real scalar"):
-        constrained_loglik(MY, np.zeros(4), np.zeros(6), False, demo_clean, spec)
+        constrained_grad(MY, np.zeros(4), np.zeros(6), False, demo_clean, spec)
 
 
 def test_wrong_coefficient_length_names_the_vector(demo_clean, spec):
     with pytest.raises(ValueError,
                        match=r"^coef_b has length \(7,\), its design has 6 columns$"):
-        constrained_loglik(MY, np.zeros(4), np.zeros(7), 0.5, demo_clean, spec)
+        constrained_grad(MY, np.zeros(4), np.zeros(7), 0.5, demo_clean, spec)
 
 
 class TestFitConstrained:

@@ -338,6 +338,12 @@ def test_effect_rows_refuses_non_finite_rows(x, spec):
         effect_rows(EffectType.NIE, params.theta, params.beta, x, spec)
 
 
+def test_effect_rows_refuses_zero_rows(spec):
+    params = demo_params()
+    with pytest.raises(ValueError, match="^x has no rows$"):
+        effect_rows(EffectType.NIE, params.theta, params.beta, np.zeros((0, 2)), spec)
+
+
 def test_layouts_are_built_once_and_read_only(spec):
     med, out = effects._layouts(spec, 2)
     assert effects._layouts(spec, 2)[1] is out

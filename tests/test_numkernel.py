@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from finite_diff import finite_diff_grad
-from medsens import binorm_cdf, bvn_cdf, clamp_rho, log_bvn_cdf, norm_quantile
+from medsens import bvn_cdf, clamp_rho, log_bvn_cdf, norm_quantile
 from medsens.numkernel import _log_ndtr
 
 ORACLE = Path(__file__).parent / "data" / "bvn_oracle.csv"
@@ -26,6 +26,11 @@ interior_rho = st.floats(-0.999, 0.999, allow_nan=False)
 
 def norm_cdf(z):
     return float(ndtr(z))
+
+
+def phi2_at(a, b, rho) -> float:
+    """Phi2 at one point, from bvn_cdf."""
+    return float(bvn_cdf(a, b, rho))
 
 
 def test_normal_scalar_constants():
@@ -67,7 +72,7 @@ def test_clamp_rho():
 def test_bvn_zero_rho_factorizes_exactly():
     for a in (-3.0, -0.7, 0.0, 1.2, 4.0):
         for b in (-2.5, 0.0, 0.4, 3.0):
-            assert binorm_cdf(a, b, 0.0) == pytest.approx(
+            assert phi2_at(a, b, 0.0) == pytest.approx(
                 norm_cdf(a) * norm_cdf(b), abs=1e-15)
 
 
@@ -75,16 +80,16 @@ def test_bvn_perfect_correlation_limits():
     # rho=1: mass on the diagonal, so P = Phi(min); rho=-1: antidiagonal
     for a in (-2.0, -0.3, 0.8, 2.5):
         for b in (-1.5, 0.1, 2.0):
-            assert binorm_cdf(a, b, 1.0) == pytest.approx(
+            assert phi2_at(a, b, 1.0) == pytest.approx(
                 norm_cdf(min(a, b)), abs=1e-15)
-            assert binorm_cdf(a, b, -1.0) == pytest.approx(
+            assert phi2_at(a, b, -1.0) == pytest.approx(
                 max(0.0, norm_cdf(a) + norm_cdf(b) - 1.0), abs=1e-15)
 
 
 def test_bvn_origin_arcsine_identity():
     for rho in (-0.95, -0.5, 0.0, 0.3, 0.7, 0.99):
         expect = 0.25 + math.asin(rho) / (2.0 * math.pi)
-        assert binorm_cdf(0.0, 0.0, rho) == pytest.approx(expect, abs=1e-15)
+        assert phi2_at(0.0, 0.0, rho) == pytest.approx(expect, abs=1e-15)
 
 
 def load_oracle():
@@ -294,8 +299,6 @@ def test_bvn_rejects_rho_outside_minus_one_one(rho):
     with pytest.raises(ValueError, match=message):      # one row of many
         bvn_cdf(np.array([0.3, -1.0, 2.0]), 0.5, np.array([0.2, rho, -1.0]))
     with pytest.raises(ValueError, match=message):
-        binorm_cdf(0.3, -0.4, rho)
-    with pytest.raises(ValueError, match=message):
         log_bvn_cdf(0.3, -0.4, rho)
 
 def test_bvn_mpmath_spot_checks():
@@ -312,8 +315,7 @@ def test_bvn_mpmath_spot_checks():
     points = [(0.5, -0.3, 0.6), (-1.2, 2.0, -0.85), (2.0, 2.0, 0.97),
               (-3.5, -0.5, 0.45), (0.0, 1.0, -0.99)]
     for a, b, rho in points:
-        assert binorm_cdf(a, b, rho) == pytest.approx(oracle(a, b, rho),
-                                                      abs=5e-15)
+        assert phi2_at(a, b, rho) == pytest.approx(oracle(a, b, rho), abs=5e-15)
 
 
 def test_log_ndtr_against_mpmath():
@@ -352,12 +354,12 @@ def test_log_ndtr_underflow_raises_no_warning(q):
 
 @given(finite_z, finite_z, st.floats(-1.0, 1.0, allow_nan=False))
 def test_bvn_symmetry_is_exact(a, b, rho):
-    assert binorm_cdf(a, b, rho) == binorm_cdf(b, a, rho)
+    assert phi2_at(a, b, rho) == phi2_at(b, a, rho)
 
 
 @given(finite_z, finite_z, st.floats(-1.0, 1.0, allow_nan=False))
 def test_bvn_frechet_bounds(a, b, rho):
-    val = binorm_cdf(a, b, rho)
+    val = phi2_at(a, b, rho)
     lo = max(0.0, norm_cdf(a) + norm_cdf(b) - 1.0)
     hi = min(norm_cdf(a), norm_cdf(b))
     assert lo - 1e-14 <= val <= hi + 1e-14
@@ -366,13 +368,13 @@ def test_bvn_frechet_bounds(a, b, rho):
 @given(finite_z, finite_z, interior_rho, interior_rho)
 def test_bvn_monotone_in_rho(a, b, r1, r2):
     lo, hi = sorted((r1, r2))
-    assert binorm_cdf(a, b, lo) <= binorm_cdf(a, b, hi) + 1e-13
+    assert phi2_at(a, b, lo) <= phi2_at(a, b, hi) + 1e-13
 
 
 @given(finite_z, finite_z, finite_z, st.floats(-1.0, 1.0, allow_nan=False))
 def test_bvn_monotone_in_abscissa(a1, a2, b, rho):
     lo, hi = sorted((a1, a2))
-    assert binorm_cdf(lo, b, rho) <= binorm_cdf(hi, b, rho) + 1e-14
+    assert phi2_at(lo, b, rho) <= phi2_at(hi, b, rho) + 1e-14
 
 
 @given(finite_z, finite_z, finite_z, finite_z,
@@ -380,15 +382,15 @@ def test_bvn_monotone_in_abscissa(a1, a2, b, rho):
 def test_bvn_rectangle_mass_nonnegative(a1, a2, b1, b2, rho):
     a1, a2 = sorted((a1, a2))
     b1, b2 = sorted((b1, b2))
-    mass = (binorm_cdf(a2, b2, rho) - binorm_cdf(a1, b2, rho)
-            - binorm_cdf(a2, b1, rho) + binorm_cdf(a1, b1, rho))
+    mass = (phi2_at(a2, b2, rho) - phi2_at(a1, b2, rho)
+            - phi2_at(a2, b1, rho) + phi2_at(a1, b1, rho))
     assert mass >= -1e-13
 
 
 @given(finite_z, st.floats(-1.0, 1.0, allow_nan=False))
 def test_bvn_marginalizes_to_univariate(a, rho):
     # Phi(8.5) differs from 1 by ~1e-18, far below the tolerance
-    assert binorm_cdf(a, 8.5, rho) == pytest.approx(norm_cdf(a), abs=1e-12)
+    assert phi2_at(a, 8.5, rho) == pytest.approx(norm_cdf(a), abs=1e-12)
 
 
 def test_bvn_broadcasting_and_scalar_paths():
@@ -396,28 +398,14 @@ def test_bvn_broadcasting_and_scalar_paths():
     out = bvn_cdf(a, 0.5, 0.3)
     assert out.shape == (3,)
     for i, ai in enumerate(a):
-        assert out[i] == binorm_cdf(ai, 0.5, 0.3)
+        assert out[i] == bvn_cdf(ai, 0.5, 0.3)
     grid = bvn_cdf(a.reshape(3, 1), a.reshape(1, 3), 0.0)
     assert grid.shape == (3, 3)
 
 
-def test_binorm_validates_scalar_inputs():
-    # binorm_cdf checks that a and b are finite real scalars; rho is
-    # checked by bvn_cdf
-    with pytest.raises(ValueError):
-        binorm_cdf(0.0, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        binorm_cdf(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        binorm_cdf(0.0, float("inf"), 0.0)
-    for not_real in (True, "0.5"):
-        with pytest.raises(ValueError, match="must be a real scalar"):
-            binorm_cdf(0.0, 0.0, not_real)
-
-
 def test_log_bvn_matches_log_of_cdf_and_is_floored():
     val = log_bvn_cdf(np.array(-1.0), np.array(-1.0), np.array(0.25))
-    assert val == pytest.approx(math.log(binorm_cdf(-1.0, -1.0, 0.25)), abs=1e-14)
+    assert val == pytest.approx(math.log(phi2_at(-1.0, -1.0, 0.25)), abs=1e-14)
     deep = log_bvn_cdf(np.array(-40.0), np.array(-40.0), np.array(0.0))
     assert np.isfinite(deep)
     assert deep >= math.log(1e-300)
@@ -454,9 +442,9 @@ def real_array_entries(demo_confounded, spec):
     and the parameter name a refusal must start with."""
     from medsens import (ConfigError, ConfoundingKind, CovariateProfile, Dataset,
                          DataError, EffectType, GradientVector, bvn_cdf,
-                         constrained_grad, constrained_loglik, delta_se,
-                         demo_params, effect_rows, fit_constrained, fit_probit,
-                         fit_unconstrained, log_bvn_cdf, probit_loglik)
+                         constrained_grad, delta_se, demo_params, effect_rows,
+                         fit_constrained, fit_probit, fit_unconstrained,
+                         log_bvn_cdf)
     ds, my, nie = demo_confounded, ConfoundingKind.MEDIATOR_OUTCOME, EffectType.NIE
     fits = fit_unconstrained(ds, spec)
     beta, theta = fits.mediator.coefficients, fits.outcome.coefficients
@@ -475,9 +463,6 @@ def real_array_entries(demo_confounded, spec):
             ConfigError, name) for name in ("alpha", "beta", "theta")},
         **{f"{func.__name__} {arg}": (valid, phi2(func, arg), ValueError, arg)
            for func in (bvn_cdf, log_bvn_cdf) for arg, valid in phi2_args.items()},
-        "probit_loglik coefficients": (
-            np.full(design.shape[1], 0.1), lambda v: probit_loglik(v, design, ds.m),
-            ValueError, "coefficients"),
         "delta_se grad.wrt_beta": (
             beta, lambda v: delta_se(GradientVector(v, theta), sigma_beta, sigma_theta),
             ValueError, "grad.wrt_beta"),
@@ -498,8 +483,8 @@ def real_array_entries(demo_confounded, spec):
         "fit_constrained start": (np.concatenate([beta, theta]),
                                   lambda v: fit_constrained(my, 0.1, ds, spec, start=v),
                                   ValueError, "start"),
-        "constrained_loglik coef_a": (
-            beta, lambda v: constrained_loglik(my, v, theta, 0.1, ds, spec),
+        "constrained_grad coef_a": (
+            beta, lambda v: constrained_grad(my, v, theta, 0.1, ds, spec),
             ValueError, "coef_a"),
         "constrained_grad coef_b": (
             theta, lambda v: constrained_grad(my, beta, v, 0.1, ds, spec),
@@ -515,12 +500,12 @@ def real_array_entries(demo_confounded, spec):
 
 
 ENTRY_NAMES = ["Dataset x", "CovariateProfile values", "fit_constrained start",
-               "constrained_loglik coef_a", "constrained_grad coef_b",
+               "constrained_grad coef_a", "constrained_grad coef_b",
                "effect_rows theta", "effect_rows beta", "effect_rows x",
                "fit_probit design", "bvn_cdf a", "bvn_cdf b", "bvn_cdf rho",
                "log_bvn_cdf a", "log_bvn_cdf b", "log_bvn_cdf rho",
-               "probit_loglik coefficients", "delta_se grad.wrt_beta",
-               "delta_se grad.wrt_theta", "delta_se sigma_beta", "delta_se sigma_theta",
+               "delta_se grad.wrt_beta", "delta_se grad.wrt_theta",
+               "delta_se sigma_beta", "delta_se sigma_theta",
                "TrueParams alpha", "TrueParams beta", "TrueParams theta"]
 
 

@@ -11,11 +11,12 @@ import yaml
 
 from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
                      SeparationError, build_mediator_design, demo_params,
-                     fit_probit, fit_unconstrained, norm_quantile,
-                     probit_loglik, run_scan, simulate, write_csv)
+                     fit_probit, fit_unconstrained, norm_quantile, run_scan,
+                     simulate, write_csv)
 from medsens import datamodel, probit
 from medsens.cli import main
 from medsens.datamodel import fit_designs, require_full_rank
+from conftest import probit_loglik
 
 
 def intercept_only(y):
@@ -31,13 +32,12 @@ def test_intercept_only_closed_form():
     assert fit.coefficients[0] == pytest.approx(norm_quantile(y.mean()), abs=1e-8)
 
 
-def test_loglik_at_zero_coefficients():
+def test_intercept_only_loglik_closed_form():
+    # at the intercept-only MLE each row's probability is the sample share
     y = np.array([1, 0, 1, 1, 0])
-    design, resp = intercept_only(y)
-    assert probit_loglik(np.zeros(1), design, resp) == pytest.approx(
-        5.0 * math.log(0.5), abs=1e-12)
-    with pytest.raises(ValueError, match=r"^coefficients has length \(2,\), its design"):
-        probit_loglik(np.zeros(2), design, resp)
+    fit = fit_probit(*intercept_only(y))
+    assert fit.loglik == pytest.approx(3.0 * math.log(0.6) + 2.0 * math.log(0.4),
+                                       abs=1e-12)
 
 
 def test_score_is_small_at_reported_optimum(demo_clean, spec):
@@ -68,7 +68,7 @@ def test_loglik_beats_nearby_points(demo_clean, spec):
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_loglik_at_the_fit_is_the_fits_own(spec, seed):
-    # probit_loglik sums the same ln Phi rows as fit_probit
+    # the fit's loglik is the ln Phi row sum at its returned coefficients
     ds = simulate(demo_params(), 5000, seed)
     for model in ("mediator", "outcome"):
         design, response = fit_designs(ds, spec)[model]
@@ -133,6 +133,41 @@ def test_a_returned_point_beyond_the_bound_raises():
     # beyond the bound
     with pytest.raises(SeparationError, match="separat"):
         probit._newton_ascent(toy_pass(quartic, lambda x: 31.0), np.ones(1))
+
+
+def pseudo_huber(t):
+    root = math.sqrt(1.0 + t * t)
+    return root, t / root, 1.0 / root ** 3
+
+
+def test_an_overshooting_newton_step_is_halved():
+    # from t = 2 the Newton step on -sqrt(1 + t^2) lands at t = -8, below
+    # the start, and so does its half at -3; the quarter step to -0.5
+    # improves, and the ascent goes on to the optimum at t = 0
+    toy, seen = toy_pass(pseudo_huber, lambda x: 0.0), []
+
+    def recording(x):
+        seen.append(x[0] - 1.0)
+        return toy(x)
+    opt = probit._newton_ascent(recording, np.array([3.0]))
+    assert seen[:4] == pytest.approx([2.0, -8.0, -3.0, -0.5], abs=1e-12)
+    assert opt.converged and opt.x[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("score,converged", [(1.0, False), (1e-8, True)])
+def test_the_ascent_stops_where_no_step_improves(score, converged):
+    # every point but the start is lower, so each of the 40 halvings of the
+    # one Newton step is refused: the ascent stops at the start, converged
+    # only if the score there is below SCORE_TOL
+    calls = []
+
+    def cliff(x):
+        calls.append(x[0])
+        return (0.0 if x[0] == 0.0 else -1.0), np.array([score]), -np.eye(1), 0.0
+    opt = probit._newton_ascent(cliff, np.zeros(1))
+    assert opt.x.tolist() == [0.0] and opt.loglik == 0.0
+    assert opt.iterations == 1 and len(calls) == 41
+    assert opt.converged is converged
 
 
 def test_information_not_positive_definite_is_flagged():

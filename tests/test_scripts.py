@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import medsens
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -53,10 +55,11 @@ def test_code_lines_lists_every_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert lines[0] == ["module", "raw", "code"] and lines[-1][0] == "total"
-    assert [line[0] for line in lines[1:-1]] == sorted(
+    assert lines[0] == ["module", "raw", "code"] and lines[-2][0] == "total"
+    assert [line[0] for line in lines[1:-2]] == sorted(
         p.name for p in (ROOT / "src" / "medsens").glob("*.py"))
-    assert int(lines[-1][2]) == sum(int(line[2]) for line in lines[1:-1])
+    assert int(lines[-2][2]) == sum(int(line[2]) for line in lines[1:-2])
+    assert lines[-1] == ["__all__", str(len(medsens.__all__))]
 
 
 def fake_record(wall_s, correct=True):

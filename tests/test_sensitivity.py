@@ -129,6 +129,26 @@ class TestRhoGrid:
             RhoGrid(lower=lower, upper=upper, step=step, points=(0.0,))
 
 
+    def test_regular_clips_drift_past_upper(self):
+        # lower + 3 step is 0.500000000083: beyond upper, and 8.3e-11 from
+        # the upper point, which a scan would fit again
+        grid = RhoGrid.regular(0.0, 0.5, 0.5 / (3 - 5e-10))
+        assert grid.points == (0.0, 0.166666666694, 0.333333333389, 0.5)
+        assert not grid.clamped
+
+    def test_a_bound_beyond_the_band_admits_its_clamp(self):
+        assert RhoGrid.regular(0.9, 1.0, 0.05).points == (0.9, 0.95, 0.999)
+        assert RhoGrid.regular(0.9995, 1.0, 0.05).points == (0.999,)
+        grid = RhoGrid(lower=-1.0, upper=-0.9995, step=0.0, points=(-0.999,))
+        assert grid.points == (-0.999,)
+
+    @pytest.mark.parametrize("points", [(0.5,), (0.0, 0.1000001), (-1e-9, 0.05)])
+    def test_direct_points_outside_the_bounds_refused(self, points):
+        with pytest.raises(ValueError,
+                           match=r"^grid points must lie in \[0.0, 0.1\], got \["):
+            RhoGrid(lower=0.0, upper=0.1, step=0.0, points=points)
+
+
 def fake_estimate(est, se, alpha=0.05):
     half = norm_quantile(1 - alpha / 2) * se
     return EffectEstimate(effect_type=NIE, scope="marginal", estimate=est,
@@ -668,6 +688,15 @@ class TestRunScan:
         scan = run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert any("0.95" in w for w in scan.warnings)
 
+    def test_clamped_grid_warns(self, demo_confounded, spec):
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(0.9, 1.0, 0.05),
+                        demo_confounded, spec)
+        assert [pt.rho for pt in scan.points] == [0.9, 0.95, 0.999]
+        assert scan.warnings[:2] == (
+            "grid values beyond |rho| = 0.999 were clamped onto it",
+            "grid extends beyond |rho| = 0.95; fits near the boundary can be "
+            "numerically delicate")
+
     def test_conditional_scan_uses_profile(self, demo_confounded, spec):
         from medsens import CovariateProfile
         prof = CovariateProfile(values=np.array([0.0, 0.0]), name="origin")
@@ -854,6 +883,10 @@ class TestFailureHandling:
             run_scan(MY, NIE, "marginal", grid, demo_confounded, spec)
         assert exc_info.value.failures == (-0.1, 0.0, 0.1, 0.2)
 
+    def test_scan_error_failures_default_to_none(self):
+        assert ScanError("scan has no converged grid points").failures == ()
+        assert ScanError("abandoned", failures=[0.1, 0.2]).failures == (0.1, 0.2)
+
     def test_minority_failures_recorded_and_survivable(self, demo_confounded,
                                                        spec, monkeypatch):
         monkeypatch.setattr(sens_mod, "fit_constrained",
@@ -990,6 +1023,25 @@ class TestRefineBoundary:
         refined = refine_boundary(scan, resolution=0.001)
         assert starts.count(0.55) == 2
         assert refined == pytest.approx([0.5285156, 0.6699219], abs=1e-7)
+
+    def test_failed_midpoint_refit_returns_the_coarse_midpoint(self, monkeypatch):
+        # every refit inside a bracket fails, so each boundary stops at its
+        # first midpoint: the midpoint of the coarse bracket
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 2000, 64)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.95, 0.95, 0.1),
+                        ds, params.spec)
+        refits = []
+
+        def failing(kind, rho, ds, spec, start=None):
+            refits.append(rho)
+            raise ScanError(f"synthetic failure at {rho}")
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", failing)
+        assert [lo for lo, _, _ in sign_ranges(scan).ranges] == [-0.95, 0.45, 0.75]
+        coarse = [0.5 * (0.35 + 0.45), 0.5 * (0.65 + 0.75)]
+        assert refine_boundary(scan, resolution=0.001) == coarse
+        assert refits == coarse
 
     def test_resolution_validation(self, demo_confounded, spec):
         scan = fake_scan([(0.0, 0.05, 0.001), (0.2, -0.05, 0.001)])

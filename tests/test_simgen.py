@@ -199,6 +199,11 @@ def test_true_effects_reject_non_finite_rows():
         true_effects(demo_params(), np.array([[0.0, np.nan]]))
 
 
+def test_true_effects_reject_zero_rows():
+    with pytest.raises(ValueError, match="^x has no rows$"):
+        true_effects(demo_params(), np.zeros((0, 2)))
+
+
 def test_true_params_copy_the_callers_coefficients():
     base = demo_params()
     coefs = {key: np.array(getattr(base, key)) for key in ("alpha", "beta", "theta")}
