@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,25 @@ def test_non_binary_response_rejected():
     design = np.ones((10, 1))
     with pytest.raises(ValueError):
         fit_probit(design, np.arange(10))
+
+
+_Y10 = np.array([0, 1] * 5)
+MISSHAPEN = {
+    "scalar design": (np.float64(1.0), _Y10, "^design must be a 2-d matrix$"),
+    "1-d design": (np.ones(10), _Y10, "^design must be a 2-d matrix$"),
+    "3-d design": (np.ones((10, 1, 1)), _Y10, "^design must be a 2-d matrix$"),
+    "short response": (np.ones((10, 1)), _Y10[:9], re.escape(
+        "response length (9,) does not match design rows (10, 1)")),
+    "2-d response": (np.ones((10, 1)), _Y10[:, None], re.escape(
+        "response length (10, 1) does not match design rows (10, 1)")),
+}
+
+
+@pytest.mark.parametrize("design, response, message", MISSHAPEN.values(),
+                         ids=list(MISSHAPEN))
+def test_misshapen_inputs_rejected(design, response, message):
+    with pytest.raises(ValueError, match=message):
+        fit_probit(design, response)
 
 
 def test_fit_unconstrained_matches_componentwise(demo_clean, spec):
