@@ -21,7 +21,7 @@ probability floor of ln Phi2. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood
 and ends the fit, as it ends a probit fit: separation, convergence, the
 covariance and the score norm are read off its _Optimum.
-The pass reads the designs datamodel.fit_designs holds as they are, with
+The pass reads the designs probit.fit_designs holds as they are, with
 the response signs s = 2r - 1 on n-vectors: u = s (X b), X'(s v) and the
 Hessian blocks X_a'(X_b (s_a s_b h)) equal the sums over the sign-flipped
 designs s X bit for bit, since s = +-1 and s^2 = 1.
@@ -44,10 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, ModelSpec, fit_designs, model_designs
+from .datamodel import Dataset, ModelSpec, model_designs
 from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _check_len,
                         _log_ndtr, clamp_rho, log_bvn_cdf)
-from .probit import _LOG_SQRT_2PI, _mills, _newton_ascent, _probit_fits
+from .probit import (_LOG_SQRT_2PI, _mills, _newton_ascent, _probit_fits,
+                     fit_designs)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -275,12 +276,12 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     rho outside the +-0.999 interior band is clamped with a recorded
     warning. The start defaults to _predict's second-order step to rho off
     the rho = 0 node of _probit_pair_path, x + t rho + c rho^2 / 2, from the
-    kind's probit pair kept in fit_memo: the start a one-point scan's
-    anchor gets. Scans pass the Hermite polynomial through up to four
-    converged optima and their tangents, a step off one, or the cubic
-    through a bracket's two ends. A start that is not an array of
+    kind's probit pair that probit._probit_fits keeps: the start a
+    one-point scan's anchor gets. Scans pass the Hermite polynomial
+    through up to four converged optima and their tangents, a step off
+    one, or the cubic through a bracket's two ends. A start that is not an array of
     integers or floats, or not finite, raises ValueError. The designs
-    come from datamodel.fit_designs and are read as they are, with the
+    come from probit.fit_designs and are read as they are, with the
     response signs on n-vectors (_pair_rows).
     probit._newton_ascent ends the fit: it raises SeparationError, and it
     gives the convergence verdict, the covariance (the inverse observed

@@ -72,7 +72,8 @@ or quoted profile value, a LO:HI:STEP grid) is ASCII without "_".
 Unquoted numbers and booleans follow the YAML 1.2 core schema
 (_ConfigLoader): 1_0, 0.0_5 and 1:30 are strings, 017 is 17, and only
 true and false (also True, TRUE, False, FALSE) are booleans, so on, off,
-yes and no are strings.
+yes and no are strings. A mapping that names one key twice, at the top
+level or in any section, is refused rather than read as its last value.
 """
 
 from __future__ import annotations
@@ -274,10 +275,24 @@ class _ConfigLoader(yaml.SafeLoader):
     and 017 as 10, 0.05, 90 and 15, and on, off, yes and no as booleans:
     the first three stay strings, 017 is 17, and only true and false (in
     lower, title or upper case) are booleans, so a column named on is the
-    string "on"."""
+    string "on". A mapping that repeats a key is refused, as YAML 1.2
+    requires, where PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
-_BOOL, _INT, _FLOAT = (f"tag:yaml.org,2002:{t}" for t in ("bool", "int", "float"))
+_BOOL, _INT, _FLOAT, _MERGE = (f"tag:yaml.org,2002:{t}"
+                               for t in ("bool", "int", "float", "merge"))
 _ConfigLoader.yaml_implicit_resolvers = {
     first: [(tag, rx) for tag, rx in resolvers if tag not in (_BOOL, _INT, _FLOAT)]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}

@@ -37,7 +37,6 @@ import math
 import os
 import stat
 import warnings
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -525,11 +524,12 @@ def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
             "outcome": (build_outcome_design(ds, spec), ds.y)}
 
 
-def require_full_rank(design: np.ndarray, what: str) -> None:
-    """Raise RankError "<what> is rank deficient" unless the (n, k) design,
-    n > k, has full column rank by np.linalg.matrix_rank.
+def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
+    """The Gram G = X'X of the (n, k) design, n > k; RankError "<what> is
+    rank deficient" unless the design has full column rank by
+    np.linalg.matrix_rank.
 
-    The Gram G = X'X decides first: its eigenvalues are the squared
+    The Gram decides first: its eigenvalues are the squared
     singular values s_i**2, and matrix_rank accepts X when
     s_min > s_max * n * eps. Rounding X'X moves G by at most
     n * u * ||X||_F**2 <= (k/2) * n * eps * s_max**2 in the 2-norm
@@ -542,11 +542,12 @@ def require_full_rank(design: np.ndarray, what: str) -> None:
     the bound go to matrix_rank, so the SVD still decides every RankError.
     """
     n, k = design.shape
-    gram = np.linalg.eigvalsh(design.T @ design)
-    if gram[0] > (k + 2) * n * np.finfo(float).eps * gram[-1]:
-        return
-    if np.linalg.matrix_rank(design) < k:
+    gram = design.T @ design
+    lam = np.linalg.eigvalsh(gram)
+    if (lam[0] <= (k + 2) * n * np.finfo(float).eps * lam[-1]
+            and np.linalg.matrix_rank(design) < k):
         raise RankError(f"{what} is rank deficient")
+    return gram
 
 
 def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
@@ -569,43 +570,3 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
         require_full_rank(design, f"{label} design matrix")
     return designs
 
-
-_FIT_ENTRY: dict = {}  # the one entry: {(id(ds), spec): (designs, memo)}
-
-
-def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
-    key = (id(ds), spec)
-    if key not in _FIT_ENTRY:
-        _FIT_ENTRY.clear()
-        designs = validate_for_fit(ds, spec)
-        for design, _ in designs.values():
-            design.setflags(write=False)
-        _FIT_ENTRY[key] = designs, {}
-        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
-    return _FIT_ENTRY[key]
-
-
-def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
-    """The validated model_designs table every fit on (ds, spec) reads.
-
-    One entry, dropped before the next (ds, spec) is set up and when its
-    Dataset is collected, so it never keeps a dataset's designs alive on
-    its own. Dataset compares by identity and is immutable, ModelSpec is
-    frozen, so the entry is a function of its key; a failed validation
-    caches nothing. The designs are read-only because callers share them.
-    """
-    return _fit_entry(ds, spec)[0]
-
-
-def fit_memo(ds: Dataset, spec: ModelSpec) -> dict:
-    """A dict that lives and dies with fit_designs' entry for (ds, spec),
-    for values that are a function of those designs alone (the probit
-    fits of probit._probit_fits). It has no eviction rule of its own."""
-    return _fit_entry(ds, spec)[1]
-
-
-def is_fit_design(design, response) -> bool:
-    """Whether (design, response) is, by identity, a read-only pair that
-    fit_designs holds now, so validate_for_fit has checked it."""
-    return any(d is design and r is response and not (d.flags.writeable or r.flags.writeable)
-               for designs, _ in _FIT_ENTRY.values() for d, r in designs.values())

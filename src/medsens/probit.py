@@ -13,30 +13,35 @@ numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
 scipy's log_ndtr, and log_ndtr at and below. Its absolute error, at most
 1.2e-16 above q = 6, enters only the ratio's exponent and the
 log-likelihood sum.
-fit_probit skips the rank check that validate_for_fit already ran on the
-designs datamodel.fit_designs holds, and puts any other design through the
-same rule (datamodel.require_full_rank: a Gram eigenvalue check, and
-matrix_rank's SVD only near the bound). Every design is fitted in Fortran
-order. The probit weights w are nonnegative, so the Hessian -X'WX is
-accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
-update per block. Each pass hands the ascent its largest |q|, the
-separation rule's input. The zero start needs no row pass (at q = +-0 its
-row terms are constants), and a fit keeps no per-row vector.
-_probit_fits is the only caller of fit_probit in the package: it fits each
-model once per (dataset, spec) and keeps the fit, with read-only arrays,
-in datamodel.fit_memo, so fit_unconstrained, the effect contexts, every
-constrained fit and every scan on that pair read the same fits.
+fit_probit checks every design it is given: its shape, a 0/1 response,
+and its rank by datamodel.require_full_rank (a Gram eigenvalue check, and
+matrix_rank's SVD only near the bound). That Gram G = X'X also gives the
+zero start's Hessian (Amemiya 1981): at q = +-0 every row has the weight
+2/pi, so the Hessian is -(2/pi) G, and the loglik and score are
+n ln Phi(0) and lam(0) X's, from one _mills call on one row. Every design is fitted in
+Fortran order. The probit weights w are nonnegative, so the Hessian -X'WX
+at any other point is accumulated as -B'B over row blocks B = sqrt(w) X,
+one symmetric rank-k update per block. Each pass hands the ascent its
+largest |q|, the separation rule's input, and a fit keeps no per-row
+vector.
+_probit_fits is the only caller of fit_probit in the package. It fits
+each model once per (dataset, spec), from the designs fit_designs holds,
+and keeps the fit, with read-only arrays, in that same one entry, so
+fit_unconstrained, the effect contexts, every constrained fit and every
+scan on that pair read the same fits. The entry is the one (dataset,
+spec) held at a time; it is dropped before the next pair is set up and
+when its Dataset is collected.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .datamodel import (Dataset, ModelSpec, fit_designs, fit_memo,
-                        is_fit_design, require_full_rank)
+from .datamodel import Dataset, ModelSpec, require_full_rank, validate_for_fit
 from .errors import RankError, SeparationError
 from .numkernel import _as_real_array, _log_ndtr
 
@@ -153,6 +158,7 @@ class ProbitFit:
     iterations: int
     converged: bool
     score_norm: float
+    warnings: tuple[str, ...] = ()
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -163,7 +169,7 @@ def _check_design(design: np.ndarray, response: np.ndarray):
     if response.ndim != 1 or response.shape[0] != design.shape[0]:
         raise ValueError(
             f"response length {response.shape} does not match design rows {design.shape}")
-    if not np.isin(np.unique(response), (0, 1)).all():
+    if not ((response == 0) | (response == 1)).all():  # O(n); unique sorts
         raise ValueError("response must be binary 0/1")
     return design, response.astype(float)
 
@@ -188,23 +194,18 @@ def _mills(q):
 
 
 def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
-    """Fit a probit model by Newton from zero; raises on rank deficiency
-    and separation. The arrays datamodel.fit_designs holds skip the rank
-    and binary checks they passed there; copies of them do not, and any
-    other design is checked by datamodel.require_full_rank. The fit reads
-    a Fortran-order copy of a design in any other memory order, so it
-    does not depend on the caller's layout."""
-    validated = is_fit_design(design, response)
-    if validated:  # the builders' Fortran-order arrays
-        response = response.astype(float)
-    else:
-        design, response = _check_design(design, response)
-        design = np.asfortranarray(design)
+    """Fit a probit model by Newton from zero; raises on a misshapen
+    design or response, a response that is not 0/1, rank deficiency and
+    separation. Every design goes through datamodel.require_full_rank,
+    whose Gram is the zero start's Hessian up to the factor -2/pi. The fit
+    reads a Fortran-order copy of a design in any other memory order, so
+    it does not depend on the caller's layout."""
+    design, response = _check_design(design, response)
+    design = np.asfortranarray(design)
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    if not validated:
-        require_full_rank(design, "design matrix")
+    gram = require_full_rank(design, "design matrix")
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
@@ -225,20 +226,19 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
         return h
 
     def loglik_score_hessian(coef):
-        if coef is zero:  # the start: q = +-0 gives _mills' values at 0
-            log_cdf, ratio, weight = (np.full(n, v) for v in _mills(zero[:1]))
-            reach = 0.0
-        else:
-            q = s * (design @ coef)
-            log_cdf, ratio, weight = _mills(q)
-            reach = np.abs(q).max()
+        if coef is zero:  # q = +-0: every row's terms are _mills' at 0
+            log_cdf, ratio, weight = (v[0] for v in _mills(zero[:1]))
+            return n * log_cdf, ratio * (design.T @ s), -weight * gram, 0.0
+        q = s * (design @ coef)
+        log_cdf, ratio, weight = _mills(q)
         return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
-                reach)
+                np.abs(q).max())
 
     opt = _newton_ascent(loglik_score_hessian, zero)
     return ProbitFit(coefficients=opt.x, covariance=opt.covariance,
                      loglik=opt.loglik, iterations=opt.iterations,
-                     converged=opt.converged, score_norm=opt.score_norm)
+                     converged=opt.converged, score_norm=opt.score_norm,
+                     warnings=opt.warnings)
 
 
 @dataclass(frozen=True)
@@ -250,21 +250,48 @@ class UnconstrainedFits:
     outcome: ProbitFit
 
 
+_FIT_ENTRY: dict = {}  # the one entry: {(id(ds), spec): (designs, fits)}
+
+
+def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
+    key = (id(ds), spec)
+    if key not in _FIT_ENTRY:
+        _FIT_ENTRY.clear()
+        designs = validate_for_fit(ds, spec)
+        for design, _ in designs.values():
+            design.setflags(write=False)
+        _FIT_ENTRY[key] = designs, {}
+        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
+    return _FIT_ENTRY[key]
+
+
+def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
+    """The validated model_designs table every fit on (ds, spec) reads.
+
+    One entry, dropped before the next (ds, spec) is set up and when its
+    Dataset is collected, so it never keeps a dataset's designs alive on
+    its own. Dataset compares by identity and is immutable, ModelSpec is
+    frozen, so the entry is a function of its key; a failed validation
+    caches nothing. The designs are read-only because callers share them.
+    """
+    return _fit_entry(ds, spec)[0]
+
+
 def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
     """The named models' probit fits, each fitted once per fit_designs
-    entry and kept in its fit_memo, with read-only arrays, for every
-    reader on one (ds, spec)."""
-    memo, designs = fit_memo(ds, spec), fit_designs(ds, spec)
+    entry and kept in that entry, with read-only arrays, for every reader
+    on one (ds, spec)."""
+    designs, fits = _fit_entry(ds, spec)
     for model in models:
-        if model not in memo:
-            fit = memo[model] = fit_probit(*designs[model])
+        if model not in fits:
+            fit = fits[model] = fit_probit(*designs[model])
             for array in (fit.coefficients, fit.covariance):
                 array.setflags(write=False)
-    return {model: memo[model] for model in models}
+    return {model: fits[model] for model in models}
 
 
 def fit_unconstrained(ds: Dataset, spec: ModelSpec) -> UnconstrainedFits:
     """The exposure, mediator and outcome probits on one dataset, fitted
-    from the validated designs datamodel.fit_designs holds for (ds, spec):
-    the shared, read-only fits _probit_fits keeps for that pair."""
+    from the validated designs fit_designs holds for (ds, spec): the
+    shared, read-only fits _probit_fits keeps for that pair."""
     return UnconstrainedFits(**_probit_fits(ds, spec, fit_designs(ds, spec)))

@@ -37,8 +37,8 @@ anchor, and is also where fit_constrained starts when given no start. A
 fit inside a bracket, refine_boundary's midpoints, starts from the cubic
 Hermite through the bracket's two converged ends.
 A scan fits only the probits it reads, through probit._probit_fits,
-which fits each once per (dataset, spec) and keeps it in
-datamodel.fit_memo, so no probit fit is kept on or passed with the scan.
+which fits each once per (dataset, spec) and keeps it in that pair's
+fit_designs entry, so no probit fit is kept on or passed with the scan.
 """
 
 from __future__ import annotations

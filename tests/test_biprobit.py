@@ -1,6 +1,7 @@
 """Constrained bivariate likelihoods at fixed error correlation."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -317,6 +318,17 @@ class TestFitConstrained:
         with pytest.raises(ValueError, match="start"):
             fit_constrained(MY, 0.25, demo_confounded, spec,
                             start=np.full(k, np.nan))
+
+    @pytest.mark.parametrize("shape", ["short", "long", "row"])
+    def test_start_of_the_wrong_shape_rejected(self, demo_confounded, spec, shape):
+        cold = fit_constrained(MY, 0.25, demo_confounded, spec)
+        ka, kb = cold.coefficients_a.size, cold.coefficients_b.size
+        start = {"short": np.zeros(ka + kb - 1), "long": np.zeros(ka + kb + 1),
+                 "row": np.zeros((1, ka + kb))}[shape]
+        with pytest.raises(ValueError, match=re.escape(
+                f"start has length {start.shape}, expected {ka + kb} "
+                f"({ka} + {kb} coefficients)")):
+            fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
 
     def test_start_with_one_inf_entry_rejected(self, demo_confounded, spec):
         cold = fit_constrained(MY, 0.25, demo_confounded, spec)

@@ -904,6 +904,16 @@ CONFIG_ERRORS = {
                         "'<stream end>' at line 1, column 16"),
     "config-not-mapping": ("fit", "- 1\n", [],
                            "config must be a mapping, got [1]"),
+    "repeated-key": ("effects", "data: d.csv\nalpha: 0.05\nout: o\nalpha: 0.5\n",
+                     [], ": not valid YAML: found repeated key 'alpha' at "
+                         "line 4, column 1"),
+    "repeated-column-key": ("fit", "columns:\n  exposure: z\n  mediator: m\n"
+                                   "  exposure: y\n", [],
+                            ": not valid YAML: found repeated key 'exposure' "
+                            "at line 4, column 3"),
+    "repeated-scan-key": ("sens", "scans: [{kind: my, kind: zy}]\n", [],
+                          ": not valid YAML: found repeated key 'kind' at "
+                          "line 1, column 20"),
     "alpha-range": ("effects", {}, ["--alpha", "1.5"],
                     "alpha must lie in (0, 1), got 1.5"),
     "alpha-too-small": ("effects", {"alpha": 1e-17}, [],
@@ -1082,6 +1092,16 @@ def test_config_numbers_are_yaml_core_schema(tmp_path, text, value):
     path = write_config(tmp_path / "c.yaml", {"scenario": {"n": Plain(text)}})
     n = medsens.cli._load_config(str(path), argparse.Namespace())["scenario"]["n"]
     assert n == value and type(n) is type(value)
+
+
+def test_merge_keys_are_not_repeats(tmp_path):
+    """A << merge key is no repeated key, and a key beside it overrides the
+    merged value, as YAML's merge rule has it."""
+    path = tmp_path / "c.yaml"
+    path.write_text("scenario:\n  <<: {n: 10, covariates: []}\n  n: 20\n",
+                    encoding="utf-8")
+    got = medsens.cli._load_config(str(path), argparse.Namespace())["scenario"]
+    assert (got["n"], got["covariates"]) == (20, [])
 
 
 def test_unknown_keys_of_mixed_types_listed(workdir, tmp_path, capsys):

@@ -20,7 +20,8 @@ from medsens import (ColumnRoles, ConfigError, CovariateProfile, DataError,
                      mediator_design, mediator_terms, outcome_design,
                      outcome_terms, validate_for_fit, write_csv)
 from medsens import datamodel
-from medsens.datamodel import fit_designs, model_designs
+from medsens.datamodel import model_designs
+from medsens.probit import fit_designs
 from conftest import make_dataset, write_rows
 
 FULL = ModelSpec()
@@ -472,6 +473,21 @@ class TestDataset:
         ds = make_dataset([0, 1], [1, 0], [1, 1])
         assert ds.p == 0
         assert ds.x.shape == (2, 0)
+        # an empty 1-d x is read as no covariates
+        flat = make_dataset([0, 1], [1, 0], [1, 1], x=np.array([]))
+        assert flat.x.shape == (2, 0) and flat.equals(ds)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"z": [[0, 1]]}, "z, m, y must be one-dimensional"),
+        ({"y": [[1], [1]]}, "z, m, y must be one-dimensional"),
+        ({"x": [[1.0], [2.0], [3.0]], "names": ("a",)}, "x must be an (2, p) matrix"),
+        ({"x": [1.0, 2.0], "names": ("a",)}, "x must be an (2, p) matrix"),
+        ({"x": [[1.0, 2.0], [3.0, 4.0]], "names": ("a", "a")},
+         "covariate names must be distinct, got ('a', 'a')")])
+    def test_misshapen_columns_and_repeated_names_rejected(self, columns, message):
+        args = {"z": [0, 1], "m": [1, 0], "y": [1, 1], **columns}
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_dataset(**args)
 
 
 class TestModelSpec:
@@ -704,7 +720,9 @@ def test_covariate_profile_takes_integers_and_floats(values):
     (("z", "m", 3), r"^column names must be strings, got \[3\]"),
     ((None, "m", "y"), r"^column names must be strings, got \[None\]"),
     (("z", "m", "y", ["a", 1.5]), r"^column names must be strings, got \[1.5\]"),
-    (("z", "m", "y", [["a"]]), r"^column names must be strings, got \[\['a'\]\]")])
+    (("z", "m", "y", [["a"]]), r"^column names must be strings, got \[\['a'\]\]"),
+    (("z", "m", "y", ["a", "m"]),
+     r"^column roles must name distinct columns, got \['z', 'm', 'y', 'a', 'm'\]")])
 def test_column_roles_must_be_strings(roles, match):
     with pytest.raises(ConfigError, match=match):
         ColumnRoles(*roles)

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from medsens import (ConfoundingKind, CovariateProfile, DataError, EffectType,
                      NumericalError, constrained_context, delta_se,
                      demo_params, effect_rows, effect_with_ci, fit_constrained,
                      norm_quantile, simulate, unconstrained_context, write_csv)
-from medsens import datamodel, effects, probit
+from medsens import effects, probit
 from medsens.cli import main
 from conftest import make_dataset, reduced_spec
 from finite_diff import finite_diff_grad
@@ -226,6 +227,9 @@ class TestDeltaSe:
         grad = GradientVector(wrt_beta=np.zeros(2), wrt_theta=np.zeros(3))
         with pytest.raises(ValueError, match="sigma_beta"):
             delta_se(grad, np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match=re.escape(
+                "sigma_theta shape (2, 2) does not match gradient length 3")):
+            delta_se(grad, np.eye(2), np.eye(2))
 
     def test_negative_variance_rejected(self):
         grad = GradientVector(wrt_beta=np.array([1.0]), wrt_theta=np.zeros(1))
@@ -265,7 +269,7 @@ class TestEffectWithCi:
         with pytest.raises(NotConvergedError, match="rho=0.3"):
             constrained_context(MY, dataclasses.replace(fit, converged=False),
                                 demo_clean, spec)
-        monkeypatch.setattr(datamodel, "_FIT_ENTRY", {})  # fit afresh
+        monkeypatch.setattr(probit, "_FIT_ENTRY", {})  # fit afresh
         real = probit.fit_probit
         monkeypatch.setattr(probit, "fit_probit", lambda *args: dataclasses.replace(
             real(*args), converged=False))

@@ -16,7 +16,8 @@ from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
                      simulate, write_csv)
 from medsens import datamodel, probit
 from medsens.cli import main
-from medsens.datamodel import fit_designs, require_full_rank
+from medsens.datamodel import require_full_rank
+from medsens.probit import fit_designs
 from conftest import probit_loglik
 
 
@@ -129,6 +130,14 @@ def test_an_improving_step_beyond_the_bound_raises():
                                  np.zeros(1)).converged
 
 
+def test_a_singular_information_raises():
+    # a linear objective has a zero Hessian: no Newton step exists
+    def linear(t):
+        return -t, -1.0, 0.0
+    with pytest.raises(RankError, match="^observed information became singular$"):
+        probit._newton_ascent(toy_pass(linear, lambda x: 0.0), np.zeros(1))
+
+
 def test_a_returned_point_beyond_the_bound_raises():
     # the start is the optimum: no step improves, the returned point is
     # beyond the bound
@@ -182,6 +191,18 @@ def test_information_not_positive_definite_is_flagged():
     assert not opt.converged
     assert opt.warnings == ("observed information not positive definite at optimum",)
     assert opt.covariance.tolist() == [[-0.5]]
+
+
+def test_fit_keeps_the_ascents_warnings(monkeypatch, demo_clean, spec):
+    # a fit reports its ascent's warnings, as a constrained fit does
+    design = build_mediator_design(demo_clean, spec)
+    assert fit_probit(design, demo_clean.m).warnings == ()
+    flagged = ("observed information not positive definite at optimum",)
+    real_ascent = probit._newton_ascent
+    monkeypatch.setattr(probit, "_newton_ascent", lambda f, x0: real_ascent(
+        f, x0)._replace(converged=False, warnings=flagged))
+    fit = fit_probit(design, demo_clean.m)
+    assert fit.warnings == flagged and not fit.converged
 
 
 def test_covariance_is_the_symmetrized_inverse_information(monkeypatch, spec):
@@ -289,12 +310,30 @@ def run_effects_cli(ds, spec, tmp_path):
         assert main(["effects", str(cfg)]) == 0
 
 
-@pytest.mark.parametrize("entry", ["fit_unconstrained", "run_scan", "cmd_effects"])
-def test_fresh_dataset_runs_one_gram_check_per_design(monkeypatch, tmp_path, spec,
-                                                      entry):
+def count_fitted_designs(monkeypatch) -> list:
+    """Shapes of the designs handed to fit_probit."""
+    real, calls = probit.fit_probit, []
+
+    def counted(design, response):
+        calls.append(design.shape)
+        return real(design, response)
+    monkeypatch.setattr(probit, "fit_probit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry,fitted", [
+    ("fit_unconstrained", ["exposure", "mediator", "outcome"]),
+    ("run_scan", ["mediator", "outcome"]),
+    ("cmd_effects", ["exposure", "mediator", "outcome"])],
+    ids=["fit_unconstrained", "run_scan", "cmd_effects"])
+def test_fresh_dataset_runs_one_gram_per_design_and_per_fit(
+        monkeypatch, tmp_path, spec, entry, fitted):
+    # validate_for_fit checks each design once; each probit fit checks its
+    # design again, and that Gram is its zero start's Hessian
     ds = fresh_dataset(71)
     checks = count_rank_checks(monkeypatch)
     svds = count_rank_svds(monkeypatch)
+    fits = count_fitted_designs(monkeypatch)
     if entry == "fit_unconstrained":
         fit_unconstrained(ds, spec)
     elif entry == "run_scan":
@@ -302,27 +341,27 @@ def test_fresh_dataset_runs_one_gram_check_per_design(monkeypatch, tmp_path, spe
                  RhoGrid.regular(0.3, 0.3, 0.1), ds, spec)
     else:
         run_effects_cli(ds, spec, tmp_path)
-    shapes = [design.shape for design, _ in datamodel.model_designs(ds, spec).values()]
-    assert checks == shapes
+    designs = datamodel.model_designs(ds, spec)
+    shapes = [designs[model][0].shape for model in fitted]
+    assert fits == shapes
+    assert checks == [design.shape for design, _ in designs.values()] + shapes
     assert svds == []  # every design here is far above the Gram bound
 
 
-def test_copies_of_validated_arrays_are_checked(monkeypatch, spec):
+def test_every_design_fit_probit_is_given_is_checked(monkeypatch, spec):
+    # fit_designs' own read-only arrays are checked as any copy of them is
     ds = fresh_dataset(72)
     design, response = fit_designs(ds, spec)["outcome"]
     calls = count_rank_checks(monkeypatch)
     held = fit_probit(design, response)
-    assert calls == []
+    assert calls == [design.shape]
     for args in ((design.copy(), response), (design, response.copy())):
-        assert args[0].flags.writeable or args[1].flags.writeable
         fit = fit_probit(*args)
         assert np.array_equal(fit.coefficients, held.coefficients)
-    assert calls == [design.shape] * 2
+    assert calls == [design.shape] * 3
     with pytest.raises(ValueError, match="binary"):
         fit_probit(design, 2 * response)
-    design.setflags(write=True)  # no longer the read-only array validated
-    fit_probit(design, response)
-    assert calls == [design.shape] * 3
+    assert calls == [design.shape] * 3  # the 0/1 check comes first
 
 
 def test_rank_deficient_copy_of_validated_design_raises(spec):
@@ -403,31 +442,70 @@ def test_weight_matches_oracle_into_the_lower_tail():
     np.testing.assert_allclose(weight, oracle, rtol=1e-9, atol=0.0)
 
 
+class CountingNumpy:
+    """numpy for one module, recording the rows of every np.multiply
+    written into an out= buffer: the Hessian's row blocks."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        if "out" in kwargs:
+            self.blocks.append(kwargs["out"].shape[0])
+        return np.multiply(*args, **kwargs)
+
+
 def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
-    # at the zero start q = +-0, so the rows _mills would return are
-    # constants; a first pass that evaluates them gives the same fit
+    # the start's pass is one 1-row _mills call and the rank check's Gram:
+    # loglik n ln Phi(0), score lam(0) X's and Hessian -w(0) X'X, with no
+    # n-row _mills call or Hessian block; a first pass that evaluates the
+    # rows at q = +-0 instead reaches the same optimum up to rounding
     design, response = fit_designs(fresh_dataset(76), spec)["outcome"]
+    n = design.shape[0]
     real_ascent, real_mills = probit._newton_ascent, probit._mills
-    mills_rows = []
+    mills_rows, counting = [], CountingNumpy()
+    start = {}
 
     def counted(q):
         mills_rows.append(q.size)
         return real_mills(q)
 
     def ascent(f, x0):
-        # a copy of the zero start is not the start the closure skips
-        return real_ascent(f, x0.copy())
+        start["pass"] = f(x0)
+        start["rows"] = (list(mills_rows), list(counting.blocks))
+        mills_rows.clear()
+        return real_ascent(f, x0)
 
     monkeypatch.setattr(probit, "_mills", counted)
-    held = fit_probit(design, response)
-    skipped, mills_rows[:] = list(mills_rows), []
+    monkeypatch.setattr(probit, "np", counting)
     monkeypatch.setattr(probit, "_newton_ascent", ascent)
+    held = fit_probit(design, response)
+    assert start["rows"] == ([1], [])
+    log_cdf, ratio, weight = (v[0] for v in real_mills(np.zeros(1)))
+    loglik, score, hessian, reach = start["pass"]
+    s = 2.0 * response - 1.0
+    assert (loglik, reach) == (n * log_cdf, 0.0)
+    assert score.tobytes() == (ratio * (design.T @ s)).tobytes()
+    assert hessian.tobytes() == (-weight * (design.T @ design)).tobytes()
+    assert weight == pytest.approx(2.0 / math.pi, rel=1e-15)
+    # every later pass reads n rows once and forms the Hessian in one block
+    passes = len(mills_rows) - 1
+    assert passes >= held.iterations
+    assert mills_rows == [1] + [n] * passes
+    assert counting.blocks == [n] * passes
+
+    # a copy of the zero start is not the start the closure knows: its
+    # first pass evaluates n rows at q = +-0
+    monkeypatch.setattr(probit, "_newton_ascent",
+                        lambda f, x0: real_ascent(f, x0.copy()))
     computed = fit_probit(design, response)
-    assert skipped[0] == 1 and mills_rows[0] == design.shape[0]
-    assert skipped[1:] == mills_rows[1:]
     for field in ("coefficients", "covariance"):
-        assert getattr(computed, field).tobytes() == \
-            getattr(held, field).tobytes()
-    assert (computed.loglik, computed.iterations, computed.converged,
-            computed.score_norm) == (held.loglik, held.iterations,
-                                     held.converged, held.score_norm)
+        np.testing.assert_allclose(getattr(computed, field), getattr(held, field),
+                                   rtol=1e-10, atol=1e-12)
+    assert computed.loglik == pytest.approx(held.loglik, rel=1e-12, abs=0.0)
+    assert (computed.iterations, computed.converged) == (held.iterations,
+                                                         held.converged)
+    assert max(computed.score_norm, held.score_norm) < probit.SCORE_TOL

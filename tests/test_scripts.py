@@ -4,6 +4,7 @@ runner is checked on fake run records."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,3 +283,28 @@ def test_compare_outputs_judges_each_column_by_its_bound(tmp_path):
     assert breach
     for key in keys:
         assert f"{key}: largest abs difference 2e-09 (bound 1e-09), BREACH" in report
+
+
+def run_untested_lines(*args):
+    return subprocess.run(
+        [sys.executable, "scripts/untested_lines.py", "-q", "-p", "no:cacheprovider",
+         *args], cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_untested_lines_lists_what_the_tests_never_run():
+    # tests/test_exports.py only imports the package: the import builds
+    # numkernel's quadrature table, and no fit runs
+    runs = [run_untested_lines("tests/test_exports.py") for _ in range(2)]
+    listed = []
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        listed.append([line for line in proc.stdout.splitlines()
+                       if re.match(r"^\w+\.py:\d+: ", line)])
+    assert listed[0] == listed[1]
+    statements = {line.split(": ", 1)[1] for line in listed[0]}
+    assert 'raise RankError("observed information became singular") from None' \
+        in statements
+    assert not any("np.concatenate([1.0 - x, 1.0 + x])" in line
+                   for line in listed[0])
+    # pytest's own exit status: no tests collected
+    assert run_untested_lines("tests/no_such_file.py").returncode == 4

@@ -32,8 +32,8 @@ NIE = EffectType.NIE
 @pytest.fixture
 def empty_memo():
     """Drop fit_designs' entry, and with it the probit fits that scans on
-    a shared fixture dataset left in its fit_memo."""
-    datamodel_mod._FIT_ENTRY.clear()
+    a shared fixture dataset left in it."""
+    probit_mod._FIT_ENTRY.clear()
 
 
 def count_probit_fits(monkeypatch) -> list:
@@ -288,7 +288,7 @@ def count_fits(monkeypatch) -> list:
             calls.append(_fit)
             return _fit(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(datamodel_mod, "_FIT_ENTRY", {})
+    monkeypatch.setattr(probit_mod, "_FIT_ENTRY", {})
     return calls
 
 
@@ -744,7 +744,7 @@ class TestColdStart:
             self, kind, missing, demo_confounded, spec, empty_memo,
             monkeypatch):
         calls = count_probit_fits(monkeypatch)
-        memo = datamodel_mod.fit_memo(demo_confounded, spec)
+        memo = probit_mod._fit_entry(demo_confounded, spec)[1]
         fit_constrained(kind, 0.2, demo_confounded, spec)
         assert len(calls) == 2 and set(memo) == set(PAIR_MODELS[kind])
         fit_constrained(kind, -0.3, demo_confounded, spec)
@@ -825,7 +825,7 @@ class TestContexts:
             constrained_context(kind, dataclasses.replace(fit, converged=False),
                                 demo_confounded, spec)
         # probit fits that did not converge, in a fresh memo
-        monkeypatch.setattr(datamodel_mod, "_FIT_ENTRY", {})
+        monkeypatch.setattr(probit_mod, "_FIT_ENTRY", {})
         real = probit_mod.fit_probit
         monkeypatch.setattr(probit_mod, "fit_probit", lambda *args: (
             dataclasses.replace(real(*args), converged=False)))

@@ -237,6 +237,12 @@ class TestValidation:
                        alpha=params.alpha, beta=params.beta,
                        theta=params.theta, confounding=(MY, 1.5))
 
+    @pytest.mark.parametrize("kind", ["my", None, 1])
+    def test_confounding_kind_must_be_a_confounding_kind(self, kind):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"confounding kind must be a ConfoundingKind, got {kind!r}")):
+            dataclasses.replace(demo_params(), confounding=(kind, 0.3))
+
     @pytest.mark.parametrize("rho", [True, np.bool_(False), "0.3", None, [0.3]])
     def test_confounding_rho_must_be_a_real_number(self, rho):
         with pytest.raises(ConfigError, match=(
