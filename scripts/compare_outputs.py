@@ -8,6 +8,8 @@ the demo scenario (demo_params) with mediator-outcome confounding at
 rho = 0.3; fit, effects (all five effects, marginal and at four
 profiles) and sens read that data, and sens runs three scans, one per
 confounding kind, once on a 21-point grid and once on the default grid.
+fit runs once more on that data rewritten with "\r\n" line ends
+(data_crlf.csv), so the CSV line count's "\r" branch is compared too.
 
 Each output file is reported as identical, byte for byte, or else with
 the largest difference in each numeric column (CSV) or key (JSON), judged
@@ -52,7 +54,9 @@ BOUNDS = {**{name: (1e-9, "abs") for name in
               # the keys of truth.json's true_effects_marginal
               "nde", "nie", "te", "nde_total", "nie_pure")},
           "std_error": (1e-8, "rel")}
-IDENTICAL = {"data.csv", "sign_ranges.csv", "failures.csv"}
+# fit_crlf's data: simulate's data.csv with "\r\n" line ends
+CRLF_DATA = "data_crlf.csv"
+IDENTICAL = {"data.csv", CRLF_DATA, "sign_ranges.csv", "failures.csv"}
 SCANS = [{"kind": "my", "effect": "nie", "scope": "marginal"},
          {"kind": "zm", "effect": "nde", "scope": "conditional", "profile": "typical"},
          {"kind": "zy", "effect": "te", "scope": "marginal"}]
@@ -84,6 +88,7 @@ def configs(n: int) -> dict:
     grid = {"lower": -0.5, "upper": 0.5, "step": 0.05}  # 21 points
     return {"simulate": ("simulate", simulate),
             **{run: (run, {**analysis, "out": run}) for run in ("fit", "effects")},
+            "fit_crlf": ("fit", {**analysis, "data": CRLF_DATA, "out": "fit_crlf"}),
             "sens_grid21": ("sens", {**analysis, "out": "sens_grid21",
                                      "scans": [{**s, "grid": grid} for s in SCANS]}),
             "sens_default": ("sens", {**analysis, "out": "sens_default",
@@ -97,6 +102,9 @@ def run_tree(tree: Path, workdir: Path, n: int) -> dict:
     workdir.mkdir(parents=True)
     codes = {}
     for run, (command, config) in configs(n).items():
+        if config.get("data") == CRLF_DATA:
+            data = (workdir / "simulate" / "data.csv").read_bytes()
+            (workdir / CRLF_DATA).write_bytes(data.replace(b"\n", b"\r\n"))
         path = workdir / f"{run}.yaml"
         path.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
         proc = subprocess.run(

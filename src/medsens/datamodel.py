@@ -14,7 +14,10 @@ simply absent from the matrix (and from the packed coefficient vector),
 never a column of zeros. The term names and ModelSpec's flag rule are read
 off the same table. Each builder fills one Fortran-order array, so a
 column is contiguous: the probit fit scales rows of whole columns and
-forms X'X by a symmetric rank-k update without copying the design.
+forms X'X by a symmetric rank-k update without copying the design. Each
+block is written in place, and a product block reads x from the
+design's own x block, so a builder makes no product temporary and no
+Fortran-order copy of x.
 
 Dataset and CovariateProfile store read-only copies of the arrays they are
 given, never the caller's own. write_csv writes commas: the header with
@@ -39,8 +42,6 @@ import stat
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -252,11 +253,17 @@ _SCAN_CHUNK = 1 << 16
 def _line_count(path) -> int:
     """The number of lines in the file, split at "\n", "\r" or "\r\n" as
     csv.reader and numpy's reader split them; a last line without a line
-    break counts. None of these bytes occurs inside a UTF-8 character."""
+    break counts. None of these bytes occurs inside a UTF-8 character.
+
+    Each chunk is counted once for "\n"; only a chunk that holds a "\r"
+    is counted again for "\r" and "\r\n". A "\r\n" cut between two
+    chunks is one line break whichever chunk holds a "\r"."""
     lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_CHUNK):
-            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
             lines -= last == b"\r" and chunk.startswith(b"\n")  # a "\r\n" cut in two
             last = chunk[-1:]
     return lines + (last not in b"\r\n")
@@ -427,7 +434,13 @@ def _blocks(model: str, spec: ModelSpec) -> list[str]:
 def _design(model: str, spec: ModelSpec, x, **zm) -> np.ndarray:
     """The model's design: each enabled block's product of factors (z and m
     vectors, x an (n, p) matrix; the intercept a column of ones), written
-    into one Fortran-order array."""
+    into one Fortran-order array.
+
+    Each block is written in place, its factors multiplied left to right
+    with no temporary. A product reads x from the design's own x block,
+    whose columns are contiguous whatever the layout of the x given: the
+    layout puts that block, and the flag rule keeps it, before every
+    block that multiplies x."""
     vals = {"x": np.asarray(x, dtype=float),
             **{key: np.asarray(v, dtype=float).reshape(-1, 1) for key, v in zm.items()}}
     n, p = vals["x"].shape
@@ -438,7 +451,14 @@ def _design(model: str, spec: ModelSpec, x, **zm) -> np.ndarray:
     j = 0
     for factors in blocks:
         block = out[:, j:j + (p if "x" in factors else 1)]
-        block[...] = reduce(mul, [vals[f] for f in factors]) if factors else 1.0
+        if len(factors) < 2:
+            block[...] = vals[factors] if factors else 1.0
+            if factors == "x":
+                vals["x"] = block
+        else:
+            np.multiply(vals[factors[0]], vals[factors[1]], out=block)
+            for f in factors[2:]:
+                block *= vals[f]
         j += block.shape[1]
     return out
 
@@ -552,7 +572,10 @@ def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
 
 def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
     """Checks run at every fit boundary: size, variance, design rank.
-    Returns the model_designs table whose designs passed them. Each
+    Returns the model_designs table whose designs passed them. A
+    covariate whose values are all equal is a DataError naming it; the
+    test is exact (each value against the column's first, one pass), so
+    a column fixed at 0.1, whose computed std is not 0, is named too. Each
     design's rank is decided by require_full_rank: one Gram eigenvalue
     check, and matrix_rank's SVD only when the Gram's smallest eigenvalue
     is at most (k + 2) * n * eps times its largest."""
@@ -561,8 +584,8 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
             f"dataset too small to fit: n = {ds.n} rows with p = {ds.p} "
             f"covariates (need n > p + 10)")
     if ds.p:
-        sd = ds.x.std(axis=0)
-        flat = [name for name, s in zip(ds.covariate_names, sd) if s == 0.0]
+        same = (ds.x == ds.x[0]).all(axis=0)
+        flat = [name for name, s in zip(ds.covariate_names, same) if s]
         if flat:
             raise DataError(f"covariate columns with zero variance: {flat}")
     designs = model_designs(ds, spec)

@@ -442,6 +442,21 @@ class TestRunOutcomes:
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["n_rows"], summary["dropped_rows"]) == (798, 2)
 
+    def test_constant_covariate_named(self, workdir, tmp_path, capsys):
+        """A covariate fixed at 0.1, whose computed std is not exactly 0."""
+        lines = (workdir / "simout" / "data.csv").read_text().splitlines()
+        lines = [lines[0] + ",dose"] + [line + ",0.1" for line in lines[1:]]
+        (tmp_path / "dose.csv").write_text("\n".join(lines) + "\n")
+        cfg = yaml.safe_load(analysis_config(workdir, "dose").read_text())
+        cfg["data"] = str(tmp_path / "dose.csv")
+        cfg["columns"]["covariates"].append("dose")
+        out = tmp_path / "o"
+        assert main(["fit", str(write_config(tmp_path / "c.yaml", cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: covariate columns with zero variance: ['dose']\n")
+        assert not out.exists()
+
 
 def test_profile_tokens_pin_values_and_names():
     """Every profile token's values and names, from the config and from

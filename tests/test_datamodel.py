@@ -7,10 +7,12 @@ import os
 import re
 import threading
 import weakref
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -231,6 +233,25 @@ def test_load_csv_scans_in_pieces_of_any_size(tmp_path, monkeypatch, text, delim
     # three-byte reads cut "\r\n" pairs and lines in two
     monkeypatch.setattr(datamodel, "_SCAN_CHUNK", 3)
     test_load_csv_matches_row_loop(tmp_path, monkeypatch, text, delimiter, numeric)
+
+
+@seed(35)
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(st.sampled_from([b"1", b",", b"\n", b"\r"]), max_size=24).map(
+           b"".join),
+       chunk=st.integers(1, 8))
+@example(data=b"1\r\n1", chunk=2)  # "\r\n" cut, and the second chunk holds no "\r"
+@example(data=b"1\r\n\n1\n", chunk=2)
+@example(data=b"11\n1\r1", chunk=3)  # the first "\r" in a later chunk
+@example(data=b"", chunk=1)  # an empty file
+@example(data=b"1,1\n1", chunk=4)  # no line break after the last line
+def test_line_count_matches_splitlines(tmp_path_factory, data, chunk):
+    """bytes.splitlines splits at exactly "\n", "\r" and "\r\n"."""
+    path = tmp_path_factory.mktemp("lines") / "lines.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_SCAN_CHUNK", chunk)
+        assert datamodel._line_count(path) == len(data.splitlines())
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -650,6 +671,46 @@ def test_layout_table_over_every_flag_set():
     assert accepted == 2 * 3 * 11
 
 
+def reduced_design(model: str, spec: ModelSpec, x, **zm) -> np.ndarray:
+    """The builders' former formula, kept as the reference: each block's
+    product formed by reduce(mul, ...) and then copied into the design."""
+    vals = {"x": np.asarray(x, dtype=float),
+            **{key: np.asarray(v, dtype=float).reshape(-1, 1) for key, v in zm.items()}}
+    n, p = vals["x"].shape
+    blocks = datamodel._blocks(model, spec)
+    out = np.empty((n, sum(p if "x" in f else 1 for f in blocks)), order="F")
+    j = 0
+    for factors in blocks:
+        block = out[:, j:j + (p if "x" in factors else 1)]
+        block[...] = reduce(mul, [vals[f] for f in factors]) if factors else 1.0
+        j += block.shape[1]
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("p", [0, 3])
+def test_builders_match_the_reduced_products_bitwise(order, p):
+    rng = np.random.default_rng(p)
+    z, m = rng.integers(0, 2, (2, 60))
+    x = np.asarray(rng.normal(size=(60, p)), order=order)
+    x[::5] = -0.0  # signed zeros must survive the products
+    specs = 0
+    for bits in itertools.product((False, True), repeat=len(FLAGS)):
+        try:
+            spec = ModelSpec(**dict(zip(FLAGS, bits)))
+        except ConfigError:
+            continue
+        specs += 1
+        for model, design, zm in (
+                ("exposure", exposure_design(x, spec), {}),
+                ("mediator", mediator_design(z, x, spec), {"z": z}),
+                ("outcome", outcome_design(z, m, x, spec), {"z": z, "m": m})):
+            expected = reduced_design(model, spec, x, **zm)
+            assert np.array_equal(design, expected), (model, spec)
+            assert design.tobytes(order="F") == expected.tobytes(order="F")
+    assert specs == 2 * 3 * 11
+
+
 @pytest.mark.parametrize("flags, message", [
     ({"mediator_x": False}, "mediator_zx requires mediator_x"),
     ({"outcome_x": False}, "outcome_zx requires outcome_x"),
@@ -779,13 +840,33 @@ class TestValidateForFit:
         with pytest.raises(DataError, match="too small"):
             validate_for_fit(ds, FULL)
 
-    def test_zero_variance_covariate_rejected(self):
+    @pytest.mark.parametrize("value, n", [
+        (1.0, 40), *itertools.product([0.1, 2.7, 123.456], [1000, 12345])])
+    def test_zero_variance_covariate_rejected(self, value, n):
+        """Named whatever its value: the computed std of a column fixed at
+        0.1 is not exactly 0."""
         rng = np.random.default_rng(5)
-        n = 40
+        x = np.column_stack([rng.normal(size=n), np.full(n, value)])
         ds = make_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
-                          rng.integers(0, 2, n), np.ones((n, 1)), ("flat",))
-        with pytest.raises(DataError, match="flat"):
+                          rng.integers(0, 2, n), x, ("age", "flat"))
+        with pytest.raises(DataError, match=re.escape(
+                "covariate columns with zero variance: ['flat']")):
             validate_for_fit(ds, FULL)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_covariate_constant_but_in_one_row_not_flagged(self, row):
+        rng = np.random.default_rng(5)
+        n = 1000
+        z, m, y = rng.integers(0, 2, (3, n))
+        x = np.column_stack([rng.normal(size=n), np.full(n, 0.1)])
+        x[row, 1] = 0.2
+        ds = make_dataset(z, m, y, x, ("age", "dose"))
+        # no interactions: a one-row bump is collinear with none of the
+        # other columns
+        spec = ModelSpec(mediator_zx=False, outcome_zx=False, outcome_mx=False,
+                         outcome_zmx=False)
+        designs = validate_for_fit(ds, spec)
+        assert designs["outcome"][0].shape == (n, 6)
 
     def test_collinear_covariates_rejected(self):
         rng = np.random.default_rng(6)

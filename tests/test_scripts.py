@@ -232,13 +232,15 @@ def test_compare_outputs_finds_the_repo_identical_to_itself():
     files = [line.split(":")[0] for line in lines[:-1]]
     assert all(line.endswith(": identical") for line in lines[:-1]), lines
     for run, names in (("simulate", ["data.csv", "truth.json"]),
-                       ("fit", ["coefficients.csv", "convergence.csv"]),
+                       *((run, ["coefficients.csv", "convergence.csv"])
+                         for run in ("fit", "fit_crlf")),
                        ("effects", ["effects.csv"]),
                        *((f"sens_{grid}", ["scan_my_nie_marginal.csv", "intervals.csv",
                                            "sign_ranges.csv", "failures.csv"])
                          for grid in ("grid21", "default"))):
         assert {f"{run}/{name}" for name in [*names, "summary.json"]} <= set(files)
         assert {f"{run}.stdout", f"{run}.stderr"} <= set(files)
+    assert "data_crlf.csv" in files
 
 
 def test_compare_outputs_judges_each_column_by_its_bound(tmp_path):
