@@ -20,7 +20,9 @@ ratio taken in log space from numkernel.log_bvn_cdf, which owns the
 probability floor of ln Phi2. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood
 and ends the fit, as it ends a probit fit: separation, convergence, the
-covariance and the score norm are read off its _Optimum.
+covariance and the score norm are its own. It returns the ProbitFit that
+records every Newton optimum, and fit_constrained splits that record into
+the pair's two models.
 The pass reads the designs probit.fit_designs holds as they are, with
 the response signs s = 2r - 1 on n-vectors: u = s (X b), X'(s v) and the
 Hessian blocks X_a'(X_b (s_a s_b h)) equal the sums over the sign-flipped
@@ -239,7 +241,8 @@ def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
     """Analytic gradient of the kind's joint log-likelihood wrt the
     (first, second) coefficients: (alpha, beta) for zm, (beta, theta) for
     my, (alpha, theta) for zy, at |rho| <= 0.999."""
-    # not fit_designs: validate_for_fit's n > p + 10 rejects one-row datasets
+    # not fit_designs: the gradient is evaluated on data validate_for_fit
+    # refuses, such as n <= p + 10 rows
     rho = _check_rho_interior(rho)
     d_a, s_a, d_b, s_b = _pair_rows(kind, model_designs(ds, spec))
     coef_a = _check_len("coef_a", coef_a, d_a.shape[1])
@@ -284,10 +287,12 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     come from probit.fit_designs and are read as they are, with the
     response signs on n-vectors (_pair_rows).
     probit._newton_ascent ends the fit: it raises SeparationError, and it
-    gives the convergence verdict, the covariance (the inverse observed
-    information of the joint fit, split here into its two diagonal
-    blocks) and the score norm. The tangent and slope reuse the last
-    pass's row terms, with no further Phi2 call or design product.
+    returns the optimum's ProbitFit, with the convergence verdict, the
+    covariance (the inverse observed information of the joint fit) and
+    the score norm. That record is split here into the pair's
+    coefficients and diagonal covariance blocks. The tangent and slope
+    reuse the row terms of the last pass, which the ascent returns beside
+    the record, with no further Phi2 call or design product.
     """
     d_a, s_a, d_b, s_b = pair = _pair_rows(kind, fit_designs(ds, spec))
     rho_used, clamped = clamp_rho(rho)
@@ -307,9 +312,9 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
             f"start must be finite, got non-finite entries at "
             f"{np.flatnonzero(~np.isfinite(x0)).tolist()}")
 
-    opt = _newton_ascent(
+    opt, rows = _newton_ascent(
         lambda x: _pair_pass(x[:ka], x[ka:], rho_used, *pair), x0)
-    x, cov_full = opt.x, opt.covariance
+    x, cov_full = opt.coefficients, opt.covariance
     return ConstrainedFit(
         kind=kind, rho=rho_used,
         coefficients_a=x[:ka], coefficients_b=x[ka:],
@@ -317,5 +322,5 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
         covariance_full=cov_full, loglik=opt.loglik,
         iterations=opt.iterations, converged=opt.converged,
         score_norm=opt.score_norm, warnings=warnings + opt.warnings,
-        tangent=cov_full @ _score_rho(rho_used, opt.rows, *pair),
-        loglik_slope=float((s_a * s_b) @ opt.rows[-1]))  # sum_i s_i d_i
+        tangent=cov_full @ _score_rho(rho_used, rows, *pair),
+        loglik_slope=float((s_a * s_b) @ rows[-1]))  # sum_i s_i d_i

@@ -5,8 +5,10 @@ globally concave, so undamped Newton from a zero start converges in a
 handful of iterations; a step-halving guard keeps early steps honest.
 The same Newton ascent, _newton_ascent, maximizes the constrained
 bivariate fits, and it ends every fit: the separation rule, the
-convergence verdict, the covariance and the score norm are its own, and
-both fits read them off its _Optimum.
+convergence verdict, the covariance and the score norm are its own.
+ProbitFit is the record of every Newton optimum: the ascent builds it,
+fit_probit returns it as it is, and biprobit.fit_constrained splits it
+into the two models of its pair.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0. ln Phi is
 numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,32 +66,37 @@ LOGLIK_RTOL = 1e-10
 _NOISE_RTOL = 1e-9
 
 
-class _Optimum(NamedTuple):
-    """Where the Newton ascent stopped, with the quantities evaluated there."""
+@dataclass(frozen=True)
+class ProbitFit:
+    """The record of a Newton optimum: the maximum-likelihood fit of a
+    probit, or of a constrained pair, which biprobit.fit_constrained splits
+    into its ConstrainedFit. Converged, or explicitly flagged."""
 
-    x: np.ndarray
-    loglik: float
+    coefficients: np.ndarray
     covariance: np.ndarray
+    loglik: float
     iterations: int
     converged: bool
     score_norm: float
-    warnings: tuple
-    rows: list
+    warnings: tuple[str, ...] = ()
 
 
-def _newton_ascent(loglik_score_hessian, x0) -> _Optimum:
-    """Maximize a concave log-likelihood by step-halving Newton.
+def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
+    """Maximize a concave log-likelihood by step-halving Newton; return
+    the optimum's ProbitFit, the one record both fits read, and the row
+    terms of the last pass.
 
     loglik_score_hessian maps x to (loglik, score, Hessian, reach, *rows),
     reach the largest |signed linear predictor| of the pass; the rows of
-    the pass at the returned x are kept. A step that strictly increases
-    the log-likelihood to a reach beyond _SEPARATION_BOUND, or a returned
-    point beyond it, raises SeparationError: the maximum is drifting to
-    infinity. The fit converged when the log-likelihood is finite, the
-    score is below SCORE_TOL in the infinity norm, the relative
-    log-likelihood change is below LOGLIK_RTOL and the information is
-    positive definite; the covariance is its symmetrized inverse, or the
-    pseudo-inverse, with a warning and converged False, where it is not.
+    the pass at the returned x are returned beside the record. A step that
+    strictly increases the log-likelihood to a reach beyond
+    _SEPARATION_BOUND, or a returned point beyond it, raises
+    SeparationError: the maximum is drifting to infinity. The fit
+    converged when the log-likelihood is finite, the score is below
+    SCORE_TOL in the infinity norm, the relative log-likelihood change is
+    below LOGLIK_RTOL and the information is positive definite; the
+    covariance is its symmetrized inverse, or the pseudo-inverse, with a
+    warning and converged False, where it is not.
     """
     x = np.asarray(x0, dtype=float)
     f, g, h, reach, *rows = loglik_score_hessian(x)
@@ -141,24 +147,10 @@ def _newton_ascent(loglik_score_hessian, x0) -> _Optimum:
         covariance = 0.5 * (covariance + covariance.T)
         warnings = ("observed information not positive definite at optimum",)
         converged = False
-    return _Optimum(x=x, loglik=float(f), covariance=covariance,
-                    iterations=iterations,
-                    converged=converged and bool(np.isfinite(f)),
-                    score_norm=float(np.abs(g).max()), warnings=warnings,
-                    rows=rows)
-
-
-@dataclass(frozen=True)
-class ProbitFit:
-    """Converged (or explicitly flagged) probit maximum-likelihood fit."""
-
-    coefficients: np.ndarray
-    covariance: np.ndarray
-    loglik: float
-    iterations: int
-    converged: bool
-    score_norm: float
-    warnings: tuple[str, ...] = ()
+    return ProbitFit(coefficients=x, covariance=covariance, loglik=float(f),
+                     iterations=iterations, score_norm=float(np.abs(g).max()),
+                     converged=converged and bool(np.isfinite(f)),
+                     warnings=warnings), rows
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -234,11 +226,7 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
         return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
                 np.abs(q).max())
 
-    opt = _newton_ascent(loglik_score_hessian, zero)
-    return ProbitFit(coefficients=opt.x, covariance=opt.covariance,
-                     loglik=opt.loglik, iterations=opt.iterations,
-                     converged=opt.converged, score_norm=opt.score_norm,
-                     warnings=opt.warnings)
+    return _newton_ascent(loglik_score_hessian, zero)[0]
 
 
 @dataclass(frozen=True)

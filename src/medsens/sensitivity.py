@@ -447,6 +447,9 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     A failed refit stops refinement of that boundary at the coarse
     bracket (the scan-level warning machinery does not apply here; the
     coarse midpoint is still returned).
+    Bisection also stops when a midpoint rounds to an end of its bracket:
+    a resolution below the float spacing at a boundary returns the
+    midpoint of a bracket whose ends are adjacent doubles.
     """
     resolution = _as_finite_float(resolution, "resolution")
     if resolution <= 0.0:
@@ -464,6 +467,8 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
         lo, hi = left.rho, right.rho
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             pt = _scan_point(scan, mid, scan._path.fit(mid, (lo, hi)))
             if not pt.converged:
                 break

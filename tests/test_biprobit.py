@@ -1,5 +1,6 @@
 """Constrained bivariate likelihoods at fixed error correlation."""
 
+import dataclasses
 import math
 import re
 import zlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from medsens import (ConfoundingKind, ModelSpec, SeparationError,
+from medsens import (ConfoundingKind, ModelSpec, SeparationError, biprobit,
                      build_exposure_design, build_mediator_design,
                      build_outcome_design, bvn_cdf, constrained_grad,
                      fit_constrained, fit_probit, log_bvn_cdf, probit,
@@ -292,6 +293,34 @@ class TestFitConstrained:
         assert fit.rho == pytest.approx(-0.999)
         assert any("clamp" in w for w in fit.warnings)
         assert fit.converged
+
+    @pytest.mark.parametrize("rho", [0.5, -1.0])
+    def test_fit_reports_its_ascents_record(self, monkeypatch, spec, rho):
+        # the constrained twin of test_fit_keeps_the_ascents_warnings: the
+        # fit carries its ascent's verdict, warnings, loglik, iterations and
+        # score norm, the warnings after the clamp notice when rho is clamped
+        ds = simulate(confounded_params(MY, 0.9), 1000, 55)
+        flagged = ("observed information not positive definite at optimum",)
+        real_ascent, records = biprobit._newton_ascent, []
+
+        def flagging(f, x0):
+            record, rows = real_ascent(f, x0)
+            records.append(dataclasses.replace(
+                record, loglik=-1.5, iterations=99, converged=False,
+                score_norm=0.25, warnings=flagged))
+            return records[-1], rows
+
+        monkeypatch.setattr(biprobit, "_newton_ascent", flagging)
+        fit = fit_constrained(MY, rho, ds, spec)
+        [record] = records
+        clamp = ("rho = -1.0 clamped to -0.999 for likelihood evaluation",)
+        assert fit.warnings == (clamp if rho == -1.0 else ()) + flagged
+        assert not fit.converged
+        assert (fit.loglik, fit.iterations, fit.score_norm) == (-1.5, 99, 0.25)
+        assert fit.covariance_full is record.covariance
+        assert np.array_equal(np.concatenate([fit.coefficients_a,
+                                              fit.coefficients_b]),
+                              record.coefficients)
 
     def test_profile_loglik_is_nearly_flat_in_rho(self, spec):
         # the error correlation is barely identified by functional form,

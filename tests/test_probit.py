@@ -126,8 +126,8 @@ def test_an_improving_step_beyond_the_bound_raises():
     beyond_on_the_way = toy_pass(quartic, lambda x: 40.0 if 0.0 < x < 0.99 else 0.0)
     with pytest.raises(SeparationError, match="separat"):
         probit._newton_ascent(beyond_on_the_way, np.zeros(1))
-    assert probit._newton_ascent(toy_pass(quartic, lambda x: 0.0),
-                                 np.zeros(1)).converged
+    fit, _ = probit._newton_ascent(toy_pass(quartic, lambda x: 0.0), np.zeros(1))
+    assert fit.converged
 
 
 def test_a_singular_information_raises():
@@ -159,9 +159,9 @@ def test_an_overshooting_newton_step_is_halved():
     def recording(x):
         seen.append(x[0] - 1.0)
         return toy(x)
-    opt = probit._newton_ascent(recording, np.array([3.0]))
+    opt, _ = probit._newton_ascent(recording, np.array([3.0]))
     assert seen[:4] == pytest.approx([2.0, -8.0, -3.0, -0.5], abs=1e-12)
-    assert opt.converged and opt.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert opt.converged and opt.coefficients[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("score,converged", [(1.0, False), (1e-8, True)])
@@ -174,8 +174,8 @@ def test_the_ascent_stops_where_no_step_improves(score, converged):
     def cliff(x):
         calls.append(x[0])
         return (0.0 if x[0] == 0.0 else -1.0), np.array([score]), -np.eye(1), 0.0
-    opt = probit._newton_ascent(cliff, np.zeros(1))
-    assert opt.x.tolist() == [0.0] and opt.loglik == 0.0
+    opt, _ = probit._newton_ascent(cliff, np.zeros(1))
+    assert opt.coefficients.tolist() == [0.0] and opt.loglik == 0.0
     assert opt.iterations == 1 and len(calls) == 41
     assert opt.converged is converged
 
@@ -185,8 +185,8 @@ def test_information_not_positive_definite_is_flagged():
     # Hessian: the covariance is the pseudo-inverse, with a warning
     def convex_at_the_optimum(t):
         return t * t, 2.0 * t, -2.0
-    opt = probit._newton_ascent(toy_pass(convex_at_the_optimum, lambda x: 0.0),
-                                np.ones(1))
+    opt, _ = probit._newton_ascent(toy_pass(convex_at_the_optimum, lambda x: 0.0),
+                                   np.ones(1))
     assert opt.iterations == 1 and opt.score_norm == 0.0
     assert not opt.converged
     assert opt.warnings == ("observed information not positive definite at optimum",)
@@ -199,8 +199,12 @@ def test_fit_keeps_the_ascents_warnings(monkeypatch, demo_clean, spec):
     assert fit_probit(design, demo_clean.m).warnings == ()
     flagged = ("observed information not positive definite at optimum",)
     real_ascent = probit._newton_ascent
-    monkeypatch.setattr(probit, "_newton_ascent", lambda f, x0: real_ascent(
-        f, x0)._replace(converged=False, warnings=flagged))
+
+    def flagging(f, x0):
+        fit, rows = real_ascent(f, x0)
+        return dataclasses.replace(fit, converged=False, warnings=flagged), rows
+
+    monkeypatch.setattr(probit, "_newton_ascent", flagging)
     fit = fit_probit(design, demo_clean.m)
     assert fit.warnings == flagged and not fit.converged
 

@@ -990,6 +990,35 @@ class TestRefineBoundary:
             np.testing.assert_allclose(starts[mid], hermite(mid),
                                        rtol=1e-12, atol=1e-12)
 
+    def test_resolution_below_the_float_spacing_ends(self, monkeypatch):
+        # at a resolution of 1e-300 the midpoint rounds to a bracket end
+        # once the ends are adjacent doubles; bisection stops there,
+        # within each boundary's grid bracket and within 1e-12 of the
+        # resolution-1e-12 result. Halving a 0.1 bracket reaches the
+        # spacing of doubles near 0.6 in about 50 steps, so 60 effects per
+        # boundary are ample, and a bisection that never ends exceeds them.
+        params = confounded_params(MY, 0.3)
+        ds = simulate(params, 5000, 64)
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.9, 0.9, 0.1),
+                        ds, params.spec)
+        rhos = [pt.rho for pt in scan.points]
+        assert rhos[14:17] == pytest.approx([0.5, 0.6, 0.7], abs=1e-12)
+        near = refine_boundary(scan, resolution=1e-12)
+        real, calls = sens_mod.effect_with_ci, []
+
+        def budgeted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 2 * 60:
+                pytest.fail("bisection exceeded 60 effects per boundary")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sens_mod, "effect_with_ci", budgeted)
+        boundaries = refine_boundary(scan, resolution=1e-300)
+        assert len(boundaries) == 2
+        for b, lo, hi, b_near in zip(boundaries, rhos[14:16], rhos[15:17], near):
+            assert lo < b < hi
+            assert abs(b - b_near) <= 1e-12
+
     def test_second_refinement_refits_nothing(self, monkeypatch):
         # the scan's fit path keeps every midpoint fit
         params = confounded_params(MY, 0.3)
