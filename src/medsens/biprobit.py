@@ -91,9 +91,10 @@ def _check_rho_interior(rho: float) -> float:
 
 
 def _pair_rows(kind: ConfoundingKind, designs):
-    """(d_a, s_a, d_b, s_b): the designs of the kind's two (design,
-    response) pairs in a model_designs table, as they are, and their
-    response signs s = 2r - 1.
+    """(d_a, s_a, d_b, s_b): the designs of the kind's two models in a
+    model_designs or validate_for_fit table, as they are, and their
+    response signs s = 2r - 1; a row's entries past (design, response)
+    are not read.
 
     The second model carries the w-style signed predictor in the
     likelihood; the two Phi2 arguments commute, so only the sign
@@ -101,7 +102,7 @@ def _pair_rows(kind: ConfoundingKind, designs):
     sign flip and s^2 = 1, so every signed sum equals the one over the
     sign-flipped design s X bit for bit.
     """
-    (d_a, r_a), (d_b, r_b) = (designs[model] for model in _pair_models(kind))
+    (d_a, r_a), (d_b, r_b) = (designs[model][:2] for model in _pair_models(kind))
     return d_a, 2.0 * r_a - 1.0, d_b, 2.0 * r_b - 1.0
 
 

@@ -96,7 +96,7 @@ from .biprobit import ConfoundingKind
 from .datamodel import (ColumnRoles, CovariateProfile, Dataset, LoadResult,
                         ModelSpec, _number, covariate_stats, exposure_terms,
                         load_csv, mediator_terms, outcome_terms, write_csv)
-from .effects import EffectType, _check_alpha, effect_with_ci
+from .effects import EffectType, _check_alpha, _marginal_means, effect_with_ci
 from .errors import ConfigError, MedsensError, ScanError
 from .probit import fit_unconstrained
 from .sensitivity import (DEFAULT_GRID_LOWER, DEFAULT_GRID_STEP,
@@ -468,6 +468,8 @@ def cmd_effects(cfg: dict, ds: Dataset, args):
 
     ctx = unconstrained_context(ds, cfg["model"])
     groups = [("marginal", None)] if "marginal" in scopes else []
+    if groups:  # every marginal mean the requested types contrast, in one pass
+        _marginal_means(ctx, types)
     if "conditional" in scopes:
         groups += [("conditional", prof) for prof in profiles]
     rows = []

@@ -533,8 +533,13 @@ class CovariateProfile:
 
 def covariate_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-column means and (population) standard deviations of x (empty
-    when p = 0)."""
-    return ds.x.mean(axis=0), ds.x.std(axis=0)
+    when p = 0). The mean is summed once; the deviations from it are
+    squared in place, summed and divided by n, numpy's own order for
+    x.std(axis=0), so the std is bitwise that."""
+    mean = ds.x.mean(axis=0)
+    dev = ds.x - mean
+    np.square(dev, out=dev)
+    return mean, np.sqrt(dev.sum(axis=0) / ds.n)
 
 
 def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
@@ -544,10 +549,13 @@ def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
             "outcome": (build_outcome_design(ds, spec), ds.y)}
 
 
-def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
+def require_full_rank(design: np.ndarray, what: str,
+                      gram: np.ndarray | None = None) -> np.ndarray:
     """The Gram G = X'X of the (n, k) design, n > k; RankError "<what> is
     rank deficient" unless the design has full column rank by
-    np.linalg.matrix_rank.
+    np.linalg.matrix_rank. A gram given must be that design's X'X, as an
+    earlier call returned it; the decision is then made on it, and X'X is
+    not formed again.
 
     The Gram decides first: its eigenvalues are the squared
     singular values s_i**2, and matrix_rank accepts X when
@@ -562,7 +570,13 @@ def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
     the bound go to matrix_rank, so the SVD still decides every RankError.
     """
     n, k = design.shape
-    gram = design.T @ design
+    if gram is None:
+        gram = design.T @ design
+    else:
+        gram = _as_real_array(gram, "gram")
+        if gram.shape != (k, k):
+            raise ValueError(f"gram shape {gram.shape} does not match the "
+                             f"design's {k} columns")
     lam = np.linalg.eigvalsh(gram)
     if (lam[0] <= (k + 2) * n * np.finfo(float).eps * lam[-1]
             and np.linalg.matrix_rank(design) < k):
@@ -572,7 +586,9 @@ def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
 
 def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
     """Checks run at every fit boundary: size, variance, design rank.
-    Returns the model_designs table whose designs passed them. A
+    Returns the model_designs table whose designs passed them, each row
+    (design, response, gram) with the Gram X'X require_full_rank formed,
+    so a fit handed the row checks its design on that Gram. A
     covariate whose values are all equal is a DataError naming it; the
     test is exact (each value against the column's first, one pass), so
     a column fixed at 0.1, whose computed std is not 0, is named too. Each
@@ -588,8 +604,7 @@ def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
         flat = [name for name, s in zip(ds.covariate_names, same) if s]
         if flat:
             raise DataError(f"covariate columns with zero variance: {flat}")
-    designs = model_designs(ds, spec)
-    for label, (design, _) in designs.items():
-        require_full_rank(design, f"{label} design matrix")
-    return designs
+    return {label: (design, response,
+                    require_full_rank(design, f"{label} design matrix"))
+            for label, (design, response) in model_designs(ds, spec).items()}
 

@@ -37,11 +37,16 @@ differences. A conditional request is a one-row pass.
 
 A marginal request keeps only each block's sum of a mean. A FitContext
 keeps, for its current (beta, theta), each row-averaged mean it has
-needed with its gradient: k-vectors only, no per-row array. A missing
-mean is computed on first need, so the five effects of one context
-compute each of the four means once. A FitContext holds no convergence
-flags: the sensitivity context builders refuse a block from an
-unconverged fit.
+needed with its gradient: k-vectors only, no per-row array. The memo is
+filled by _marginal_means for a list of effect types: one _mu_pass
+evaluates every mean those effects contrast that the memo lacks. A
+marginal request fills it for its own type, so the effects of one
+context compute each mean once; medsens effects fills it once for all
+its requested types, so their means share one pass. For all five types
+that pass evaluates six cells per row; filled one type at a time, the
+four means take three passes and eleven cells. A FitContext holds no
+convergence flags: the sensitivity context builders refuse a block from
+an unconverged fit.
 _check_request is the one check of an effect request's type, scope,
 profile and alpha, which run_scan also makes before it fits anything.
 
@@ -143,6 +148,12 @@ def _check_effect(effect_type) -> tuple:
     return _CONTRASTS[effect_type]
 
 
+def _pairs(effect_types) -> list:
+    """The (z, z') arguments of every mean effect_types contrast, each
+    once, in order of first need."""
+    return list(dict.fromkeys(pair for et in effect_types for pair in _check_effect(et)))
+
+
 # rows per step of the pass: its per-row arrays stay a few hundred KiB
 # however many rows x has
 _BLOCK = 8192
@@ -191,7 +202,7 @@ def _difference(mean_a: tuple, mean_b: tuple) -> tuple:
 def _effect_rows(effect_types, theta, beta, x, spec: ModelSpec) -> dict:
     """{effect type: effect_rows' output} for each of effect_types, from
     one pass over the means they contrast."""
-    pairs = list(dict.fromkeys(pair for et in effect_types for pair in _check_effect(et)))
+    pairs = _pairs(effect_types)
     x = np.atleast_2d(_as_real_array(x, "x"))
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite values")
@@ -310,9 +321,10 @@ class FitContext:
                            compare=False, repr=False)
 
 
-def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
-    """The effect averaged over ctx's dataset rows, mu_a - mu_b, and its
-    gradient, from the means ctx keeps for its current coefficients."""
+def _marginal_means(ctx: FitContext, effect_types) -> dict:
+    """ctx's memo of row-averaged means for its current coefficients,
+    {(z, z'): (mean, gradient)}, once it holds every mean effect_types
+    contrast; those it lacks come from one _mu_pass."""
     beta, theta = _coefficients(ctx.beta, ctx.theta, ctx.spec, ctx.dataset.p)
     # keyed by the coefficients' bytes, so an in-place edit misses
     key = (beta.tobytes(), theta.tobytes())
@@ -320,13 +332,19 @@ def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
         ctx._mu_memo.clear()
         ctx._mu_memo[key] = {}
     means = ctx._mu_memo[key]
-    pairs = _CONTRASTS[effect_type]
-    missing = [pair for pair in pairs if pair not in means]
+    missing = [pair for pair in _pairs(effect_types) if pair not in means]
     if missing:
         passed = _mu_pass(missing, theta, beta, ctx.dataset.x, ctx.spec, np.sum)
         means.update({pair: (sum(sums) / ctx.dataset.n, grad)
                       for pair, (sums, grad) in passed.items()})
-    est, grad = _difference(*(means[pair] for pair in pairs))
+    return means
+
+
+def _marginal(effect_type: EffectType, ctx: FitContext) -> tuple:
+    """The effect averaged over ctx's dataset rows, mu_a - mu_b, and its
+    gradient, from the means ctx keeps for its current coefficients."""
+    means = _marginal_means(ctx, [effect_type])
+    est, grad = _difference(*(means[pair] for pair in _CONTRASTS[effect_type]))
     return float(est), grad
 
 

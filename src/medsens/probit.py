@@ -17,22 +17,24 @@ scipy's log_ndtr, and log_ndtr at and below. Its absolute error, at most
 log-likelihood sum.
 fit_probit checks every design it is given: its shape, a 0/1 response,
 and its rank by datamodel.require_full_rank (a Gram eigenvalue check, and
-matrix_rank's SVD only near the bound). That Gram G = X'X also gives the
-zero start's Hessian (Amemiya 1981): at q = +-0 every row has the weight
-2/pi, so the Hessian is -(2/pi) G, and the loglik and score are
-n ln Phi(0) and lam(0) X's, from one _mills call on one row. Every design is fitted in
-Fortran order. The probit weights w are nonnegative, so the Hessian -X'WX
-at any other point is accumulated as -B'B over row blocks B = sqrt(w) X,
-one symmetric rank-k update per block. Each pass hands the ascent its
-largest |q|, the separation rule's input, and a fit keeps no per-row
-vector.
+matrix_rank's SVD only near the bound), on the Gram G = X'X it is handed
+or, given none, one it forms. The package hands every fit the Gram that
+validate_for_fit formed for its design, so no design's X'X is formed
+twice. G also gives the zero start's Hessian (Amemiya 1981): at q = +-0
+every row has the weight 2/pi, so the Hessian is -(2/pi) G, and the
+loglik and score are n ln Phi(0) and lam(0) X's, from one _mills call on
+one row. Every design is fitted in Fortran order. The probit weights w
+are nonnegative, so the Hessian -X'WX at any other point is accumulated
+as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k update per
+block. Each pass hands the ascent its largest |q|, the separation rule's
+input, and a fit keeps no per-row vector.
 _probit_fits is the only caller of fit_probit in the package. It fits
-each model once per (dataset, spec), from the designs fit_designs holds,
-and keeps the fit, with read-only arrays, in that same one entry, so
-fit_unconstrained, the effect contexts, every constrained fit and every
-scan on that pair read the same fits. The entry is the one (dataset,
-spec) held at a time; it is dropped before the next pair is set up and
-when its Dataset is collected.
+each model once per (dataset, spec), from the (design, response, gram)
+rows fit_designs holds, and keeps the fit, with read-only arrays, in
+that same one entry, so fit_unconstrained, the effect contexts, every
+constrained fit and every scan on that pair read the same fits. The
+entry is the one (dataset, spec) held at a time; it is dropped before
+the next pair is set up and when its Dataset is collected.
 """
 
 from __future__ import annotations
@@ -185,19 +187,24 @@ def _mills(q):
     return log_cdf, ratio, weight
 
 
-def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
+def fit_probit(design: np.ndarray, response: np.ndarray,
+               gram: np.ndarray | None = None) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on a misshapen
     design or response, a response that is not 0/1, rank deficiency and
     separation. Every design goes through datamodel.require_full_rank,
-    whose Gram is the zero start's Hessian up to the factor -2/pi. The fit
-    reads a Fortran-order copy of a design in any other memory order, so
-    it does not depend on the caller's layout."""
+    whose Gram is the zero start's Hessian up to the factor -2/pi. A gram
+    given must be the design's X'X as require_full_rank returned it (a
+    validate_for_fit row holds it); the rank decision is then made on it,
+    and X'X is not formed again, so fit_probit(*row) is bitwise
+    fit_probit(design, response). The fit reads a Fortran-order copy of a
+    design in any other memory order, so it does not depend on the
+    caller's layout."""
     design, response = _check_design(design, response)
     design = np.asfortranarray(design)
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    gram = require_full_rank(design, "design matrix")
+    gram = require_full_rank(design, "design matrix", gram)
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
@@ -246,21 +253,24 @@ def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
     if key not in _FIT_ENTRY:
         _FIT_ENTRY.clear()
         designs = validate_for_fit(ds, spec)
-        for design, _ in designs.values():
+        for design, _, gram in designs.values():
             design.setflags(write=False)
+            gram.setflags(write=False)
         _FIT_ENTRY[key] = designs, {}
         weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
     return _FIT_ENTRY[key]
 
 
 def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
-    """The validated model_designs table every fit on (ds, spec) reads.
+    """The validate_for_fit table every fit on (ds, spec) reads: a
+    (design, response, gram) row per model.
 
     One entry, dropped before the next (ds, spec) is set up and when its
     Dataset is collected, so it never keeps a dataset's designs alive on
     its own. Dataset compares by identity and is immutable, ModelSpec is
     frozen, so the entry is a function of its key; a failed validation
-    caches nothing. The designs are read-only because callers share them.
+    caches nothing. The designs and Grams are read-only because callers
+    share them.
     """
     return _fit_entry(ds, spec)[0]
 

@@ -834,6 +834,18 @@ def test_covariate_stats():
     assert sds[1] == 0.0
 
 
+@pytest.mark.parametrize("n, p", [(1000, 4), (37, 1), (50, 0)])
+def test_covariate_stats_are_numpys_mean_and_std_bitwise(n, p):
+    rng = np.random.default_rng(n + p)
+    x = rng.normal(3.0, 2.0, (n, p)) * rng.uniform(0.1, 100.0, p)
+    ds = make_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
+                      rng.integers(0, 2, n), x, [f"x{j}" for j in range(p)])
+    means, sds = covariate_stats(ds)
+    assert means.shape == sds.shape == (p,)
+    assert means.tobytes() == ds.x.mean(axis=0).tobytes()
+    assert sds.tobytes() == ds.x.std(axis=0).tobytes()
+
+
 class TestValidateForFit:
     def test_small_sample_rejected(self):
         ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0])
@@ -882,19 +894,19 @@ class TestValidateForFit:
         designs = validate_for_fit(demo_clean, spec)
         expected = model_designs(demo_clean, spec)
         assert list(designs) == ["exposure", "mediator", "outcome"]
-        for model, (design, response) in designs.items():
+        for model, (design, response, gram) in designs.items():
             assert np.array_equal(design, expected[model][0])
             assert response is expected[model][1]
+            assert gram.tobytes() == (design.T @ design).tobytes()
 
 
 class TestFitDesigns:
     def test_designs_are_read_only(self, demo_clean, spec):
         designs = fit_designs(demo_clean, spec)
-        for design, response in designs.values():
-            with pytest.raises(ValueError):
-                design[0, 0] = 2.0
-            with pytest.raises(ValueError):
-                response[0] = 1
+        for design, response, gram in designs.values():
+            for array in (design, response, gram):
+                with pytest.raises(ValueError):
+                    array[0, ...] = 1
 
     def test_one_entry_per_dataset_and_spec(self, demo_clean, spec):
         first = fit_designs(demo_clean, spec)

@@ -424,11 +424,47 @@ def test_cmd_effects_evaluates_each_marginal_mean_once(monkeypatch, tmp_path,
     passes = count_calls(monkeypatch, "_mu_pass")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["effects", str(cfg)]) == 0
-    # one one-row pass per (effect, profile); the marginal means once each
+    # one one-row pass per (effect, profile); the marginal means once
+    # each, all in one pass
     rows = [x.shape[0] for _, _, _, x, *_ in passes]
-    assert rows.count(1) == 15 and rows.count(ds.n) == len(rows) - 15
+    assert rows.count(1) == 15 and rows.count(ds.n) == 1 and len(rows) == 16
     assert sorted(pair for pairs, _, _, x, *_ in passes if x.shape[0] == ds.n
                   for pair in pairs) == ALL_MEANS
+
+
+def test_cmd_effects_reads_six_cells_per_row_for_five_marginal_types(
+        monkeypatch, tmp_path, spec):
+    # the four means the five types contrast read the outcome cells (z, m)
+    # and the mediator arms z' = 0, 1: six cells per row in one pass, on
+    # rows in more than one block; filled one type at a time, they read 11.
+    # Each estimate and SE is bitwise that of a lone effect on a fresh
+    # context.
+    ds = simulate(demo_params(), 10000, 78)
+    assert ds.n > effects._BLOCK
+    write_csv(ds, tmp_path / "d.csv")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data": "d.csv", "out": str(tmp_path / "out"),
+        "model": {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
+        "columns": {"exposure": "z", "mediator": "m", "outcome": "y",
+                    "covariates": list(ds.covariate_names)},
+        "effects": {"types": ["nde", "nie", "te", "nde*", "nie*"],
+                    "scopes": ["marginal"]}}))
+    real, requests = effect_with_ci, []
+
+    def recording(effect_type, scope, ctx, **kwargs):
+        requests.append((effect_type, ctx, real(effect_type, scope, ctx, **kwargs)))
+        return requests[-1][-1]
+    monkeypatch.setattr("medsens.cli.effect_with_ci", recording)
+    cells = count_calls(monkeypatch, "_probit_cell")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["effects", str(cfg)]) == 0
+    assert sum(x.shape[0] for _, x in cells) == 6 * ds.n
+    assert [et for et, _, _ in requests] == list(EffectType)
+    for effect_type, ctx, est in requests:
+        lone = effect_with_ci(effect_type, "marginal", dataclasses.replace(ctx))
+        assert est.estimate.hex() == lone.estimate.hex()
+        assert est.std_error.hex() == lone.std_error.hex()
 
 
 def _blocked_case(spec: ModelSpec, p: int, n: int, seed: int) -> FitContext:

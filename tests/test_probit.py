@@ -17,7 +17,7 @@ from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
 from medsens import datamodel, probit
 from medsens.cli import main
 from medsens.datamodel import require_full_rank
-from medsens.probit import fit_designs
+from medsens.probit import ProbitFit, fit_designs
 from conftest import probit_loglik
 
 
@@ -73,7 +73,7 @@ def test_loglik_at_the_fit_is_the_fits_own(spec, seed):
     # the fit's loglik is the ln Phi row sum at its returned coefficients
     ds = simulate(demo_params(), 5000, seed)
     for model in ("mediator", "outcome"):
-        design, response = fit_designs(ds, spec)[model]
+        design, response, _ = fit_designs(ds, spec)[model]
         fit = fit_probit(design, response)
         assert probit_loglik(fit.coefficients, design, response) == fit.loglik
 
@@ -212,7 +212,7 @@ def test_fit_keeps_the_ascents_warnings(monkeypatch, demo_clean, spec):
 def test_covariance_is_the_symmetrized_inverse_information(monkeypatch, spec):
     # the covariance is inv(-H), symmetrized, at the last pass: Cholesky
     # checks it and leaves it as it is
-    design, response = fit_designs(fresh_dataset(77), spec)["outcome"]
+    design, response, _ = fit_designs(fresh_dataset(77), spec)["outcome"]
     passes, real_ascent = [], probit._newton_ascent
 
     def ascent(f, x0):
@@ -285,13 +285,14 @@ def count_rank_svds(monkeypatch) -> list:
 
 
 def count_rank_checks(monkeypatch) -> list:
-    """Shapes of the designs put through the rank rule, one Gram each."""
+    """(shape, formed) of each design put through the rank rule: formed
+    when the rule was given no Gram and so formed X'X itself."""
     rule = require_full_rank
     calls = []
 
-    def counted(design, what):
-        calls.append(design.shape)
-        return rule(design, what)
+    def counted(design, what, gram=None):
+        calls.append((design.shape, gram is None))
+        return rule(design, what, gram)
     for module in (datamodel, probit):
         monkeypatch.setattr(module, "require_full_rank", counted)
     return calls
@@ -318,9 +319,9 @@ def count_fitted_designs(monkeypatch) -> list:
     """Shapes of the designs handed to fit_probit."""
     real, calls = probit.fit_probit, []
 
-    def counted(design, response):
+    def counted(design, response, gram=None):
         calls.append(design.shape)
-        return real(design, response)
+        return real(design, response, gram)
     monkeypatch.setattr(probit, "fit_probit", counted)
     return calls
 
@@ -332,12 +333,18 @@ def count_fitted_designs(monkeypatch) -> list:
     ids=["fit_unconstrained", "run_scan", "cmd_effects"])
 def test_fresh_dataset_runs_one_gram_per_design_and_per_fit(
         monkeypatch, tmp_path, spec, entry, fitted):
-    # validate_for_fit checks each design once; each probit fit checks its
-    # design again, and that Gram is its zero start's Hessian
+    # validate_for_fit forms each design's Gram X'X once; each probit fit
+    # makes the rank decision again on that Gram, its zero start's Hessian
     ds = fresh_dataset(71)
     checks = count_rank_checks(monkeypatch)
     svds = count_rank_svds(monkeypatch)
     fits = count_fitted_designs(monkeypatch)
+    eigvalsh, decisions = np.linalg.eigvalsh, []
+
+    def counted_eigvalsh(a):
+        decisions.append(a.shape)
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     if entry == "fit_unconstrained":
         fit_unconstrained(ds, spec)
     elif entry == "run_scan":
@@ -348,29 +355,64 @@ def test_fresh_dataset_runs_one_gram_per_design_and_per_fit(
     designs = datamodel.model_designs(ds, spec)
     shapes = [designs[model][0].shape for model in fitted]
     assert fits == shapes
-    assert checks == [design.shape for design, _ in designs.values()] + shapes
+    assert checks == ([(design.shape, True) for design, _ in designs.values()]
+                      + [(shape, False) for shape in shapes])
+    # X'X formed at validation only; every check, each fit's too, decides
+    assert decisions == [(shape[1],) * 2 for shape, _ in checks]
     assert svds == []  # every design here is far above the Gram bound
 
 
 def test_every_design_fit_probit_is_given_is_checked(monkeypatch, spec):
     # fit_designs' own read-only arrays are checked as any copy of them is
     ds = fresh_dataset(72)
-    design, response = fit_designs(ds, spec)["outcome"]
+    design, response, _ = fit_designs(ds, spec)["outcome"]
     calls = count_rank_checks(monkeypatch)
     held = fit_probit(design, response)
-    assert calls == [design.shape]
+    assert calls == [(design.shape, True)]
     for args in ((design.copy(), response), (design, response.copy())):
         fit = fit_probit(*args)
         assert np.array_equal(fit.coefficients, held.coefficients)
-    assert calls == [design.shape] * 3
+    assert calls == [(design.shape, True)] * 3
     with pytest.raises(ValueError, match="binary"):
         fit_probit(design, 2 * response)
-    assert calls == [design.shape] * 3  # the 0/1 check comes first
+    assert calls == [(design.shape, True)] * 3  # the 0/1 check comes first
+
+
+def test_a_fit_given_its_gram_is_the_fit_that_forms_it(spec):
+    ds = fresh_dataset(75)
+    for model, (design, response, gram) in fit_designs(ds, spec).items():
+        assert require_full_rank(design, model, gram) is gram  # not formed again
+        given, formed = fit_probit(design, response, gram), fit_probit(design, response)
+        for field in dataclasses.fields(ProbitFit):
+            a, b = getattr(given, field.name), getattr(formed, field.name)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
+                    else a == b), (model, field.name)
+
+
+def test_a_rank_deficient_design_given_its_gram_raises(monkeypatch, spec):
+    # the decision on a given Gram still reaches the SVD near the bound
+    design, response, _ = fit_designs(fresh_dataset(73), spec)["mediator"]
+    collinear = design.copy()
+    collinear[:, -1] = collinear[:, 1]
+    svds = count_rank_svds(monkeypatch)
+    with pytest.raises(RankError, match="design matrix is rank deficient"):
+        fit_probit(collinear, response, collinear.T @ collinear)
+    assert svds == [collinear.shape]
+
+
+@pytest.mark.parametrize("gram,message", [
+    (np.eye(2), re.escape("gram shape (2, 2) does not match the design's 3 columns")),
+    (np.eye(3, dtype=bool), "gram must be real numbers, got dtype bool")])
+def test_a_misshapen_gram_is_refused(gram, message):
+    design = scaled_design(50, [1.0, 2.0, 3.0], 9)
+    response = np.random.default_rng(9).integers(0, 2, 50)
+    with pytest.raises(ValueError, match=message):
+        fit_probit(design, response, gram)
 
 
 def test_rank_deficient_copy_of_validated_design_raises(spec):
     ds = fresh_dataset(73)
-    design, response = fit_designs(ds, spec)["mediator"]
+    design, response, _ = fit_designs(ds, spec)["mediator"]
     collinear = design.copy()
     collinear[:, -1] = collinear[:, 1]
     with pytest.raises(RankError, match="rank deficient"):
@@ -378,7 +420,7 @@ def test_rank_deficient_copy_of_validated_design_raises(spec):
 
 
 def test_fit_does_not_depend_on_memory_order(spec):
-    design, response = fit_designs(fresh_dataset(74), spec)["outcome"]
+    design, response, _ = fit_designs(fresh_dataset(74), spec)["outcome"]
     n, k = design.shape
     wide = np.zeros((2 * n, 3 * k))
     wide[::2, ::3] = design
@@ -467,7 +509,7 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     # loglik n ln Phi(0), score lam(0) X's and Hessian -w(0) X'X, with no
     # n-row _mills call or Hessian block; a first pass that evaluates the
     # rows at q = +-0 instead reaches the same optimum up to rounding
-    design, response = fit_designs(fresh_dataset(76), spec)["outcome"]
+    design, response, _ = fit_designs(fresh_dataset(76), spec)["outcome"]
     n = design.shape[0]
     real_ascent, real_mills = probit._newton_ascent, probit._mills
     mills_rows, counting = [], CountingNumpy()
