@@ -533,13 +533,8 @@ class CovariateProfile:
 
 def covariate_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-column means and (population) standard deviations of x (empty
-    when p = 0). The mean is summed once; the deviations from it are
-    squared in place, summed and divided by n, numpy's own order for
-    x.std(axis=0), so the std is bitwise that."""
-    mean = ds.x.mean(axis=0)
-    dev = ds.x - mean
-    np.square(dev, out=dev)
-    return mean, np.sqrt(dev.sum(axis=0) / ds.n)
+    when p = 0)."""
+    return ds.x.mean(axis=0), ds.x.std(axis=0)
 
 
 def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
@@ -549,13 +544,10 @@ def model_designs(ds: Dataset, spec: ModelSpec) -> dict:
             "outcome": (build_outcome_design(ds, spec), ds.y)}
 
 
-def require_full_rank(design: np.ndarray, what: str,
-                      gram: np.ndarray | None = None) -> np.ndarray:
+def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
     """The Gram G = X'X of the (n, k) design, n > k; RankError "<what> is
     rank deficient" unless the design has full column rank by
-    np.linalg.matrix_rank. A gram given must be that design's X'X, as an
-    earlier call returned it; the decision is then made on it, and X'X is
-    not formed again.
+    np.linalg.matrix_rank.
 
     The Gram decides first: its eigenvalues are the squared
     singular values s_i**2, and matrix_rank accepts X when
@@ -570,13 +562,7 @@ def require_full_rank(design: np.ndarray, what: str,
     the bound go to matrix_rank, so the SVD still decides every RankError.
     """
     n, k = design.shape
-    if gram is None:
-        gram = design.T @ design
-    else:
-        gram = _as_real_array(gram, "gram")
-        if gram.shape != (k, k):
-            raise ValueError(f"gram shape {gram.shape} does not match the "
-                             f"design's {k} columns")
+    gram = design.T @ design
     lam = np.linalg.eigvalsh(gram)
     if (lam[0] <= (k + 2) * n * np.finfo(float).eps * lam[-1]
             and np.linalg.matrix_rank(design) < k):
@@ -587,8 +573,8 @@ def require_full_rank(design: np.ndarray, what: str,
 def validate_for_fit(ds: Dataset, spec: ModelSpec) -> dict:
     """Checks run at every fit boundary: size, variance, design rank.
     Returns the model_designs table whose designs passed them, each row
-    (design, response, gram) with the Gram X'X require_full_rank formed,
-    so a fit handed the row checks its design on that Gram. A
+    (design, response, gram) with the Gram X'X on which require_full_rank
+    decided the design's rank. A
     covariate whose values are all equal is a DataError naming it; the
     test is exact (each value against the column's first, one pass), so
     a column fixed at 0.1, whose computed std is not 0, is named too. Each

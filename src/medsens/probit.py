@@ -17,17 +17,17 @@ scipy's log_ndtr, and log_ndtr at and below. Its absolute error, at most
 log-likelihood sum.
 fit_probit checks every design it is given: its shape, a 0/1 response,
 and its rank by datamodel.require_full_rank (a Gram eigenvalue check, and
-matrix_rank's SVD only near the bound), on the Gram G = X'X it is handed
-or, given none, one it forms. The package hands every fit the Gram that
-validate_for_fit formed for its design, so no design's X'X is formed
-twice. G also gives the zero start's Hessian (Amemiya 1981): at q = +-0
-every row has the weight 2/pi, so the Hessian is -(2/pi) G, and the
-loglik and score are n ln Phi(0) and lam(0) X's, from one _mills call on
-one row. Every design is fitted in Fortran order. The probit weights w
-are nonnegative, so the Hessian -X'WX at any other point is accumulated
-as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k update per
-block. Each pass hands the ascent its largest |q|, the separation rule's
-input, and a fit keeps no per-row vector.
+matrix_rank's SVD only near the bound). A design fit_designs holds went
+through that check in validate_for_fit, and is read-only; fit_probit
+fits it from the Gram G = X'X that check formed, so no design's X'X is
+formed twice. G also gives the zero start's Hessian (Amemiya 1981): at
+q = +-0 every row has the weight 2/pi, so the Hessian is -(2/pi) G, and
+the loglik and score are n ln Phi(0) and lam(0) X's, from one _mills
+call on one row. Every design is fitted in Fortran order. The probit
+weights w are nonnegative, so the Hessian -X'WX at any other point is
+accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
+update per block. Each pass hands the ascent its largest |q|, the
+separation rule's input, and a fit keeps no per-row vector.
 _probit_fits is the only caller of fit_probit in the package. It fits
 each model once per (dataset, spec), from the (design, response, gram)
 rows fit_designs holds, and keeps the fit, with read-only arrays, in
@@ -187,24 +187,23 @@ def _mills(q):
     return log_cdf, ratio, weight
 
 
-def fit_probit(design: np.ndarray, response: np.ndarray,
-               gram: np.ndarray | None = None) -> ProbitFit:
+def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on a misshapen
     design or response, a response that is not 0/1, rank deficiency and
     separation. Every design goes through datamodel.require_full_rank,
-    whose Gram is the zero start's Hessian up to the factor -2/pi. A gram
-    given must be the design's X'X as require_full_rank returned it (a
-    validate_for_fit row holds it); the rank decision is then made on it,
-    and X'X is not formed again, so fit_probit(*row) is bitwise
-    fit_probit(design, response). The fit reads a Fortran-order copy of a
-    design in any other memory order, so it does not depend on the
-    caller's layout."""
+    whose Gram is the zero start's Hessian up to the factor -2/pi; a
+    design that fit_designs holds went through it in validate_for_fit and
+    is fitted from that Gram, bitwise the one a copy of it forms. The fit
+    reads a Fortran-order copy of a design in any other memory order, so
+    it does not depend on the caller's layout."""
     design, response = _check_design(design, response)
     design = np.asfortranarray(design)
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    gram = require_full_rank(design, "design matrix", gram)
+    gram = _validated_gram(design)
+    if gram is None:
+        gram = require_full_rank(design, "design matrix")
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
@@ -261,6 +260,17 @@ def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
     return _FIT_ENTRY[key]
 
 
+def _validated_gram(design: np.ndarray):
+    """The Gram validate_for_fit formed for design when design is itself
+    a read-only design of the fit entry, else None. Found by identity, so
+    fit_probit takes no Gram from a caller."""
+    for designs, _ in _FIT_ENTRY.values():
+        for held, _, gram in designs.values():
+            if held is design and not design.flags.writeable:
+                return gram
+    return None
+
+
 def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
     """The validate_for_fit table every fit on (ds, spec) reads: a
     (design, response, gram) row per model.
@@ -282,7 +292,7 @@ def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
     designs, fits = _fit_entry(ds, spec)
     for model in models:
         if model not in fits:
-            fit = fits[model] = fit_probit(*designs[model])
+            fit = fits[model] = fit_probit(*designs[model][:2])
             for array in (fit.coefficients, fit.covariance):
                 array.setflags(write=False)
     return {model: fits[model] for model in models}

@@ -171,9 +171,6 @@ class SensitivityScan:
     _FitPath, out of repr and comparisons, so that refine_boundary refits
     from the scan's own fits and a rho whose fit converged is not fitted
     again. A one-point scan has no bracket to refine and keeps none.
-    Each converged ScanPoint refine_boundary has evaluated is kept too,
-    by rho and also out of repr and comparisons, so a repeated call
-    builds no context and evaluates no effect twice.
     """
 
     kind: ConfoundingKind
@@ -187,8 +184,6 @@ class SensitivityScan:
     spec: ModelSpec
     profile: CovariateProfile | None
     _path: _FitPath | None = field(default=None, repr=False, compare=False)
-    _refined: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     @property
     def failures(self) -> tuple[float, ...]:
@@ -446,9 +441,7 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
     Each midpoint is fitted through the scan's _FitPath inside its
     bracket, so it starts from the cubic Hermite through the bracket's two
     converged ends; a midpoint that converged before, in the scan or an
-    earlier call, is not refitted, and one that failed is refitted. The
-    ScanPoint of a converged midpoint is kept on the scan, so an earlier
-    call's midpoints are not evaluated again either.
+    earlier call, is not refitted, and one that failed is refitted.
     A scan built by hand keeps no fits, so refining one of its
     boundaries raises ValueError; a one-point scan has no boundary.
     A failed refit stops refinement of that boundary at the coarse
@@ -476,12 +469,9 @@ def refine_boundary(scan: SensitivityScan, resolution: float = 0.01) -> list[flo
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            pt = scan._refined.get(mid)
-            if pt is None:
-                pt = _scan_point(scan, mid, scan._path.fit(mid, (lo, hi)))
+            pt = _scan_point(scan, mid, scan._path.fit(mid, (lo, hi)))
             if not pt.converged:
                 break
-            scan._refined[mid] = pt
             same = _classify(pt.estimate, ref_sign) is cls_left
             lo, hi = (mid, hi) if same else (lo, mid)
         boundaries.append(0.5 * (lo + hi))

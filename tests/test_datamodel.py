@@ -834,18 +834,6 @@ def test_covariate_stats():
     assert sds[1] == 0.0
 
 
-@pytest.mark.parametrize("n, p", [(1000, 4), (37, 1), (50, 0)])
-def test_covariate_stats_are_numpys_mean_and_std_bitwise(n, p):
-    rng = np.random.default_rng(n + p)
-    x = rng.normal(3.0, 2.0, (n, p)) * rng.uniform(0.1, 100.0, p)
-    ds = make_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
-                      rng.integers(0, 2, n), x, [f"x{j}" for j in range(p)])
-    means, sds = covariate_stats(ds)
-    assert means.shape == sds.shape == (p,)
-    assert means.tobytes() == ds.x.mean(axis=0).tobytes()
-    assert sds.tobytes() == ds.x.std(axis=0).tobytes()
-
-
 class TestValidateForFit:
     def test_small_sample_rejected(self):
         ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0])

@@ -285,14 +285,13 @@ def count_rank_svds(monkeypatch) -> list:
 
 
 def count_rank_checks(monkeypatch) -> list:
-    """(shape, formed) of each design put through the rank rule: formed
-    when the rule was given no Gram and so formed X'X itself."""
+    """Shapes of the designs put through the rank rule, one Gram each."""
     rule = require_full_rank
     calls = []
 
-    def counted(design, what, gram=None):
-        calls.append((design.shape, gram is None))
-        return rule(design, what, gram)
+    def counted(design, what):
+        calls.append(design.shape)
+        return rule(design, what)
     for module in (datamodel, probit):
         monkeypatch.setattr(module, "require_full_rank", counted)
     return calls
@@ -319,9 +318,9 @@ def count_fitted_designs(monkeypatch) -> list:
     """Shapes of the designs handed to fit_probit."""
     real, calls = probit.fit_probit, []
 
-    def counted(design, response, gram=None):
+    def counted(design, response):
         calls.append(design.shape)
-        return real(design, response, gram)
+        return real(design, response)
     monkeypatch.setattr(probit, "fit_probit", counted)
     return calls
 
@@ -333,18 +332,13 @@ def count_fitted_designs(monkeypatch) -> list:
     ids=["fit_unconstrained", "run_scan", "cmd_effects"])
 def test_fresh_dataset_runs_one_gram_per_design_and_per_fit(
         monkeypatch, tmp_path, spec, entry, fitted):
-    # validate_for_fit forms each design's Gram X'X once; each probit fit
-    # makes the rank decision again on that Gram, its zero start's Hessian
+    # validate_for_fit checks each design once, on one Gram X'X; each
+    # probit fit reads that Gram for its zero start's Hessian and forms
+    # none (cmd_effects: 3 products, not 6)
     ds = fresh_dataset(71)
     checks = count_rank_checks(monkeypatch)
     svds = count_rank_svds(monkeypatch)
     fits = count_fitted_designs(monkeypatch)
-    eigvalsh, decisions = np.linalg.eigvalsh, []
-
-    def counted_eigvalsh(a):
-        decisions.append(a.shape)
-        return eigvalsh(a)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     if entry == "fit_unconstrained":
         fit_unconstrained(ds, spec)
     elif entry == "run_scan":
@@ -355,59 +349,46 @@ def test_fresh_dataset_runs_one_gram_per_design_and_per_fit(
     designs = datamodel.model_designs(ds, spec)
     shapes = [designs[model][0].shape for model in fitted]
     assert fits == shapes
-    assert checks == ([(design.shape, True) for design, _ in designs.values()]
-                      + [(shape, False) for shape in shapes])
-    # X'X formed at validation only; every check, each fit's too, decides
-    assert decisions == [(shape[1],) * 2 for shape, _ in checks]
+    assert checks == [design.shape for design, _ in designs.values()]
     assert svds == []  # every design here is far above the Gram bound
 
 
 def test_every_design_fit_probit_is_given_is_checked(monkeypatch, spec):
-    # fit_designs' own read-only arrays are checked as any copy of them is
+    # fit_designs' own read-only arrays were checked by validate_for_fit
+    # and are fitted from its Gram; any copy of them is checked again
     ds = fresh_dataset(72)
     design, response, _ = fit_designs(ds, spec)["outcome"]
     calls = count_rank_checks(monkeypatch)
     held = fit_probit(design, response)
-    assert calls == [(design.shape, True)]
+    assert calls == []
     for args in ((design.copy(), response), (design, response.copy())):
         fit = fit_probit(*args)
         assert np.array_equal(fit.coefficients, held.coefficients)
-    assert calls == [(design.shape, True)] * 3
+    assert calls == [design.shape]
     with pytest.raises(ValueError, match="binary"):
-        fit_probit(design, 2 * response)
-    assert calls == [(design.shape, True)] * 3  # the 0/1 check comes first
+        fit_probit(design.copy(), 2 * response)
+    assert calls == [design.shape]  # the 0/1 check comes first
 
 
-def test_a_fit_given_its_gram_is_the_fit_that_forms_it(spec):
+def test_a_validated_design_is_fitted_from_validations_gram(monkeypatch, spec):
+    # each fit of a fit_designs design is bitwise the fit of a copy, which
+    # forms its own Gram; made writable again, the design forms one too
     ds = fresh_dataset(75)
-    for model, (design, response, gram) in fit_designs(ds, spec).items():
-        assert require_full_rank(design, model, gram) is gram  # not formed again
-        given, formed = fit_probit(design, response, gram), fit_probit(design, response)
+    designs = fit_designs(ds, spec)
+    calls = count_rank_checks(monkeypatch)
+    for model, (design, response, _) in designs.items():
+        held, copied = fit_probit(design, response), fit_probit(design.copy(), response)
         for field in dataclasses.fields(ProbitFit):
-            a, b = getattr(given, field.name), getattr(formed, field.name)
+            a, b = getattr(held, field.name), getattr(copied, field.name)
             assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
                     else a == b), (model, field.name)
-
-
-def test_a_rank_deficient_design_given_its_gram_raises(monkeypatch, spec):
-    # the decision on a given Gram still reaches the SVD near the bound
-    design, response, _ = fit_designs(fresh_dataset(73), spec)["mediator"]
-    collinear = design.copy()
-    collinear[:, -1] = collinear[:, 1]
-    svds = count_rank_svds(monkeypatch)
-    with pytest.raises(RankError, match="design matrix is rank deficient"):
-        fit_probit(collinear, response, collinear.T @ collinear)
-    assert svds == [collinear.shape]
-
-
-@pytest.mark.parametrize("gram,message", [
-    (np.eye(2), re.escape("gram shape (2, 2) does not match the design's 3 columns")),
-    (np.eye(3, dtype=bool), "gram must be real numbers, got dtype bool")])
-def test_a_misshapen_gram_is_refused(gram, message):
-    design = scaled_design(50, [1.0, 2.0, 3.0], 9)
-    response = np.random.default_rng(9).integers(0, 2, 50)
-    with pytest.raises(ValueError, match=message):
-        fit_probit(design, response, gram)
+        assert calls.pop() == design.shape and calls == []
+        design.setflags(write=True)
+        try:
+            fit_probit(design, response)
+        finally:
+            design.setflags(write=False)
+        assert calls.pop() == design.shape
 
 
 def test_rank_deficient_copy_of_validated_design_raises(spec):

@@ -1031,32 +1031,6 @@ class TestRefineBoundary:
         assert refine_boundary(scan, resolution=0.01) == first
         assert calls == []
 
-    def test_second_refinement_evaluates_nothing(self, monkeypatch):
-        # the scan keeps each converged midpoint's ScanPoint, out of repr
-        # and comparisons: a second call builds no context and evaluates
-        # no effect, where the first evaluates 14
-        params = confounded_params(MY, 0.3)
-        ds = simulate(params, 5000, 64)
-        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.9, 0.9, 0.1),
-                        ds, params.spec)
-        calls = []
-        for name in ("_context", "effect_with_ci"):
-            def counted(*args, _real=getattr(sens_mod, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(sens_mod, name, counted)
-        first = refine_boundary(scan, resolution=0.001)
-        assert calls == ["_context", "effect_with_ci"] * 14
-        kept = dict(scan._refined)
-        assert len(kept) == 14 and all(pt.converged for pt in kept.values())
-        calls.clear()
-        assert refine_boundary(scan, resolution=0.001) == first
-        assert calls == []
-        assert scan._refined == kept
-        assert "_refined" not in repr(scan)
-        copy = dataclasses.replace(scan)
-        assert copy == scan and copy._refined == {}
-
     def test_refinement_refits_a_grid_point_that_failed(self, monkeypatch):
         # the grid point 0.55 fails in the scan and is the first midpoint
         # of the bracket (0.45, 0.65) around the boundary at 0.53;
