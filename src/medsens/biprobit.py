@@ -21,8 +21,9 @@ probability floor of ln Phi2. ln Phi2 is concave,
 so at fixed rho the probit module's Newton ascent maximizes the likelihood
 and ends the fit, as it ends a probit fit: separation, convergence, the
 covariance and the score norm are its own. It returns the ProbitFit that
-records every Newton optimum, and fit_constrained splits that record into
-the pair's two models.
+records every Newton optimum, and fit_constrained extends that record
+into a ConstrainedFit, a ProbitFit with the pair's two models as views of
+its read-only arrays.
 The pass reads the designs probit.fit_designs holds as they are, with
 the response signs s = 2r - 1 on n-vectors: u = s (X b), X'(s v) and the
 Hessian blocks X_a'(X_b (s_a s_b h)) equal the sums over the sign-flipped
@@ -42,15 +43,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import Dataset, ModelSpec, model_designs
 from .numkernel import (RHO_INTERIOR, _as_real, _as_real_array, _check_len,
                         _log_ndtr, clamp_rho, log_bvn_cdf)
-from .probit import (_LOG_SQRT_2PI, _mills, _newton_ascent, _probit_fits,
-                     fit_designs)
+from .probit import (_LOG_SQRT_2PI, ProbitFit, _mills, _newton_ascent,
+                     _probit_fits, fit_designs)
 
 # exponent cap keeping pathological floored-probability corners finite;
 # it never binds at plausible parameter values
@@ -252,9 +253,13 @@ def constrained_grad(kind: ConfoundingKind, coef_a, coef_b, rho,
     return score[:len(coef_a)], score[len(coef_a):]
 
 
-@dataclass(frozen=True)
-class ConstrainedFit:
-    """Joint ML fit of a model pair at fixed rho, with dx/drho and dl/drho."""
+@dataclass(frozen=True, kw_only=True)
+class ConstrainedFit(ProbitFit):
+    """Joint ML fit of a model pair at fixed rho, with dx/drho and dl/drho:
+    the ascent's ProbitFit, whose coefficients are the packed (first,
+    second) vector and whose covariance is the joint one, with the pair's
+    coefficient vectors and diagonal covariance blocks as read-only views
+    of them."""
 
     kind: ConfoundingKind
     rho: float
@@ -262,12 +267,6 @@ class ConstrainedFit:
     coefficients_b: np.ndarray
     covariance_a: np.ndarray
     covariance_b: np.ndarray
-    covariance_full: np.ndarray
-    loglik: float
-    iterations: int
-    converged: bool
-    score_norm: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
     tangent: np.ndarray | None = None
     loglik_slope: float | None = None
 
@@ -289,11 +288,14 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
     response signs on n-vectors (_pair_rows).
     probit._newton_ascent ends the fit: it raises SeparationError, and it
     returns the optimum's ProbitFit, with the convergence verdict, the
-    covariance (the inverse observed information of the joint fit) and
-    the score norm. That record is split here into the pair's
-    coefficients and diagonal covariance blocks. The tangent and slope
-    reuse the row terms of the last pass, which the ascent returns beside
-    the record, with no further Phi2 call or design product.
+    covariance (the inverse observed information of the joint fit), the
+    score norm and the pass count. The ConstrainedFit returned is that
+    record, its warnings after the clamp notice, extended with views of
+    the pair's coefficients and diagonal covariance blocks; the ascent
+    copies a start it takes no step from, so the fit never aliases start.
+    The tangent and slope reuse the row terms of the last pass, which the
+    ascent returns beside the record, with no further Phi2 call or design
+    product.
     """
     d_a, s_a, d_b, s_b = pair = _pair_rows(kind, fit_designs(ds, spec))
     rho_used, clamped = clamp_rho(rho)
@@ -315,13 +317,11 @@ def fit_constrained(kind: ConfoundingKind, rho: float, ds: Dataset,
 
     opt, rows = _newton_ascent(
         lambda x: _pair_pass(x[:ka], x[ka:], rho_used, *pair), x0)
-    x, cov_full = opt.coefficients, opt.covariance
+    x, cov = opt.coefficients, opt.covariance
     return ConstrainedFit(
+        **{**vars(opt), "warnings": warnings + opt.warnings},
         kind=kind, rho=rho_used,
         coefficients_a=x[:ka], coefficients_b=x[ka:],
-        covariance_a=cov_full[:ka, :ka], covariance_b=cov_full[ka:, ka:],
-        covariance_full=cov_full, loglik=opt.loglik,
-        iterations=opt.iterations, converged=opt.converged,
-        score_norm=opt.score_norm, warnings=warnings + opt.warnings,
-        tangent=cov_full @ _score_rho(rho_used, rows, *pair),
+        covariance_a=cov[:ka, :ka], covariance_b=cov[ka:, ka:],
+        tangent=cov @ _score_rho(rho_used, rows, *pair),
         loglik_slope=float((s_a * s_b) @ rows[-1]))  # sum_i s_i d_i

@@ -7,8 +7,10 @@ The same Newton ascent, _newton_ascent, maximizes the constrained
 bivariate fits, and it ends every fit: the separation rule, the
 convergence verdict, the covariance and the score norm are its own.
 ProbitFit is the record of every Newton optimum: the ascent builds it,
-fit_probit returns it as it is, and biprobit.fit_constrained splits it
-into the two models of its pair.
+with its coefficients and covariance read-only and the count of its
+passes, and fit_probit returns it as it is. biprobit.ConstrainedFit is a
+ProbitFit: fit_constrained extends the record with the pair's blocks,
+views of the same read-only arrays.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0. ln Phi is
 numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
@@ -30,11 +32,12 @@ update per block. Each pass hands the ascent its largest |q|, the
 separation rule's input, and a fit keeps no per-row vector.
 _probit_fits is the only caller of fit_probit in the package. It fits
 each model once per (dataset, spec), from the (design, response, gram)
-rows fit_designs holds, and keeps the fit, with read-only arrays, in
-that same one entry, so fit_unconstrained, the effect contexts, every
-constrained fit and every scan on that pair read the same fits. The
-entry is the one (dataset, spec) held at a time; it is dropped before
-the next pair is set up and when its Dataset is collected.
+rows fit_designs holds, and keeps the fit in that same one entry, so
+fit_unconstrained, the effect contexts, every constrained fit and every
+scan on that pair read the same fits. The entry is the one (dataset,
+spec) held at a time, in a WeakKeyDictionary keyed by the Dataset: it is
+dropped before the next pair is set up and when its Dataset is
+collected.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ _NOISE_RTOL = 1e-9
 @dataclass(frozen=True)
 class ProbitFit:
     """The record of a Newton optimum: the maximum-likelihood fit of a
-    probit, or of a constrained pair, which biprobit.fit_constrained splits
-    into its ConstrainedFit. Converged, or explicitly flagged."""
+    probit, or of a constrained pair, which biprobit.ConstrainedFit
+    extends. Converged, or explicitly flagged. The coefficients and
+    covariance are read-only; passes counts the calls of the pass
+    function, rejected step halvings included."""
 
     coefficients: np.ndarray
     covariance: np.ndarray
@@ -81,12 +86,15 @@ class ProbitFit:
     converged: bool
     score_norm: float
     warnings: tuple[str, ...] = ()
+    passes: int = 0
 
 
 def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
     """Maximize a concave log-likelihood by step-halving Newton; return
     the optimum's ProbitFit, the one record both fits read, and the row
-    terms of the last pass.
+    terms of the last pass. The record's coefficients and covariance are
+    arrays the ascent owns, made read-only: where no step is taken, a copy
+    of x0.
 
     loglik_score_hessian maps x to (loglik, score, Hessian, reach, *rows),
     reach the largest |signed linear predictor| of the pass; the rows of
@@ -102,7 +110,7 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
     """
     x = np.asarray(x0, dtype=float)
     f, g, h, reach, *rows = loglik_score_hessian(x)
-    iterations = 0
+    passes, iterations = 1, 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
         try:
@@ -116,6 +124,7 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
         for _ in range(40):
             cand = x + scale * step
             f_new, g_new, h_new, reach_new, *rows_new = loglik_score_hessian(cand)
+            passes += 1
             if np.isfinite(f_new) and (
                     f_new >= f or (f_new >= floor
                                    and np.abs(g_new).max() <= 0.5 * g_norm)):
@@ -149,10 +158,14 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
         covariance = 0.5 * (covariance + covariance.T)
         warnings = ("observed information not positive definite at optimum",)
         converged = False
+    if x is x0:
+        x = x.copy()
+    for array in (x, covariance):
+        array.setflags(write=False)
     return ProbitFit(coefficients=x, covariance=covariance, loglik=float(f),
                      iterations=iterations, score_norm=float(np.abs(g).max()),
                      converged=converged and bool(np.isfinite(f)),
-                     warnings=warnings), rows
+                     warnings=warnings, passes=passes), rows
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -244,27 +257,27 @@ class UnconstrainedFits:
     outcome: ProbitFit
 
 
-_FIT_ENTRY: dict = {}  # the one entry: {(id(ds), spec): (designs, fits)}
+# the one entry, {ds: (spec, designs, fits)}; Dataset hashes by identity
+_FIT_ENTRY = weakref.WeakKeyDictionary()
 
 
 def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
-    key = (id(ds), spec)
-    if key not in _FIT_ENTRY:
+    entry = _FIT_ENTRY.get(ds)
+    if entry is None or entry[0] != spec:
         _FIT_ENTRY.clear()
         designs = validate_for_fit(ds, spec)
         for design, _, gram in designs.values():
             design.setflags(write=False)
             gram.setflags(write=False)
-        _FIT_ENTRY[key] = designs, {}
-        weakref.finalize(ds, _FIT_ENTRY.pop, key, None)
-    return _FIT_ENTRY[key]
+        entry = _FIT_ENTRY[ds] = spec, designs, {}
+    return entry[1:]
 
 
 def _validated_gram(design: np.ndarray):
     """The Gram validate_for_fit formed for design when design is itself
     a read-only design of the fit entry, else None. Found by identity, so
     fit_probit takes no Gram from a caller."""
-    for designs, _ in _FIT_ENTRY.values():
+    for _, designs, _ in _FIT_ENTRY.values():
         for held, _, gram in designs.values():
             if held is design and not design.flags.writeable:
                 return gram
@@ -275,26 +288,24 @@ def fit_designs(ds: Dataset, spec: ModelSpec) -> dict:
     """The validate_for_fit table every fit on (ds, spec) reads: a
     (design, response, gram) row per model.
 
-    One entry, dropped before the next (ds, spec) is set up and when its
-    Dataset is collected, so it never keeps a dataset's designs alive on
-    its own. Dataset compares by identity and is immutable, ModelSpec is
-    frozen, so the entry is a function of its key; a failed validation
-    caches nothing. The designs and Grams are read-only because callers
-    share them.
+    One entry, weakly keyed by the Dataset and holding its spec: it is
+    dropped before the next (ds, spec) is validated and when its Dataset
+    is collected, so it never keeps a dataset's designs alive on its own.
+    Dataset compares by identity and is immutable, ModelSpec is frozen,
+    so the entry is a function of (ds, spec); a failed validation caches
+    nothing. The designs and Grams are read-only because callers share
+    them, as are the fits kept beside them.
     """
     return _fit_entry(ds, spec)[0]
 
 
 def _probit_fits(ds, spec, models) -> dict[str, ProbitFit]:
     """The named models' probit fits, each fitted once per fit_designs
-    entry and kept in that entry, with read-only arrays, for every reader
-    on one (ds, spec)."""
+    entry and kept in that entry for every reader on one (ds, spec)."""
     designs, fits = _fit_entry(ds, spec)
     for model in models:
         if model not in fits:
-            fit = fits[model] = fit_probit(*designs[model][:2])
-            for array in (fit.coefficients, fit.covariance):
-                array.setflags(write=False)
+            fits[model] = fit_probit(*designs[model][:2])
     return {model: fits[model] for model in models}
 
 

@@ -155,7 +155,8 @@ class RhoGrid:
 @dataclass(frozen=True)
 class ScanPoint:
     """One grid value: the refitted effect and the fit's packed
-    coefficients (both None if the point failed)."""
+    coefficients, the fit's own read-only array (both None if the point
+    failed)."""
 
     rho: float
     estimate: EffectEstimate | None
@@ -236,10 +237,6 @@ def constrained_context(kind: ConfoundingKind, fit: ConstrainedFit,
     return _context(ds, spec, kind, fit)
 
 
-def _coefficients(fit: ConstrainedFit) -> np.ndarray:
-    return np.concatenate([fit.coefficients_a, fit.coefficients_b])
-
-
 class _FitPath:
     """The kind's constrained fits on (ds, spec), one per rho fitted: the
     converged fit, or None where it raised a MedsensError or did not
@@ -258,7 +255,7 @@ class _FitPath:
         fit = self.fits.get(rho)
         if fit is None:
             return self.probit_pair
-        return (rho, _coefficients(fit), fit.tangent,
+        return (rho, fit.coefficients, fit.tangent,
                 self.probit_pair[3] if rho == 0.0 else None)
 
     def fit(self, rho, known) -> ConstrainedFit | None:
@@ -287,7 +284,7 @@ def _scan_point(scan: SensitivityScan, rho, fit) -> ScanPoint:
                              alpha=scan.alpha, profile=scan.profile)
     except MedsensError:
         return ScanPoint(rho=rho, estimate=None, converged=False)
-    return ScanPoint(rho, est, True, _coefficients(fit))
+    return ScanPoint(rho, est, True, fit.coefficients)
 
 
 def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,

@@ -15,6 +15,7 @@ from medsens import (ConfoundingKind, ModelSpec, SeparationError, biprobit,
                      fit_constrained, fit_probit, log_bvn_cdf, probit,
                      simulate)
 from medsens.biprobit import _pair_pass, _probit_pair_path
+from medsens.probit import ProbitFit
 from medsens.numkernel import PROB_FLOOR
 from conftest import (confounded_params, joint_loglik, make_dataset,
                       probit_loglik)
@@ -228,7 +229,7 @@ def test_information_matches_finite_difference_hessian(kind, rho,
 
     jac = np.array([finite_diff_grad(lambda v: score(v, i), x, step=1e-6)
                     for i in range(x.size)])
-    info = np.linalg.inv(fit.covariance_full)
+    info = np.linalg.inv(fit.covariance)
     assert np.max(np.abs(info + jac) / np.maximum(np.abs(info), 1.0)) < 1e-6
 
 
@@ -276,9 +277,21 @@ class TestFitConstrained:
     def test_covariance_blocks_assemble(self, demo_confounded, spec):
         fit = fit_constrained(MY, 0.2, demo_confounded, spec)
         ka = fit.coefficients_a.size
-        assert np.array_equal(fit.covariance_a, fit.covariance_full[:ka, :ka])
-        assert np.array_equal(fit.covariance_b, fit.covariance_full[ka:, ka:])
-        assert np.all(np.linalg.eigvalsh(fit.covariance_full) > 0)
+        assert np.array_equal(fit.covariance_a, fit.covariance[:ka, :ka])
+        assert np.array_equal(fit.covariance_b, fit.covariance[ka:, ka:])
+        assert np.all(np.linalg.eigvalsh(fit.covariance) > 0)
+
+    def test_fit_arrays_are_read_only_and_start_untouched(self,
+                                                          demo_confounded,
+                                                          spec):
+        start = fit_constrained(MY, 0.2, demo_confounded, spec).coefficients.copy()
+        fit = fit_constrained(MY, 0.25, demo_confounded, spec, start=start)
+        assert start.flags.writeable
+        assert not np.shares_memory(fit.coefficients, start)
+        for array in (fit.coefficients, fit.covariance, fit.coefficients_a,
+                      fit.coefficients_b, fit.covariance_a, fit.covariance_b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, ...] = 0.0
 
     def test_loglik_is_continuous_in_rho(self, demo_confounded, spec):
         fits = [fit_constrained(MY, r, demo_confounded, spec)
@@ -317,7 +330,8 @@ class TestFitConstrained:
         assert fit.warnings == (clamp if rho == -1.0 else ()) + flagged
         assert not fit.converged
         assert (fit.loglik, fit.iterations, fit.score_norm) == (-1.5, 99, 0.25)
-        assert fit.covariance_full is record.covariance
+        assert fit.covariance is record.covariance
+        assert isinstance(fit, ProbitFit) and fit.passes == record.passes
         assert np.array_equal(np.concatenate([fit.coefficients_a,
                                               fit.coefficients_b]),
                               record.coefficients)

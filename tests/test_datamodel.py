@@ -21,7 +21,7 @@ from medsens import (ColumnRoles, ConfigError, CovariateProfile, DataError,
                      exposure_design, exposure_terms, load_csv,
                      mediator_design, mediator_terms, outcome_design,
                      outcome_terms, validate_for_fit, write_csv)
-from medsens import datamodel
+from medsens import datamodel, probit
 from medsens.datamodel import model_designs
 from medsens.probit import fit_designs
 from conftest import make_dataset, write_rows
@@ -910,6 +910,25 @@ class TestFitDesigns:
         del ds
         gc.collect()
         assert design() is None
+
+    def test_alternating_pairs_keep_one_entry_and_no_finalizer(
+            self, demo_clean, spec, monkeypatch):
+        # every call sets up a new (dataset, spec); the weakly keyed entry
+        # registers no finalizer for it and holds only the latest pair
+        real, finalizers = weakref.finalize, []
+
+        def counting(*args, **kwargs):
+            finalizers.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weakref, "finalize", counting)
+        datasets = [demo_clean.take(np.arange(i, 600, 2)) for i in range(2)]
+        for i in range(200):
+            fit_designs(datasets[i % 2], (spec, FULL)[i // 2 % 2])
+        assert finalizers == [] and len(probit._FIT_ENTRY) == 1
+        del datasets
+        gc.collect()
+        assert len(probit._FIT_ENTRY) == 0
 
     def test_failed_validation_is_not_cached(self):
         ds = make_dataset([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0])

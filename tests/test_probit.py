@@ -42,6 +42,13 @@ def test_intercept_only_loglik_closed_form():
                                        abs=1e-12)
 
 
+def test_fit_arrays_are_read_only(demo_clean, spec):
+    fit = fit_probit(build_mediator_design(demo_clean, spec), demo_clean.m)
+    for array in (fit.coefficients, fit.covariance):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+
+
 def test_score_is_small_at_reported_optimum(demo_clean, spec):
     design = build_mediator_design(demo_clean, spec)
     fit = fit_probit(design, demo_clean.m)
@@ -174,10 +181,14 @@ def test_the_ascent_stops_where_no_step_improves(score, converged):
     def cliff(x):
         calls.append(x[0])
         return (0.0 if x[0] == 0.0 else -1.0), np.array([score]), -np.eye(1), 0.0
-    opt, _ = probit._newton_ascent(cliff, np.zeros(1))
+    x0 = np.zeros(1)
+    opt, _ = probit._newton_ascent(cliff, x0)
     assert opt.coefficients.tolist() == [0.0] and opt.loglik == 0.0
-    assert opt.iterations == 1 and len(calls) == 41
+    assert opt.iterations == 1 and len(calls) == 41 and opt.passes == 41
     assert opt.converged is converged
+    # the record keeps a read-only copy of the start, not the caller's x0
+    assert not np.shares_memory(opt.coefficients, x0)
+    assert not opt.coefficients.flags.writeable and x0.flags.writeable
 
 
 def test_information_not_positive_definite_is_flagged():

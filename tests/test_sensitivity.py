@@ -535,6 +535,43 @@ class TestRunScan:
         assert sum(per_fit) <= 46
 
     @pytest.mark.parametrize("kind", [EM, MY, ZY])
+    def test_fit_passes_sum_to_the_phi2_calls(self, kind, monkeypatch):
+        # every pass of a constrained fit, rejected halvings included, makes
+        # one Phi2 call and is counted in its fit's passes: 48 (zm), 46 (my)
+        # and 46 (zy) on this 21-point grid
+        params = confounded_params(kind, 0.3)
+        ds = simulate(params, 5000, 64)
+        fits, bvn_calls = [], []
+        real_fit, real_bvn = sens_mod.fit_constrained, numkernel_mod.bvn_cdf
+
+        def recording(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        def counted(*args, **kwargs):
+            bvn_calls.append(None)
+            return real_bvn(*args, **kwargs)
+
+        monkeypatch.setattr(sens_mod, "fit_constrained", recording)
+        monkeypatch.setattr(numkernel_mod, "bvn_cdf", counted)
+        scan = run_scan(kind, NIE, "marginal",
+                        RhoGrid.regular(-0.95, 0.95, 0.095), ds, params.spec)
+        assert scan.failures == () and len(fits) == 21
+        assert sum(fit.passes for fit in fits) == len(bvn_calls)
+
+    def test_points_keep_their_fits_read_only_coefficients(self,
+                                                           demo_confounded,
+                                                           spec):
+        scan = run_scan(MY, NIE, "marginal", RhoGrid.regular(-0.1, 0.1, 0.1),
+                        demo_confounded, spec)
+        for pt in scan.points:
+            fit = scan._path.fits[pt.rho]
+            packed = np.concatenate([fit.coefficients_a, fit.coefficients_b])
+            assert pt.coefficients.tobytes() == packed.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                pt.coefficients[0] = 0.0
+
+    @pytest.mark.parametrize("kind", [EM, MY, ZY])
     def test_off_zero_anchor_passes(self, kind, monkeypatch):
         # a quadratic step off the rho = 0 probit pair: 3 passes, 4 with
         # an Euler step, and 5 when the fit starts from the probit fits
