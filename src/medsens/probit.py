@@ -7,10 +7,10 @@ The same Newton ascent, _newton_ascent, maximizes the constrained
 bivariate fits, and it ends every fit: the separation rule, the
 convergence verdict, the covariance and the score norm are its own.
 ProbitFit is the record of every Newton optimum: the ascent builds it,
-with its coefficients and covariance read-only and the count of its
-passes, and fit_probit returns it as it is. biprobit.ConstrainedFit is a
-ProbitFit: fit_constrained extends the record with the pair's blocks,
-views of the same read-only arrays.
+with its coefficients and covariance read-only and the counts of its
+passes and rejected step halvings, and fit_probit returns it as it is.
+biprobit.ConstrainedFit is a ProbitFit: fit_constrained extends the
+record with the pair's blocks, views of the same read-only arrays.
 The inverse-Mills ratio is evaluated as exp(log pdf - log cdf), which
 stays accurate far into the tail where pdf/cdf would be 0/0. ln Phi is
 numkernel._log_ndtr: log(ndtr(q)) above q = -20, cheaper per row than
@@ -25,11 +25,14 @@ fits it from the Gram G = X'X that check formed, so no design's X'X is
 formed twice. G also gives the zero start's Hessian (Amemiya 1981): at
 q = +-0 every row has the weight 2/pi, so the Hessian is -(2/pi) G, and
 the loglik and score are n ln Phi(0) and lam(0) X's, from one _mills
-call on one row. Every design is fitted in Fortran order. The probit
-weights w are nonnegative, so the Hessian -X'WX at any other point is
-accumulated as -B'B over row blocks B = sqrt(w) X, one symmetric rank-k
-update per block. Each pass hands the ascent its largest |q|, the
-separation rule's input, and a fit keeps no per-row vector.
+call on one row. Every design is fitted in Fortran order. Each pass
+after the start's walks the design once in blocks of _PASS_ROWS rows: a
+block X_b forms its signed predictors q = s X_b b and their _mills
+terms, adds its loglik, its score X_b'(s ratio) and its largest |q| (the
+separation rule's input), and subtracts its Hessian X_b'(w X_b), one
+general product of the block and its weighted copy (a symmetric rank-k
+update of sqrt(w) X_b is slower in OpenBLAS on blocks this narrow). No
+pass forms a per-row vector longer than a block, and a fit keeps none.
 _probit_fits is the only caller of fit_probit in the package. It fits
 each model once per (dataset, spec), from the (design, response, gram)
 rows fit_designs holds, and keeps the fit in that same one entry, so
@@ -37,7 +40,8 @@ fit_unconstrained, the effect contexts, every constrained fit and every
 scan on that pair read the same fits. The entry is the one (dataset,
 spec) held at a time, in a WeakKeyDictionary keyed by the Dataset: it is
 dropped before the next pair is set up and when its Dataset is
-collected.
+collected. A dataset that is not a Dataset, or a spec that is not a
+ModelSpec, is refused by name (DataError, ConfigError) before it is read.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, ModelSpec, require_full_rank, validate_for_fit
-from .errors import RankError, SeparationError
+from .errors import ConfigError, DataError, RankError, SeparationError
 from .numkernel import _as_real_array, _log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -58,9 +62,11 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # drifting to infinity
 _SEPARATION_BOUND = 30.0
 
-# rows per block of the Hessian's rank-k updates: a block of a 20-column
-# design stays in cache between its scaling and its update
-_HESSIAN_ROWS = 8192
+# rows per block of fit_probit's pass, whose row terms and weighted copy
+# stay in cache from the block's linear predictor to its Hessian product:
+# of 2048 to 16384, 8192 fitted the 5-, 10- and 20-column designs of a
+# 500,000-row cohort fastest in sum
+_PASS_ROWS = 8192
 
 MAX_ITER = 100
 SCORE_TOL = 1e-6
@@ -77,7 +83,9 @@ class ProbitFit:
     probit, or of a constrained pair, which biprobit.ConstrainedFit
     extends. Converged, or explicitly flagged. The coefficients and
     covariance are read-only; passes counts the calls of the pass
-    function, rejected step halvings included."""
+    function, rejected step halvings included, and halvings the rejected
+    steps: 1 + iterations + halvings passes when the last step was
+    taken."""
 
     coefficients: np.ndarray
     covariance: np.ndarray
@@ -87,6 +95,7 @@ class ProbitFit:
     score_norm: float
     warnings: tuple[str, ...] = ()
     passes: int = 0
+    halvings: int = 0
 
 
 def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
@@ -110,7 +119,7 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
     """
     x = np.asarray(x0, dtype=float)
     f, g, h, reach, *rows = loglik_score_hessian(x)
-    passes, iterations = 1, 0
+    passes, iterations, halvings = 1, 0, 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
         try:
@@ -130,6 +139,7 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
                                    and np.abs(g_new).max() <= 0.5 * g_norm)):
                 accepted = True
                 break
+            halvings += 1
             scale *= 0.5
         if not accepted:
             # the log-likelihood cannot be improved along the Newton
@@ -165,7 +175,8 @@ def _newton_ascent(loglik_score_hessian, x0) -> tuple[ProbitFit, list]:
     return ProbitFit(coefficients=x, covariance=covariance, loglik=float(f),
                      iterations=iterations, score_norm=float(np.abs(g).max()),
                      converged=converged and bool(np.isfinite(f)),
-                     warnings=warnings, passes=passes), rows
+                     warnings=warnings, passes=passes,
+                     halvings=halvings), rows
 
 
 def _check_design(design: np.ndarray, response: np.ndarray):
@@ -223,27 +234,27 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
             "the probit likelihood has no interior maximum")
 
     s = 2.0 * response - 1.0
-    block = np.empty((min(n, _HESSIAN_ROWS), k), order="F")
+    rows = min(n, _PASS_ROWS)
+    block = np.empty((rows, k), order="F")
     zero = np.zeros(k)
-
-    def hessian(weight):
-        root = np.sqrt(weight)
-        h = np.zeros((k, k))
-        for start in range(0, n, block.shape[0]):
-            stop = min(start + block.shape[0], n)
-            scaled = block[:stop - start]
-            np.multiply(design[start:stop], root[start:stop, None], out=scaled)
-            h -= scaled.T @ scaled  # numpy's syrk path: one buffer, transposed
-        return h
 
     def loglik_score_hessian(coef):
         if coef is zero:  # q = +-0: every row's terms are _mills' at 0
             log_cdf, ratio, weight = (v[0] for v in _mills(zero[:1]))
             return n * log_cdf, ratio * (design.T @ s), -weight * gram, 0.0
-        q = s * (design @ coef)
-        log_cdf, ratio, weight = _mills(q)
-        return (float(log_cdf.sum()), design.T @ (s * ratio), hessian(weight),
-                np.abs(q).max())
+        f, g, h, reach = 0.0, np.zeros(k), np.zeros((k, k)), 0.0
+        for start in range(0, n, rows):
+            x, s_b = design[start:start + rows], s[start:start + rows]
+            q = s_b * (x @ coef)
+            log_cdf, ratio, weight = _mills(q)
+            f += log_cdf.sum()
+            ratio *= s_b
+            g += x.T @ ratio
+            reach = max(reach, np.abs(q).max())
+            weighted = block[:len(q)]
+            np.multiply(x, weight[:, None], out=weighted)
+            h -= x.T @ weighted
+        return float(f), g, h, reach
 
     return _newton_ascent(loglik_score_hessian, zero)[0]
 
@@ -261,7 +272,18 @@ class UnconstrainedFits:
 _FIT_ENTRY = weakref.WeakKeyDictionary()
 
 
+def _check_fit_args(ds, spec) -> None:
+    """Refuse a ds that is not a Dataset or a spec that is not a
+    ModelSpec, by name, before either is read."""
+    if not isinstance(ds, Dataset):
+        raise DataError(f"ds must be a Dataset, got {type(ds).__name__} {ds!r:.60}")
+    if not isinstance(spec, ModelSpec):
+        raise ConfigError(
+            f"spec must be a ModelSpec, got {type(spec).__name__} {spec!r:.60}")
+
+
 def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
+    _check_fit_args(ds, spec)
     entry = _FIT_ENTRY.get(ds)
     if entry is None or entry[0] != spec:
         _FIT_ENTRY.clear()

@@ -56,7 +56,7 @@ from .effects import (EffectEstimate, EffectType, FitContext, _check_request,
                       effect_with_ci)
 from .errors import MedsensError, NotConvergedError, ScanError
 from .numkernel import RHO_INTERIOR, _as_finite_float, _as_real
-from .probit import _probit_fits, fit_unconstrained
+from .probit import _check_fit_args, _probit_fits, fit_unconstrained
 
 DEFAULT_GRID_LOWER = -0.95
 DEFAULT_GRID_UPPER = 0.95
@@ -296,6 +296,7 @@ def run_scan(kind: ConfoundingKind, effect_type: EffectType, scope: str,
     failures are recorded on the scan and surfaced via .failures.
     """
     _pair_models(kind)  # the request's checks, before any fit
+    _check_fit_args(ds, spec)
     _check_request(effect_type, scope, alpha, profile, ds)
     warnings: list[str] = []
     if grid.clamped:

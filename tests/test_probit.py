@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
-from medsens import (ConfoundingKind, EffectType, RankError, RhoGrid,
-                     SeparationError, build_mediator_design, demo_params,
+from medsens import (ConfigError, ConfoundingKind, DataError, EffectType,
+                     RankError, RhoGrid, SeparationError,
+                     build_mediator_design, demo_params, fit_constrained,
                      fit_probit, fit_unconstrained, norm_quantile, run_scan,
-                     simulate, write_csv)
+                     simulate, unconstrained_context, write_csv)
 from medsens import datamodel, probit
 from medsens.cli import main
 from medsens.datamodel import require_full_rank
@@ -169,6 +170,10 @@ def test_an_overshooting_newton_step_is_halved():
     opt, _ = probit._newton_ascent(recording, np.array([3.0]))
     assert seen[:4] == pytest.approx([2.0, -8.0, -3.0, -0.5], abs=1e-12)
     assert opt.converged and opt.coefficients[0] == pytest.approx(1.0, abs=1e-9)
+    # the two rejected steps are the fit's halvings; every later full step
+    # is taken, so each pass but the start's is a step or a halving
+    assert opt.halvings == 2
+    assert opt.passes == len(seen) == 1 + opt.iterations + opt.halvings
 
 
 @pytest.mark.parametrize("score,converged", [(1.0, False), (1e-8, True)])
@@ -185,6 +190,8 @@ def test_the_ascent_stops_where_no_step_improves(score, converged):
     opt, _ = probit._newton_ascent(cliff, x0)
     assert opt.coefficients.tolist() == [0.0] and opt.loglik == 0.0
     assert opt.iterations == 1 and len(calls) == 41 and opt.passes == 41
+    # every candidate was a rejected halving, and no step was taken
+    assert opt.halvings == 40 and opt.passes == opt.iterations + opt.halvings
     assert opt.converged is converged
     # the record keeps a read-only copy of the start, not the caller's x0
     assert not np.shares_memory(opt.coefficients, x0)
@@ -547,3 +554,69 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     assert (computed.iterations, computed.converged) == (held.iterations,
                                                          held.converged)
     assert max(computed.score_norm, held.score_norm) < probit.SCORE_TOL
+
+
+def test_a_pass_over_several_row_blocks_matches_one_block(monkeypatch, spec):
+    # with 192-row blocks the 1000 rows are five full blocks and a ragged
+    # 40-row one; the fit matches the one-block fit up to the rounding of
+    # the block sums, and its Hessian at the optimum is -X'diag(w)X
+    ds = simulate(demo_params(), 1000, 78)
+    design, response, _ = fit_designs(ds, spec)["outcome"]
+    whole = fit_probit(design, response)
+    passes, real_ascent, counting = [], probit._newton_ascent, CountingNumpy()
+
+    def ascent(f, x0):
+        passes.append(f)
+        return real_ascent(f, x0)
+
+    monkeypatch.setattr(probit, "_PASS_ROWS", 192)
+    monkeypatch.setattr(probit, "_newton_ascent", ascent)
+    monkeypatch.setattr(probit, "np", counting)
+    blocked = fit_probit(design, response)
+    assert counting.blocks == ([192] * 5 + [40]) * (blocked.passes - 1)
+    np.testing.assert_allclose(blocked.coefficients, whole.coefficients,
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(blocked.covariance, whole.covariance,
+                               rtol=1e-10, atol=0.0)
+    assert blocked.loglik == pytest.approx(whole.loglik, rel=1e-13, abs=0.0)
+    assert (blocked.iterations, blocked.passes, blocked.converged) == (
+        whole.iterations, whole.passes, whole.converged)
+
+    # the pass at the optimum against its terms over all rows at once; the
+    # largest |q| is in a full block, not the last one
+    loglik, score, hessian, reach = passes[0](blocked.coefficients)
+    s = 2.0 * response - 1.0
+    q = s * (design @ blocked.coefficients)
+    log_cdf, ratio, weight = probit._mills(q)
+    assert np.abs(q).argmax() < 960 and reach == np.abs(q).max()
+    assert loglik == pytest.approx(log_cdf.sum(), rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(score, design.T @ (s * ratio), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(hessian, -(design.T * weight) @ design,
+                               rtol=1e-12, atol=1e-12)
+
+
+MY, GRID = ConfoundingKind.MEDIATOR_OUTCOME, RhoGrid.regular(-0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    fit_designs, fit_unconstrained, unconstrained_context,
+    lambda ds, spec: fit_constrained(MY, 0.1, ds, spec),
+    lambda ds, spec: run_scan(MY, EffectType.NIE, "marginal", GRID, ds, spec),
+    # a conditional scan reads the dataset for its profile check
+    lambda ds, spec: run_scan(MY, EffectType.NIE, "conditional", GRID, ds,
+                              spec, profile=[0.0])],
+    ids=["fit_designs", "fit_unconstrained", "unconstrained_context",
+         "fit_constrained", "run_scan", "run_scan_conditional"])
+def test_a_fit_entry_point_refuses_a_wrong_dataset_or_spec(demo_clean, spec,
+                                                           call):
+    with pytest.raises(DataError, match="^ds must be a Dataset, got str 'abc'$"):
+        call("abc", spec)
+    # a long value is named by the start of its repr
+    with pytest.raises(DataError, match=f"^ds must be a Dataset, got str '{'x' * 59}$"):
+        call("x" * 10 ** 6, spec)
+    with pytest.raises(ConfigError,
+                       match="^spec must be a ModelSpec, got str 'xyz'$"):
+        call(demo_clean, "xyz")
+    with pytest.raises(ConfigError,
+                       match="^spec must be a ModelSpec, got NoneType None$"):
+        call(demo_clean, None)

@@ -558,6 +558,10 @@ class TestRunScan:
                         RhoGrid.regular(-0.95, 0.95, 0.095), ds, params.spec)
         assert scan.failures == () and len(fits) == 21
         assert sum(fit.passes for fit in fits) == len(bvn_calls)
+        # every fit ended on a taken step: its passes are the start's, one
+        # per step and one per rejected halving
+        for fit in fits:
+            assert fit.passes == 1 + fit.iterations + fit.halvings
 
     def test_points_keep_their_fits_read_only_coefficients(self,
                                                            demo_confounded,
