@@ -10,6 +10,10 @@ profiles) and sens read that data, and sens runs three scans, one per
 confounding kind, once on a 21-point grid and once on the default grid.
 fit runs once more on that data rewritten with "\r\n" line ends
 (data_crlf.csv), so the CSV line count's "\r" branch is compared too.
+Two more runs read the same data under other models: effects with every
+model block on (effects_full, a 12-column outcome design), and fit with
+every block on but outcome_zm and outcome_zmx (fit_no_zm), whose outcome
+Hessian is gathered from more columns than the base block [1, x].
 
 Each output file is reported as identical, byte for byte, or else with
 the largest difference in each numeric column (CSV) or key (JSON), judged
@@ -86,9 +90,16 @@ def configs(n: int) -> dict:
                                  {"name": "band",
                                   "values": {names[0]: "mean+-sd", names[1]: 1}}]}}
     grid = {"lower": -0.5, "upper": 0.5, "step": 0.05}  # 21 points
+    full = dict.fromkeys(model, True)
     return {"simulate": ("simulate", simulate),
             **{run: (run, {**analysis, "out": run}) for run in ("fit", "effects")},
             "fit_crlf": ("fit", {**analysis, "data": CRLF_DATA, "out": "fit_crlf"}),
+            # every block on: the 12-column outcome design
+            "effects_full": ("effects", {**analysis, "model": full,
+                                         "out": "effects_full"}),
+            # no z*m: the outcome's Hessian map takes columns beyond [1, x]
+            "fit_no_zm": ("fit", {**analysis, "out": "fit_no_zm", "model": {
+                **full, "outcome_zm": False, "outcome_zmx": False}}),
             "sens_grid21": ("sens", {**analysis, "out": "sens_grid21",
                                      "scans": [{**s, "grid": grid} for s in SCANS]}),
             "sens_default": ("sens", {**analysis, "out": "sens_default",

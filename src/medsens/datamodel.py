@@ -13,11 +13,14 @@ Optional blocks are controlled by ModelSpec flags; a disabled block is
 simply absent from the matrix (and from the packed coefficient vector),
 never a column of zeros. The term names and ModelSpec's flag rule are read
 off the same table. Each builder fills one Fortran-order array, so a
-column is contiguous: the probit fit scales rows of whole columns and
-forms X'X by a symmetric rank-k update without copying the design. Each
-block is written in place, and a product block reads x from the
-design's own x block, so a builder makes no product temporary and no
-Fortran-order copy of x.
+column is contiguous: the probit fit reads blocks of rows of whole
+columns without copying the design. Each block is written in place, and
+a product block reads x from the design's own x block, so a builder
+makes no product temporary and no Fortran-order copy of x. The same
+table gives each pair of designs its _GatherMap (_hessian_map): the
+columns L of the left design, the base block [1, x] and any column a
+product needs beyond it, and where each entry of X_a'diag(w)X_b lies in
+(w L)'X_b, which is how a probit pass forms its Hessian.
 
 Dataset and CovariateProfile store read-only copies of the arrays they are
 given, never the caller's own. write_csv writes commas: the header with
@@ -35,6 +38,7 @@ line a byte scan counts; every other input goes to the row loop.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import os
@@ -42,6 +46,7 @@ import stat
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -473,6 +478,85 @@ def _terms(model: str, spec: ModelSpec, names: tuple[str, ...]) -> list[str]:
     return out
 
 
+class _GatherMap(NamedTuple):
+    """How X_a'diag(w)X_b is gathered from P = (w L)'X_b, L width columns
+    of X_a: runs pairs each run of them in X_a with its columns in L, and
+    entry (i, j) is P.flat[index[i, j]]."""
+
+    runs: tuple[tuple[slice, slice], ...]
+    index: np.ndarray
+    width: int
+
+
+def _gather_map(picks: dict, k_a: int, k_b: int, same: bool) -> _GatherMap:
+    """The _GatherMap of picks {(i, j): (l, j')}, each X_a column l whose
+    product with X_b column j' is that of X_a column i with X_b column j;
+    a same-model map has picks for j >= i only and is mirrored, so the
+    Hessian it gathers is exactly symmetric."""
+    rows = sorted({l for l, _ in picks.values()})
+    at = {l: r for r, l in enumerate(rows)}
+    index = np.empty((k_a, k_b), dtype=np.intp)
+    for (i, j), (l, jj) in picks.items():
+        index[i, j] = at[l] * k_b + jj
+        if same:
+            index[j, i] = index[i, j]
+    index.setflags(write=False)
+    starts = [l for l in rows if l - 1 not in at]
+    ends = [l + 1 for l in rows if l + 1 not in at]
+    runs = tuple((slice(a, b), slice(at[a], at[a] + b - a))
+                 for a, b in zip(starts, ends))
+    return _GatherMap(runs, index, len(rows))
+
+
+@functools.lru_cache(maxsize=16)
+def _full_map(k: int) -> _GatherMap:
+    """The _GatherMap of a design whose layout is not known: L is every
+    column, and P's upper triangle is gathered."""
+    return _gather_map({(i, j): (i, j) for i in range(k) for j in range(i, k)},
+                       k, k, True)
+
+
+def _columns(model: str, spec: ModelSpec, p: int) -> list[tuple]:
+    """Each design column as (its 0/1 factors among z and m, its covariate
+    or None)."""
+    return [(frozenset(factors.rstrip("x")), c) for factors in _blocks(model, spec)
+            for c in (range(p) if "x" in factors else (None,))]
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The product of two columns as (its 0/1 factors, its covariates):
+    z z = z, so the 0/1 factors are a set."""
+    return a[0] | b[0], tuple(sorted(c for c in (a[1], b[1]) if c is not None))
+
+
+@functools.lru_cache(maxsize=64)
+def _hessian_map(left: str, right: str, spec: ModelSpec, p: int) -> _GatherMap:
+    """The _GatherMap of the left and right models' designs under spec
+    with p covariates. As z and m are 0/1, the product of two design
+    columns is mostly the product of a base column of the left design
+    ([1, x]: no z or m) and some right column. Where no column of L has
+    such a partner (z*m with outcome_zm off), the left column joins L."""
+    cols_a, cols_b = _columns(left, spec, p), _columns(right, spec, p)
+    found = {}  # product -> (its L column, its right column)
+
+    def join(l):
+        for j, col in enumerate(cols_b):
+            found.setdefault(_product(cols_a[l], col), (l, j))
+
+    for l, (zm, _) in enumerate(cols_a):
+        if not zm:
+            join(l)
+    same = left == right
+    picks = {}
+    for i, col in enumerate(cols_a):
+        for j in range(i if same else 0, len(cols_b)):
+            key = _product(col, cols_b[j])
+            if key not in found:
+                join(i)
+            picks[i, j] = found[key]
+    return _gather_map(picks, len(cols_a), len(cols_b), same)
+
+
 def exposure_design(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return _design("exposure", spec, x)
 
@@ -560,9 +644,15 @@ def require_full_rank(design: np.ndarray, what: str) -> np.ndarray:
     s_min**2 > n * eps * s_max**2: far above the (n * eps * s_max)**2
     that matrix_rank needs, its own rounding included. Designs at or below
     the bound go to matrix_rank, so the SVD still decides every RankError.
+    A design with a NaN or infinite entry, or one too large for X'X to be
+    finite, is a DataError naming it: no fit could use it.
     """
     n, k = design.shape
-    gram = design.T @ design
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+    if not np.isfinite(gram).all():
+        raise DataError(f"{what} has a non-finite or overflowing entry: "
+                        "its X'X is not finite")
     lam = np.linalg.eigvalsh(gram)
     if (lam[0] <= (k + 2) * n * np.finfo(float).eps * lam[-1]
             and np.linalg.matrix_rank(design) < k):

@@ -29,9 +29,13 @@ call on one row. Every design is fitted in Fortran order. Each pass
 after the start's walks the design once in blocks of _PASS_ROWS rows: a
 block X_b forms its signed predictors q = s X_b b and their _mills
 terms, adds its loglik, its score X_b'(s ratio) and its largest |q| (the
-separation rule's input), and subtracts its Hessian X_b'(w X_b), one
-general product of the block and its weighted copy (a symmetric rank-k
-update of sqrt(w) X_b is slower in OpenBLAS on blocks this narrow). No
+separation rule's input), and subtracts (w L_b)'X_b, L_b the columns of
+the block its design's datamodel._GatherMap names, written weighted into
+one preallocated buffer. The pass then gathers its Hessian X'diag(w)X
+from that |L| x k sum. As z and m are 0/1, L is the base block [1, x] of
+a held design wherever the design holds every product of two of its
+columns: a quarter of the 20-column outcome design's Hessian flops. A
+design fit_designs does not hold is gathered whole, L every column. No
 pass forms a per-row vector longer than a block, and a fit keeps none.
 _probit_fits is the only caller of fit_probit in the package. It fits
 each model once per (dataset, spec), from the (design, response, gram)
@@ -51,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, ModelSpec, require_full_rank, validate_for_fit
+from .datamodel import (Dataset, ModelSpec, _full_map, _hessian_map,
+                        require_full_rank, validate_for_fit)
 from .errors import ConfigError, DataError, RankError, SeparationError
 from .numkernel import _as_real_array, _log_ndtr
 
@@ -62,10 +67,10 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # drifting to infinity
 _SEPARATION_BOUND = 30.0
 
-# rows per block of fit_probit's pass, whose row terms and weighted copy
+# rows per block of fit_probit's pass, whose row terms and weighted L
 # stay in cache from the block's linear predictor to its Hessian product:
 # of 2048 to 16384, 8192 fitted the 5-, 10- and 20-column designs of a
-# 500,000-row cohort fastest in sum
+# 500,000-row cohort fastest, each and in sum
 _PASS_ROWS = 8192
 
 MAX_ITER = 100
@@ -184,6 +189,8 @@ def _check_design(design: np.ndarray, response: np.ndarray):
     response = np.asarray(response)
     if design.ndim != 2:
         raise ValueError("design must be a 2-d matrix")
+    if design.shape[1] == 0:
+        raise ValueError("design must have at least one column")
     if response.ndim != 1 or response.shape[0] != design.shape[0]:
         raise ValueError(
             f"response length {response.shape} does not match design rows {design.shape}")
@@ -213,36 +220,39 @@ def _mills(q):
 
 def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
     """Fit a probit model by Newton from zero; raises on a misshapen
-    design or response, a response that is not 0/1, rank deficiency and
-    separation. Every design goes through datamodel.require_full_rank,
-    whose Gram is the zero start's Hessian up to the factor -2/pi; a
-    design that fit_designs holds went through it in validate_for_fit and
-    is fitted from that Gram, bitwise the one a copy of it forms. The fit
-    reads a Fortran-order copy of a design in any other memory order, so
-    it does not depend on the caller's layout."""
+    design or response, a response that is not 0/1, a design without
+    columns, a non-finite Gram, rank deficiency and separation. Every
+    design goes through datamodel.require_full_rank, whose Gram is the
+    zero start's Hessian up to the factor -2/pi; a design that
+    fit_designs holds went through it in validate_for_fit and is fitted
+    from that Gram and its model's _GatherMap, any other design from its
+    own Gram and the map of every column. The fit reads a Fortran-order
+    copy of a design in any other memory order, so it does not depend on
+    the caller's layout."""
     design, response = _check_design(design, response)
     design = np.asfortranarray(design)
     n, k = design.shape
     if n <= k:
         raise RankError(f"cannot fit {k} coefficients on {n} rows")
-    gram = _validated_gram(design)
-    if gram is None:
-        gram = require_full_rank(design, "design matrix")
+    held = _validated_gram(design)
+    if held is None:
+        held = require_full_rank(design, "design matrix"), _full_map(k)
+    gram, gather = held
     if response.min() == response.max():
         raise SeparationError(
             f"response is constant (all {int(response[0])}); "
             "the probit likelihood has no interior maximum")
 
     s = 2.0 * response - 1.0
-    rows = min(n, _PASS_ROWS)
-    block = np.empty((rows, k), order="F")
+    rows, (runs, index, width) = min(n, _PASS_ROWS), gather
+    block = np.empty((rows, width), order="F")
     zero = np.zeros(k)
 
     def loglik_score_hessian(coef):
         if coef is zero:  # q = +-0: every row's terms are _mills' at 0
             log_cdf, ratio, weight = (v[0] for v in _mills(zero[:1]))
             return n * log_cdf, ratio * (design.T @ s), -weight * gram, 0.0
-        f, g, h, reach = 0.0, np.zeros(k), np.zeros((k, k)), 0.0
+        f, g, h, reach = 0.0, np.zeros(k), np.zeros((width, k)), 0.0
         for start in range(0, n, rows):
             x, s_b = design[start:start + rows], s[start:start + rows]
             q = s_b * (x @ coef)
@@ -251,10 +261,11 @@ def fit_probit(design: np.ndarray, response: np.ndarray) -> ProbitFit:
             ratio *= s_b
             g += x.T @ ratio
             reach = max(reach, np.abs(q).max())
-            weighted = block[:len(q)]
-            np.multiply(x, weight[:, None], out=weighted)
-            h -= x.T @ weighted
-        return float(f), g, h, reach
+            weighted, weight = block[:len(q)], weight[:, None]
+            for source, dest in runs:  # weighted = w L_b
+                np.multiply(x[:, source], weight, out=weighted[:, dest])
+            h -= weighted.T @ x
+        return float(f), g, h.take(index), reach
 
     return _newton_ascent(loglik_score_hessian, zero)[0]
 
@@ -268,7 +279,8 @@ class UnconstrainedFits:
     outcome: ProbitFit
 
 
-# the one entry, {ds: (spec, designs, fits)}; Dataset hashes by identity
+# the one entry, {ds: (spec, designs, fits, maps)}, maps each model's
+# _GatherMap; Dataset hashes by identity
 _FIT_ENTRY = weakref.WeakKeyDictionary()
 
 
@@ -291,18 +303,20 @@ def _fit_entry(ds: Dataset, spec: ModelSpec) -> tuple[dict, dict]:
         for design, _, gram in designs.values():
             design.setflags(write=False)
             gram.setflags(write=False)
-        entry = _FIT_ENTRY[ds] = spec, designs, {}
-    return entry[1:]
+        maps = {model: _hessian_map(model, model, spec, ds.p) for model in designs}
+        entry = _FIT_ENTRY[ds] = spec, designs, {}, maps
+    return entry[1:3]
 
 
 def _validated_gram(design: np.ndarray):
-    """The Gram validate_for_fit formed for design when design is itself
-    a read-only design of the fit entry, else None. Found by identity, so
-    fit_probit takes no Gram from a caller."""
-    for _, designs, _ in _FIT_ENTRY.values():
-        for held, _, gram in designs.values():
+    """(gram, map): the Gram validate_for_fit formed for design and its
+    model's _GatherMap, when design is itself a read-only design of the fit
+    entry, else None. Found by identity, so fit_probit takes no Gram or
+    map from a caller."""
+    for _, designs, _, maps in _FIT_ENTRY.values():
+        for model, (held, _, gram) in designs.items():
             if held is design and not design.flags.writeable:
-                return gram
+                return gram, maps[model]
     return None
 
 

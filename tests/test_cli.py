@@ -6,6 +6,7 @@ import json
 import math
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 import yaml
 
 from medsens import (ColumnRoles, ConfoundingKind, Dataset, EffectType,
-                     demo_params, effect_rows, load_csv, simulate, true_effects)
+                     demo_params, effect_rows, load_csv, simulate, true_effects,
+                     write_csv)
 import medsens.cli
 from medsens.cli import main
 from conftest import confounded_params, write_rows
@@ -441,6 +443,22 @@ class TestRunOutcomes:
             f"dropped 2 incomplete rows\nfit tables written to {out}\n")
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["n_rows"], summary["dropped_rows"]) == (798, 2)
+
+    def test_overflowing_covariate_named(self, workdir, tmp_path, capsys):
+        """A covariate near 1e160, whose squares overflow X'X: an error
+        naming the design, and no RuntimeWarning on the way."""
+        ds = load_csv(workdir / "simout" / "data.csv",
+                      ColumnRoles(**ROLES, covariates=("xcont", "xbin"))).dataset
+        huge = Dataset(ds.z, ds.m, ds.y, ds.x * [1e160, 1.0], ds.covariate_names)
+        write_csv(huge, tmp_path / "huge.csv")
+        cfg = yaml.safe_load(analysis_config(workdir, "huge").read_text())
+        cfg["data"] = str(tmp_path / "huge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(write_config(tmp_path / "c.yaml", cfg))]) == 1
+        assert capsys.readouterr().err == (
+            "error: exposure design matrix has a non-finite or overflowing "
+            "entry: its X'X is not finite\n")
 
     def test_constant_covariate_named(self, workdir, tmp_path, capsys):
         """A covariate fixed at 0.1, whose computed std is not exactly 0."""

@@ -711,6 +711,67 @@ def test_builders_match_the_reduced_products_bitwise(order, p):
     assert specs == 2 * 3 * 11
 
 
+def gathered(gather, left, weight, right) -> np.ndarray:
+    """X_a'diag(w)X_b as the map gathers it from (w L)'X_b."""
+    lcols = np.hstack([left[:, source] for source, _ in gather.runs])
+    assert lcols.shape[1] == gather.width
+    return ((lcols * weight[:, None]).T @ right).take(gather.index)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_hessian_maps_gather_every_product(p):
+    # every model and every pair a constrained fit pairs, over every flag
+    # set: the gather is X_a'diag(w)X_b up to the order of each sum, and a
+    # model's own is exactly symmetric; L is the base block [1, x] wherever
+    # the design holds every product of two of its columns
+    from medsens.biprobit import PAIR_MODELS
+    rng = np.random.default_rng(40 + p)
+    n = 80
+    z, m = rng.integers(0, 2, (2, n))
+    x, weight = rng.normal(size=(n, p)), rng.uniform(0.1, 2.0, n)
+    pairs = [(model, model) for model in ("exposure", "mediator", "outcome")]
+    pairs += list(PAIR_MODELS.values())
+    specs, widened = 0, 0
+    for bits in itertools.product((False, True), repeat=len(FLAGS)):
+        try:
+            spec = ModelSpec(**dict(zip(FLAGS, bits)))
+        except ConfigError:
+            continue
+        specs += 1
+        designs = {model: design for model, (design, _) in model_designs(
+            make_dataset(z, m, z, x, tuple(f"x{c}" for c in range(p))),
+            spec).items()}
+        for left, right in pairs:
+            gather = datamodel._hessian_map(left, right, spec, p)
+            got = gathered(gather, designs[left], weight, designs[right])
+            want = designs[left].T @ (designs[right] * weight[:, None])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (
+                left, right, spec)
+            if left == right:
+                assert np.array_equal(got, got.T)
+                base = 1 + p * getattr(spec, f"{left}_x")
+                widened += gather.width > base and left == "outcome"
+    assert specs == 2 * 3 * 11
+    # the outcome's L takes a column beyond [1, x] only where the design
+    # lacks z*m, or lacks z*m*x beside z*x and m*x
+    assert widened == (36 if p else 30)
+    for spec in (FULL, ModelSpec(mediator_zx=False, outcome_zx=False,
+                                 outcome_mx=False, outcome_zmx=False)):
+        for model in ("exposure", "mediator", "outcome"):
+            assert datamodel._hessian_map(model, model, spec, p).width == 1 + p
+
+
+def test_a_design_of_no_known_layout_is_gathered_whole():
+    rng = np.random.default_rng(41)
+    design, weight = rng.normal(size=(50, 4)), rng.uniform(0.1, 2.0, 50)
+    gather = datamodel._full_map(4)
+    assert gather.width == 4 and len(gather.runs) == 1
+    got = gathered(gather, design, weight, design)
+    assert np.array_equal(got, got.T)
+    np.testing.assert_allclose(got, design.T @ (design * weight[:, None]),
+                               rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("flags, message", [
     ({"mediator_x": False}, "mediator_zx requires mediator_x"),
     ({"outcome_x": False}, "outcome_zx requires outcome_x"),

@@ -18,7 +18,7 @@ from medsens import (ConfigError, ConfoundingKind, DataError, EffectType,
 from medsens import datamodel, probit
 from medsens.cli import main
 from medsens.datamodel import require_full_rank
-from medsens.probit import ProbitFit, fit_designs
+from medsens.probit import fit_designs
 from conftest import probit_loglik
 
 
@@ -230,7 +230,8 @@ def test_fit_keeps_the_ascents_warnings(monkeypatch, demo_clean, spec):
 def test_covariance_is_the_symmetrized_inverse_information(monkeypatch, spec):
     # the covariance is inv(-H), symmetrized, at the last pass: Cholesky
     # checks it and leaves it as it is
-    design, response, _ = fit_designs(fresh_dataset(77), spec)["outcome"]
+    ds = fresh_dataset(77)  # held, so the fit's Hessians are gathered
+    design, response, _ = fit_designs(ds, spec)["outcome"]
     passes, real_ascent = [], probit._newton_ascent
 
     def ascent(f, x0):
@@ -273,6 +274,7 @@ MISSHAPEN = {
         "response length (9,) does not match design rows (10, 1)")),
     "2-d response": (np.ones((10, 1)), _Y10[:, None], re.escape(
         "response length (10, 1) does not match design rows (10, 1)")),
+    "no columns": (np.empty((10, 0)), _Y10, "^design must have at least one column$"),
 }
 
 
@@ -281,6 +283,24 @@ MISSHAPEN = {
 def test_misshapen_inputs_rejected(design, response, message):
     with pytest.raises(ValueError, match=message):
         fit_probit(design, response)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_design_is_refused_by_name(monkeypatch, bad):
+    # refused on its Gram, before the ascent's first pass
+    rng = np.random.default_rng(9)
+    design = np.column_stack([np.ones(50), rng.normal(size=50)])
+    design[7, 1] = bad
+    monkeypatch.setattr(probit, "_newton_ascent", None)
+    with pytest.raises(DataError, match="^design matrix has a non-finite or "
+                       "overflowing entry: its X'X is not finite$"):
+        fit_probit(design, rng.integers(0, 2, 50))
+
+
+def test_a_covariate_too_large_to_square_is_refused_by_name(demo_clean, spec):
+    huge = dataclasses.replace(demo_clean, x=demo_clean.x * [1e160, 1.0])
+    with pytest.raises(DataError, match="^exposure design matrix has a non-finite"):
+        fit_unconstrained(huge, spec)
 
 
 def test_fit_unconstrained_matches_componentwise(demo_clean, spec):
@@ -388,18 +408,27 @@ def test_every_design_fit_probit_is_given_is_checked(monkeypatch, spec):
     assert calls == [design.shape]  # the 0/1 check comes first
 
 
+def assert_same_fit(fit, held):
+    """fit and held reach one optimum by the same steps; their Hessians
+    are the same sums in another order (held's is gathered from
+    (w L)'X, L its layout's columns, a copy's from (w X)'X)."""
+    np.testing.assert_allclose(fit.coefficients, held.coefficients, rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(fit.covariance, held.covariance, rtol=1e-12,
+                               atol=0.0)
+    assert (fit.iterations, fit.passes, fit.halvings) == (
+        held.iterations, held.passes, held.halvings)
+
+
 def test_a_validated_design_is_fitted_from_validations_gram(monkeypatch, spec):
-    # each fit of a fit_designs design is bitwise the fit of a copy, which
-    # forms its own Gram; made writable again, the design forms one too
+    # each fit of a fit_designs design is the fit of a copy, which forms
+    # its own Gram; made writable again, the design forms one too
     ds = fresh_dataset(75)
     designs = fit_designs(ds, spec)
     calls = count_rank_checks(monkeypatch)
     for model, (design, response, _) in designs.items():
         held, copied = fit_probit(design, response), fit_probit(design.copy(), response)
-        for field in dataclasses.fields(ProbitFit):
-            a, b = getattr(held, field.name), getattr(copied, field.name)
-            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
-                    else a == b), (model, field.name)
+        assert_same_fit(copied, held)
         assert calls.pop() == design.shape and calls == []
         design.setflags(write=True)
         try:
@@ -419,7 +448,8 @@ def test_rank_deficient_copy_of_validated_design_raises(spec):
 
 
 def test_fit_does_not_depend_on_memory_order(spec):
-    design, response, _ = fit_designs(fresh_dataset(74), spec)["outcome"]
+    ds = fresh_dataset(74)
+    design, response, _ = fit_designs(ds, spec)["outcome"]
     n, k = design.shape
     wide = np.zeros((2 * n, 3 * k))
     wide[::2, ::3] = design
@@ -428,11 +458,12 @@ def test_fit_does_not_depend_on_memory_order(spec):
               wide[::2, ::3]]
     assert [(c.flags.c_contiguous, c.flags.f_contiguous) for c in copies] == [
         (True, False), (False, True), (False, False)]
-    for copy in copies:
-        fit = fit_probit(copy, response)
+    fits = [fit_probit(copy, response) for copy in copies]
+    for fit in fits:
         for field in ("coefficients", "covariance"):
-            assert getattr(fit, field).tobytes() == getattr(held, field).tobytes()
-        assert (fit.loglik, fit.iterations) == (held.loglik, held.iterations)
+            assert getattr(fit, field).tobytes() == getattr(fits[0], field).tobytes()
+        assert (fit.loglik, fit.iterations) == (fits[0].loglik, fits[0].iterations)
+    assert_same_fit(fits[0], held)
 
 
 def scaled_design(n, singular_values, seed):
@@ -508,7 +539,8 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     # loglik n ln Phi(0), score lam(0) X's and Hessian -w(0) X'X, with no
     # n-row _mills call or Hessian block; a first pass that evaluates the
     # rows at q = +-0 instead reaches the same optimum up to rounding
-    design, response, _ = fit_designs(fresh_dataset(76), spec)["outcome"]
+    ds = fresh_dataset(76)  # held: the fit reads validate_for_fit's Gram
+    design, response, _ = fit_designs(ds, spec)["outcome"]
     n = design.shape[0]
     real_ascent, real_mills = probit._newton_ascent, probit._mills
     mills_rows, counting = [], CountingNumpy()
@@ -536,11 +568,12 @@ def test_zero_start_matches_a_computed_first_pass(monkeypatch, spec):
     assert score.tobytes() == (ratio * (design.T @ s)).tobytes()
     assert hessian.tobytes() == (-weight * (design.T @ design)).tobytes()
     assert weight == pytest.approx(2.0 / math.pi, rel=1e-15)
-    # every later pass reads n rows once and forms the Hessian in one block
+    # every later pass reads n rows once and forms the Hessian in one
+    # block, weighting each run of L's columns ([1] and the x block) once
     passes = len(mills_rows) - 1
     assert passes >= held.iterations
     assert mills_rows == [1] + [n] * passes
-    assert counting.blocks == [n] * passes
+    assert counting.blocks == [n] * (2 * passes)
 
     # a copy of the zero start is not the start the closure knows: its
     # first pass evaluates n rows at q = +-0
@@ -573,7 +606,11 @@ def test_a_pass_over_several_row_blocks_matches_one_block(monkeypatch, spec):
     monkeypatch.setattr(probit, "_newton_ascent", ascent)
     monkeypatch.setattr(probit, "np", counting)
     blocked = fit_probit(design, response)
-    assert counting.blocks == ([192] * 5 + [40]) * (blocked.passes - 1)
+    # one product of the weights per run of L's columns in every block
+    runs = len(probit._validated_gram(design)[1].runs)
+    assert runs == 2  # [1] and the x block
+    assert counting.blocks == [rows for rows in [192] * 5 + [40]
+                               for _ in range(runs)] * (blocked.passes - 1)
     np.testing.assert_allclose(blocked.coefficients, whole.coefficients,
                                rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(blocked.covariance, whole.covariance,

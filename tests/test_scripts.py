@@ -233,8 +233,8 @@ def test_compare_outputs_finds_the_repo_identical_to_itself():
     assert all(line.endswith(": identical") for line in lines[:-1]), lines
     for run, names in (("simulate", ["data.csv", "truth.json"]),
                        *((run, ["coefficients.csv", "convergence.csv"])
-                         for run in ("fit", "fit_crlf")),
-                       ("effects", ["effects.csv"]),
+                         for run in ("fit", "fit_crlf", "fit_no_zm")),
+                       *((run, ["effects.csv"]) for run in ("effects", "effects_full")),
                        *((f"sens_{grid}", ["scan_my_nie_marginal.csv", "intervals.csv",
                                            "sign_ranges.csv", "failures.csv"])
                          for grid in ("grid21", "default"))):
